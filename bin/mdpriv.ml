@@ -741,7 +741,7 @@ let simulate_cmd =
 (* ----- anon ----- *)
 
 let anon_cmd =
-  let run csv_path quasi sensitive k closeness confidence jobs engine metrics =
+  let run csv_path quasi sensitive k closeness confidence jobs metrics =
     with_metrics metrics @@ fun () ->
     let kinds =
       List.map (fun q -> (q, Mdp_anon.Attribute.Quasi)) quasi
@@ -753,35 +753,22 @@ let anon_cmd =
       exits_with_error
     | Ok ds -> (
       let policy = { Mdp_anon.Value_risk.sensitive; closeness; confidence } in
-      let anonymised, sweep =
-        match engine with
-        | `Naive ->
-          ( Mdp_anon.Mondrian.anonymise ~k ds,
-            fun release -> Mdp_anon.Value_risk.sweep release policy )
-        | `Columnar -> (
-          (* [mondrian_release] keeps the compiled release, so the
-             value-risk sweep reuses its dictionaries instead of
-             recompiling the dataset it just produced. *)
-          match
-            Mdp_anon.Columnar.mondrian_release ~jobs ~k
-              (Mdp_anon.Columnar.compile ds)
-          with
-          | Error e -> (Error e, fun _release -> [])
-          | Ok rplan ->
-            ( Ok (Mdp_anon.Columnar.source rplan),
-              fun _release ->
-                Mdp_anon.Columnar.value_risk_sweep rplan policy ))
-      in
-      match anonymised with
+      (* [mondrian_release] keeps the compiled release, so the value-risk
+         sweep reuses its dictionaries instead of recompiling the dataset
+         it just produced. *)
+      match
+        Mdp_anon.Columnar.mondrian_release ~jobs ~k
+          (Mdp_anon.Columnar.compile ds)
+      with
       | Error e ->
         prerr_endline e;
         exits_with_error
-      | Ok release ->
-        print_string (Mdp_anon.Csv.render release);
+      | Ok rplan ->
+        print_string (Mdp_anon.Csv.render (Mdp_anon.Columnar.source rplan));
         List.iter
           (fun report ->
             Format.printf "%a@." Mdp_anon.Value_risk.pp_report report)
-          (sweep release);
+          (Mdp_anon.Columnar.value_risk_sweep rplan policy);
         0)
   in
   let csv =
@@ -800,23 +787,12 @@ let anon_cmd =
   let confidence =
     Arg.(value & opt float 0.9 & info [ "confidence" ] ~doc:"Violation confidence threshold.")
   in
-  let engine =
-    Arg.(
-      value
-      & opt (enum [ ("columnar", `Columnar); ("naive", `Naive) ]) `Columnar
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Anonymisation engine: $(b,columnar) (typed column compilation, \
-             in-place parallel Mondrian and hashed equivalence classes, the \
-             default) or $(b,naive) (the row-at-a-time reference modules). \
-             Both produce identical releases and reports.")
-  in
   Cmd.v
     (Cmd.info "anon"
        ~doc:"Mondrian-anonymise a CSV and sweep §III-B value risk over it.")
     Term.(
       const run $ csv $ quasi $ sensitive $ k $ closeness $ confidence
-      $ jobs_arg $ engine $ metrics_term)
+      $ jobs_arg $ metrics_term)
 
 
 (* ----- check (requirements) ----- *)
@@ -890,7 +866,7 @@ let check_cmd =
 (* ----- population ----- *)
 
 let population_cmd =
-  let run path size seed agree_probability jobs engine metrics =
+  let run path size seed agree_probability jobs metrics =
     with_metrics metrics @@ fun () ->
     match load_model path with
     | Error (`Msg e) ->
@@ -910,9 +886,7 @@ let population_cmd =
       let profiles = Core.Population.simulate spec diagram in
       let aggregate =
         Mdp_obs.Metrics.span "phase/analyse" (fun () ->
-            match engine with
-            | `Compiled -> Core.Population.analyse_compiled ~jobs u lts profiles
-            | `Naive -> Core.Population.analyse u lts profiles)
+            Core.Population.analyse_compiled ~jobs u lts profiles)
       in
       Mdp_obs.Metrics.span "phase/render" (fun () ->
           Format.printf "%a@." Core.Population.pp_aggregate aggregate);
@@ -928,23 +902,11 @@ let population_cmd =
       & info [ "agree-probability" ] ~docv:"P"
           ~doc:"Per-service agreement probability.")
   in
-  let engine =
-    Arg.(
-      value
-      & opt (enum [ ("compiled", `Compiled); ("naive", `Naive) ]) `Compiled
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Population engine: $(b,compiled) (plan compilation + profile \
-             equivalence classes, the default) or $(b,naive) (one full \
-             disclosure analysis per profile). Both produce identical \
-             aggregates.")
-  in
   Cmd.v
     (Cmd.info "population"
        ~doc:"Aggregate disclosure risk over a simulated user population.")
     Term.(
-      const run $ model_arg $ size $ seed $ agreep $ jobs_arg $ engine
-      $ metrics_term)
+      const run $ model_arg $ size $ seed $ agreep $ jobs_arg $ metrics_term)
 
 
 (* ----- monitor (offline trace replay) ----- *)

@@ -11,8 +11,7 @@
     oracle, this module produces bit-identical results at
     million-row scale.
 
-    Guarantees (checked by the [test_anon] parity suites and the
-    [--pr4] bench agreement gate):
+    Guarantees (checked by the [test_anon] parity suites):
     - Mondrian partitions, partition order, row order within a
       partition, and released datasets equal the naive engine's for
       every [jobs] value.

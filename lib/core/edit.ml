@@ -55,6 +55,9 @@ let replace_service diagram id f =
       | Ok d -> Ok d
       | Error msgs -> Error (String.concat "; " msgs)))
 
+let has_field diagram f =
+  List.exists (Field.equal f) (Diagram.all_fields diagram)
+
 let apply inputs edit =
   match edit with
   | Grant entry -> (
@@ -95,6 +98,8 @@ let apply inputs edit =
   | Set_sensitivity (field, v) -> (
     match inputs.profile with
     | None -> Error "no user profile to edit"
+    | Some _ when not (has_field inputs.diagram field) ->
+      Error (Printf.sprintf "unknown field %s" (Field.name field))
     | Some profile -> (
       let sens = User_profile.sensitivities profile in
       let sens =
@@ -526,14 +531,22 @@ let parse_perms s =
   if List.length perms = List.length parts && perms <> [] then Some perms
   else None
 
+(* [Field.of_name] so a printed ["F~anon"] re-parses as the anon
+   variant; [None] on a name [Field.make] rejects (empty, whitespace). *)
+let parse_field s =
+  match unquote s with
+  | None -> None
+  | Some name -> (
+    match Field.of_name name with
+    | f -> Some f
+    | exception Invalid_argument _ -> None)
+
 let parse_fields s =
   match split_quoted ',' s with
   | None -> None
   | Some parts ->
-    let names = List.filter_map unquote parts in
-    if List.length names = List.length parts then
-      Some (List.map Field.make names)
-    else None
+    let fields = List.filter_map parse_field parts in
+    if List.length fields = List.length parts then Some fields else None
 
 let parse_node s =
   let sub p = unquote (String.sub s (String.length p) (String.length s - String.length p)) in
@@ -618,10 +631,9 @@ let parse spec =
     | [ "sensitivity"; assign ] -> (
       match split_quoted '=' assign with
       | Some [ f; v ] -> (
-        let* f = unquote f in
+        let* f = parse_field f in
         match float_of_string_opt v with
-        | Some v when v >= 0.0 && v <= 1.0 ->
-          Ok (Set_sensitivity (Field.make f, v))
+        | Some v when v >= 0.0 && v <= 1.0 -> Ok (Set_sensitivity (f, v))
         | _ -> err ())
       | _ -> err ())
     | [ "agree"; svc ] when String.length svc > 1 -> (

@@ -37,9 +37,9 @@ type inputs = {
 
 val apply : inputs -> t -> (inputs, string) result
 (** Apply one edit, re-validating the edited artifact (policy against
-    the diagram, diagram invariants, sensitivity bounds). Unchanged
-    components are returned physically equal, which is what
-    {!classify} keys on. *)
+    the diagram, diagram invariants, sensitivity bounds; a σ edit must
+    name a field of the diagram). Unchanged components are returned
+    physically equal, which is what {!classify} keys on. *)
 
 val apply_all : inputs -> t list -> (inputs, string) result
 (** Left-to-right; stops at the first error. *)

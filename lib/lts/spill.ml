@@ -265,41 +265,29 @@ let entry5 f ~off =
 (* Verbatim copies of spilled arena chunks, direct-mapped per domain.
    64 KiB chunks x 64 slots = 4 MiB per long-lived domain; worker
    domains live one frontier round, so theirs cost at most that
-   transiently. Raise via MDPRIV_SPILL_PIN (slots) when analyses over a
-   heavily spilled LTS show high fault counts — see
-   docs/PERFORMANCE.md. *)
-let default_pinned_slots =
-  match Sys.getenv_opt "MDPRIV_SPILL_PIN" with
-  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 64)
-  | None -> 64
-
-let pinned_slots = ref default_pinned_slots
-let set_pinned_slots n = if n > 0 then pinned_slots := n
+   transiently. *)
+let pinned_slots = 64
 
 type pcache = {
-  mutable pc_keys : int array;  (* (uid lsl 24) lor chunk index; -1 empty *)
-  mutable pc_chunks : Bytes.t array;
+  pc_keys : int array;  (* (uid lsl 24) lor chunk index; -1 empty *)
+  pc_chunks : Bytes.t array;
 }
 
 let pcache_key : pcache Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { pc_keys = [||]; pc_chunks = [||] })
-
-let get_pcache () =
-  let pc = Domain.DLS.get pcache_key in
-  if Array.length pc.pc_keys <> !pinned_slots then begin
-    pc.pc_keys <- Array.make !pinned_slots (-1);
-    pc.pc_chunks <- Array.make !pinned_slots Bytes.empty
-  end;
-  pc
+  Domain.DLS.new_key (fun () ->
+      {
+        pc_keys = Array.make pinned_slots (-1);
+        pc_chunks = Array.make pinned_slots Bytes.empty;
+      })
 
 (* The [size]-byte chunk [idx] of [f], from the pinned cache or freshly
    copied out of the mapped view. The returned bytes are immutable by
    convention and always a private copy, so callers may hold cursors
    into them indefinitely. *)
 let chunk f ~idx ~size =
-  let pc = get_pcache () in
+  let pc = Domain.DLS.get pcache_key in
   let key = (f.f_uid lsl 24) lor idx in
-  let slot = ((idx * 7) + f.f_uid) mod Array.length pc.pc_keys in
+  let slot = ((idx * 7) + f.f_uid) mod pinned_slots in
   if Array.unsafe_get pc.pc_keys slot = key then Array.unsafe_get pc.pc_chunks slot
   else begin
     Atomic.incr f.f_owner.sp_faults;

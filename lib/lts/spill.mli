@@ -64,7 +64,3 @@ val chunk : file -> idx:int -> size:int -> Bytes.t
     view on a fault. Always a private copy: callers may hold cursors
     into the result indefinitely. *)
 
-val set_pinned_slots : int -> unit
-(** Resize the per-domain pinned-chunk cache (slots of one arena chunk
-    each; default 64, or [MDPRIV_SPILL_PIN]). Takes effect on each
-    domain's next fault. *)

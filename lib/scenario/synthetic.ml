@@ -16,8 +16,9 @@ type spec = {
 (* "synthetic:NA-NF-FPS[@SEED]" (also accepted with a "-" separator)
    names a generated model rather than a file; shared by the CLI and
    the serve daemon so both resolve exactly the same model from the
-   same string. Defaults match bench/main.ml: seed 42, two stores,
-   two services. *)
+   same string. Defaults match the [scaling] table of bench/main.ml
+   and the pinned @42 specs of bench/suite: seed 42, two stores, two
+   services. *)
 let spec_of_string path =
   let prefixed p =
     if

@@ -1,8 +1,10 @@
-(* The pre-PR-2 generation engine, kept verbatim (modulo specialisation
-   to Config/Action) as the before side of BENCH_PR2.json: a cons-list
-   LTS with linear duplicate scans, full-config copies per successor, and
-   per-state [Policy.allows] queries. Only used by the benchmark — the
-   library engine is in lib/core/generate.ml. *)
+(* The seed generation engine, kept verbatim (modulo specialisation to
+   Config/Action) as a test-only oracle: a cons-list LTS with linear
+   duplicate scans, full-config copies per successor, and per-state
+   [Policy.allows] queries. It shares no code with the library engine
+   (lib/core/generate.ml), whose boxed and packed backends both step
+   through [Generate.make_step], so it is the independent check on
+   generation semantics. *)
 
 open Mdp_dataflow
 open Mdp_prelude
@@ -21,8 +23,8 @@ module Tbl = Hashtbl.Make (struct
   let equal = Config.equal
 
   (* The seed's hash, without the avalanche finaliser Config.hash has
-     since grown — kept verbatim so the baseline measures the engine as
-     it shipped. *)
+     since grown — kept verbatim so the oracle is the engine as it
+     shipped. *)
   let hash (t : Config.t) =
     let h = ref (Core.Privacy_state.hash t.privacy) in
     Array.iter
@@ -88,7 +90,7 @@ let explore ~max_states ~init ~step =
       (fun (label, dst_data) ->
         let before = t.n in
         let dst = add_state t dst_data in
-        if t.n > max_states then failwith "Baseline.explore: too many states";
+        if t.n > max_states then failwith "Seed_engine.explore: too many states";
         add_transition t ~src ~label ~dst;
         if t.n > before then Queue.push dst q)
       (step src_data)
@@ -360,3 +362,4 @@ let run ?(options = Generate.default_options) u =
 
 let num_states t = t.n
 let num_transitions t = t.ntrans
+let mem t cfg = Tbl.mem t.ids cfg

@@ -1,8 +1,9 @@
-(* Regression tests for the fast-path LTS engine (PR 2): parallel frontier
-   exploration must produce the exact LTS of the sequential run — state
-   numbering, transition order, analysis output — and the integer-keyed
-   bisimulation must compute the same partition as the seed's
-   string-signature refinement. *)
+(* Regression tests for the fast-path LTS engine: it must reach exactly
+   the configurations of the seed engine (test/seed_engine.ml), parallel
+   frontier exploration must produce the exact LTS of the sequential run
+   — state numbering, transition order, analysis output — and the
+   integer-keyed bisimulation must compute the same partition as the
+   seed's string-signature refinement. *)
 
 module Core = Mdp_core
 module H = Mdp_scenario.Healthcare
@@ -102,6 +103,43 @@ let test_synthetic () =
         ~profile u Core.Generate.default_options)
     [ (2, 4, 3); (4, 6, 4); (6, 8, 5) ]
 
+(* Against the seed engine: equal state and transition counts, and the
+   same set of reachable configurations (every library state is one the
+   seed reached; with equal counts the sets coincide). *)
+let check_seed_oracle name u options =
+  let seed = Seed_engine.run ~options u in
+  List.iter
+    (fun jobs ->
+      let ctx what = Printf.sprintf "%s jobs=%d %s" name jobs what in
+      let lts = Core.Generate.run ~options ~jobs ~par_threshold:0 u in
+      check int_ (ctx "states") (Seed_engine.num_states seed)
+        (Core.Plts.num_states lts);
+      check int_ (ctx "transitions")
+        (Seed_engine.num_transitions seed)
+        (Core.Plts.num_transitions lts);
+      for i = 0 to Core.Plts.num_states lts - 1 do
+        if not (Seed_engine.mem seed (Core.Plts.state_data lts i)) then
+          Alcotest.failf "%s: state %d unknown to the seed engine" (ctx "") i
+      done)
+    [ 1; 4 ]
+
+let test_seed_oracle () =
+  let granular = { Core.Generate.default_options with granular_reads = true } in
+  let healthcare = Core.Universe.make H.diagram H.policy in
+  check_seed_oracle "healthcare default" healthcare Core.Generate.default_options;
+  check_seed_oracle "healthcare granular" healthcare granular;
+  check_seed_oracle "study granular"
+    (Core.Universe.make H.study_diagram H.study_policy)
+    granular;
+  List.iter
+    (fun ((na, nf, fps) as dims) ->
+      let diagram, policy = Synthetic.model (synthetic_spec dims) in
+      check_seed_oracle
+        (Printf.sprintf "synthetic:%d-%d-%d" na nf fps)
+        (Core.Universe.make diagram policy)
+        Core.Generate.default_options)
+    [ (2, 4, 3); (6, 8, 5) ]
+
 let test_too_many_states () =
   let u = Core.Universe.make H.diagram H.policy in
   let options = { Core.Generate.default_options with max_states = 5 } in
@@ -195,6 +233,8 @@ let () =
           Alcotest.test_case "synthetic" `Quick test_synthetic;
           Alcotest.test_case "max-states guard" `Quick test_too_many_states;
         ] );
+      ( "seed oracle",
+        [ Alcotest.test_case "reachable configurations" `Quick test_seed_oracle ] );
       ( "bisimulation",
         [
           Alcotest.test_case "healthcare vs seed" `Quick test_bisim_healthcare;

@@ -575,6 +575,27 @@ let test_engine_whatif_population () =
   check bool_ "no size, no population" true
     (Json.member "population" plain.body = None)
 
+(* A σ edit naming a field the model lacks is refused by [Edit.apply]
+   as a structured error, with or without a population size: the sized
+   path would otherwise reaggregate classes over an unknown field. *)
+let test_engine_whatif_unknown_field () =
+  let e = S.Engine.create () in
+  List.iter
+    (fun (id, size) ->
+      let line =
+        Printf.sprintf
+          {|{"id":"%s","cmd":"whatif","model":"%s","edits":["sensitivity:Nope=0.5"]%s}|}
+          id small_model size
+      in
+      match S.Protocol.parse_request line with
+      | Error (_, msg) -> Alcotest.failf "%s did not parse: %s" id msg
+      | Ok req ->
+        let resp = S.Engine.handle e req in
+        check bool_ (id ^ " is an error") true (resp.status = S.Protocol.Error_);
+        check bool_ (id ^ " names the field") true
+          (contains (body_string resp) "unknown field Nope"))
+    [ ("u1", ""); ("u2", {|,"size":100|}) ]
+
 let test_engine_malformed_model () =
   let e = S.Engine.create () in
   let bad = S.Engine.handle e (analyse ~model:"synthetic:nope" "m1") in
@@ -734,6 +755,8 @@ let () =
             test_engine_whatif_canonical_key;
           Alcotest.test_case "whatif population deltas" `Quick
             test_engine_whatif_population;
+          Alcotest.test_case "whatif unknown σ field" `Quick
+            test_engine_whatif_unknown_field;
           Alcotest.test_case "malformed models" `Quick
             test_engine_malformed_model;
         ] );

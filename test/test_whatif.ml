@@ -299,9 +299,24 @@ let check_sweep_against_truth name analysis =
     | Error e -> Alcotest.fail e
   in
   let before = Option.get analysis.Core.Analysis.disclosure in
+  (* The candidate list carries a σ edit for each scenario's fields; on
+     the other scenario's model it names an unknown field and must be
+     refused. *)
+  let fields =
+    Diagram.all_fields (Core.Universe.diagram analysis.Core.Analysis.universe)
+  in
+  let unknown_field = function
+    | Core.Edit.Set_sensitivity (f, _) ->
+      not (List.exists (Field.equal f) fields)
+    | _ -> false
+  in
   List.iter
     (fun edit ->
       match Core.Whatif.eval_edit base edit with
+      | Error _ when unknown_field edit -> ()
+      | Ok _ when unknown_field edit ->
+        Alcotest.failf "%s: %s names an unknown field yet applied" name
+          (Core.Edit.to_string edit)
       | Error e -> Alcotest.fail e
       | Ok o -> (
         match (o.Core.Whatif.classification, o.diff) with
@@ -369,23 +384,39 @@ let test_sweep_ranking () =
 (* ------------------------------------------------------------------ *)
 (* Edit spec parser round-trip. *)
 
+(* [spec] parses, prints back to itself, and the printed form parses
+   to a structurally equal edit. *)
+let check_roundtrip spec =
+  match Core.Edit.parse spec with
+  | Error e -> Alcotest.failf "parse %s: %s" spec e
+  | Ok e ->
+    let printed = Core.Edit.to_string e in
+    check string_ ("roundtrip " ^ spec) spec printed;
+    check bool_ ("structural roundtrip " ^ spec) true
+      (Core.Edit.parse printed = Ok e)
+
 let test_parse_roundtrip () =
-  List.iter
-    (fun spec ->
-      match Core.Edit.parse spec with
-      | Error e -> Alcotest.failf "parse %s: %s" spec e
-      | Ok e ->
-        check string_ ("roundtrip " ^ spec) spec (Core.Edit.to_string e))
+  List.iter check_roundtrip
     [
       "grant:Administrator:read,delete:EHR";
       "grant:role.clinician:read:EHR:Diagnosis,Treatment";
       "revoke:Administrator:delete:EHR";
       "revoke:Nurse:read:EHR:Name";
+      "revoke:Administrator:read:EHR:Diagnosis~anon";
+      "grant:Researcher:read:ResearchDB:Diagnosis~anon,Age";
       "flow-:MedicalService:3";
       "flow+:ResearchStudy:9:store.EHR>actor.Researcher:Diagnosis:audit";
+      "flow+:ResearchStudy:9:store.EHR>actor.Researcher:Diagnosis~anon:audit";
+      "sensitivity:Diagnosis~anon=0.5";
       "agree:+ResearchStudy";
       "agree:-MedicalService";
     ];
+  (* A printed "F~anon" names the anon variant, not a base field. *)
+  (match Core.Edit.parse "revoke:Administrator:read:EHR:Diagnosis~anon" with
+  | Ok (Core.Edit.Revoke { fields = Some [ f ]; _ }) ->
+    check bool_ "anon field parses as the anon variant" true
+      (Field.equal f (Field.anon_of H.diagnosis))
+  | _ -> Alcotest.fail "anon revoke did not parse");
   (match Core.Edit.parse "sensitivity:Diagnosis=0.7" with
   | Ok (Core.Edit.Set_sensitivity (f, v)) ->
     check bool_ "sensitivity parse" true (Field.name f = "Diagnosis" && v = 0.7)
@@ -395,16 +426,22 @@ let test_parse_roundtrip () =
       match Core.Edit.parse bad with
       | Ok _ -> Alcotest.failf "accepted bad spec %s" bad
       | Error _ -> ())
-    [ "revoke:Administrator:fly:EHR"; "nonsense"; "sensitivity:X=1.5" ]
+    [
+      "revoke:Administrator:fly:EHR";
+      "nonsense";
+      "sensitivity:X=1.5";
+      (* Field names may not contain whitespace or be empty: an error,
+         not an Invalid_argument out of Field.make. *)
+      {|revoke:Admin:read:EHR:"my field"|};
+      {|grant:Admin:read:EHR:Name,"a b"|};
+      {|sensitivity:"a b"=0.5|};
+      {|sensitivity:""=0.5|};
+      {|flow+:S:1:user>actor.A:"x y"|};
+    ]
 
 (* Quoted identifiers: deterministic canonical-form cases... *)
 let test_parse_roundtrip_quoted () =
-  List.iter
-    (fun spec ->
-      match Core.Edit.parse spec with
-      | Error e -> Alcotest.failf "parse %s: %s" spec e
-      | Ok e ->
-        check string_ ("roundtrip " ^ spec) spec (Core.Edit.to_string e))
+  List.iter check_roundtrip
     [
       {|grant:"my admin":read:"my store"|};
       {|revoke:"role.trick":read:EHR|};
@@ -444,7 +481,13 @@ let test_quoting_roundtrip =
   let gen =
     Gen.(
       let id = oneofl ids in
-      let field = map Field.make (oneofl fnames) in
+      let field =
+        map2
+          (fun name anon ->
+            let f = Field.make name in
+            if anon then Field.anon_of f else f)
+          (oneofl fnames) bool
+      in
       let fields =
         oneof
           [
@@ -530,6 +573,52 @@ let test_quoting_roundtrip =
         QCheck.Test.fail_reportf "parse %S failed: %s" (Core.Edit.to_string e)
           msg)
 
+(* Untrusted specs never raise: printable edits, mutated by random
+   insertions, deletions and substitutions of separator, quote,
+   whitespace and anon-suffix characters, either parse or are refused
+   with an [Error]. *)
+let test_parse_never_raises =
+  let open QCheck in
+  let seeds =
+    [
+      "grant:Administrator:read,delete:EHR";
+      "grant:role.clinician:read:EHR:Diagnosis,Treatment";
+      "revoke:Nurse:read:EHR:Name~anon";
+      {|revoke:role."read,write":write:"a:b":"k=v","s>t"|};
+      "flow-:MedicalService:3";
+      {|flow+:"S,vc":2:store."my store">actor."Dr. Who":"q\"uote":"with space"|};
+      "sensitivity:Diagnosis=0.7";
+      "agree:+ResearchStudy";
+    ]
+  in
+  let alphabet = ":,=>\"\\ \t~.+-0aZ" in
+  let mutate spec ops =
+    List.fold_left
+      (fun s (kind, pos, ci) ->
+        let n = String.length s in
+        let c = String.make 1 alphabet.[ci mod String.length alphabet] in
+        let p = if n = 0 then 0 else pos mod (n + 1) in
+        match kind mod 3 with
+        | 0 -> String.sub s 0 p ^ c ^ String.sub s p (n - p)
+        | 1 when p < n -> String.sub s 0 p ^ String.sub s (p + 1) (n - p - 1)
+        | _ when p < n -> String.sub s 0 p ^ c ^ String.sub s (p + 1) (n - p - 1)
+        | _ -> s ^ c)
+      spec ops
+  in
+  let gen =
+    Gen.(
+      map2 mutate (oneofl seeds)
+        (list_size (1 -- 4) (triple nat nat nat)))
+  in
+  QCheck.Test.make ~count:2000 ~name:"mutated specs never raise"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun spec ->
+      match Core.Edit.parse spec with
+      | Ok _ | Error _ -> true
+      | exception exn ->
+        QCheck.Test.fail_reportf "parse %S raised %s" spec
+          (Printexc.to_string exn))
+
 let () =
   Alcotest.run "whatif"
     [
@@ -558,5 +647,6 @@ let () =
           Alcotest.test_case "parse roundtrip (quoted)" `Quick
             test_parse_roundtrip_quoted;
           QCheck_alcotest.to_alcotest test_quoting_roundtrip;
+          QCheck_alcotest.to_alcotest test_parse_never_raises;
         ] );
     ]
