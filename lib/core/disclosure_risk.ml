@@ -138,7 +138,7 @@ let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
     profile =
   (* Annotate read labels in place. Inferred (§III-B) transitions carry
      Value_risk annotations that must survive a later disclosure pass. *)
-  Plts.map_labels lts (fun { label; _ } ->
+  Plts.map_labels lts (fun label ->
       match (label.Action.kind, label.Action.provenance) with
       | Action.Read, (Action.From_flow _ | Action.Potential) ->
         let impact = transition_impact u profile label in
@@ -208,14 +208,32 @@ let level_for report ~actor ~store ~field =
       else acc)
     Level.None_ report.findings
 
-let pp_finding ppf f =
-  Format.fprintf ppf "[%a] %a (impact %.2f=%a, likelihood %.2f=%a) at s%d"
-    Level.pp f.level Action.pp f.action f.impact Level.pp f.impact_level
-    f.likelihood Level.pp f.likelihood_level f.src
+(* Everything a finding line shows but its source state. *)
+let pp_prefix ppf f =
+  Format.fprintf ppf "[%a] %a (impact %.2f=%a, likelihood %.2f=%a)" Level.pp
+    f.level Action.pp f.action f.impact Level.pp f.impact_level f.likelihood
+    Level.pp f.likelihood_level
+
+let pp_finding ppf f = Format.fprintf ppf "%a at s%d" pp_prefix f f.src
 
 let pp_report ppf r =
+  (* Findings of one label differ only in their states: render each
+     distinct prefix once. *)
+  let prefixes = Hashtbl.create 64 in
+  let pp_line ppf f =
+    let key = { f with src = 0; dst = 0; witness = [] } in
+    let prefix =
+      match Hashtbl.find_opt prefixes key with
+      | Some p -> p
+      | None ->
+        let p = Format.asprintf "%a" pp_prefix f in
+        Hashtbl.add prefixes key p;
+        p
+    in
+    Format.fprintf ppf "%s at s%d" prefix f.src
+  in
   Format.fprintf ppf "@[<v>non-allowed actors: %s@,%d risk finding(s):@,%a@]"
     (String.concat ", " r.non_allowed)
     (List.length r.findings)
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_finding)
+    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_line)
     r.findings

@@ -26,17 +26,39 @@ let to_dot ?(graph_name = "privacy_lts") ?(verbose_states = false) u lts =
   in
   Plts.to_dot ~graph_name ~state_label ~transition_style lts
 
+(* Transitions per distinct label: an int per transition on a packed
+   LTS (its interned ids), a hash lookup per transition on a boxed one. *)
+let label_counts lts =
+  match Plts.interned_labels lts with
+  | Some labels ->
+    let counts = Array.make (Array.length labels) 0 in
+    Plts.iter_states lts (fun s ->
+        Plts.iter_successors_lid lts s (fun l _ -> counts.(l) <- counts.(l) + 1));
+    List.combine (Array.to_list labels) (Array.to_list counts)
+  | None ->
+    let module Atbl = Hashtbl.Make (Action) in
+    let counts = Atbl.create 64 in
+    Plts.iter_transitions lts (fun tr ->
+        let c = Option.value (Atbl.find_opt counts tr.label) ~default:0 in
+        Atbl.replace counts tr.label (c + 1));
+    List.of_seq (Atbl.to_seq counts)
+
 let summary u lts =
   ignore u;
   let kinds = Hashtbl.create 8 and provs = Hashtbl.create 4 in
-  let bump tbl k = Hashtbl.replace tbl k (1 + Option.value (Hashtbl.find_opt tbl k) ~default:0) in
-  Plts.iter_transitions lts (fun tr ->
-      bump kinds (Format.asprintf "%a" Action.pp_kind tr.label.Action.kind);
+  let bump tbl k n =
+    Hashtbl.replace tbl k (n + Option.value (Hashtbl.find_opt tbl k) ~default:0)
+  in
+  List.iter
+    (fun ((a : Action.t), n) ->
+      bump kinds (Format.asprintf "%a" Action.pp_kind a.kind) n;
       bump provs
-        (match tr.label.Action.provenance with
+        (match a.provenance with
         | Action.From_flow _ -> "flow"
         | Action.Potential -> "potential"
-        | Action.Inferred -> "inferred"));
+        | Action.Inferred -> "inferred")
+        n)
+    (List.filter (fun (_, n) -> n > 0) (label_counts lts));
   let render tbl =
     Hashtbl.fold (fun k v acc -> Printf.sprintf "%s %d" k v :: acc) tbl []
     |> List.sort String.compare

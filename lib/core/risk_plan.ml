@@ -1,17 +1,20 @@
 open Mdp_dataflow
 open Mdp_prelude
 
-(* Everything about a transition's §III-A risk that does not depend on
-   the user profile, resolved to dense indices in one pass over the LTS.
-   Per-profile evaluation is then an array walk: look up σ by field
-   index, test actor allowance by actor index, test service agreement by
-   bitset — no diagram scans, no string lookups, no flow traversals.
+(* Everything about a label's §III-A risk that does not depend on the
+   user profile, resolved to dense indices once per distinct label. The
+   risk of a transition is a function of its label alone (action,
+   fields, actor, store, provenance), so transitions are kept only as
+   int triples (source, destination, label id) and per-profile
+   evaluation is one pass over the label table: look up σ by field
+   index, test actor allowance by actor index, test service agreement
+   by bitset — no diagram scans, no string lookups, no flow traversals.
 
    The compiled plan reproduces [Disclosure_risk.analyse] bit for bit
    (same floats, same ordering, same label annotations); the equality is
-   enforced by test/test_population.ml and the population bench. *)
+   enforced by test/test_population.ml. *)
 
-(* How the impact of a transition is computed (naive reference:
+(* How the impact of a label is computed (naive reference:
    [Disclosure_risk.transition_impact]). *)
 type impact_plan =
   | Imp_none  (** [delete]: sets nothing, impact 0. *)
@@ -50,34 +53,41 @@ type likelihood_plan = {
           an edited policy without touching labels. *)
 }
 
-type entry = {
-  e_src : Plts.state_id;
-  e_dst : Plts.state_id;
-  e_kind : Action.kind;
-  e_annotate : bool;
-      (** Read with From_flow/Potential provenance: the label gets a
-          [Disclosure_risk] annotation. *)
-  e_findable : bool;
-      (** Read with provenance <> Inferred: the only entries that can
-          become findings. *)
-  e_slot : int;  (** Hotspot slot of findable entries; -1 otherwise. *)
-  e_impact : impact_plan;
-  e_likelihood : likelihood_plan option;  (** [Some] for store reads. *)
+type label_plan = {
+  l_action : Action.t;  (** The label as compiled. *)
+  l_findable : bool;
+      (** Read with provenance <> Inferred (From_flow or Potential): the
+          only labels that get a [Disclosure_risk] annotation and whose
+          transitions can become findings. *)
+  l_slot : int;  (** Hotspot slot of a findable label; -1 otherwise. *)
+  l_impact : impact_plan;
+  l_likelihood : likelihood_plan option;  (** [Some] for store reads. *)
 }
+
+module Atbl = Hashtbl.Make (Action)
 
 type t = {
   u : Universe.t;
   lts : Plts.t;
   matrix : Risk_matrix.t;
   model : Disclosure_risk.likelihood_model;
-  entries : entry array;  (** In [iter_transitions] order. *)
-  findable : int array;  (** Indices into [entries]. *)
+  labels : label_plan array;  (** Distinct labels, first-occurrence order. *)
+  by_label : int Atbl.t;
+      (** Annotated label with its risk stripped -> label id: how
+          {!analyse} recognises an LTS label whatever annotation an
+          earlier pass left on it. *)
+  src : int array;
+  dst : int array;
+  lid : int array;  (** Entry (transition, [iter_transitions] order) -> label id. *)
+  findable : int array;  (** Entries with a findable label. *)
+  findable_labels : int array;
   slots : (string * string option) array;
-      (** Slot -> (actor, store) of its findable entries — the hotspot
+      (** Slot -> (actor, store) of its findable labels — the hotspot
           key the population aggregation counts per user. *)
   entry_base : int array;
-      (** State -> index of its first entry: entry of the [i]-th
-          successor of [s] is [entry_base.(s) + i]. *)
+      (** State -> index of its first entry ([num_states] -> entry
+          count): the [i]-th successor of [s] is entry
+          [entry_base.(s) + i]. *)
   mutable witness_tree : (int * int) array option;
       (** State -> (BFS parent, entry index of the discovering
           transition); (-1, -1) for the initial state and unreachable
@@ -88,8 +98,7 @@ type t = {
 let slots t = t.slots
 let matrix t = t.matrix
 let model t = t.model
-let num_entries t = Array.length t.entries
-let in_sync t = Plts.num_transitions t.lts = Array.length t.entries
+let num_entries t = Array.length t.lid
 
 let with_universe t u = { t with u }
 
@@ -98,8 +107,8 @@ let with_universe t u = { t with u }
    the reader sets, none of which a delete-permission edit can change
    (deleters feed exploration only under [potential_deletes]) — so the
    repatched plan is exactly what [compile u lts] would produce, at the
-   cost of one entry walk instead of a label pass. Entries whose flag is
-   unchanged are shared, not copied. *)
+   cost of one label walk. Labels whose flag is unchanged are shared,
+   not copied. *)
 let repatch_maintenance t u =
   let nstores = Universe.nstores u in
   let nactors = Universe.nactors u in
@@ -109,19 +118,18 @@ let repatch_maintenance t u =
       (fun a -> deletes.((s * nactors) + a) <- true)
       (Universe.deleters u ~store:s)
   done;
-  let entries =
+  let labels =
     Array.map
-      (fun e ->
-        match e.e_likelihood with
+      (fun l ->
+        match l.l_likelihood with
         | Some lk ->
           let flag = deletes.((lk.lk_store * nactors) + lk.lk_actor) in
-          if flag = lk.lk_maintenance then e
-          else
-            { e with e_likelihood = Some { lk with lk_maintenance = flag } }
-        | None -> e)
-      t.entries
+          if flag = lk.lk_maintenance then l
+          else { l with l_likelihood = Some { lk with lk_maintenance = flag } }
+        | None -> l)
+      t.labels
   in
-  { t with u; entries }
+  { t with u; labels }
 
 (* ----- label semantics (shared by [compile] and the cone path) ----- *)
 
@@ -234,76 +242,102 @@ let likelihood_plan lb (a : Action.t) =
       }
   | _ -> None
 
+(* [label] with its risk annotation stripped: the key under which
+   {!analyse} finds a label's plan. *)
+let unannotated (a : Action.t) = { a with Action.risk = None }
+
 let compile ?(matrix = Risk_matrix.default)
     ?(model = Disclosure_risk.default_likelihood) u lts =
   Mdp_obs.Metrics.span "risk_plan/compile" @@ fun () ->
   let lb = make_labeller u in
-  let impact_plan = impact_plan lb in
-  let likelihood_plan = likelihood_plan lb in
   let n = Plts.num_transitions lts in
   let nstates = Plts.num_states lts in
-  let entries = ref [] in
-  let findable = ref [] in
-  let slot_ids = Hashtbl.create 16 in
-  let slot_list = ref [] in
-  let nslots = ref 0 in
-  let entry_base = Array.make (max nstates 1) 0 in
+  let plans = ref [] and nlabels = ref 0 in
+  let by_label = Atbl.create 64 in
+  let slot_ids = Hashtbl.create 16 and slot_list = ref [] in
+  let new_label (a : Action.t) =
+    let l_findable =
+      a.Action.kind = Action.Read && a.Action.provenance <> Action.Inferred
+    in
+    let l_slot =
+      if not l_findable then -1
+      else begin
+        let key = (a.Action.actor, a.Action.store) in
+        match Hashtbl.find_opt slot_ids key with
+        | Some i -> i
+        | None ->
+          let i = Hashtbl.length slot_ids in
+          Hashtbl.add slot_ids key i;
+          slot_list := key :: !slot_list;
+          i
+      end
+    in
+    let l = !nlabels in
+    incr nlabels;
+    if l_findable then Atbl.replace by_label (unannotated a) l;
+    plans :=
+      { l_action = a; l_findable; l_slot;
+        l_impact = impact_plan lb a; l_likelihood = likelihood_plan lb a }
+      :: !plans;
+    l
+  in
+  (* Label ids in first-occurrence order on both backends: a packed LTS
+     already interns its labels (its ids are remapped densely); a boxed
+     one is interned here in one hash pass. *)
+  let iter_lids =
+    match Plts.interned_labels lts with
+    | Some interned ->
+      let remap = Array.make (Array.length interned) (-1) in
+      fun s f ->
+        Plts.iter_successors_lid lts s (fun i d ->
+            if remap.(i) < 0 then remap.(i) <- new_label interned.(i);
+            f remap.(i) d)
+    | None ->
+      let ids = Atbl.create 64 in
+      fun s f ->
+        Plts.iter_successors lts s (fun a d ->
+            match Atbl.find_opt ids a with
+            | Some l -> f l d
+            | None ->
+              let l = new_label a in
+              Atbl.add ids a l;
+              f l d)
+  in
+  let src = Array.make n 0 and dst = Array.make n 0 and lid = Array.make n 0 in
+  let entry_base = Array.make (nstates + 1) n in
   let k = ref 0 in
-  let prev_src = ref (-1) in
-  Plts.iter_transitions lts (fun { src; label; dst } ->
-      (* iter_transitions visits sources in ascending order. *)
-      for s = !prev_src + 1 to src do
-        entry_base.(s) <- !k
-      done;
-      prev_src := src;
-      let e_findable =
-        label.Action.kind = Action.Read
-        && label.Action.provenance <> Action.Inferred
-      in
-      let e_annotate =
-        match (label.Action.kind, label.Action.provenance) with
-        | Action.Read, (Action.From_flow _ | Action.Potential) -> true
-        | _ -> false
-      in
-      let e_slot =
-        if not e_findable then -1
-        else begin
-          let key = (label.Action.actor, label.Action.store) in
-          match Hashtbl.find_opt slot_ids key with
-          | Some i -> i
-          | None ->
-            let i = !nslots in
-            incr nslots;
-            Hashtbl.add slot_ids key i;
-            slot_list := key :: !slot_list;
-            i
-        end
-      in
-      if e_findable then findable := !k :: !findable;
-      entries :=
-        {
-          e_src = src;
-          e_dst = dst;
-          e_kind = label.Action.kind;
-          e_annotate;
-          e_findable;
-          e_slot;
-          e_impact = impact_plan label;
-          e_likelihood = likelihood_plan label;
-        }
-        :: !entries;
-      incr k);
-  for s = !prev_src + 1 to nstates - 1 do
-    entry_base.(s) <- !k
+  for s = 0 to nstates - 1 do
+    entry_base.(s) <- !k;
+    iter_lids s (fun l d ->
+        src.(!k) <- s;
+        dst.(!k) <- d;
+        lid.(!k) <- l;
+        incr k)
   done;
   assert (!k = n);
+  let labels = Array.of_list (List.rev !plans) in
+  let findable_label l = labels.(l).l_findable in
+  let select p len =
+    let acc = ref [] in
+    for i = len - 1 downto 0 do
+      if p i then acc := i :: !acc
+    done;
+    Array.of_list !acc
+  in
+  Mdp_obs.Metrics.add "risk_plan/labels" (Array.length labels);
+  Mdp_obs.Metrics.add "risk_plan/entries" n;
   {
     u;
     lts;
     matrix;
     model;
-    entries = Array.of_list (List.rev !entries);
-    findable = Array.of_list (List.rev !findable);
+    labels;
+    by_label;
+    src;
+    dst;
+    lid;
+    findable = select (fun k -> findable_label lid.(k)) n;
+    findable_labels = select findable_label (Array.length labels);
     slots = Array.of_list (List.rev !slot_list);
     entry_base;
     witness_tree = None;
@@ -386,19 +420,23 @@ let eval_likelihood model view = function
     (* Shared combination point: float-identical to the naive path. *)
     Disclosure_risk.combine_scenarios model ~accidental ~maintenance ~rogue
 
-let label_level lb ~matrix ~model view (a : Action.t) =
-  let impact = eval_impact view (impact_plan lb a) in
-  (* mirror [summary]'s skip chain: impact = 0 or likelihood = 0
-     categorise to [None_] without the table lookups *)
+(* The finding level of a label with these plans under [view]; impact =
+   0 or likelihood = 0 categorise to [None_], which can never yield a
+   finding — skip the table lookups. *)
+let plan_level ~matrix ~model view impact likelihood =
+  let impact = eval_impact view impact in
   if impact <= 0.0 then Level.None_
   else begin
-    let likelihood = eval_likelihood model view (likelihood_plan lb a) in
+    let likelihood = eval_likelihood model view likelihood in
     if likelihood <= 0.0 then Level.None_
     else
       let il = Risk_matrix.impact_level matrix impact in
       let ll = Risk_matrix.likelihood_level matrix likelihood in
       Risk_matrix.level matrix ~impact:il ~likelihood:ll
   end
+
+let label_level lb ~matrix ~model view (a : Action.t) =
+  plan_level ~matrix ~model view (impact_plan lb a) (likelihood_plan lb a)
 
 (* ----- population summary ----- *)
 
@@ -409,30 +447,20 @@ let summary t profile =
   let worst = ref Level.None_ in
   let slot_levels = Array.make (Array.length t.slots) Level.None_ in
   Array.iter
-    (fun k ->
-      let e = t.entries.(k) in
-      let impact = eval_impact view e.e_impact in
-      (* impact = 0 or likelihood = 0 categorise to [None_], which can
-         never yield a finding — skip the table lookups. *)
-      if impact > 0.0 then begin
-        let likelihood = eval_likelihood t.model view e.e_likelihood in
-        if likelihood > 0.0 then begin
-          let il = Risk_matrix.impact_level t.matrix impact in
-          let ll = Risk_matrix.likelihood_level t.matrix likelihood in
-          let level = Risk_matrix.level t.matrix ~impact:il ~likelihood:ll in
-          if Level.compare level Level.None_ > 0 then begin
-            worst := Level.max !worst level;
-            slot_levels.(e.e_slot) <- Level.max slot_levels.(e.e_slot) level
-          end
-        end
-      end)
-    t.findable;
+    (fun l ->
+      let lp = t.labels.(l) in
+      let level =
+        plan_level ~matrix:t.matrix ~model:t.model view lp.l_impact
+          lp.l_likelihood
+      in
+      worst := Level.max !worst level;
+      slot_levels.(lp.l_slot) <- Level.max slot_levels.(lp.l_slot) level)
+    t.findable_labels;
   { worst = !worst; slot_levels }
 
 (* ----- what-if delta substrate ----- *)
 
 type site = {
-  site_entry : int;
   site_slot : int;
   site_fields : string list;
   site_impact : float;
@@ -443,43 +471,28 @@ type site = {
 
 let finding_sites t profile =
   let view = view t profile in
-  let n = Array.length t.entries in
-  (* Compiled actions share field lists across transitions, so the
-     distinct name lists are few — intern the sorted copies instead of
-     allocating one per findable entry. *)
-  let interned : (string list, string list) Hashtbl.t = Hashtbl.create 64 in
-  let intern names =
-    match Hashtbl.find_opt interned names with
-    | Some sorted -> sorted
-    | None ->
-      let sorted = List.sort String.compare names in
-      Hashtbl.add interned names sorted;
-      sorted
-  in
-  let sites = ref [] in
-  let k = ref 0 in
-  Plts.iter_transitions t.lts (fun { label; _ } ->
-      let i = !k in
-      incr k;
-      if i < n then begin
-        let e = t.entries.(i) in
-        if e.e_findable then begin
-          let lk = Option.get e.e_likelihood in
-          sites :=
+  (* One site per findable label, fanned out to its entries. *)
+  let per_label =
+    Array.map
+      (fun lp ->
+        if not lp.l_findable then None
+        else begin
+          let lk = Option.get lp.l_likelihood in
+          Some
             {
-              site_entry = i;
-              site_slot = e.e_slot;
+              site_slot = lp.l_slot;
               site_fields =
-                intern (List.map Field.name label.Action.fields);
-              site_impact = eval_impact view e.e_impact;
+                List.sort String.compare
+                  (List.map Field.name lp.l_action.Action.fields);
+              site_impact = eval_impact view lp.l_impact;
               site_accidental = accidental_term t.model view lk.lk_accidental;
               site_maintenance = lk.lk_maintenance;
               site_rogue = rogue_term t.model view lk.lk_rogue;
             }
-            :: !sites
-        end
-      end);
-  Array.of_list (List.rev !sites)
+        end)
+      t.labels
+  in
+  Array.map (fun k -> Option.get per_label.(t.lid.(k))) t.findable
 
 let site_level t s ~maintenance =
   if s.site_impact > 0.0 then begin
@@ -502,6 +515,9 @@ let site_level t s ~maintenance =
 
 (* ----- full report (bit-compatible with Disclosure_risk.analyse) ----- *)
 
+(* BFS over the compiled entries. The parents are assigned at first
+   discovery in successor order, exactly as a per-finding
+   [Plts.path_to] search would, so unwound paths are identical. *)
 let force_witness_tree t =
   match t.witness_tree with
   | Some tree -> tree
@@ -515,117 +531,101 @@ let force_witness_tree t =
     Queue.push start q;
     while not (Queue.is_empty q) do
       let s = Queue.pop q in
-      let base = t.entry_base.(s) in
-      let i = ref 0 in
-      Plts.iter_successors t.lts s (fun _label d ->
-          let e = base + !i in
-          incr i;
-          if not seen.(d) then begin
-            seen.(d) <- true;
-            tree.(d) <- (s, e);
-            Queue.push d q
-          end)
+      for e = t.entry_base.(s) to t.entry_base.(s + 1) - 1 do
+        let d = t.dst.(e) in
+        if not seen.(d) then begin
+          seen.(d) <- true;
+          tree.(d) <- (s, e);
+          Queue.push d q
+        end
+      done
     done;
     t.witness_tree <- Some tree;
     tree
 
-(* Witness path to [src]: unwind the precomputed BFS tree instead of
-   running a fresh [Plts.path_to] per finding. The parents are assigned
-   at first discovery in the same successor order the per-finding BFS
-   uses, so the paths are identical. *)
-let witness_of labels tree src =
-  if fst tree.(src) = -1 then []
-  else begin
-    let rec unwind acc s =
-      match tree.(s) with
-      | -1, _ -> acc
-      | prev, e -> unwind (labels.(e) :: acc) prev
-    in
-    unwind [] src
-  end
+let witness_of t annotated tree src =
+  let rec unwind acc s =
+    match tree.(s) with
+    | -1, _ -> acc
+    | prev, e -> unwind (annotated.(t.lid.(e)) :: acc) prev
+  in
+  unwind [] src
 
 let analyse ?(grown = false) t profile =
   let nt = Plts.num_transitions t.lts in
-  let n = Array.length t.entries in
+  let n = num_entries t in
   if (if grown then nt < n else nt <> n) then
     invalid_arg "Risk_plan.analyse: LTS changed since compile";
   (* A grown LTS only ever gains [Pseudonym_risk]'s inferred-read
      transitions, which the report skips (not findable, not annotated) —
-     but the witness tree cannot be rebuilt over the appended edges, so
-     it must have been cached by an in-sync [analyse] first. *)
-  if grown && nt > n && t.witness_tree = None then
-    invalid_arg "Risk_plan.analyse: no cached witness tree for grown LTS";
+     but the witness tree must have been cached by an in-sync [analyse]
+     first, so the report stays the one over the compiled prefix. *)
+  if grown && nt > n then begin
+    if t.witness_tree = None then
+      invalid_arg "Risk_plan.analyse: no cached witness tree for grown LTS";
+    let inferred = ref 0 in
+    Plts.iter_transitions t.lts (fun { label; _ } ->
+        if label.Action.provenance = Action.Inferred then incr inferred);
+    if nt - !inferred <> n then
+      invalid_arg "Risk_plan.analyse: grown LTS has non-inferred new transitions"
+  end;
   let view = view t profile in
-  let imp = Array.make n 0.0 in
-  let lik = Array.make n 0.0 in
-  Array.iteri
-    (fun k e ->
-      imp.(k) <- eval_impact view e.e_impact;
-      lik.(k) <- eval_likelihood t.model view e.e_likelihood)
-    t.entries;
-  (* Annotate read labels in place, exactly like the naive pass;
-     map_labels visits non-inferred transitions in the same order
-     entries were compiled. Appended Inferred (§III-B) labels live
-     inside their source state's successor bucket — mid-sweep, not at
-     the end — so they are recognised by provenance (only the pseudonym
-     pass creates Inferred actions, always after compile) rather than by
-     index, and pass through without consuming an entry slot. *)
-  let labels = Array.make (max n 1) None in
-  let counter = ref 0 in
-  Plts.map_labels t.lts (fun { label; _ } ->
-      if grown && label.Action.provenance = Action.Inferred then label
-      else begin
-        let k = !counter in
-        incr counter;
-        let label' =
-          if t.entries.(k).e_annotate then
-            Action.with_risk label
-              (Risk_matrix.assess t.matrix ~impact:imp.(k)
-                 ~likelihood:lik.(k))
-          else label
-        in
-        labels.(k) <- Some label';
-        label'
-      end);
-  if !counter <> n then
-    invalid_arg "Risk_plan.analyse: grown LTS has non-inferred new transitions";
-  let labels = Array.map (fun l -> Option.get l) labels in
+  (* Per label: the annotated action, and the finding its transitions
+     get when reported. Every finding and witness hop of one label
+     shares these values. *)
+  let finding (lp : label_plan) =
+    let impact = eval_impact view lp.l_impact in
+    let likelihood = eval_likelihood t.model view lp.l_likelihood in
+    let action =
+      if lp.l_findable then
+        Action.with_risk lp.l_action
+          (Risk_matrix.assess t.matrix ~impact ~likelihood)
+      else lp.l_action
+    in
+    let impact_level = Risk_matrix.impact_level t.matrix impact in
+    let likelihood_level = Risk_matrix.likelihood_level t.matrix likelihood in
+    let level =
+      Risk_matrix.level t.matrix ~impact:impact_level
+        ~likelihood:likelihood_level
+    in
+    { Disclosure_risk.src = -1; dst = -1; action; impact; likelihood;
+      impact_level; likelihood_level; level; witness = [] }
+  in
+  let per_label = Array.map finding t.labels in
+  let annotated = Array.map (fun (f : Disclosure_risk.finding) -> f.action) per_label in
+  let reported (f : Disclosure_risk.finding) =
+    match f.action.Action.kind with
+    | Action.Read ->
+      f.action.Action.provenance <> Action.Inferred
+      && Level.compare f.level Level.None_ > 0
+    | Action.Collect | Action.Create | Action.Disclose | Action.Anon ->
+      f.impact > 0.0
+    | Action.Delete -> false
+  in
+  (* Annotate read labels in place, once per distinct label. Inferred
+     (§III-B) labels — including any a grown LTS gained — keep their
+     Value_risk annotations. *)
+  Plts.map_labels t.lts (fun label ->
+      match (label.Action.kind, label.Action.provenance) with
+      | Action.Read, (Action.From_flow _ | Action.Potential) -> (
+        match Atbl.find_opt t.by_label (unannotated label) with
+        | Some l -> annotated.(l)
+        | None -> invalid_arg "Risk_plan.analyse: LTS changed since compile")
+      | _ -> label);
   let tree = force_witness_tree t in
   let findings = ref [] in
   let exposures = ref [] in
-  Array.iteri
-    (fun k e ->
-      let finding () =
-        let impact = imp.(k) and likelihood = lik.(k) in
-        let impact_level = Risk_matrix.impact_level t.matrix impact in
-        let likelihood_level = Risk_matrix.likelihood_level t.matrix likelihood in
-        let level =
-          Risk_matrix.level t.matrix ~impact:impact_level
-            ~likelihood:likelihood_level
-        in
-        {
-          Disclosure_risk.src = e.e_src;
-          dst = e.e_dst;
-          action = labels.(k);
-          impact;
-          likelihood;
-          impact_level;
-          likelihood_level;
-          level;
-          witness = witness_of labels tree e.e_src;
-        }
+  for k = 0 to n - 1 do
+    let f = per_label.(t.lid.(k)) in
+    if reported f then begin
+      let src = t.src.(k) in
+      let f =
+        { f with src; dst = t.dst.(k); witness = witness_of t annotated tree src }
       in
-      match e.e_kind with
-      | Action.Read ->
-        if e.e_findable then begin
-          let f = finding () in
-          if Level.compare f.Disclosure_risk.level Level.None_ > 0 then
-            findings := f :: !findings
-        end
-      | Action.Collect | Action.Create | Action.Disclose | Action.Anon ->
-        if imp.(k) > 0.0 then exposures := finding () :: !exposures
-      | Action.Delete -> ())
-    t.entries;
+      if f.action.Action.kind = Action.Read then findings := f :: !findings
+      else exposures := f :: !exposures
+    end
+  done;
   let by_severity (a : Disclosure_risk.finding) (b : Disclosure_risk.finding) =
     match Level.compare b.level a.level with
     | 0 -> Float.compare b.impact a.impact

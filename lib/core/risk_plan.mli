@@ -4,14 +4,16 @@
     [Disclosure_risk.analyse] recomputes profile-independent facts —
     reader sets, rogue-flow scans, actor/field index lookups — for
     every transition on every call, which makes a population sweep
-    O(profiles x transitions x flows). [compile] hoists all of it into
-    one pass over the LTS: per transition it resolves the action kind,
-    the field and actor indices, the policy reader sets of created
-    fields, the rogue-read candidate services per (actor, store), and
-    the likelihood scenario structure. A profile then reduces to a
-    {e view} — a σ vector indexed by field, an allowance vector indexed
-    by actor, an agreement bitset indexed by diagram service — and
-    per-profile evaluation is an array walk.
+    O(profiles x transitions x flows). The risk of a transition is a
+    function of its label alone, so [compile] hoists all of it into one
+    plan per distinct label: the action kind, the field and actor
+    indices, the policy reader sets of created fields, the rogue-read
+    candidate services per (actor, store), and the likelihood scenario
+    structure. Transitions are kept as int triples (source, destination,
+    label id). A profile then reduces to a {e view} — a σ vector indexed
+    by field, an allowance vector indexed by actor, an agreement bitset
+    indexed by diagram service — and per-profile evaluation is a walk
+    over the label table.
 
     Both evaluation modes reproduce the naive path bit for bit (same
     floats, same ordering, same annotations): {!analyse} returns a
@@ -27,8 +29,9 @@ val compile :
   Universe.t ->
   Plts.t ->
   t
-(** One pass over the transitions (defaults match
-    [Disclosure_risk.analyse]). The plan is tied to the LTS's current
+(** One pass over the transitions, one plan per distinct label (defaults
+    match [Disclosure_risk.analyse]); counts [risk_plan/labels] and
+    [risk_plan/entries]. The plan is tied to the LTS's current
     transition set: label {e annotations} may change afterwards (the
     plan itself rewrites them), but adding transitions — e.g. a
     [Pseudonym_risk] pass — invalidates it, and {!analyse} then raises
@@ -45,10 +48,6 @@ val model : t -> Disclosure_risk.likelihood_model
 val num_entries : t -> int
 (** Number of transitions the plan was compiled over. *)
 
-val in_sync : t -> bool
-(** The LTS still has exactly the compiled transition set (no
-    [Pseudonym_risk] pass has appended to it). *)
-
 val with_universe : t -> Universe.t -> t
 (** Rebind the plan to an edited universe {e known} to leave every
     compiled entry valid (the incremental engine's LTS-preserving,
@@ -57,9 +56,9 @@ val with_universe : t -> Universe.t -> t
 val repatch_maintenance : t -> Universe.t -> t
 (** Rebind to a universe whose policy differs only in Delete
     permissions (with potential deletes off): recomputes the
-    maintenance-exposure flag of every read entry from the new deleter
+    maintenance-exposure flag of every read label from the new deleter
     sets and shares everything else. The result equals a fresh
-    [compile u lts] at the cost of one entry walk. *)
+    [compile u lts] at the cost of one label walk. *)
 
 type summary = {
   worst : Level.t;  (** [Disclosure_risk.max_level] of the report. *)
@@ -77,8 +76,10 @@ val summary : t -> User_profile.t -> summary
 val analyse : ?grown:bool -> t -> User_profile.t -> Disclosure_risk.report
 (** Drop-in replacement for [Disclosure_risk.analyse ~matrix ~model u
     lts profile]: annotates read labels in place and returns the
-    identical report. Witnesses come from a BFS tree built once per
-    plan instead of one search per finding. Not domain-safe (it
+    identical report. Each distinct label is evaluated, annotated and
+    relabelled ({!Plts.map_labels}) once; its findings and witness hops
+    share that one [Action.t]. Witnesses come from a BFS tree built once
+    per plan instead of one search per finding. Not domain-safe (it
     mutates labels and the cached tree).
 
     [~grown:true] additionally accepts an LTS that has {e gained}
@@ -132,11 +133,10 @@ val label_level :
     below-threshold labels. *)
 
 type site = {
-  site_entry : int;  (** Entry index (transition order). *)
   site_slot : int;  (** Index into {!slots}. *)
   site_fields : string list;
       (** Sorted field names of the read label — the [Risk_diff]
-          signature key. Interned: equal lists are shared. *)
+          signature key. Shared by every site of one label. *)
   site_impact : float;  (** Resolved impact for the given profile. *)
   site_accidental : float;  (** Resolved accidental-access term. *)
   site_maintenance : bool;  (** Maintenance-exposure flag. *)
@@ -144,9 +144,9 @@ type site = {
 }
 
 val finding_sites : t -> User_profile.t -> site array
-(** All findable entries in transition order, evaluated for [profile].
-    One label pass; safe on a grown LTS (appended transitions are not
-    findable). *)
+(** All findable entries in transition order, evaluated for [profile]
+    once per label (entries of one label share its site). Reads only
+    the plan, so it is safe on a grown LTS. *)
 
 val site_level : t -> site -> maintenance:bool -> Level.t
 (** Re-level one site with its maintenance flag overridden —

@@ -5,6 +5,7 @@ type pending_flow = {
   src : string;
   dst : string;
   fields : string list;
+  line : int option;
 }
 
 type t = {
@@ -29,8 +30,8 @@ let add_store t kind id schemas =
 let plain_store t id ~schemas = add_store t Datastore.Plain id schemas
 let anon_store t id ~schemas = add_store t Datastore.Anonymised id schemas
 
-let flow t ~service ?order ?purpose ~src ~dst fields =
-  t.rev_flows <- { service; order; purpose; src; dst; fields } :: t.rev_flows
+let flow t ~service ?order ?purpose ?line ~src ~dst fields =
+  t.rev_flows <- { service; order; purpose; src; dst; fields; line } :: t.rev_flows
 
 let resolve_node t s =
   if s = "User" then Flow.User
@@ -42,26 +43,37 @@ let build t =
   let actors = List.rev t.rev_actors in
   let datastores = List.rev t.rev_stores in
   let pending = List.rev t.rev_flows in
+  let errors = ref [] in
   let services =
     Mdp_prelude.Listx.group_by ~key:(fun f -> f.service) pending
     |> List.map (fun (sid, flows) ->
-           let next = ref 0 in
-           let flows =
-             List.map
-               (fun f ->
-                 incr next;
-                 let order = Option.value f.order ~default:!next in
-                 next := max !next order;
-                 Flow.make ~order
-                   ~src:(resolve_node t f.src)
-                   ~dst:(resolve_node t f.dst)
-                   ~fields:(List.map Field.of_name f.fields)
-                   ~purpose:(Option.value f.purpose ~default:sid))
-               flows
+           let next = ref 0 and orders = ref [] in
+           let flow f =
+             incr next;
+             let order = Option.value f.order ~default:!next in
+             next := max !next order;
+             try
+               if List.mem order !orders then
+                 invalid_arg
+                   (Printf.sprintf "duplicate flow order %d in service %s" order sid);
+               orders := order :: !orders;
+               Some
+                 (Flow.make ~order ~src:(resolve_node t f.src)
+                    ~dst:(resolve_node t f.dst)
+                    ~fields:(List.map Field.of_name f.fields)
+                    ~purpose:(Option.value f.purpose ~default:sid))
+             with Invalid_argument msg ->
+               let at = Option.fold ~none:"" ~some:(Printf.sprintf "line %d: ") f.line in
+               errors := (at ^ msg) :: !errors;
+               None
            in
-           Service.make ~id:sid ~flows)
+           (sid, List.filter_map flow flows))
   in
-  Diagram.make ~actors ~datastores ~services
+  match List.rev !errors with
+  | [] ->
+    Diagram.make ~actors ~datastores
+      ~services:(List.map (fun (id, flows) -> Service.make ~id ~flows) services)
+  | msgs -> Error msgs
 
 let build_exn t =
   match build t with

@@ -17,11 +17,17 @@ val flow :
   service:string ->
   ?order:int ->
   ?purpose:string ->
+  ?line:int ->
   src:string ->
   dst:string ->
   string list ->
   unit
-(** [flow t ~service ~src ~dst fields]. Default purpose is the service id. *)
+(** [flow t ~service ~src ~dst fields]. Default purpose is the service id;
+    [line] locates the flow in its source text for {!build}'s errors. *)
 
 val build : t -> (Diagram.t, string list) result
+(** Invalid flows (no or duplicate fields, an endpoint pattern that is no
+    privacy action, a duplicate order within a service) are reported as
+    errors, never raised. *)
+
 val build_exn : t -> Diagram.t

@@ -61,8 +61,11 @@ let tokenize input =
           go stop
         end
         else begin
-          push (Token.Int (int_of_string (String.sub input i (stop - i))));
-          go stop
+          match int_of_string_opt (String.sub input i (stop - i)) with
+          | Some v ->
+            push (Token.Int v);
+            go stop
+          | None -> Error (Printf.sprintf "line %d: number too large" !line)
         end
       | c when is_ident_char c ->
         let rec word j = if j < n && is_ident_char input.[j] then word (j + 1) else j in

@@ -122,6 +122,7 @@ let parse_service st =
     match peek st with
     | Token.Rbrace -> advance st
     | Token.Int order ->
+      let line = line st in
       advance st;
       expect st Token.Colon;
       let src = ident st in
@@ -135,7 +136,7 @@ let parse_service st =
           Some s
         | _ -> None
       in
-      Builder.flow st.builder ~service ~order ?purpose ~src ~dst fields;
+      Builder.flow st.builder ~service ~order ?purpose ~line ~src ~dst fields;
       flows ()
     | t ->
       fail st "expected a flow (order: src -> dst [fields]) or '}', found %s"
@@ -265,7 +266,8 @@ let parse input =
     in
     match parse_items st with
     | exception Syntax msg -> Error msg
-    | exception Invalid_argument msg -> Error msg
+    | exception Invalid_argument msg ->
+      Error (Printf.sprintf "line %d: %s" (line st) msg)
     | () -> (
       match Builder.build st.builder with
       | Error msgs -> Error (String.concat "\n" msgs)

@@ -1385,17 +1385,6 @@ module Make (S : STATE) (L : LABEL) = struct
       iter_successors t src (fun label dst -> f { src; label; dst })
     done
 
-  (* Recompute cone summaries (counts + source bitsets) from the stored
-     transitions — used after an incremental rebuild so the fresh LTS
-     supports further cone-scoped edits. Sources are visited in
-     nondecreasing order here, which is what [cone_touch] needs for its
-     one-compare per-state dedup. *)
-  let rebuild_cones t classify =
-    t.cones <- Some (new_cones ());
-    for src = 0 to t.n - 1 do
-      iter_successors t src (fun label _dst -> cone_touch t (classify label) src)
-    done
-
   let transitions t =
     let acc = ref [] in
     iter_transitions t (fun tr -> acc := tr :: !acc);
@@ -1435,44 +1424,43 @@ module Make (S : STATE) (L : LABEL) = struct
         let s = b.out.(src) in
         for i = 0 to s.len - 1 do
           let label, dst = s.arr.(i) in
-          s.arr.(i) <- (f { src; label; dst }, dst)
+          s.arr.(i) <- (f label, dst)
         done
       done;
       rebuild_dup b t
     | Packed p ->
-      (* Mapped labels can intern to wider varints, so rows are
-         re-encoded into a fresh buffer rather than patched in place.
-         One pass, O(edge bytes). *)
-      let old_ebytes = p.ebytes and old_elen = p.elen in
-      p.ebytes <- Bytes.create (max 4096 old_elen);
+      (* [f] runs once per live interned label; the table is rebuilt
+         from the mapped labels and rows are re-encoded through an int
+         remap into a fresh buffer (mapped ids can need wider varints).
+         One pass, O(edge bytes), no per-transition hashing. *)
+      let old = Array.sub p.lbl_data 0 p.nlabels in
+      let remap = Array.make (Array.length old) (-1) in
+      let mark lid _ = remap.(lid) <- 0 in
+      for src = 0 to t.n - 1 do
+        iter_row p src mark;
+        Option.iter
+          (fun o -> for i = 0 to o.olen - 1 do mark (o.oarr.(i) lsr 32) 0 done)
+          (Hashtbl.find_opt p.ov src)
+      done;
+      (* every [f] call before any mutation: a raising [f] leaves the LTS intact *)
+      let mapped = Array.mapi (fun i l -> if remap.(i) = 0 then f l else l) old in
+      Ltbl.reset p.lbl_ids;
+      p.nlabels <- 0;
+      Array.iteri (fun i l -> if remap.(i) = 0 then remap.(i) <- intern p l) mapped;
+      let relabel e = (remap.(e lsr 32) lsl 32) lor (e land 0xffff_ffff) in
+      let reader = { p with ebytes = p.ebytes } in
+      p.ebytes <- Bytes.create (max 4096 p.elen);
       p.elen <- 0;
       for src = 0 to t.n - 1 do
-        let rs = P.U32.get p.row_start src in
-        if rs <> row_none then begin
+        if P.U32.get p.row_start src <> row_none then begin
           p.rlen <- 0;
-          let cur = { P.b = old_ebytes; P.pos = rs } in
-          let deg = P.get_varint cur in
-          let prev = ref src in
-          for _ = 1 to deg do
-            let lid = P.get_varint cur in
-            let dst = !prev + P.unzigzag (P.get_varint cur) in
-            prev := dst;
-            let lid' =
-              intern p (f { src; label = p.lbl_data.(lid); dst })
-            in
-            push_edge p ((lid' lsl 32) lor dst)
-          done;
+          iter_row reader src (fun lid dst ->
+              push_edge p ((remap.(lid) lsl 32) lor dst));
           close_row p src
         end;
-        match Hashtbl.find_opt p.ov src with
-        | None -> ()
-        | Some o ->
-          for i = 0 to o.olen - 1 do
-            let e = o.oarr.(i) in
-            let dst = e land 0xffff_ffff in
-            let lid = intern p (f { src; label = p.lbl_data.(e lsr 32); dst }) in
-            o.oarr.(i) <- (lid lsl 32) lor dst
-          done
+        Option.iter
+          (fun o -> for i = 0 to o.olen - 1 do o.oarr.(i) <- relabel o.oarr.(i) done)
+          (Hashtbl.find_opt p.ov src)
       done;
       if Bytes.length p.ebytes > p.elen then
         p.ebytes <- Bytes.sub p.ebytes 0 (max 1 p.elen));

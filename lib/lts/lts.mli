@@ -316,18 +316,13 @@ module Make (S : STATE) (L : LABEL) : sig
       cone-scoped incremental re-exploration. [None] unless [explore]
       ran with [label_class]; [Some [||]] for a class never touched. *)
 
-  val rebuild_cones : t -> (L.t -> int) -> unit
-  (** Recompute the cone summaries (counts and source sets) of an
-      already-built LTS by classifying every stored transition — one
-      pass over the edges. Used after an incremental rebuild so the
-      fresh LTS answers {!store_cone_stats}/{!cone_sources} exactly as
-      if it had been explored with [label_class]. *)
-
   (** {1 Label rewriting} *)
 
-  val map_labels : t -> (transition -> L.t) -> unit
-  (** Replace every transition's label in place, visiting transitions in
-      {!iter_transitions} order. *)
+  val map_labels : t -> (L.t -> L.t) -> unit
+  (** Replace every transition's label [l] by [f l] in place. On a
+      packed LTS [f] runs once per distinct live label (the interned
+      table is rebuilt from the results, so label ids change); on a
+      boxed LTS once per transition, in {!iter_transitions} order. *)
 
   (** {1 Analysis} *)
 

@@ -555,6 +555,43 @@ let test_exposures_reported () =
          && List.exists (Field.equal H.diagnosis) f.action.Core.Action.fields)
        report.exposures)
 
+(* [pp_report] renders each distinct finding prefix once; the lines must
+   equal [pp_finding]'s, including for findings that share one action
+   but differ in impact, likelihood or level. *)
+let test_report_rendering () =
+  let action =
+    Core.Action.make ~store:"EHR" ~kind:Core.Action.Read
+      ~fields:[ H.diagnosis ] ~actor:"Administrator" Core.Action.Potential
+  in
+  let finding src impact likelihood level : Core.Disclosure_risk.finding =
+    { src; dst = src + 1; action; impact; likelihood; level;
+      impact_level = Core.Level.Medium; likelihood_level = Core.Level.Low;
+      witness = [] }
+  in
+  let findings =
+    [
+      finding 3 0.5 0.08 Core.Level.Medium;
+      finding 7 0.5 0.08 Core.Level.Medium;
+      finding 4 0.9 0.08 Core.Level.Medium;
+      finding 5 0.5 0.08 Core.Level.High;
+      finding 6 0.5 0.02 Core.Level.Medium;
+      finding 3 0.5 0.08 Core.Level.Medium;
+    ]
+  in
+  let report =
+    { Core.Disclosure_risk.non_allowed = [ "Administrator" ]; findings;
+      exposures = [] }
+  in
+  let expected =
+    Format.asprintf "@[<v>non-allowed actors: %s@,%d risk finding(s):@,%a@]"
+      "Administrator" (List.length findings)
+      (Format.pp_print_list ~pp_sep:Format.pp_print_cut
+         Core.Disclosure_risk.pp_finding)
+      findings
+  in
+  check Alcotest.string "per-finding rendering" expected
+    (Format.asprintf "%a" Core.Disclosure_risk.pp_report report)
+
 let test_likelihood_scenarios () =
   let u = universe () in
   let model = Core.Disclosure_risk.default_likelihood in
@@ -859,6 +896,7 @@ let () =
           Alcotest.test_case "Low after fix" `Quick test_case_a_fix_reduces_to_low;
           Alcotest.test_case "labels annotated" `Quick test_annotation_in_place;
           Alcotest.test_case "exposures" `Quick test_exposures_reported;
+          Alcotest.test_case "report rendering" `Quick test_report_rendering;
           Alcotest.test_case "likelihood scenarios" `Quick test_likelihood_scenarios;
           Alcotest.test_case "impact computation" `Quick test_impact_computation;
           qtest prop_fix_never_raises_risk;

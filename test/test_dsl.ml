@@ -222,6 +222,93 @@ let test_parsed_model_analyses () =
   check bool_ "pipeline runs on parsed model" true
     (Mdp_core.Plts.num_states lts > 1)
 
+(* Regressions: invalid flows are refused with a line-numbered error
+   instead of an escaped exception. *)
+let test_parse_invalid_flows () =
+  let model flows =
+    "actor Doctor\nstore EHR { schema R { Name Diagnosis } }\nservice S {\n"
+    ^ flows ^ "\n}"
+  in
+  expect_parse_error ~substring:"line 5: duplicate flow order 1"
+    (model "1: User -> Doctor [Name]\n1: Doctor -> EHR [Name]");
+  expect_parse_error ~substring:"line 4: Flow.make: duplicate field Name"
+    (model "1: User -> Doctor [Name Name]");
+  expect_parse_error ~substring:"line 4: Flow.make: no fields"
+    (model "1: User -> Doctor []");
+  expect_parse_error ~substring:"line 4: Flow.make: endpoint pattern"
+    (model "1: Doctor -> Doctor [Name]");
+  expect_parse_error ~substring:"line 4: number too large"
+    (model "99999999999999999999: User -> Doctor [Name]")
+
+(* Untrusted model text never raises: the bundled models, mutated by
+   character edits, inserted tokens (an overlong number among them),
+   duplicated lines and swapped words, either parse or are refused with
+   an [Error]. *)
+let prop_parse_never_raises =
+  (* the test runs in _build/default/test under [dune test] *)
+  let dir = if Sys.file_exists "../models" then "../models" else "models" in
+  let seeds =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mdp")
+    |> List.sort String.compare
+    |> List.map (fun f ->
+           In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+  in
+  let pieces =
+    [| "{"; "}"; "["; "]"; ":"; ">"; "->"; "\""; "#"; "\n"; " "; "0"; "7";
+       "99999999999999999999"; "a"; "Z"; "~anon" |]
+  in
+  let is_word c =
+    match c with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '~' | '.' -> true
+    | _ -> false
+  in
+  let splice s p q ins = String.sub s 0 p ^ ins ^ String.sub s q (String.length s - q) in
+  let mutate text ops =
+    List.fold_left
+      (fun s (kind, pos, k) ->
+        let n = String.length s in
+        let p = if n = 0 then 0 else pos mod n in
+        let piece = pieces.(k mod Array.length pieces) in
+        match kind mod 5 with
+        | 0 -> splice s p p piece
+        | 1 when n > 0 -> splice s p (p + 1) ""
+        | 2 when n > 0 -> splice s p (p + 1) piece
+        | 3 when n > 0 ->
+          (* duplicate the line holding [p] *)
+          let start =
+            if p = 0 then 0
+            else try String.rindex_from s (p - 1) '\n' + 1 with Not_found -> 0
+          in
+          let stop = try String.index_from s p '\n' with Not_found -> n in
+          splice s start start (String.sub s start (stop - start) ^ "\n")
+        | 4 when n > 0 && is_word s.[p] ->
+          (* replace the word at [p] by another word of the text *)
+          let words =
+            String.split_on_char ' '
+              (String.map (fun c -> if is_word c then c else ' ') s)
+            |> List.filter (( <> ) "")
+          in
+          let w = List.nth words (k mod List.length words) in
+          let rec left i = if i > 0 && is_word s.[i - 1] then left (i - 1) else i in
+          let rec right i = if i < n && is_word s.[i] then right (i + 1) else i in
+          splice s (left p) (right p) w
+        | _ -> s ^ piece)
+      text ops
+  in
+  let gen =
+    QCheck.Gen.(
+      map2 mutate (oneofl seeds)
+        (list_size (1 -- 4) (triple nat nat nat)))
+  in
+  QCheck.Test.make ~count:1000 ~name:"mutated models never raise"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun text ->
+      match P.parse text with
+      | Ok _ | Error _ -> true
+      | exception exn ->
+        QCheck.Test.fail_reportf "parse raised %s" (Printexc.to_string exn))
+
 let () =
   Alcotest.run "dsl"
     [
@@ -238,6 +325,8 @@ let () =
           Alcotest.test_case "feeds pipeline" `Quick test_parsed_model_analyses;
           Alcotest.test_case "placement" `Quick test_placement_parses_and_roundtrips;
           Alcotest.test_case "placement errors" `Quick test_placement_errors;
+          Alcotest.test_case "invalid flows" `Quick test_parse_invalid_flows;
+          QCheck_alcotest.to_alcotest prop_parse_never_raises;
         ] );
       ( "roundtrip",
         [

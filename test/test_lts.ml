@@ -116,7 +116,7 @@ let test_explore_max_states () =
 
 let test_map_labels () =
   let t, s0, s1, _, _ = diamond () in
-  L.map_labels t (fun { L.label; _ } -> String.uppercase_ascii label);
+  L.map_labels t String.uppercase_ascii;
   check (Alcotest.list (Alcotest.pair Alcotest.string int_)) "rewritten"
     [ ("A", s1) ]
     (List.filter (fun (_, d) -> d = s1) (L.successors t s0))

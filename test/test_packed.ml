@@ -181,6 +181,71 @@ let test_map_labels () =
   in
   same_lts "after plan annotation" (run false) (run true)
 
+(* Label-only map_labels over rows and overflow rows (the pseudonym
+   pass appends inferred transitions after exploration), with a
+   non-injective map: packed and boxed agree on the result, [f] runs
+   once per live label on packed, and the derived indexes agree. *)
+let test_map_labels_label_only () =
+  let u = Core.Universe.make H.study_diagram H.study_policy in
+  let granular = { Core.Generate.default_options with granular_reads = true } in
+  (* Drops every field of a read but the first and clears annotations:
+     reads of one store by one actor collapse onto one label. *)
+  let collapse (a : Core.Action.t) =
+    if a.kind = Core.Action.Read then
+      { a with fields = [ List.hd a.fields ]; risk = None }
+    else a
+  in
+  let run packed =
+    let lts = Core.Generate.run ~options:{ granular with packed } u in
+    ignore (Core.Pseudonym_risk.analyse u lts H.study_binding);
+    let live = List.sort_uniq compare
+        (List.map (fun (tr : Core.Plts.transition) -> tr.label)
+           (Core.Plts.transitions lts))
+    in
+    let calls = ref 0 in
+    Core.Plts.map_labels lts (fun a -> incr calls; collapse a);
+    (lts, List.length live, !calls)
+  in
+  let boxed, _, boxed_calls = run false in
+  let packed, live, packed_calls = run true in
+  check int_ "boxed: one call per transition"
+    (Core.Plts.num_transitions boxed) boxed_calls;
+  check int_ "packed: one call per live label" live packed_calls;
+  check bool_ "map collapsed some labels" true
+    (live > List.length (List.sort_uniq compare
+       (List.map (fun (tr : Core.Plts.transition) -> tr.label)
+          (Core.Plts.transitions packed))));
+  same_lts "after label-only map" boxed packed;
+  check bool_ "is_deterministic agrees"
+    (Core.Plts.is_deterministic boxed) (Core.Plts.is_deterministic packed);
+  Core.Plts.iter_states boxed (fun s ->
+      if Core.Plts.predecessors boxed s <> Core.Plts.predecessors packed s then
+        Alcotest.failf "predecessors of %d differ" s)
+
+(* The per-label transition counts behind [Lts_render.summary] read
+   the same on both backends, before and after annotation. *)
+let test_render_summary () =
+  let spec =
+    match Synthetic.spec_of_string "synthetic:6-8-5@4" with
+    | Some (Ok spec) -> spec
+    | _ -> Alcotest.fail "bad spec"
+  in
+  let diagram, policy = Synthetic.model spec in
+  let u = Core.Universe.make diagram policy in
+  let run packed =
+    Core.Generate.run ~options:{ Core.Generate.default_options with packed } u
+  in
+  let boxed = run false and packed = run true in
+  check Alcotest.string "summary"
+    (Core.Lts_render.summary u boxed) (Core.Lts_render.summary u packed);
+  let profile = Synthetic.profile spec diagram in
+  List.iter
+    (fun lts ->
+      ignore (Core.Risk_plan.analyse (Core.Risk_plan.compile u lts) profile))
+    [ boxed; packed ];
+  check Alcotest.string "summary after annotation"
+    (Core.Lts_render.summary u boxed) (Core.Lts_render.summary u packed)
+
 let test_find_state_packed () =
   let u = Core.Universe.make H.diagram H.policy in
   let lts = Core.Generate.run u in
@@ -387,6 +452,9 @@ let () =
           Alcotest.test_case "post-explore mutation" `Quick
             test_post_explore_mutation;
           Alcotest.test_case "map_labels" `Quick test_map_labels;
+          Alcotest.test_case "label-only map_labels" `Quick
+            test_map_labels_label_only;
+          Alcotest.test_case "render summary" `Quick test_render_summary;
           Alcotest.test_case "find_state" `Quick test_find_state_packed;
           Alcotest.test_case "mem_stats" `Quick test_mem_stats;
           Alcotest.test_case "abort stats" `Quick test_abort_stats;

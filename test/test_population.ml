@@ -276,6 +276,175 @@ let test_plan_rejects_stale_lts () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument on a grown LTS"
 
+(* ------------------------------------------------------------------ *)
+(* Per-label plan against the oracle over generated models: both
+   backends, several profiles, profiles analysed in turn on one plan. *)
+
+module Syn = Mdp_scenario.Synthetic
+
+let backends = [ ("packed", true); ("boxed", false) ]
+let run_on ~packed u = Core.Generate.run ~options:{ Core.Generate.default_options with packed } u
+
+let synthetic name =
+  match Syn.spec_of_string name with
+  | Some (Ok spec) -> spec
+  | _ -> Alcotest.failf "bad spec %s" name
+
+(* Three profiles: the generator's, a reseeded one, and the reseeded
+   sensitivities with no agreed service (every read rogue). *)
+let profiles_for spec diagram =
+  let p1 = Syn.profile spec diagram in
+  let p2 = Syn.profile { spec with seed = spec.Syn.seed + 100 } diagram in
+  let p3 =
+    Core.User_profile.make ~sensitivities:(Core.User_profile.sensitivities p2)
+      ~agreed_services:[] ()
+  in
+  [ p1; p2; p3 ]
+
+(* [summary] agrees with the report: worst level, and per slot the
+   worst finding on that (actor, store). *)
+let check_summary name plan profile (report : Core.Disclosure_risk.report) =
+  let s = Core.Risk_plan.summary plan profile in
+  check bool_ (name ^ " summary worst") true
+    (Core.Level.equal s.worst (Core.Disclosure_risk.max_level report));
+  Array.iteri
+    (fun i (actor, store) ->
+      let expected =
+        List.fold_left
+          (fun acc (f : Core.Disclosure_risk.finding) ->
+            if f.action.actor = actor && f.action.store = store then
+              Core.Level.max acc f.level
+            else acc)
+          Core.Level.None_ report.findings
+      in
+      check bool_ (name ^ " slot level") true
+        (Core.Level.equal expected s.slot_levels.(i)))
+    (Core.Risk_plan.slots plan)
+
+let test_plan_differential () =
+  List.iter
+    (fun shape ->
+      List.iter
+        (fun seed ->
+          let model = Printf.sprintf "synthetic:%s@%d" shape seed in
+          let spec = synthetic model in
+          let diagram, policy = Syn.model spec in
+          let u = Core.Universe.make diagram policy in
+          let profiles = profiles_for spec diagram in
+          let oracle =
+            List.map
+              (fun profile ->
+                let lts = run_on ~packed:true u in
+                let report = Core.Disclosure_risk.analyse u lts profile in
+                (report, Core.Plts.transitions lts))
+              profiles
+          in
+          List.iter
+            (fun (backend, packed) ->
+              let lts = run_on ~packed u in
+              let plan = Core.Risk_plan.compile u lts in
+              List.iteri
+                (fun i profile ->
+                  let name = Printf.sprintf "%s %s profile %d" model backend i in
+                  let report, labels = List.nth oracle i in
+                  let compiled = Core.Risk_plan.analyse plan profile in
+                  check bool_ (name ^ " report") true (report = compiled);
+                  check bool_ (name ^ " labels") true
+                    (labels = Core.Plts.transitions lts);
+                  check_summary name plan profile compiled;
+                  let fresh_lts = run_on ~packed u in
+                  let fresh = Core.Risk_plan.compile u fresh_lts in
+                  check bool_ (name ^ " reused plan = fresh plan") true
+                    (compiled = Core.Risk_plan.analyse fresh profile))
+                profiles)
+            backends)
+        (* seed 1 of 8-10-6 alone costs the oracle (one BFS per
+           finding) ~20 s *)
+        [ 2; 3; 4 ])
+    [ "2-4-3"; "6-8-5"; "8-10-6" ]
+
+(* A pseudonym pass grows the LTS with inferred reads; [~grown:true]
+   keeps reporting over the compiled transitions, for the profile that
+   cached the witness tree and for another one, and leaves the inferred
+   labels' Value_risk annotations alone. *)
+let test_plan_grown () =
+  let u = Core.Universe.make H.study_diagram H.study_policy in
+  let other =
+    Core.User_profile.make
+      ~sensitivities:(Core.User_profile.sensitivities H.profile_case_a)
+      ~agreed_services:[] ()
+  in
+  List.iter
+    (fun (backend, packed) ->
+      let options = { granular with packed } in
+      let lts = Core.Generate.run ~options u in
+      let plan = Core.Risk_plan.compile u lts in
+      let before = Core.Risk_plan.analyse plan H.profile_case_a in
+      let n = Core.Plts.num_transitions lts in
+      ignore (Core.Pseudonym_risk.analyse u lts H.study_binding);
+      check bool_ (backend ^ " pass grew the LTS") true
+        (Core.Plts.num_transitions lts > n);
+      let inferred () =
+        List.filter
+          (fun (tr : Core.Plts.transition) ->
+            tr.label.provenance = Core.Action.Inferred)
+          (Core.Plts.transitions lts)
+      in
+      let inferred_before = inferred () in
+      check bool_ (backend ^ " grown report") true
+        (before = Core.Risk_plan.analyse ~grown:true plan H.profile_case_a);
+      let fresh =
+        Core.Risk_plan.analyse
+          (Core.Risk_plan.compile u (Core.Generate.run ~options u))
+          other
+      in
+      check bool_ (backend ^ " grown report, other profile") true
+        (fresh = Core.Risk_plan.analyse ~grown:true plan other);
+      check bool_ (backend ^ " inferred labels untouched") true
+        (inferred_before = inferred ()))
+    backends
+
+let expect_invalid name f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+
+(* The plan refuses an LTS it cannot account for: one that changed
+   under it, one that grew before any witness tree was cached, and one
+   that grew by a transition other than an inferred read. *)
+let test_plan_rejects () =
+  let spec = synthetic "synthetic:6-8-5@1" in
+  let diagram, policy = Syn.model spec in
+  let u = Core.Universe.make diagram policy in
+  let profile = Syn.profile spec diagram in
+  (* a new transition: the first transition's label, to the last state *)
+  let add_transition lts =
+    let tr = List.hd (Core.Plts.transitions lts) in
+    let dst = Core.Plts.num_states lts - 1 in
+    check bool_ "transition added" true
+      (Core.Plts.add_transition lts ~src:tr.src ~label:tr.label ~dst)
+  in
+  List.iter
+    (fun (backend, packed) ->
+      let fresh () =
+        let lts = run_on ~packed u in
+        (lts, Core.Risk_plan.compile u lts)
+      in
+      let lts, plan = fresh () in
+      add_transition lts;
+      expect_invalid (backend ^ " changed LTS") (fun () ->
+          Core.Risk_plan.analyse plan profile);
+      let lts, plan = fresh () in
+      add_transition lts;
+      expect_invalid (backend ^ " grown, no witness tree") (fun () ->
+          Core.Risk_plan.analyse ~grown:true plan profile);
+      let lts, plan = fresh () in
+      ignore (Core.Risk_plan.analyse plan profile);
+      add_transition lts;
+      expect_invalid (backend ^ " grown, non-inferred") (fun () ->
+          Core.Risk_plan.analyse ~grown:true plan profile))
+    backends
+
 (* The likelihood combinators themselves: Sum_saturating is the exact
    sum below 1 (same term order as the engines) and exactly 1 once the
    scenario probabilities sum past it; Independent_union is the
@@ -389,6 +558,10 @@ let () =
           Alcotest.test_case "smart home" `Quick test_plan_parity_smart_home;
           Alcotest.test_case "stale lts rejected" `Quick
             test_plan_rejects_stale_lts;
+          Alcotest.test_case "synthetic differential" `Quick
+            test_plan_differential;
+          Alcotest.test_case "grown lts" `Quick test_plan_grown;
+          Alcotest.test_case "rejected lts" `Quick test_plan_rejects;
         ] );
       ( "likelihood-clamp",
         [

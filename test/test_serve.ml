@@ -620,6 +620,30 @@ let test_engine_malformed_model () =
   check bool_ "inline parse error is an error" true
     (inline_bad.status = S.Protocol.Error_)
 
+(* Inline DSL whose flows the diagram builder rejects (a duplicate flow
+   order) is a structured parse error naming the line, not an escaped
+   [Invalid_argument] that the server reports as an internal error. *)
+let test_engine_model_text_invalid_flow () =
+  let e = S.Engine.create () in
+  let text =
+    "actor Doctor\nstore EHR { schema R { Name } }\n"
+    ^ "service S {\n1: User -> Doctor [Name]\n1: Doctor -> EHR [Name]\n}"
+  in
+  let line =
+    Json.to_string
+      (Json.Obj
+         [ ("id", Json.Str "p1"); ("cmd", Json.Str "risk");
+           ("model_text", Json.Str text) ])
+  in
+  match S.Protocol.parse_request line with
+  | Error (_, msg) -> Alcotest.failf "request did not parse: %s" msg
+  | Ok req ->
+    let resp = S.Engine.handle e req in
+    check bool_ "is an error" true (resp.status = S.Protocol.Error_);
+    check bool_ "model parse error with a line" true
+      (contains (body_string resp)
+         "model parse error: line 5: duplicate flow order 1")
+
 (* ------------------------------------------------------------------ *)
 (* Server *)
 
@@ -759,6 +783,8 @@ let () =
             test_engine_whatif_unknown_field;
           Alcotest.test_case "malformed models" `Quick
             test_engine_malformed_model;
+          Alcotest.test_case "model_text invalid flow" `Quick
+            test_engine_model_text_invalid_flow;
         ] );
       ( "server",
         [
