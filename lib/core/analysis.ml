@@ -94,7 +94,7 @@ let run_incremental ?jobs ~previous edits =
        only through the affected store classes' cones, serving every
        untouched successor row from the previous LTS. [Regen.rebuild]
        guarantees the result is byte-identical to the cold run below —
-       numbering, backend, spill behaviour, cone summaries — so the rest
+       numbering, packing, spill behaviour, cone summaries — so the rest
        of the pipeline cannot tell which path produced it. Either
        [make_patch] (ineligible edit) or [rebuild] (no recorded cones)
        declining falls back to the cold run. *)

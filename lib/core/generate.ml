@@ -11,7 +11,6 @@ type options = {
   enforce_policy : bool;
   services : string list option;
   max_states : int;
-  packed : bool;
   mem_budget : int option;
   spill_dir : string option;
 }
@@ -25,7 +24,6 @@ let default_options =
     enforce_policy = true;
     services = None;
     max_states = 100_000;
-    packed = true;
     mem_budget = None;
     spill_dir = None;
   }
@@ -542,20 +540,15 @@ let store_classifier u (a : Action.t) =
   | Some s -> Universe.store_index u s
   | None -> -1
 
-(* The packed engine stores only the configs' bitset payload words
-   (layout and width are universe constants); [init] doubles as the
-   shape template for decoding. Universes too wide for the packed
-   record wordmap (63 words = ~2000 booleans per map) fall back to
-   the boxed engine. *)
-let config_packer options init =
-  if options.packed && Config.nwords init <= 63 then
-    Some
-      {
-        Mdp_lts.Lts.pk_words = Config.nwords init;
-        pk_blit = (fun cfg dst off -> ignore (Config.blit_words cfg dst off : int));
-        pk_decode = (fun src off -> Config.of_words ~template:init src off);
-      }
-  else None
+(* The LTS stores only the configs' bitset payload words (layout and
+   width are universe constants); [init] doubles as the shape template
+   for decoding. *)
+let config_packer init =
+  {
+    Mdp_lts.Lts.pk_words = Config.nwords init;
+    pk_blit = (fun cfg dst off -> ignore (Config.blit_words cfg dst off : int));
+    pk_decode = (fun src off -> Config.of_words ~template:init src off);
+  }
 
 let run ?(options = default_options) ?(jobs = 1) ?par_threshold ?cancel u =
   Mdp_obs.Metrics.span "generate/run" @@ fun () ->
@@ -564,7 +557,7 @@ let run ?(options = default_options) ?(jobs = 1) ?par_threshold ?cancel u =
   let readable_words = readable_rows u options in
   let step = make_step u options ~stamp ~compiled ~readable_words in
   let init = Config.initial u in
-  let packing = config_packer options init in
   Plts.explore ~max_states:options.max_states ~jobs ?par_threshold ?cancel
-    ?packing ?mem_budget:options.mem_budget ?spill_dir:options.spill_dir
+    ~packing:(config_packer init) ?mem_budget:options.mem_budget
+    ?spill_dir:options.spill_dir
     ~label_class:(store_classifier u) ~init ~step ()

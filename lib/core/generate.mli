@@ -49,19 +49,13 @@ type options = {
       (** Restrict generation to these services (e.g. Fig. 3 generates
           the Medical Service process alone). [None] = all. *)
   max_states : int;
-  packed : bool;
-      (** Store the explored LTS in the packed arena engine (states as
-          delta-encoded word records, sharded dedup — see
-          {!Mdp_lts.Lts}) instead of materialised configs. On (the
-          default) a state costs a few bytes instead of hundreds; the
-          resulting LTS is observationally identical. *)
   mem_budget : int option;
-      (** Resident-byte budget for the packed engine: above it, sealed
+      (** Resident-byte budget for the explored LTS: above it, sealed
           arena chunks and dedup tables spill to disk and the
           exploration completes bounded by disk rather than RAM, with
           byte-identical state numbering (see
           {!Mdp_lts.Lts.S.explore}). [None] (the default) never
-          spills. Ignored by the boxed engine. *)
+          spills. *)
   spill_dir : string option;
       (** Parent directory for the spill run directory; [None] = the
           system temp directory. *)
@@ -157,10 +151,10 @@ val store_classifier : Universe.t -> Action.t -> int
     index, or -1 for store-less actions. What [run] passes to
     [Lts.explore ~label_class]. *)
 
-val config_packer : options -> Config.t -> Config.t Mdp_lts.Lts.packer option
-(** The packed-backend codec [run] explores with ([None] when [packed]
-    is off or the model is too wide); the argument is the initial
-    configuration, which doubles as the decode template. *)
+val config_packer : Config.t -> Config.t Mdp_lts.Lts.packer
+(** The state codec [run] explores with: a config's bitset payload
+    words. The argument is the initial configuration, which doubles as
+    the decode template. *)
 
 val run :
   ?options:options ->

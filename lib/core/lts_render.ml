@@ -26,22 +26,14 @@ let to_dot ?(graph_name = "privacy_lts") ?(verbose_states = false) u lts =
   in
   Plts.to_dot ~graph_name ~state_label ~transition_style lts
 
-(* Transitions per distinct label: an int per transition on a packed
-   LTS (its interned ids), a hash lookup per transition on a boxed one. *)
+(* Transitions per distinct label: an int per transition, counted by
+   interned label id. *)
 let label_counts lts =
-  match Plts.interned_labels lts with
-  | Some labels ->
-    let counts = Array.make (Array.length labels) 0 in
-    Plts.iter_states lts (fun s ->
-        Plts.iter_successors_lid lts s (fun l _ -> counts.(l) <- counts.(l) + 1));
-    List.combine (Array.to_list labels) (Array.to_list counts)
-  | None ->
-    let module Atbl = Hashtbl.Make (Action) in
-    let counts = Atbl.create 64 in
-    Plts.iter_transitions lts (fun tr ->
-        let c = Option.value (Atbl.find_opt counts tr.label) ~default:0 in
-        Atbl.replace counts tr.label (c + 1));
-    List.of_seq (Atbl.to_seq counts)
+  let labels = Option.get (Plts.interned_labels lts) in
+  let counts = Array.make (Array.length labels) 0 in
+  Plts.iter_states lts (fun s ->
+      Plts.iter_successors_lid lts s (fun l _ -> counts.(l) <- counts.(l) + 1));
+  List.combine (Array.to_list labels) (Array.to_list counts)
 
 let summary u lts =
   ignore u;

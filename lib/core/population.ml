@@ -27,11 +27,22 @@ let pick_segment rng mix =
   in
   go 0.0 mix
 
-let simulate spec diagram =
+(* Per-user loops poll [cancel] once per this many users: a poll is an
+   atomic read plus (with a deadline) a clock read, noise against a few
+   thousand users' work. *)
+let cancel_poll_users = 4096
+
+let poll_cancel cancel i =
+  match cancel with
+  | Some c when i land (cancel_poll_users - 1) = 0 -> Mdp_obs.Cancel.check c
+  | _ -> ()
+
+let simulate ?cancel spec diagram =
   if spec.westin_mix = [] then invalid_arg "Population.simulate: empty mix";
   let rng = Prng.create ~seed:spec.seed in
   let services = List.map (fun (s : Service.t) -> s.id) diagram.Diagram.services in
-  List.init spec.size (fun _ ->
+  List.init spec.size (fun i ->
+      poll_cancel cancel i;
       let segment = pick_segment rng spec.westin_mix in
       let agreed =
         List.filter (fun _ -> Prng.float rng 1.0 < spec.agree_probability) services
@@ -122,7 +133,7 @@ let analyse ?matrix ?model u lts profiles =
    indistinguishable, so a simulated population — |segments| baselines
    x subsets of the service list — collapses to at most
    |segments| x 2^|services| classes regardless of size. *)
-let classes u profiles =
+let classes ?cancel u profiles =
   let diagram = Universe.diagram u in
   let svc_pos = Hashtbl.create 8 in
   List.iteri
@@ -144,8 +155,9 @@ let classes u profiles =
   in
   let counts = Hashtbl.create 64 in
   let order = ref [] in
-  List.iter
-    (fun p ->
+  List.iteri
+    (fun i p ->
+      poll_cancel cancel i;
       let k = key p in
       match Hashtbl.find_opt counts k with
       | Some r -> incr r
@@ -168,7 +180,7 @@ let analyse_compiled ?matrix ?model ?(jobs = 1) ?cancel ?plan
     | None -> Risk_plan.compile ?matrix ?model u lts
   in
   let cls_list =
-    match precomputed with Some c -> c | None -> classes u profiles
+    match precomputed with Some c -> c | None -> classes ?cancel u profiles
   in
   let cls = Array.of_list cls_list in
   let total = Listx.sum_by snd cls_list in
@@ -323,7 +335,7 @@ let prepare ?matrix ?model ?(jobs = 1) ?cancel ?plan ?classes:precomputed u
     | None -> Risk_plan.compile ?matrix ?model u lts
   in
   let cls_list =
-    match precomputed with Some c -> c | None -> classes u profiles
+    match precomputed with Some c -> c | None -> classes ?cancel u profiles
   in
   let cls = Array.of_list cls_list in
   let nf = Universe.nfields u in

@@ -22,9 +22,16 @@ type spec = {
 
 val default_mix : (Questionnaire.westin * float) list
 
-val simulate : spec -> Mdp_dataflow.Diagram.t -> User_profile.t list
+val simulate :
+  ?cancel:Mdp_obs.Cancel.t ->
+  spec ->
+  Mdp_dataflow.Diagram.t ->
+  User_profile.t list
 (** Deterministic in [spec.seed]. Every user answers the questionnaire
-    with their segment's baseline (no per-field overrides). *)
+    with their segment's baseline (no per-field overrides).
+
+    @raise Mdp_obs.Cancel.Cancelled when [cancel] fires; it is polled
+    every few thousand users. *)
 
 type hotspot = {
   actor : string;
@@ -59,14 +66,20 @@ val analyse :
     profile's state. *)
 
 val classes :
-  Universe.t -> User_profile.t list -> (User_profile.t * int) list
+  ?cancel:Mdp_obs.Cancel.t ->
+  Universe.t ->
+  User_profile.t list ->
+  (User_profile.t * int) list
 (** Profile equivalence classes: (representative, member count) in
     first-occurrence order. Two profiles are equivalent when they have
     the same sensitivity on every universe field and agreed to the same
     diagram services — everything the disclosure analysis can observe —
     so a simulated population collapses to at most
     [segments x 2^|services|] classes. The counts sum to the input
-    length. *)
+    length.
+
+    @raise Mdp_obs.Cancel.Cancelled when [cancel] fires; it is polled
+    every few thousand profiles. *)
 
 val analyse_compiled :
   ?matrix:Risk_matrix.t ->

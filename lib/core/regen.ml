@@ -330,87 +330,53 @@ let walk_generic p old_lts affected =
         if over_budget () then aborted := true
       done
     in
+    (* One bool per interned label replaces a structural check per
+       kept transition. *)
+    let labels = Option.get (Plts.interned_labels old_lts) in
+    let is_findable = Array.map findable labels in
+    let present = Array.make (max (Array.length labels) 1) false in
+    let drain_old () =
+      while (not (Queue.is_empty old_queue)) && not !aborted do
+        let q = Queue.pop old_queue in
+        if bit affected q then begin
+          incr source_states;
+          let cfg = Plts.state_data old_lts q in
+          subst_row cfg
+            (fun label dst ->
+              add_label label;
+              visit_old dst)
+            q
+        end
+        else
+          Plts.iter_successors_lid old_lts q (fun lid dst ->
+              if is_findable.(lid) then present.(lid) <- true;
+              visit_old dst);
+        if over_budget () then aborted := true
+      done
+    in
     (* Interleave the two queues until both drain: fresh states found
        while substituting old rows are stepped, and their successors may
        resolve back into old states. The order is immaterial — the walk
        collects a set, not a numbering. *)
-    let kept =
-      match Plts.interned_labels old_lts with
-      | Some labels ->
-        (* packed fast path: one bool per interned label replaces a
-           structural check per transition *)
-        let is_findable = Array.map findable labels in
-        let present = Array.make (max (Array.length labels) 1) false in
-        let drain_old () =
-          while (not (Queue.is_empty old_queue)) && not !aborted do
-            let q = Queue.pop old_queue in
-            if bit affected q then begin
-              incr source_states;
-              let cfg = Plts.state_data old_lts q in
-              subst_row cfg
-                (fun label dst ->
-                  add_label label;
-                  visit_old dst)
-                q
-            end
-            else
-              Plts.iter_successors_lid old_lts q (fun lid dst ->
-                  if is_findable.(lid) then present.(lid) <- true;
-                  visit_old dst);
-            if over_budget () then aborted := true
-          done
-        in
-        let rec go () =
-          if not !aborted then
-            if not (Queue.is_empty old_queue) then begin
-              drain_old ();
-              go ()
-            end
-            else if not (Queue.is_empty fresh_queue) then begin
-              drain_fresh ();
-              go ()
-            end
-        in
-        go ();
-        let acc = ref [] in
-        Array.iteri
-          (fun lid seen -> if seen then acc := strip labels.(lid) :: !acc)
-          present;
-        !acc
-      | None ->
-        (* boxed backend: structural verdict per label (small models) *)
-        let kept = ATbl.create 32 in
-        let rec go () =
-          if not !aborted then
-            if not (Queue.is_empty old_queue) then begin
-              let q = Queue.pop old_queue in
-              if bit affected q then begin
-                incr source_states;
-                let cfg = Plts.state_data old_lts q in
-                subst_row cfg
-                  (fun label dst ->
-                    if findable label then ATbl.replace kept (strip label) ();
-                    visit_old dst)
-                  q
-              end
-              else
-                Plts.iter_successors old_lts q (fun label dst ->
-                    if findable label then ATbl.replace kept (strip label) ();
-                    visit_old dst);
-              if over_budget () then aborted := true;
-              go ()
-            end
-            else if not (Queue.is_empty fresh_queue) then begin
-              drain_fresh ();
-              go ()
-            end
-        in
-        go ();
-        ATbl.fold (fun a () acc -> a :: acc) kept []
+    let rec go () =
+      if not !aborted then
+        if not (Queue.is_empty old_queue) then begin
+          drain_old ();
+          go ()
+        end
+        else if not (Queue.is_empty fresh_queue) then begin
+          drain_fresh ();
+          go ()
+        end
     in
+    go ();
+    let kept = ref [] in
+    Array.iteri
+      (fun lid seen -> if seen then kept := strip labels.(lid) :: !kept)
+      present;
     if !aborted then None
     else begin
-      let labels = ATbl.fold (fun a () acc -> a :: acc) fresh_labels kept in
+      let labels = ATbl.fold (fun a () acc -> a :: acc) fresh_labels !kept in
       Some
         {
           wk_labels = labels;
@@ -903,10 +869,9 @@ let walk p old_lts =
       (* escape hatch for A/B checks: force the exact-stepping walk *)
       match Sys.getenv_opt "MDPRIV_REGEN_GENERIC" with
       | Some v when v <> "" -> None
-      | _ -> (
-        match Plts.interned_labels old_lts with
-        | None -> None
-        | Some labels -> walk_fast p old_lts affected labels)
+      | _ ->
+        walk_fast p old_lts affected
+          (Option.get (Plts.interned_labels old_lts))
     in
     match fast with
     | Some result -> result
@@ -924,9 +889,9 @@ let rebuild ?(jobs = 1) ?par_threshold ?cancel p old_lts =
         ~readable_words:
           (if options.potential_reads then Some p.rp_readable else None)
     in
-    (* [find_state] shares scratch buffers on the packed backend; the
-       parallel explorer calls [step] from several domains, so each
-       domain gets its own finder. *)
+    (* [find_state] shares scratch buffers and the parallel explorer
+       calls [step] from several domains, so each domain gets its own
+       finder. *)
     let finder_key = Domain.DLS.new_key (fun () -> Plts.make_finder old_lts) in
     let step cfg =
       let finder = Domain.DLS.get finder_key in
@@ -965,9 +930,9 @@ let rebuild ?(jobs = 1) ?par_threshold ?cancel p old_lts =
         end
     in
     let init = Config.initial u in
-    let packing = Generate.config_packer options init in
     Some
       (Plts.explore ~max_states:options.max_states ~jobs ?par_threshold
-         ?cancel ?packing ?mem_budget:options.mem_budget
+         ?cancel ~packing:(Generate.config_packer init)
+         ?mem_budget:options.mem_budget
          ?spill_dir:options.spill_dir
          ~label_class:(Generate.store_classifier u) ~init ~step ())

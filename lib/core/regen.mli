@@ -64,7 +64,7 @@ val rebuild :
 (** Re-explore the edited model with a hybrid step serving untouched
     rows straight from the old LTS: the result is byte-identical to a
     cold [Generate.run] of the edited universe — state numbering,
-    backend packing, spill behaviour and cone summaries included — for
+    record packing, spill behaviour and cone summaries included — for
     every job count. [None] when the previous exploration recorded no
     cones.
 

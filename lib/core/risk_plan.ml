@@ -281,27 +281,14 @@ let compile ?(matrix = Risk_matrix.default)
       :: !plans;
     l
   in
-  (* Label ids in first-occurrence order on both backends: a packed LTS
-     already interns its labels (its ids are remapped densely); a boxed
-     one is interned here in one hash pass. *)
-  let iter_lids =
-    match Plts.interned_labels lts with
-    | Some interned ->
-      let remap = Array.make (Array.length interned) (-1) in
-      fun s f ->
-        Plts.iter_successors_lid lts s (fun i d ->
-            if remap.(i) < 0 then remap.(i) <- new_label interned.(i);
-            f remap.(i) d)
-    | None ->
-      let ids = Atbl.create 64 in
-      fun s f ->
-        Plts.iter_successors lts s (fun a d ->
-            match Atbl.find_opt ids a with
-            | Some l -> f l d
-            | None ->
-              let l = new_label a in
-              Atbl.add ids a l;
-              f l d)
+  (* Label ids in first-occurrence order: the LTS's interned ids,
+     remapped densely as they are first met. *)
+  let interned = Option.get (Plts.interned_labels lts) in
+  let remap = Array.make (Array.length interned) (-1) in
+  let iter_lids s f =
+    Plts.iter_successors_lid lts s (fun i d ->
+        if remap.(i) < 0 then remap.(i) <- new_label interned.(i);
+        f remap.(i) d)
   in
   let src = Array.make n 0 and dst = Array.make n 0 and lid = Array.make n 0 in
   let entry_base = Array.make (nstates + 1) n in

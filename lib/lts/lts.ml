@@ -25,10 +25,8 @@ type abort_stats = {
   ab_limit : int;
   ab_states : int;
   ab_transitions : int;
-  ab_bytes_per_state : float option;
-      (* [None] for the boxed engine, which has no byte-exact accounting *)
-  ab_resident_bytes : int option;
-      (* packed engine bytes still in RAM at abort *)
+  ab_bytes_per_state : float;
+  ab_resident_bytes : int;  (* engine bytes still in RAM at abort *)
   ab_spill_bytes : int;  (* bytes evicted to disk at abort; 0 unspilled *)
   ab_mem_budget : int option;
       (* the effective resident budget, so operators can tell a
@@ -74,12 +72,12 @@ type spill_stats = {
   sp_budget : int;
 }
 
-(* A state codec for the packed engine: every reachable state of one
-   model encodes to exactly [pk_words] payload words. [pk_decode] must
-   be safe to call concurrently (the parallel explorer decodes on
-   worker domains). Word-equality must coincide with [S.equal] on the
-   states of one model — true for bitset-backed privacy configs, and
-   the contract any other packer must honour. *)
+(* A state codec: every reachable state of one model encodes to
+   exactly [pk_words] payload words. [pk_decode] must be safe to call
+   concurrently (the parallel explorer decodes on worker domains).
+   Word-equality must coincide with [S.equal] on the states of one
+   model — true for bitset-backed privacy configs, and the contract any
+   other packer must honour. *)
 type 'a packer = {
   pk_words : int;
   pk_blit : 'a -> int array -> int -> unit;
@@ -87,7 +85,6 @@ type 'a packer = {
 }
 
 module Make (S : STATE) (L : LABEL) = struct
-  module Tbl = Hashtbl.Make (S)
   module Ltbl = Hashtbl.Make (L)
   module P = Packed_repr
 
@@ -95,50 +92,12 @@ module Make (S : STATE) (L : LABEL) = struct
 
   type transition = { src : state_id; label : L.t; dst : state_id }
 
-  (* Per-state successor list as a growable flat array: appends are
-     amortised O(1), iteration touches contiguous memory, and reading
-     never allocates (the seed stored a reversed cons-list and paid a
-     List.rev per [successors] call). *)
-  type succs = { mutable arr : (L.t * state_id) array; mutable len : int }
-
-  let new_succs () = { arr = [||]; len = 0 }
-
-  let push_succ s entry =
-    if s.len = Array.length s.arr then begin
-      let cap = max 4 (2 * s.len) in
-      let bigger = Array.make cap entry in
-      Array.blit s.arr 0 bigger 0 s.len;
-      s.arr <- bigger
-    end;
-    s.arr.(s.len) <- entry;
-    s.len <- s.len + 1
-
-  (* Out-degrees are tiny in generated privacy models, so a linear scan
-     with a physical-equality fast path beats any hashing below this
-     length; past it, a per-graph hash index keyed (src, label hash, dst)
-     keeps duplicate detection O(1) (the seed scanned unconditionally,
-     which is quadratic on high-fan-out states). *)
-  let scan_threshold = 16
-
-  (* ----- storage backends ----- *)
-
-  (* Boxed: every state held as a materialised [S.t] in one hash-consing
-     table — the PR 2 engine, kept both as the comparison baseline and
-     as the backend for hand-built LTSs ([create]/[add_state]). *)
-  type boxed = {
-    ids : state_id Tbl.t;
-    mutable data : S.t array;
-    mutable out : succs array;
-    dup : (int * int * int, L.t list) Hashtbl.t;
-        (* (src, L.hash label, dst) -> labels with that hash; only
-           consulted for sources whose out-degree exceeds
-           [scan_threshold]. *)
-  }
-
-  (* Packed: a state is [pk_words] payload words, stored as a
-     byte-granular record in a chunked arena — either patched against
-     zero (a "full" record) or delta-encoded against its frontier
-     parent when that is smaller. Dedup is [nshards] open-addressing
+  (* A state is [pk_words] payload words, stored as a byte-granular
+     record in a chunked arena — either patched against zero (a "full"
+     record) or delta-encoded against its frontier parent when that is
+     smaller. A record lists the words it patches in a wordmap of
+     ⌈w/63⌉ varints, one per 63-word group, each group's patches
+     following its map. Dedup is [nshards] open-addressing
      tables partitioned by hash, probing by a hash tag first and
      word-comparing (one record decode) only on tag match. Labels are
      interned once; edges are varint rows, one per source, emitted as
@@ -147,9 +106,9 @@ module Make (S : STATE) (L : LABEL) = struct
      relative to the previous one (the first relative to the source).
      BFS numbering makes consecutively discovered destinations
      adjacent, so most destination varints are a single byte and a
-     typical edge costs 2-4 bytes against 48 for a boxed cons cell plus
-     tuple. Transitions added after exploration (the pseudonym-risk
-     pass) append to per-source int overflow rows.
+     typical edge costs 2-4 bytes. Transitions added outside
+     exploration (hand-built LTSs, quotients, the pseudonym-risk pass)
+     append to per-source int overflow rows.
 
      A finished exploration is sealed by [packed_compact]: side tables
      are trimmed to exact size and each dedup shard is rebuilt from its
@@ -193,6 +152,7 @@ module Make (S : STATE) (L : LABEL) = struct
 
   type packed = {
     pk : S.t packer;
+    ngroups : int;  (* wordmap groups per record: ⌈pk_words / 63⌉ *)
     pstamp : int;  (* distinguishes this LTS in the domain decode cache *)
     arena : P.Arena.t;
     offs : P.U32.t;  (* state -> arena offset of its record *)
@@ -216,6 +176,9 @@ module Make (S : STATE) (L : LABEL) = struct
        [find_state] reuse these; concurrent readers ([state_data] from
        analysis workers) allocate their own *)
     enc_buf : Bytes.t;
+    zeros : int array;  (* the base words of a full record *)
+    full_maps : int array;  (* wordmap groups of the record being encoded *)
+    delta_maps : int array;
     cur : P.cursor;
     cand_buf : int array;
     cmp_buf : int array;
@@ -225,8 +188,6 @@ module Make (S : STATE) (L : LABEL) = struct
     spill_dir : string option;
     mutable spill : spill_state option;
   }
-
-  type repr = Boxed of boxed | Packed of packed
 
   (* Per-store reachability cone summaries (the region-granular
      invalidation down-payment): per label class — in generated models,
@@ -248,7 +209,7 @@ module Make (S : STATE) (L : LABEL) = struct
   }
 
   type t = {
-    repr : repr;
+    p : packed;
     mutable n : int;
     mutable ntrans : int;
     mutable init : state_id option;
@@ -258,24 +219,12 @@ module Make (S : STATE) (L : LABEL) = struct
     mutable cones : cones option;
   }
 
-  let create () =
-    {
-      repr =
-        Boxed
-          { ids = Tbl.create 64; data = [||]; out = [||]; dup = Hashtbl.create 64 };
-      n = 0;
-      ntrans = 0;
-      init = None;
-      preds = None;
-      cones = None;
-    }
-
   let nshards = 64
   let shard_of h = h land (nshards - 1)
   let tag_of h = h lsr 32 (* 30 bits: hashes are 62-bit non-negative *)
 
   (* Sentinel [row_start] for states that have no edge row (created by
-     [add_state] after exploration, or not yet expanded). *)
+     [add_state] outside exploration, or not yet expanded). *)
   let row_none = 0xffff_ffff
 
   (* Delta chains this deep cost a longer [decode_words] walk but cut
@@ -286,53 +235,60 @@ module Make (S : STATE) (L : LABEL) = struct
 
   let packed_stamps = Atomic.make 1
 
-  let create_packed ?mem_budget ?spill_dir pk =
-    if pk.pk_words > 63 then
-      invalid_arg "Lts: packed states are limited to 63 words";
+  (* Words per wordmap group: one varint of 63 bits. *)
+  let group_words = 63
+
+  let make ?mem_budget ?spill_dir pk =
+    let ngroups = (pk.pk_words + group_words - 1) / group_words in
     {
-      repr =
-        Packed
-          {
-            pk;
-            pstamp = Atomic.fetch_and_add packed_stamps 1;
-            arena = P.Arena.create ();
-            offs = P.U32.create ();
-            depths = P.U8.create ();
-            shards =
-              Array.init nshards (fun _ ->
-                  {
-                    tbl = Array.make 64 0;
-                    ctbl = Bytes.empty;
-                    ccap = 0;
-                    count = 0;
-                    young = 0;
-                    gens = [];
-                  });
-            full_states = 0;
-            delta_states = 0;
-            lbl_ids = Ltbl.create 64;
-            lbl_data = [||];
-            nlabels = 0;
-            ebytes = Bytes.create 4096;
-            elen = 0;
-            row_start = P.U32.create ();
-            ov = Hashtbl.create 16;
-            rbuf = Array.make 16 0;
-            rlen = 0;
-            enc_buf = Bytes.create (32 + (10 * pk.pk_words));
-            cur = P.cursor ();
-            cand_buf = Array.make pk.pk_words 0;
-            cmp_buf = Array.make pk.pk_words 0;
-            budget = mem_budget;
-            spill_dir;
-            spill = None;
-          };
+      p =
+        {
+          pk;
+          ngroups;
+          pstamp = Atomic.fetch_and_add packed_stamps 1;
+          arena = P.Arena.create ();
+          offs = P.U32.create ();
+          depths = P.U8.create ();
+          shards =
+            Array.init nshards (fun _ ->
+                {
+                  tbl = Array.make 64 0;
+                  ctbl = Bytes.empty;
+                  ccap = 0;
+                  count = 0;
+                  young = 0;
+                  gens = [];
+                });
+          full_states = 0;
+          delta_states = 0;
+          lbl_ids = Ltbl.create 64;
+          lbl_data = [||];
+          nlabels = 0;
+          ebytes = Bytes.create 4096;
+          elen = 0;
+          row_start = P.U32.create ();
+          ov = Hashtbl.create 16;
+          rbuf = Array.make 16 0;
+          rlen = 0;
+          enc_buf = Bytes.create (32 + (10 * pk.pk_words));
+          zeros = Array.make pk.pk_words 0;
+          full_maps = Array.make ngroups 0;
+          delta_maps = Array.make ngroups 0;
+          cur = P.cursor ();
+          cand_buf = Array.make pk.pk_words 0;
+          cmp_buf = Array.make pk.pk_words 0;
+          budget = mem_budget;
+          spill_dir;
+          spill = None;
+        };
       n = 0;
       ntrans = 0;
       init = None;
       preds = None;
       cones = None;
     }
+
+  let create pk = make pk
 
   (* ----- packed primitives ----- *)
 
@@ -356,8 +312,16 @@ module Make (S : STATE) (L : LABEL) = struct
      interleaved decodes from several LTSs never cross-contaminate and
      switching costs nothing. Records are append-only and immutable,
      so entries never need invalidating. *)
-  let cache_bits = 16
-  let cache_slots = 1 lsl cache_bits
+  let max_cache_slots = 1 lsl 16
+
+  (* Slots for [w]-word states: the full 2^16 up to 63 words, halved
+     for wider states until the table fits the words of 2^16 63-word
+     slots, so a wide universe costs no more cache than a narrow one. *)
+  let cache_slots w =
+    let rec go s =
+      if s > 1 && s * w > max_cache_slots * group_words then go (s / 2) else s
+    in
+    go max_cache_slots
 
   (* Ids at or above this would collide with the stamp bits of the
      cache key; such states (impossible under the 4 GiB arena bound)
@@ -366,20 +330,24 @@ module Make (S : STATE) (L : LABEL) = struct
 
   type dcache = {
     mutable dc_wpw : int;  (* words per slot; -1 = unallocated *)
+    mutable dc_mask : int;  (* slots - 1 *)
     mutable dc_keys : int array;  (* (pstamp lsl 28) lor id, or -1 *)
-    mutable dc_words : int array;  (* cache_slots * dc_wpw *)
+    mutable dc_words : int array;  (* slots * dc_wpw *)
   }
 
   let dcache_key : dcache Domain.DLS.key =
     Domain.DLS.new_key (fun () ->
-        { dc_wpw = -1; dc_keys = [||]; dc_words = [||] })
+        { dc_wpw = -1; dc_mask = 0; dc_keys = [||]; dc_words = [||] })
 
   let get_dcache p =
     let dc = Domain.DLS.get dcache_key in
-    if dc.dc_wpw <> p.pk.pk_words then begin
-      dc.dc_wpw <- p.pk.pk_words;
-      dc.dc_keys <- Array.make cache_slots (-1);
-      dc.dc_words <- Array.make (cache_slots * p.pk.pk_words) 0
+    let w = p.pk.pk_words in
+    if dc.dc_wpw <> w then begin
+      let slots = cache_slots w in
+      dc.dc_wpw <- w;
+      dc.dc_mask <- slots - 1;
+      dc.dc_keys <- Array.make slots (-1);
+      dc.dc_words <- Array.make (slots * w) 0
     end;
     dc
 
@@ -391,6 +359,20 @@ module Make (S : STATE) (L : LABEL) = struct
     dc.dc_keys <- [||];
     dc.dc_words <- [||]
 
+  (* Apply a record's wordmap groups at [cur] to [buf]: per group, the
+     map varint, then one patch per set bit against the word already in
+     [buf]. *)
+  let patch_groups p cur buf =
+    for g = 0 to p.ngroups - 1 do
+      let lo = g * group_words in
+      let m = ref (P.get_varint cur) in
+      while !m <> 0 do
+        let i = lo + ntz !m in
+        buf.(i) <- P.get_word_patch cur ~base:buf.(i);
+        m := !m land (!m - 1)
+      done
+    done
+
   (* Decode state [id]'s words into [buf]: walk the delta chain up to
      its full record (depth <= [max_chain]) or the nearest cached
      ancestor, then apply patches back down, caching each level. Each
@@ -400,7 +382,7 @@ module Make (S : STATE) (L : LABEL) = struct
      decodes never race. *)
   let rec decode_rec p dc cur buf id =
     let w = p.pk.pk_words in
-    let slot = id land (cache_slots - 1) in
+    let slot = id land dc.dc_mask in
     let key = (p.pstamp lsl 28) lor id in
     let cacheable = id < cache_id_limit && p.pstamp lsl 28 >= 0 in
     if cacheable && Array.unsafe_get dc.dc_keys slot = key then
@@ -408,29 +390,14 @@ module Make (S : STATE) (L : LABEL) = struct
     else begin
       P.Arena.seek p.arena cur (P.U32.get p.offs id);
       let tag = P.get_varint cur in
-      if tag = 0 then begin
-        let map = P.get_varint cur in
-        Array.fill buf 0 w 0;
-        let m = ref map in
-        while !m <> 0 do
-          let i = ntz !m in
-          buf.(i) <- P.get_word_patch cur ~base:0;
-          m := !m land (!m - 1)
-        done
-      end
+      if tag = 0 then Array.fill buf 0 w 0
       else begin
         let b = cur.P.b and pos = cur.P.pos in
         decode_rec p dc cur buf (tag - 1);
         cur.P.b <- b;
-        cur.P.pos <- pos;
-        let map = P.get_varint cur in
-        let m = ref map in
-        while !m <> 0 do
-          let i = ntz !m in
-          buf.(i) <- P.get_word_patch cur ~base:buf.(i);
-          m := !m land (!m - 1)
-        done
+        cur.P.pos <- pos
       end;
+      patch_groups p cur buf;
       if cacheable then begin
         Array.unsafe_set dc.dc_keys slot key;
         Array.blit buf 0 dc.dc_words (slot * w) w
@@ -649,59 +616,66 @@ module Make (S : STATE) (L : LABEL) = struct
       sh.young <- sh.young + 1
     end
 
+  (* Fill [maps] with the wordmap of [words] against [base] (bit i of
+     group g set = word 63g+i differs) and return the bytes the groups
+     cost in a record: each group's map varint plus its word patches. *)
+  let diff_groups p maps ~base words =
+    let w = p.pk.pk_words in
+    let size = ref 0 in
+    for g = 0 to p.ngroups - 1 do
+      let lo = g * group_words in
+      let m = ref 0 in
+      for i = lo to min w (lo + group_words) - 1 do
+        let b = Array.unsafe_get base i and x = Array.unsafe_get words i in
+        if x <> b then begin
+          m := !m lor (1 lsl (i - lo));
+          size := !size + P.word_patch_size ~base:b x
+        end
+      done;
+      Array.unsafe_set maps g !m;
+      size := !size + P.varint_size !m
+    done;
+    !size
+
+  (* Write the groups [diff_groups] measured, in [patch_groups] order. *)
+  let put_groups p b pos maps ~base words =
+    let pos = ref pos in
+    for g = 0 to p.ngroups - 1 do
+      let lo = g * group_words in
+      pos := P.put_varint b !pos maps.(g);
+      let m = ref maps.(g) in
+      while !m <> 0 do
+        let i = lo + ntz !m in
+        pos := P.put_word_patch b !pos ~base:base.(i) words.(i);
+        m := !m land (!m - 1)
+      done
+    done;
+    !pos
+
   (* Append the record for [words]: delta against [parent] when the
      chain stays short and the patch bytes beat a full record. Both
-     record kinds carry a wordmap (bit i = word i present) so untouched
-     words cost nothing to store or decode. *)
+     record kinds carry a wordmap so untouched words cost nothing to
+     store or decode. *)
   let encode_record p ~parent ~parent_words ~parent_depth words =
-    let w = p.pk.pk_words in
-    let full_map = ref 0 and full_size = ref 0 in
-    for i = 0 to w - 1 do
-      if words.(i) <> 0 then begin
-        full_map := !full_map lor (1 lsl i);
-        full_size := !full_size + P.word_patch_size ~base:0 words.(i)
-      end
-    done;
-    let full_total = 1 + P.varint_size !full_map + !full_size in
-    let delta_map = ref 0 in
+    let full_total = 1 + diff_groups p p.full_maps ~base:p.zeros words in
     let delta_total =
       if parent < 0 || parent_depth >= max_chain then max_int
-      else begin
-        let s = ref 0 in
-        for i = 0 to w - 1 do
-          if words.(i) <> parent_words.(i) then begin
-            delta_map := !delta_map lor (1 lsl i);
-            s := !s + P.word_patch_size ~base:parent_words.(i) words.(i)
-          end
-        done;
-        P.varint_size (parent + 1) + P.varint_size !delta_map + !s
-      end
+      else
+        P.varint_size (parent + 1)
+        + diff_groups p p.delta_maps ~base:parent_words words
     in
     let b = p.enc_buf in
     let len, depth =
       if delta_total < full_total then begin
-        let pos = ref (P.put_varint b 0 (parent + 1)) in
-        pos := P.put_varint b !pos !delta_map;
-        let m = ref !delta_map in
-        while !m <> 0 do
-          let i = ntz !m in
-          pos := P.put_word_patch b !pos ~base:parent_words.(i) words.(i);
-          m := !m land (!m - 1)
-        done;
+        let pos = P.put_varint b 0 (parent + 1) in
         p.delta_states <- p.delta_states + 1;
-        (!pos, parent_depth + 1)
+        ( put_groups p b pos p.delta_maps ~base:parent_words words,
+          parent_depth + 1 )
       end
       else begin
-        let pos = ref (P.put_varint b 0 0) in
-        pos := P.put_varint b !pos !full_map;
-        let m = ref !full_map in
-        while !m <> 0 do
-          let i = ntz !m in
-          pos := P.put_word_patch b !pos ~base:0 words.(i);
-          m := !m land (!m - 1)
-        done;
+        let pos = P.put_varint b 0 0 in
         p.full_states <- p.full_states + 1;
-        (!pos, 0)
+        (put_groups p b pos p.full_maps ~base:p.zeros words, 0)
       end
     in
     (P.Arena.append p.arena b len, depth)
@@ -950,35 +924,28 @@ module Make (S : STATE) (L : LABEL) = struct
       ms_mem_budget = p.budget;
     }
 
-  let mem_stats t =
-    match t.repr with
-    | Boxed _ -> None
-    | Packed p -> Some (packed_mem p t.n t.ntrans)
+  let mem_stats t = Some (packed_mem t.p t.n t.ntrans)
 
   let spill_stats t =
-    match t.repr with
-    | Boxed _ -> None
-    | Packed p -> (
-      match p.spill with
-      | None -> None
-      | Some ss ->
-        Some
-          {
-            sp_dir = Spill.dir ss.ss_spill;
-            sp_bytes = ss.ss_bytes;
-            sp_chunks = ss.ss_chunks;
-            sp_tables = ss.ss_tables;
-            sp_faults = Spill.faults ss.ss_spill;
-            sp_budget = Option.value p.budget ~default:0;
-          })
+    let p = t.p in
+    match p.spill with
+    | None -> None
+    | Some ss ->
+      Some
+        {
+          sp_dir = Spill.dir ss.ss_spill;
+          sp_bytes = ss.ss_bytes;
+          sp_chunks = ss.ss_chunks;
+          sp_tables = ss.ss_tables;
+          sp_faults = Spill.faults ss.ss_spill;
+          sp_budget = Option.value p.budget ~default:0;
+        }
 
-  (* Release the disk tier early (tests, explicit teardown). Decoding a
-     state whose chain touches a spilled chunk afterwards fails, so
-     only call this when the LTS is done with. *)
-  let drop_spill t =
-    match t.repr with
-    | Packed { spill = Some ss; _ } -> Spill.remove ss.ss_spill
-    | _ -> ()
+  (* Release the disk tier early (tests, explicit teardown), and on any
+     failed exploration. Decoding a state whose chain touches a spilled
+     chunk afterwards fails, so only call this when the LTS is done
+     with. *)
+  let drop_spill t = Option.iter (fun ss -> Spill.remove ss.ss_spill) t.p.spill
 
   (* ----- store cones ----- *)
 
@@ -1072,46 +1039,19 @@ module Make (S : STATE) (L : LABEL) = struct
 
   (* ----- construction ----- *)
 
-  let grow_boxed t b =
-    if t.n >= Array.length b.data then begin
-      let cap = max 16 (2 * Array.length b.data) in
-      let data = Array.make cap b.data.(0) in
-      Array.blit b.data 0 data 0 t.n;
-      b.data <- data;
-      let out = Array.make cap b.out.(0) in
-      Array.blit b.out 0 out 0 t.n;
-      b.out <- out
-    end
-
+  (* Outside exploration a new state has no frontier parent to delta
+     against, so it is stored as a full record. *)
   let add_state t s =
-    match t.repr with
-    | Boxed b -> (
-      match Tbl.find_opt b.ids s with
-      | Some id -> id
-      | None ->
-        let id = t.n in
-        if id = 0 then begin
-          b.data <- Array.make 16 s;
-          b.out <- Array.init 16 (fun _ -> new_succs ())
-        end
-        else grow_boxed t b;
-        b.data.(id) <- s;
-        b.out.(id) <- new_succs ();
-        t.n <- id + 1;
-        Tbl.add b.ids s id;
-        t.preds <- None;
-        if t.init = None then t.init <- Some id;
-        id)
-    | Packed p ->
-      p.pk.pk_blit s p.cand_buf 0;
-      let h = P.hash_words p.cand_buf p.pk.pk_words in
-      let id =
-        shard_find p p.shards.(shard_of h) (tag_of h) p.cand_buf p.cur p.cmp_buf
-      in
-      if id >= 0 then id
-      else
-        packed_new_state t p ~parent:(-1) ~parent_words:[||] ~parent_depth:0
-          p.cand_buf h
+    let p = t.p in
+    p.pk.pk_blit s p.cand_buf 0;
+    let h = P.hash_words p.cand_buf p.pk.pk_words in
+    let id =
+      shard_find p p.shards.(shard_of h) (tag_of h) p.cand_buf p.cur p.cmp_buf
+    in
+    if id >= 0 then id
+    else
+      packed_new_state t p ~parent:(-1) ~parent_words:[||] ~parent_depth:0
+        p.cand_buf h
 
   let set_initial t id =
     if id < 0 || id >= t.n then invalid_arg "Lts.set_initial";
@@ -1127,67 +1067,58 @@ module Make (S : STATE) (L : LABEL) = struct
 
   let state_data t id =
     if id < 0 || id >= t.n then invalid_arg "Lts.state_data";
-    match t.repr with
-    | Boxed b -> b.data.(id)
-    | Packed p ->
-      (* Fresh cursor and buffer: analyses may decode from several
-         domains at once. *)
-      let cur = P.cursor () in
-      let buf = Array.make p.pk.pk_words 0 in
-      decode_words p cur buf id;
-      p.pk.pk_decode buf 0
+    let p = t.p in
+    (* Fresh cursor and buffer: analyses may decode from several domains
+       at once. *)
+    let cur = P.cursor () in
+    let buf = Array.make p.pk.pk_words 0 in
+    decode_words p cur buf id;
+    p.pk.pk_decode buf 0
 
   let find_state t s =
-    match t.repr with
-    | Boxed b -> Tbl.find_opt b.ids s
-    | Packed p ->
-      p.pk.pk_blit s p.cand_buf 0;
-      let h = P.hash_words p.cand_buf p.pk.pk_words in
-      let id =
-        shard_find p p.shards.(shard_of h) (tag_of h) p.cand_buf p.cur p.cmp_buf
-      in
+    let p = t.p in
+    p.pk.pk_blit s p.cand_buf 0;
+    let h = P.hash_words p.cand_buf p.pk.pk_words in
+    let id =
+      shard_find p p.shards.(shard_of h) (tag_of h) p.cand_buf p.cur p.cmp_buf
+    in
+    if id >= 0 then Some id else None
+
+  (* A lookup closure with private scratch buffers: [find_state] reuses
+     shared encode/compare buffers and is not safe to call from several
+     domains at once; finders are. *)
+  let make_finder t =
+    let p = t.p in
+    let cand = Array.make p.pk.pk_words 0 in
+    let cmp = Array.make p.pk.pk_words 0 in
+    let cur = P.cursor () in
+    fun s ->
+      p.pk.pk_blit s cand 0;
+      let h = P.hash_words cand p.pk.pk_words in
+      let id = shard_find p p.shards.(shard_of h) (tag_of h) cand cur cmp in
       if id >= 0 then Some id else None
 
-  (* A lookup closure with private scratch buffers: [find_state] on the
-     packed backend reuses shared encode/compare buffers and is not safe
-     to call from several domains at once; finders are. *)
-  let make_finder t =
-    match t.repr with
-    | Boxed b -> fun s -> Tbl.find_opt b.ids s
-    | Packed p ->
-      let cand = Array.make p.pk.pk_words 0 in
-      let cmp = Array.make p.pk.pk_words 0 in
-      let cur = P.cursor () in
-      fun s ->
-        p.pk.pk_blit s cand 0;
-        let h = P.hash_words cand p.pk.pk_words in
-        let id = shard_find p p.shards.(shard_of h) (tag_of h) cand cur cmp in
-        if id >= 0 then Some id else None
+  (* Label-id access: labels are interned, so a per-label verdict
+     ("does this label change under the edit?") can be computed once
+     per distinct label and row scans reduce to one array index per
+     transition. Always [Some]; the option is kept for callers that
+     still match on it. *)
+  let interned_labels t = Some (Array.sub t.p.lbl_data 0 t.p.nlabels)
 
-  (* Label-id access for the incremental cone walk: on a packed LTS
-     labels are interned, so a per-candidate verdict ("does this label
-     change under the edit?") can be computed once per distinct label
-     and row scans reduce to one array index per transition. Boxed
-     LTSs have no label table — [None] sends callers down the
-     per-label structural path. *)
-  let interned_labels t =
-    match t.repr with
-    | Boxed _ -> None
-    | Packed p -> Some (Array.sub p.lbl_data 0 p.nlabels)
+  (* Every edge of [id] as (label id, dst): the row, then the overflow. *)
+  let iter_edges p id f =
+    iter_row p id f;
+    match Hashtbl.find_opt p.ov id with
+    | None -> ()
+    | Some o ->
+      for i = 0 to o.olen - 1 do
+        let e = o.oarr.(i) in
+        f (e lsr 32) (e land 0xffff_ffff)
+      done
 
   let iter_successors_lid t id f =
     if id < 0 || id >= t.n then invalid_arg "Lts.iter_successors_lid";
-    match t.repr with
-    | Boxed _ -> invalid_arg "Lts.iter_successors_lid: boxed LTS"
-    | Packed p ->
-      iter_row p id f;
-      (match Hashtbl.find_opt p.ov id with
-      | None -> ()
-      | Some o ->
-        for i = 0 to o.olen - 1 do
-          let e = o.oarr.(i) in
-          f (e lsr 32) (e land 0xffff_ffff)
-        done)
+    iter_edges t.p id f
 
   let states t = List.init t.n Fun.id
 
@@ -1204,28 +1135,18 @@ module Make (S : STATE) (L : LABEL) = struct
     !acc
 
   (* Raise the state guard with context attached for the caller's error
-     report (the boxed engine has no byte-exact accounting, so
-     bytes/state is [None] there). *)
+     report. *)
   let too_many t limit =
-    let bps, resident, spill_bytes, budget =
-      match t.repr with
-      | Boxed _ -> (None, None, 0, None)
-      | Packed p ->
-        let ms = packed_mem p t.n t.ntrans in
-        ( Some ms.ms_bytes_per_state,
-          Some ms.ms_resident_bytes,
-          ms.ms_spill_bytes,
-          p.budget )
-    in
+    let ms = packed_mem t.p t.n t.ntrans in
     record_abort
       {
         ab_limit = limit;
         ab_states = t.n;
         ab_transitions = t.ntrans;
-        ab_bytes_per_state = bps;
-        ab_resident_bytes = resident;
-        ab_spill_bytes = spill_bytes;
-        ab_mem_budget = budget;
+        ab_bytes_per_state = ms.ms_bytes_per_state;
+        ab_resident_bytes = ms.ms_resident_bytes;
+        ab_spill_bytes = ms.ms_spill_bytes;
+        ab_mem_budget = t.p.budget;
       };
     raise (Too_many_states limit)
 
@@ -1233,22 +1154,8 @@ module Make (S : STATE) (L : LABEL) = struct
 
   let iter_successors t id f =
     if id < 0 || id >= t.n then invalid_arg "Lts.iter_successors";
-    match t.repr with
-    | Boxed b ->
-      let s = b.out.(id) in
-      for i = 0 to s.len - 1 do
-        let label, dst = s.arr.(i) in
-        f label dst
-      done
-    | Packed p ->
-      iter_row p id (fun lid dst -> f p.lbl_data.(lid) dst);
-      (match Hashtbl.find_opt p.ov id with
-      | None -> ()
-      | Some o ->
-        for i = 0 to o.olen - 1 do
-          let e = o.oarr.(i) in
-          f p.lbl_data.(e lsr 32) (e land 0xffff_ffff)
-        done)
+    let p = t.p in
+    iter_edges p id (fun lid dst -> f p.lbl_data.(lid) dst)
 
   let successors t id =
     let acc = ref [] in
@@ -1258,127 +1165,79 @@ module Make (S : STATE) (L : LABEL) = struct
   (* Positional successor access for the iterative graph walks below:
      no closure allocation, resumable mid-row. *)
   let out_degree t id =
-    match t.repr with
-    | Boxed b -> b.out.(id).len
-    | Packed p ->
-      row_degree p id
-      + (match Hashtbl.find_opt p.ov id with None -> 0 | Some o -> o.olen)
+    let p = t.p in
+    row_degree p id
+    + (match Hashtbl.find_opt p.ov id with None -> 0 | Some o -> o.olen)
 
-  (* O(row) for the packed backend: the varint row has no random
-     access. Row degrees in generated models are bounded by the flow
-     count, so the graph walks below stay effectively linear. *)
+  (* O(row): the varint row has no random access. Row degrees in
+     generated models are bounded by the flow count, so the graph walks
+     below stay effectively linear. *)
   let nth_dst t id i =
-    match t.repr with
-    | Boxed b -> snd b.out.(id).arr.(i)
-    | Packed p ->
-      let rs = P.U32.get p.row_start id in
-      let remaining = ref i in
-      let found = ref (-1) in
-      if rs <> row_none then begin
-        let cur = { P.b = p.ebytes; P.pos = rs } in
-        let deg = P.get_varint cur in
-        let prev = ref id in
-        (try
-           for _ = 1 to deg do
-             let _lid = P.get_varint cur in
-             let dst = !prev + P.unzigzag (P.get_varint cur) in
-             prev := dst;
-             if !remaining = 0 then begin
-               found := dst;
-               raise_notrace Exit
-             end;
-             decr remaining
-           done
-         with Exit -> ())
-      end;
-      if !found >= 0 then !found
-      else
-        (Option.get (Hashtbl.find_opt p.ov id)).oarr.(!remaining)
-        land 0xffff_ffff
+    let p = t.p in
+    let rs = P.U32.get p.row_start id in
+    let remaining = ref i in
+    let found = ref (-1) in
+    if rs <> row_none then begin
+      let cur = { P.b = p.ebytes; P.pos = rs } in
+      let deg = P.get_varint cur in
+      let prev = ref id in
+      (try
+         for _ = 1 to deg do
+           let _lid = P.get_varint cur in
+           let dst = !prev + P.unzigzag (P.get_varint cur) in
+           prev := dst;
+           if !remaining = 0 then begin
+             found := dst;
+             raise_notrace Exit
+           end;
+           decr remaining
+         done
+       with Exit -> ())
+    end;
+    if !found >= 0 then !found
+    else
+      (Option.get (Hashtbl.find_opt p.ov id)).oarr.(!remaining)
+      land 0xffff_ffff
 
-  let scan_dup s label dst =
-    let rec go i =
-      i < s.len
-      &&
-      let l, d = s.arr.(i) in
-      (d = dst && L.equal l label) || go (i + 1)
-    in
-    go 0
-
-  let index_succs b src =
-    let s = b.out.(src) in
-    for i = 0 to s.len - 1 do
-      let label, dst = s.arr.(i) in
-      let key = (src, L.hash label, dst) in
-      let bucket = Option.value (Hashtbl.find_opt b.dup key) ~default:[] in
-      Hashtbl.replace b.dup key (label :: bucket)
-    done
-
+  (* Interning makes equal labels share one id, so duplicate detection
+     is an integer scan over the decoded row plus the overflow. *)
   let add_transition t ~src ~label ~dst =
     if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
       invalid_arg "Lts.add_transition";
-    match t.repr with
-    | Boxed b ->
-      let s = b.out.(src) in
-      let duplicate =
-        if s.len < scan_threshold then scan_dup s label dst
-        else begin
-          (* Crossing the threshold: index the transitions inserted while
-             scanning was still cheaper. *)
-          if s.len = scan_threshold then index_succs b src;
-          let key = (src, L.hash label, dst) in
-          let bucket = Option.value (Hashtbl.find_opt b.dup key) ~default:[] in
-          if List.exists (L.equal label) bucket then true
-          else begin
-            Hashtbl.replace b.dup key (label :: bucket);
-            false
-          end
-        end
-      in
-      if duplicate then false
-      else begin
-        push_succ s (label, dst);
-        t.ntrans <- t.ntrans + 1;
-        t.preds <- None;
-        true
-      end
-    | Packed p ->
-      (* Interning makes equal labels share one id, so duplicate
-         detection is an integer scan over the decoded row plus the
-         overflow. *)
-      let lid = intern p label in
-      let e = (lid lsl 32) lor dst in
-      let in_row =
-        let hit = ref false in
-        iter_row p src (fun l d -> if l = lid && d = dst then hit := true);
-        !hit
-      in
-      let o =
-        match Hashtbl.find_opt p.ov src with
-        | Some o -> o
-        | None ->
-          let o = { oarr = [||]; olen = 0 } in
-          Hashtbl.add p.ov src o;
-          o
-      in
-      let in_ov =
-        let rec go i = i < o.olen && (o.oarr.(i) = e || go (i + 1)) in
-        go 0
-      in
-      if in_row || in_ov then false
-      else begin
-        if o.olen = Array.length o.oarr then begin
-          let cap = max 4 (2 * o.olen) in
-          let bigger = Array.make cap 0 in
-          Array.blit o.oarr 0 bigger 0 o.olen;
-          o.oarr <- bigger
-        end;
-        o.oarr.(o.olen) <- e;
-        o.olen <- o.olen + 1;
-        t.ntrans <- t.ntrans + 1;
-        t.preds <- None;
-        true
-      end
+    let p = t.p in
+    let lid = intern p label in
+    let e = (lid lsl 32) lor dst in
+    let in_row =
+      let hit = ref false in
+      iter_row p src (fun l d -> if l = lid && d = dst then hit := true);
+      !hit
+    in
+    let o =
+      match Hashtbl.find_opt p.ov src with
+      | Some o -> o
+      | None ->
+        let o = { oarr = [||]; olen = 0 } in
+        Hashtbl.add p.ov src o;
+        o
+    in
+    let in_ov =
+      let rec go i = i < o.olen && (o.oarr.(i) = e || go (i + 1)) in
+      go 0
+    in
+    if in_row || in_ov then false
+    else begin
+      if o.olen = Array.length o.oarr then begin
+        let cap = max 4 (2 * o.olen) in
+        let bigger = Array.make cap 0 in
+        Array.blit o.oarr 0 bigger 0 o.olen;
+        o.oarr <- bigger
+      end;
+      o.oarr.(o.olen) <- e;
+      o.olen <- o.olen + 1;
+      t.ntrans <- t.ntrans + 1;
+      t.preds <- None;
+      true
+    end
 
   let iter_transitions t f =
     for src = 0 to t.n - 1 do
@@ -1410,60 +1269,39 @@ module Make (S : STATE) (L : LABEL) = struct
     in
     index.(id)
 
-  let rebuild_dup b t =
-    Hashtbl.reset b.dup;
-    iter_transitions t (fun { src; label; dst } ->
-        let key = (src, L.hash label, dst) in
-        let bucket = Option.value (Hashtbl.find_opt b.dup key) ~default:[] in
-        Hashtbl.replace b.dup key (label :: bucket))
-
+  (* [f] runs once per live interned label; the table is rebuilt from
+     the mapped labels and rows are re-encoded through an int remap
+     into a fresh buffer (mapped ids can need wider varints). One pass,
+     O(edge bytes), no per-transition hashing. *)
   let map_labels t f =
-    (match t.repr with
-    | Boxed b ->
-      for src = 0 to t.n - 1 do
-        let s = b.out.(src) in
-        for i = 0 to s.len - 1 do
-          let label, dst = s.arr.(i) in
-          s.arr.(i) <- (f label, dst)
-        done
-      done;
-      rebuild_dup b t
-    | Packed p ->
-      (* [f] runs once per live interned label; the table is rebuilt
-         from the mapped labels and rows are re-encoded through an int
-         remap into a fresh buffer (mapped ids can need wider varints).
-         One pass, O(edge bytes), no per-transition hashing. *)
-      let old = Array.sub p.lbl_data 0 p.nlabels in
-      let remap = Array.make (Array.length old) (-1) in
-      let mark lid _ = remap.(lid) <- 0 in
-      for src = 0 to t.n - 1 do
-        iter_row p src mark;
-        Option.iter
-          (fun o -> for i = 0 to o.olen - 1 do mark (o.oarr.(i) lsr 32) 0 done)
-          (Hashtbl.find_opt p.ov src)
-      done;
-      (* every [f] call before any mutation: a raising [f] leaves the LTS intact *)
-      let mapped = Array.mapi (fun i l -> if remap.(i) = 0 then f l else l) old in
-      Ltbl.reset p.lbl_ids;
-      p.nlabels <- 0;
-      Array.iteri (fun i l -> if remap.(i) = 0 then remap.(i) <- intern p l) mapped;
-      let relabel e = (remap.(e lsr 32) lsl 32) lor (e land 0xffff_ffff) in
-      let reader = { p with ebytes = p.ebytes } in
-      p.ebytes <- Bytes.create (max 4096 p.elen);
-      p.elen <- 0;
-      for src = 0 to t.n - 1 do
-        if P.U32.get p.row_start src <> row_none then begin
-          p.rlen <- 0;
-          iter_row reader src (fun lid dst ->
-              push_edge p ((remap.(lid) lsl 32) lor dst));
-          close_row p src
-        end;
-        Option.iter
-          (fun o -> for i = 0 to o.olen - 1 do o.oarr.(i) <- relabel o.oarr.(i) done)
-          (Hashtbl.find_opt p.ov src)
-      done;
-      if Bytes.length p.ebytes > p.elen then
-        p.ebytes <- Bytes.sub p.ebytes 0 (max 1 p.elen));
+    let p = t.p in
+    let old = Array.sub p.lbl_data 0 p.nlabels in
+    let remap = Array.make (Array.length old) (-1) in
+    for src = 0 to t.n - 1 do
+      iter_edges p src (fun lid _ -> remap.(lid) <- 0)
+    done;
+    (* every [f] call before any mutation: a raising [f] leaves the LTS intact *)
+    let mapped = Array.mapi (fun i l -> if remap.(i) = 0 then f l else l) old in
+    Ltbl.reset p.lbl_ids;
+    p.nlabels <- 0;
+    Array.iteri (fun i l -> if remap.(i) = 0 then remap.(i) <- intern p l) mapped;
+    let relabel e = (remap.(e lsr 32) lsl 32) lor (e land 0xffff_ffff) in
+    let reader = { p with ebytes = p.ebytes } in
+    p.ebytes <- Bytes.create (max 4096 p.elen);
+    p.elen <- 0;
+    for src = 0 to t.n - 1 do
+      if P.U32.get p.row_start src <> row_none then begin
+        p.rlen <- 0;
+        iter_row reader src (fun lid dst ->
+            push_edge p ((remap.(lid) lsl 32) lor dst));
+        close_row p src
+      end;
+      Option.iter
+        (fun o -> for i = 0 to o.olen - 1 do o.oarr.(i) <- relabel o.oarr.(i) done)
+        (Hashtbl.find_opt p.ov src)
+    done;
+    if Bytes.length p.ebytes > p.elen then
+      p.ebytes <- Bytes.sub p.ebytes 0 (max 1 p.elen);
     t.preds <- None
 
   let reachable t =
@@ -1543,118 +1381,6 @@ module Make (S : STATE) (L : LABEL) = struct
     | None -> ()
     | Some c -> Mdp_obs.Cancel.check c
 
-  let boxed_exn t =
-    match t.repr with Boxed b -> b | Packed _ -> assert false
-
-  let explore_sequential t ~max_states ~cancel ~cone ~step =
-    let b = boxed_exn t in
-    (* Dedup hits/misses are batched in local refs and published once:
-       a Metrics.add per transition would dominate small models. *)
-    let hits = ref 0 and misses = ref 0 in
-    let expanded = ref 0 in
-    let q = Queue.create () in
-    Queue.push (initial t) q;
-    Fun.protect ~finally:(fun () ->
-        Mdp_obs.Metrics.add "lts/dedup_hits" !hits;
-        Mdp_obs.Metrics.add "lts/dedup_misses" !misses;
-        Mdp_obs.Metrics.incr "lts/seq_explores")
-    @@ fun () ->
-    while not (Queue.is_empty q) do
-      (* Poll on the first expansion too: a token fired before the run
-         starts must stop it before any real work, also on models far
-         smaller than the batch. *)
-      if !expanded land (cancel_poll_batch - 1) = 0 then poll_cancel cancel;
-      incr expanded;
-      let src = Queue.pop q in
-      List.iter
-        (fun (label, dst_data) ->
-          let before = t.n in
-          let dst = add_state t dst_data in
-          if t.n > max_states then too_many t max_states;
-          let added = add_transition t ~src ~label ~dst in
-          (match cone with
-          | None -> ()
-          | Some classify -> if added then cone_touch t (classify label) src);
-          if t.n > before then begin
-            incr misses;
-            Queue.push dst q
-          end
-          else incr hits)
-        (step b.data.(src))
-    done
-
-  (* Frontier-synchronised BFS: every state of the current frontier is
-     expanded (possibly in parallel), then the results are merged
-     sequentially in frontier order. Because the sequential queue BFS
-     also processes states in discovery order, the merged LTS — state
-     numbering, transition order, everything — is identical for every
-     job count. [step] must be pure: it runs concurrently on multiple
-     domains against shared immutable inputs.
-
-     Frontiers narrower than [par_threshold] are expanded on the
-     calling domain: spawn/join costs dwarf the expansion work there,
-     and small models (every frontier narrow) would otherwise run
-     slower under [jobs > 1] than sequentially. *)
-  let explore_parallel t ~max_states ~cancel ~cone ~step ~jobs ~par_threshold =
-    let b = boxed_exn t in
-    let hits = ref 0 and misses = ref 0 in
-    let rounds = ref 0 and par_rounds = ref 0 and seq_rounds = ref 0 in
-    let frontier = ref [ initial t ] in
-    Fun.protect ~finally:(fun () ->
-        Mdp_obs.Metrics.add "lts/dedup_hits" !hits;
-        Mdp_obs.Metrics.add "lts/dedup_misses" !misses;
-        Mdp_obs.Metrics.add "lts/frontier_rounds" !rounds;
-        Mdp_obs.Metrics.add "lts/par_rounds" !par_rounds;
-        Mdp_obs.Metrics.add "lts/seq_fallback_rounds" !seq_rounds)
-    @@ fun () ->
-    while !frontier <> [] do
-      (* Polled once per frontier round, on the calling domain only, so
-         a fired token stops the exploration within one round without
-         any worker domain ever raising mid-chunk (the spawned chunks
-         of the current round always run to completion and are
-         joined). *)
-      poll_cancel cancel;
-      let fr = Array.of_list !frontier in
-      let nf = Array.length fr in
-      incr rounds;
-      Mdp_obs.Metrics.observe "lts/frontier_width" nf;
-      let results = Array.make nf [] in
-      let expand lo hi =
-        for i = lo to hi - 1 do
-          results.(i) <- step b.data.(fr.(i))
-        done
-      in
-      let njobs = max 1 (min jobs nf) in
-      if njobs = 1 || nf < par_threshold then begin
-        incr seq_rounds;
-        expand 0 nf
-      end
-      else begin
-        incr par_rounds;
-        Mdp_prelude.Parallel.iter_chunks ~jobs:njobs nf expand
-      end;
-      let next = ref [] in
-      for i = 0 to nf - 1 do
-        let src = fr.(i) in
-        List.iter
-          (fun (label, dst_data) ->
-            let before = t.n in
-            let dst = add_state t dst_data in
-            if t.n > max_states then too_many t max_states;
-            let added = add_transition t ~src ~label ~dst in
-            (match cone with
-            | None -> ()
-            | Some classify -> if added then cone_touch t (classify label) src);
-            if t.n > before then begin
-              incr misses;
-              next := dst :: !next
-            end
-            else incr hits)
-          results.(i)
-      done;
-      frontier := List.rev !next
-    done
-
   (* Per-exploration cache of label id -> cone class: the classifier
      runs once per interned label instead of once per transition.
      Stored as class + 2 so 0 reads as "not yet classified" (classes
@@ -1681,11 +1407,9 @@ module Make (S : STATE) (L : LABEL) = struct
           c
         end
 
-  (* Packed sequential BFS. Discovery order — hence state numbering and
-     transition order — is identical to [explore_sequential]: same
-     queue discipline, and word-equality dedup coincides with [S.equal]
-     (the packer contract). *)
-  let packed_explore_seq t p ~max_states ~cancel ~cone ~step =
+  (* Sequential BFS: a queue in discovery order; word-equality dedup
+     coincides with [S.equal] (the packer contract). *)
+  let explore_seq t p ~max_states ~cancel ~cone ~step =
     let class_of = lid_classifier cone in
     let w = p.pk.pk_words in
     let hits = ref 0 and misses = ref 0 in
@@ -1747,8 +1471,8 @@ module Make (S : STATE) (L : LABEL) = struct
       close_row p src
     done
 
-  (* Packed frontier-parallel BFS with sharded dedup. Three phases per
-     round, all deterministic:
+  (* Frontier-parallel BFS with sharded dedup. Three phases per round,
+     all deterministic:
 
      1. expand (parallel): decode + [step] each frontier state, pack
         and hash every successor candidate on the worker domains;
@@ -1762,7 +1486,7 @@ module Make (S : STATE) (L : LABEL) = struct
      Because verdicts are per-shard and ids are assigned in the same
      candidate order the sequential queue would discover them, the
      numbering is byte-identical for every job count. *)
-  let packed_explore_par t p ~max_states ~cancel ~cone ~step ~jobs
+  let explore_par t p ~max_states ~cancel ~cone ~step ~jobs
       ~par_threshold =
     let class_of = lid_classifier cone in
     let w = p.pk.pk_words in
@@ -1943,24 +1667,12 @@ module Make (S : STATE) (L : LABEL) = struct
 
   let default_par_threshold = 512
 
-  (* A failed exploration must not leave its spill directory behind:
-     the LTS value is about to become garbage and nothing will ever
-     read those files again. (Successful explorations keep theirs — the
-     sealed dedup generations and evicted chunks back later decodes.) *)
-  let cleanup_spill t =
-    match t.repr with
-    | Packed { spill = Some ss; _ } -> Spill.remove ss.ss_spill
-    | Packed _ | Boxed _ -> ()
-
   let explore ?(max_states = 200_000) ?(jobs = 1)
-      ?(par_threshold = default_par_threshold) ?cancel ?packing ?mem_budget
+      ?(par_threshold = default_par_threshold) ?cancel ~packing ?mem_budget
       ?spill_dir ?label_class ~init ~step () =
     Mdp_obs.Metrics.span "lts/explore" @@ fun () ->
-    let t =
-      match packing with
-      | None -> create ()
-      | Some pk -> create_packed ?mem_budget ?spill_dir pk
-    in
+    let t = make ?mem_budget ?spill_dir packing in
+    let p = t.p in
     let cone =
       match label_class with
       | None -> None
@@ -1971,24 +1683,16 @@ module Make (S : STATE) (L : LABEL) = struct
     ignore (add_state t init : state_id);
     if t.n > max_states then too_many t max_states;
     (try
-       match t.repr with
-       | Boxed _ ->
-         if jobs <= 1 then explore_sequential t ~max_states ~cancel ~cone ~step
-         else
-           explore_parallel t ~max_states ~cancel ~cone ~step ~jobs
-             ~par_threshold
-       | Packed p ->
-         if jobs <= 1 then
-           packed_explore_seq t p ~max_states ~cancel ~cone ~step
-         else
-           packed_explore_par t p ~max_states ~cancel ~cone ~step ~jobs
-             ~par_threshold
+       if jobs <= 1 then explore_seq t p ~max_states ~cancel ~cone ~step
+       else explore_par t p ~max_states ~cancel ~cone ~step ~jobs ~par_threshold
      with e ->
        let bt = Printexc.get_raw_backtrace () in
        (match e with
        | Mdp_obs.Cancel.Cancelled _ -> Mdp_obs.Metrics.incr "lts/cancelled"
        | _ -> ());
-       cleanup_spill t;
+       (* The LTS is about to become garbage: nothing will read its
+          spill files again. *)
+       drop_spill t;
        Printexc.raise_with_backtrace e bt);
     Mdp_obs.Metrics.add "lts/states" t.n;
     (match t.cones with
@@ -1999,29 +1703,26 @@ module Make (S : STATE) (L : LABEL) = struct
       Array.iter (fun k -> touches := !touches + k) c.cn_states;
       Mdp_obs.Metrics.add "whatif/cone_stores" !stores;
       Mdp_obs.Metrics.add "whatif/cone_state_touches" !touches);
-    (match t.repr with
-    | Boxed _ -> ()
-    | Packed p ->
-      packed_compact p t.n;
-      (match p.spill with
-      | None -> ()
-      | Some ss ->
-        Mdp_obs.Metrics.add "lts/spill_chunks" ss.ss_chunks;
-        Mdp_obs.Metrics.add "lts/spill_bytes" ss.ss_bytes;
-        Mdp_obs.Metrics.add "lts/spill_faults" (Spill.faults ss.ss_spill));
-      if Mdp_obs.Metrics.enabled () then begin
-        let ms = packed_mem p t.n t.ntrans in
-        Mdp_obs.Metrics.add "lts/packed_state_bytes" ms.ms_state_bytes;
-        Mdp_obs.Metrics.add "lts/packed_edge_bytes" ms.ms_edge_bytes;
-        Mdp_obs.Metrics.add "lts/packed_index_bytes" ms.ms_index_bytes;
-        Mdp_obs.Metrics.add "lts/packed_dedup_bytes" ms.ms_dedup_bytes;
-        Mdp_obs.Metrics.add "lts/packed_total_bytes" ms.ms_total_bytes;
-        Mdp_obs.Metrics.add "lts/packed_full_states" ms.ms_full_states;
-        Mdp_obs.Metrics.add "lts/packed_delta_states" ms.ms_delta_states;
-        Array.iter
-          (fun sh -> Mdp_obs.Metrics.observe "lts/shard_occupancy" sh.count)
-          p.shards
-      end);
+    packed_compact p t.n;
+    (match p.spill with
+    | None -> ()
+    | Some ss ->
+      Mdp_obs.Metrics.add "lts/spill_chunks" ss.ss_chunks;
+      Mdp_obs.Metrics.add "lts/spill_bytes" ss.ss_bytes;
+      Mdp_obs.Metrics.add "lts/spill_faults" (Spill.faults ss.ss_spill));
+    if Mdp_obs.Metrics.enabled () then begin
+      let ms = packed_mem p t.n t.ntrans in
+      Mdp_obs.Metrics.add "lts/packed_state_bytes" ms.ms_state_bytes;
+      Mdp_obs.Metrics.add "lts/packed_edge_bytes" ms.ms_edge_bytes;
+      Mdp_obs.Metrics.add "lts/packed_index_bytes" ms.ms_index_bytes;
+      Mdp_obs.Metrics.add "lts/packed_dedup_bytes" ms.ms_dedup_bytes;
+      Mdp_obs.Metrics.add "lts/packed_total_bytes" ms.ms_total_bytes;
+      Mdp_obs.Metrics.add "lts/packed_full_states" ms.ms_full_states;
+      Mdp_obs.Metrics.add "lts/packed_delta_states" ms.ms_delta_states;
+      Array.iter
+        (fun sh -> Mdp_obs.Metrics.observe "lts/shard_occupancy" sh.count)
+        p.shards
+    end;
     t
 
   let path_to t pred =
@@ -2177,7 +1878,7 @@ module Make (S : STATE) (L : LABEL) = struct
     List.iteri
       (fun b members -> List.iter (fun s -> block_of.(s) <- b) members)
       classes;
-    let q = create () in
+    let q = create t.p.pk in
     let qid = Array.make (List.length classes) (-1) in
     List.iteri
       (fun b members ->

@@ -7,24 +7,20 @@
     (risk analysis annotates transition labels after generation, paper
     §III).
 
-    Two storage backends share one API:
-
-    - {b boxed} (the default, and the only backend for hand-built LTSs):
-      every state is a materialised [S.t] in a hash-consing table, with
-      flat growable successor arrays — the engine of PR 2.
-    - {b packed} (chosen by passing [?packing] to {!explore}): a state is
-      a fixed number of 63-bit payload words, stored as a byte-granular
-      record in an append-only arena — delta-encoded against its
-      breadth-first parent when that is smaller than a full record — and
-      deduplicated through hash-partitioned shard tables. Labels are
-      interned; a transition is one int. At privacy-model shapes this
-      stores states at a few bytes each instead of a boxed config's
-      hundreds, which is what lets ten-million-state models sit in RAM.
+    Storage is packed: a state is a fixed number of 63-bit payload words
+    (given by the LTS's {!packer}), stored as a byte-granular record in
+    an append-only arena — delta-encoded against its breadth-first
+    parent when that is smaller than a full record — and deduplicated
+    through hash-partitioned shard tables. Labels are interned; a
+    transition is one int. At privacy-model shapes this stores states at
+    a few bytes each instead of a materialised config's hundreds, which
+    is what lets ten-million-state models sit in RAM. States of any
+    width are supported, up to records that fit one 64 KiB arena chunk
+    (about 6,500 words).
 
     [explore] optionally expands breadth-first frontiers on multiple
     OCaml 5 domains with a deterministic merge; the resulting LTS — state
-    numbering included — is identical for every job count and for both
-    backends. *)
+    numbering included — is identical for every job count. *)
 
 module type STATE = sig
   type t
@@ -54,11 +50,8 @@ type abort_stats = {
   ab_limit : int;  (** the [max_states] that was exceeded *)
   ab_states : int;  (** states stored when the guard fired *)
   ab_transitions : int;
-  ab_bytes_per_state : float option;
-      (** observed bytes/state at abort; [None] for the boxed engine,
-          which has no byte-exact accounting *)
-  ab_resident_bytes : int option;
-      (** engine bytes still in RAM at abort (packed only) *)
+  ab_bytes_per_state : float;  (** observed bytes/state at abort *)
+  ab_resident_bytes : int;  (** engine bytes still in RAM at abort *)
   ab_spill_bytes : int;  (** bytes evicted to disk at abort; 0 unspilled *)
   ab_mem_budget : int option;
       (** the resident budget the exploration ran under, if any *)
@@ -94,7 +87,7 @@ type mem_stats = {
   ms_spill_faults : int;  (** disk-tier reads served so far *)
   ms_mem_budget : int option;  (** resident budget, if one was set *)
 }
-(** Byte accounting of a packed LTS, split by structure. Counts the
+(** Byte accounting of an LTS, split by structure. Counts the
     engine's own storage (arena, edges, index tables, shard tables), not
     the OCaml heap at large. [ms_total_bytes] keeps its PR 7 meaning —
     all engine bytes wherever they live — so resident occupancy is
@@ -108,7 +101,7 @@ type spill_stats = {
   sp_faults : int;
   sp_budget : int;  (** the budget that forced the spill, in bytes *)
 }
-(** Disk-tier occupancy of a packed LTS that ran under [?mem_budget] and
+(** Disk-tier occupancy of an LTS that ran under [?mem_budget] and
     actually evicted something. *)
 
 type 'a packer = {
@@ -121,7 +114,7 @@ type 'a packer = {
 }
 (** Fixed-width word codec for a state type. Contract: two states of the
     same model are [S.equal] iff their encoded words are equal — the
-    packed engine dedups and hashes on words alone. *)
+    engine dedups and hashes on words alone. *)
 
 module Make (S : STATE) (L : LABEL) : sig
   type t
@@ -131,32 +124,32 @@ module Make (S : STATE) (L : LABEL) : sig
 
   type transition = { src : state_id; label : L.t; dst : state_id }
 
-  val create : unit -> t
-  (** An empty boxed LTS. *)
+  val create : S.t packer -> t
+  (** An empty LTS storing its states through the given codec. *)
 
   (** {1 Construction} *)
 
   val add_state : t -> S.t -> state_id
   (** Hash-consing: returns the existing id when equal data was added
       before. The first state added becomes the initial state unless
-      {!set_initial} overrides it. On a packed LTS the state is encoded
-      as a full record. *)
+      {!set_initial} overrides it. Outside {!explore} the state is
+      encoded as a full record (there is no frontier parent to delta
+      against). *)
 
   val set_initial : t -> state_id -> unit
   val add_transition : t -> src:state_id -> label:L.t -> dst:state_id -> bool
   (** [false] when an identical transition (same endpoints, equal label)
-      already exists; the LTS is unchanged in that case. On a packed LTS
-      whose rows were laid down by [explore], post-exploration additions
-      go to per-source overflow rows and iterate after the row's
-      transitions — matching the insertion order a boxed LTS would
-      have. *)
+      already exists; the LTS is unchanged in that case. Transitions
+      added outside {!explore} go to per-source overflow rows and
+      iterate after the transitions exploration laid down, so
+      successors stay in insertion order. *)
 
   val explore :
     ?max_states:int ->
     ?jobs:int ->
     ?par_threshold:int ->
     ?cancel:Mdp_obs.Cancel.t ->
-    ?packing:S.t packer ->
+    packing:S.t packer ->
     ?mem_budget:int ->
     ?spill_dir:string ->
     ?label_class:(L.t -> int) ->
@@ -167,19 +160,17 @@ module Make (S : STATE) (L : LABEL) : sig
   (** Breadth-first fixed point: starting from [init], repeatedly expand
       unvisited states with [step].
 
-      [packing] selects the packed backend: states live as packed words
-      in an arena (delta-encoded against their BFS parent when smaller),
-      dedup runs through hash-partitioned shard tables, and [step]
-      receives freshly decoded states. The result is observationally
-      identical to the boxed run — same states, numbering, transition
-      order — at a fraction of the memory.
+      [packing] is the state codec: states live as packed words in an
+      arena (delta-encoded against their BFS parent when smaller), dedup
+      runs through hash-partitioned shard tables, and [step] receives
+      freshly decoded states.
 
       With [jobs > 1], each breadth-first frontier is expanded in
       parallel on that many OCaml domains and merged in frontier order,
       which makes the result — state numbering included — identical to
       the sequential run. [step] must then be safe to call concurrently
-      (pure up to freshly allocated results). On the packed backend the
-      per-round dedup itself is parallel too — each hash shard resolves
+      (pure up to freshly allocated results). The per-round dedup itself
+      is parallel too — each hash shard resolves
       its own candidates independently, with no global table merge —
       followed by a sequential numbering pass in frontier order that
       pins down the deterministic ids.
@@ -192,7 +183,7 @@ module Make (S : STATE) (L : LABEL) : sig
       machinery regardless of frontier width (used by the engine
       equivalence tests).
 
-      [mem_budget] (packed backend only) bounds the engine's {e
+      [mem_budget] bounds the engine's {e
       resident} bytes: when arena chunks, side tables and dedup shards
       together exceed the budget, sealed 64 KiB arena chunks — oldest
       first — and sealed dedup-shard tables are evicted to append-only
@@ -226,8 +217,8 @@ module Make (S : STATE) (L : LABEL) : sig
       @raise Mdp_obs.Cancel.Cancelled when [cancel] fires mid-run.
       @raise Too_many_states when [max_states] (default 200_000) is
       exceeded — a guard against accidentally infinite models. The
-      abort context (including observed bytes/state on the packed
-      backend) is readable via {!last_abort_stats}. *)
+      abort context (including observed bytes/state) is readable via
+      {!last_abort_stats}. *)
 
   (** {1 Observation} *)
 
@@ -238,14 +229,14 @@ module Make (S : STATE) (L : LABEL) : sig
   val num_transitions : t -> int
 
   val state_data : t -> state_id -> S.t
-  (** On a packed LTS this decodes the state's record (walking its delta
-      chain); safe to call from multiple domains concurrently. Decoded
+  (** Decodes the state's record (walking its delta chain); safe to
+      call from multiple domains concurrently. Decoded
       values are not cached — hold on to the result across repeated
       use. *)
 
   val find_state : t -> S.t -> state_id option
-  (** On a packed LTS this reuses shared scratch buffers — do not call
-      from several domains at once; use {!make_finder} for that. *)
+  (** Reuses shared scratch buffers — do not call from several domains
+      at once; use {!make_finder} for that. *)
 
   val make_finder : t -> S.t -> state_id option
   (** [make_finder t] is a lookup closure with private scratch buffers:
@@ -254,16 +245,15 @@ module Make (S : STATE) (L : LABEL) : sig
       domain and reuse — creation allocates the buffers. *)
 
   val interned_labels : t -> L.t array option
-  (** The packed backend's interned-label table (a copy), indexed by the
-      label ids {!iter_successors_lid} reports. [None] on a boxed LTS,
-      which interns nothing. Lets a caller precompute one verdict per
-      distinct label instead of re-inspecting labels per transition. *)
+  (** The interned-label table (a copy), indexed by the label ids
+      {!iter_successors_lid} reports. Always [Some]: every LTS interns
+      its labels; the option remains for callers that match on it. Lets
+      a caller precompute one verdict per distinct label instead of
+      re-inspecting labels per transition. *)
 
   val iter_successors_lid : t -> state_id -> (int -> state_id -> unit) -> unit
   (** Like {!iter_successors} but passing the interned label id instead
-      of the label — an int-only row scan. Packed backend only.
-
-      @raise Invalid_argument on a boxed LTS. *)
+      of the label — an int-only row scan. *)
 
   val states : t -> state_id list
   (** All ids as a list — O(n) allocation; prefer {!iter_states} or
@@ -291,12 +281,12 @@ module Make (S : STATE) (L : LABEL) : sig
   val iter_transitions : t -> (transition -> unit) -> unit
 
   val mem_stats : t -> mem_stats option
-  (** Byte accounting of the packed representation; [None] on a boxed
-      LTS. *)
+  (** Byte accounting of the storage. Always [Some]; the option remains
+      for callers that match on it. *)
 
   val spill_stats : t -> spill_stats option
-  (** Disk-tier occupancy; [None] on a boxed LTS and on a packed LTS
-      that never spilled (no budget, or the model fit under it). *)
+  (** Disk-tier occupancy; [None] on an LTS that never spilled (no
+      budget, or the model fit under it). *)
 
   val drop_spill : t -> unit
   (** Delete the LTS's spill directory now instead of waiting for GC or
@@ -319,10 +309,9 @@ module Make (S : STATE) (L : LABEL) : sig
   (** {1 Label rewriting} *)
 
   val map_labels : t -> (L.t -> L.t) -> unit
-  (** Replace every transition's label [l] by [f l] in place. On a
-      packed LTS [f] runs once per distinct live label (the interned
-      table is rebuilt from the results, so label ids change); on a
-      boxed LTS once per transition, in {!iter_transitions} order. *)
+  (** Replace every transition's label [l] by [f l] in place. [f] runs
+      once per distinct live label (the interned table is rebuilt from
+      the results, so label ids change). *)
 
   (** {1 Analysis} *)
 
@@ -368,7 +357,7 @@ module Make (S : STATE) (L : LABEL) : sig
   val quotient : t -> init_key:(state_id -> string) -> t * (state_id -> state_id)
   (** Quotient LTS by {!bisimulation_classes}; the function maps original
       ids to quotient ids. State data of a class is its representative's.
-      The quotient is always boxed, whatever the input backend. *)
+      The quotient stores its states through the input's packer. *)
 
   (** {1 Output} *)
 

@@ -9,11 +9,12 @@
 (* ------------------------------------------------------------------ *)
 (* LEB128 varints *)
 
-(* Encode [v] (non-negative) at [pos] in [b]; returns the position past
-   the last byte written. 63-bit values take at most 9 bytes. *)
+(* Encode [v] at [pos] in [b]; returns the position past the last byte
+   written. [v] is read as an unsigned 63-bit value (a wordmap group
+   with bit 62 set is negative), which takes at most 9 bytes. *)
 let put_varint b pos v =
   let pos = ref pos and v = ref v in
-  while !v >= 0x80 do
+  while !v lsr 7 <> 0 do
     Bytes.unsafe_set b !pos (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
     incr pos;
     v := !v lsr 7
@@ -22,7 +23,7 @@ let put_varint b pos v =
   !pos + 1
 
 let varint_size v =
-  let rec go n v = if v < 0x80 then n else go (n + 1) (v lsr 7) in
+  let rec go n v = if v lsr 7 = 0 then n else go (n + 1) (v lsr 7) in
   go 1 v
 
 (* Zigzag: signed deltas to non-negative varint payloads. *)

@@ -331,7 +331,7 @@ let profile_of (p : Protocol.profile_spec) =
   | profile -> profile
   | exception Invalid_argument msg -> refuse_error ("bad profile: " ^ msg)
 
-let classes_for t ~akey (a : artifact) (p : Protocol.pop_spec) =
+let classes_for t ~akey ~cancel (a : artifact) (p : Protocol.pop_spec) =
   let key = class_key akey p in
   match Cache.find t.class_sets key with
   | Some cls -> cls
@@ -345,9 +345,9 @@ let classes_for t ~akey (a : artifact) (p : Protocol.pop_spec) =
       }
     in
     let profiles =
-      C.Population.simulate spec (C.Universe.diagram a.universe)
+      C.Population.simulate ?cancel spec (C.Universe.diagram a.universe)
     in
-    let cls = C.Population.classes a.universe profiles in
+    let cls = C.Population.classes ?cancel a.universe profiles in
     Cache.put t.class_sets key cls;
     cls
 
@@ -361,7 +361,7 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
     with_artifact_lock a (fun () ->
         risk_body a (C.Risk_plan.analyse (plan_of a) profile))
   | Protocol.Population pop ->
-    let cls = classes_for t ~akey a pop in
+    let cls = classes_for t ~akey ~cancel a pop in
     with_artifact_lock a (fun () ->
         let plan = plan_of a in
         population_body
@@ -415,7 +415,7 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
           match w.wpop with
           | None -> None
           | Some pop ->
-            let cls = classes_for t ~akey a pop in
+            let cls = classes_for t ~akey ~cancel a pop in
             let cached =
               C.Population.prepare ~jobs:t.config.jobs ?cancel ~plan
                 ~classes:cls a.universe a.lts []
@@ -447,14 +447,14 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
                 in
                 let u' = after_t.C.Analysis.universe in
                 let profiles =
-                  C.Population.simulate spec (C.Universe.diagram u')
+                  C.Population.simulate ?cancel spec (C.Universe.diagram u')
                 in
                 let agg =
                   C.Population.analyse_compiled ~jobs:t.config.jobs ?cancel
                     ?plan:after_t.C.Analysis.plan u' after_t.C.Analysis.lts
                     profiles
                 in
-                (agg, 0, List.length (C.Population.classes u' profiles))
+                (agg, 0, List.length (C.Population.classes ?cancel u' profiles))
             in
             Some (pop_before, pop_after, reused, reevaluated)
         in
@@ -488,28 +488,23 @@ let run_analysis t ~cancel ~bkey ~akey (an : Protocol.analysis) source =
   | Mdp_lts.Lts.Too_many_states limit ->
     Breaker.failure t.breaker bkey;
     Metrics.incr "serve/state_limit";
-    (* Observed sizes at the abort, when the engine recorded them (the
-       raise and this handler run on the same worker domain, so the
-       domain-local stats are ours): with bytes/state in hand an
-       operator can work out what [--max-states] their memory actually
-       affords instead of guessing. *)
+    (* Observed sizes at the abort (the raise and this handler run on
+       the same worker domain, so the domain-local stats are ours): with
+       bytes/state in hand an operator can work out what [--max-states]
+       their memory actually affords instead of guessing. *)
     let observed =
       match Mdp_lts.Lts.last_abort_stats () with
       | Some st when st.Mdp_lts.Lts.ab_limit = limit ->
         [
           ("states", Json.int st.Mdp_lts.Lts.ab_states);
           ("transitions", Json.int st.Mdp_lts.Lts.ab_transitions);
+          ("bytes_per_state", Json.Num st.Mdp_lts.Lts.ab_bytes_per_state);
+          (* Spill occupancy at the abort: an operator tuning a budgeted
+             daemon can tell apart "the model is genuinely too big" from
+             "the budget forced everything to disk and the guard fired
+             anyway" (raise --max-states, not RAM, in the latter case). *)
+          ("resident_bytes", Json.int st.Mdp_lts.Lts.ab_resident_bytes);
         ]
-        @ (match st.Mdp_lts.Lts.ab_bytes_per_state with
-          | Some bps -> [ ("bytes_per_state", Json.Num bps) ]
-          | None -> [])
-        (* Spill occupancy at the abort: an operator tuning a budgeted
-           daemon can tell apart "the model is genuinely too big" from
-           "the budget forced everything to disk and the guard fired
-           anyway" (raise --max-states, not RAM, in the latter case). *)
-        @ (match st.Mdp_lts.Lts.ab_resident_bytes with
-          | Some rb -> [ ("resident_bytes", Json.int rb) ]
-          | None -> [])
         @ (if st.Mdp_lts.Lts.ab_spill_bytes > 0 then
              [ ("spill_bytes", Json.int st.Mdp_lts.Lts.ab_spill_bytes) ]
            else [])

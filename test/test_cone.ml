@@ -4,7 +4,7 @@
    the previous exploration — and merges back with stable numbering.
 
    The gates here: the recorded cone summaries are identical across
-   backends, job counts and spill budgets; an incremental run over a
+   job counts and spill budgets; an incremental run over a
    cone-eligible edit is byte-identical (report, summary and cone
    summaries) to a cold run of the edited model under every one of
    those configurations; and the what-if [Cone] outcome matches the
@@ -59,14 +59,13 @@ let cone_stats lts =
 let packed_peak lts =
   match Core.Plts.mem_stats lts with
   | Some ms -> ms.Lts.ms_total_bytes
-  | None -> Alcotest.fail "expected the packed backend"
+  | None -> Alcotest.fail "expected byte accounting"
 
-(* The backend/budget matrix of satellite 4. [peak] is the packed
-   baseline's resident size; 75% of it forces the spill tier on. *)
+(* The budget matrix. [peak] is the unbudgeted baseline's resident
+   size; 75% of it forces the spill tier on. *)
 let configs peak =
   [
-    ("packed", Core.Generate.default_options);
-    ("boxed", { Core.Generate.default_options with packed = false });
+    ("unbudgeted", Core.Generate.default_options);
     ( "spill75",
       { Core.Generate.default_options with mem_budget = Some (3 * peak / 4) }
     );
@@ -95,7 +94,7 @@ let census analysis =
   (outcomes, count)
 
 (* ------------------------------------------------------------------ *)
-(* Cone summaries are backend/jobs/budget-independent. *)
+(* Cone summaries are jobs/budget-independent. *)
 
 let test_cone_stats_equivalence () =
   let baseline = base spec_name in
@@ -198,7 +197,7 @@ let cone_candidates analysis =
 
 (* ------------------------------------------------------------------ *)
 (* The timed walk has two implementations: the arithmetic pair walk
-   (packed fast path — successors derived from the old edge rows by
+   (the fast path — successors derived from the old edge rows by
    integer ops) and the generic exact-stepping walk it falls back to.
    Every candidate outcome must be identical between them; the
    [MDPRIV_REGEN_GENERIC] escape hatch forces the generic walk. *)
@@ -255,11 +254,11 @@ let test_byte_identity_default () =
   let candidates = cone_candidates analysis in
   check bool_ "enough candidates to be meaningful" true
     (List.length candidates >= 10);
-  check_candidates "packed jobs=1" analysis candidates
+  check_candidates "unbudgeted jobs=1" analysis candidates
 
 (* A slice of the candidates across the rest of the matrix — each
    configuration re-bases so the previous LTS being patched was itself
-   built under that backend/budget. *)
+   built under that budget. *)
 let test_byte_identity_matrix () =
   let baseline = base spec_name in
   let peak = packed_peak baseline.Core.Analysis.lts in

@@ -20,13 +20,21 @@ end
 
 module L = Mdp_lts.Lts.Make (IntState) (StrLabel)
 
+(* One-word codec: the state is its own payload. *)
+let packer =
+  {
+    Mdp_lts.Lts.pk_words = 1;
+    pk_blit = (fun v dst off -> dst.(off) <- v);
+    pk_decode = (fun src off -> src.(off));
+  }
+
 let check = Alcotest.check
 let bool_ = Alcotest.bool
 let int_ = Alcotest.int
 
 (* A diamond: 0 -a-> 1 -c-> 3, 0 -b-> 2 -c-> 3. *)
 let diamond () =
-  let t = L.create () in
+  let t = L.create packer in
   let s0 = L.add_state t 0 in
   let s1 = L.add_state t 1 in
   let s2 = L.add_state t 2 in
@@ -38,7 +46,7 @@ let diamond () =
   (t, s0, s1, s2, s3)
 
 let test_hash_consing () =
-  let t = L.create () in
+  let t = L.create packer in
   let a = L.add_state t 42 in
   let b = L.add_state t 42 in
   check int_ "same id" a b;
@@ -47,7 +55,7 @@ let test_hash_consing () =
   check Alcotest.(option int_) "find_state missing" None (L.find_state t 7)
 
 let test_duplicate_transitions () =
-  let t = L.create () in
+  let t = L.create packer in
   let a = L.add_state t 0 and b = L.add_state t 1 in
   check bool_ "first insert" true (L.add_transition t ~src:a ~label:"x" ~dst:b);
   check bool_ "duplicate" false (L.add_transition t ~src:a ~label:"x" ~dst:b);
@@ -55,7 +63,7 @@ let test_duplicate_transitions () =
   check int_ "two transitions" 2 (L.num_transitions t)
 
 let test_initial () =
-  let t = L.create () in
+  let t = L.create packer in
   Alcotest.check_raises "empty initial" (Invalid_argument "Lts.initial: empty LTS")
     (fun () -> ignore (L.initial t));
   let a = L.add_state t 0 in
@@ -100,7 +108,7 @@ let test_acyclic_and_deterministic () =
 let test_explore () =
   (* Count to 5 with two labels; states are hash-consed ints. *)
   let t =
-    L.explore ~init:0
+    L.explore ~packing:packer ~init:0
       ~step:(fun s -> if s >= 5 then [] else [ ("inc", s + 1); ("двa", min 5 (s + 2)) ])
       ()
   in
@@ -109,7 +117,7 @@ let test_explore () =
 
 let test_explore_max_states () =
   match
-    L.explore ~max_states:10 ~init:0 ~step:(fun s -> [ ("i", s + 1) ]) ()
+    L.explore ~max_states:10 ~packing:packer ~init:0 ~step:(fun s -> [ ("i", s + 1) ]) ()
   with
   | exception Mdp_lts.Lts.Too_many_states n -> check int_ "carries the limit" 10 n
   | _ -> Alcotest.fail "expected Too_many_states"
@@ -123,7 +131,7 @@ let test_map_labels () =
 
 let test_quotient_merges_bisimilar () =
   (* Two branches with identical continuations collapse. *)
-  let t = L.create () in
+  let t = L.create packer in
   let s0 = L.add_state t 0 in
   let s1 = L.add_state t 1 in
   let s2 = L.add_state t 2 in
@@ -144,7 +152,7 @@ let test_quotient_merges_bisimilar () =
   check int_ "fully distinguished" 5 (L.num_states q2)
 
 let test_quotient_respects_labels () =
-  let t = L.create () in
+  let t = L.create packer in
   let s0 = L.add_state t 0 in
   let s1 = L.add_state t 1 in
   let s2 = L.add_state t 2 in
@@ -162,19 +170,19 @@ let test_dag_statistics () =
   check Alcotest.(option int_) "diamond has two maximal paths" (Some 2)
     (L.count_maximal_paths t);
   (* A chain has one path. *)
-  let chain = L.create () in
+  let chain = L.create packer in
   let a = L.add_state chain 0 and b = L.add_state chain 1 and c = L.add_state chain 2 in
   ignore (L.add_transition chain ~src:a ~label:"x" ~dst:b : bool);
   ignore (L.add_transition chain ~src:b ~label:"y" ~dst:c : bool);
   check Alcotest.(option int_) "chain depth" (Some 2) (L.longest_path chain);
   check Alcotest.(option int_) "chain paths" (Some 1) (L.count_maximal_paths chain);
   (* Single state: depth 0, one (empty) path. *)
-  let single = L.create () in
+  let single = L.create packer in
   ignore (L.add_state single 7);
   check Alcotest.(option int_) "single depth" (Some 0) (L.longest_path single);
   check Alcotest.(option int_) "single path" (Some 1) (L.count_maximal_paths single);
   (* Cyclic: None. *)
-  let cyc = L.create () in
+  let cyc = L.create packer in
   let x = L.add_state cyc 0 and y = L.add_state cyc 1 in
   ignore (L.add_transition cyc ~src:x ~label:"a" ~dst:y : bool);
   ignore (L.add_transition cyc ~src:y ~label:"b" ~dst:x : bool);
@@ -203,7 +211,7 @@ let prop_explore_deterministic =
     QCheck.(int_bound 20)
     (fun n ->
       let build () =
-        L.explore ~init:0
+        L.explore ~packing:packer ~init:0
           ~step:(fun s ->
             if s >= n then []
             else [ ("a", (s + 1) mod (n + 1)); ("b", (s * 2) mod (n + 1)) ])

@@ -103,24 +103,18 @@ let test_synthetic () =
         ~profile u Core.Generate.default_options)
     [ (2, 4, 3); (4, 6, 4); (6, 8, 5) ]
 
-(* Against the seed engine: equal state and transition counts, and the
+(* Against the seed engine: equal state and transition counts, the
    same set of reachable configurations (every library state is one the
-   seed reached; with equal counts the sets coincide). *)
+   seed reached; with equal counts the sets coincide), and per state the
+   seed's successor set — printed label and destination configuration. *)
 let check_seed_oracle name u options =
   let seed = Seed_engine.run ~options u in
   List.iter
     (fun jobs ->
-      let ctx what = Printf.sprintf "%s jobs=%d %s" name jobs what in
-      let lts = Core.Generate.run ~options ~jobs ~par_threshold:0 u in
-      check int_ (ctx "states") (Seed_engine.num_states seed)
-        (Core.Plts.num_states lts);
-      check int_ (ctx "transitions")
-        (Seed_engine.num_transitions seed)
-        (Core.Plts.num_transitions lts);
-      for i = 0 to Core.Plts.num_states lts - 1 do
-        if not (Seed_engine.mem seed (Core.Plts.state_data lts i)) then
-          Alcotest.failf "%s: state %d unknown to the seed engine" (ctx "") i
-      done)
+      Seed_engine.check_lts
+        (Printf.sprintf "%s jobs=%d" name jobs)
+        seed
+        (Core.Generate.run ~options ~jobs ~par_threshold:0 u))
     [ 1; 4 ]
 
 let test_seed_oracle () =
@@ -139,6 +133,26 @@ let test_seed_oracle () =
         (Core.Universe.make diagram policy)
         Core.Generate.default_options)
     [ (2, 4, 3); (6, 8, 5) ]
+
+(* A universe wider than 63 words, so every state record's wordmap
+   spans several groups: the seed's LTS, the same LTS and disclosure
+   report at every job count, and byte accounting like any other. *)
+let test_wide_universe () =
+  let name = "synthetic:30-64-3" in
+  let spec =
+    match Synthetic.spec_of_string name with
+    | Some (Ok spec) -> spec
+    | _ -> Alcotest.fail "bad spec"
+  in
+  let diagram, policy = Synthetic.model spec in
+  let u = Core.Universe.make diagram policy in
+  check Alcotest.bool "wider than 63 words" true
+    (Core.Config.nwords (Core.Config.initial u) > 63);
+  check_seed_oracle name u Core.Generate.default_options;
+  check_engines name ~profile:(Synthetic.profile spec diagram) u
+    Core.Generate.default_options;
+  check Alcotest.bool "byte accounting" true
+    (Core.Plts.mem_stats (Core.Generate.run u) <> None)
 
 let test_too_many_states () =
   let u = Core.Universe.make H.diagram H.policy in
@@ -234,7 +248,11 @@ let () =
           Alcotest.test_case "max-states guard" `Quick test_too_many_states;
         ] );
       ( "seed oracle",
-        [ Alcotest.test_case "reachable configurations" `Quick test_seed_oracle ] );
+        [
+          Alcotest.test_case "reachable configurations" `Quick test_seed_oracle;
+          Alcotest.test_case "wide universe (over 63 words)" `Quick
+            test_wide_universe;
+        ] );
       ( "bisimulation",
         [
           Alcotest.test_case "healthcare vs seed" `Quick test_bisim_healthcare;

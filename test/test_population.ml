@@ -277,13 +277,11 @@ let test_plan_rejects_stale_lts () =
   | _ -> Alcotest.fail "expected Invalid_argument on a grown LTS"
 
 (* ------------------------------------------------------------------ *)
-(* Per-label plan against the oracle over generated models: both
-   backends, several profiles, profiles analysed in turn on one plan. *)
+(* Per-label plan against the oracle over generated models: several
+   profiles, analysed in turn on one plan. *)
 
 module Syn = Mdp_scenario.Synthetic
 
-let backends = [ ("packed", true); ("boxed", false) ]
-let run_on ~packed u = Core.Generate.run ~options:{ Core.Generate.default_options with packed } u
 
 let synthetic name =
   match Syn.spec_of_string name with
@@ -334,30 +332,26 @@ let test_plan_differential () =
           let oracle =
             List.map
               (fun profile ->
-                let lts = run_on ~packed:true u in
+                let lts = Core.Generate.run u in
                 let report = Core.Disclosure_risk.analyse u lts profile in
                 (report, Core.Plts.transitions lts))
               profiles
           in
-          List.iter
-            (fun (backend, packed) ->
-              let lts = run_on ~packed u in
-              let plan = Core.Risk_plan.compile u lts in
-              List.iteri
-                (fun i profile ->
-                  let name = Printf.sprintf "%s %s profile %d" model backend i in
-                  let report, labels = List.nth oracle i in
-                  let compiled = Core.Risk_plan.analyse plan profile in
-                  check bool_ (name ^ " report") true (report = compiled);
-                  check bool_ (name ^ " labels") true
-                    (labels = Core.Plts.transitions lts);
-                  check_summary name plan profile compiled;
-                  let fresh_lts = run_on ~packed u in
-                  let fresh = Core.Risk_plan.compile u fresh_lts in
-                  check bool_ (name ^ " reused plan = fresh plan") true
-                    (compiled = Core.Risk_plan.analyse fresh profile))
-                profiles)
-            backends)
+          let lts = Core.Generate.run u in
+          let plan = Core.Risk_plan.compile u lts in
+          List.iteri
+            (fun i profile ->
+              let name = Printf.sprintf "%s profile %d" model i in
+              let report, labels = List.nth oracle i in
+              let compiled = Core.Risk_plan.analyse plan profile in
+              check bool_ (name ^ " report") true (report = compiled);
+              check bool_ (name ^ " labels") true
+                (labels = Core.Plts.transitions lts);
+              check_summary name plan profile compiled;
+              let fresh = Core.Risk_plan.compile u (Core.Generate.run u) in
+              check bool_ (name ^ " reused plan = fresh plan") true
+                (compiled = Core.Risk_plan.analyse fresh profile))
+            profiles)
         (* seed 1 of 8-10-6 alone costs the oracle (one BFS per
            finding) ~20 s *)
         [ 2; 3; 4 ])
@@ -374,35 +368,29 @@ let test_plan_grown () =
       ~sensitivities:(Core.User_profile.sensitivities H.profile_case_a)
       ~agreed_services:[] ()
   in
-  List.iter
-    (fun (backend, packed) ->
-      let options = { granular with packed } in
-      let lts = Core.Generate.run ~options u in
-      let plan = Core.Risk_plan.compile u lts in
-      let before = Core.Risk_plan.analyse plan H.profile_case_a in
-      let n = Core.Plts.num_transitions lts in
-      ignore (Core.Pseudonym_risk.analyse u lts H.study_binding);
-      check bool_ (backend ^ " pass grew the LTS") true
-        (Core.Plts.num_transitions lts > n);
-      let inferred () =
-        List.filter
-          (fun (tr : Core.Plts.transition) ->
-            tr.label.provenance = Core.Action.Inferred)
-          (Core.Plts.transitions lts)
-      in
-      let inferred_before = inferred () in
-      check bool_ (backend ^ " grown report") true
-        (before = Core.Risk_plan.analyse ~grown:true plan H.profile_case_a);
-      let fresh =
-        Core.Risk_plan.analyse
-          (Core.Risk_plan.compile u (Core.Generate.run ~options u))
-          other
-      in
-      check bool_ (backend ^ " grown report, other profile") true
-        (fresh = Core.Risk_plan.analyse ~grown:true plan other);
-      check bool_ (backend ^ " inferred labels untouched") true
-        (inferred_before = inferred ()))
-    backends
+  let lts = Core.Generate.run ~options:granular u in
+  let plan = Core.Risk_plan.compile u lts in
+  let before = Core.Risk_plan.analyse plan H.profile_case_a in
+  let n = Core.Plts.num_transitions lts in
+  ignore (Core.Pseudonym_risk.analyse u lts H.study_binding);
+  check bool_ "pass grew the LTS" true (Core.Plts.num_transitions lts > n);
+  let inferred () =
+    List.filter
+      (fun (tr : Core.Plts.transition) ->
+        tr.label.provenance = Core.Action.Inferred)
+      (Core.Plts.transitions lts)
+  in
+  let inferred_before = inferred () in
+  check bool_ "grown report" true
+    (before = Core.Risk_plan.analyse ~grown:true plan H.profile_case_a);
+  let fresh =
+    Core.Risk_plan.analyse
+      (Core.Risk_plan.compile u (Core.Generate.run ~options:granular u))
+      other
+  in
+  check bool_ "grown report, other profile" true
+    (fresh = Core.Risk_plan.analyse ~grown:true plan other);
+  check bool_ "inferred labels untouched" true (inferred_before = inferred ())
 
 let expect_invalid name f =
   match f () with
@@ -424,26 +412,22 @@ let test_plan_rejects () =
     check bool_ "transition added" true
       (Core.Plts.add_transition lts ~src:tr.src ~label:tr.label ~dst)
   in
-  List.iter
-    (fun (backend, packed) ->
-      let fresh () =
-        let lts = run_on ~packed u in
-        (lts, Core.Risk_plan.compile u lts)
-      in
-      let lts, plan = fresh () in
-      add_transition lts;
-      expect_invalid (backend ^ " changed LTS") (fun () ->
-          Core.Risk_plan.analyse plan profile);
-      let lts, plan = fresh () in
-      add_transition lts;
-      expect_invalid (backend ^ " grown, no witness tree") (fun () ->
-          Core.Risk_plan.analyse ~grown:true plan profile);
-      let lts, plan = fresh () in
-      ignore (Core.Risk_plan.analyse plan profile);
-      add_transition lts;
-      expect_invalid (backend ^ " grown, non-inferred") (fun () ->
-          Core.Risk_plan.analyse ~grown:true plan profile))
-    backends
+  let fresh () =
+    let lts = Core.Generate.run u in
+    (lts, Core.Risk_plan.compile u lts)
+  in
+  let lts, plan = fresh () in
+  add_transition lts;
+  expect_invalid "changed LTS" (fun () -> Core.Risk_plan.analyse plan profile);
+  let lts, plan = fresh () in
+  add_transition lts;
+  expect_invalid "grown, no witness tree" (fun () ->
+      Core.Risk_plan.analyse ~grown:true plan profile);
+  let lts, plan = fresh () in
+  ignore (Core.Risk_plan.analyse plan profile);
+  add_transition lts;
+  expect_invalid "grown, non-inferred" (fun () ->
+      Core.Risk_plan.analyse ~grown:true plan profile)
 
 (* The likelihood combinators themselves: Sum_saturating is the exact
    sum below 1 (same term order as the engines) and exactly 1 once the

@@ -130,6 +130,66 @@ let test_parse_whatif () =
     check bool_ "empty edits rejected" true (contains msg "edits")
   | _ -> Alcotest.fail "empty edits must be rejected"
 
+(* Untrusted request lines never raise: valid lines of every command,
+   mutated by bit flips, arbitrary byte writes, truncation and swaps of
+   two fields' values (type confusion: a number where a list belongs),
+   either parse or are refused with an [Error]. *)
+let test_parse_request_never_raises =
+  let open QCheck in
+  let seeds =
+    [
+      {|{"id":"r1","cmd":"risk","model":"synthetic:4-6-3","agree":["Service0"],"sensitivity":{"Field0":0.9},"deadline_ms":250,"max_states":5000,"allow_stale":true}|};
+      {|{"id":"w1","cmd":"whatif","model":"synthetic:4-6-3","agree":["Service0"],"sensitivity":{"Field0":0.4},"edits":["revoke:Actor0:delete:Store0"],"diff":true,"size":500,"pop_seed":9}|};
+      {|{"id":"p1","cmd":"population","model":"models/healthcare.mdp","size":2000,"pop_seed":5,"agree_probability":0.3,"deadline_ms":50}|};
+      {|{"id":7,"cmd":"lts","model_text":"actor A\nstore S","max_states":100}|};
+      {|{"id":"c1","cmd":"cancel","target":"r1"}|};
+      {|{"id":"h1","cmd":"health"}|};
+      {|{"cmd":"ping"}|};
+    ]
+  in
+  let swap_fields s i j =
+    match Json.of_string s with
+    | Ok (Json.Obj fields) when fields <> [] ->
+      let a = Array.of_list fields in
+      let i = i mod Array.length a and j = j mod Array.length a in
+      let (ki, vi), (kj, vj) = (a.(i), a.(j)) in
+      a.(i) <- (ki, vj);
+      a.(j) <- (kj, vi);
+      Json.to_string ~indent:false (Json.Obj (Array.to_list a))
+    | _ -> s
+  in
+  let mutate line ops =
+    List.fold_left
+      (fun s (kind, pos, x) ->
+        let n = String.length s in
+        let p = if n = 0 then 0 else pos mod n in
+        let set c =
+          String.sub s 0 p ^ String.make 1 c ^ String.sub s (p + 1) (n - p - 1)
+        in
+        match kind mod 4 with
+        | 0 when n > 0 -> set (Char.chr (Char.code s.[p] lxor (1 lsl (x mod 8))))
+        | 1 when n > 0 -> set (Char.chr (x mod 256))
+        | 2 -> String.sub s 0 p
+        | 3 -> swap_fields s pos x
+        | _ -> s)
+      line ops
+  in
+  let gen =
+    Gen.(map2 mutate (oneofl seeds) (list_size (1 -- 4) (triple nat nat nat)))
+  in
+  QCheck.Test.make ~count:3000 ~name:"mutated request lines never raise"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun line ->
+      List.for_all
+        (fun seed -> Result.is_ok (S.Protocol.parse_request seed))
+        seeds
+      &&
+      match S.Protocol.parse_request line with
+      | Ok _ | Error _ -> true
+      | exception exn ->
+        QCheck.Test.fail_reportf "parse %S raised %s" line
+          (Printexc.to_string exn))
+
 let test_response_roundtrip () =
   let r =
     S.Protocol.response ~id:(Some "q1") ~cached:true ~elapsed_ms:12.5
@@ -382,6 +442,30 @@ let test_engine_deadline_cancel () =
   (* The engine remains fully usable afterwards. *)
   let ok = S.Engine.handle e (analyse "ok") in
   check bool_ "engine reusable" true (ok.status = S.Protocol.Ok_)
+
+(* A population request spends its budget simulating and classing
+   users, not exploring: on a warm healthcare artifact, two million
+   users under a 50 ms deadline must come back cancelled within the
+   soak's deadline slack. *)
+let test_engine_population_deadline () =
+  let dir = if Sys.file_exists "../models" then "../models" else "models" in
+  let model = Filename.concat dir "healthcare.mdp" in
+  let e = S.Engine.create () in
+  check bool_ "artifact warm" true
+    ((S.Engine.handle e (analyse ~model "warm")).status = S.Protocol.Ok_);
+  let kind = S.Protocol.Population { psize = 2_000_000; pseed = 3; pagree = 0.5 } in
+  let t0 = Unix.gettimeofday () in
+  let resp =
+    S.Engine.handle e ~cancel:(Cancel.with_budget_ms 50)
+      (analyse ~model ~kind ~deadline_ms:50 "p")
+  in
+  let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  check bool_ "deadline cancelled" true
+    (resp.status = S.Protocol.Cancelled `Deadline);
+  let slack = S.Soak.default_spec.S.Soak.deadline_slack_ms in
+  if elapsed_ms > 50. +. slack then
+    Alcotest.failf "cancelled after %.0f ms (budget 50 ms + %.0f ms slack)"
+      elapsed_ms slack
 
 let test_engine_client_cancel_mid_flight () =
   let e = S.Engine.create () in
@@ -735,6 +819,7 @@ let () =
             test_parse_errors_keep_id;
           Alcotest.test_case "whatif request parsing" `Quick test_parse_whatif;
           Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
+          QCheck_alcotest.to_alcotest test_parse_request_never_raises;
         ] );
       ( "cache",
         [
@@ -767,6 +852,8 @@ let () =
             test_engine_warm_cache_byte_identical;
           Alcotest.test_case "deadline cancellation" `Quick
             test_engine_deadline_cancel;
+          Alcotest.test_case "population deadline" `Quick
+            test_engine_population_deadline;
           Alcotest.test_case "client cancel mid-flight" `Quick
             test_engine_client_cancel_mid_flight;
           Alcotest.test_case "state limit trips breaker" `Quick
