@@ -179,21 +179,22 @@ let mem_budget_arg =
 
 let exits_with_error = 1
 
-(* Generate, turning the state-guard exception into the structured
-   failure message (limit reached + remediation hint) instead of an
-   escaping exception. *)
-let generate ?options ?jobs u k =
-  match
-    Mdp_obs.Metrics.span "phase/explore" (fun () ->
-        Core.Generate.run ?options ?jobs u)
-  with
-  | lts -> k lts
-  | exception Mdp_lts.Lts.Too_many_states limit ->
-    prerr_endline
-      (Core.Analysis.failure_message
-         (Core.Analysis.State_limit
-            { limit; hint = Core.Analysis.state_limit_hint }));
+(* Run an exploring computation under [Analysis.checked]: a tripped
+   state guard or a spill I/O error prints its one-line structured
+   message instead of escaping as an exception. *)
+let exploring f k =
+  match Core.Analysis.checked f with
+  | Ok v -> k v
+  | Error failure ->
+    prerr_endline (Core.Analysis.failure_message failure);
     exits_with_error
+
+let generate ?options ?jobs u k =
+  exploring
+    (fun () ->
+      Mdp_obs.Metrics.span "phase/explore" (fun () ->
+          Core.Generate.run ?options ?jobs u))
+    k
 
 (* Same contract for the full-analysis paths. *)
 let run_analysis ?options ?profile diagram policy k =
@@ -456,43 +457,38 @@ let whatif_cmd =
             let inv =
               Core.Edit.classify ~options ~before:inputs ~after:after_inputs
             in
-            match Core.Analysis.run_incremental ~jobs ~previous:base edits with
-            | exception Mdp_lts.Lts.Too_many_states limit ->
-              prerr_endline
-                (Core.Analysis.failure_message
-                   (Core.Analysis.State_limit
-                      { limit; hint = Core.Analysis.state_limit_hint }));
-              exits_with_error
-            | after ->
-              (* With --json, stdout carries the report alone; the edit
-                 trail goes to stderr so the JSON stays parseable. *)
-              let meta =
-                if json then Format.err_formatter else Format.std_formatter
-              in
-              List.iter
-                (fun e -> Format.fprintf meta "edit: %a@." Core.Edit.pp e)
-                edits;
-              Format.fprintf meta "invalidated: %a  (%s)@." pp_invalidation inv
-                (if inv.Core.Edit.inv_lts then
-                   if inv.Core.Edit.inv_cone then
-                     "cone-scoped re-exploration candidate"
-                   else "full re-exploration"
-                 else "LTS reused");
-              Format.fprintf meta "worst risk: %a -> %a@." Core.Level.pp
-                (worst_of base) Core.Level.pp (worst_of after);
-              (if diff then
-                 match
-                   ( base.Core.Analysis.disclosure,
-                     after.Core.Analysis.disclosure )
-                 with
-                 | Some before, Some after ->
-                   Format.fprintf meta "%a@." Core.Risk_diff.pp
-                     (Core.Risk_diff.diff ~before ~after)
-                 | _ -> ());
-              Mdp_obs.Metrics.span "phase/render" (fun () ->
-                  if json then print_endline (Core.Report.to_string after)
-                  else Format.printf "%a@." Core.Analysis.pp_summary after);
-              0))))
+            exploring (fun () ->
+                Core.Analysis.run_incremental ~jobs ~previous:base edits)
+            @@ fun after ->
+            (* With --json, stdout carries the report alone; the edit
+               trail goes to stderr so the JSON stays parseable. *)
+            let meta =
+              if json then Format.err_formatter else Format.std_formatter
+            in
+            List.iter
+              (fun e -> Format.fprintf meta "edit: %a@." Core.Edit.pp e)
+              edits;
+            Format.fprintf meta "invalidated: %a  (%s)@." pp_invalidation inv
+              (if inv.Core.Edit.inv_lts then
+                 if inv.Core.Edit.inv_cone then
+                   "cone-scoped re-exploration candidate"
+                 else "full re-exploration"
+               else "LTS reused");
+            Format.fprintf meta "worst risk: %a -> %a@." Core.Level.pp
+              (worst_of base) Core.Level.pp (worst_of after);
+            (if diff then
+               match
+                 ( base.Core.Analysis.disclosure,
+                   after.Core.Analysis.disclosure )
+               with
+               | Some before, Some after ->
+                 Format.fprintf meta "%a@." Core.Risk_diff.pp
+                   (Core.Risk_diff.diff ~before ~after)
+               | _ -> ());
+            Mdp_obs.Metrics.span "phase/render" (fun () ->
+                if json then print_endline (Core.Report.to_string after)
+                else Format.printf "%a@." Core.Analysis.pp_summary after);
+            0))))
   in
   let agree, sens = profile_args in
   let edit_specs =
@@ -828,7 +824,8 @@ let check_cmd =
            let profile =
              Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
            in
-           ignore (Core.Disclosure_risk.analyse u lts profile));
+           ignore
+             (Core.Risk_plan.analyse (Core.Risk_plan.compile u lts) profile));
         let violations = Core.Requirement.check u lts requirements in
         List.iter
           (fun r ->

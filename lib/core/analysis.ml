@@ -178,6 +178,7 @@ let run_incremental ?jobs ~previous edits =
 type failure =
   | State_limit of { limit : int; hint : string }
   | Cancelled of { phase : string; deadline : bool }
+  | Spill_io of { message : string }
 
 let state_limit_hint =
   "raise --max-states, restrict --service, or simplify the model"
@@ -189,22 +190,25 @@ let failure_message = function
     Printf.sprintf "analysis deadline exceeded during %s" phase
   | Cancelled { phase; deadline = false } ->
     Printf.sprintf "analysis cancelled during %s" phase
+  | Spill_io { message } -> Printf.sprintf "spill tier I/O error: %s" message
 
-(* The exploration is the only unbounded phase, so both failure modes
-   are attributed to it; the risk passes walk an already-bounded LTS. *)
-let checked phase f =
+(* The exploration is the only unbounded phase, so every failure mode
+   is attributed to it; the risk passes walk an already-bounded LTS. *)
+let checked f =
   match f () with
   | v -> Ok v
   | exception Mdp_lts.Lts.Too_many_states limit ->
     Error (State_limit { limit; hint = state_limit_hint })
   | exception Mdp_obs.Cancel.Cancelled reason ->
     Error
-      (Cancelled { phase; deadline = reason = Mdp_obs.Cancel.Deadline })
+      (Cancelled
+         { phase = "explore"; deadline = reason = Mdp_obs.Cancel.Deadline })
+  | exception Mdp_lts.Spill.Io_error message -> Error (Spill_io { message })
 
 let run_checked ?(options = Generate.default_options)
     ?(matrix = Risk_matrix.default) ?(model = Disclosure_risk.default_likelihood)
     ?profile ?(bindings = []) ?jobs ?cancel diagram policy =
-  checked "explore" (fun () ->
+  checked (fun () ->
       run_params ?jobs ?cancel
         { options; matrix; model; profile; bindings }
         diagram policy)

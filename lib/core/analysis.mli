@@ -67,10 +67,11 @@ val inputs_of : t -> Edit.inputs
 
 (** {1 Structured failure}
 
-    The generation phase can abort in two recoverable ways: the state
-    guard trips ([Lts.Too_many_states]) or a cancellation token fires
-    (deadline or explicit cancel). Long-lived callers — the CLI and
-    the [mdpriv serve] daemon — need those as data, not as escaping
+    The generation phase can abort in three recoverable ways: the state
+    guard trips ([Lts.Too_many_states]), a cancellation token fires
+    (deadline or explicit cancel), or the spill tier hits an OS error
+    ([Spill.Io_error]). Long-lived callers — the CLI and the
+    [mdpriv serve] daemon — need those as data, not as escaping
     exceptions with backtraces. *)
 
 type failure =
@@ -80,11 +81,20 @@ type failure =
   | Cancelled of { phase : string; deadline : bool }
       (** A cancellation token fired during [phase]; [deadline]
           distinguishes a blown budget from an explicit cancel. *)
+  | Spill_io of { message : string }
+      (** The memory budget's disk tier failed (unusable spill
+          directory, full disk); [message] names the call, path and
+          system error. The run's spill directory is already gone. *)
 
 val state_limit_hint : string
 (** The standard remediation hint attached to {!State_limit} failures. *)
 
 val failure_message : failure -> string
+
+val checked : (unit -> 'a) -> ('a, failure) result
+(** Run an exploring computation, mapping the three failure modes'
+    exceptions to {!failure} values (a cancellation is attributed to
+    the ["explore"] phase). *)
 
 val run_checked :
   ?options:Generate.options ->
@@ -97,8 +107,7 @@ val run_checked :
   Mdp_dataflow.Diagram.t ->
   Mdp_policy.Policy.t ->
   (t, failure) result
-(** {!run} with [Too_many_states] and [Cancel.Cancelled] converted to
-    {!failure} values, plus [jobs]/[cancel] forwarded to the
+(** {!run} under {!checked}, plus [jobs]/[cancel] forwarded to the
     exploration. Still raises [Invalid_argument] on a policy that does
     not validate — that is caller error, not an operational failure. *)
 

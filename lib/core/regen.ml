@@ -26,24 +26,28 @@ open Mdp_prelude
    old LTS is copied verbatim.
 
    A substitution can land on a configuration the previous run never
-   reached (a create writing fewer could-bits); those fresh states are
-   stepped with the exact cold semantics ([Generate.make_step] under
-   the edited universe).
+   reached (a create writing fewer could-bits); {!rebuild} steps those
+   fresh states with the exact cold semantics ([Generate.make_step]
+   under the edited universe).
 
    Two consumers:
 
+   - {!rebuild}: the exact path. [Plts.explore] re-runs with a hybrid
+     step that serves old rows from the previous LTS; the result is
+     byte-identical to a cold exploration of the edited model —
+     numbering, packing, spill behaviour and cone summaries included —
+     for every job count.
    - {!walk}: the timed what-if path. For a Read/Write revocation a
      finding's level is a pure function of its label (impact from the
      profile and the label's actor/fields; likelihood from provenance,
      deleters — untouched by Read/Write edits — and diagram-only rogue
      candidates), so the sweep only needs the set of distinct findable
-     labels reachable in the edited model. The walk is an int-BFS over
-     the hybrid graph collecting exactly that.
-   - {!rebuild}: the exact path. [Plts.explore] re-runs with a hybrid
-     step that serves old rows from the previous LTS; the result is
-     byte-identical to a cold exploration of the edited model —
-     numbering, packing, spill behaviour and cone summaries included —
-     for every job count. *)
+     labels reachable in the edited model. One implementation collects
+     it: an int-BFS over the old edge rows that never materialises a
+     configuration. When that walk declines (region or state count
+     wider than a word, a growing substitution) the labels are read off
+     a {!rebuild} instead — exact, at the price of a hybrid
+     re-exploration. *)
 
 type verdict =
   | Keep
@@ -236,156 +240,6 @@ let findable (a : Action.t) =
 
 module ATbl = Hashtbl.Make (Action)
 
-module FTbl = Hashtbl.Make (struct
-  type t = Config.t
-
-  let equal = Config.equal
-  let hash = Config.hash
-end)
-
-type walk = {
-  wk_labels : Action.t list;
-      (** The distinct findable (read, non-inferred) labels reachable in
-          the edited model — annotation-free. *)
-  wk_old_states : int;  (** previously explored states reached *)
-  wk_source_states : int;  (** of which needed row substitution *)
-  wk_fresh_states : int;  (** states the previous run never stored *)
-}
-
-(* Generic walk: exact stepping of every fresh configuration. Correct
-   for any patch [make_patch] accepts — including capability-*growing*
-   flow substitutions (a granted create writes more bits; its fresh
-   downstream is stepped with the exact cold semantics) — but pays a
-   full [step_new] per fresh state, which for a near-root revocation
-   approaches the cost of a cold exploration. *)
-let walk_generic p old_lts affected =
-    let u = p.rp_u and options = p.rp_options in
-    let step_new =
-      Generate.make_step u options ~stamp:p.rp_stamp ~compiled:p.rp_compiled
-        ~readable_words:
-          (if options.potential_reads then Some p.rp_readable else None)
-    in
-    let finder = Plts.make_finder old_lts in
-    let n = Plts.num_states old_lts in
-    let visited = Bytes.make ((n + 7) / 8) '\000' in
-    let old_queue = Queue.create () in
-    let fresh_seen = FTbl.create 64 in
-    let fresh_queue = Queue.create () in
-    let old_states = ref 0 and source_states = ref 0 and fresh_states = ref 0 in
-    let budget = p.rp_options.max_states in
-    let over_budget () = !old_states + !fresh_states > budget in
-    let visit_old q =
-      if not (bit visited q) then begin
-        Bytes.set visited (q lsr 3)
-          (Char.chr
-             (Char.code (Bytes.get visited (q lsr 3)) lor (1 lsl (q land 7))));
-        incr old_states;
-        Queue.push q old_queue
-      end
-    in
-    let visit_fresh cfg =
-      if not (FTbl.mem fresh_seen cfg) then begin
-        FTbl.replace fresh_seen cfg ();
-        incr fresh_states;
-        Queue.push cfg fresh_queue
-      end
-    in
-    let resolve cfg =
-      match finder cfg with Some q -> visit_old q | None -> visit_fresh cfg
-    in
-    let fresh_labels = ATbl.create 32 in
-    let add_label a = if findable a then ATbl.replace fresh_labels (strip a) () in
-    (* one recompute per revoked (actor, store) pair per source row *)
-    let subst_row cfg emit_keep q =
-      let done_reads = ref [] in
-      Plts.iter_successors old_lts q (fun label dst ->
-          match verdict_of p label with
-          | Keep -> emit_keep label dst
-          | Drop_flow -> ()
-          | Subst_flow cf ->
-            add_label cf.cf_action;
-            resolve (Generate.fire cfg cf)
-          | Subst_read (ai, si) ->
-            if not (List.mem (ai, si) !done_reads) then begin
-              done_reads := (ai, si) :: !done_reads;
-              List.iter
-                (fun (action, dcfg) ->
-                  add_label action;
-                  resolve dcfg)
-                (Generate.potential_reads_at u options ~stamp:p.rp_stamp
-                   ~readable:p.rp_readable.(ai).(si) ~actor:ai ~store:si cfg)
-            end)
-    in
-    let init = Config.initial u in
-    resolve init;
-    let aborted = ref false in
-    let drain_fresh () =
-      while not (Queue.is_empty fresh_queue) && not !aborted do
-        let cfg = Queue.pop fresh_queue in
-        List.iter
-          (fun (action, dcfg) ->
-            add_label action;
-            resolve dcfg)
-          (step_new cfg);
-        if over_budget () then aborted := true
-      done
-    in
-    (* One bool per interned label replaces a structural check per
-       kept transition. *)
-    let labels = Option.get (Plts.interned_labels old_lts) in
-    let is_findable = Array.map findable labels in
-    let present = Array.make (max (Array.length labels) 1) false in
-    let drain_old () =
-      while (not (Queue.is_empty old_queue)) && not !aborted do
-        let q = Queue.pop old_queue in
-        if bit affected q then begin
-          incr source_states;
-          let cfg = Plts.state_data old_lts q in
-          subst_row cfg
-            (fun label dst ->
-              add_label label;
-              visit_old dst)
-            q
-        end
-        else
-          Plts.iter_successors_lid old_lts q (fun lid dst ->
-              if is_findable.(lid) then present.(lid) <- true;
-              visit_old dst);
-        if over_budget () then aborted := true
-      done
-    in
-    (* Interleave the two queues until both drain: fresh states found
-       while substituting old rows are stepped, and their successors may
-       resolve back into old states. The order is immaterial — the walk
-       collects a set, not a numbering. *)
-    let rec go () =
-      if not !aborted then
-        if not (Queue.is_empty old_queue) then begin
-          drain_old ();
-          go ()
-        end
-        else if not (Queue.is_empty fresh_queue) then begin
-          drain_fresh ();
-          go ()
-        end
-    in
-    go ();
-    let kept = ref [] in
-    Array.iteri
-      (fun lid seen -> if seen then kept := strip labels.(lid) :: !kept)
-      present;
-    if !aborted then None
-    else begin
-      let labels = ATbl.fold (fun a () acc -> a :: acc) fresh_labels !kept in
-      Some
-        {
-          wk_labels = labels;
-          wk_old_states = !old_states;
-          wk_source_states = !source_states;
-          wk_fresh_states = !fresh_states;
-        }
-    end
-
 (* Arithmetic pair walk: the packed fast path.
 
    A shrinking edit only ever *clears* bits relative to the old run, and
@@ -415,9 +269,9 @@ let walk_generic p old_lts affected =
 
    Pass 1 fills the twins' region truth in one sweep over the old graph
    (BFS numbering: parents precede children); pass 2 is the hybrid BFS.
-   Returns [None] when the patch needs the generic walk (growing
-   substitution, region or state count too wide for one word, an
-   inferred label in the row space), [Some None] on budget abort. *)
+   Returns [None] when it declines (growing substitution, region or
+   state count too wide for one word, an inferred label in the row
+   space), [Some None] on budget abort. *)
 let walk_fast p old_lts affected (labels : Action.t array) =
   let u = p.rp_u and options = p.rp_options in
   let nf = Universe.nfields u in
@@ -452,7 +306,7 @@ let walk_fast p old_lts affected (labels : Action.t array) =
           | Some (_, fis) -> List.iter add_field fis)
         | Some new_cf ->
           (* pure shrink required: every new write must be an old one
-             (grants are served by the generic walk) *)
+             (grants are answered from the rebuild) *)
           if
             List.exists
               (fun v -> not (List.mem v old_cf.Generate.cf_has_vars))
@@ -658,11 +512,8 @@ let walk_fast p old_lts affected (labels : Action.t array) =
     let visited = Bytes.make ((n + 7) / 8) '\000' in
     let pair_seen = Hashtbl.create 1024 in
     let old_queue = Queue.create () and pair_queue = Queue.create () in
-    let old_states = ref 0
-    and source_states = ref 0
-    and fresh_states = ref 0 in
-    let budget = options.Generate.max_states in
-    let over_budget () = !old_states + !fresh_states > budget in
+    let reached = ref 0 in
+    let over_budget () = !reached > options.Generate.max_states in
     let present = Array.make (max nl 1) false in
     let fresh_labels = ATbl.create 32 in
     let add_label a = if findable a then ATbl.replace fresh_labels (strip a) () in
@@ -677,7 +528,7 @@ let walk_fast p old_lts affected (labels : Action.t array) =
         Bytes.set visited (q lsr 3)
           (Char.chr
              (Char.code (Bytes.get visited (q lsr 3)) lor (1 lsl (q land 7))));
-        incr old_states;
+        incr reached;
         Queue.push q old_queue
       end
     in
@@ -685,7 +536,7 @@ let walk_fast p old_lts affected (labels : Action.t array) =
       let key = (q lsl rbits) lor asn in
       if not (Hashtbl.mem pair_seen key) then begin
         Hashtbl.replace pair_seen key ();
-        incr fresh_states;
+        incr reached;
         Queue.push key pair_queue
       end
     in
@@ -716,7 +567,6 @@ let walk_fast p old_lts affected (labels : Action.t array) =
        same arithmetic, untouched rows are copied wholesale *)
     let process_old q =
       if bit affected q then begin
-        incr source_states;
         let rq = twin_reg.(q) in
         if rq < 0 then raise Ineligible;
         Plts.iter_successors_lid old_lts q (fun lid dst ->
@@ -850,32 +700,9 @@ let walk_fast p old_lts affected (labels : Action.t array) =
         (fun lid seen ->
           if seen && is_findable.(lid) then acc := strip labels.(lid) :: !acc)
         present;
-      Some
-        (Some
-           {
-             wk_labels = !acc;
-             wk_old_states = !old_states;
-             wk_source_states = !source_states;
-             wk_fresh_states = !fresh_states;
-           })
+      Some (Some !acc)
     end
   with Ineligible -> None
-
-let walk p old_lts =
-  match affected_bitset p old_lts with
-  | None -> None
-  | Some affected -> (
-    let fast =
-      (* escape hatch for A/B checks: force the exact-stepping walk *)
-      match Sys.getenv_opt "MDPRIV_REGEN_GENERIC" with
-      | Some v when v <> "" -> None
-      | _ ->
-        walk_fast p old_lts affected
-          (Option.get (Plts.interned_labels old_lts))
-    in
-    match fast with
-    | Some result -> result
-    | None -> walk_generic p old_lts affected)
 
 (* ----- exact rebuild: hybrid-step re-exploration ----- *)
 
@@ -936,3 +763,25 @@ let rebuild ?(jobs = 1) ?par_threshold ?cancel p old_lts =
          ?mem_budget:options.mem_budget
          ?spill_dir:options.spill_dir
          ~label_class:(Generate.store_classifier u) ~init ~step ())
+
+(* The timed walk: the pair walk, or — when it declines — the findable
+   labels of the exact rebuild. Every label a fresh exploration interns
+   sits on at least one transition, so the rebuilt LTS's label table is
+   exactly the reachable label set. *)
+let walk p old_lts =
+  match affected_bitset p old_lts with
+  | None -> None
+  | Some affected -> (
+    match
+      walk_fast p old_lts affected (Option.get (Plts.interned_labels old_lts))
+    with
+    | Some result -> result
+    | None -> (
+      Mdp_obs.Metrics.incr "whatif/cone_walk_declined";
+      match rebuild p old_lts with
+      | None -> None
+      | Some lts ->
+        let labels = Option.get (Plts.interned_labels lts) in
+        Plts.drop_spill lts;
+        Some (List.filter findable (Array.to_list labels))
+      | exception Mdp_lts.Lts.Too_many_states _ -> None))

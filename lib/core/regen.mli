@@ -12,10 +12,10 @@
     untouched majority of the LTS is reused verbatim.
 
     {!make_patch} decides eligibility by diffing the two universes'
-    compiled artifacts; {!walk} answers a what-if candidate from the
-    reachable findable-label set without building an LTS; {!rebuild}
-    re-explores with a hybrid step and returns an LTS byte-identical to
-    a cold run of the edited model. *)
+    compiled artifacts; {!rebuild} re-explores with a hybrid step and
+    returns an LTS byte-identical to a cold run of the edited model;
+    {!walk} answers a what-if candidate from the reachable
+    findable-label set, usually without building an LTS. *)
 
 type patch
 (** An eligible edit's substitution recipe: per-flow substitutes/drops,
@@ -34,25 +34,19 @@ val classes : patch -> int list
 (** The affected store classes (deduplicated, unordered). Empty when
     the edit turned out to have no LTS effect. *)
 
-type walk = {
-  wk_labels : Action.t list;
-      (** The distinct findable (read, non-inferred) labels reachable
-          in the edited model, annotation-free — for a Read/Write ACL
-          edit a finding's level is a pure function of its label, so
-          these determine the edited report's finding signatures and
-          levels. *)
-  wk_old_states : int;  (** previously explored states reached *)
-  wk_source_states : int;  (** of which needed row substitution *)
-  wk_fresh_states : int;  (** states the previous run never stored *)
-}
-
-val walk : patch -> Plts.t -> walk option
-(** Reachability walk over the hybrid graph (old rows substituted in
-    place, fresh states stepped cold): the timed what-if path. Multiple
+val walk : patch -> Plts.t -> Action.t list option
+(** The timed what-if path: the distinct findable (read, non-inferred)
+    labels reachable in the edited model, annotation-free. For a
+    Read/Write ACL edit a finding's level is a pure function of its
+    label, so these determine the edited report's finding signatures
+    and levels. An arithmetic walk over the old edge rows answers
+    without building an LTS; when it declines (a region or state count
+    wider than a word, a growing substitution) the labels come from
+    {!rebuild}, counted under [whatif/cone_walk_declined]. Multiple
     walks over one LTS may run concurrently (each allocates its own
     finder and scratch). [None] when the previous exploration recorded
-    no cones or the walk exceeds [max_states] — callers fall back to a
-    full rerun. *)
+    no cones or the edited model exceeds [max_states] — callers fall
+    back to a full rerun. *)
 
 val rebuild :
   ?jobs:int ->

@@ -23,7 +23,9 @@ type t =
           transition. *)
   | Max_disclosure_risk of Level.t
       (** No reachable transition is annotated above this level; check
-          after {!Disclosure_risk.analyse}. *)
+          after {!Risk_plan.analyse} has annotated the LTS's read
+          labels (the reference {!Disclosure_risk.analyse} annotates
+          identically). *)
 
 type violation = {
   requirement : t;

@@ -358,7 +358,7 @@ let cone_outcome base edit (after : Edit.inputs) =
     Mdp_obs.Metrics.span "whatif/cone" @@ fun () ->
     match Regen.walk patch base.analysis.Analysis.lts with
     | None -> None
-    | Some w ->
+    | Some labels ->
       Mdp_obs.Metrics.incr "whatif/cone_hits";
       let lb = Risk_plan.make_labeller u in
       let matrix = Risk_plan.matrix base.plan in
@@ -386,7 +386,7 @@ let cone_outcome base edit (after : Edit.inputs) =
             in
             Hashtbl.replace after_levels s (Level.max prev lvl)
           end)
-        w.Regen.wk_labels;
+        labels;
       let worst_after = ref Level.None_ in
       Hashtbl.iter
         (fun _ lvl -> worst_after := Level.max !worst_after lvl)

@@ -197,8 +197,9 @@ module Make (S : STATE) (L : LABEL) : sig
       + offset index + the open chunk) degrade to spilling everything
       evictable. The spill directory is deleted when the LTS is
       GC-collected, when {!drop_spill} is called, on any exploration
-      failure ({!Too_many_states}, cancellation), and by an [at_exit]
-      sweep.
+      failure ({!Too_many_states}, cancellation, a spill I/O failure),
+      and by an [at_exit] sweep. The disk tier's OS failures — an
+      unusable [spill_dir], a full disk — raise [Spill.Io_error].
 
       [label_class] assigns each transition label a small non-negative
       class (e.g. the index of the store it touches; [-1] for none);

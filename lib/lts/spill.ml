@@ -45,6 +45,17 @@ and t = {
          fault concurrently *)
 }
 
+exception Io_error of string
+
+(* Every OS failure of the tier surfaces as [Io_error], so callers can
+   report a full disk or an unusable spill directory without catching
+   unrelated [Unix_error]s. *)
+let io f =
+  try f () with
+  | Unix.Unix_error (err, fn, arg) ->
+    raise (Io_error (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message err)))
+  | Sys_error msg -> raise (Io_error msg)
+
 (* ------------------------------------------------------------------ *)
 (* Run-directory lifecycle *)
 
@@ -121,7 +132,7 @@ let create ?dir () =
     | exception Unix.Unix_error (Unix.EEXIST, _, _) when attempts > 0 ->
       mk (attempts - 1)
   in
-  let path = mk 16 in
+  let path = io (fun () -> mk 16) in
   let t =
     { sp_dir = path; sp_files = []; sp_live = true; sp_faults = Atomic.make 0 }
   in
@@ -141,10 +152,16 @@ let faults t = Atomic.get t.sp_faults
 let file t name =
   if not t.sp_live then invalid_arg "Spill.file: run removed";
   let fd =
-    Unix.openfile
-      (Filename.concat t.sp_dir name)
-      [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
-      0o600
+    (* a run missing one of its files is useless: tear it down *)
+    try
+      io (fun () ->
+          Unix.openfile
+            (Filename.concat t.sp_dir name)
+            [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
+            0o600)
+    with e ->
+      remove t;
+      raise e
   in
   let f =
     { f_uid = Atomic.fetch_and_add uids 1; f_fd = fd; f_owner = t; f_len = 0 }
@@ -159,11 +176,12 @@ let length f = f.f_len
 let append f b ~pos ~len =
   let off = f.f_len in
   let written = ref 0 in
-  while !written < len do
-    match Unix.write f.f_fd b (pos + !written) (len - !written) with
-    | w -> written := !written + w
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
+  io (fun () ->
+      while !written < len do
+        match Unix.write f.f_fd b (pos + !written) (len - !written) with
+        | w -> written := !written + w
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      done);
   f.f_len <- off + len;
   off
 
@@ -187,8 +205,9 @@ let map_window f base =
   Atomic.incr f.f_owner.sp_faults;
   let len = min window_size (f.f_len - base) in
   let g =
-    Unix.map_file f.f_fd ~pos:(Int64.of_int base) Bigarray.char
-      Bigarray.c_layout false [| len |]
+    io (fun () ->
+        Unix.map_file f.f_fd ~pos:(Int64.of_int base) Bigarray.char
+          Bigarray.c_layout false [| len |])
   in
   (Bigarray.array1_of_genarray g, len)
 

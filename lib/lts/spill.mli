@@ -16,6 +16,12 @@
 type t
 (** One spill run: a directory plus its files and fault counter. *)
 
+exception Io_error of string
+(** Any OS failure of the tier — an unusable directory, a full disk, a
+    failed mapping — with the failing call, its path and the system
+    message. Raised by {!create}, {!file}, {!append} and the read
+    path; a failed {!file} removes its run first. *)
+
 type file
 (** An append-only file inside a run. *)
 

@@ -537,6 +537,13 @@ let run_analysis t ~cancel ~bkey ~akey (an : Protocol.analysis) source =
           | Cancel.Deadline -> `Deadline
           | Cancel.Client -> `Client),
         Protocol.error_body "request cancelled" )
+  | Mdp_lts.Spill.Io_error message ->
+    (* the host's disk failed, not the model: no breaker evidence *)
+    Breaker.success t.breaker bkey;
+    Error
+      ( Protocol.Error_,
+        Protocol.error_body
+          (C.Analysis.failure_message (C.Analysis.Spill_io { message })) )
   | Refused (status, body) ->
     Breaker.success t.breaker bkey;
     Error (status, body)

@@ -99,6 +99,61 @@ let test_requirement_max_risk () =
     (Core.Requirement.holds u lts
        (Core.Requirement.Max_disclosure_risk Core.Level.Medium))
 
+(* [mdpriv check] annotates through the compiled plan; the reference
+   engine must yield the same violations, witness annotations
+   included. *)
+let test_requirement_engines_agree () =
+  let synth =
+    match Mdp_scenario.Synthetic.spec_of_string "synthetic:6-8-4@3" with
+    | Some (Ok spec) ->
+      let diagram, policy = Mdp_scenario.Synthetic.model spec in
+      (diagram, policy, Mdp_scenario.Synthetic.profile spec diagram)
+    | _ -> Alcotest.fail "bad synthetic spec"
+  in
+  List.iter
+    (fun (name, (diagram, policy, profile)) ->
+      let violations annotate =
+        let u = Core.Universe.make diagram policy in
+        let lts = Core.Generate.run u in
+        annotate u lts;
+        let reqs =
+          List.map
+            (fun l -> Core.Requirement.Max_disclosure_risk l)
+            Core.Level.[ None_; Low; Medium; High ]
+          @ List.concat_map
+              (fun (a : Actor.t) ->
+                List.map
+                  (fun field ->
+                    Core.Requirement.Never_identifies { actor = a.id; field })
+                  (Diagram.all_fields diagram))
+              diagram.Diagram.actors
+        in
+        List.map
+          (fun (v : Core.Requirement.violation) ->
+            ( (match v.requirement with
+              | Core.Requirement.Max_disclosure_risk _ -> true
+              | _ -> false),
+              Format.asprintf "%a" Core.Requirement.pp_violation v ))
+          (Core.Requirement.check u lts reqs)
+      in
+      let naive =
+        violations (fun u lts ->
+            ignore (Core.Disclosure_risk.analyse u lts profile))
+      in
+      let planned =
+        violations (fun u lts ->
+            ignore
+              (Core.Risk_plan.analyse (Core.Risk_plan.compile u lts) profile))
+      in
+      check bool_ (name ^ ": a risk cap is violated") true
+        (List.exists fst naive);
+      check
+        (Alcotest.list (Alcotest.pair bool_ Alcotest.string))
+        (name ^ ": violations") naive planned)
+    [
+      ("healthcare", (H.diagram, H.policy, H.profile_case_a)); ("synthetic", synth);
+    ]
+
 let test_requirement_witness_replays () =
   let u, lts = setup () in
   match
@@ -318,6 +373,8 @@ let () =
           Alcotest.test_case "purposes" `Quick test_requirement_purposes;
           Alcotest.test_case "no action by" `Quick test_requirement_no_action;
           Alcotest.test_case "max risk" `Quick test_requirement_max_risk;
+          Alcotest.test_case "max risk engines agree" `Quick
+            test_requirement_engines_agree;
           Alcotest.test_case "witness replays" `Quick test_requirement_witness_replays;
           Alcotest.test_case "spec roundtrip" `Quick test_requirement_spec_roundtrip;
         ] );

@@ -409,6 +409,54 @@ let pop_kind = S.Protocol.Population { psize = 150; pseed = 3; pagree = 0.5 }
 
 let body_string (r : S.Protocol.response) = Json.to_string r.body
 
+(* A spill directory that cannot be created: [run_checked] returns the
+   structured failure, nothing is left in the spill parent, and the
+   daemon answers status [error] with the structured message. *)
+let test_spill_io_failure () =
+  let base =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mdpriv-spill-io-test-%d" (Unix.getpid ()))
+  in
+  Unix.mkdir base 0o700;
+  let not_a_dir = Filename.concat base "notadir" in
+  close_out (open_out not_a_dir);
+  let model = "synthetic:9-14-8" in
+  let budget = 1 lsl 20 in
+  let diagram, policy = Synthetic.model (spec_exn model) in
+  let options =
+    {
+      Core.Generate.default_options with
+      mem_budget = Some budget;
+      spill_dir = Some not_a_dir;
+    }
+  in
+  (match Core.Analysis.run_checked ~options diagram policy with
+  | Error (Core.Analysis.Spill_io { message }) ->
+    check bool_ "names the failing call" true (contains message "mkdir")
+  | _ -> Alcotest.fail "expected structured spill failure");
+  check
+    Alcotest.(list string)
+    "no spill directory left" [ "notadir" ]
+    (Array.to_list (Sys.readdir base));
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name not_a_dir;
+  let resp =
+    Fun.protect
+      ~finally:(fun () -> Filename.set_temp_dir_name saved)
+      (fun () ->
+        let config = { S.Engine.default_config with mem_budget = Some budget } in
+        S.Engine.handle (S.Engine.create ~config ()) (analyse ~model "s"))
+  in
+  check bool_ "serve status error" true (resp.status = S.Protocol.Error_);
+  (match Json.member "message" resp.body with
+  | Some (Json.Str m) ->
+    check bool_ "serve carries the structured message" true
+      (contains m "spill tier I/O error: mkdir")
+  | _ -> Alcotest.fail "error body must carry a message");
+  Sys.remove not_a_dir;
+  Unix.rmdir base
+
 let test_engine_warm_cache_byte_identical () =
   let e = S.Engine.create () in
   List.iter
@@ -845,6 +893,8 @@ let () =
             test_population_cancel;
           Alcotest.test_case "run_checked structured failures" `Quick
             test_run_checked_failures;
+          Alcotest.test_case "spill I/O failure structured" `Quick
+            test_spill_io_failure;
         ] );
       ( "engine",
         [
