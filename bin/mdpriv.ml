@@ -469,10 +469,7 @@ let whatif_cmd =
               (fun e -> Format.fprintf meta "edit: %a@." Core.Edit.pp e)
               edits;
             Format.fprintf meta "invalidated: %a  (%s)@." pp_invalidation inv
-              (if inv.Core.Edit.inv_lts then
-                 if inv.Core.Edit.inv_cone then
-                   "cone-scoped re-exploration candidate"
-                 else "full re-exploration"
+              (if inv.Core.Edit.inv_lts then "full re-exploration"
                else "LTS reused");
             Format.fprintf meta "worst risk: %a -> %a@." Core.Level.pp
               (worst_of base) Core.Level.pp (worst_of after);

@@ -16,9 +16,7 @@ type t = {
   plan : Risk_plan.t option;
 }
 
-(* Everything downstream of exploration, shared by [run_params] and the
-   cone-scoped rebuild path of [run_incremental] (which produces a
-   byte-identical LTS by other means). *)
+(* Everything downstream of exploration. *)
 let analyse_phase params universe lts =
   Mdp_obs.Metrics.span "phase/analyse" @@ fun () ->
   let consistency = Consistency.check universe in
@@ -70,7 +68,7 @@ let inputs_of t =
     bindings = t.params.bindings;
   }
 
-let run_incremental ?jobs ~previous edits =
+let run_incremental ?jobs ?cancel ~previous edits =
   Mdp_obs.Metrics.span "phase/whatif" @@ fun () ->
   let before = inputs_of previous in
   let after =
@@ -90,35 +88,9 @@ let run_incremental ?jobs ~previous edits =
     Mdp_obs.Metrics.incr "whatif/invalidated_lts";
     Mdp_obs.Metrics.incr "whatif/invalidated_plan";
     Mdp_obs.Metrics.incr "whatif/invalidated_classes";
-    (* Cone-scoped re-exploration: a pure policy-shrink edit re-explores
-       only through the affected store classes' cones, serving every
-       untouched successor row from the previous LTS. [Regen.rebuild]
-       guarantees the result is byte-identical to the cold run below —
-       numbering, packing, spill behaviour, cone summaries — so the rest
-       of the pipeline cannot tell which path produced it. Either
-       [make_patch] (ineligible edit) or [rebuild] (no recorded cones)
-       declining falls back to the cold run. *)
-    let cone =
-      if not inv.Edit.inv_cone then None
-      else begin
-        let u = Universe.make after.Edit.diagram after.Edit.policy in
-        match
-          Regen.make_patch ~u_old:previous.universe ~u
-            previous.params.options
-        with
-        | None -> None
-        | Some patch ->
-          Mdp_obs.Metrics.span "phase/cone_rebuild" @@ fun () ->
-          Option.map
-            (fun lts -> (u, lts))
-            (Regen.rebuild ?jobs patch previous.lts)
-      end
-    in
-    match cone with
-    | Some (universe, lts) ->
-      Mdp_obs.Metrics.incr "whatif/cone_rebuilds";
-      analyse_phase params universe lts
-    | None -> run_params ?jobs params after.Edit.diagram after.Edit.policy
+    (* One exact path for an edited transition structure: a cold
+       exploration of the edited model. *)
+    run_params ?jobs ?cancel params after.Edit.diagram after.Edit.policy
   end
   else begin
     Mdp_obs.Metrics.incr "whatif/incremental_hits";

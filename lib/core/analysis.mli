@@ -40,15 +40,17 @@ val rerun_with_policy : t -> Mdp_policy.Policy.t -> t
 (** The §IV-A design loop: same model, profile, bindings and parameters;
     edited policy; everything regenerated. *)
 
-val run_incremental : ?jobs:int -> previous:t -> Edit.t list -> t
+val run_incremental :
+  ?jobs:int -> ?cancel:Mdp_obs.Cancel.t -> previous:t -> Edit.t list -> t
 (** The same loop, recomputing only what the edits invalidate. The
     result is byte-identical to [run] on the edited inputs (enforced by
     test/test_whatif.ml and the PR 8 bench gate): [Edit.classify]
     bounds the damage, and surviving artifacts — LTS, compiled plan
     (possibly with maintenance flags repatched), disclosure report,
     pseudonym transitions, consistency gaps — are threaded through
-    unchanged. Falls back to a full [run] when the reachable transition
-    structure may have changed.
+    unchanged. When the reachable transition structure may have changed
+    the edited model is explored cold, exactly as [run] does; that
+    exploration is the only step [cancel] interrupts.
 
     Counters (under [Mdp_obs]): [whatif/incremental_hits] when the LTS
     is reused, [whatif/invalidated_{lts,plan,classes}] for recomputed
@@ -60,7 +62,8 @@ val run_incremental : ?jobs:int -> previous:t -> Edit.t list -> t
     plan afterwards follows the usual grown-LTS rules.
 
     @raise Invalid_argument when an edit does not apply (unknown
-    service, invalid policy, sensitivity out of range, ...). *)
+    service, invalid policy, sensitivity out of range, ...).
+    @raise Mdp_obs.Cancel.Cancelled when [cancel] fires mid-exploration. *)
 
 val inputs_of : t -> Edit.inputs
 (** The run's model inputs as an editable value. *)

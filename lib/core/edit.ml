@@ -354,9 +354,9 @@ let classify ~(options : Generate.options) ~before ~after =
         (* The LTS must change, but only because of concrete ACL tuples
            on an unchanged diagram with no binding interplay — the
            damage is confined to the touched stores' cones. Everything
-           downstream still invalidates (the cone path recompiles plan
-           and report over the rebuilt fragment); [inv_cone] flags that
-           the rebuild need not be cold. *)
+           downstream still invalidates (an incremental run explores
+           the edited model cold); [inv_cone] flags that the what-if
+           sweep may answer the edit with the cone walk instead. *)
         { everything with inv_cone = true; inv_sigma }
       else begin
         let has perm =

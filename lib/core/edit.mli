@@ -53,11 +53,13 @@ type invalidation = {
           with it everything downstream). *)
   inv_cone : bool;
       (** Set alongside [inv_lts] when the damage is a pure
-          policy-shrink candidate for cone-scoped re-exploration: the
-          diagram is unchanged, bindings are empty, and only concrete
-          ACL permissions moved. Candidacy only — {!Regen.make_patch}
-          makes the final eligibility call from the compiled artifacts
-          and falls back to a cold run when it declines. *)
+          policy-shrink candidate for the what-if sweep's cone walk
+          ({!Regen.walk}): the diagram is unchanged, bindings are
+          empty, and only concrete ACL permissions moved. Candidacy
+          only — {!Regen.make_patch} makes the final eligibility call
+          from the compiled artifacts, and the sweep computes the
+          outcome in full when it declines. An incremental run
+          explores the edited model cold either way. *)
   inv_plan : bool;
       (** Compiled risk-plan entries stale (today: deleter sets
           changed — repatchable without recompiling). *)

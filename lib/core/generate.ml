@@ -472,45 +472,8 @@ let readable_rows u options =
                  ~pos:0 ~len:nf)))
   else None
 
-(* One (actor, store) group of potential reads at [cfg], in the order
-   the group's entries occupy the emitted row (fields descending under
-   [granular_reads] — the full pass builds its list by prepending).
-   [readable] is the pair's readable-field word. The incremental cone
-   walk recomputes exactly the revoked pairs' groups through this. *)
-let potential_reads_at u options ~stamp ~readable ~actor ~store (cfg : Config.t)
-    =
-  let nf = Universe.nfields u in
-  let contents = Bitset.extract cfg.stores.(store) ~pos:0 ~len:nf in
-  let has = Bitset.extract cfg.privacy.has ~pos:(actor * nf) ~len:nf in
-  let fresh = readable land contents land lnot has in
-  if fresh = 0 then []
-  else begin
-    let acc = ref [] in
-    let emit bits =
-      let action, mask = read_action u ~stamp ~actor ~store bits in
-      let privacy =
-        {
-          Privacy_state.has = Bitset.union cfg.privacy.has mask;
-          could = cfg.privacy.could;
-        }
-      in
-      acc := (action, { cfg with Config.privacy }) :: !acc
-    in
-    if options.granular_reads then begin
-      let bits = ref fresh in
-      while !bits <> 0 do
-        let lsb = !bits land - !bits in
-        emit lsb;
-        bits := !bits land lnot lsb
-      done
-    end
-    else emit fresh;
-    !acc
-  end
-
-(* The successor function [run] explores with, reusable by the
-   incremental cone re-exploration (which must step fresh states with
-   exactly the cold semantics). *)
+(* The successor function [run] explores with: enabled flows in
+   flow-index order, then potential reads, then potential deletes. *)
 let make_step u options ~stamp ~compiled ~readable_words =
   fun cfg ->
     let from_flows =

@@ -97,9 +97,6 @@ val compile : Universe.t -> options -> compiled_flow list
 (** The in-scope flows with non-empty effective field sets, in flow-index
     order — the from-flow segment of every state's successor row. *)
 
-val flow_enabled : options -> Config.t -> compiled_flow -> bool
-val fire : Config.t -> compiled_flow -> Config.t
-
 val fresh_stamp : unit -> int
 (** A new run stamp for the potential-read action memo (entries are
     per-universe; the stamp keys them to one run). *)
@@ -122,39 +119,10 @@ val read_action :
     set). Exposed so {!Regen}'s arithmetic walk can name recomputed read
     groups without rebuilding configurations. *)
 
-val potential_reads_at :
-  Universe.t ->
-  options ->
-  stamp:int ->
-  readable:int ->
-  actor:int ->
-  store:int ->
-  Config.t ->
-  (Action.t * Config.t) list
-(** The (actor, store) pair's potential-read emissions at the given
-    configuration, in row order (fields descending under
-    [granular_reads]); [readable] is the pair's word from
-    {!readable_rows}. Empty when nothing fresh is readable. *)
-
-val make_step :
-  Universe.t ->
-  options ->
-  stamp:int ->
-  compiled:compiled_flow list ->
-  readable_words:int array array option ->
-  Config.t ->
-  (Action.t * Config.t) list
-(** The successor function [run] explores with. *)
-
 val store_classifier : Universe.t -> Action.t -> int
 (** The per-store cone class of a transition label: the touched store's
     index, or -1 for store-less actions. What [run] passes to
     [Lts.explore ~label_class]. *)
-
-val config_packer : Config.t -> Config.t Mdp_lts.Lts.packer
-(** The state codec [run] explores with: a config's bitset payload
-    words. The argument is the initial configuration, which doubles as
-    the decode template. *)
 
 val run :
   ?options:options ->

@@ -1,7 +1,7 @@
 open Mdp_prelude
 
-(* Cone-scoped incremental re-exploration (the ROADMAP's region-granular
-   what-if step, building on PR 9's per-store cones).
+(* Cone-scoped what-if answers: the region-granular what-if step, read
+   off the per-store cones recorded during exploration.
 
    A pure ACL revocation can only *shrink* the model: deny-overrides
    means [Policy.allows] flips true->false, so effective flow fields
@@ -22,44 +22,25 @@ open Mdp_prelude
    Any old state carrying an affected transition has a class-[s]
    outgoing edge for an affected store [s], so it is in [s]'s recorded
    cone-source set — the per-state test for "does this row need
-   substitution" is a bitset probe, and the untouched majority of the
-   old LTS is copied verbatim.
+   substitution" is a bitset probe.
 
-   A substitution can land on a configuration the previous run never
-   reached (a create writing fewer could-bits); {!rebuild} steps those
-   fresh states with the exact cold semantics ([Generate.make_step]
-   under the edited universe).
-
-   Two consumers:
-
-   - {!rebuild}: the exact path. [Plts.explore] re-runs with a hybrid
-     step that serves old rows from the previous LTS; the result is
-     byte-identical to a cold exploration of the edited model —
-     numbering, packing, spill behaviour and cone summaries included —
-     for every job count.
-   - {!walk}: the timed what-if path. For a Read/Write revocation a
-     finding's level is a pure function of its label (impact from the
-     profile and the label's actor/fields; likelihood from provenance,
-     deleters — untouched by Read/Write edits — and diagram-only rogue
-     candidates), so the sweep only needs the set of distinct findable
-     labels reachable in the edited model. One implementation collects
-     it: an int-BFS over the old edge rows that never materialises a
-     configuration. When that walk declines (region or state count
-     wider than a word, a growing substitution) the labels are read off
-     a {!rebuild} instead — exact, at the price of a hybrid
-     re-exploration. *)
-
-type verdict =
-  | Keep
-  | Drop_flow
-  | Subst_flow of Generate.compiled_flow
-  | Subst_read of int * int  (* actor index, store index *)
+   {!walk} is the timed what-if path. For a Read/Write revocation a
+   finding's level is a pure function of its label (impact from the
+   profile and the label's actor/fields; likelihood from provenance,
+   deleters — untouched by Read/Write edits — and diagram-only rogue
+   candidates), so the sweep only needs the set of distinct findable
+   labels reachable in the edited model. One implementation collects
+   it: an int-BFS over the old edge rows that never materialises a
+   configuration. When that walk declines (region or state count wider
+   than a word, a growing substitution) the labels are read off a cold
+   exploration of the edited model instead: re-exploring with the old
+   LTS's untouched rows copied over measured slower than a cold
+   [Generate.run] (docs/PERFORMANCE.md). *)
 
 type patch = {
   rp_u : Universe.t;  (* the edited universe *)
   rp_options : Generate.options;
   rp_stamp : int;
-  rp_compiled : Generate.compiled_flow list;
   rp_compiled_old : Generate.compiled_flow list;
   rp_readable : int array array;  (* [||] when potential reads are off *)
   rp_readable_old : int array array;
@@ -176,7 +157,6 @@ let make_patch ~u_old ~u (options : Generate.options) =
             rp_u = u;
             rp_options = options;
             rp_stamp = Generate.fresh_stamp ();
-            rp_compiled = compiled_new;
             rp_compiled_old = compiled_old;
             rp_readable =
               (match readable_new with Some r -> r | None -> [||]);
@@ -187,22 +167,6 @@ let make_patch ~u_old ~u (options : Generate.options) =
             rp_classes = !classes;
           }
   end
-
-let verdict_of p (a : Action.t) =
-  match a.Action.provenance with
-  | Action.Inferred -> Keep
-  | Action.From_flow { service; order } -> (
-    match Hashtbl.find_opt p.rp_flow_sub (service, order) with
-    | Some (Some cf) -> Subst_flow cf
-    | Some None -> Drop_flow
-    | None -> Keep)
-  | Action.Potential -> (
-    match (a.Action.kind, a.Action.store) with
-    | Action.Read, Some s -> (
-      match Hashtbl.find_opt p.rp_read_keys (a.Action.actor, s) with
-      | Some (ai, si) -> Subst_read (ai, si)
-      | None -> Keep)
-    | _ -> Keep)
 
 (* Union of the affected classes' recorded cone-source sets, as a bit
    per old state: the per-row "needs substitution" test. [None] when the
@@ -306,7 +270,7 @@ let walk_fast p old_lts affected (labels : Action.t array) =
           | Some (_, fis) -> List.iter add_field fis)
         | Some new_cf ->
           (* pure shrink required: every new write must be an old one
-             (grants are answered from the rebuild) *)
+             (grants are answered from a cold exploration) *)
           if
             List.exists
               (fun v -> not (List.mem v old_cf.Generate.cf_has_vars))
@@ -704,70 +668,10 @@ let walk_fast p old_lts affected (labels : Action.t array) =
     end
   with Ineligible -> None
 
-(* ----- exact rebuild: hybrid-step re-exploration ----- *)
-
-let rebuild ?(jobs = 1) ?par_threshold ?cancel p old_lts =
-  match affected_bitset p old_lts with
-  | None -> None
-  | Some affected ->
-    let u = p.rp_u and options = p.rp_options in
-    let step_new =
-      Generate.make_step u options ~stamp:p.rp_stamp ~compiled:p.rp_compiled
-        ~readable_words:
-          (if options.potential_reads then Some p.rp_readable else None)
-    in
-    (* [find_state] shares scratch buffers and the parallel explorer
-       calls [step] from several domains, so each domain gets its own
-       finder. *)
-    let finder_key = Domain.DLS.new_key (fun () -> Plts.make_finder old_lts) in
-    let step cfg =
-      let finder = Domain.DLS.get finder_key in
-      match finder cfg with
-      | None -> step_new cfg
-      | Some q ->
-        if not (bit affected q) then begin
-          (* untouched row: the cold step of the edited model emits
-             exactly the old entries (annotations stripped — cold labels
-             are annotation-free and the packed engine interns on full
-             structural equality) *)
-          let acc = ref [] in
-          Plts.iter_successors old_lts q (fun label dst ->
-              acc := (strip label, Plts.state_data old_lts dst) :: !acc);
-          List.rev !acc
-        end
-        else begin
-          let acc = ref [] in
-          let done_reads = ref [] in
-          Plts.iter_successors old_lts q (fun label dst ->
-              match verdict_of p label with
-              | Keep -> acc := (strip label, Plts.state_data old_lts dst) :: !acc
-              | Drop_flow -> ()
-              | Subst_flow cf ->
-                acc := (cf.cf_action, Generate.fire cfg cf) :: !acc
-              | Subst_read (ai, si) ->
-                if not (List.mem (ai, si) !done_reads) then begin
-                  done_reads := (ai, si) :: !done_reads;
-                  List.iter
-                    (fun entry -> acc := entry :: !acc)
-                    (Generate.potential_reads_at u options ~stamp:p.rp_stamp
-                       ~readable:p.rp_readable.(ai).(si) ~actor:ai ~store:si
-                       cfg)
-                end);
-          List.rev !acc
-        end
-    in
-    let init = Config.initial u in
-    Some
-      (Plts.explore ~max_states:options.max_states ~jobs ?par_threshold
-         ?cancel ~packing:(Generate.config_packer init)
-         ?mem_budget:options.mem_budget
-         ?spill_dir:options.spill_dir
-         ~label_class:(Generate.store_classifier u) ~init ~step ())
-
 (* The timed walk: the pair walk, or — when it declines — the findable
-   labels of the exact rebuild. Every label a fresh exploration interns
-   sits on at least one transition, so the rebuilt LTS's label table is
-   exactly the reachable label set. *)
+   labels of a cold exploration of the edited model. Every label an
+   exploration interns sits on at least one transition, so the LTS's
+   label table is exactly the reachable label set. *)
 let walk p old_lts =
   match affected_bitset p old_lts with
   | None -> None
@@ -778,9 +682,8 @@ let walk p old_lts =
     | Some result -> result
     | None -> (
       Mdp_obs.Metrics.incr "whatif/cone_walk_declined";
-      match rebuild p old_lts with
-      | None -> None
-      | Some lts ->
+      match Generate.run ~options:p.rp_options p.rp_u with
+      | lts ->
         let labels = Option.get (Plts.interned_labels lts) in
         Plts.drop_spill lts;
         Some (List.filter findable (Array.to_list labels))

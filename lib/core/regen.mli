@@ -1,4 +1,4 @@
-(** Cone-scoped incremental re-exploration (region-granular what-if).
+(** Cone-scoped what-if answers (region-granular what-if).
 
     A pure ACL revocation only {e shrinks} the generated model:
     deny-overrides means [Policy.allows] flips true->false, effective
@@ -8,14 +8,12 @@
     edited row of every old state is therefore a pointwise substitution
     of the old row, and every state that needs one carries an outgoing
     transition of an affected store class — i.e. it is in that class's
-    cone-source set recorded by [Lts.explore ~label_class]. The
-    untouched majority of the LTS is reused verbatim.
+    cone-source set recorded by [Lts.explore ~label_class].
 
     {!make_patch} decides eligibility by diffing the two universes'
-    compiled artifacts; {!rebuild} re-explores with a hybrid step and
-    returns an LTS byte-identical to a cold run of the edited model;
-    {!walk} answers a what-if candidate from the reachable
-    findable-label set, usually without building an LTS. *)
+    compiled artifacts; {!walk} answers a what-if candidate from the
+    reachable findable-label set, usually without building an LTS.
+    Exact re-exploration of an edited model is a cold [Generate.run]. *)
 
 type patch
 (** An eligible edit's substitution recipe: per-flow substitutes/drops,
@@ -41,26 +39,9 @@ val walk : patch -> Plts.t -> Action.t list option
     label, so these determine the edited report's finding signatures
     and levels. An arithmetic walk over the old edge rows answers
     without building an LTS; when it declines (a region or state count
-    wider than a word, a growing substitution) the labels come from
-    {!rebuild}, counted under [whatif/cone_walk_declined]. Multiple
-    walks over one LTS may run concurrently (each allocates its own
-    finder and scratch). [None] when the previous exploration recorded
-    no cones or the edited model exceeds [max_states] — callers fall
-    back to a full rerun. *)
-
-val rebuild :
-  ?jobs:int ->
-  ?par_threshold:int ->
-  ?cancel:Mdp_obs.Cancel.t ->
-  patch ->
-  Plts.t ->
-  Plts.t option
-(** Re-explore the edited model with a hybrid step serving untouched
-    rows straight from the old LTS: the result is byte-identical to a
-    cold [Generate.run] of the edited universe — state numbering,
-    record packing, spill behaviour and cone summaries included — for
-    every job count. [None] when the previous exploration recorded no
-    cones.
-
-    @raise Mdp_lts.Lts.Too_many_states as a cold run would.
-    @raise Mdp_obs.Cancel.Cancelled when [cancel] fires mid-run. *)
+    wider than a word, a growing substitution) the labels come from a
+    cold exploration of the edited model under the patch's options,
+    counted under [whatif/cone_walk_declined]. Multiple walks over one
+    LTS may run concurrently (each allocates its own scratch). [None]
+    when the previous exploration recorded no cones or the edited model
+    exceeds [max_states] — callers fall back to a full rerun. *)

@@ -339,14 +339,14 @@ let sensitivity_delta base (after : Edit.inputs) field =
           { s with site_impact = impact }
           ~maintenance:s.site_maintenance)
 
-(* Cone-scoped evaluation: a pure policy-shrink edit re-explored only
+(* Cone-scoped evaluation: a pure policy-shrink edit answered by a walk
    through the affected store classes' cones ([Regen.walk]). For a
    Read/Write ACL edit a finding's level is a pure function of its
    label, so the distinct findable labels reachable in the edited model
    determine the after-report's signature levels — max level per
    signature over the walked labels, then a set diff against the base
-   signature levels. Read-only on the base (fresh labeller, finder and
-   scratch per call), so it parallelises like the delta path. Change
+   signature levels. Read-only on the base (fresh labeller and scratch
+   per call), so it parallelises like the delta path. Change
    lists come out sorted by signature — same sets as the exact path,
    canonical order. *)
 let cone_outcome base edit (after : Edit.inputs) =

@@ -189,23 +189,21 @@ module Make (S : STATE) (L : LABEL) = struct
     mutable spill : spill_state option;
   }
 
-  (* Per-store reachability cone summaries (the region-granular
-     invalidation down-payment): per label class — in generated models,
-     the datastore index an action touches — how many states have an
-     outgoing transition in that class and how many transitions carry
-     it. Arrays are class-indexed and grown on demand; [cn_last]
+  (* Per-store reachability cones (what the cone walk reads): per
+     label class — in generated models, the datastore index an action
+     touches — the states with an outgoing transition in that class.
+     Arrays are class-indexed and grown on demand; [cn_last]
      de-duplicates the per-state count without any per-state
      allocation (source ids arrive in nondecreasing order). *)
   type cones = {
     mutable cn_states : int array;
-    mutable cn_trans : int array;
     mutable cn_last : int array;
     mutable cn_sources : Bytes.t array;
         (* Per-class bitset over source state ids: bit [src] set iff the
            state has at least one outgoing transition in that class.
            Grown on demand alongside the count arrays; this is what lets
-           an incremental re-exploration seed its frontier from exactly
-           the states a store's edits can touch. *)
+           a what-if walk find exactly the states a store's edits can
+           touch. *)
   }
 
   type t = {
@@ -950,7 +948,7 @@ module Make (S : STATE) (L : LABEL) = struct
   (* ----- store cones ----- *)
 
   let new_cones () =
-    { cn_states = [||]; cn_trans = [||]; cn_last = [||]; cn_sources = [||] }
+    { cn_states = [||]; cn_last = [||]; cn_sources = [||] }
 
   let cone_ensure c cls =
     if cls >= Array.length c.cn_states then begin
@@ -961,7 +959,6 @@ module Make (S : STATE) (L : LABEL) = struct
         b
       in
       c.cn_states <- grow c.cn_states 0;
-      c.cn_trans <- grow c.cn_trans 0;
       c.cn_last <- grow c.cn_last (-1);
       let srcs = Array.make cap Bytes.empty in
       Array.blit c.cn_sources 0 srcs 0 (Array.length c.cn_sources);
@@ -997,22 +994,11 @@ module Make (S : STATE) (L : LABEL) = struct
       | None -> ()
       | Some c ->
         cone_ensure c cls;
-        c.cn_trans.(cls) <- c.cn_trans.(cls) + 1;
         if c.cn_last.(cls) <> src then begin
           c.cn_last.(cls) <- src;
           c.cn_states.(cls) <- c.cn_states.(cls) + 1;
           cone_mark_source c cls src
         end
-
-  let store_cone_stats t =
-    match t.cones with
-    | None -> None
-    | Some c ->
-      (* Trim the geometric growth slack: report up to the highest
-         class actually touched. *)
-      let len = ref 0 in
-      Array.iteri (fun i last -> if last >= 0 then len := i + 1) c.cn_last;
-      Some (Array.init !len (fun i -> (c.cn_states.(i), c.cn_trans.(i))))
 
   let cone_sources t cls =
     match t.cones with
@@ -1083,20 +1069,6 @@ module Make (S : STATE) (L : LABEL) = struct
       shard_find p p.shards.(shard_of h) (tag_of h) p.cand_buf p.cur p.cmp_buf
     in
     if id >= 0 then Some id else None
-
-  (* A lookup closure with private scratch buffers: [find_state] reuses
-     shared encode/compare buffers and is not safe to call from several
-     domains at once; finders are. *)
-  let make_finder t =
-    let p = t.p in
-    let cand = Array.make p.pk.pk_words 0 in
-    let cmp = Array.make p.pk.pk_words 0 in
-    let cur = P.cursor () in
-    fun s ->
-      p.pk.pk_blit s cand 0;
-      let h = P.hash_words cand p.pk.pk_words in
-      let id = shard_find p p.shards.(shard_of h) (tag_of h) cand cur cmp in
-      if id >= 0 then Some id else None
 
   (* Label-id access: labels are interned, so a per-label verdict
      ("does this label change under the edit?") can be computed once
@@ -1699,7 +1671,7 @@ module Make (S : STATE) (L : LABEL) = struct
     | None -> ()
     | Some c ->
       let stores = ref 0 and touches = ref 0 in
-      Array.iter (fun k -> if k > 0 then incr stores) c.cn_trans;
+      Array.iter (fun k -> if k > 0 then incr stores) c.cn_states;
       Array.iter (fun k -> touches := !touches + k) c.cn_states;
       Mdp_obs.Metrics.add "whatif/cone_stores" !stores;
       Mdp_obs.Metrics.add "whatif/cone_state_touches" !touches);

@@ -203,9 +203,9 @@ module Make (S : STATE) (L : LABEL) : sig
 
       [label_class] assigns each transition label a small non-negative
       class (e.g. the index of the store it touches; [-1] for none);
-      when set, exploration accumulates per-class reachability cone
-      summaries readable via {!store_cone_stats} at no extra passes
-      over the LTS.
+      when set, exploration records each class's cone — the states
+      with an outgoing transition in that class — readable via
+      {!cone_sources} at no extra passes over the LTS.
 
       [cancel] is polled cooperatively: once per frontier round in
       parallel mode (only the merging domain polls, so no worker raises
@@ -237,13 +237,7 @@ module Make (S : STATE) (L : LABEL) : sig
 
   val find_state : t -> S.t -> state_id option
   (** Reuses shared scratch buffers — do not call from several domains
-      at once; use {!make_finder} for that. *)
-
-  val make_finder : t -> S.t -> state_id option
-  (** [make_finder t] is a lookup closure with private scratch buffers:
-      distinct finders may run on distinct domains concurrently (each
-      also decodes through its own cursor). Partially apply once per
-      domain and reuse — creation allocates the buffers. *)
+      at once. *)
 
   val interned_labels : t -> L.t array option
   (** The interned-label table (a copy), indexed by the label ids
@@ -294,17 +288,10 @@ module Make (S : STATE) (L : LABEL) : sig
       process exit. Decodes of spilled states fail afterwards — call
       only when done with the LTS. No-op when nothing spilled. *)
 
-  val store_cone_stats : t -> (int * int) array option
-  (** Per-class [(states, transitions)] cone summaries accumulated
-      during exploration: slot [c] counts the distinct source states
-      with at least one class-[c] transition, and the class-[c]
-      transitions themselves. [None] unless [explore] ran with
-      [label_class]. *)
-
   val cone_sources : t -> int -> state_id array option
   (** The distinct source states with at least one class-[c] outgoing
-      transition, in ascending id order — the frontier seed for a
-      cone-scoped incremental re-exploration. [None] unless [explore]
+      transition, in ascending id order — the rows a cone-scoped
+      what-if walk must substitute. [None] unless [explore]
       ran with [label_class]; [Some [||]] for a class never touched. *)
 
   (** {1 Label rewriting} *)

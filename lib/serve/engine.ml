@@ -409,7 +409,8 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
           C.Edit.classify ~options:a.options ~before:inputs ~after:after_inputs
         in
         let after_t =
-          C.Analysis.run_incremental ~jobs:t.config.jobs ~previous:base edits
+          C.Analysis.run_incremental ~jobs:t.config.jobs ?cancel ~previous:base
+            edits
         in
         let population =
           match w.wpop with

@@ -576,6 +576,29 @@ let whatif_kind ?(diff = false) ?pop edits =
       wpop = pop;
     }
 
+(* A what-if request whose edit changes the transition structure
+   re-explores the edited model: on a warm 135k-state artifact, a
+   removed flow under a 50 ms deadline must come back cancelled within
+   the soak's deadline slack rather than finish the exploration. *)
+let test_engine_whatif_deadline () =
+  let model = "synthetic:9-14-8" in
+  let e = S.Engine.create () in
+  check bool_ "artifact warm" true
+    ((S.Engine.handle e (analyse ~model "warm")).status = S.Protocol.Ok_);
+  let t0 = Unix.gettimeofday () in
+  let resp =
+    S.Engine.handle e ~cancel:(Cancel.with_budget_ms 50)
+      (analyse ~model ~kind:(whatif_kind [ "flow-:Service0:1" ])
+         ~deadline_ms:50 "w")
+  in
+  let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  check bool_ "deadline cancelled" true
+    (resp.status = S.Protocol.Cancelled `Deadline);
+  let slack = S.Soak.default_spec.S.Soak.deadline_slack_ms in
+  if elapsed_ms > 50. +. slack then
+    Alcotest.failf "cancelled after %.0f ms (budget 50 ms + %.0f ms slack)"
+      elapsed_ms slack
+
 let test_engine_whatif () =
   let e = S.Engine.create () in
   (* Profile-only edit: the incremental path must reuse the cached
@@ -904,6 +927,8 @@ let () =
             test_engine_deadline_cancel;
           Alcotest.test_case "population deadline" `Quick
             test_engine_population_deadline;
+          Alcotest.test_case "whatif deadline" `Quick
+            test_engine_whatif_deadline;
           Alcotest.test_case "client cancel mid-flight" `Quick
             test_engine_client_cancel_mid_flight;
           Alcotest.test_case "state limit trips breaker" `Quick
