@@ -170,105 +170,10 @@ let classes ?cancel u profiles =
 
 (* ----- compiled + parallel aggregation ----- *)
 
-let analyse_compiled ?matrix ?model ?(jobs = 1) ?cancel ?plan
-    ?classes:precomputed u lts profiles =
-  Mdp_obs.Metrics.span "population/analyse_compiled" @@ fun () ->
-  (match cancel with None -> () | Some c -> Mdp_obs.Cancel.check c);
-  let plan =
-    match plan with
-    | Some p -> p
-    | None -> Risk_plan.compile ?matrix ?model u lts
-  in
-  let cls_list =
-    match precomputed with Some c -> c | None -> classes ?cancel u profiles
-  in
-  let cls = Array.of_list cls_list in
-  let total = Listx.sum_by snd cls_list in
-  Mdp_obs.Metrics.add "population/profiles" total;
-  Mdp_obs.Metrics.add "population/classes" (Array.length cls);
-  let nslots = Array.length (Risk_plan.slots plan) in
-  (* Per-chunk partials fold classes as they are evaluated — no
-     per-profile reports are ever materialised. The merge below uses
-     only sums and maxes, so the aggregate is identical for every
-     [jobs] (and to the naive per-profile path). *)
-  let parts =
-    Parallel.map_chunks ~jobs (Array.length cls) (fun lo hi ->
-        let counts = Array.make 4 0 in
-        let affected = Array.make (max nslots 1) 0 in
-        let worst = Array.make (max nslots 1) Level.None_ in
-        let c = ref lo in
-        (* Every domain polls the shared token between class
-           evaluations and simply stops folding when it fires — no
-           exception ever crosses a domain boundary; the caller raises
-           after the join, once, below. *)
-        while
-          !c < hi
-          && not
-               (match cancel with
-               | None -> false
-               | Some tok -> !c land 63 = 0 && Mdp_obs.Cancel.cancelled tok)
-        do
-          let profile, weight = cls.(!c) in
-          let s = Risk_plan.summary plan profile in
-          let r = Level.rank s.Risk_plan.worst in
-          counts.(r) <- counts.(r) + weight;
-          Array.iteri
-            (fun i lvl ->
-              if Level.compare lvl Level.None_ > 0 then begin
-                affected.(i) <- affected.(i) + weight;
-                worst.(i) <- Level.max worst.(i) lvl
-              end)
-            s.Risk_plan.slot_levels;
-          incr c
-        done;
-        Mdp_obs.Metrics.add "population/class_evals" (!c - lo);
-        (counts, affected, worst))
-  in
-  (match cancel with None -> () | Some c -> Mdp_obs.Cancel.check c);
-  Mdp_obs.Metrics.span "population/merge" @@ fun () ->
-  let counts = Array.make 4 0 in
-  let affected = Array.make (max nslots 1) 0 in
-  let worst = Array.make (max nslots 1) Level.None_ in
-  List.iter
-    (fun (c, a, w) ->
-      Array.iteri (fun i v -> counts.(i) <- counts.(i) + v) c;
-      Array.iteri (fun i v -> affected.(i) <- affected.(i) + v) a;
-      Array.iteri (fun i v -> worst.(i) <- Level.max worst.(i) v) w)
-    parts;
-  let by_level =
-    List.filter_map
-      (fun l ->
-        let c = counts.(Level.rank l) in
-        if c > 0 then Some (l, c) else None)
-      level_order
-  in
-  let hotspots =
-    Array.to_list
-      (Array.mapi
-         (fun i (actor, store) ->
-           { actor; store; affected = affected.(i); worst = worst.(i) })
-         (Risk_plan.slots plan))
-    |> List.filter (fun h -> h.affected > 0)
-    |> sort_hotspots
-  in
-  { total; by_level; hotspots }
-
-(* ----- cached class summaries + σ-delta reaggregation ----- *)
-
-type cached = {
-  ca_u : Universe.t;
-  ca_plan : Risk_plan.t;
-  ca_classes : (User_profile.t * int) array;
-  ca_sigma : float array array;
-      (* per class, σ by universe field index — the reuse key *)
-  ca_summaries : Risk_plan.summary array;
-}
-
-(* Shared merge: per-class summaries, in class order, folded with the
-   same sums/maxes/filters as [analyse_compiled]'s chunk merge — so the
-   aggregate is identical to what that path produces from the same
-   classes (summation order cannot matter, and [sort_hotspots] is a
-   total order). *)
+(* Folds per-class summaries, in class order, with sums and maxes only,
+   so the aggregate is identical for every [jobs] (summation order
+   cannot matter, and [sort_hotspots] is a total order) and to the
+   naive per-profile path. *)
 let aggregate_of plan cls summaries =
   let nslots = Array.length (Risk_plan.slots plan) in
   let counts = Array.make 4 0 in
@@ -306,38 +211,80 @@ let aggregate_of plan cls summaries =
   { total = Array.fold_left (fun acc (_, w) -> acc + w) 0 cls;
     by_level; hotspots }
 
-let summaries_for ?(jobs = 1) ?cancel plan cls eval =
-  let n = Array.length cls in
-  let out = Array.make (max n 1) { Risk_plan.worst = Level.None_;
-                                   slot_levels = [||] } in
-  let parts =
-    Parallel.map_chunks ~jobs n (fun lo hi ->
-        List.init (hi - lo) (fun j ->
-            (match cancel with
-            | Some tok when (lo + j) land 63 = 0 -> Mdp_obs.Cancel.check tok
-            | _ -> ());
-            eval plan (lo + j)))
+(* The one class-evaluation loop: [eval plan c] for every class index
+   [c < n], chunked over [jobs] domains, no per-profile report ever
+   materialised. Every domain polls the shared token between class
+   evaluations and simply stops when it fires — no exception crosses a
+   domain boundary; the token is checked once, after the join. *)
+let summaries_for ?(jobs = 1) ?cancel plan n eval =
+  let out =
+    Array.make n { Risk_plan.worst = Level.None_; slot_levels = [||] }
   in
-  let k = ref 0 in
-  List.iter
-    (List.iter (fun s ->
-         out.(!k) <- s;
-         incr k))
-    parts;
+  let fired c =
+    match cancel with
+    | Some tok -> c land 63 = 0 && Mdp_obs.Cancel.cancelled tok
+    | None -> false
+  in
+  let evaluated =
+    Parallel.map_chunks ~jobs n (fun lo hi ->
+        let c = ref lo in
+        while !c < hi && not (fired !c) do
+          out.(!c) <- eval plan !c;
+          incr c
+        done;
+        !c - lo)
+  in
+  Mdp_obs.Metrics.add "population/class_evals"
+    (Listx.sum_by Fun.id evaluated);
+  Option.iter Mdp_obs.Cancel.check cancel;
   out
 
-let prepare ?matrix ?model ?(jobs = 1) ?cancel ?plan ?classes:precomputed u
-    lts profiles =
-  Mdp_obs.Metrics.span "population/prepare" @@ fun () ->
+let plan_and_classes ?matrix ?model ?cancel ?plan ?classes:precomputed u lts
+    profiles =
   let plan =
     match plan with
     | Some p -> p
     | None -> Risk_plan.compile ?matrix ?model u lts
   in
-  let cls_list =
+  let cls =
     match precomputed with Some c -> c | None -> classes ?cancel u profiles
   in
-  let cls = Array.of_list cls_list in
+  (plan, Array.of_list cls)
+
+let class_summaries ?jobs ?cancel plan cls =
+  summaries_for ?jobs ?cancel plan (Array.length cls) (fun plan c ->
+      Risk_plan.summary plan (fst cls.(c)))
+
+let analyse_compiled ?matrix ?model ?jobs ?cancel ?plan ?classes u lts
+    profiles =
+  Mdp_obs.Metrics.span "population/analyse_compiled" @@ fun () ->
+  Option.iter Mdp_obs.Cancel.check cancel;
+  let plan, cls =
+    plan_and_classes ?matrix ?model ?cancel ?plan ?classes u lts profiles
+  in
+  Mdp_obs.Metrics.add "population/profiles"
+    (Array.fold_left (fun acc (_, w) -> acc + w) 0 cls);
+  Mdp_obs.Metrics.add "population/classes" (Array.length cls);
+  let summaries = class_summaries ?jobs ?cancel plan cls in
+  Mdp_obs.Metrics.span "population/merge" @@ fun () ->
+  aggregate_of plan cls summaries
+
+(* ----- cached class summaries + σ-delta reaggregation ----- *)
+
+type cached = {
+  ca_u : Universe.t;
+  ca_plan : Risk_plan.t;
+  ca_classes : (User_profile.t * int) array;
+  ca_sigma : float array array;
+      (* per class, σ by universe field index — the reuse key *)
+  ca_summaries : Risk_plan.summary array;
+}
+
+let prepare ?matrix ?model ?jobs ?cancel ?plan ?classes u lts profiles =
+  Mdp_obs.Metrics.span "population/prepare" @@ fun () ->
+  let plan, cls =
+    plan_and_classes ?matrix ?model ?cancel ?plan ?classes u lts profiles
+  in
   let nf = Universe.nfields u in
   let sigma =
     Array.map
@@ -346,11 +293,7 @@ let prepare ?matrix ?model ?(jobs = 1) ?cancel ?plan ?classes:precomputed u
             User_profile.sensitivity p (Universe.field_at u i)))
       cls
   in
-  let summaries =
-    summaries_for ~jobs ?cancel plan cls (fun plan c ->
-        Risk_plan.summary plan (fst cls.(c)))
-  in
-  Mdp_obs.Metrics.add "population/class_evals" (Array.length cls);
+  let summaries = class_summaries ?jobs ?cancel plan cls in
   { ca_u = u; ca_plan = plan; ca_classes = cls; ca_sigma = sigma;
     ca_summaries = summaries }
 
@@ -376,7 +319,7 @@ let override_profile overrides p =
     ~agreed_services:(User_profile.agreed_services p)
     ()
 
-let reaggregate ?(jobs = 1) ?cancel c ~overrides =
+let reaggregate ?jobs ?cancel c ~overrides =
   Mdp_obs.Metrics.span "population/reaggregate" @@ fun () ->
   let u = c.ca_u in
   let idx =
@@ -398,13 +341,11 @@ let reaggregate ?(jobs = 1) ?cancel c ~overrides =
   in
   let stale_arr = Array.of_list stale_ids in
   let fresh =
-    summaries_for ~jobs ?cancel c.ca_plan
-      (Array.map (fun i -> c.ca_classes.(i)) stale_arr)
+    summaries_for ?jobs ?cancel c.ca_plan (Array.length stale_arr)
       (fun plan j ->
         let p, _ = c.ca_classes.(stale_arr.(j)) in
         Risk_plan.summary plan (override_profile overrides p))
   in
-  Mdp_obs.Metrics.add "population/class_evals" (Array.length stale_arr);
   let summaries = Array.copy c.ca_summaries in
   Array.iteri (fun j i -> summaries.(i) <- fresh.(j)) stale_arr;
   let reused = Array.length c.ca_classes - Array.length stale_arr in

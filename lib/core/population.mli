@@ -95,15 +95,16 @@ val analyse_compiled :
 (** The compiled engine: one {!Risk_plan.compile} pass over the LTS,
     profiles deduplicated through {!classes}, each class evaluated once
     via [Risk_plan.summary] and weighted by its size, with the classes
-    fanned out over [jobs] domains (default 1) and folded into
-    streaming partial counts — no per-profile reports exist at any
-    point. The merge uses only sums and maxes, so the result is
-    identical for every [jobs] value and byte-identical to {!analyse}
-    on the same inputs. Unlike {!analyse} it leaves the LTS labels
+    fanned out over [jobs] domains (default 1) and their summaries
+    folded by one merge — no per-profile reports exist at any point.
+    It shares {!prepare}'s class-evaluation loop and
+    {!cached_aggregate}'s merge, which uses only sums and maxes, so the
+    result is identical for every [jobs] value and byte-identical to
+    {!analyse} on the same inputs. Unlike {!analyse} it leaves the LTS labels
     untouched.
 
     [cancel] is polled between class evaluations on every domain: a
-    fired token makes each chunk stop folding within a few classes,
+    fired token makes each chunk stop evaluating within a few classes,
     the domains join normally, and the call then raises
     [Mdp_obs.Cancel.Cancelled] — no partial aggregate escapes and the
     plan/LTS remain untouched and reusable.
@@ -143,8 +144,8 @@ val prepare :
   User_profile.t list ->
   cached
 (** Evaluate every class once (fanned over [jobs] domains) and retain
-    the summaries. Same [plan]/[classes] reuse contract as
-    {!analyse_compiled}. *)
+    the summaries. Same [plan]/[classes] reuse contract and [cancel]
+    discipline as {!analyse_compiled}. *)
 
 val cached_aggregate : cached -> aggregate
 (** The aggregate over the cached summaries — byte-identical to

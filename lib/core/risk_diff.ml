@@ -14,15 +14,17 @@ type t = {
   unchanged : int;
 }
 
-let signature_of_finding (f : Disclosure_risk.finding) =
+let signature_of_action (a : Action.t) =
   {
-    actor = f.action.Action.actor;
-    store = f.action.Action.store;
-    kind = f.action.Action.kind;
+    actor = a.Action.actor;
+    store = a.Action.store;
+    kind = a.Action.kind;
     fields =
-      List.sort String.compare
-        (List.map Mdp_dataflow.Field.name f.action.Action.fields);
+      List.sort String.compare (List.map Mdp_dataflow.Field.name a.fields);
   }
+
+let signature_of_finding (f : Disclosure_risk.finding) =
+  signature_of_action f.action
 
 (* Worst level per signature: the same access can appear from many LTS
    states; the report's risk for it is the maximum. *)
@@ -62,6 +64,51 @@ let diff ~before ~after =
       ([], 0) b
   in
   { removed; added; changed = List.rev changed; unchanged }
+
+(* ----- per-signature level tables ----- *)
+
+type levels = (signature, Level.t) Hashtbl.t
+
+let add_level tbl a level =
+  let s = signature_of_action a in
+  match Hashtbl.find_opt tbl s with
+  | Some prev when Level.compare level prev <= 0 -> ()
+  | _ -> Hashtbl.replace tbl s level
+
+let worst tbl = Hashtbl.fold (fun _ l acc -> Level.max acc l) tbl Level.None_
+
+let of_levels ~before ~after =
+  let present tbl =
+    Hashtbl.fold
+      (fun s l acc ->
+        if Level.compare l Level.None_ > 0 then (s, l) :: acc else acc)
+      tbl []
+    |> List.sort compare
+  in
+  let level_in tbl s =
+    Option.value (Hashtbl.find_opt tbl s) ~default:Level.None_
+  in
+  let b = present before and a = present after in
+  let removed, changed, unchanged =
+    List.fold_right
+      (fun (s, before) (removed, changed, unchanged) ->
+        let after = level_in after s in
+        let c = { signature = s; before; after } in
+        if Level.equal after Level.None_ then (c :: removed, changed, unchanged)
+        else if Level.equal before after then
+          (removed, changed, unchanged + 1)
+        else (removed, c :: changed, unchanged))
+      b ([], [], 0)
+  in
+  let added =
+    List.filter_map
+      (fun (s, after) ->
+        if Level.equal (level_in before s) Level.None_ then
+          Some { signature = s; before = Level.None_; after }
+        else None)
+      a
+  in
+  { removed; added; changed; unchanged }
 
 let improved t =
   t.added = []

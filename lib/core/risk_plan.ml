@@ -79,7 +79,7 @@ type t = {
   src : int array;
   dst : int array;
   lid : int array;  (** Entry (transition, [iter_transitions] order) -> label id. *)
-  findable : int array;  (** Entries with a findable label. *)
+  findable_entries : int;  (** Entries with a findable label. *)
   findable_labels : int array;
   slots : (string * string option) array;
       (** Slot -> (actor, store) of its findable labels — the hotspot
@@ -99,6 +99,7 @@ let slots t = t.slots
 let matrix t = t.matrix
 let model t = t.model
 let num_entries t = Array.length t.lid
+let num_findable_entries t = t.findable_entries
 
 let with_universe t u = { t with u }
 
@@ -304,13 +305,6 @@ let compile ?(matrix = Risk_matrix.default)
   assert (!k = n);
   let labels = Array.of_list (List.rev !plans) in
   let findable_label l = labels.(l).l_findable in
-  let select p len =
-    let acc = ref [] in
-    for i = len - 1 downto 0 do
-      if p i then acc := i :: !acc
-    done;
-    Array.of_list !acc
-  in
   Mdp_obs.Metrics.add "risk_plan/labels" (Array.length labels);
   Mdp_obs.Metrics.add "risk_plan/entries" n;
   {
@@ -323,8 +317,11 @@ let compile ?(matrix = Risk_matrix.default)
     src;
     dst;
     lid;
-    findable = select (fun k -> findable_label lid.(k)) n;
-    findable_labels = select findable_label (Array.length labels);
+    findable_entries =
+      Array.fold_left (fun c l -> if findable_label l then c + 1 else c) 0 lid;
+    findable_labels =
+      Array.of_seq
+        (Seq.filter findable_label (Seq.init (Array.length labels) Fun.id));
     slots = Array.of_list (List.rev !slot_list);
     entry_base;
     witness_tree = None;
@@ -425,80 +422,32 @@ let plan_level ~matrix ~model view impact likelihood =
 let label_level lb ~matrix ~model view (a : Action.t) =
   plan_level ~matrix ~model view (impact_plan lb a) (likelihood_plan lb a)
 
-(* ----- population summary ----- *)
+(* ----- per-label levels ----- *)
+
+(* The one per-label loop: every distinct findable label with its
+   finding level under [view]. The population summary, the what-if
+   base table and its Delta re-levels all fold through it. *)
+let iter_levels t view f =
+  Array.iter
+    (fun l ->
+      let lp = t.labels.(l) in
+      f lp
+        (plan_level ~matrix:t.matrix ~model:t.model view lp.l_impact
+           lp.l_likelihood))
+    t.findable_labels
+
+let iter_findable t view f =
+  iter_levels t view (fun lp level -> f lp.l_action level)
 
 type summary = { worst : Level.t; slot_levels : Level.t array }
 
 let summary t profile =
-  let view = view t profile in
   let worst = ref Level.None_ in
   let slot_levels = Array.make (Array.length t.slots) Level.None_ in
-  Array.iter
-    (fun l ->
-      let lp = t.labels.(l) in
-      let level =
-        plan_level ~matrix:t.matrix ~model:t.model view lp.l_impact
-          lp.l_likelihood
-      in
+  iter_levels t (view t profile) (fun lp level ->
       worst := Level.max !worst level;
-      slot_levels.(lp.l_slot) <- Level.max slot_levels.(lp.l_slot) level)
-    t.findable_labels;
+      slot_levels.(lp.l_slot) <- Level.max slot_levels.(lp.l_slot) level);
   { worst = !worst; slot_levels }
-
-(* ----- what-if delta substrate ----- *)
-
-type site = {
-  site_slot : int;
-  site_fields : string list;
-  site_impact : float;
-  site_accidental : float;
-  site_maintenance : bool;
-  site_rogue : float;
-}
-
-let finding_sites t profile =
-  let view = view t profile in
-  (* One site per findable label, fanned out to its entries. *)
-  let per_label =
-    Array.map
-      (fun lp ->
-        if not lp.l_findable then None
-        else begin
-          let lk = Option.get lp.l_likelihood in
-          Some
-            {
-              site_slot = lp.l_slot;
-              site_fields =
-                List.sort String.compare
-                  (List.map Field.name lp.l_action.Action.fields);
-              site_impact = eval_impact view lp.l_impact;
-              site_accidental = accidental_term t.model view lk.lk_accidental;
-              site_maintenance = lk.lk_maintenance;
-              site_rogue = rogue_term t.model view lk.lk_rogue;
-            }
-        end)
-      t.labels
-  in
-  Array.map (fun k -> Option.get per_label.(t.lid.(k))) t.findable
-
-let site_level t s ~maintenance =
-  if s.site_impact > 0.0 then begin
-    let m =
-      if maintenance then t.model.Disclosure_risk.maintenance_exposure
-      else 0.0
-    in
-    let likelihood =
-      Disclosure_risk.combine_scenarios t.model
-        ~accidental:s.site_accidental ~maintenance:m ~rogue:s.site_rogue
-    in
-    if likelihood > 0.0 then begin
-      let il = Risk_matrix.impact_level t.matrix s.site_impact in
-      let ll = Risk_matrix.likelihood_level t.matrix likelihood in
-      Risk_matrix.level t.matrix ~impact:il ~likelihood:ll
-    end
-    else Level.None_
-  end
-  else Level.None_
 
 (* ----- full report (bit-compatible with Disclosure_risk.analyse) ----- *)
 

@@ -94,11 +94,36 @@ val analyse : ?grown:bool -> t -> User_profile.t -> Disclosure_risk.report
     {!compile} (default mode), removed (any mode), or [~grown:true]
     finds no cached witness tree. *)
 
-(** {2 What-if delta substrate}
+(** {2 Per-label re-levelling}
 
-    One record per findable entry with the §III-A evaluation broken
-    into its scenario terms, so a what-if sweep can re-level just the
-    entries an edit touches without re-running {!analyse}. *)
+    A finding's level is a function of its transition label alone, so a
+    what-if edit that keeps the transition structure is answered by
+    re-levelling the plan's distinct findable labels: under an edited
+    profile's {!view} (σ edits), or on {!repatch_maintenance}'s plan
+    (Delete-permission edits). An edit that changes the structure is
+    answered by levelling the labels a cone walk reaches with
+    {!label_level}. Each is one pass over labels, never over
+    transitions. *)
+
+val num_findable_entries : t -> int
+(** Number of transitions whose label is findable (a read with
+    provenance other than [Inferred]) — the sites a finding can occur
+    at. *)
+
+type view
+(** A profile reduced to dense per-index lookups (σ by field index,
+    allowance by actor index, agreement by service bitset). Built
+    against a plan's universe; valid for any universe sharing the
+    diagram — in particular every pure policy edit. Read-only once
+    built, so one view may serve several domains. *)
+
+val view : t -> User_profile.t -> view
+
+val iter_findable : t -> view -> (Action.t -> Level.t -> unit) -> unit
+(** Every distinct findable label of the plan, in first-occurrence
+    order, with the finding level its transitions get under [view] —
+    the same per-label loop {!summary} folds. Reads only the plan, so
+    it is safe on a grown LTS and from several domains. *)
 
 type labeller
 (** Per-universe label semantics — index lookups, reader sets, service
@@ -108,14 +133,6 @@ type labeller
     levels reachable labels directly. *)
 
 val make_labeller : Universe.t -> labeller
-
-type view
-(** A profile reduced to dense per-index lookups (σ by field index,
-    allowance by actor index, agreement by service bitset). Built
-    against a plan's universe; valid for any universe sharing the
-    diagram — in particular every pure policy edit. *)
-
-val view : t -> User_profile.t -> view
 
 val label_level :
   labeller ->
@@ -131,24 +148,3 @@ val label_level :
     (actor, fields), likelihood from (provenance, deleter sets,
     diagram rogue candidates, agreement). [None_] for non-findable or
     below-threshold labels. *)
-
-type site = {
-  site_slot : int;  (** Index into {!slots}. *)
-  site_fields : string list;
-      (** Sorted field names of the read label — the [Risk_diff]
-          signature key. Shared by every site of one label. *)
-  site_impact : float;  (** Resolved impact for the given profile. *)
-  site_accidental : float;  (** Resolved accidental-access term. *)
-  site_maintenance : bool;  (** Maintenance-exposure flag. *)
-  site_rogue : float;  (** Resolved rogue-service term. *)
-}
-
-val finding_sites : t -> User_profile.t -> site array
-(** All findable entries in transition order, evaluated for [profile]
-    once per label (entries of one label share its site). Reads only
-    the plan, so it is safe on a grown LTS. *)
-
-val site_level : t -> site -> maintenance:bool -> Level.t
-(** Re-level one site with its maintenance flag overridden —
-    float-identical to what {!analyse} computes for that entry when the
-    plan's flag has that value. *)

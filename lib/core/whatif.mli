@@ -1,29 +1,33 @@
 (** Interactive what-if sweeps: the batched form of the §IV-A edit
     loop.
 
-    {!prepare} digests a profile-bearing {!Analysis.t} once — every
-    findable entry's scenario terms ({!Risk_plan.finding_sites}),
-    interned finding signatures, per-(actor, store) slot indices — and
-    {!eval_edit} then answers "what does this edit do to the report?"
-    as a delta against that substrate:
+    A finding's level is a function of its transition label alone, so
+    every computed outcome is a per-signature level table built from
+    per-label levels and diffed against the base table by one builder
+    ({!Risk_diff.of_levels}). {!prepare} levels the compiled plan's
+    distinct findable labels under the base profile once; {!eval_edit}
+    then answers "what does this edit do to the report?":
 
     - edits the classifier proves report-preserving come back
       [Unchanged] with an empty {!Risk_diff.t};
-    - Delete-permission edits (maintenance-exposure flips) and σ edits
-      re-level only the affected signatures' sites ([Delta]) — this is
-      the interactive (<10 ms) path;
+    - Delete-permission edits (maintenance-exposure flips) level the
+      findable labels of {!Risk_plan.repatch_maintenance}'s plan, and σ
+      edits level the plan's findable labels under the edited profile
+      ([Delta]) — one pass over labels, never over transitions;
     - profile edits that touch agreement, or policy edits needing a
       full re-evaluation over the reused LTS, are [Replay];
     - pure policy-shrink edits that do change the reachable transition
-      structure but only within recorded store cones are answered by a
-      cone-scoped reachability walk ([Cone]) — a computed outcome, set-
-      and level-identical to the exact path, with change lists in
-      canonical (signature-sorted) order;
+      structure but only within recorded store cones level the
+      distinct findable labels a cone-scoped reachability walk reaches
+      ([Cone]);
     - the remaining structure-changing edits are [Full_rerun].
 
-    [Replay]/[Full_rerun] candidates are not computed unless [~exact]
-    routes them through {!Analysis.run_incremental} (byte-identical to
-    a cold run, seconds on large models). *)
+    [Unchanged], [Delta] and [Cone] outcomes are set- and
+    level-identical to the exact path, with change lists in canonical
+    (signature-sorted) order. [Replay]/[Full_rerun] candidates are not
+    computed unless [~exact] routes them through
+    {!Analysis.run_incremental} (byte-identical to a cold run, seconds
+    on large models). *)
 
 type classification = Unchanged | Delta | Cone | Replay | Full_rerun
 
@@ -41,13 +45,18 @@ type outcome = {
 type base
 
 val prepare : Analysis.t -> (base, string) result
-(** One pass over the plan's findable entries (a [whatif/prepare]
-    span). Fails when the analysis has no profile (and hence no
-    disclosure report to delta against). *)
+(** One pass over the plan's distinct findable labels (a
+    [whatif/prepare] span). Fails when the analysis has no profile (and
+    hence no disclosure report to delta against). *)
 
 val worst_before : base -> Level.t
+
 val num_signatures : base -> int
+(** Distinct finding signatures of the plan's findable labels, at any
+    level. *)
+
 val num_sites : base -> int
+(** Findable transitions ({!Risk_plan.num_findable_entries}). *)
 
 val acl_candidates : base -> Edit.t list
 (** The "try all single-ACL removals" candidate set: one single-tuple
@@ -61,7 +70,7 @@ val eval_edit :
 (** Evaluate one candidate. Errors are application failures (unknown
     store, ...); classification never fails. Increments
     [whatif/incremental_hits] or [whatif/invalidated_lts] per
-    candidate. The delta path is read-only on the base; [~exact] is
+    candidate. The computed paths are read-only on the base; [~exact] is
     not (it re-annotates the shared LTS labels) and must not run
     concurrently. *)
 

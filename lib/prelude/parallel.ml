@@ -20,8 +20,17 @@ let map_chunks ~jobs n f =
             let lo = bound (k + 1) and hi = bound (k + 2) in
             Domain.spawn (fun () -> f lo hi))
       in
-      let first = f 0 (bound 1) in
-      first :: List.map Domain.join workers
+      (* Join every worker before re-raising, so no domain outlives
+         the call; the first failure in chunk order wins. *)
+      let capture g =
+        try Ok (g ()) with e -> Error (e, Printexc.get_raw_backtrace ())
+      in
+      let first = capture (fun () -> f 0 (bound 1)) in
+      let rest = List.map (fun d -> capture (fun () -> Domain.join d)) workers in
+      List.map
+        (function
+          | Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+        (first :: rest)
     end
 
 let iter_chunks ~jobs n f =

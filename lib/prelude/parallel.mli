@@ -21,7 +21,9 @@ val map_chunks : jobs:int -> int -> (int -> int -> 'a) -> 'a list
 (** [map_chunks ~jobs n f] runs [f lo hi] over each chunk — first
     chunk on the calling domain, the rest on spawned domains — and
     returns the results in chunk order (deterministic for any
-    [jobs]). Empty list when [n <= 0]. *)
+    [jobs]). Empty list when [n <= 0]. When chunks raise, every spawned
+    domain is still joined before the first exception in chunk order
+    is re-raised. *)
 
 val iter_chunks : jobs:int -> int -> (int -> int -> unit) -> unit
 (** {!map_chunks} for side-effecting chunk bodies. *)

@@ -259,6 +259,33 @@ let test_texttable () =
     (Invalid_argument "Texttable.add_row: row longer than header") (fun () ->
       Texttable.add_row t [ "1"; "2"; "3" ])
 
+(* ------------------------------------------------------------------ *)
+(* Parallel *)
+
+exception Chunk_failed of int
+
+(* A chunk that raises must not leave the other chunks' domains
+   running: every worker is joined before the first exception (in
+   chunk order) is re-raised. *)
+let test_map_chunks_joins_on_raise () =
+  let finished = Atomic.make 0 in
+  let run fail =
+    Parallel.map_chunks ~jobs:4 4 (fun lo _ ->
+        if fail lo then raise (Chunk_failed lo);
+        Unix.sleepf 0.05;
+        Atomic.incr finished)
+  in
+  Alcotest.check_raises "chunk 0 raises" (Chunk_failed 0) (fun () ->
+      ignore (run (fun lo -> lo = 0)));
+  check int_ "every worker joined" 3 (Atomic.get finished);
+  Atomic.set finished 0;
+  Alcotest.check_raises "first failing chunk wins" (Chunk_failed 1) (fun () ->
+      ignore (run (fun lo -> lo = 1 || lo = 3)));
+  check int_ "surviving chunks finished" 2 (Atomic.get finished);
+  check (Alcotest.list (Alcotest.pair int_ int_)) "results in chunk order"
+    [ (0, 2); (2, 4); (4, 7) ]
+    (Parallel.map_chunks ~jobs:3 7 (fun lo hi -> (lo, hi)))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -297,4 +324,9 @@ let () =
         ] );
       ("listx", [ Alcotest.test_case "helpers" `Quick test_listx ]);
       ("texttable", [ Alcotest.test_case "render" `Quick test_texttable ]);
+      ( "parallel",
+        [
+          Alcotest.test_case "map_chunks joins on raise" `Quick
+            test_map_chunks_joins_on_raise;
+        ] );
     ]

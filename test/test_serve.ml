@@ -363,8 +363,11 @@ let test_population_cancel () =
   Cancel.cancel fired;
   List.iter
     (fun jobs ->
-      match Core.Population.analyse_compiled ~jobs ~cancel:fired u lts profiles with
+      (match Core.Population.analyse_compiled ~jobs ~cancel:fired u lts profiles with
       | _ -> Alcotest.fail "expected population cancellation"
+      | exception Cancel.Cancelled _ -> ());
+      match Core.Population.prepare ~jobs ~cancel:fired u lts profiles with
+      | _ -> Alcotest.fail "expected population prepare cancellation"
       | exception Cancel.Cancelled _ -> ())
     [ 1; 4 ];
   (* The LTS and a fresh pass are unaffected by the aborted one. *)

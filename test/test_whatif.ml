@@ -292,13 +292,34 @@ let normalize (d : Core.Risk_diff.t) =
     changed = List.sort compare (List.map key d.changed);
   }
 
+(* A computed outcome against [run_incremental] on the same edit: the
+   normalised diff and the worst level must match. [None] when they do
+   (or the outcome was left uncomputed), else what differed. *)
+let outcome_mismatch analysis (o : Core.Whatif.outcome) =
+  let name = Core.Edit.to_string o.edit in
+  match (o.classification, o.diff) with
+  | (Core.Whatif.Replay | Core.Whatif.Full_rerun), None -> None
+  | _, None ->
+    Some
+      (Printf.sprintf "%s classified %s but carries no diff" name
+         (Core.Whatif.classification_to_string o.classification))
+  | _, Some diff ->
+    let before = Option.get analysis.Core.Analysis.disclosure in
+    let t = Core.Analysis.run_incremental ~previous:analysis [ o.edit ] in
+    let after = Option.get t.Core.Analysis.disclosure in
+    if normalize diff <> normalize (Core.Risk_diff.diff ~before ~after) then
+      Some (name ^ ": diff differs from truth")
+    else if o.worst_after <> Some (Core.Disclosure_risk.max_level after) then
+      Some (name ^ ": worst level differs from truth")
+    else None
+
+let prepare_exn analysis =
+  match Core.Whatif.prepare analysis with
+  | Ok b -> b
+  | Error e -> Alcotest.fail e
+
 let check_sweep_against_truth name analysis =
-  let base =
-    match Core.Whatif.prepare analysis with
-    | Ok b -> b
-    | Error e -> Alcotest.fail e
-  in
-  let before = Option.get analysis.Core.Analysis.disclosure in
+  let base = prepare_exn analysis in
   (* The candidate list carries a σ edit for each scenario's fields; on
      the other scenario's model it names an unknown field and must be
      refused. *)
@@ -319,28 +340,9 @@ let check_sweep_against_truth name analysis =
           (Core.Edit.to_string edit)
       | Error e -> Alcotest.fail e
       | Ok o -> (
-        match (o.Core.Whatif.classification, o.diff) with
-        | (Core.Whatif.Replay | Core.Whatif.Full_rerun), _ -> ()
-        | _, None ->
-          Alcotest.failf "%s: %s classified %s but carries no diff" name
-            (Core.Edit.to_string edit)
-            (Core.Whatif.classification_to_string o.classification)
-        | _, Some diff ->
-          let t =
-            Core.Analysis.run_incremental ~previous:analysis [ edit ]
-          in
-          let after = Option.get t.Core.Analysis.disclosure in
-          let truth = Core.Risk_diff.diff ~before ~after in
-          check bool_
-            (Printf.sprintf "%s: %s diff matches truth" name
-               (Core.Edit.to_string edit))
-            true
-            (normalize diff = normalize truth);
-          check bool_
-            (Printf.sprintf "%s: %s worst level matches" name
-               (Core.Edit.to_string edit))
-            true
-            (o.worst_after = Some (Core.Disclosure_risk.max_level after))))
+        match outcome_mismatch analysis o with
+        | None -> ()
+        | Some msg -> Alcotest.failf "%s: %s" name msg))
     (Core.Whatif.acl_candidates base
     @ [
         Core.Edit.Set_sensitivity (H.diagnosis, 0.2);
@@ -355,13 +357,61 @@ let test_sweep_truth_synthetic () =
   check_sweep_against_truth "synthetic:3-5-2@5"
     (synth_base "synthetic:3-5-2@5")
 
+(* The same check over generated models: small synthetic specs and
+   seeds, under the default matrix or one that makes maintenance flips
+   visible. Candidates are the ACL removals plus one σ edit per field;
+   every computed outcome must match [run_incremental], and the sweep
+   must not depend on [jobs]. *)
+let test_sweep_truth_generated =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((seed, nactors, nfields), (flows, flip, sigma)) ->
+          ( { Synth.seed; nactors; nfields; nstores = 2; nservices = 2;
+              flows_per_service = flows },
+            flip,
+            sigma ))
+        (pair
+           (triple (int_bound 1000) (int_range 2 4) (int_range 3 6))
+           (triple (int_range 2 3) bool (oneofl [ 0.0; 0.45; 0.95 ]))))
+  in
+  let print ((spec : Synth.spec), flip, sigma) =
+    Printf.sprintf "synthetic:%d-%d-%d@%d%s sigma=%g" spec.nactors
+      spec.nfields spec.flows_per_service spec.seed
+      (if flip then " flip-matrix" else "")
+      sigma
+  in
+  QCheck.Test.make ~count:40
+    ~name:"sweep outcomes match run_incremental (generated models)"
+    (QCheck.make ~print gen)
+    (fun (spec, flip, sigma) ->
+      let diagram, policy = Synth.model spec in
+      let matrix = if flip then flip_matrix else Core.Risk_matrix.default in
+      let analysis =
+        Core.Analysis.run ~matrix ~profile:(Synth.profile spec diagram)
+          diagram policy
+      in
+      let base = prepare_exn analysis in
+      let edits =
+        Core.Whatif.acl_candidates base
+        @ List.map
+            (fun f -> Core.Edit.Set_sensitivity (f, sigma))
+            (Diagram.all_fields diagram)
+      in
+      let ranked = Core.Whatif.sweep ~jobs:1 base edits in
+      if ranked <> Core.Whatif.sweep ~jobs:4 base edits then
+        QCheck.Test.fail_report "sweep ~jobs:4 differs from ~jobs:1";
+      List.iter
+        (fun (r : Core.Whatif.ranked) ->
+          match outcome_mismatch analysis r.outcome with
+          | None -> ()
+          | Some msg -> QCheck.Test.fail_report msg)
+        ranked;
+      true)
+
 let test_sweep_ranking () =
   let analysis = healthcare_base ~profile:H.profile_case_a () in
-  let base =
-    match Core.Whatif.prepare analysis with
-    | Ok b -> b
-    | Error e -> Alcotest.fail e
-  in
+  let base = prepare_exn analysis in
   let ranked = Core.Whatif.sweep base (Core.Whatif.acl_candidates base) in
   check bool_ "sweep covers all candidates" true
     (List.length ranked
@@ -639,6 +689,7 @@ let () =
             test_sweep_truth_healthcare;
           Alcotest.test_case "delta matches truth (synthetic)" `Quick
             test_sweep_truth_synthetic;
+          QCheck_alcotest.to_alcotest test_sweep_truth_generated;
           Alcotest.test_case "ranking" `Quick test_sweep_ranking;
         ] );
       ( "specs",
