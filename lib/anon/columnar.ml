@@ -3,46 +3,25 @@ open Mdp_prelude
 (* ------------------------------------------------------------------ *)
 (* Compiled representation *)
 
-(* Dictionary codes of one column, built lazily on first class-based
-   analysis (Mondrian never needs them). The two sides are independent
-   and independently lazy — the release gate's k/l checks only ever
-   render cells ([ckey]), so a high-cardinality sensitive column never
-   pays for the [equal_key] side it does not use:
-   - [ckey] codes rows by their *rendered* cell string, exactly the key
-     the naive [Dataset.equivalence_classes] concatenates — two cells
-     share a ckey iff the naive engine would put them in the same
-     class. Codes are dense and in first-appearance order, so class
-     order matches the naive first-seen grouping for free.
-   - [ekey] codes rows up to {!Value.equal} (numeric content by float
-     bits so [Int 3] and [Float 3.] share a code, other constructors by
-     an injective rendering), which is what per-value frequency counts
-     in {!Value_risk} need. *)
-type ckeys = { cdict : Interner.t; ckey : int array; csize : int }
-
-type ekeys = {
-  edict : Interner.t;
-  ekey : int array;
-  esize : int;
-  suppressed_code : int;  (* ekey code of [Suppressed]; -1 when absent *)
-}
+(* Dense dictionary codes of one column, assigned in first-appearance
+   row order, so codes folded into class keys give classes in the naive
+   first-seen grouping order for free. *)
+type codes = { code : int array; size : int }
 
 type col = {
   nums : float array;  (* numeric content; [nan] where none *)
   is_num : Bytes.t;  (* '\001' where {!Value.numeric} is [Some] *)
-  all_numeric : bool;
   first_non_numeric : int;  (* [max_int] when the column is numeric *)
-  mutable ckeys : ckeys option;
-  mutable ekeys : ekeys option;
+  mutable ckeys : codes option;
+      (* rows coded by their *rendered* cell string, exactly the key the
+         naive [Dataset.equivalence_classes] concatenates: two cells
+         share a code iff the naive engine puts them in the same class *)
+  mutable ekeys : (codes * int) option;
+      (* rows coded up to {!Value.equal}, for per-value frequency counts,
+         with the code of [Suppressed] (-1 when absent) *)
 }
 
-type t = {
-  ds : Dataset.t;
-  nrows : int;
-  attrs : Attribute.t array;
-  quasi : int list;
-  cols : col array;
-  mutable quasi_classes : int list list option;
-}
+type t = { ds : Dataset.t; nrows : int; quasi : int list; cols : col array }
 
 let float_bits x = Int64.to_string (Int64.bits_of_float x)
 
@@ -64,100 +43,47 @@ let compile_col ds ~col:c =
   let nrows = Dataset.nrows ds in
   let nums = Array.make nrows Float.nan in
   let is_num = Bytes.make nrows '\000' in
-  let all_numeric = ref true in
   let first_non_numeric = ref max_int in
   for r = 0 to nrows - 1 do
     match Value.numeric (Dataset.get ds ~row:r ~col:c) with
     | Some x ->
       nums.(r) <- x;
       Bytes.set is_num r '\001'
-    | None ->
-      if !all_numeric then first_non_numeric := r;
-      all_numeric := false
+    | None -> if !first_non_numeric = max_int then first_non_numeric := r
   done;
   {
     nums;
     is_num;
-    all_numeric = !all_numeric;
     first_non_numeric = !first_non_numeric;
     ckeys = None;
     ekeys = None;
   }
 
 let compile ds =
-  let attrs = Array.of_list (Dataset.attrs ds) in
   {
     ds;
     nrows = Dataset.nrows ds;
-    attrs;
     quasi = Dataset.quasi_indices ds;
-    cols = Array.init (Array.length attrs) (fun c -> compile_col ds ~col:c);
-    quasi_classes = None;
+    cols = Array.init (Dataset.ncols ds) (fun c -> compile_col ds ~col:c);
   }
 
 let source t = t.ds
-let nrows t = t.nrows
 
-let guard t ds =
-  if not (t.ds == ds) then
-    invalid_arg
-      "Columnar: plan was compiled from a different dataset (stale or \
-       mismatched source)"
-
-let col_index t name =
-  let rec go i =
-    if i >= Array.length t.attrs then raise Not_found
-    else if t.attrs.(i).Attribute.name = name then i
-    else go (i + 1)
+(* Intern every cell of column [c] under [key], in row order. *)
+let dictionary t c key =
+  let dict = Interner.create () in
+  let code =
+    Array.init t.nrows (fun r ->
+        Interner.intern dict (key (Dataset.get t.ds ~row:r ~col:c)))
   in
-  go 0
-
-(* Physically identical cells get their codes from a pointer cache
-   instead of re-rendering [Value.to_string]/[equal_key]: generalised
-   releases share one boxed value across every row of an equivalence
-   class, so on the datasets where class analyses matter most the
-   rendering work collapses from O(rows) to O(distinct cells). Equal
-   pointers are structurally equal, so the cached pair is exactly what
-   the dictionaries would have produced. *)
-module Ptr_cache = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
+  (dict, { code; size = Interner.size dict })
 
 let ckeys t c =
   let col = t.cols.(c) in
   match col.ckeys with
   | Some k -> k
   | None ->
-    let cdict = Interner.create () in
-    let ckey = Array.make t.nrows 0 in
-    (if col.all_numeric then
-       (* Raw numeric columns hold one fresh box per cell, so a pointer
-          cache can never hit — render unconditionally. *)
-       for r = 0 to t.nrows - 1 do
-         ckey.(r) <-
-           Interner.intern cdict
-             (Value.to_string (Dataset.get t.ds ~row:r ~col:c))
-       done
-     else begin
-       let cache = Ptr_cache.create 256 in
-       for r = 0 to t.nrows - 1 do
-         let v = Dataset.get t.ds ~row:r ~col:c in
-         ckey.(r) <-
-           (match Ptr_cache.find_opt cache v with
-           | Some ck -> ck
-           | None ->
-             let ck = Interner.intern cdict (Value.to_string v) in
-             (* Unbounded-cardinality columns would fill the cache with
-                single-use pointers; past this size the hit rate cannot
-                pay for the inserts. *)
-             if Ptr_cache.length cache < 65_536 then Ptr_cache.add cache v ck;
-             ck)
-       done
-     end);
-    let k = { cdict; ckey; csize = Interner.size cdict } in
+    let _, k = dictionary t c Value.to_string in
     col.ckeys <- Some k;
     k
 
@@ -166,35 +92,12 @@ let ekeys t c =
   match col.ekeys with
   | Some k -> k
   | None ->
-    let edict = Interner.create () in
-    let ekey = Array.make t.nrows 0 in
-    let suppressed = ref (-1) in
-    (if col.all_numeric then
-       (* As in [ckeys]; a numeric cell is never [Suppressed]. *)
-       for r = 0 to t.nrows - 1 do
-         ekey.(r) <-
-           Interner.intern edict (equal_key (Dataset.get t.ds ~row:r ~col:c))
-       done
-     else begin
-       let cache = Ptr_cache.create 256 in
-       for r = 0 to t.nrows - 1 do
-         let v = Dataset.get t.ds ~row:r ~col:c in
-         ekey.(r) <-
-           (match Ptr_cache.find_opt cache v with
-           | Some e -> e
-           | None ->
-             let fresh = Interner.size edict in
-             let e = Interner.intern edict (equal_key v) in
-             if e = fresh && v = Value.Suppressed then suppressed := e;
-             if Ptr_cache.length cache < 65_536 then Ptr_cache.add cache v e;
-             e)
-       done
-     end);
-    let k =
-      { edict; ekey; esize = Interner.size edict; suppressed_code = !suppressed }
+    let dict, k = dictionary t c equal_key in
+    let suppressed =
+      Option.value (Interner.find dict (equal_key Value.Suppressed)) ~default:(-1)
     in
-    col.ekeys <- Some k;
-    k
+    col.ekeys <- Some (k, suppressed);
+    (k, suppressed)
 
 (* ------------------------------------------------------------------ *)
 (* Hashed equivalence classes *)
@@ -211,14 +114,14 @@ let class_codes t ~by =
     let k0 = ckeys t c0 in
     List.fold_left
       (fun (acc, _) c ->
-        let ck = (ckeys t c).ckey in
+        let ck = (ckeys t c).code in
         let pair = Intcode.create ~size:(2 * t.nrows) () in
         let out = Array.make t.nrows 0 in
         for r = 0 to t.nrows - 1 do
           out.(r) <- Intcode.code pair acc.(r) ck.(r)
         done;
         (out, Intcode.size pair))
-      (k0.ckey, k0.csize) rest
+      (k0.code, k0.size) rest
 
 let buckets_of_codes codes nclasses =
   let buckets = Array.make nclasses [] in
@@ -227,32 +130,6 @@ let buckets_of_codes codes nclasses =
     buckets.(c) <- r :: buckets.(c)
   done;
   Array.to_list buckets
-
-let equivalence_classes t ~by =
-  if t.nrows = 0 then []
-  else
-    let code, nclasses = class_codes t ~by in
-    buckets_of_codes code nclasses
-
-let classes t =
-  match t.quasi_classes with
-  | Some cs -> cs
-  | None ->
-    let cs = equivalence_classes t ~by:t.quasi in
-    t.quasi_classes <- Some cs;
-    cs
-
-let min_class_size t =
-  match classes t with
-  | [] -> 0
-  | cs -> List.fold_left (fun m c -> min m (List.length c)) max_int cs
-
-let is_k_anonymous ~k t = t.nrows = 0 || min_class_size t >= k
-
-let violating_rows ~k t =
-  List.concat (List.filter (fun c -> List.length c < k) (classes t))
-
-let distinct_count t col = (ckeys t col).csize
 
 (* ------------------------------------------------------------------ *)
 (* Mondrian: in-place index-range partitioning *)
@@ -316,7 +193,6 @@ let select a lo hi rank =
   !result
 
 type partitioner = {
-  plan : t;
   idx : int array;  (* row permutation; leaves are contiguous ranges *)
   qcols : int array;  (* quasi columns, in Dataset.quasi_indices order *)
   vals : float array array;
@@ -333,7 +209,6 @@ type partitioner = {
 let make_partitioner t ~k =
   let qcols = Array.of_list t.quasi in
   {
-    plan = t;
     idx = Array.init t.nrows Fun.id;
     qcols;
     vals = Array.map (fun c -> Array.copy t.cols.(c).nums) qcols;
@@ -433,19 +308,22 @@ let rec explore p depth lo hi acc =
   | Some mid ->
     explore p (depth + 1) mid hi (explore p (depth + 1) lo mid acc)
 
+(* Ranges below this many rows are always explored sequentially. *)
+let par_threshold = 16384
+
 (* Fan the recursion out over a Domain pool: split top-down on the
    calling domain until there are enough independent subranges, then
    work contiguous runs of them in parallel. Each subrange owns a
    disjoint slice of idx and the scratch arrays, so domains never touch
    the same words. Split decisions are the sequential ones, so the
    leaf list is identical for any [jobs]. *)
-let partition_ranges ?(jobs = 1) ?(par_threshold = 16384) t ~k =
+let partition_ranges ~jobs t ~k =
   Mdp_obs.Metrics.span "mondrian/partition" @@ fun () ->
   Mdp_obs.Metrics.add "columnar/rows" t.nrows;
   let p = make_partitioner t ~k in
   let n = t.nrows in
-  let p, ranges =
-    if jobs <= 1 || n < par_threshold then (p, List.rev (explore p 0 0 n []))
+  let ranges =
+    if jobs <= 1 || n < par_threshold then List.rev (explore p 0 0 n [])
     else begin
       let target = 4 * jobs in
       (* pieces in left-to-right order, each carrying the split depth
@@ -500,14 +378,16 @@ let partition_ranges ?(jobs = 1) ?(par_threshold = 16384) t ~k =
             done;
             List.rev !acc)
       in
-      (p, List.concat leaf_lists)
+      List.concat leaf_lists
     end
   in
   Mdp_obs.Metrics.add "mondrian/partitions" (List.length ranges);
   (p, ranges)
 
+(* The naive engine's checks and messages, in its order. *)
 let validate_for_mondrian ~k t =
-  if t.nrows < k then Error "mondrian: fewer rows than k"
+  if k < 1 then Error "mondrian: k must be at least 1"
+  else if t.nrows < k then Error "mondrian: fewer rows than k"
   else begin
     (* First non-numeric quasi cell in row-major order, to report the
        same failure as the naive row-by-row scan. *)
@@ -526,26 +406,13 @@ let validate_for_mondrian ~k t =
     | None -> Ok ()
   end
 
-let ranges_to_partitions p ranges =
-  List.map
-    (fun (lo, hi) -> List.init (hi - lo) (fun i -> p.idx.(lo + i)))
-    ranges
-
-let mondrian_partitions ?jobs ?par_threshold ~k t =
-  match validate_for_mondrian ~k t with
-  | Error e -> Error e
-  | Ok () ->
-    let p, ranges = partition_ranges ?jobs ?par_threshold t ~k in
-    Ok (ranges_to_partitions p ranges)
-
-let mondrian_materialise t p ranges =
-  let ncols = Array.length t.attrs in
+(* One generalised value per (leaf, quasi column), shared by every row
+   of the leaf; rows map to leaves through one int per row rather than
+   one boxed value per quasi cell. *)
+let materialise t p ranges =
   let nq = Array.length p.qcols in
-  let qpos = Array.make ncols (-1) in
+  let qpos = Array.make (Dataset.ncols t.ds) (-1) in
   Array.iteri (fun q c -> qpos.(c) <- q) p.qcols;
-  (* One generalised value per (leaf, quasi column), shared by every
-     row of the leaf; rows map to leaves through one int per row
-     rather than one boxed value per quasi cell. *)
   let part_of = Array.make t.nrows 0 in
   let part_vals = Array.make (List.length ranges) [||] in
   List.iteri
@@ -577,62 +444,46 @@ let mondrian_materialise t p ranges =
         if q >= 0 then part_vals.(part_of.(row)).(q)
         else Dataset.get t.ds ~row ~col)
   in
-  (ds', qpos, part_of, part_vals)
-
-let mondrian_anonymise ?jobs ?par_threshold ~k t =
-  match validate_for_mondrian ~k t with
-  | Error e -> Error e
-  | Ok () ->
-    let p, ranges = partition_ranges ?jobs ?par_threshold t ~k in
-    let ds', _, _, _ = mondrian_materialise t p ranges in
-    Ok ds'
+  (ds', part_of, part_vals)
 
 (* Anonymise and keep the compiled form. The release plan's per-quasi-
    column class-key dictionaries are seeded from the partition
    structure: every row of a leaf shares one generalised value per
    column, so seeding renders one string per (leaf, column) where the
-   lazy builder would probe a cache per row. Interning happens at each
+   lazy builder would render one per row. Interning happens at each
    leaf's first row in row-scan order, so code assignment (dense,
    first-appearance order, leaves with equal renderings share a code)
    is exactly what the lazy builder produces — class semantics,
    including any merging of equal renderings, are unchanged. The
-   [ekeys] side stays lazy: class analyses and the release gate never
-   touch it. *)
-let mondrian_release ?jobs ?par_threshold ~k t =
+   [ekeys] side stays lazy. *)
+let mondrian_release ?(jobs = 1) ~k t =
   match validate_for_mondrian ~k t with
   | Error e -> Error e
   | Ok () ->
-    let p, ranges = partition_ranges ?jobs ?par_threshold t ~k in
-    let ds', qpos, part_of, part_vals = mondrian_materialise t p ranges in
+    let p, ranges = partition_ranges ~jobs t ~k in
+    let ds', part_of, part_vals = materialise t p ranges in
     let plan = compile ds' in
-    let nparts = Array.length part_vals in
-    let qcols = Array.of_list plan.quasi in
-    let nq = Array.length qcols in
+    let nq = Array.length p.qcols in
     if nq > 0 && plan.nrows > 0 then begin
-      let cdicts = Array.init nq (fun _ -> Interner.create ()) in
-      let ckeyarrs = Array.init nq (fun _ -> Array.make plan.nrows 0) in
-      let pc = Array.init nq (fun _ -> Array.make nparts (-1)) in
+      let dicts = Array.init nq (fun _ -> Interner.create ()) in
+      let codes = Array.init nq (fun _ -> Array.make plan.nrows 0) in
+      let pc = Array.init nq (fun _ -> Array.make (Array.length part_vals) (-1)) in
       for r = 0 to plan.nrows - 1 do
         let pid = part_of.(r) in
         if pc.(0).(pid) < 0 then
-          for j = 0 to nq - 1 do
-            let v = part_vals.(pid).(qpos.(qcols.(j))) in
-            pc.(j).(pid) <- Interner.intern cdicts.(j) (Value.to_string v)
+          for q = 0 to nq - 1 do
+            pc.(q).(pid) <-
+              Interner.intern dicts.(q) (Value.to_string part_vals.(pid).(q))
           done;
-        for j = 0 to nq - 1 do
-          ckeyarrs.(j).(r) <- pc.(j).(pid)
+        for q = 0 to nq - 1 do
+          codes.(q).(r) <- pc.(q).(pid)
         done
       done;
       Array.iteri
-        (fun j c ->
+        (fun q c ->
           plan.cols.(c).ckeys <-
-            Some
-              {
-                cdict = cdicts.(j);
-                ckey = ckeyarrs.(j);
-                csize = Interner.size cdicts.(j);
-              })
-        qcols
+            Some { code = codes.(q); size = Interner.size dicts.(q) })
+        p.qcols
     end;
     Ok plan
 
@@ -663,14 +514,18 @@ let close_count a s e ~x ~closeness =
   in
   max 0 (first_not_ge - first_le)
 
+(* {!Value_risk.assess}: classes by hashed coding; per-record
+   frequencies by binary search over the class's sorted sensitive
+   values (numeric) or dictionary-code counts (categorical), applying
+   exactly the naive per-pair closeness predicate. *)
 let value_risk_assess t ~fields_read (policy : Value_risk.policy) =
-  let read_cols = List.map (col_index t) fields_read in
-  let sens_col = col_index t policy.sensitive in
+  let read_cols = List.map (Dataset.col_index t.ds) fields_read in
+  let sens_col = Dataset.col_index t.ds policy.sensitive in
   let class_code, nclasses = class_codes t ~by:read_cols in
   let scol = t.cols.(sens_col) in
-  let k = ekeys t sens_col in
-  let counts = Array.make (max 1 k.esize) 0 in
-  let stamp = Array.make (max 1 k.esize) (-1) in
+  let ek, suppressed = ekeys t sens_col in
+  let counts = Array.make (max 1 ek.size) 0 in
+  let stamp = Array.make (max 1 ek.size) (-1) in
   let scores =
     Array.make t.nrows
       { Value_risk.record = 0; risk = Frac.make 0 1; violation = false }
@@ -698,7 +553,7 @@ let value_risk_assess t ~fields_read (policy : Value_risk.policy) =
       let nan_start = !s in
       List.iter
         (fun r ->
-          let e = k.ekey.(r) in
+          let e = ek.code.(r) in
           if stamp.(e) <> cid then begin
             stamp.(e) <- cid;
             counts.(e) <- 0
@@ -713,8 +568,8 @@ let value_risk_assess t ~fields_read (policy : Value_risk.policy) =
               if Float.is_nan x then 0
               else close_count nums nan_start m ~x ~closeness:policy.closeness
             end
-            else if k.ekey.(r) = k.suppressed_code then 0
-            else counts.(k.ekey.(r))
+            else if ek.code.(r) = suppressed then 0
+            else counts.(ek.code.(r))
           in
           let risk = Frac.make frequency size in
           scores.(r) <-
@@ -733,358 +588,7 @@ let value_risk_assess t ~fields_read (policy : Value_risk.policy) =
     violations = Listx.count (fun (s : Value_risk.score) -> s.violation) scores;
   }
 
-let value_risk_sweep t (policy : Value_risk.policy) =
-  let quasi =
-    Array.to_list t.attrs
-    |> List.filter Attribute.is_quasi
-    |> List.map (fun (a : Attribute.t) -> a.name)
-  in
-  let rec subsets = function
-    | [] -> [ [] ]
-    | x :: rest ->
-      let tails = subsets rest in
-      List.map (fun t -> x :: t) tails @ tails
-  in
-  let nonempty = List.filter (( <> ) []) (subsets quasi) in
-  let ordered =
-    List.sort (fun a b -> Int.compare (List.length a) (List.length b)) nonempty
-  in
-  List.map (fun fields_read -> value_risk_assess t ~fields_read policy) ordered
-
-(* ------------------------------------------------------------------ *)
-(* l-diversity *)
-
-let ldiv_distinct t ~sensitive =
-  let col = col_index t sensitive in
-  match classes t with
-  | [] -> 0
-  | cs ->
-    let k = ckeys t col in
-    let stamp = Array.make (max 1 k.csize) (-1) in
-    let _, best =
-      List.fold_left
-        (fun (cid, acc) cls ->
-          let distinct = ref 0 in
-          List.iter
-            (fun r ->
-              let c = k.ckey.(r) in
-              if stamp.(c) <> cid then begin
-                stamp.(c) <- cid;
-                incr distinct
-              end)
-            cls;
-          (cid + 1, min acc !distinct))
-        (0, max_int) cs
-    in
-    best
-
-let is_distinct_diverse ~l t ~sensitive = ldiv_distinct t ~sensitive >= l
-
-let ldiv_entropy t ~sensitive =
-  let col = col_index t sensitive in
-  match classes t with
-  | [] -> 0.0
-  | cs ->
-    let k = ckeys t col in
-    let counts = Array.make (max 1 k.csize) 0 in
-    let stamp = Array.make (max 1 k.csize) (-1) in
-    let _, min_entropy =
-      List.fold_left
-        (fun (cid, acc) cls ->
-          let n = float_of_int (List.length cls) in
-          let order = ref [] in
-          List.iter
-            (fun r ->
-              let c = k.ckey.(r) in
-              if stamp.(c) <> cid then begin
-                stamp.(c) <- cid;
-                counts.(c) <- 0;
-                order := c :: !order
-              end;
-              counts.(c) <- counts.(c) + 1)
-            cls;
-          (* Same fold, in the same first-appearance order, as the
-             naive group-by — identical floats out. *)
-          let ent =
-            -.List.fold_left
-                (fun acc c ->
-                  let p = float_of_int counts.(c) /. n in
-                  acc +. (p *. log p))
-                0.0 (List.rev !order)
-          in
-          (cid + 1, Float.min acc ent))
-        (0, Float.infinity) cs
-    in
-    exp min_entropy
-
-let is_entropy_diverse ~l t ~sensitive = l <= 1.0 || ldiv_entropy t ~sensitive >= l
-
-(* ------------------------------------------------------------------ *)
-(* t-closeness *)
-
-let tclose_numeric_emd t ~sensitive =
-  if t.nrows = 0 then None
-  else begin
-    let col = col_index t sensitive in
-    let c = t.cols.(col) in
-    if not c.all_numeric then None
-    else begin
-      let sorted = Array.copy c.nums in
-      Array.sort Float.compare sorted;
-      let support = Array.make t.nrows 0.0 in
-      let m = ref 0 in
-      Array.iter
-        (fun x ->
-          if !m = 0 || Float.compare support.(!m - 1) x <> 0 then begin
-            support.(!m) <- x;
-            incr m
-          end)
-        sorted;
-      let m = !m in
-      if m <= 1 then Some 0.0
-      else begin
-        (* Rank of each row's value in the sorted support; NaN rows get
-           no rank — the naive assoc lookup on a NaN key always misses,
-           so they contribute probability 0 on both sides. *)
-        let rank_of x =
-          if Float.is_nan x then -1
-          else begin
-            let lo = ref 0 and hi = ref (m - 1) in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if Float.compare support.(mid) x < 0 then lo := mid + 1
-              else hi := mid
-            done;
-            !lo
-          end
-        in
-        let ranks = Array.map rank_of c.nums in
-        let global = Array.make m 0 in
-        Array.iter (fun rk -> if rk >= 0 then global.(rk) <- global.(rk) + 1) ranks;
-        let n_all = float_of_int t.nrows in
-        let cls_counts = Array.make m 0 in
-        let stamp = Array.make m (-1) in
-        let _, worst =
-          List.fold_left
-            (fun (cid, acc) cls ->
-              let n_cls = float_of_int (List.length cls) in
-              List.iter
-                (fun r ->
-                  let rk = ranks.(r) in
-                  if rk >= 0 then begin
-                    if stamp.(rk) <> cid then begin
-                      stamp.(rk) <- cid;
-                      cls_counts.(rk) <- 0
-                    end;
-                    cls_counts.(rk) <- cls_counts.(rk) + 1
-                  end)
-                cls;
-              let cumulative = ref 0.0 and total = ref 0.0 in
-              for rk = 0 to m - 1 do
-                let p_cls =
-                  if stamp.(rk) = cid then float_of_int cls_counts.(rk) /. n_cls
-                  else 0.0
-                in
-                let p_glob = float_of_int global.(rk) /. n_all in
-                cumulative := !cumulative +. p_cls -. p_glob;
-                total := !total +. Float.abs !cumulative
-              done;
-              (cid + 1, Float.max acc (!total /. float_of_int (m - 1))))
-            (0, 0.0) (classes t)
-        in
-        Some worst
-      end
-    end
-  end
-
-let tclose_categorical t ~sensitive =
-  if t.nrows = 0 then None
-  else begin
-    let col = col_index t sensitive in
-    let k = ckeys t col in
-    let global = Array.make (max 1 k.csize) 0 in
-    Array.iter (fun c -> global.(c) <- global.(c) + 1) k.ckey;
-    let n_all = float_of_int t.nrows in
-    let cls_counts = Array.make (max 1 k.csize) 0 in
-    let stamp = Array.make (max 1 k.csize) (-1) in
-    let _, worst =
-      List.fold_left
-        (fun (cid, acc) cls ->
-          let n_cls = float_of_int (List.length cls) in
-          List.iter
-            (fun r ->
-              let c = k.ckey.(r) in
-              if stamp.(c) <> cid then begin
-                stamp.(c) <- cid;
-                cls_counts.(c) <- 0
-              end;
-              cls_counts.(c) <- cls_counts.(c) + 1)
-            cls;
-          (* Support iterates in ckey code order = first-appearance
-             order of the global distribution, like the naive path. *)
-          let tv = ref 0.0 in
-          for c = 0 to k.csize - 1 do
-            let p_cls =
-              if stamp.(c) = cid then float_of_int cls_counts.(c) /. n_cls
-              else 0.0
-            in
-            tv := !tv +. Float.abs (p_cls -. (float_of_int global.(c) /. n_all))
-          done;
-          (cid + 1, Float.max acc (0.5 *. !tv)))
-        (0, 0.0) (classes t)
-    in
-    Some worst
-  end
-
-let is_t_close ~t:threshold plan ~sensitive =
-  if plan.nrows = 0 then true
-  else
-    match tclose_numeric_emd plan ~sensitive with
-    | Some d -> d <= threshold
-    | None -> (
-      match tclose_categorical plan ~sensitive with
-      | Some d -> d <= threshold
-      | None -> true)
-
-(* ------------------------------------------------------------------ *)
-(* Re-identification attacker models *)
-
-let reident_prosecutor t =
-  match min_class_size t with 0 -> 0.0 | m -> 1.0 /. float_of_int m
-
-let reident_marketer t =
-  match t.nrows with
-  | 0 -> 0.0
-  | n -> float_of_int (List.length (classes t)) /. float_of_int n
-
-(* Per-column covering test against one generalised cell, precompiled
-   so a population scan is array reads instead of Value.covers calls. *)
-type cover_test =
-  | All
-  | Range of col * float * float
-  | Code of int array * int  (* population ekey column, required code *)
-  | Codes of int array * int list  (* any of these ekey codes *)
-
-let cover_test population ~pop_col gen =
-  let pcol = population.cols.(pop_col) in
-  let k = ekeys population pop_col in
-  let find_code v =
-    match Interner.find k.edict (equal_key v) with Some c -> c | None -> -1
-  in
-  match gen with
-  | Value.Suppressed -> All
-  | Value.Interval (lo, hi) -> Range (pcol, lo, hi)
-  | Value.Str_set members as v ->
-    Codes
-      (k.ekey,
-       find_code v :: List.map (fun s -> find_code (Value.Str s)) members)
-  | v -> Code (k.ekey, find_code v)
-
-let run_test row = function
-  | All -> true
-  | Range (pcol, lo, hi) ->
-    Bytes.get pcol.is_num row = '\001'
-    && lo <= pcol.nums.(row)
-    && pcol.nums.(row) < hi
-  | Code (ekey, c) -> c >= 0 && ekey.(row) = c
-  | Codes (ekey, cs) -> List.mem ekey.(row) cs
-
-let reident_journalist ~release ~population =
-  let rel_quasi = release.quasi in
-  let pop_cols =
-    List.map
-      (fun c -> col_index population release.attrs.(c).Attribute.name)
-      rel_quasi
-  in
-  let match_count repr =
-    let tests =
-      List.map2
-        (fun c pc ->
-          cover_test population ~pop_col:pc
-            (Dataset.get release.ds ~row:repr ~col:c))
-        rel_quasi pop_cols
-    in
-    let count = ref 0 in
-    for prow = 0 to population.nrows - 1 do
-      if List.for_all (run_test prow) tests then incr count
-    done;
-    !count
-  in
-  let rec worst acc = function
-    | [] -> Some acc
-    | cls :: rest -> (
-      match cls with
-      | [] -> worst acc rest
-      | repr :: _ -> (
-        match match_count repr with
-        | 0 -> None
-        | n -> worst (Float.max acc (1.0 /. float_of_int n)) rest))
-  in
-  worst 0.0 (classes release)
-
-(* ------------------------------------------------------------------ *)
-(* Release acceptance gate *)
-
-(* Release_gate.evaluate with every class-based criterion routed
-   through the columnar analyses. Same checks, same failure strings,
-   same order — the verdict is identical to the naive gate's; only the
-   class computations underneath are hashed instead of group-by. *)
-let evaluate_gate ~original ~release (criteria : Release_gate.criteria) =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  if not (is_k_anonymous ~k:criteria.k release) then
-    fail "not %d-anonymous (min class size %d)" criteria.k
-      (min_class_size release);
-  let sensitive =
-    List.filter_map
-      (fun (a : Attribute.t) ->
-        if Attribute.is_sensitive a then Some a.name else None)
-      (Array.to_list release.attrs)
-  in
-  Option.iter
-    (fun l ->
-      List.iter
-        (fun attr ->
-          let actual = ldiv_distinct release ~sensitive:attr in
-          if actual < l then
-            fail "%s: distinct l-diversity %d below %d" attr actual l)
-        sensitive)
-    criteria.l;
-  Option.iter
-    (fun t ->
-      List.iter
-        (fun attr ->
-          if not (is_t_close ~t release ~sensitive:attr) then
-            fail "%s: not %.2f-close" attr t)
-        sensitive)
-    criteria.t;
-  (match (criteria.max_violation_ratio, criteria.value_policy) with
-  | Some ratio, Some policy ->
-    let n = release.nrows in
-    if n > 0 then
-      List.iter
-        (fun (report : Value_risk.report) ->
-          let r = float_of_int report.violations /. float_of_int n in
-          if r > ratio then
-            fail
-              "value risk: %d/%d violations (%.0f%%) when {%s} is read \
-               exceeds %.0f%%"
-              report.violations n (100.0 *. r)
-              (String.concat ", " report.fields_read)
-              (100.0 *. ratio))
-        (value_risk_sweep release policy)
-  | Some _, None ->
-    fail "criteria list a violation ratio but no value policy"
-  | None, _ -> ());
-  Option.iter
-    (fun max_drift ->
-      List.iter
-        (fun attr ->
-          match Utility.mean_drift ~original ~release:release.ds attr with
-          | Some d when d > max_drift ->
-            fail "%s: mean drift %.2f exceeds %.2f" attr d max_drift
-          | Some _ | None -> ())
-        sensitive)
-    criteria.max_mean_drift;
-  let failures = List.rev !failures in
-  { Release_gate.accepted = failures = []; failures }
+let value_risk_sweep t policy =
+  List.map
+    (fun fields_read -> value_risk_assess t ~fields_read policy)
+    (Value_risk.read_sets t.ds)

@@ -1,3 +1,5 @@
+open Mdp_prelude
+
 let parse_cell s =
   let s = String.trim s in
   if s = "*" then Value.Suppressed
@@ -17,6 +19,18 @@ let parse_cell s =
           | _ -> Value.Str s)
         | _ -> Value.Str s))
 
+(* Header names key the dataset's attributes, so they must be non-empty
+   and distinct; every name [kinds] assigns must be among them. *)
+let check_header ~kinds names =
+  if List.mem "" names then Error "header: empty column name"
+  else
+    match Listx.find_duplicate Fun.id names with
+    | Some n -> Error (Printf.sprintf "header: duplicate column %s" n)
+    | None -> (
+      match List.find_opt (fun (n, _) -> not (List.mem n names)) kinds with
+      | Some (n, _) -> Error (Printf.sprintf "header: no column %s" n)
+      | None -> Ok ())
+
 let parse ~kinds text =
   let lines =
     List.filter
@@ -27,6 +41,7 @@ let parse ~kinds text =
   | [] -> Error "empty CSV"
   | header :: rows ->
     let names = List.map String.trim (String.split_on_char ',' header) in
+    Result.bind (check_header ~kinds names) @@ fun () ->
     let attrs =
       List.map
         (fun name ->

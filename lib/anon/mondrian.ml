@@ -84,7 +84,8 @@ let partitions_rows ~k vals quasi nrows =
 
 let partitions ~k ds =
   Mdp_obs.Metrics.span "mondrian/naive_partition" @@ fun () ->
-  if Dataset.nrows ds < k then Error "mondrian: fewer rows than k"
+  if k < 1 then Error "mondrian: k must be at least 1"
+  else if Dataset.nrows ds < k then Error "mondrian: fewer rows than k"
   else
     match check_numeric ds with
     | Error e -> Error e

@@ -7,8 +7,8 @@
     when the partition is constant in that attribute). *)
 
 val anonymise : k:int -> Dataset.t -> (Dataset.t, string) result
-(** [Error] when some quasi column is non-numeric or the dataset has
-    fewer than [k] rows. Row order is preserved. *)
+(** [Error] when [k < 1], the dataset has fewer than [k] rows, or some
+    quasi column is non-numeric. Row order is preserved. *)
 
 val partitions : k:int -> Dataset.t -> (int list list, string) result
 (** The row-index partitions the anonymisation uses. *)

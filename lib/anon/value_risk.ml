@@ -42,7 +42,7 @@ let assess ds ~fields_read policy =
     violations = Listx.count (fun s -> s.violation) scores;
   }
 
-let sweep ds policy =
+let read_sets ds =
   let quasi =
     List.filter Attribute.is_quasi (Dataset.attrs ds)
     |> List.map (fun (a : Attribute.t) -> a.name)
@@ -54,12 +54,12 @@ let sweep ds policy =
       List.map (fun t -> x :: t) tails @ tails
   in
   let nonempty = List.filter (( <> ) []) (subsets quasi) in
-  let ordered =
-    List.sort
-      (fun a b -> Int.compare (List.length a) (List.length b))
-      nonempty
-  in
-  List.map (fun fields_read -> assess ds ~fields_read policy) ordered
+  List.sort
+    (fun a b -> Int.compare (List.length a) (List.length b))
+    nonempty
+
+let sweep ds policy =
+  List.map (fun fields_read -> assess ds ~fields_read policy) (read_sets ds)
 
 let max_risk report =
   List.fold_left

@@ -34,10 +34,13 @@ val assess : Dataset.t -> fields_read:string list -> policy -> report
 (** [fields_read] may be empty (the whole release is one set).
     @raise Not_found on an unknown attribute name. *)
 
-val sweep : Dataset.t -> policy -> report list
-(** One report per non-empty subset of the quasi attributes, ordered by
-    subset size then attribute order — the per-risk-transition inputs of
+val read_sets : Dataset.t -> string list list
+(** The non-empty subsets of the quasi attributes, ordered by subset
+    size then attribute order — the per-risk-transition inputs of
     Fig. 4. *)
+
+val sweep : Dataset.t -> policy -> report list
+(** One report per {!read_sets} entry, in that order. *)
 
 val max_risk : report -> Mdp_prelude.Frac.t
 (** Largest per-record risk (0/1 on an empty dataset). *)

@@ -458,76 +458,50 @@ let test_release_gate_utility () =
   check bool_ "ratio without policy rejected" false vb.accepted
 
 (* ------------------------------------------------------------------ *)
-(* Columnar engine: parity with the naive modules, bit for bit *)
+(* Columnar engine: parity with the naive modules *)
 
 module C = A.Columnar
 
 let seeds = [ 3; 17; 23 ]
 let parity_ds seed = Mdp_scenario.Synthetic.dataset ~seed ~rows:400 ~quasi:3
 
-let test_columnar_classes_parity () =
-  List.iter
-    (fun seed ->
-      let ds = parity_ds seed in
-      let plan = C.compile ds in
-      List.iter
-        (fun by ->
-          check bool_
-            (Printf.sprintf "classes seed %d by %s" seed
-               (String.concat "," (List.map string_of_int by)))
-            true
-            (A.Dataset.equivalence_classes ds ~by = C.equivalence_classes plan ~by))
-        [ []; [ 0 ]; [ 0; 1 ]; [ 0; 1; 2 ]; [ 3 ]; [ 2; 0 ] ];
-      check bool_ "kanon classes" true (A.Kanon.classes ds = C.classes plan);
-      check int_ "min class size" (A.Kanon.min_class_size ds)
-        (C.min_class_size plan);
-      check bool_ "is_k_anonymous" (A.Kanon.is_k_anonymous ~k:3 ds)
-        (C.is_k_anonymous ~k:3 plan);
-      check bool_ "violating rows" true
-        (A.Kanon.violating_rows ~k:5 ds = C.violating_rows ~k:5 plan);
-      check int_ "distinct count" (A.Kanon.distinct_count ds 3)
-        (C.distinct_count plan 3))
-    seeds
+let release_cells ?jobs ~k ds =
+  Result.map
+    (fun plan -> A.Dataset.rows (C.source plan))
+    (C.mondrian_release ?jobs ~k (C.compile ds))
 
-let result_datasets_equal a b =
-  match (a, b) with
-  | Ok a, Ok b -> A.Dataset.attrs a = A.Dataset.attrs b && A.Dataset.rows a = A.Dataset.rows b
-  | Error ea, Error eb -> (ea : string) = eb
-  | _ -> false
+let naive_cells ~k ds = Result.map A.Dataset.rows (A.Mondrian.anonymise ~k ds)
 
 let test_columnar_mondrian_parity () =
+  (* The 40,000-row input is wide enough for jobs = 4 to take the
+     parallel partitioner. *)
+  let inputs =
+    List.map
+      (fun seed -> (seed, Mdp_scenario.Synthetic.dataset ~seed ~rows:600 ~quasi:2))
+      seeds
+    @ [ (5, Mdp_scenario.Synthetic.dataset ~seed:5 ~rows:40_000 ~quasi:2) ]
+  in
   List.iter
-    (fun seed ->
-      let ds = Mdp_scenario.Synthetic.dataset ~seed ~rows:600 ~quasi:2 in
-      let plan = C.compile ds in
+    (fun (seed, ds) ->
       List.iter
         (fun k ->
-          let naive_parts = A.Mondrian.partitions ~k ds in
-          let naive_rel = A.Mondrian.anonymise ~k ds in
+          let naive = naive_cells ~k ds in
           List.iter
             (fun jobs ->
-              (* par_threshold far below the row count so jobs=4
-                 actually exercises the two-phase parallel path. *)
               check bool_
-                (Printf.sprintf "partitions seed %d k %d jobs %d" seed k jobs)
+                (Printf.sprintf "release seed %d rows %d k %d jobs %d" seed
+                   (A.Dataset.nrows ds) k jobs)
                 true
-                (naive_parts
-                = C.mondrian_partitions ~jobs ~par_threshold:64 ~k plan);
-              check bool_
-                (Printf.sprintf "release seed %d k %d jobs %d" seed k jobs)
-                true
-                (result_datasets_equal naive_rel
-                   (C.mondrian_anonymise ~jobs ~par_threshold:64 ~k plan)))
+                (naive = release_cells ~jobs ~k ds))
             [ 1; 4 ])
         [ 2; 7; 25 ])
-    seeds
+    inputs
 
 let test_columnar_mondrian_errors () =
   (* Too few rows: identical error text. *)
   let small = Mdp_scenario.Synthetic.dataset ~seed:1 ~rows:5 ~quasi:1 in
   check bool_ "fewer-rows error" true
-    (A.Mondrian.partitions ~k:10 small
-    = C.mondrian_partitions ~k:10 (C.compile small));
+    (naive_cells ~k:10 small = release_cells ~k:10 small);
   (* Non-numeric quasi: same first offending cell in row-major order,
      even with several bad cells across columns. *)
   let mixed =
@@ -545,57 +519,75 @@ let test_columnar_mondrian_errors () =
         ]
   in
   check bool_ "non-numeric error" true
-    (A.Mondrian.anonymise ~k:1 mixed
-     |> Result.map A.Dataset.rows
-    = (C.mondrian_anonymise ~k:1 (C.compile mixed) |> Result.map A.Dataset.rows))
+    (naive_cells ~k:1 mixed = release_cells ~k:1 mixed)
+
+(* Runs [f], failing instead of hanging when it outlives [seconds]. *)
+let within ~seconds f =
+  let old =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> failwith "timed out"))
+  in
+  ignore (Unix.alarm seconds);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm old)
+    f
+
+let test_mondrian_k_below_1 () =
+  (* Age's median equals its minimum, so the strictly-less side of the
+     split is empty: with k < 1 that "keeps k rows" and the same range
+     would split forever. Both engines refuse k < 1 instead. *)
+  let ds =
+    A.Dataset.make
+      ~attrs:
+        [
+          A.Attribute.make ~name:"Age" ~kind:A.Attribute.Quasi;
+          A.Attribute.make ~name:"W" ~kind:A.Attribute.Sensitive;
+        ]
+      ~rows:
+        [
+          [ V.Int 1; V.Int 10 ];
+          [ V.Int 1; V.Int 11 ];
+          [ V.Int 1; V.Int 12 ];
+          [ V.Int 2; V.Int 13 ];
+        ]
+  in
+  List.iter
+    (fun k ->
+      let expected = Error "mondrian: k must be at least 1" in
+      check bool_
+        (Printf.sprintf "naive k %d" k)
+        true
+        (within ~seconds:2 (fun () -> naive_cells ~k ds) = expected);
+      List.iter
+        (fun jobs ->
+          check bool_
+            (Printf.sprintf "columnar k %d jobs %d" k jobs)
+            true
+            (within ~seconds:2 (fun () -> release_cells ~jobs ~k ds) = expected))
+        [ 1; 4 ])
+    [ 0; -3 ]
+
+let policy_s = { A.Value_risk.sensitive = "S"; closeness = 5.0; confidence = 0.9 }
 
 let test_columnar_analyses_parity () =
+  (* Fresh compiles: of the raw data and of the naive release. *)
   List.iter
     (fun seed ->
       let ds = parity_ds seed in
       let release = Result.get_ok (A.Mondrian.anonymise ~k:10 ds) in
-      let plan = C.compile release in
-      check int_ "ldiv distinct" (A.Ldiv.distinct release ~sensitive:"S")
-        (C.ldiv_distinct plan ~sensitive:"S");
-      check bool_ "ldiv distinct predicate"
-        (A.Ldiv.is_distinct_diverse ~l:2 release ~sensitive:"S")
-        (C.is_distinct_diverse ~l:2 plan ~sensitive:"S");
-      check bool_ "ldiv entropy bit-equal" true
-        (Float.equal
-           (A.Ldiv.entropy release ~sensitive:"S")
-           (C.ldiv_entropy plan ~sensitive:"S"));
-      check bool_ "entropy predicate"
-        (A.Ldiv.is_entropy_diverse ~l:1.5 release ~sensitive:"S")
-        (C.is_entropy_diverse ~l:1.5 plan ~sensitive:"S");
-      check bool_ "numeric emd bit-equal" true
-        (A.Tcloseness.numeric_emd release ~sensitive:"S"
-        = C.tclose_numeric_emd plan ~sensitive:"S");
-      check bool_ "is_t_close"
-        (A.Tcloseness.is_t_close ~t:0.3 release ~sensitive:"S")
-        (C.is_t_close ~t:0.3 plan ~sensitive:"S");
-      check bool_ "prosecutor" true
-        (Float.equal (A.Reident.prosecutor release) (C.reident_prosecutor plan));
-      check bool_ "marketer" true
-        (Float.equal (A.Reident.marketer release) (C.reident_marketer plan));
-      check bool_ "journalist" true
-        (A.Reident.journalist ~release ~population:ds
-        = C.reident_journalist ~release:plan ~population:(C.compile ds));
-      let p = { A.Value_risk.sensitive = "S"; closeness = 5.0; confidence = 0.9 } in
       List.iter
-        (fun fields_read ->
+        (fun (what, d) ->
           check bool_
-            (Printf.sprintf "value risk {%s}" (String.concat "," fields_read))
+            (Printf.sprintf "value risk sweep seed %d %s" seed what)
             true
-            (A.Value_risk.assess release ~fields_read p
-            = C.value_risk_assess plan ~fields_read p))
-        [ [ "Q0" ]; [ "Q0"; "Q1" ]; [ "Q2"; "Q0" ] ];
-      check bool_ "value risk sweep" true
-        (A.Value_risk.sweep release p = C.value_risk_sweep plan p))
+            (A.Value_risk.sweep d policy_s = C.value_risk_sweep (C.compile d) policy_s))
+        [ ("raw", ds); ("release", release) ])
     seeds
 
 let test_columnar_categorical_parity () =
-  (* Categorical sensitive column: total-variation t-closeness and
-     code-counted value risk, including a Suppressed cell. *)
+  (* Categorical sensitive column: code-counted value risk, including a
+     Suppressed cell, on a fresh compile and on the seeded release. *)
   let ds =
     A.Dataset.make
       ~attrs:
@@ -613,124 +605,105 @@ let test_columnar_categorical_parity () =
           [ V.Int 3; V.Str "cold" ];
         ]
   in
-  let plan = C.compile ds in
-  check bool_ "categorical distance" true
-    (A.Tcloseness.categorical_distance ds ~sensitive:"S"
-    = C.tclose_categorical plan ~sensitive:"S");
-  check bool_ "is_t_close categorical"
-    (A.Tcloseness.is_t_close ~t:0.4 ds ~sensitive:"S")
-    (C.is_t_close ~t:0.4 plan ~sensitive:"S");
   let p = { A.Value_risk.sensitive = "S"; closeness = 0.0; confidence = 0.5 } in
   check bool_ "categorical value risk" true
-    (A.Value_risk.assess ds ~fields_read:[ "Q" ] p
-    = C.value_risk_assess plan ~fields_read:[ "Q" ] p);
-  check int_ "ldiv distinct categorical" (A.Ldiv.distinct ds ~sensitive:"S")
-    (C.ldiv_distinct plan ~sensitive:"S")
-
-let test_columnar_gate_parity () =
-  (* Identical verdicts — same failure strings in the same order — for
-     both an accepting and a rejecting set of criteria, across seeds. *)
-  List.iter
-    (fun seed ->
-      let ds = parity_ds seed in
-      let release = Result.get_ok (A.Mondrian.anonymise ~k:10 ds) in
-      let plan = C.compile release in
-      let vp =
-        { A.Value_risk.sensitive = "S"; closeness = 5.0; confidence = 0.9 }
-      in
-      List.iter
-        (fun criteria ->
-          let naive =
-            A.Release_gate.evaluate ~original:ds ~release criteria
-          in
-          let col = C.evaluate_gate ~original:ds ~release:plan criteria in
-          check bool_ "verdict accepted" naive.A.Release_gate.accepted
-            col.A.Release_gate.accepted;
-          check (Alcotest.list Alcotest.string) "verdict failures"
-            naive.A.Release_gate.failures col.A.Release_gate.failures)
-        [
-          A.Release_gate.default ~k:10;
-          { (A.Release_gate.default ~k:10) with l = Some 2 };
-          (* Unsatisfiable criteria: every failure path renders. *)
-          {
-            A.Release_gate.k = 100_000;
-            l = Some 1_000;
-            t = Some 0.0;
-            max_violation_ratio = Some 0.0;
-            value_policy = Some vp;
-            max_mean_drift = Some 0.0;
-          };
-          (* Ratio without a policy: the config-error failure. *)
-          {
-            (A.Release_gate.default ~k:10) with
-            max_violation_ratio = Some 0.5;
-          };
-        ])
-    seeds
+    (A.Value_risk.sweep ds p = C.value_risk_sweep (C.compile ds) p);
+  let naive_rel = Result.get_ok (A.Mondrian.anonymise ~k:2 ds) in
+  let rplan = Result.get_ok (C.mondrian_release ~k:2 (C.compile ds)) in
+  check bool_ "categorical value risk on the seeded release" true
+    (A.Value_risk.sweep naive_rel p = C.value_risk_sweep rplan p)
 
 let test_columnar_release_plan () =
-  (* [mondrian_release]'s seeded dictionaries must be indistinguishable
-     from compiling its release from scratch, and its gate verdicts
-     from the naive gate, for any job count. *)
+  (* [mondrian_release]'s seeded dictionaries must give the value-risk
+     sweep the naive engine computes on the naive release, for any job
+     count. *)
   List.iter
     (fun seed ->
       let ds = parity_ds seed in
       let plan = C.compile ds in
-      let naive_rel = Result.get_ok (A.Mondrian.anonymise ~k:10 ds) in
       List.iter
-        (fun jobs ->
-          let rplan =
-            Result.get_ok
-              (C.mondrian_release ~jobs ~par_threshold:64 ~k:10 plan)
-          in
-          check bool_ "release cells" true
-            (A.Dataset.rows (C.source rplan) = A.Dataset.rows naive_rel);
-          let fresh = C.compile (C.source rplan) in
-          check bool_ "classes" true (C.classes rplan = C.classes fresh);
-          check int_ "min class size" (C.min_class_size fresh)
-            (C.min_class_size rplan);
-          check int_ "ldiv distinct"
-            (A.Ldiv.distinct naive_rel ~sensitive:"S")
-            (C.ldiv_distinct rplan ~sensitive:"S");
-          check bool_ "ldiv entropy bit-equal" true
-            (Float.equal
-               (A.Ldiv.entropy naive_rel ~sensitive:"S")
-               (C.ldiv_entropy rplan ~sensitive:"S"));
+        (fun k ->
+          let naive_rel = Result.get_ok (A.Mondrian.anonymise ~k ds) in
+          let naive = A.Value_risk.sweep naive_rel policy_s in
           List.iter
-            (fun c ->
-              check int_
-                (Printf.sprintf "distinct col %d" c)
-                (C.distinct_count fresh c)
-                (C.distinct_count rplan c))
-            (A.Dataset.quasi_indices naive_rel);
-          let crit =
-            { (A.Release_gate.default ~k:10) with A.Release_gate.l = Some 2 }
-          in
-          let naive =
-            A.Release_gate.evaluate ~original:ds ~release:naive_rel crit
-          in
-          let col = C.evaluate_gate ~original:ds ~release:rplan crit in
-          check bool_ "gate accepted" naive.A.Release_gate.accepted
-            col.A.Release_gate.accepted;
-          check
-            (Alcotest.list Alcotest.string)
-            "gate failures" naive.A.Release_gate.failures
-            col.A.Release_gate.failures)
-        [ 1; 4 ])
+            (fun jobs ->
+              let rplan = Result.get_ok (C.mondrian_release ~jobs ~k plan) in
+              check bool_
+                (Printf.sprintf "seeded sweep seed %d k %d jobs %d" seed k jobs)
+                true
+                (naive = C.value_risk_sweep rplan policy_s))
+            [ 1; 4 ])
+        [ 2; 10 ])
     seeds
 
-let test_columnar_guard () =
-  let ds = parity_ds 3 in
-  let plan = C.compile ds in
-  C.guard plan ds;
-  check bool_ "source is the dataset" true (C.source plan == ds);
-  check int_ "nrows" 400 (C.nrows plan);
-  (* Structurally equal but physically different dataset: rejected,
-     mirroring Risk_plan's stale-plan guard. *)
-  let other = parity_ds 3 in
-  match C.guard plan other with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "stale/mismatched dataset accepted"
+(* ------------------------------------------------------------------ *)
+(* Hostile CSV input *)
+
+let test_csv_hostile_header () =
+  let rejects what ~kinds text =
+    match A.Csv.parse ~kinds text with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  let q = [ ("Age", A.Attribute.Quasi) ] in
+  rejects "trailing comma" ~kinds:q "Age,W,\n1,10,\n";
+  rejects "empty name" ~kinds:[] "Age,,W\n1,2,3\n";
+  rejects "duplicate name" ~kinds:q "Age,Age\n1,10\n";
+  rejects "kinds column not in header" ~kinds:[ ("Nope", A.Attribute.Sensitive) ]
+    "Age,W\n1,10\n"
+
+(* Untrusted CSVs never raise: the sample microdata, mutated by byte
+   flips, inserted separators, quotes and suppression marks, and
+   truncation, either parse or are refused with an [Error]; whatever
+   parses runs through the [mdpriv anon] pipeline without raising. *)
+let prop_csv_mutations_never_raise =
+  let sample = In_channel.with_open_bin "../data/sample_health.csv" In_channel.input_all in
+  let kinds =
+    [
+      ("Age", A.Attribute.Quasi);
+      ("Height", A.Attribute.Quasi);
+      ("Weight", A.Attribute.Sensitive);
+    ]
+  in
+  let policy = { A.Value_risk.sensitive = "Weight"; closeness = 5.0; confidence = 0.9 } in
+  let mutate text ops =
+    List.fold_left
+      (fun s (kind, pos, x) ->
+        let n = String.length s in
+        let p = if n = 0 then 0 else pos mod (n + 1) in
+        let insert c = String.sub s 0 p ^ String.make 1 c ^ String.sub s p (n - p) in
+        match kind mod 3 with
+        | 0 when p < n ->
+          String.sub s 0 p
+          ^ String.make 1 (Char.chr (Char.code s.[p] lxor (1 lsl (x mod 8))))
+          ^ String.sub s (p + 1) (n - p - 1)
+        | 1 -> insert ",\n\"*".[x mod 4]
+        | 2 -> String.sub s 0 p
+        | _ -> s)
+      text ops
+  in
+  let gen = QCheck.Gen.(map (mutate sample) (list_size (1 -- 6) (triple nat nat nat))) in
+  QCheck.Test.make ~count:2000 ~name:"mutated CSVs never raise"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun text ->
+      let anon () =
+        match A.Csv.parse ~kinds text with
+        | Error _ -> ()
+        | Ok ds ->
+          List.iter
+            (fun k ->
+              match C.mondrian_release ~k (C.compile ds) with
+              | Error _ -> ()
+              | Ok rplan -> ignore (C.value_risk_sweep rplan policy))
+            [ 1; 2; 3 ]
+      in
+      Result.is_ok (A.Csv.parse ~kinds sample)
+      &&
+      match anon () with
+      | () -> true
+      | exception exn ->
+        QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string exn) text)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -792,17 +765,14 @@ let () =
       ("reident", [ Alcotest.test_case "attacker models" `Quick test_reident ]);
       ( "columnar",
         [
-          Alcotest.test_case "classes parity" `Quick test_columnar_classes_parity;
           Alcotest.test_case "mondrian parity" `Quick test_columnar_mondrian_parity;
           Alcotest.test_case "mondrian errors" `Quick test_columnar_mondrian_errors;
+          Alcotest.test_case "mondrian k below 1" `Quick test_mondrian_k_below_1;
           Alcotest.test_case "analyses parity" `Quick test_columnar_analyses_parity;
           Alcotest.test_case "categorical parity" `Quick
             test_columnar_categorical_parity;
-          Alcotest.test_case "release-gate parity" `Quick
-            test_columnar_gate_parity;
           Alcotest.test_case "seeded release plan" `Quick
             test_columnar_release_plan;
-          Alcotest.test_case "stale-plan guard" `Quick test_columnar_guard;
         ] );
       ( "release gate",
         [
@@ -813,5 +783,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "errors" `Quick test_csv_errors;
+          Alcotest.test_case "hostile header" `Quick test_csv_hostile_header;
+          qtest prop_csv_mutations_never_raise;
         ] );
     ]
