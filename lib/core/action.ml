@@ -39,6 +39,8 @@ let kind_of_flow = function
   | Flow.Anon -> Anon
   | Flow.Read -> Read
 
+let findable a = a.kind = Read && a.provenance <> Inferred
+
 let equal a b =
   a == b
   || a.kind = b.kind

@@ -51,6 +51,12 @@ val make :
 
 val with_risk : t -> risk -> t
 val kind_of_flow : Flow.action_kind -> kind
+
+val findable : t -> bool
+(** A read whose provenance is not [Inferred] (from a flow, or a
+    policy-permitted potential read): the labels the §III-A disclosure
+    analysis levels and reports. *)
+
 val equal : t -> t -> bool
 
 val hash : t -> int

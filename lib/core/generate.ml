@@ -513,14 +513,14 @@ let config_packer init =
     pk_decode = (fun src off -> Config.of_words ~template:init src off);
   }
 
-let run ?(options = default_options) ?(jobs = 1) ?par_threshold ?cancel u =
+let run ?(options = default_options) ?(jobs = 1) ?cancel u =
   Mdp_obs.Metrics.span "generate/run" @@ fun () ->
   let compiled = compile u options in
   let stamp = fresh_stamp () in
   let readable_words = readable_rows u options in
   let step = make_step u options ~stamp ~compiled ~readable_words in
   let init = Config.initial u in
-  Plts.explore ~max_states:options.max_states ~jobs ?par_threshold ?cancel
+  Plts.explore ~max_states:options.max_states ~jobs ?cancel
     ~packing:(config_packer init) ?mem_budget:options.mem_budget
     ?spill_dir:options.spill_dir
     ~label_class:(store_classifier u) ~init ~step ()

@@ -127,16 +127,14 @@ val store_classifier : Universe.t -> Action.t -> int
 val run :
   ?options:options ->
   ?jobs:int ->
-  ?par_threshold:int ->
   ?cancel:Mdp_obs.Cancel.t ->
   Universe.t ->
   Plts.t
 (** [jobs] (default 1) is the number of domains used for frontier
     exploration; the resulting LTS — state numbering included — is
-    identical for every value (see {!Mdp_lts.Lts.S.explore}).
-    [par_threshold] is the minimum frontier width worth fanning out
-    (forwarded to [Lts.explore]; frontiers below it expand on the
-    calling domain so that small models never lose to sequential).
+    identical for every value (see {!Mdp_lts.Lts.Make.explore}:
+    frontiers narrower than 512 states expand on the calling domain
+    whatever [jobs] is, so small models never lose to sequential).
     [cancel] aborts a runaway exploration cooperatively within one
     frontier round (forwarded to [Lts.explore]).
 

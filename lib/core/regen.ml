@@ -197,9 +197,6 @@ let bit bs i =
 let strip (a : Action.t) =
   match a.Action.risk with None -> a | Some _ -> { a with risk = None }
 
-let findable (a : Action.t) =
-  a.Action.kind = Action.Read && a.Action.provenance <> Action.Inferred
-
 (* ----- timed walk: distinct findable labels of the edited model ----- *)
 
 module ATbl = Hashtbl.Make (Action)
@@ -480,7 +477,9 @@ let walk_fast p old_lts affected (labels : Action.t array) =
     let over_budget () = !reached > options.Generate.max_states in
     let present = Array.make (max nl 1) false in
     let fresh_labels = ATbl.create 32 in
-    let add_label a = if findable a then ATbl.replace fresh_labels (strip a) () in
+    let add_label a =
+      if Action.findable a then ATbl.replace fresh_labels (strip a) ()
+    in
     let emit_read a s bits =
       let action, _ =
         Generate.read_action u ~stamp:p.rp_stamp ~actor:a ~store:s bits
@@ -658,7 +657,7 @@ let walk_fast p old_lts affected (labels : Action.t array) =
     done;
     if !aborted then Some None
     else begin
-      let is_findable = Array.map findable labels in
+      let is_findable = Array.map Action.findable labels in
       let acc = ref (ATbl.fold (fun a () l -> a :: l) fresh_labels []) in
       Array.iteri
         (fun lid seen ->
@@ -686,5 +685,5 @@ let walk p old_lts =
       | lts ->
         let labels = Option.get (Plts.interned_labels lts) in
         Plts.drop_spill lts;
-        Some (List.filter findable (Array.to_list labels))
+        Some (List.filter Action.findable (Array.to_list labels))
       | exception Mdp_lts.Lts.Too_many_states _ -> None))

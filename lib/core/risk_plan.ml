@@ -56,7 +56,7 @@ type likelihood_plan = {
 type label_plan = {
   l_action : Action.t;  (** The label as compiled. *)
   l_findable : bool;
-      (** Read with provenance <> Inferred (From_flow or Potential): the
+      (** {!Action.findable} (a read from a flow or a potential read): the
           only labels that get a [Disclosure_risk] annotation and whose
           transitions can become findings. *)
   l_slot : int;  (** Hotspot slot of a findable label; -1 otherwise. *)
@@ -257,9 +257,7 @@ let compile ?(matrix = Risk_matrix.default)
   let by_label = Atbl.create 64 in
   let slot_ids = Hashtbl.create 16 and slot_list = ref [] in
   let new_label (a : Action.t) =
-    let l_findable =
-      a.Action.kind = Action.Read && a.Action.provenance <> Action.Inferred
-    in
+    let l_findable = Action.findable a in
     let l_slot =
       if not l_findable then -1
       else begin
@@ -532,8 +530,7 @@ let analyse ?(grown = false) t profile =
   let reported (f : Disclosure_risk.finding) =
     match f.action.Action.kind with
     | Action.Read ->
-      f.action.Action.provenance <> Action.Inferred
-      && Level.compare f.level Level.None_ > 0
+      Action.findable f.action && Level.compare f.level Level.None_ > 0
     | Action.Collect | Action.Create | Action.Disclose | Action.Anon ->
       f.impact > 0.0
     | Action.Delete -> false

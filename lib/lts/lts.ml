@@ -74,7 +74,7 @@ type spill_stats = {
 
 (* A state codec: every reachable state of one model encodes to
    exactly [pk_words] payload words. [pk_decode] must be safe to call
-   concurrently (the parallel explorer decodes on worker domains).
+   concurrently (parallel rounds decode on worker domains).
    Word-equality must coincide with [S.equal] on the states of one
    model — true for bitset-backed privacy configs, and the contract any
    other packer must honour. *)
@@ -107,7 +107,7 @@ module Make (S : STATE) (L : LABEL) = struct
      BFS numbering makes consecutively discovered destinations
      adjacent, so most destination varints are a single byte and a
      typical edge costs 2-4 bytes. Transitions added outside
-     exploration (hand-built LTSs, quotients, the pseudonym-risk pass)
+     exploration (hand-built LTSs, the pseudonym-risk pass)
      append to per-source int overflow rows.
 
      A finished exploration is sealed by [packed_compact]: side tables
@@ -172,7 +172,7 @@ module Make (S : STATE) (L : LABEL) = struct
     (* the open row of the state being expanded: (lid lsl 32) lor dst *)
     mutable rbuf : int array;
     mutable rlen : int;
-    (* single-domain scratch: the sequential explorer, [add_state] and
+    (* single-domain scratch: direct exploration rounds, [add_state] and
        [find_state] reuse these; concurrent readers ([state_data] from
        analysis workers) allocate their own *)
     enc_buf : Bytes.t;
@@ -210,10 +210,6 @@ module Make (S : STATE) (L : LABEL) = struct
     p : packed;
     mutable n : int;
     mutable ntrans : int;
-    mutable init : state_id option;
-    mutable preds : (state_id * L.t) list array option;
-        (* Reverse index, built lazily by [predecessors]; dropped on any
-           mutation. *)
     mutable cones : cones option;
   }
 
@@ -281,8 +277,6 @@ module Make (S : STATE) (L : LABEL) = struct
         };
       n = 0;
       ntrans = 0;
-      init = None;
-      preds = None;
       cones = None;
     }
 
@@ -765,8 +759,6 @@ module Make (S : STATE) (L : LABEL) = struct
     shard_insert p p.shards.(shard_of h) (tag_of h) id;
     t.n <- id + 1;
     if t.n land (spill_check_batch - 1) = 0 then spill_down p;
-    t.preds <- None;
-    if t.init = None then t.init <- Some id;
     id
 
   (* Seal a finished exploration: trim every growable structure to what
@@ -836,8 +828,8 @@ module Make (S : STATE) (L : LABEL) = struct
 
   (* Encode the open row as [src]'s permanent varint row and reset the
      scratch. Must be called exactly once per expanded source, in
-     discovery order for both explorers (which keeps the byte layout
-     identical to the sequential engine's). *)
+     discovery order (which keeps the byte layout identical for every
+     job count). *)
   let close_row p src =
     ensure_ebytes p ((10 * (p.rlen + 1)) + 10);
     let pos = ref (P.put_varint p.ebytes p.elen p.rlen) in
@@ -1039,14 +1031,8 @@ module Make (S : STATE) (L : LABEL) = struct
       packed_new_state t p ~parent:(-1) ~parent_words:[||] ~parent_depth:0
         p.cand_buf h
 
-  let set_initial t id =
-    if id < 0 || id >= t.n then invalid_arg "Lts.set_initial";
-    t.init <- Some id
-
-  let initial t =
-    match t.init with
-    | Some id -> id
-    | None -> invalid_arg "Lts.initial: empty LTS"
+  (* The first state added — the root of every exploration — is id 0. *)
+  let initial t = if t.n = 0 then invalid_arg "Lts.initial: empty LTS" else 0
 
   let num_states t = t.n
   let num_transitions t = t.ntrans
@@ -1092,19 +1078,10 @@ module Make (S : STATE) (L : LABEL) = struct
     if id < 0 || id >= t.n then invalid_arg "Lts.iter_successors_lid";
     iter_edges t.p id f
 
-  let states t = List.init t.n Fun.id
-
   let iter_states t f =
     for i = 0 to t.n - 1 do
       f i
     done
-
-  let fold_states t f init =
-    let acc = ref init in
-    for i = 0 to t.n - 1 do
-      acc := f !acc i
-    done;
-    !acc
 
   (* Raise the state guard with context attached for the caller's error
      report. *)
@@ -1207,7 +1184,6 @@ module Make (S : STATE) (L : LABEL) = struct
       o.oarr.(o.olen) <- e;
       o.olen <- o.olen + 1;
       t.ntrans <- t.ntrans + 1;
-      t.preds <- None;
       true
     end
 
@@ -1220,26 +1196,6 @@ module Make (S : STATE) (L : LABEL) = struct
     let acc = ref [] in
     iter_transitions t (fun tr -> acc := tr :: !acc);
     List.rev !acc
-
-  let predecessors t id =
-    if id < 0 || id >= t.n then invalid_arg "Lts.predecessors";
-    let index =
-      match t.preds with
-      | Some p -> p
-      | None ->
-        let p = Array.make (max t.n 1) [] in
-        (* Reverse iteration so each list ends up in transition-iteration
-           order, matching the seed's semantics: successors are
-           collected forward, then prepended last-first. *)
-        for src = t.n - 1 downto 0 do
-          let rev = ref [] in
-          iter_successors t src (fun label dst -> rev := (label, dst) :: !rev);
-          List.iter (fun (label, dst) -> p.(dst) <- (src, label) :: p.(dst)) !rev
-        done;
-        t.preds <- Some p;
-        p
-    in
-    index.(id)
 
   (* [f] runs once per live interned label; the table is rebuilt from
      the mapped labels and rows are re-encoded through an int remap
@@ -1273,29 +1229,33 @@ module Make (S : STATE) (L : LABEL) = struct
         (Hashtbl.find_opt p.ov src)
     done;
     if Bytes.length p.ebytes > p.elen then
-      p.ebytes <- Bytes.sub p.ebytes 0 (max 1 p.elen);
-    t.preds <- None
+      p.ebytes <- Bytes.sub p.ebytes 0 (max 1 p.elen)
+
+  (* Breadth-first walk from the initial state, queued in an id array
+     (each state enters once): [visit s label d] runs when [d] is first
+     reached, from [s]; the walk stops once it returns [true]. Returns
+     the reached states in BFS order. *)
+  let bfs t visit =
+    let seen = Array.make t.n false and order = Array.make t.n 0 in
+    let start = initial t in
+    seen.(start) <- true;
+    order.(0) <- start;
+    let head = ref 0 and tail = ref 1 and stop = ref false in
+    while (not !stop) && !head < !tail do
+      let s = order.(!head) in
+      incr head;
+      iter_successors t s (fun label d ->
+          if (not !stop) && not seen.(d) then begin
+            seen.(d) <- true;
+            order.(!tail) <- d;
+            incr tail;
+            stop := visit s label d
+          end)
+    done;
+    Array.sub order 0 !tail
 
   let reachable t =
-    if t.n = 0 then []
-    else begin
-      let seen = Array.make t.n false in
-      let order = ref [] in
-      let q = Queue.create () in
-      let start = initial t in
-      seen.(start) <- true;
-      Queue.push start q;
-      while not (Queue.is_empty q) do
-        let s = Queue.pop q in
-        order := s :: !order;
-        iter_successors t s (fun _ d ->
-            if not seen.(d) then begin
-              seen.(d) <- true;
-              Queue.push d q
-            end)
-      done;
-      List.rev !order
-    end
+    if t.n = 0 then [] else Array.to_list (bfs t (fun _ _ _ -> false))
 
   let is_deterministic t =
     let ok = ref true in
@@ -1343,8 +1303,8 @@ module Make (S : STATE) (L : LABEL) = struct
 
   (* ----- exploration ----- *)
 
-  (* How many sequential expansions happen between two cancellation
-     polls: a poll is an atomic read plus (with a deadline) a clock
+  (* How many expansions on the calling domain happen between two
+     cancellation polls: a poll is an atomic read plus (with a deadline) a clock
      read, so probing per state would be measurable on million-state
      runs while probing per batch keeps the reaction bound tight. *)
   let cancel_poll_batch = 512
@@ -1379,268 +1339,222 @@ module Make (S : STATE) (L : LABEL) = struct
           c
         end
 
-  (* Sequential BFS: a queue in discovery order; word-equality dedup
-     coincides with [S.equal] (the packer contract). *)
-  let explore_seq t p ~max_states ~cancel ~cone ~step =
+  (* Frontiers narrower than this expand on the calling domain even
+     with [jobs > 1]: below it the domain spawn/join overhead exceeds
+     the expansion work. *)
+  let par_min_width = 512
+
+  (* Breadth-first exploration by id-range frontiers. BFS hands out ids
+     in discovery order, so the states a round discovers are exactly
+     the id range [lo, hi) the next round expands, starting from the
+     initial state 0; word-equality dedup coincides with [S.equal]
+     (the packer contract). A round is either
+
+     - direct: expand the ids one by one against the live tables (one
+       job, or a frontier narrower than [par_min_width]); or
+     - parallel, in three deterministic phases:
+       1. expand (parallel): decode + [step] each frontier state, pack
+          and hash every successor candidate on the worker domains;
+       2. resolve (parallel over hash shards): each shard resolves its
+          own candidates in global candidate order against its table —
+          existing id, first-occurrence-in-round, or duplicate-of-k —
+          with no cross-shard communication and no table merge;
+       3. number (sequential): walk candidates in frontier order,
+          assign dense ids to first occurrences and append
+          records/edges.
+
+     Both kinds assign ids in the order a sequential queue would
+     discover the states, so the numbering is byte-identical for every
+     job count. *)
+  let explore_rounds t p ~max_states ~cancel ~cone ~step ~jobs =
     let class_of = lid_classifier cone in
     let w = p.pk.pk_words in
     let hits = ref 0 and misses = ref 0 in
-    let expanded = ref 0 in
-    let q = Queue.create () in
-    Queue.push (initial t) q;
+    let rounds = ref 0 and par_rounds = ref 0 in
+    let new_state ~parent ~parent_words ~parent_depth words h =
+      let id =
+        packed_new_state t p ~parent ~parent_words ~parent_depth words h
+      in
+      if t.n > max_states then too_many t max_states;
+      incr misses;
+      id
+    in
+    (* Append [src -label-> dst] to [src]'s open row, once. *)
+    let add_edge src label dst =
+      let lid = intern p label in
+      let e = (lid lsl 32) lor dst in
+      if not (row_contains p e) then begin
+        push_edge p e;
+        t.ntrans <- t.ntrans + 1;
+        cone_touch t (class_of lid label) src
+      end
+    in
     let parent_buf = Array.make w 0 in
-    Fun.protect ~finally:(fun () ->
-        Mdp_obs.Metrics.add "lts/dedup_hits" !hits;
-        Mdp_obs.Metrics.add "lts/dedup_misses" !misses;
-        Mdp_obs.Metrics.incr "lts/seq_explores")
-    @@ fun () ->
-    while not (Queue.is_empty q) do
-      if !expanded land (cancel_poll_batch - 1) = 0 then begin
-        poll_cancel cancel;
-        (* Spill on the expansion batch too: edge rows and dedup tables
-           grow even through rounds that discover few states, so the
-           per-new-state check alone could lag the budget. *)
-        spill_down p
-      end;
-      incr expanded;
-      let src = Queue.pop q in
-      decode_words p p.cur parent_buf src;
-      let src_depth = P.U8.get p.depths src in
-      let cfg = p.pk.pk_decode parent_buf 0 in
-      p.rlen <- 0;
-      List.iter
-        (fun (label, dst_data) ->
-          p.pk.pk_blit dst_data p.cand_buf 0;
-          let h = P.hash_words p.cand_buf w in
-          let found =
-            shard_find p p.shards.(shard_of h) (tag_of h) p.cand_buf p.cur
-              p.cmp_buf
-          in
-          let dst =
-            if found >= 0 then begin
-              incr hits;
-              found
-            end
-            else begin
-              let id =
-                packed_new_state t p ~parent:src ~parent_words:parent_buf
+    let direct lo hi =
+      for src = lo to hi - 1 do
+        (* [src] is also the number of states expanded so far. *)
+        if src land (cancel_poll_batch - 1) = 0 then begin
+          poll_cancel cancel;
+          (* Spill on the expansion batch too: edge rows and dedup
+             tables grow even through stretches that discover few
+             states, so the per-new-state check alone could lag the
+             budget. *)
+          spill_down p
+        end;
+        decode_words p p.cur parent_buf src;
+        let src_depth = P.U8.get p.depths src in
+        let cfg = p.pk.pk_decode parent_buf 0 in
+        p.rlen <- 0;
+        List.iter
+          (fun (label, dst_data) ->
+            p.pk.pk_blit dst_data p.cand_buf 0;
+            let h = P.hash_words p.cand_buf w in
+            let found =
+              shard_find p p.shards.(shard_of h) (tag_of h) p.cand_buf p.cur
+                p.cmp_buf
+            in
+            let dst =
+              if found >= 0 then begin
+                incr hits;
+                found
+              end
+              else
+                new_state ~parent:src ~parent_words:parent_buf
                   ~parent_depth:src_depth p.cand_buf h
-              in
-              if t.n > max_states then too_many t max_states;
-              incr misses;
-              Queue.push id q;
-              id
-            end
-          in
-          let lid = intern p label in
-          let e = (lid lsl 32) lor dst in
-          if not (row_contains p e) then begin
-            push_edge p e;
-            t.ntrans <- t.ntrans + 1;
-            cone_touch t (class_of lid label) src
-          end)
-        (step cfg);
-      close_row p src
-    done
-
-  (* Frontier-parallel BFS with sharded dedup. Three phases per round,
-     all deterministic:
-
-     1. expand (parallel): decode + [step] each frontier state, pack
-        and hash every successor candidate on the worker domains;
-     2. dedup (parallel over hash shards): each shard resolves its own
-        candidates in global candidate order against its table —
-        existing id, first-occurrence-in-round, or duplicate-of-k —
-        with no cross-shard communication and no table merge;
-     3. number (sequential): walk candidates in frontier order, assign
-        dense ids to first occurrences and append records/edges.
-
-     Because verdicts are per-shard and ids are assigned in the same
-     candidate order the sequential queue would discover them, the
-     numbering is byte-identical for every job count. *)
-  let explore_par t p ~max_states ~cancel ~cone ~step ~jobs
-      ~par_threshold =
-    let class_of = lid_classifier cone in
-    let w = p.pk.pk_words in
-    let hits = ref 0 and misses = ref 0 in
-    let rounds = ref 0 and par_rounds = ref 0 and seq_rounds = ref 0 in
-    let frontier = ref [ initial t ] in
-    Fun.protect ~finally:(fun () ->
-        Mdp_obs.Metrics.add "lts/dedup_hits" !hits;
-        Mdp_obs.Metrics.add "lts/dedup_misses" !misses;
-        Mdp_obs.Metrics.add "lts/frontier_rounds" !rounds;
-        Mdp_obs.Metrics.add "lts/par_rounds" !par_rounds;
-        Mdp_obs.Metrics.add "lts/seq_fallback_rounds" !seq_rounds)
-    @@ fun () ->
-    while !frontier <> [] do
+            in
+            add_edge src label dst)
+          (step cfg);
+        close_row p src
+      done
+    in
+    let parallel lo hi =
       poll_cancel cancel;
-      let fr = Array.of_list !frontier in
-      let nf = Array.length fr in
-      incr rounds;
-      Mdp_obs.Metrics.observe "lts/frontier_width" nf;
+      let nf = hi - lo in
       let fwords = Array.make nf [||] in
       let fdepth = Array.make nf 0 in
       let cands : (L.t * int array * int) array array = Array.make nf [||] in
-      let expand lo hi =
-        let cur = P.cursor () in
-        let buf = Array.make w 0 in
-        for i = lo to hi - 1 do
-          decode_words p cur buf fr.(i);
-          fwords.(i) <- Array.copy buf;
-          fdepth.(i) <- P.U8.get p.depths fr.(i);
-          let cfg = p.pk.pk_decode fwords.(i) 0 in
-          cands.(i) <-
-            Array.of_list
-              (List.map
-                 (fun (label, d) ->
-                   let cw = Array.make w 0 in
-                   p.pk.pk_blit d cw 0;
-                   (label, cw, P.hash_words cw w))
-                 (step cfg))
-        done
-      in
-      let njobs = max 1 (min jobs nf) in
-      if njobs = 1 || nf < par_threshold then begin
-        incr seq_rounds;
-        expand 0 nf
-      end
-      else begin
-        incr par_rounds;
-        Mdp_prelude.Parallel.iter_chunks ~jobs:njobs nf expand
-      end;
-      (* Flatten candidates in frontier order; candidate index k is the
-         discovery order the sequential engine would use. *)
+      Mdp_prelude.Parallel.iter_chunks ~jobs nf (fun a b ->
+          let cur = P.cursor () in
+          for i = a to b - 1 do
+            let words = Array.make w 0 in
+            decode_words p cur words (lo + i);
+            fwords.(i) <- words;
+            fdepth.(i) <- P.U8.get p.depths (lo + i);
+            cands.(i) <-
+              Array.of_list
+                (List.map
+                   (fun (label, d) ->
+                     let cw = Array.make w 0 in
+                     p.pk.pk_blit d cw 0;
+                     (label, cw, P.hash_words cw w))
+                   (step (p.pk.pk_decode words 0)))
+          done);
+      (* Candidate k, in frontier order, is the k-th discovery a
+         sequential queue would make. *)
       let cand_off = Array.make (nf + 1) 0 in
       for i = 0 to nf - 1 do
         cand_off.(i + 1) <- cand_off.(i) + Array.length cands.(i)
       done;
       let m = cand_off.(nf) in
-      let next = ref [] in
-      if m > 0 then begin
-        let dummy = ref None in
-        (try
-           Array.iter
-             (fun cs -> if Array.length cs > 0 then (dummy := Some cs.(0); raise_notrace Exit))
-             cands
-         with Exit -> ());
-        let cand_arr = Array.make m (Option.get !dummy) in
-        for i = 0 to nf - 1 do
-          Array.blit cands.(i) 0 cand_arr cand_off.(i) (Array.length cands.(i))
-        done;
-        (* Bucket candidate indices by shard (stable, so each shard sees
-           its candidates in k order). *)
-        let start = Array.make (nshards + 1) 0 in
-        for k = 0 to m - 1 do
-          let _, _, h = cand_arr.(k) in
+      let cw = Array.make m [||] and ch = Array.make m 0 in
+      Array.iteri
+        (fun i cs ->
+          Array.iteri
+            (fun j (_, words, h) ->
+              cw.(cand_off.(i) + j) <- words;
+              ch.(cand_off.(i) + j) <- h)
+            cs)
+        cands;
+      (* Bucket candidate indices by shard (stable, so each shard sees
+         its candidates in k order). *)
+      let start = Array.make (nshards + 1) 0 in
+      Array.iter
+        (fun h ->
           let s = shard_of h in
-          start.(s + 1) <- start.(s + 1) + 1
-        done;
-        for s = 0 to nshards - 1 do
-          start.(s + 1) <- start.(s + 1) + start.(s)
-        done;
-        let fill = Array.copy start in
-        let order = Array.make m 0 in
-        for k = 0 to m - 1 do
-          let _, _, h = cand_arr.(k) in
+          start.(s + 1) <- start.(s + 1) + 1)
+        ch;
+      for s = 0 to nshards - 1 do
+        start.(s + 1) <- start.(s + 1) + start.(s)
+      done;
+      let fill = Array.copy start in
+      let order = Array.make m 0 in
+      Array.iteri
+        (fun k h ->
           let s = shard_of h in
           order.(fill.(s)) <- k;
-          fill.(s) <- fill.(s) + 1
-        done;
-        (* Per-shard verdicts: >= 0 first occurrence index (k itself for
-           the first), -1-id for an already-known state. *)
-        let first_of = Array.make m 0 in
-        let resolve_shards lo hi =
+          fill.(s) <- fill.(s) + 1)
+        ch;
+      (* Per-shard verdicts: >= 0 first occurrence index (k itself for
+         the first), -1-id for an already-known state. *)
+      let first_of = Array.make m 0 in
+      Mdp_prelude.Parallel.iter_chunks ~jobs nshards (fun a b ->
           let cur = P.cursor () in
           let buf = Array.make w 0 in
-          for s = lo to hi - 1 do
-            let b = start.(s) and e = start.(s + 1) in
-            if e > b then begin
-              let tmp = Hashtbl.create (2 * (e - b)) in
-              for x = b to e - 1 do
-                let k = order.(x) in
-                let _, cw, h = cand_arr.(k) in
-                let id = shard_find p p.shards.(s) (tag_of h) cw cur buf in
-                if id >= 0 then first_of.(k) <- -1 - id
-                else begin
-                  let prev =
-                    Option.value (Hashtbl.find_opt tmp h) ~default:[]
-                  in
-                  match
-                    List.find_opt
-                      (fun k' ->
-                        let _, cw', _ = cand_arr.(k') in
-                        words_equal cw' cw w)
-                      prev
-                  with
-                  | Some k' -> first_of.(k) <- k'
-                  | None ->
-                    first_of.(k) <- k;
-                    Hashtbl.replace tmp h (k :: prev)
-                end
-              done
-            end
-          done
-        in
-        if njobs = 1 || m < par_threshold then resolve_shards 0 nshards
-        else Mdp_prelude.Parallel.iter_chunks ~jobs:njobs nshards resolve_shards;
-        (* Sequential numbering in candidate order. *)
-        let ids_of = Array.make m 0 in
-        for i = 0 to nf - 1 do
-          let src = fr.(i) in
-          p.rlen <- 0;
-          for k = cand_off.(i) to cand_off.(i + 1) - 1 do
-            let label, cw, h = cand_arr.(k) in
+          for s = a to b - 1 do
+            let tmp = Hashtbl.create (2 * (start.(s + 1) - start.(s))) in
+            for x = start.(s) to start.(s + 1) - 1 do
+              let k = order.(x) in
+              let h = ch.(k) in
+              let id = shard_find p p.shards.(s) (tag_of h) cw.(k) cur buf in
+              if id >= 0 then first_of.(k) <- -1 - id
+              else begin
+                let prev = Option.value (Hashtbl.find_opt tmp h) ~default:[] in
+                let same k' = words_equal cw.(k') cw.(k) w in
+                match List.find_opt same prev with
+                | Some k' -> first_of.(k) <- k'
+                | None ->
+                  first_of.(k) <- k;
+                  Hashtbl.replace tmp h (k :: prev)
+              end
+            done
+          done);
+      let ids_of = Array.make m 0 in
+      for i = 0 to nf - 1 do
+        let src = lo + i in
+        p.rlen <- 0;
+        Array.iteri
+          (fun j (label, words, h) ->
+            let k = cand_off.(i) + j in
             let v = first_of.(k) in
             let dst =
-              if v < 0 then begin
-                incr hits;
-                -1 - v
-              end
-              else if v = k then begin
-                let id =
-                  packed_new_state t p ~parent:src ~parent_words:fwords.(i)
-                    ~parent_depth:fdepth.(i) cw h
-                in
-                if t.n > max_states then too_many t max_states;
-                incr misses;
-                next := id :: !next;
-                id
-              end
+              if v = k then
+                new_state ~parent:src ~parent_words:fwords.(i)
+                  ~parent_depth:fdepth.(i) words h
               else begin
                 incr hits;
-                ids_of.(v)
+                if v < 0 then -1 - v else ids_of.(v)
               end
             in
             ids_of.(k) <- dst;
-            let lid = intern p label in
-            let e = (lid lsl 32) lor dst in
-            if not (row_contains p e) then begin
-              push_edge p e;
-              t.ntrans <- t.ntrans + 1;
-              cone_touch t (class_of lid label) src
-            end
-          done;
-          close_row p src
-        done
+            add_edge src label dst)
+          cands.(i);
+        close_row p src
+      done
+    in
+    Fun.protect ~finally:(fun () ->
+        Mdp_obs.Metrics.add "lts/dedup_hits" !hits;
+        Mdp_obs.Metrics.add "lts/dedup_misses" !misses;
+        Mdp_obs.Metrics.add "lts/frontier_rounds" !rounds;
+        Mdp_obs.Metrics.add "lts/par_rounds" !par_rounds)
+    @@ fun () ->
+    let lo = ref 0 in
+    while !lo < t.n do
+      let hi = t.n in
+      incr rounds;
+      Mdp_obs.Metrics.observe "lts/frontier_width" (hi - !lo);
+      if jobs > 1 && hi - !lo >= par_min_width then begin
+        incr par_rounds;
+        parallel !lo hi
       end
-      else
-        (* No successors anywhere: close empty rows for the frontier. *)
-        Array.iter
-          (fun src ->
-            p.rlen <- 0;
-            close_row p src)
-          fr;
+      else direct !lo hi;
       (* Evict between rounds, on the calling domain only: the next
          round's worker domains are spawned after this point, and the
          spawn publishes the mutated arena/shard state to them. *)
       spill_down p;
-      frontier := List.rev !next
+      lo := hi
     done
 
-  let default_par_threshold = 512
-
-  let explore ?(max_states = 200_000) ?(jobs = 1)
-      ?(par_threshold = default_par_threshold) ?cancel ~packing ?mem_budget
+  let explore ?(max_states = 200_000) ?(jobs = 1) ?cancel ~packing ?mem_budget
       ?spill_dir ?label_class ~init ~step () =
     Mdp_obs.Metrics.span "lts/explore" @@ fun () ->
     let t = make ?mem_budget ?spill_dir packing in
@@ -1654,9 +1568,7 @@ module Make (S : STATE) (L : LABEL) = struct
     in
     ignore (add_state t init : state_id);
     if t.n > max_states then too_many t max_states;
-    (try
-       if jobs <= 1 then explore_seq t p ~max_states ~cancel ~cone ~step
-       else explore_par t p ~max_states ~cancel ~cone ~step ~jobs ~par_threshold
+    (try explore_rounds t p ~max_states ~cancel ~cone ~step ~jobs
      with e ->
        let bt = Printexc.get_raw_backtrace () in
        (match e with
@@ -1699,43 +1611,23 @@ module Make (S : STATE) (L : LABEL) = struct
 
   let path_to t pred =
     if t.n = 0 then None
+    else if pred (initial t) then Some []
     else begin
-      let start = initial t in
-      if pred start then Some []
-      else begin
-        let back = Array.make t.n None in
-        let seen = Array.make t.n false in
-        let q = Queue.create () in
-        seen.(start) <- true;
-        Queue.push start q;
-        let found = ref None in
-        while !found = None && not (Queue.is_empty q) do
-          let s = Queue.pop q in
-          iter_successors t s (fun label d ->
-              if !found = None && not seen.(d) then begin
-                seen.(d) <- true;
-                back.(d) <- Some (s, label);
-                if pred d then found := Some d else Queue.push d q
-              end)
-        done;
-        match !found with
-        | None -> None
-        | Some goal ->
-          let rec unwind acc s =
-            match back.(s) with
-            | None -> acc
-            | Some (prev, label) -> unwind ((label, s) :: acc) prev
-          in
-          Some (unwind [] goal)
-      end
+      let back = Array.make t.n None in
+      let found = ref None in
+      ignore
+        (bfs t (fun s label d ->
+             back.(d) <- Some (s, label);
+             if pred d then found := Some d;
+             !found <> None)
+          : state_id array);
+      let rec unwind acc s =
+        match back.(s) with
+        | None -> acc
+        | Some (prev, label) -> unwind ((label, s) :: acc) prev
+      in
+      Option.map (unwind []) !found
     end
-
-  let exists_finally t pred = path_to t pred <> None
-
-  let always_globally t pred = List.for_all pred (reachable t)
-
-  let states_where t pred =
-    List.rev (fold_states t (fun acc s -> if pred s then s :: acc else acc) [])
 
   let dag_fold t ~(combine : 'a list -> 'a) ~(sink : 'a) =
     (* Memoised fold over the reachable DAG from the initial state;
@@ -1770,101 +1662,6 @@ module Make (S : STATE) (L : LABEL) = struct
   let count_maximal_paths t =
     dag_fold t ~sink:1 ~combine:(fun counts -> List.fold_left ( + ) 0 counts)
 
-  (* Partition refinement compares labels by their printed form: two
-     labels are the same action for bisimulation iff they print
-     identically. This sidesteps needing ordered labels and is faithful
-     for our label types, whose printers are injective. Unlike the seed —
-     which re-printed every label and built fresh signature strings each
-     refinement round — each distinct printed label is interned to a
-     small integer once up front, and the rounds then work purely on
-     integer keys. *)
-  let bisimulation_classes t ~init_key =
-    if t.n = 0 then []
-    else begin
-      let lids = Hashtbl.create 64 in
-      let nlids = ref 0 in
-      let lid_of label =
-        let key = Format.asprintf "%a" L.pp label in
-        match Hashtbl.find_opt lids key with
-        | Some i -> i
-        | None ->
-          let i = !nlids in
-          incr nlids;
-          Hashtbl.add lids key i;
-          i
-      in
-      (* Per state: (label id, dst) pairs, printed once. *)
-      let edges =
-        Array.init t.n (fun s ->
-            let acc = ref [] in
-            iter_successors t s (fun label dst ->
-                acc := (lid_of label, dst) :: !acc);
-            Array.of_list (List.rev !acc))
-      in
-      let block = Array.make t.n 0 in
-      let assign keyed =
-        (* keyed: state -> key; returns number of blocks. Keys are
-           compared structurally, so any value works. *)
-        let tbl = Hashtbl.create 16 in
-        let next = ref 0 in
-        for s = 0 to t.n - 1 do
-          let k = keyed s in
-          match Hashtbl.find_opt tbl k with
-          | Some b -> block.(s) <- b
-          | None ->
-            Hashtbl.add tbl k !next;
-            block.(s) <- !next;
-            incr next
-        done;
-        !next
-      in
-      let nblocks = ref (assign init_key) in
-      let pair_compare (l1, b1) (l2, b2) =
-        match Int.compare l1 l2 with 0 -> Int.compare b1 b2 | c -> c
-      in
-      let changed = ref true in
-      while !changed do
-        let signature s =
-          let sigs =
-            List.sort_uniq pair_compare
-              (List.map
-                 (fun (lid, d) -> (lid, block.(d)))
-                 (Array.to_list edges.(s)))
-          in
-          (block.(s), sigs)
-        in
-        let n' = assign signature in
-        changed := n' <> !nblocks;
-        nblocks := n'
-      done;
-      let buckets = Array.make !nblocks [] in
-      for s = t.n - 1 downto 0 do
-        buckets.(block.(s)) <- s :: buckets.(block.(s))
-      done;
-      Array.to_list buckets
-    end
-
-  let quotient t ~init_key =
-    let classes = bisimulation_classes t ~init_key in
-    let block_of = Array.make (max t.n 1) 0 in
-    List.iteri
-      (fun b members -> List.iter (fun s -> block_of.(s) <- b) members)
-      classes;
-    let q = create t.p.pk in
-    let qid = Array.make (List.length classes) (-1) in
-    List.iteri
-      (fun b members ->
-        let repr = List.fold_left min max_int members in
-        qid.(b) <- add_state q (state_data t repr))
-      classes;
-    if t.n > 0 then set_initial q qid.(block_of.(initial t));
-    iter_transitions t (fun { src; label; dst } ->
-        ignore
-          (add_transition q ~src:qid.(block_of.(src)) ~label
-             ~dst:qid.(block_of.(dst))
-            : bool));
-    (q, fun s -> qid.(block_of.(s)))
-
   let dot_escape s =
     String.concat ""
       (List.map
@@ -1887,7 +1684,7 @@ module Make (S : STATE) (L : LABEL) = struct
           | Some f -> ( match f s with "" -> "" | st -> ", " ^ st)
           | None -> ""
         in
-        let init_mark = if t.init = Some s then ", penwidth=2" else "" in
+        let init_mark = if s = 0 then ", penwidth=2" else "" in
         addf "  n%d [label=\"%s\"%s%s];\n" s (dot_escape label) style init_mark);
     iter_transitions t (fun tr ->
         let style =
@@ -1900,7 +1697,4 @@ module Make (S : STATE) (L : LABEL) = struct
           style);
     addf "}\n";
     Buffer.contents buf
-
-  let pp_stats ppf t =
-    Format.fprintf ppf "%d states, %d transitions" t.n t.ntrans
 end

@@ -18,9 +18,10 @@
     width are supported, up to records that fit one 64 KiB arena chunk
     (about 6,500 words).
 
-    [explore] optionally expands breadth-first frontiers on multiple
-    OCaml 5 domains with a deterministic merge; the resulting LTS — state
-    numbering included — is identical for every job count. *)
+    [explore] walks breadth-first frontiers, expanding wide ones on
+    multiple OCaml 5 domains with a deterministic merge; the resulting
+    LTS — state numbering included — is identical for every job
+    count. *)
 
 module type STATE = sig
   type t
@@ -131,12 +132,10 @@ module Make (S : STATE) (L : LABEL) : sig
 
   val add_state : t -> S.t -> state_id
   (** Hash-consing: returns the existing id when equal data was added
-      before. The first state added becomes the initial state unless
-      {!set_initial} overrides it. Outside {!explore} the state is
-      encoded as a full record (there is no frontier parent to delta
-      against). *)
+      before. The first state added (id 0) is the initial state.
+      Outside {!explore} the state is encoded as a full record (there
+      is no frontier parent to delta against). *)
 
-  val set_initial : t -> state_id -> unit
   val add_transition : t -> src:state_id -> label:L.t -> dst:state_id -> bool
   (** [false] when an identical transition (same endpoints, equal label)
       already exists; the LTS is unchanged in that case. Transitions
@@ -147,7 +146,6 @@ module Make (S : STATE) (L : LABEL) : sig
   val explore :
     ?max_states:int ->
     ?jobs:int ->
-    ?par_threshold:int ->
     ?cancel:Mdp_obs.Cancel.t ->
     packing:S.t packer ->
     ?mem_budget:int ->
@@ -165,23 +163,19 @@ module Make (S : STATE) (L : LABEL) : sig
       runs through hash-partitioned shard tables, and [step] receives
       freshly decoded states.
 
-      With [jobs > 1], each breadth-first frontier is expanded in
-      parallel on that many OCaml domains and merged in frontier order,
-      which makes the result — state numbering included — identical to
-      the sequential run. [step] must then be safe to call concurrently
-      (pure up to freshly allocated results). The per-round dedup itself
-      is parallel too — each hash shard resolves
-      its own candidates independently, with no global table merge —
-      followed by a sequential numbering pass in frontier order that
-      pins down the deterministic ids.
-
-      Frontiers narrower than [par_threshold] (default 512) are
-      expanded on the calling domain even when [jobs > 1]: below that
-      width the spawn/join overhead exceeds the expansion work, so
-      small models would otherwise run slower in parallel than
-      sequentially. Pass [~par_threshold:0] to force the parallel
-      machinery regardless of frontier width (used by the engine
-      equivalence tests).
+      Ids are handed out in discovery order, so each breadth-first
+      round expands exactly the id range the previous round discovered,
+      starting from the initial state, id 0. A round expands its ids
+      one by one on the calling domain, unless [jobs > 1] and the
+      frontier is at least 512 states wide: then the frontier is
+      expanded in parallel on that many OCaml domains, each hash shard
+      resolves its own candidates independently (no global table
+      merge), and a sequential pass in frontier order numbers the new
+      states. Below 512 states the spawn/join overhead exceeds the
+      expansion work. Either way ids follow discovery order, so the
+      result — state numbering included — is identical for every job
+      count. [step] must be safe to call concurrently when [jobs > 1]
+      (pure up to freshly allocated results).
 
       [mem_budget] bounds the engine's {e
       resident} bytes: when arena chunks, side tables and dedup shards
@@ -207,10 +201,10 @@ module Make (S : STATE) (L : LABEL) : sig
       with an outgoing transition in that class — readable via
       {!cone_sources} at no extra passes over the LTS.
 
-      [cancel] is polled cooperatively: once per frontier round in
-      parallel mode (only the merging domain polls, so no worker raises
-      mid-chunk) and every few hundred expansions sequentially. A fired
-      token unwinds with [Mdp_obs.Cancel.Cancelled] within one round;
+      [cancel] is polled cooperatively: before every parallel round
+      (only the calling domain polls, so no worker raises mid-chunk)
+      and every 512 expansions on the calling domain. A fired token
+      unwinds with [Mdp_obs.Cancel.Cancelled] within one round;
       the partially built LTS is discarded and nothing run-global is
       left behind, so the caller can immediately start a fresh
       exploration.
@@ -250,16 +244,10 @@ module Make (S : STATE) (L : LABEL) : sig
   (** Like {!iter_successors} but passing the interned label id instead
       of the label — an int-only row scan. *)
 
-  val states : t -> state_id list
-  (** All ids as a list — O(n) allocation; prefer {!iter_states} or
-      {!fold_states}. *)
-
   val iter_states : t -> (state_id -> unit) -> unit
   (** Iterate ids [0 .. num_states - 1] without allocating. Reads
       [num_states] once: states appended during iteration (as the
       pseudonym-risk pass does) are not visited — snapshot semantics. *)
-
-  val fold_states : t -> ('a -> state_id -> 'a) -> 'a -> 'a
 
   val successors : t -> state_id -> (L.t * state_id) list
   (** In insertion order. Allocates a fresh list; prefer
@@ -267,10 +255,6 @@ module Make (S : STATE) (L : LABEL) : sig
 
   val iter_successors : t -> state_id -> (L.t -> state_id -> unit) -> unit
   (** Iterate the successor array in insertion order without allocating. *)
-
-  val predecessors : t -> state_id -> (state_id * L.t) list
-  (** Served from a cached reverse index (built lazily, invalidated by
-      mutation); in transition-iteration order. *)
 
   val transitions : t -> transition list
   val iter_transitions : t -> (transition -> unit) -> unit
@@ -317,15 +301,6 @@ module Make (S : STATE) (L : LABEL) : sig
       a state satisfying the predicate; [Some []] if the initial state
       does. *)
 
-  val exists_finally : t -> (state_id -> bool) -> bool
-  (** CTL [EF p] at the initial state. *)
-
-  val always_globally : t -> (state_id -> bool) -> bool
-  (** CTL [AG p] at the initial state: [p] holds on every reachable
-      state. *)
-
-  val states_where : t -> (state_id -> bool) -> state_id list
-
   val longest_path : t -> int option
   (** Longest transition count along any path from the initial state;
       [None] when the reachable part is cyclic. *)
@@ -334,18 +309,6 @@ module Make (S : STATE) (L : LABEL) : sig
   (** Number of distinct paths from the initial state to a sink (a state
       with no successors) — for a generated privacy model, the number of
       complete execution interleavings. [None] when cyclic. *)
-
-  val bisimulation_classes : t -> init_key:(state_id -> string) -> state_id list list
-  (** Partition refinement: coarsest partition refining [init_key] that is
-      stable under transitions (strong bisimulation with labels compared
-      by their printed form — see note in the implementation). Labels are
-      interned to integer keys once; the refinement rounds are purely
-      integer-keyed. Covers all states, reachable or not. *)
-
-  val quotient : t -> init_key:(state_id -> string) -> t * (state_id -> state_id)
-  (** Quotient LTS by {!bisimulation_classes}; the function maps original
-      ids to quotient ids. State data of a class is its representative's.
-      The quotient stores its states through the input's packer. *)
 
   (** {1 Output} *)
 
@@ -358,6 +321,4 @@ module Make (S : STATE) (L : LABEL) : sig
     string
   (** [state_style]/[transition_style] return extra DOT attributes
       (e.g. ["style=dashed, color=red"]); empty string for none. *)
-
-  val pp_stats : Format.formatter -> t -> unit
 end

@@ -467,26 +467,28 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
    errors, bad profiles, client cancels, cache hits — must still
    resolve the probe, so it reports success. *)
 let run_analysis t ~cancel ~bkey ~akey (an : Protocol.analysis) source =
-  try
-    let art =
-      match Cache.find t.artifacts akey with
-      | Some a -> a
-      | None ->
-        let a =
-          compile_artifact t ~cancel
-            ~max_states:
-              (min t.config.max_states
-                 (Option.value an.max_states ~default:t.config.max_states))
-            source
+  match
+    C.Analysis.checked (fun () ->
+        let art =
+          match Cache.find t.artifacts akey with
+          | Some a -> a
+          | None ->
+            let a =
+              compile_artifact t ~cancel
+                ~max_states:
+                  (min t.config.max_states
+                     (Option.value an.max_states ~default:t.config.max_states))
+                source
+            in
+            Cache.put t.artifacts akey a;
+            a
         in
-        Cache.put t.artifacts akey a;
-        a
-    in
-    let body = evaluate t ~akey ~cancel art an.kind in
+        evaluate t ~akey ~cancel art an.kind)
+  with
+  | Ok body ->
     Breaker.success t.breaker bkey;
     Ok body
-  with
-  | Mdp_lts.Lts.Too_many_states limit ->
+  | Error (C.Analysis.State_limit { limit; hint } as failure) ->
     Breaker.failure t.breaker bkey;
     Metrics.incr "serve/state_limit";
     (* Observed sizes at the abort (the raise and this handler run on
@@ -518,34 +520,25 @@ let run_analysis t ~cancel ~bkey ~akey (an : Protocol.analysis) source =
       ( Protocol.State_limit,
         Json.Obj
           ([
-             ( "message",
-               Json.Str
-                 (C.Analysis.failure_message
-                    (C.Analysis.State_limit
-                       { limit; hint = C.Analysis.state_limit_hint })) );
+             ("message", Json.Str (C.Analysis.failure_message failure));
              ("limit", Json.int limit);
-             ("hint", Json.Str C.Analysis.state_limit_hint);
+             ("hint", Json.Str hint);
            ]
           @ observed) )
-  | Cancel.Cancelled reason ->
-    (match reason with
-    | Cancel.Deadline -> Breaker.failure t.breaker bkey
-    | Cancel.Client -> Breaker.success t.breaker bkey);
+  | Error (C.Analysis.Cancelled { deadline; _ }) ->
+    if deadline then Breaker.failure t.breaker bkey
+    else Breaker.success t.breaker bkey;
     Metrics.incr "serve/cancelled";
     Error
-      ( Protocol.Cancelled
-          (match reason with
-          | Cancel.Deadline -> `Deadline
-          | Cancel.Client -> `Client),
+      ( Protocol.Cancelled (if deadline then `Deadline else `Client),
         Protocol.error_body "request cancelled" )
-  | Mdp_lts.Spill.Io_error message ->
+  | Error (C.Analysis.Spill_io _ as failure) ->
     (* the host's disk failed, not the model: no breaker evidence *)
     Breaker.success t.breaker bkey;
     Error
       ( Protocol.Error_,
-        Protocol.error_body
-          (C.Analysis.failure_message (C.Analysis.Spill_io { message })) )
-  | Refused (status, body) ->
+        Protocol.error_body (C.Analysis.failure_message failure) )
+  | exception Refused (status, body) ->
     Breaker.success t.breaker bkey;
     Error (status, body)
 

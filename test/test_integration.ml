@@ -105,35 +105,6 @@ let test_dsl_to_monitor () =
 (* ------------------------------------------------------------------ *)
 (* Cross-cutting invariants *)
 
-let test_lts_quotient_preserves_risk_reachability () =
-  (* Quotienting by the privacy-state projection must preserve whether a
-     risky read is reachable. *)
-  let u = Core.Universe.make H.diagram H.policy in
-  let lts = Core.Generate.run u in
-  ignore (Core.Disclosure_risk.analyse u lts H.profile_case_a);
-  let risky_label (l : Core.Action.t) =
-    match l.risk with
-    | Some (Core.Action.Disclosure_risk { level; _ }) ->
-      Core.Level.compare level Core.Level.Medium >= 0
-    | _ -> false
-  in
-  let has_risky t =
-    let found = ref false in
-    Core.Plts.iter_transitions t (fun tr -> if risky_label tr.label then found := true);
-    !found
-  in
-  let q, _ =
-    Core.Plts.quotient lts
-      ~init_key:(fun s ->
-        let cfg = Core.Plts.state_data lts s in
-        Format.asprintf "%a"
-          (Core.Privacy_state.pp_compact u)
-          cfg.Core.Config.privacy)
-  in
-  check bool_ "risk preserved by quotient" true (has_risky lts = has_risky q);
-  check bool_ "quotient not larger" true
-    (Core.Plts.num_states q <= Core.Plts.num_states lts)
-
 let test_has_implies_monotone_along_paths () =
   (* Along every transition, has-bits only grow (deletes touch stores and
      could-bits, never has). *)
@@ -161,8 +132,7 @@ let test_could_matches_store_contents () =
       ~options:{ Core.Generate.default_options with potential_deletes = true }
       u
   in
-  List.iter
-    (fun s ->
+  Core.Plts.iter_states lts (fun s ->
       let cfg = Core.Plts.state_data lts s in
       for a = 0 to Core.Universe.nactors u - 1 do
         for f = 0 to Core.Universe.nfields u - 1 do
@@ -181,7 +151,6 @@ let test_could_matches_store_contents () =
             Alcotest.failf "could mismatch at state %d actor %d field %d" s a f
         done
       done)
-    (Core.Plts.states lts)
 
 let test_fig2_table_dimensions () =
   (* Fig. 2's table: 60 base-state-variable pairs for the healthcare
@@ -231,8 +200,6 @@ let () =
         [ Alcotest.test_case "file to monitor" `Quick test_dsl_to_monitor ] );
       ( "invariants",
         [
-          Alcotest.test_case "quotient preserves risk" `Quick
-            test_lts_quotient_preserves_risk_reachability;
           Alcotest.test_case "has monotone" `Quick
             test_has_implies_monotone_along_paths;
           Alcotest.test_case "could = store x policy" `Quick

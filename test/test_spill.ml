@@ -11,7 +11,9 @@
    wide frontiers at near-zero step cost, so the tests can afford state
    counts that overflow shard tables (generation spill needs thousands
    of entries per shard) without the expense of real privacy-model
-   steps. *)
+   steps. Frontiers double per round, so at [jobs > 1] every model of
+   a few thousand states or more takes the parallel round (frontiers
+   of 512 states and up). *)
 
 module Lts = Mdp_lts.Lts
 
@@ -70,8 +72,24 @@ let step n i =
   [ (0, a mod n); (1, b mod n); (0, a mod n) ]
 
 let explore ?mem_budget ?spill_dir ?label_class ~packing ~jobs n =
-  L.explore ~max_states:(n + 10) ~jobs ~par_threshold:0 ~packing ?mem_budget
+  L.explore ~max_states:(n + 10) ~jobs ~packing ?mem_budget
     ?spill_dir ?label_class ~init:0 ~step:(step n) ()
+
+(* [f ()] with metrics on, and the number of parallel frontier rounds
+   it ran. *)
+let counting_par_rounds f =
+  let was_enabled = Mdp_obs.Metrics.enabled () in
+  Mdp_obs.Metrics.set_enabled true;
+  let rounds () =
+    Option.value ~default:0
+      (List.assoc_opt "lts/par_rounds"
+         (Mdp_obs.Metrics.snapshot ()).Mdp_obs.Metrics.counters)
+  in
+  let before = rounds () in
+  Fun.protect ~finally:(fun () -> Mdp_obs.Metrics.set_enabled was_enabled)
+  @@ fun () ->
+  let v = f () in
+  (v, rounds () - before)
 
 let same_lts ctx a b =
   check int_ (ctx ^ " states") (L.num_states a) (L.num_states b);
@@ -106,7 +124,12 @@ let test_budget_determinism () =
       List.iter
         (fun jobs ->
           let ctx = Printf.sprintf "budget=%s jobs=%d" frac jobs in
-          let lts = explore ~packing:packer1 ~mem_budget:budget ~jobs big_n in
+          let lts, ran =
+            counting_par_rounds (fun () ->
+                explore ~packing:packer1 ~mem_budget:budget ~jobs big_n)
+          in
+          if jobs > 1 then
+            check bool_ (ctx ^ " ran a parallel round") true (ran > 0);
           same_lts ctx baseline lts;
           L.drop_spill lts)
         [ 1; 4 ])
@@ -272,7 +295,7 @@ let cone_class l = if l = 2 then -1 else l
 let test_cone_sources () =
   let n = 20_000 in
   let run ?mem_budget jobs =
-    L.explore ~max_states:(n + 10) ~jobs ~par_threshold:0 ~packing:packer8
+    L.explore ~max_states:(n + 10) ~jobs ~packing:packer8
       ?mem_budget ~label_class:cone_class ~init:0 ~step:(cone_step n) ()
   in
   let sources lts cls =
