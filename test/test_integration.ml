@@ -204,8 +204,8 @@ let () =
             test_has_implies_monotone_along_paths;
           Alcotest.test_case "could = store x policy" `Quick
             test_could_matches_store_contents;
-          Alcotest.test_case "Fig 2 dimensions" `Quick test_fig2_table_dimensions;
           Alcotest.test_case "monitor follows witness" `Quick
             test_monitor_follows_witness;
+          Alcotest.test_case "Fig 2 dimensions" `Quick test_fig2_table_dimensions;
         ] );
     ]
