@@ -310,7 +310,7 @@ let population () =
   in
   let profiles = Core.Population.simulate spec H.diagram in
   Format.printf "%a@." Core.Population.pp_aggregate
-    (Core.Population.analyse u lts profiles)
+    (Core.Population.analyse_compiled u lts profiles)
 
 (* ------------------------------------------------------------------ *)
 (* Requirements audit *)
@@ -319,7 +319,8 @@ let requirements () =
   section "[requirements] Compliance queries on the generated LTS";
   let u = Core.Universe.make H.diagram H.policy in
   let lts = Core.Generate.run u in
-  ignore (Core.Disclosure_risk.analyse u lts H.profile_case_a);
+  ignore
+    (Core.Risk_plan.analyse (Core.Risk_plan.compile u lts) H.profile_case_a);
   List.iter
     (fun req ->
       Format.printf "  %s %a@."

@@ -157,7 +157,7 @@ let parse_size s =
       | _ -> (1, s)
     in
     match int_of_string_opt digits with
-    | Some v when v > 0 -> Ok (v * mul)
+    | Some v when v > 0 && v <= max_int / mul -> Ok (v * mul)
     | Some _ | None -> err ()
 
 let size_conv =
@@ -254,7 +254,7 @@ let dot_cmd =
           | l -> { base with Core.Generate.services = Some l }
         in
         generate ~options ~jobs u (fun lts ->
-            print_string (Core.Lts_render.to_dot u lts);
+            print_string (Core.Lts_render.to_dot lts);
             0)
       end
   in
@@ -320,60 +320,6 @@ let parse_sensitivity s =
     | None -> Error (`Msg (Printf.sprintf "bad sensitivity value in %S" s)))
   | _ -> Error (`Msg (Printf.sprintf "expected Field=0.9, got %S" s))
 
-let risk_cmd =
-  let run path agreed sens_specs json max_states mem_budget metrics =
-    with_metrics metrics @@ fun () ->
-    match load_model path with
-    | Error (`Msg e) ->
-      prerr_endline e;
-      exits_with_error
-    | Ok { diagram; policy; _ } -> (
-      let rec collect acc = function
-        | [] -> Ok (List.rev acc)
-        | spec :: rest -> (
-          match parse_sensitivity spec with
-          | Ok pair -> collect (pair :: acc) rest
-          | Error (`Msg e) -> Error e)
-      in
-      match collect [] sens_specs with
-      | Error e ->
-        prerr_endline e;
-        exits_with_error
-      | Ok sensitivities -> (
-        let profile =
-          Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
-        in
-        let options =
-          { Core.Generate.default_options with max_states; mem_budget }
-        in
-        run_analysis ~options ~profile diagram policy (fun analysis ->
-            Mdp_obs.Metrics.span "phase/render" (fun () ->
-                if json then print_endline (Core.Report.to_string analysis)
-                else Format.printf "%a@." Core.Analysis.pp_summary analysis);
-            0)))
-  in
-  let agree =
-    Arg.(
-      value & opt_all string []
-      & info [ "agree" ] ~docv:"SERVICE" ~doc:"Service the user agreed to (repeatable).")
-  in
-  let sens =
-    Arg.(
-      value & opt_all string []
-      & info [ "sensitivity" ] ~docv:"FIELD=V"
-          ~doc:"Field sensitivity in [0,1] (repeatable), e.g. Diagnosis=0.9.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the full report as JSON.")
-  in
-  Cmd.v
-    (Cmd.info "risk" ~doc:"Run §III-A disclosure-risk analysis for a user profile.")
-    Term.(
-      const run $ model_arg $ agree $ sens $ json $ max_states_arg
-      $ mem_budget_arg $ metrics_term)
-
-(* ----- whatif / sweep ----- *)
-
 let collect_sensitivities specs =
   let rec collect acc = function
     | [] -> Ok (List.rev acc)
@@ -398,6 +344,43 @@ let profile_args =
           ~doc:"Field sensitivity in [0,1] (repeatable), e.g. Diagnosis=0.9.")
   in
   (agree, sens)
+
+let risk_cmd =
+  let run path agreed sens_specs json max_states mem_budget metrics =
+    with_metrics metrics @@ fun () ->
+    match load_model path with
+    | Error (`Msg e) ->
+      prerr_endline e;
+      exits_with_error
+    | Ok { diagram; policy; _ } -> (
+      match collect_sensitivities sens_specs with
+      | Error e ->
+        prerr_endline e;
+        exits_with_error
+      | Ok sensitivities -> (
+        let profile =
+          Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
+        in
+        let options =
+          { Core.Generate.default_options with max_states; mem_budget }
+        in
+        run_analysis ~options ~profile diagram policy (fun analysis ->
+            Mdp_obs.Metrics.span "phase/render" (fun () ->
+                if json then print_endline (Core.Report.to_string analysis)
+                else Format.printf "%a@." Core.Analysis.pp_summary analysis);
+            0)))
+  in
+  let agree, sens = profile_args in
+  let json =
+    Arg.(value & flag & info [ "json" ] ~doc:"Emit the full report as JSON.")
+  in
+  Cmd.v
+    (Cmd.info "risk" ~doc:"Run §III-A disclosure-risk analysis for a user profile.")
+    Term.(
+      const run $ model_arg $ agree $ sens $ json $ max_states_arg
+      $ mem_budget_arg $ metrics_term)
+
+(* ----- whatif / sweep ----- *)
 
 let pp_invalidation ppf (inv : Core.Edit.invalidation) =
   let flags =
@@ -804,19 +787,14 @@ let check_cmd =
           | Ok r -> collect (r :: acc) rest
           | Error e -> Error e)
       in
-      match collect [] specs with
-      | Error e ->
+      match (collect [] specs, collect_sensitivities sens_specs) with
+      | Error e, _ | _, Error e ->
         prerr_endline e;
         exits_with_error
-      | Ok requirements ->
+      | Ok requirements, Ok sensitivities ->
         let u = Core.Universe.make diagram policy in
         generate u @@ fun lts ->
         (* Risk annotations are needed for maxrisk requirements. *)
-        let sensitivities =
-          List.filter_map
-            (fun s -> Result.to_option (parse_sensitivity s))
-            sens_specs
-        in
         (if agreed <> [] || sensitivities <> [] then
            let profile =
              Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
@@ -846,12 +824,7 @@ let check_cmd =
             "Requirement (repeatable): never=A:F, nevercould=A:F, \
              noaction=A:KIND, purposes=F:p1;p2, maxrisk=LEVEL.")
   in
-  let agree =
-    Arg.(value & opt_all string [] & info [ "agree" ] ~docv:"SERVICE" ~doc:"Agreed service (for maxrisk).")
-  in
-  let sens =
-    Arg.(value & opt_all string [] & info [ "sensitivity" ] ~docv:"FIELD=V" ~doc:"Field sensitivity (for maxrisk).")
-  in
+  let agree, sens = profile_args in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Check declarative privacy requirements against the generated LTS.")
@@ -1235,7 +1208,7 @@ module Chaos = struct
   (* Crash the node hosting [store] and retry a write with bounded
      exponential backoff until the timed outage heals. *)
   let crashed_write u deployment ~seed ~node ~store op_fields ~actor =
-    let chaos = R.Faults.chaos ~seed deployment in
+    let chaos = R.Faults.chaos deployment in
     let sim = R.Store_sim.create ~seed u in
     let downtime = 4 in
     R.Faults.crash_node ~for_ticks:downtime chaos node;

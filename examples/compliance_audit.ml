@@ -15,7 +15,9 @@ let section title = Format.printf "@.== %s ==@." title
 let () =
   let u = Core.Universe.make Healthcare.diagram Healthcare.policy in
   let lts = Core.Generate.run u in
-  ignore (Core.Disclosure_risk.analyse u lts Healthcare.profile_case_a);
+  ignore
+    (Core.Risk_plan.analyse (Core.Risk_plan.compile u lts)
+       Healthcare.profile_case_a);
 
   section "Requirements audit on the healthcare model";
   let requirements =
@@ -62,7 +64,7 @@ let () =
     }
   in
   let profiles = Core.Population.simulate spec Healthcare.diagram in
-  let aggregate = Core.Population.analyse u lts profiles in
+  let aggregate = Core.Population.analyse_compiled u lts profiles in
   Format.printf "%a@." Core.Population.pp_aggregate aggregate;
 
   section "Same population after the policy fix";
@@ -70,7 +72,7 @@ let () =
   let lts' = Core.Generate.run u' in
   ignore lts;
   Format.printf "%a@." Core.Population.pp_aggregate
-    (Core.Population.analyse u' lts' profiles);
+    (Core.Population.analyse_compiled u' lts' profiles);
   Format.printf
     "note: questionnaire baselines rate every field sensitive, so revoking@.\
      the single Diagnosis read barely moves the population aggregate --@.\

@@ -8,13 +8,3 @@ let make ~name ~kind =
 
 let is_quasi t = t.kind = Quasi
 let is_sensitive t = t.kind = Sensitive
-
-let pp_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with
-    | Identifier -> "identifier"
-    | Quasi -> "quasi"
-    | Sensitive -> "sensitive"
-    | Insensitive -> "insensitive")
-
-let pp ppf t = Format.fprintf ppf "%s(%a)" t.name pp_kind t.kind

@@ -10,5 +10,3 @@ type t = { name : string; kind : kind }
 val make : name:string -> kind:kind -> t
 val is_quasi : t -> bool
 val is_sensitive : t -> bool
-val pp_kind : Format.formatter -> kind -> unit
-val pp : Format.formatter -> t -> unit

@@ -35,7 +35,6 @@ let equal_key v =
     match v with
     | Value.Str s -> "s" ^ s
     | Value.Interval (a, b) -> "v" ^ float_bits a ^ "," ^ float_bits b
-    | Value.Str_set l -> "S" ^ String.concat "\x00" l
     | Value.Suppressed -> "x"
     | Value.Int _ | Value.Float _ -> assert false)
 

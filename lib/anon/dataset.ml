@@ -52,7 +52,6 @@ let indices_where p t =
   List.concat (List.mapi (fun i a -> if p a then [ i ] else []) t.attrs)
 
 let quasi_indices t = indices_where Attribute.is_quasi t
-let sensitive_indices t = indices_where Attribute.is_sensitive t
 
 let map_column t name f =
   let c = col_index t name in

@@ -29,7 +29,6 @@ val col_index : t -> string -> int
 
 val column : t -> string -> Value.t list
 val quasi_indices : t -> int list
-val sensitive_indices : t -> int list
 val map_column : t -> string -> (Value.t -> Value.t) -> t
 val drop_identifiers : t -> t
 (** Remove [Identifier] columns (the mandatory first step of any

@@ -1,9 +1,6 @@
-type t =
-  | Numeric of { base : float; widths : float list }
-  | Categorical of { levels : (string * string) list list }
-  | Suppress_only
+type t = { widths : float list }
 
-let numeric ?(base = 0.0) ~widths () =
+let numeric ~widths () =
   if widths = [] then invalid_arg "Hierarchy.numeric: no widths";
   let rec increasing = function
     | a :: (b :: _ as rest) -> a < b && increasing rest
@@ -13,22 +10,13 @@ let numeric ?(base = 0.0) ~widths () =
     invalid_arg "Hierarchy.numeric: non-positive width";
   if not (increasing widths) then
     invalid_arg "Hierarchy.numeric: widths must be strictly increasing";
-  Numeric { base; widths }
+  { widths }
 
-let categorical ~levels =
-  if levels = [] then invalid_arg "Hierarchy.categorical: no levels";
-  Categorical { levels }
+let nlevels t = 1 + List.length t.widths
 
-let suppress_only = Suppress_only
-
-let nlevels = function
-  | Numeric { widths; _ } -> 1 + List.length widths
-  | Categorical { levels } -> 1 + List.length levels
-  | Suppress_only -> 1
-
-let bin ~base ~width x =
-  let k = Float.floor ((x -. base) /. width) in
-  let lo = base +. (k *. width) in
+let bin ~width x =
+  (* [0.0 +.] makes an input of -0.0 print as "0-…", not "-0-…". *)
+  let lo = 0.0 +. (Float.floor (x /. width) *. width) in
   Value.interval lo (lo +. width)
 
 let generalise t ~level v =
@@ -37,25 +25,6 @@ let generalise t ~level v =
   if level = 0 then v
   else if level = top then Value.Suppressed
   else
-    match t with
-    | Suppress_only -> Value.Suppressed (* unreachable: top = 1 *)
-    | Numeric { base; widths } -> (
-      match Value.numeric v with
-      | Some x -> bin ~base ~width:(List.nth widths (level - 1)) x
-      | None -> Value.Suppressed)
-    | Categorical { levels } -> (
-      let rec climb lvl v =
-        if lvl = 0 then Some v
-        else
-          match climb (lvl - 1) v with
-          | None -> None
-          | Some s -> List.assoc_opt s (List.nth levels (lvl - 1))
-      in
-      match v with
-      | Value.Str s -> (
-        match climb level s with
-        | Some s' -> Value.Str s'
-        | None -> Value.Suppressed)
-      | Value.Int _ | Value.Float _ | Value.Interval _ | Value.Str_set _
-      | Value.Suppressed ->
-        Value.Suppressed)
+    match Value.numeric v with
+    | Some x -> bin ~width:(List.nth t.widths (level - 1)) x
+    | None -> Value.Suppressed

@@ -2,25 +2,15 @@
 
     A hierarchy gives, per generalisation level, a coarsening of raw
     values. Level 0 is the identity; the level after the last defined one
-    is full suppression. Numeric hierarchies bin values into aligned
-    intervals of increasing width; categorical hierarchies map categories
-    up a fixed tree level by level. *)
+    is full suppression. Levels bin numeric values into aligned intervals
+    of increasing width. *)
 
 type t
 
-val numeric : ?base:float -> widths:float list -> unit -> t
+val numeric : widths:float list -> unit -> t
 (** [numeric ~widths:[5.; 20.] ()]: level 1 bins into width-5 intervals
-    aligned at [base] (default 0), level 2 into width-20 intervals,
-    level 3 suppresses. Widths must be positive and strictly
-    increasing. *)
-
-val categorical : levels:(string * string) list list -> t
-(** [levels] is one association list per level, mapping a value at the
-    previous level to its generalisation at this level. Values missing
-    from a mapping are suppressed at that level. *)
-
-val suppress_only : t
-(** Only levels 0 (identity) and 1 (suppression). *)
+    aligned at 0, level 2 into width-20 intervals, level 3 suppresses.
+    Widths must be positive and strictly increasing. *)
 
 val nlevels : t -> int
 (** Number of levels including level 0 and excluding the implicit
@@ -29,5 +19,4 @@ val nlevels : t -> int
 
 val generalise : t -> level:int -> Value.t -> Value.t
 (** @raise Invalid_argument on a level outside [0, nlevels]. Values the
-    hierarchy cannot coarsen at the requested level (e.g. a string under
-    a numeric hierarchy) become [Suppressed]. *)
+    hierarchy cannot coarsen (strings, intervals) become [Suppressed]. *)

@@ -11,28 +11,3 @@ let distinct ds ~sensitive =
         min acc
           (List.length (Mdp_prelude.Listx.dedup (class_values ds ~sensitive cls))))
       max_int cs
-
-let is_distinct_diverse ~l ds ~sensitive = distinct ds ~sensitive >= l
-
-let class_entropy values =
-  let n = float_of_int (List.length values) in
-  let groups = Mdp_prelude.Listx.group_by ~key:Fun.id values in
-  -.List.fold_left
-      (fun acc (_, occ) ->
-        let p = float_of_int (List.length occ) /. n in
-        acc +. (p *. log p))
-      0.0 groups
-
-let entropy ds ~sensitive =
-  match Kanon.classes ds with
-  | [] -> 0.0
-  | cs ->
-    let min_entropy =
-      List.fold_left
-        (fun acc cls -> Float.min acc (class_entropy (class_values ds ~sensitive cls)))
-        Float.infinity cs
-    in
-    exp min_entropy
-
-let is_entropy_diverse ~l ds ~sensitive =
-  l <= 1.0 || entropy ds ~sensitive >= l

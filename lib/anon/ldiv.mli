@@ -11,12 +11,3 @@ val distinct : Dataset.t -> sensitive:string -> int
 (** The largest l such that every equivalence class (on the quasi columns)
     has at least l distinct values of [sensitive]; 0 on an empty
     dataset. *)
-
-val is_distinct_diverse : l:int -> Dataset.t -> sensitive:string -> bool
-
-val entropy : Dataset.t -> sensitive:string -> float
-(** The largest l such that every class has sensitive-value entropy of at
-    least log l (entropy l-diversity); returned as that l (1.0 when some
-    class is constant). *)
-
-val is_entropy_diverse : l:float -> Dataset.t -> sensitive:string -> bool

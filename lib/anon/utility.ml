@@ -6,37 +6,10 @@ let mean ds name =
   | [] -> None
   | vs -> Some (List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs))
 
-let variance ds name =
-  match numeric_column ds name with
-  | [] -> None
-  | vs ->
-    let n = float_of_int (List.length vs) in
-    let m = List.fold_left ( +. ) 0.0 vs /. n in
-    Some (List.fold_left (fun acc v -> acc +. ((v -. m) ** 2.0)) 0.0 vs /. n)
-
-let drift f ~original ~release name =
-  match (f original name, f release name) with
+let mean_drift ~original ~release name =
+  match (mean original name, mean release name) with
   | Some a, Some b -> Some (Float.abs (a -. b))
   | None, _ | _, None -> None
-
-let mean_drift ~original ~release name = drift mean ~original ~release name
-
-let variance_drift ~original ~release name =
-  drift variance ~original ~release name
-
-let precision ~scheme ~levels =
-  match scheme with
-  | [] -> 1.0
-  | _ ->
-    let per_attr =
-      List.map
-        (fun (attr, hier) ->
-          let level = Option.value (List.assoc_opt attr levels) ~default:0 in
-          float_of_int level /. float_of_int (Hierarchy.nlevels hier))
-        scheme
-    in
-    1.0
-    -. (List.fold_left ( +. ) 0.0 per_attr /. float_of_int (List.length per_attr))
 
 let discernibility ds =
   Mdp_prelude.Listx.sum_by

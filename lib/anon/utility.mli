@@ -7,18 +7,8 @@
 val mean : Dataset.t -> string -> float option
 (** [None] when the column has no numeric content. *)
 
-val variance : Dataset.t -> string -> float option
-(** Population variance. *)
-
 val mean_drift : original:Dataset.t -> release:Dataset.t -> string -> float option
 (** Absolute difference of means. *)
-
-val variance_drift :
-  original:Dataset.t -> release:Dataset.t -> string -> float option
-
-val precision : scheme:Kanon.scheme -> levels:Kanon.levels -> float
-(** Sweeney's Prec: 1 - average (level / height) over the scheme's
-    attributes; 1.0 means untouched, 0.0 fully suppressed. *)
 
 val discernibility : Dataset.t -> int
 (** Discernibility metric: sum over equivalence classes of |class|²

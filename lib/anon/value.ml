@@ -3,14 +3,11 @@ type t =
   | Float of float
   | Str of string
   | Interval of float * float
-  | Str_set of string list
   | Suppressed
 
 let interval lo hi =
   if not (lo < hi) then invalid_arg "Value.interval: requires lo < hi";
   Interval (lo, hi)
-
-let str_set l = Str_set (List.sort_uniq String.compare l)
 
 let equal a b =
   match (a, b) with
@@ -19,14 +16,13 @@ let equal a b =
   | Int x, Float y | Float y, Int x -> Float.equal (float_of_int x) y
   | Str x, Str y -> x = y
   | Interval (a1, b1), Interval (a2, b2) -> Float.equal a1 a2 && Float.equal b1 b2
-  | Str_set x, Str_set y -> x = y
   | Suppressed, Suppressed -> true
-  | (Int _ | Float _ | Str _ | Interval _ | Str_set _ | Suppressed), _ -> false
+  | (Int _ | Float _ | Str _ | Interval _ | Suppressed), _ -> false
 
 let numeric = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
-  | Str _ | Interval _ | Str_set _ | Suppressed -> None
+  | Str _ | Interval _ | Suppressed -> None
 
 let midpoint = function
   | Interval (lo, hi) -> Some ((lo +. hi) /. 2.0)
@@ -41,14 +37,6 @@ let close ~closeness a b =
     | _ -> equal a b)
   | Some _, None | None, Some _ -> false
 
-let covers gen raw =
-  match (gen, raw) with
-  | Suppressed, _ -> true
-  | Interval (lo, hi), v -> (
-    match numeric v with Some x -> lo <= x && x < hi | None -> false)
-  | Str_set set, Str s -> List.mem s set
-  | g, r -> equal g r
-
 let to_string = function
   | Int i -> string_of_int i
   | Float f ->
@@ -61,7 +49,4 @@ let to_string = function
       else Printf.sprintf "%g" v
     in
     Printf.sprintf "%s-%s" (fmt lo) (fmt hi)
-  | Str_set l -> "{" ^ String.concat ", " l ^ "}"
   | Suppressed -> "*"
-
-let pp ppf v = Format.pp_print_string ppf (to_string v)

@@ -2,21 +2,18 @@
 
     Raw microdata uses [Int]/[Float]/[Str]; generalisation replaces them
     with [Interval] (numeric range, inclusive lower bound, exclusive upper
-    bound) or [Str_set] (set of categories), and full suppression with
-    [Suppressed]. *)
+    bound), and full suppression with [Suppressed]. *)
 
 type t =
   | Int of int
   | Float of float
   | Str of string
   | Interval of float * float  (** [lo, hi) *)
-  | Str_set of string list  (** Sorted, deduplicated. *)
   | Suppressed
 
 val interval : float -> float -> t
 (** @raise Invalid_argument unless [lo < hi]. *)
 
-val str_set : string list -> t
 val equal : t -> t -> bool
 val numeric : t -> float option
 (** The numeric content of [Int]/[Float]; [None] otherwise. *)
@@ -29,10 +26,4 @@ val close : closeness:float -> t -> t -> bool
     [closeness] of each other; non-numeric values must be equal.
     [Suppressed] is close to nothing (not even itself). *)
 
-val covers : t -> t -> bool
-(** [covers gen raw]: the generalised value is consistent with the raw one
-    ([Interval] contains the number, [Str_set] contains the string,
-    [Suppressed] covers everything, equal values cover each other). *)
-
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

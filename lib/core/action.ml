@@ -32,13 +32,6 @@ let make ?schema ?store ?purpose ?risk ~kind ~fields ~actor provenance =
 
 let with_risk t risk = { t with risk = Some risk }
 
-let kind_of_flow = function
-  | Flow.Collect -> Collect
-  | Flow.Disclose -> Disclose
-  | Flow.Create -> Create
-  | Flow.Anon -> Anon
-  | Flow.Read -> Read
-
 let findable a = a.kind = Read && a.provenance <> Inferred
 
 let equal a b =

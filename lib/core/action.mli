@@ -50,7 +50,6 @@ val make :
   t
 
 val with_risk : t -> risk -> t
-val kind_of_flow : Flow.action_kind -> kind
 
 val findable : t -> bool
 (** A read whose provenance is not [Inferred] (from a flow, or a

@@ -76,18 +76,4 @@ let of_words ~template src off =
   let executed = take template.executed in
   { privacy = { Privacy_state.has; could }; stores; executed }
 
-let store_has t ~store ~field = Bitset.get t.stores.(store) field
 let executed t ~flow = Bitset.get t.executed flow
-
-let pp u ppf t =
-  Format.fprintf ppf "@[<v>%a" (Privacy_state.pp_compact u) t.privacy;
-  Array.iteri
-    (fun s contents ->
-      if not (Bitset.is_empty contents) then
-        Format.fprintf ppf "@,%s = {%s}" (Universe.store_name u s)
-          (String.concat ", "
-             (List.map
-                (fun f -> Mdp_dataflow.Field.name (Universe.field_at u f))
-                (Bitset.to_list contents))))
-    t.stores;
-  Format.fprintf ppf "@]"

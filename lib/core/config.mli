@@ -40,8 +40,4 @@ val of_words : template:t -> int array -> int -> t
     [template] supplies the shape (bitset capacities, store count) and
     must come from the same universe. *)
 
-val store_has : t -> store:int -> field:int -> bool
 val executed : t -> flow:int -> bool
-
-val pp : Universe.t -> Format.formatter -> t -> unit
-(** Compact: the true privacy variables plus non-empty store contents. *)

@@ -1,39 +1,25 @@
 open Mdp_dataflow
 open Mdp_prelude
 
-type combine = Sum_saturating | Independent_union
-
 type likelihood_model = {
   accidental_access : float;
   maintenance_exposure : float;
   rogue_service : float;
-  combine : combine;
 }
 
 let default_likelihood =
-  {
-    accidental_access = 0.05;
-    maintenance_exposure = 0.02;
-    rogue_service = 0.01;
-    combine = Sum_saturating;
-  }
+  { accidental_access = 0.05; maintenance_exposure = 0.02; rogue_service = 0.01 }
 
 (* The single combination point for the three §III-A scenario
    probabilities, shared with [Risk_plan.eval_likelihood] so the naive
-   and compiled engines stay float-identical.  [Sum_saturating] keeps
-   the paper's semantics (sum, clipped to 1) but the saturation is no
-   longer silent: it bumps the [risk/likelihood_saturated] counter so
-   an aggressive model that pushes the sum past 1 shows up in
-   [--metrics] output.  [Independent_union] treats the scenarios as
-   independent events and never needs a clamp. *)
-let combine_scenarios model ~accidental ~maintenance ~rogue =
-  match model.combine with
-  | Sum_saturating ->
-    let sum = accidental +. maintenance +. rogue in
-    if sum > 1.0 then Mdp_obs.Metrics.incr "risk/likelihood_saturated";
-    Float.min 1.0 sum
-  | Independent_union ->
-    1.0 -. ((1.0 -. accidental) *. (1.0 -. maintenance) *. (1.0 -. rogue))
+   and compiled engines stay float-identical: the paper's sum, clipped
+   to 1. The saturation is not silent: it bumps the
+   [risk/likelihood_saturated] counter so an aggressive model that
+   pushes the sum past 1 shows up in [--metrics] output. *)
+let combine_scenarios ~accidental ~maintenance ~rogue =
+  let sum = accidental +. maintenance +. rogue in
+  if sum > 1.0 then Mdp_obs.Metrics.incr "risk/likelihood_saturated";
+  Float.min 1.0 sum
 
 type finding = {
   src : Plts.state_id;
@@ -124,7 +110,7 @@ let transition_likelihood u profile model (action : Action.t) =
           model.rogue_service
         else 0.0
     in
-    combine_scenarios model ~accidental ~maintenance ~rogue
+    combine_scenarios ~accidental ~maintenance ~rogue
   | (Action.Read | Action.Collect | Action.Create | Action.Disclose
     | Action.Anon | Action.Delete), _ ->
     0.0

@@ -14,50 +14,33 @@
     scenarios: accidental access while querying, exposure during
     maintenance deletion (the actor holds the Delete permission), and
     execution of a service the user did not agree to (the actor
-    participates in a non-agreed service that reads the store). How
-    they combine is the model's {!combine} field — see
-    {!combine_scenarios}.
+    participates in a non-agreed service that reads the store). The
+    likelihood is their sum, clipped to 1 — see {!combine_scenarios}.
 
     [analyse] annotates every [read] transition's label in place with a
     {!Action.Disclosure_risk} and returns the findings sorted by risk. *)
 
 open Mdp_dataflow
 
-type combine =
-  | Sum_saturating
-      (** The paper's §III-A semantics: likelihood = a + m + r, clipped
-          to 1.  With aggressive models the sum can exceed 1; the clamp
-          then saturates, and each saturating evaluation increments the
-          [risk/likelihood_saturated] metrics counter so it is visible
-          rather than silent. *)
-  | Independent_union
-      (** Treat the three scenarios as independent events:
-          likelihood = 1 - (1-a)(1-m)(1-r).  Always in [0, 1] when the
-          inputs are; never saturates.  Opt-in alternative for models
-          whose probabilities are large enough to make the additive
-          approximation meaningless. *)
-
 type likelihood_model = {
   accidental_access : float;
   maintenance_exposure : float;
   rogue_service : float;
-  combine : combine;
 }
 
 val default_likelihood : likelihood_model
-(** 0.05 / 0.02 / 0.01, combined with {!Sum_saturating} — at these
-    magnitudes the additive form differs from the union by < 0.2%. *)
+(** 0.05 / 0.02 / 0.01. *)
 
 val combine_scenarios :
-  likelihood_model ->
-  accidental:float ->
-  maintenance:float ->
-  rogue:float ->
-  float
-(** The single place the three scenario probabilities are combined.
-    {!Risk_plan} evaluates likelihoods through this same function, so
-    the naive and compiled engines are float-identical under every
-    model, including ones where the sum crosses 1. *)
+  accidental:float -> maintenance:float -> rogue:float -> float
+(** The single place the three scenario probabilities are combined: the
+    paper's §III-A semantics, likelihood = a + m + r, clipped to 1. With
+    aggressive models the sum can exceed 1; each saturating evaluation
+    then increments the [risk/likelihood_saturated] metrics counter, so
+    the clamp is visible rather than silent. {!Risk_plan} evaluates
+    likelihoods through this same function, so the naive and compiled
+    engines are float-identical under every model, including ones where
+    the sum crosses 1. *)
 
 type finding = {
   src : Plts.state_id;

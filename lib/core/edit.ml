@@ -168,18 +168,6 @@ type invalidation = {
   inv_consistency : bool;
 }
 
-let nothing =
-  {
-    inv_lts = false;
-    inv_cone = false;
-    inv_plan = false;
-    inv_risk = false;
-    inv_classes = false;
-    inv_sigma = None;
-    inv_pseudonym = false;
-    inv_consistency = false;
-  }
-
 let everything =
   {
     inv_lts = true;

@@ -78,7 +78,6 @@ type invalidation = {
   inv_consistency : bool;  (** Consistency gaps must be recomputed. *)
 }
 
-val nothing : invalidation
 val everything : invalidation
 
 val classify :

@@ -16,15 +16,7 @@ let transition_style (tr : Plts.transition) =
   in
   String.concat ", " (List.filter (( <> ) "") [ base; risk_colour ])
 
-let to_dot ?(graph_name = "privacy_lts") ?(verbose_states = false) u lts =
-  let state_label s =
-    if verbose_states then
-      Format.asprintf "s%d: %a" s
-        (Privacy_state.pp_compact u)
-        (Plts.state_data lts s).Config.privacy
-    else Printf.sprintf "s%d" s
-  in
-  Plts.to_dot ~graph_name ~state_label ~transition_style lts
+let to_dot lts = Plts.to_dot ~graph_name:"privacy_lts" ~transition_style lts
 
 (* Transitions per distinct label: an int per transition, counted by
    interned label id. *)

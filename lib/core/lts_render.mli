@@ -3,10 +3,8 @@
     §III-B inferred risk-transitions dotted and labelled with their
     violation counts; risk-annotated reads are coloured by level. *)
 
-val to_dot :
-  ?graph_name:string -> ?verbose_states:bool -> Universe.t -> Plts.t -> string
-(** [verbose_states] prints the true privacy variables inside each node
-    rather than bare state numbers (Fig. 2's table, compacted). *)
+val to_dot : Plts.t -> string
+(** Nodes are labelled with their state numbers. *)
 
 val summary : Universe.t -> Plts.t -> string
 (** One-paragraph textual account: state/transition counts, counts per

@@ -21,17 +21,6 @@ let could u t ~actor ~field = Bitset.get t.could (var u ~actor ~field)
 let has_i t v = Bitset.get t.has v
 let could_i t v = Bitset.get t.could v
 
-let identified_pairs u t =
-  let acc = ref [] in
-  for v = Universe.nvars u - 1 downto 0 do
-    if Bitset.get t.has v || Bitset.get t.could v then
-      acc :=
-        ( Universe.actor_name u (Universe.var_actor u v),
-          Universe.field_at u (Universe.var_field u v) )
-        :: !acc
-  done;
-  !acc
-
 let pp_table u ppf t =
   let header =
     "actor"
@@ -54,18 +43,3 @@ let pp_table u ppf t =
     Texttable.add_row table (Universe.actor_name u a :: cells)
   done;
   Texttable.pp ppf table
-
-let pp_compact u ppf t =
-  let entries = ref [] in
-  for v = Universe.nvars u - 1 downto 0 do
-    let name () =
-      Printf.sprintf "%s %s"
-        (Universe.actor_name u (Universe.var_actor u v))
-        (Mdp_dataflow.Field.name (Universe.field_at u (Universe.var_field u v)))
-    in
-    if Bitset.get t.has v then entries := (name () ^ " (has)") :: !entries
-    else if Bitset.get t.could v then entries := (name () ^ " (could)") :: !entries
-  done;
-  match !entries with
-  | [] -> Format.pp_print_string ppf "(absolute privacy)"
-  | es -> Format.pp_print_string ppf (String.concat "; " es)

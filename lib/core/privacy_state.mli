@@ -23,13 +23,6 @@ val has_i : t -> int -> bool
 
 val could_i : t -> int -> bool
 
-val identified_pairs : Universe.t -> t -> (string * Field.t) list
-(** (actor, field) pairs with [has] or [could] true — the pairs whose
-    sensitivity defines the state's sensitivity (§III-A). *)
-
 val pp_table : Universe.t -> Format.formatter -> t -> unit
 (** The Fig. 2 state-variable table: one row per actor, one column pair
     (has/could) per field. *)
-
-val pp_compact : Universe.t -> Format.formatter -> t -> unit
-(** One line, only the true variables: [Doctor has Name; Nurse could ...]. *)

@@ -43,10 +43,3 @@ let profile diagram westin ~agreed_services ~answers =
   User_profile.make
     ~sensitivities:(from_fields @ extra_anon)
     ~agreed_services ()
-
-let pp_westin ppf w =
-  Format.pp_print_string ppf
-    (match w with
-    | Fundamentalist -> "fundamentalist"
-    | Pragmatist -> "pragmatist"
-    | Unconcerned -> "unconcerned")

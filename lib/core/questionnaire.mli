@@ -27,5 +27,3 @@ val profile :
   agreed_services:string list ->
   answers:answer list ->
   User_profile.t
-
-val pp_westin : Format.formatter -> westin -> unit

@@ -76,8 +76,6 @@ let kind_of_string = function
   | "delete" -> Some Action.Delete
   | _ -> None
 
-let kind_to_string k = Format.asprintf "%a" Action.pp_kind k
-
 let of_spec spec =
   match String.index_opt spec '=' with
   | None -> Error (Printf.sprintf "bad requirement %S (expected key=value)" spec)
@@ -120,19 +118,6 @@ let of_spec spec =
       | Some level -> Ok (Max_disclosure_risk level)
       | None -> Error (Printf.sprintf "unknown level in %S" spec))
     | _ -> Error (Printf.sprintf "unknown requirement kind %S" key))
-
-let to_spec = function
-  | Never_identifies { actor; field } ->
-    Printf.sprintf "never=%s:%s" actor (Field.name field)
-  | Never_could_identify { actor; field } ->
-    Printf.sprintf "nevercould=%s:%s" actor (Field.name field)
-  | No_action_by { actor; kind } ->
-    Printf.sprintf "noaction=%s:%s" actor (kind_to_string kind)
-  | Only_for_purposes { field; purposes } ->
-    Printf.sprintf "purposes=%s:%s" (Field.name field)
-      (String.concat ";" purposes)
-  | Max_disclosure_risk level ->
-    Printf.sprintf "maxrisk=%s" (Level.to_string level)
 
 let check u lts requirements =
   List.filter_map (violation_of u lts) requirements

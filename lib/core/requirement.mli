@@ -24,8 +24,7 @@ type t =
   | Max_disclosure_risk of Level.t
       (** No reachable transition is annotated above this level; check
           after {!Risk_plan.analyse} has annotated the LTS's read
-          labels (the reference {!Disclosure_risk.analyse} annotates
-          identically). *)
+          labels. *)
 
 type violation = {
   requirement : t;
@@ -39,9 +38,6 @@ val of_spec : string -> (t, string) result
 (** Compact textual form, used by the CLI and suitable for config files:
     [never=Actor:Field], [nevercould=Actor:Field], [noaction=Actor:KIND],
     [purposes=Field:p1;p2], [maxrisk=LEVEL]. *)
-
-val to_spec : t -> string
-(** Inverse of {!of_spec}. *)
 
 val check : Universe.t -> Plts.t -> t list -> violation list
 (** One violation (with a shortest witness) per violated requirement;

@@ -400,7 +400,7 @@ let eval_likelihood model view = function
     in
     let rogue = rogue_term model view lk.lk_rogue in
     (* Shared combination point: float-identical to the naive path. *)
-    Disclosure_risk.combine_scenarios model ~accidental ~maintenance ~rogue
+    Disclosure_risk.combine_scenarios ~accidental ~maintenance ~rogue
 
 (* The finding level of a label with these plans under [view]; impact =
    0 or likelihood = 0 categorise to [None_], which can never yield a

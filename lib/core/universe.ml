@@ -9,7 +9,6 @@ type t = {
   field_ids : (string, int) Hashtbl.t; (* keyed by Field.name *)
   stores : Interner.t;
   flows : (Service.t * Flow.t) array;
-  flow_ids : (string * int, int) Hashtbl.t; (* (service, order) *)
   (* Caches derived from the policy; rebuilt by [with_policy]. *)
   readers_cache : int list array array; (* store -> field -> actors *)
   readable_cache : int list array array; (* actor -> store -> fields *)
@@ -48,11 +47,6 @@ let store_name t i = Interner.name t.stores i
 
 let store_at t i =
   Option.get (Diagram.find_store t.diagram (store_name t i))
-
-let flow_index t ~service ~order =
-  match Hashtbl.find_opt t.flow_ids (service, order) with
-  | Some i -> i
-  | None -> raise Not_found
 
 let flow_at t i = t.flows.(i)
 
@@ -116,11 +110,6 @@ let make diagram policy =
     Interner.of_list (List.map (fun (d : Datastore.t) -> d.id) diagram.datastores)
   in
   let flows = Array.of_list (Diagram.all_flows diagram) in
-  let flow_ids = Hashtbl.create 16 in
-  Array.iteri
-    (fun i ((svc : Service.t), (fl : Flow.t)) ->
-      Hashtbl.replace flow_ids (svc.id, fl.order) i)
-    flows;
   let ( readers_cache,
         readable_cache,
         deleters_cache,
@@ -136,7 +125,6 @@ let make diagram policy =
     field_ids;
     stores;
     flows;
-    flow_ids;
     readers_cache;
     readable_cache;
     deleters_cache;

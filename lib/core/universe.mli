@@ -34,7 +34,6 @@ val field_at : t -> int -> Field.t
 val store_index : t -> string -> int
 val store_name : t -> int -> string
 val store_at : t -> int -> Datastore.t
-val flow_index : t -> service:string -> order:int -> int
 val flow_at : t -> int -> Mdp_dataflow.Service.t * Flow.t
 val var : t -> actor:int -> field:int -> int
 (** Index into [has]/[could] bitsets. *)

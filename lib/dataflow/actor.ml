@@ -7,8 +7,6 @@ let make ?(roles = []) id =
   | None -> ());
   { id; roles }
 
-let has_role t r = List.mem r t.roles
-
 let pp ppf t =
   match t.roles with
   | [] -> Format.pp_print_string ppf t.id

@@ -7,5 +7,4 @@ type t = { id : string; roles : string list }
 val make : ?roles:string list -> string -> t
 (** @raise Invalid_argument on an empty id or duplicate roles. *)
 
-val has_role : t -> string -> bool
 val pp : Format.formatter -> t -> unit

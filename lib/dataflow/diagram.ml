@@ -142,9 +142,6 @@ let all_fields t =
   let from_schemas = List.concat_map Datastore.fields t.datastores in
   Listx.dedup (from_flows @ from_schemas)
 
-let services_of_actor t id =
-  List.filter (fun s -> List.mem id (Service.actors s)) t.services
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>actors: %a@,stores:@,  @[<v>%a@]@,%a@]"
     (Format.pp_print_list

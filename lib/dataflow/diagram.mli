@@ -43,8 +43,5 @@ val all_fields : t -> Field.t list
 (** The field universe: every field appearing in any schema or flow, plus
     the anon variants introduced by [anon] flows. Deterministic order. *)
 
-val services_of_actor : t -> string -> Service.t list
-(** Services in which the actor appears as a flow endpoint. *)
-
 val all_flows : t -> (Service.t * Flow.t) list
 val pp : Format.formatter -> t -> unit

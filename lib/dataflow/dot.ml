@@ -50,5 +50,3 @@ let to_string (d : Diagram.t) =
     d.services;
   buf_addf buf "}\n";
   Buffer.contents buf
-
-let pp ppf d = Format.pp_print_string ppf (to_string d)

@@ -3,4 +3,3 @@
     flow). Services are rendered as clusters. *)
 
 val to_string : Diagram.t -> string
-val pp : Format.formatter -> Diagram.t -> unit

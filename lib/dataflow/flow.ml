@@ -52,14 +52,6 @@ let node_name = function
 
 let pp_node ppf n = Format.pp_print_string ppf (node_name n)
 
-let pp_action_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with
-    | Collect -> "collect"
-    | Disclose -> "disclose"
-    | Create -> "create"
-    | Anon -> "anon"
-    | Read -> "read")
 
 let pp ppf t =
   Format.fprintf ppf "%d: %a -> %a [%a] purpose %S" t.order pp_node t.src

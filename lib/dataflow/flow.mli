@@ -35,4 +35,3 @@ val node_name : node -> string
 val equal_node : node -> node -> bool
 val pp_node : Format.formatter -> node -> unit
 val pp : Format.formatter -> t -> unit
-val pp_action_kind : Format.formatter -> action_kind -> unit

@@ -17,15 +17,6 @@ let actors t =
        (function Flow.Actor a -> Some a | Flow.User | Flow.Store _ -> None)
        (endpoints t))
 
-let stores t =
-  Mdp_prelude.Listx.dedup
-    (List.filter_map
-       (function Flow.Store s -> Some s | Flow.User | Flow.Actor _ -> None)
-       (endpoints t))
-
-let fields t =
-  Mdp_prelude.Listx.dedup (List.concat_map (fun (f : Flow.t) -> f.fields) t.flows)
-
 let flow_with_order t o = List.find_opt (fun (f : Flow.t) -> f.order = o) t.flows
 
 let pp ppf t =

@@ -12,7 +12,5 @@ val make : id:string -> flows:Flow.t list -> t
 val actors : t -> string list
 (** Ids of actors appearing as flow endpoints, deduplicated. *)
 
-val stores : t -> string list
-val fields : t -> Field.t list
 val flow_with_order : t -> int -> Flow.t option
 val pp : Format.formatter -> t -> unit

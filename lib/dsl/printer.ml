@@ -79,5 +79,3 @@ let to_string { Parser.diagram; policy; placement } =
       (fun (st, node) -> addf "place store:%s on %s\n" st node)
       p.store_nodes);
   Buffer.contents buf
-
-let pp ppf m = Format.pp_print_string ppf (to_string m)

@@ -3,4 +3,3 @@
     round-trip property the test suite checks). *)
 
 val to_string : Parser.model -> string
-val pp : Format.formatter -> Parser.model -> unit

@@ -280,8 +280,6 @@ module Make (S : STATE) (L : LABEL) = struct
       cones = None;
     }
 
-  let create pk = make pk
-
   (* ----- packed primitives ----- *)
 
   let words_equal a b w =
@@ -1047,15 +1045,6 @@ module Make (S : STATE) (L : LABEL) = struct
     decode_words p cur buf id;
     p.pk.pk_decode buf 0
 
-  let find_state t s =
-    let p = t.p in
-    p.pk.pk_blit s p.cand_buf 0;
-    let h = P.hash_words p.cand_buf p.pk.pk_words in
-    let id =
-      shard_find p p.shards.(shard_of h) (tag_of h) p.cand_buf p.cur p.cmp_buf
-    in
-    if id >= 0 then Some id else None
-
   (* Label-id access: labels are interned, so a per-label verdict
      ("does this label change under the edit?") can be computed once
      per distinct label and row scans reduce to one array index per
@@ -1192,11 +1181,6 @@ module Make (S : STATE) (L : LABEL) = struct
       iter_successors t src (fun label dst -> f { src; label; dst })
     done
 
-  let transitions t =
-    let acc = ref [] in
-    iter_transitions t (fun tr -> acc := tr :: !acc);
-    List.rev !acc
-
   (* [f] runs once per live interned label; the table is rebuilt from
      the mapped labels and rows are re-encoded through an int remap
      into a fresh buffer (mapped ids can need wider varints). One pass,
@@ -1266,38 +1250,6 @@ module Make (S : STATE) (L : LABEL) = struct
         | l :: rest -> List.exists (L.equal l) rest || dup rest
       in
       if dup labels then ok := false
-    done;
-    !ok
-
-  let is_acyclic t =
-    (* Iterative colouring (0 unvisited, 1 on stack, 2 done): no OCaml
-       stack frame per state, so deep chains cannot overflow. *)
-    let colour = Array.make (max t.n 1) 0 in
-    let ok = ref true in
-    let stack = ref [] in
-    for root = 0 to t.n - 1 do
-      if !ok && colour.(root) = 0 then begin
-        colour.(root) <- 1;
-        stack := [ (root, 0) ];
-        while !ok && !stack <> [] do
-          match !stack with
-          | [] -> ()
-          | (s, i) :: rest ->
-            if i >= out_degree t s then begin
-              colour.(s) <- 2;
-              stack := rest
-            end
-            else begin
-              stack := (s, i + 1) :: rest;
-              let d = nth_dst t s i in
-              if colour.(d) = 1 then ok := false
-              else if colour.(d) = 0 then begin
-                colour.(d) <- 1;
-                stack := (d, 0) :: !stack
-              end
-            end
-        done
-      end
     done;
     !ok
 
@@ -1668,30 +1620,15 @@ module Make (S : STATE) (L : LABEL) = struct
          (function '"' -> "\\\"" | '\n' -> "\\n" | c -> String.make 1 c)
          (List.init (String.length s) (String.get s)))
 
-  let to_dot ?(graph_name = "lts") ?state_label ?state_style ?transition_style t
-      =
+  let to_dot ~graph_name ~transition_style t =
     let buf = Buffer.create 1024 in
     let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
     addf "digraph %s {\n  rankdir=LR;\n" graph_name;
     iter_states t (fun s ->
-        let label =
-          match state_label with
-          | Some f -> f s
-          | None -> Printf.sprintf "s%d" s
-        in
-        let style =
-          match state_style with
-          | Some f -> ( match f s with "" -> "" | st -> ", " ^ st)
-          | None -> ""
-        in
         let init_mark = if s = 0 then ", penwidth=2" else "" in
-        addf "  n%d [label=\"%s\"%s%s];\n" s (dot_escape label) style init_mark);
+        addf "  n%d [label=\"s%d\"%s];\n" s s init_mark);
     iter_transitions t (fun tr ->
-        let style =
-          match transition_style with
-          | Some f -> ( match f tr with "" -> "" | st -> ", " ^ st)
-          | None -> ""
-        in
+        let style = match transition_style tr with "" -> "" | st -> ", " ^ st in
         addf "  n%d -> n%d [label=\"%s\"%s];\n" tr.src tr.dst
           (dot_escape (Format.asprintf "%a" L.pp tr.label))
           style);

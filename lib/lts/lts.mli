@@ -125,9 +125,6 @@ module Make (S : STATE) (L : LABEL) : sig
 
   type transition = { src : state_id; label : L.t; dst : state_id }
 
-  val create : S.t packer -> t
-  (** An empty LTS storing its states through the given codec. *)
-
   (** {1 Construction} *)
 
   val add_state : t -> S.t -> state_id
@@ -229,10 +226,6 @@ module Make (S : STATE) (L : LABEL) : sig
       values are not cached — hold on to the result across repeated
       use. *)
 
-  val find_state : t -> S.t -> state_id option
-  (** Reuses shared scratch buffers — do not call from several domains
-      at once. *)
-
   val interned_labels : t -> L.t array option
   (** The interned-label table (a copy), indexed by the label ids
       {!iter_successors_lid} reports. Always [Some]: every LTS interns
@@ -256,7 +249,6 @@ module Make (S : STATE) (L : LABEL) : sig
   val iter_successors : t -> state_id -> (L.t -> state_id -> unit) -> unit
   (** Iterate the successor array in insertion order without allocating. *)
 
-  val transitions : t -> transition list
   val iter_transitions : t -> (transition -> unit) -> unit
 
   val mem_stats : t -> mem_stats option
@@ -293,9 +285,6 @@ module Make (S : STATE) (L : LABEL) : sig
   val is_deterministic : t -> bool
   (** No state has two outgoing transitions with equal labels. *)
 
-  val is_acyclic : t -> bool
-  (** Iterative (explicit stack): safe on arbitrarily deep graphs. *)
-
   val path_to : t -> (state_id -> bool) -> (L.t * state_id) list option
   (** Shortest witness path (sequence of steps from the initial state) to
       a state satisfying the predicate; [Some []] if the initial state
@@ -313,12 +302,8 @@ module Make (S : STATE) (L : LABEL) : sig
   (** {1 Output} *)
 
   val to_dot :
-    ?graph_name:string ->
-    ?state_label:(state_id -> string) ->
-    ?state_style:(state_id -> string) ->
-    ?transition_style:(transition -> string) ->
-    t ->
-    string
-  (** [state_style]/[transition_style] return extra DOT attributes
-      (e.g. ["style=dashed, color=red"]); empty string for none. *)
+    graph_name:string -> transition_style:(transition -> string) -> t -> string
+  (** States are labelled [s<id>], the initial one drawn bold.
+      [transition_style] returns extra DOT attributes (e.g.
+      ["style=dashed, color=red"]); empty string for none. *)
 end

@@ -169,8 +169,6 @@ let file t name =
   t.sp_files <- (name, f) :: t.sp_files;
   f
 
-let length f = f.f_len
-
 (* Append [len] bytes of [b] from [pos]; returns the record's file
    offset. Single-writer, so plain sequential writes. *)
 let append f b ~pos ~len =

@@ -49,8 +49,6 @@ val faults : t -> int
 val file : t -> string -> file
 (** Create (truncating) an append-only file in the run directory. *)
 
-val length : file -> int
-
 val append : file -> Bytes.t -> pos:int -> len:int -> int
 (** Append [len] bytes, returning their file offset. Single-writer:
     only the exploration's merging domain appends, and worker domains

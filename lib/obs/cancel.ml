@@ -4,8 +4,7 @@ type t = { flag : bool Atomic.t; deadline_ns : int }
 
 exception Cancelled of reason
 
-let create ?(deadline_ns = max_int) () =
-  { flag = Atomic.make false; deadline_ns }
+let create () = { flag = Atomic.make false; deadline_ns = max_int }
 
 let with_budget_ms ms =
   { flag = Atomic.make false; deadline_ns = Clock.now_ns () + (ms * 1_000_000) }

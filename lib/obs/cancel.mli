@@ -22,9 +22,8 @@ exception Cancelled of reason
     through unchanged so the caller can distinguish an explicit cancel
     from a blown budget. *)
 
-val create : ?deadline_ns:int -> unit -> t
-(** [deadline_ns] is an {e absolute} monotonic reading
-    ({!Clock.now_ns} plus the budget); omitted = no deadline. *)
+val create : unit -> t
+(** Token without a deadline. *)
 
 val with_budget_ms : int -> t
 (** Token whose deadline is [now + budget] milliseconds. *)

@@ -1,7 +1,6 @@
 external now_ns : unit -> int = "mdp_obs_now_ns" [@@noalloc]
 
 let ns_to_s ns = float_of_int ns *. 1e-9
-let ns_to_ms ns = float_of_int ns *. 1e-6
 let elapsed_s t0 = ns_to_s (now_ns () - t0)
 
 let time f =

@@ -12,9 +12,6 @@ val now_ns : unit -> int
 val ns_to_s : int -> float
 (** Convert a nanosecond interval to seconds. *)
 
-val ns_to_ms : int -> float
-(** Convert a nanosecond interval to milliseconds. *)
-
 val elapsed_s : int -> float
 (** [elapsed_s t0] is the seconds elapsed since the reading [t0]. *)
 

@@ -372,19 +372,18 @@ let spans_to_jsonl snap =
     snap.spans;
   Buffer.contents buf
 
-let phase_table ?(prefix = "phase/") ~wall_s snap =
+let phase_table ~wall_s snap =
   (* Same-named phase spans are summed into one row (first-occurrence
      order): one-shot phases (explore, render) render as before, while
      repeating ones — phase/spill fires on every eviction burst — show
      their aggregate instead of hundreds of near-zero lines. *)
+  let prefix = "phase/" in
   let plen = String.length prefix in
   let totals = Hashtbl.create 8 in
   let order = ref [] in
   List.iter
     (fun sp ->
-      if
-        String.length sp.sp_name > plen
-        && String.sub sp.sp_name 0 plen = prefix
+      if String.length sp.sp_name > plen && String.starts_with ~prefix sp.sp_name
       then begin
         let phase =
           String.sub sp.sp_name plen (String.length sp.sp_name - plen)

@@ -105,10 +105,9 @@ val spans_to_jsonl : snapshot -> string
 (** One JSON object per line per span:
     [{"name":...,"start_ns":...,"dur_ns":...,"domain":...}]. *)
 
-val phase_table :
-  ?prefix:string -> wall_s:float -> snapshot -> (string * float * float) list
+val phase_table : wall_s:float -> snapshot -> (string * float * float) list
 (** [phase_table ~wall_s snap] extracts spans whose name starts with
-    [prefix] (default ["phase/"]) and returns
+    ["phase/"] and returns
     [(phase, seconds, fraction of wall_s)] rows in first-execution
     order, with same-named spans summed into one row (a phase that
     fires repeatedly, like [phase/spill], shows its aggregate). *)

@@ -42,17 +42,3 @@ let entry_matches rbac actor perm ~store f entry =
   && selector_matches entry.selector f
   && subject_matches rbac actor entry.subject
 
-let pp_subject ppf = function
-  | Actor_subject a -> Format.fprintf ppf "actor:%s" a
-  | Role_subject r -> Format.fprintf ppf "role:%s" r
-
-let pp_entry ppf e =
-  let effect_ = match e.effect_ with Allow -> "allow" | Deny -> "deny" in
-  let fields =
-    match e.selector with
-    | All_fields -> "*"
-    | Fields fs -> String.concat ", " (List.map Field.name fs)
-  in
-  Format.fprintf ppf "%s %a %s %s.[%s]" effect_ pp_subject e.subject
-    (String.concat "+" (List.map Permission.to_string e.perms))
-    e.store fields

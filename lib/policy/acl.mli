@@ -37,5 +37,3 @@ val entry_matches :
   Rbac.t -> Actor.t -> Permission.t -> store:string -> Field.t -> entry -> bool
 (** Ignores the entry's effect. *)
 
-val pp_subject : Format.formatter -> subject -> unit
-val pp_entry : Format.formatter -> entry -> unit

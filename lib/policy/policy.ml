@@ -18,17 +18,6 @@ let allows t ~diagram ~actor perm ~store field =
             (fun (e : Acl.entry) -> e.effect_ = Acl.Deny && matches e)
             t.entries)
 
-let readable_fields t ~diagram ~actor ~store =
-  List.filter
-    (fun f ->
-      allows t ~diagram ~actor Permission.Read ~store:store.Datastore.id f)
-    (Datastore.fields store)
-
-let actors_with t ~diagram perm ~store field =
-  List.filter
-    (fun (a : Actor.t) -> allows t ~diagram ~actor:a.id perm ~store field)
-    diagram.Diagram.actors
-
 let grant t entry = { t with entries = t.entries @ [ entry ] }
 
 let revoke t ~subject ~store ?fields perms =
@@ -90,6 +79,3 @@ let diff ~before ~after diagram =
   let removed = List.filter (fun g -> not (List.mem g a)) b in
   let added = List.filter (fun g -> not (List.mem g b)) a in
   (removed, added)
-
-let pp ppf t =
-  Format.pp_print_list ~pp_sep:Format.pp_print_cut Acl.pp_entry ppf t.entries

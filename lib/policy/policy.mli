@@ -18,15 +18,6 @@ val allows :
   Field.t -> bool
 (** False for unknown actors. *)
 
-val readable_fields :
-  t -> diagram:Diagram.t -> actor:string -> store:Datastore.t -> Field.t list
-(** Fields of [store] the actor may [Read], in schema order. *)
-
-val actors_with :
-  t -> diagram:Diagram.t -> Permission.t -> store:string -> Field.t ->
-  Actor.t list
-(** All actors of the diagram granted the permission on the field. *)
-
 val grant : t -> Acl.entry -> t
 (** Appends an entry (of either effect). *)
 
@@ -54,5 +45,3 @@ val concrete_grants : t -> Diagram.t -> grant_tuple list
 
 val diff : before:t -> after:t -> Diagram.t -> grant_tuple list * grant_tuple list
 (** [(removed, added)] concrete grants. *)
-
-val pp : Format.formatter -> t -> unit

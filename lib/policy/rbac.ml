@@ -34,7 +34,4 @@ let effective_roles t (actor : Mdp_dataflow.Actor.t) =
 
 let holds_role t actor role = List.mem role (effective_roles t actor)
 
-let all_roles t =
-  Listx.dedup (List.concat_map (fun (a, b) -> [ a; b ]) t.hierarchy)
-
 let hierarchy t = t.hierarchy

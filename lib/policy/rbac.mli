@@ -18,8 +18,5 @@ val effective_roles : t -> Mdp_dataflow.Actor.t -> string list
     the roles whose ACL entries apply to the actor. *)
 
 val holds_role : t -> Mdp_dataflow.Actor.t -> string -> bool
-val all_roles : t -> string list
-(** Roles mentioned anywhere in the hierarchy. *)
-
 val hierarchy : t -> (string * string) list
 (** The [(senior, junior)] pairs given at creation, in order. *)

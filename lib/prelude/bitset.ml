@@ -24,21 +24,12 @@ let set t i =
   let w = i / bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
 
-let clear t i =
-  check t i;
-  let w = i / bits_per_word in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))
-
-let assign t i b = if b then set t i else clear t i
-
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let popcount =
   (* Kernighan's loop: words are sparse in privacy states. *)
   let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
   fun w -> go 0 w
-
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
 let same_len a b =
   if a.len <> b.len then invalid_arg "Bitset: length mismatch"
@@ -49,26 +40,12 @@ let equal a b =
      checks make equality O(1) on shared substructure. *)
   a == b || a.words == b.words || Array.for_all2 ( = ) a.words b.words
 
-let compare a b =
-  same_len a b;
-  let rec go i =
-    if i = Array.length a.words then 0
-    else
-      let c = Int.compare a.words.(i) b.words.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
-
 let hash t =
   Array.fold_left (fun acc w -> (acc * 1000003) lxor w) t.len t.words
 
-let map2 f a b =
+let union a b =
   same_len a b;
-  { len = a.len; words = Array.map2 f a.words b.words }
-
-let union a b = map2 ( lor ) a b
-let inter a b = map2 ( land ) a b
-let diff a b = map2 (fun x y -> x land lnot y) a b
+  { len = a.len; words = Array.map2 ( lor ) a.words b.words }
 
 let union_into ~dst src =
   same_len dst src;
@@ -136,7 +113,6 @@ let with_bits t l =
     c
   end
 
-let clear_all t = Array.fill t.words 0 (Array.length t.words) 0
 
 let range_check t pos len =
   if len < 0 || len > bits_per_word || pos < 0 || pos + len > t.len then
@@ -179,10 +155,3 @@ let blit_words t dst off =
 let of_words ~length src off =
   let n = max 1 (nwords length) in
   { len = length; words = Array.sub src off n }
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       Format.pp_print_int)
-    (to_list t)

@@ -16,22 +16,14 @@ val copy : t -> t
 
 val get : t -> int -> bool
 val set : t -> int -> unit
-val clear : t -> int -> unit
-val assign : t -> int -> bool -> unit
 
 val is_empty : t -> bool
-val cardinal : t -> int
-(** Number of set bits. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val hash : t -> int
 
 val union : t -> t -> t
 (** Fresh bitset; operands unchanged. *)
-
-val inter : t -> t -> t
-val diff : t -> t -> t
 
 val union_into : dst:t -> t -> unit
 (** [union_into ~dst src] sets every bit of [src] in [dst]. *)
@@ -51,7 +43,6 @@ val iter_inter : (int -> unit) -> t -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> int list
 val of_list : int -> int list -> t
-val clear_all : t -> unit
 
 val with_set : t -> int -> t
 (** Copy-on-write [set]: a fresh bitset with the bit additionally set —
@@ -93,6 +84,3 @@ val of_words : length:int -> int array -> int -> t
     from the words at [src.(off ..)] — the inverse of {!blit_words} for
     a bitset of that capacity. The words must respect the capacity (no
     bits at or above [length]); words written by {!blit_words} do. *)
-
-val pp : Format.formatter -> t -> unit
-(** Renders as e.g. [{1, 4, 7}]. *)

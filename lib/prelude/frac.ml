@@ -9,18 +9,6 @@ let to_float { num; den } = float_of_int num /. float_of_int den
 
 let ge { num; den } x = float_of_int num >= x *. float_of_int den
 
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
-let reduce { num; den } =
-  if num = 0 then { num = 0; den = 1 }
-  else
-    let g = gcd num den in
-    { num = num / g; den = den / g }
-
-let equal a b = a.num = b.num && a.den = b.den
-
-let equal_value a b = a.num * b.den = b.num * a.den
-
 let to_string { num; den } = Printf.sprintf "%d/%d" num den
 
 let pp ppf f = Format.pp_print_string ppf (to_string f)

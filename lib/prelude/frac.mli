@@ -15,11 +15,5 @@ val to_float : t -> float
 val ge : t -> float -> bool
 (** [ge f x] is [to_float f >= x], exact in the common cases. *)
 
-val reduce : t -> t
-val equal : t -> t -> bool
-(** Structural equality (2/4 <> 1/2); use [equal_value] for numeric
-    equality. *)
-
-val equal_value : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

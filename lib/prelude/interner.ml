@@ -35,8 +35,6 @@ let name t id =
 
 let size t = t.next
 
-let names t = List.init t.next (fun i -> t.by_id.(i))
-
 let of_list l =
   let t = create () in
   List.iter (fun s -> ignore (intern t s)) l;

@@ -17,7 +17,4 @@ val name : t -> int -> string
 (** @raise Invalid_argument on an unknown id. *)
 
 val size : t -> int
-val names : t -> string list
-(** All interned strings in id order. *)
-
 val of_list : string list -> t

@@ -228,5 +228,3 @@ let member key = function
 let to_int_opt = function Num n -> Some (int_of_float n) | _ -> None
 let to_str_opt = function Str s -> Some s | _ -> None
 let to_list_opt = function List l -> Some l | _ -> None
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

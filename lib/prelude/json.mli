@@ -29,5 +29,3 @@ val to_int_opt : t -> int option
 
 val to_str_opt : t -> string option
 val to_list_opt : t -> t list option
-
-val pp : Format.formatter -> t -> unit

@@ -14,8 +14,6 @@ let dedup l =
   in
   go [] l
 
-let cartesian xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
-
 let sum_by f l = List.fold_left (fun acc x -> acc + f x) 0 l
 let sum_byf f l = List.fold_left (fun acc x -> acc +. f x) 0.0 l
 

@@ -8,7 +8,6 @@ val dedup : 'a list -> 'a list
 (** Keep the first occurrence of each element (polymorphic equality),
     preserving order. *)
 
-val cartesian : 'a list -> 'b list -> ('a * 'b) list
 val sum_by : ('a -> int) -> 'a list -> int
 val sum_byf : ('a -> float) -> 'a list -> float
 val max_byf : ('a -> float) -> 'a list -> float

@@ -4,10 +4,6 @@
    domain-free, which is what makes a cheap small-input fallback
    possible at the call sites. *)
 
-let chunks ~jobs n =
-  let jobs = if n <= 0 then 1 else max 1 (min jobs n) in
-  List.init jobs (fun k -> (k * n / jobs, (k + 1) * n / jobs))
-
 let map_chunks ~jobs n f =
   if n <= 0 then []
   else

@@ -13,10 +13,6 @@
     mutable structures (hash tables, growable buffers, the calling
     LTS, ...). *)
 
-val chunks : jobs:int -> int -> (int * int) list
-(** The [(lo, hi)] ranges that {!map_chunks}/{!iter_chunks} would use:
-    at most [jobs] non-empty contiguous chunks covering [0, n). *)
-
 val map_chunks : jobs:int -> int -> (int -> int -> 'a) -> 'a list
 (** [map_chunks ~jobs n f] runs [f lo hi] over each chunk — first
     chunk on the calling domain, the rest on spawned domains — and

@@ -14,9 +14,3 @@ let errors ctx = List.rev ctx.rev_errors
 
 let result ctx v =
   match ctx.rev_errors with [] -> Ok v | _ -> Error (errors ctx)
-
-let pp_errors ppf msgs =
-  Format.pp_print_list
-    ~pp_sep:Format.pp_print_newline
-    (fun ppf m -> Format.fprintf ppf "- %s" m)
-    ppf msgs

@@ -19,5 +19,3 @@ val errors : ctx -> string list
 
 val result : ctx -> 'a -> ('a, string list) Stdlib.result
 (** [Ok v] when no errors were recorded, otherwise [Error messages]. *)
-
-val pp_errors : Format.formatter -> string list -> unit

@@ -47,12 +47,7 @@ let create ~nodes ~actors ~stores universe =
 
 let node_of_actor t id = List.assoc id t.actor_nodes
 let node_of_store t id = List.assoc id t.store_nodes
-let actor_placements t = t.actor_nodes
 let store_placements t = t.store_nodes
-
-let node_ids t =
-  Mdp_prelude.Listx.dedup
-    (List.map (fun (_, n) -> n.id) (t.actor_nodes @ t.store_nodes))
 
 type transfer = {
   action : Core.Action.t;

@@ -25,14 +25,7 @@ val create :
 val node_of_actor : t -> string -> node
 val node_of_store : t -> string -> node
 
-val actor_placements : t -> (string * node) list
-(** Every actor with its node, in diagram order. *)
-
 val store_placements : t -> (string * node) list
-
-val node_ids : t -> string list
-(** Distinct ids of the nodes that actually host something, in
-    first-placement order. *)
 
 type transfer = {
   action : Mdp_core.Action.t;

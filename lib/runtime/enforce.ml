@@ -47,7 +47,3 @@ let decide u (event : Event.t) =
       ~fields_written:(List.map Field.anon_of)
   | Core.Action.Delete ->
     check_store u event Permission.Delete ~fields_written:Fun.id
-
-let pp_decision ppf = function
-  | Allowed e -> Format.fprintf ppf "allowed: %a" Event.pp e
-  | Denied reason -> Format.fprintf ppf "denied: %s" reason

@@ -14,5 +14,3 @@ val decide : Mdp_core.Universe.t -> Event.t -> decision
     unchanged. [Read]/[Create]/[Anon]/[Delete] need the matching
     permission per field ([Anon] is checked on the anon variants it
     writes); events naming no store are denied. *)
-
-val pp_decision : Format.formatter -> decision -> unit

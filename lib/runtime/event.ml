@@ -19,12 +19,6 @@ let fields_equal a b =
   let na = norm a and nb = norm b in
   List.length na = List.length nb && List.for_all2 Field.equal na nb
 
-let equal a b =
-  a.time = b.time && a.kind = b.kind && a.actor = b.actor
-  && a.store = b.store && a.service = b.service
-  && a.counterparty = b.counterparty
-  && fields_equal a.fields b.fields
-
 let kind_to_string k = Format.asprintf "%a" Mdp_core.Action.pp_kind k
 
 let kind_of_string = function

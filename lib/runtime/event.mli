@@ -28,9 +28,6 @@ val make :
 val fields_equal : Field.t list -> Field.t list -> bool
 (** Set equality. *)
 
-val equal : t -> t -> bool
-(** Structural, with {!fields_equal} on the field lists. *)
-
 val kind_to_string : Mdp_core.Action.kind -> string
 val kind_of_string : string -> Mdp_core.Action.kind option
 

@@ -11,12 +11,9 @@ type profile = {
   max_delay : int;
 }
 
-let no_faults =
-  { drop = 0.0; duplicate = 0.0; reorder = 0.0; delay = 0.0; max_delay = 0 }
-
-let uniform ?(max_delay = 3) rate =
+let uniform rate =
   if rate < 0.0 || rate > 1.0 then invalid_arg "Faults.uniform: rate not in [0,1]";
-  { drop = rate; duplicate = rate; reorder = rate; delay = rate; max_delay }
+  { drop = rate; duplicate = rate; reorder = rate; delay = rate; max_delay = 3 }
 
 type 'a generic_fault =
   | Dropped of 'a
@@ -96,12 +93,6 @@ let inject_any ~seed profile events =
 
 let inject ~seed profile events : injection = inject_any ~seed profile events
 
-let pp_fault ppf = function
-  | Dropped e -> Format.fprintf ppf "drop %a" Event.pp e
-  | Duplicated e -> Format.fprintf ppf "duplicate %a" Event.pp e
-  | Reordered e -> Format.fprintf ppf "reorder %a" Event.pp e
-  | Delayed (e, d) -> Format.fprintf ppf "delay+%d %a" d Event.pp e
-
 type fault_stats = {
   dropped : int;
   duplicated : int;
@@ -126,72 +117,28 @@ let pp_stats ppf s =
 (* ------------------------------------------------------------------ *)
 (* Deployment chaos *)
 
-(* [down]/[cut] map a node / region pair to the tick at which the outage
-   lifts; [max_int] marks a manual outage that only an explicit
-   recover/heal removes. *)
+(* [down] maps a crashed node to the tick at which it comes back up. *)
 type chaos = {
   deployment : Deployment.t;
-  rng : Prng.t;
   mutable now : int;
   down : (string, int) Hashtbl.t;
-  cut : (string * string, int) Hashtbl.t;
 }
 
-let chaos ?(seed = 1) deployment =
-  {
-    deployment;
-    rng = Prng.create ~seed;
-    now = 0;
-    down = Hashtbl.create 8;
-    cut = Hashtbl.create 8;
-  }
-
-let clock t = t.now
-
-let expire tbl now =
-  let gone =
-    Hashtbl.fold (fun k until acc -> if until <= now then k :: acc else acc) tbl []
-  in
-  List.iter (Hashtbl.remove tbl) gone
+let chaos deployment = { deployment; now = 0; down = Hashtbl.create 8 }
 
 let tick t =
   t.now <- t.now + 1;
-  expire t.down t.now;
-  expire t.cut t.now
+  let gone =
+    Hashtbl.fold
+      (fun k until acc -> if until <= t.now then k :: acc else acc)
+      t.down []
+  in
+  List.iter (Hashtbl.remove t.down) gone
 
-let crash_node ?for_ticks t node =
-  let until = match for_ticks with None -> max_int | Some d -> t.now + max 1 d in
-  Hashtbl.replace t.down node until
+let crash_node ~for_ticks t node =
+  Hashtbl.replace t.down node (t.now + max 1 for_ticks)
 
-let recover_node t node = Hashtbl.remove t.down node
 let node_up t node = not (Hashtbl.mem t.down node)
-
-let pair a b = if String.compare a b <= 0 then (a, b) else (b, a)
-
-let partition ?for_ticks t ra rb =
-  let until = match for_ticks with None -> max_int | Some d -> t.now + max 1 d in
-  Hashtbl.replace t.cut (pair ra rb) until
-
-let heal t ra rb = Hashtbl.remove t.cut (pair ra rb)
-let regions_connected t ra rb = ra = rb || not (Hashtbl.mem t.cut (pair ra rb))
-
-let store_available t store =
-  match Deployment.node_of_store t.deployment store with
-  | node -> node_up t node.Deployment.id
-  | exception Not_found -> true
-
-let actor_available t actor =
-  match Deployment.node_of_actor t.deployment actor with
-  | node -> node_up t node.Deployment.id
-  | exception Not_found -> true
-
-let transfer_possible t (tr : Deployment.transfer) =
-  node_up t tr.to_node.Deployment.id
-  && match tr.from_node with
-     | None -> true
-     | Some f ->
-       node_up t f.Deployment.id
-       && regions_connected t f.Deployment.region tr.to_node.Deployment.region
 
 let sync_stores t sim =
   List.iter
@@ -199,56 +146,22 @@ let sync_stores t sim =
       Store_sim.set_available sim ~store (node_up t node.id))
     (Deployment.store_placements t.deployment)
 
-let auto_step t ~crash_probability ~mean_downtime =
-  tick t;
-  if fires t.rng crash_probability then begin
-    let healthy =
-      List.filter (node_up t)
-        (Deployment.node_ids t.deployment)
-    in
-    if healthy <> [] then
-      let node = Prng.choose t.rng healthy in
-      let downtime = max 1 (Prng.range t.rng 1 (2 * max 1 mean_downtime)) in
-      crash_node ~for_ticks:downtime t node
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Bounded exponential backoff *)
+(* Bounded exponential backoff: waits of 1, 2, 4, 8, 8 ticks between
+   six attempts. *)
 
-type backoff = {
-  base_wait : int;
-  max_wait : int;
-  max_attempts : int;
-  jitter : bool;
-}
-
-let default_backoff =
-  { base_wait = 1; max_wait = 8; max_attempts = 6; jitter = false }
-
-let jittered_backoff = { default_backoff with jitter = true }
+let base_wait = 1
+let max_wait = 8
+let max_attempts = 6
 
 type retry_outcome = { attempts : int; waited : int }
 
-let with_backoff ?(policy = default_backoff) t op =
+let with_backoff t op =
   let rec go attempt waited =
     match op () with
     | Ok _ as ok -> (ok, { attempts = attempt; waited })
-    | Error msg when Store_sim.is_retriable msg && attempt < policy.max_attempts
-      ->
-      let ceiling =
-        min policy.max_wait (policy.base_wait * (1 lsl (attempt - 1)))
-      in
-      (* Full jitter (AWS-style): wait uniform in [1, ceiling] rather
-         than exactly the exponential ceiling, so a crowd of clients
-         knocked back by the same outage spreads its retries instead
-         of stampeding the store the moment it heals. Drawn from the
-         chaos PRNG, so runs stay reproducible per seed; with jitter
-         off the PRNG is not consumed and the schedule is exactly the
-         historical deterministic one. *)
-      let wait =
-        if policy.jitter && ceiling > 1 then 1 + Prng.int t.rng ceiling
-        else ceiling
-      in
+    | Error msg when Store_sim.is_retriable msg && attempt < max_attempts ->
+      let wait = min max_wait (base_wait * (1 lsl (attempt - 1))) in
       for _ = 1 to wait do
         tick t
       done;

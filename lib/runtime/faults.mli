@@ -3,12 +3,11 @@
     A deployed distributed data service does not deliver the clean,
     lossless, strictly-ordered event stream {!Sim} produces: observation
     points drop events, network retries duplicate them, concurrent nodes
-    reorder and delay them, and whole nodes crash or lose connectivity to
-    other regions. This module perturbs a trace (and the availability
-    state of a {!Deployment}) in all of those ways, reproducibly from a
-    PRNG seed, so the resilience of the monitoring pipeline
-    (Sim -> Faults -> Enforce -> {!Monitor}/{!Fleet}) can be exercised
-    and measured. *)
+    reorder and delay them, and whole nodes crash. This module perturbs
+    a trace (reproducibly from a PRNG seed) and the availability state of
+    a {!Deployment} in those ways, so the resilience of the monitoring
+    pipeline (Sim -> Faults -> Enforce -> {!Monitor}/{!Fleet}) can be
+    exercised and measured. *)
 
 (** {1 Trace perturbation} *)
 
@@ -20,11 +19,8 @@ type profile = {
   max_delay : int;  (** Upper bound on late delivery, in stream positions. *)
 }
 
-val no_faults : profile
-
-val uniform : ?max_delay:int -> float -> profile
-(** All four probabilities set to the given rate; [max_delay] defaults
-    to 3. *)
+val uniform : float -> profile
+(** All four probabilities set to the given rate; [max_delay] is 3. *)
 
 type 'a generic_fault =
   | Dropped of 'a
@@ -55,8 +51,6 @@ val inject_any : seed:int -> profile -> 'a list -> 'a generic_injection
     seed discipline) the monitoring pipeline applies to event
     traces. *)
 
-val pp_fault : Format.formatter -> fault -> unit
-
 type fault_stats = {
   dropped : int;
   duplicated : int;
@@ -70,76 +64,31 @@ val pp_stats : Format.formatter -> fault_stats -> unit
 (** {1 Deployment chaos}
 
     Mutable availability state layered over a {!Deployment}: nodes crash
-    and recover, region pairs partition and heal, and logical time
-    advances tick by tick. Crashes and partitions installed with a
-    duration expire on their own as the clock advances — that is what the
+    for a number of ticks, and logical time advances tick by tick. A
+    crash expires on its own as the clock advances — that is what the
     {!with_backoff} retry loop waits for. *)
 
 type chaos
 
-val chaos : ?seed:int -> Deployment.t -> chaos
-(** The seed drives {!auto_step} only. *)
-
-val clock : chaos -> int
+val chaos : Deployment.t -> chaos
 val tick : chaos -> unit
-(** Advance the clock one tick; crashes and partitions whose duration
-    has expired are lifted. *)
+(** Advance the clock one tick; crashes whose duration has expired are
+    lifted. *)
 
-val crash_node : ?for_ticks:int -> chaos -> string -> unit
-(** Mark a node down. Without [for_ticks] the node stays down until
-    {!recover_node}. *)
+val crash_node : for_ticks:int -> chaos -> string -> unit
+(** Mark a node down for [for_ticks] ticks (at least one). *)
 
-val recover_node : chaos -> string -> unit
 val node_up : chaos -> string -> bool
 (** Unknown node ids are reported up: chaos only tracks declared
     outages. *)
 
-val partition : ?for_ticks:int -> chaos -> string -> string -> unit
-(** Sever the link between two regions (symmetric). *)
-
-val heal : chaos -> string -> string -> unit
-val regions_connected : chaos -> string -> string -> bool
-
-val store_available : chaos -> string -> bool
-(** The node hosting the datastore is up. Unknown stores are available. *)
-
-val actor_available : chaos -> string -> bool
-
-val transfer_possible : chaos -> Deployment.transfer -> bool
-(** Both endpoints up and, for a cross-region transfer, the two regions
-    connected. *)
-
 val sync_stores : chaos -> Store_sim.t -> unit
 (** Mirror node state into a {!Store_sim}: every placed datastore is
     marked available iff its hosting node is up. Call after
-    {!crash_node}/{!recover_node}/{!tick} so simulated writes fail
-    retriably while the node is down. *)
-
-val auto_step : chaos -> crash_probability:float -> mean_downtime:int -> unit
-(** One step of background chaos: ticks the clock, then with the given
-    probability crashes one random healthy node for a downtime drawn
-    around [mean_downtime]. *)
+    {!crash_node}/{!tick} so simulated writes fail retriably while the
+    node is down. *)
 
 (** {1 Bounded exponential backoff} *)
-
-type backoff = {
-  base_wait : int;  (** Ticks waited after the first failure. *)
-  max_wait : int;  (** Cap on a single wait. *)
-  max_attempts : int;
-  jitter : bool;
-      (** Full jitter: each wait is drawn uniformly from [[1, ceiling]]
-          (ceiling = the capped exponential wait) out of the chaos
-          PRNG, so synchronized retries don't stampede a recovering
-          store — deterministic for a fixed chaos seed. Off, waits are
-          exactly the capped exponential schedule and the PRNG is not
-          consumed. *)
-}
-
-val default_backoff : backoff
-(** base 1, cap 8, 6 attempts, no jitter. *)
-
-val jittered_backoff : backoff
-(** {!default_backoff} with full jitter on. *)
 
 type retry_outcome = {
   attempts : int;
@@ -147,11 +96,8 @@ type retry_outcome = {
 }
 
 val with_backoff :
-  ?policy:backoff ->
-  chaos ->
-  (unit -> ('a, string) result) ->
-  ('a, string) result * retry_outcome
+  chaos -> (unit -> ('a, string) result) -> ('a, string) result * retry_outcome
 (** Run the operation; on a retriable error (see {!Store_sim.is_retriable})
-    wait [base_wait * 2^(attempt-1)] ticks — advancing the chaos clock, so
-    timed outages heal — and try again, up to [max_attempts]. A
+    wait [min 8 (2^(attempt-1))] ticks — advancing the chaos clock, so
+    timed outages heal — and try again, up to 6 attempts. A
     non-retriable error is returned immediately. *)

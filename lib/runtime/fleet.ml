@@ -9,7 +9,6 @@ type t = {
   resync_depth : int;
   monitors : (string, entry) Hashtbl.t;
   mutable rev_subjects : string list;
-  mutable alerts : int;
 }
 
 let create ?(min_level = Mdp_core.Level.Low) ?(resync_depth = 0) universe lts =
@@ -20,7 +19,6 @@ let create ?(min_level = Mdp_core.Level.Low) ?(resync_depth = 0) universe lts =
     resync_depth;
     monitors = Hashtbl.create 16;
     rev_subjects = [];
-    alerts = 0;
   }
 
 let add_entry t subject entry =
@@ -46,7 +44,6 @@ let observe t ~subject event =
   let e = entry_for t subject in
   let alerts = Monitor.observe e.monitor event in
   e.rev_alerts <- List.rev_append alerts e.rev_alerts;
-  t.alerts <- t.alerts + List.length alerts;
   alerts
 
 let subjects t = List.rev t.rev_subjects
@@ -58,8 +55,6 @@ let state_of t ~subject =
 
 let monitor_stats t ~subject =
   Option.map (fun e -> Monitor.stats e.monitor) (Hashtbl.find_opt t.monitors subject)
-
-let alert_count t = t.alerts
 
 let alerts_for t ~subject =
   match Hashtbl.find_opt t.monitors subject with
@@ -99,11 +94,6 @@ let health_summary t =
       | Some h -> (subject, h)
       | None -> assert false)
     (subjects t)
-
-let pp_health ppf = function
-  | Healthy -> Format.pp_print_string ppf "healthy"
-  | Degraded reason -> Format.fprintf ppf "degraded (%s)" reason
-  | Lost -> Format.pp_print_string ppf "LOST"
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing *)

@@ -32,9 +32,6 @@ val state_of : t -> subject:string -> Mdp_core.Plts.state_id option
 
 val monitor_stats : t -> subject:string -> Monitor.stats option
 
-val alert_count : t -> int
-(** Total alerts raised so far across all subjects. *)
-
 val alerts_for : t -> subject:string -> Monitor.alert list
 (** In observation order. *)
 
@@ -54,14 +51,12 @@ val health : t -> subject:string -> health option
 val health_summary : t -> (string * health) list
 (** Every subject with its health, in first-seen order. *)
 
-val pp_health : Format.formatter -> health -> unit
-
 (** {1 Checkpointing} *)
 
 val checkpoint : t -> Mdp_prelude.Json.t
 (** Serialises every subject's monitor (see {!Monitor.to_json}) plus the
     fleet configuration. Alerts already reported are not replayed: a
-    restored fleet's {!alert_count} counts post-restore alerts only. *)
+    restored fleet's {!alerts_for} lists post-restore alerts only. *)
 
 val restore :
   Mdp_core.Universe.t -> Mdp_core.Plts.t -> Mdp_prelude.Json.t ->

@@ -63,8 +63,8 @@ val create :
     newest evidence at constant memory instead of growing without
     limit; 0 keeps no letters at all (every dead event only counts).
     The LTS should already be annotated (run
-    {!Mdp_core.Disclosure_risk.analyse} /
-    {!Mdp_core.Pseudonym_risk.analyse} first). *)
+    {!Mdp_core.Risk_plan.analyse} / {!Mdp_core.Pseudonym_risk.analyse}
+    first). *)
 
 val current_state : t -> Mdp_core.Plts.state_id
 

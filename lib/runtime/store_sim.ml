@@ -96,40 +96,6 @@ let write t ~actor ~store ~subject fields =
   List.iter (fun (f, v) -> set_field record f v) fields;
   Ok ()
 
-let read t ~actor ~store ~subject fields =
-  let* tbl = table t store in
-  match Hashtbl.find_opt tbl.records subject with
-  | None -> Error (Printf.sprintf "no record for %s in %s" subject store)
-  | Some record ->
-    let delivered =
-      List.filter_map
-        (fun f ->
-          if not (allows t ~actor Permission.Read ~store f) then None
-          else
-            Option.map (fun v -> (f, v)) (List.assoc_opt (Field.name f) !record))
-        fields
-    in
-    if delivered = [] then
-      Error (Printf.sprintf "%s may not read any requested field of %s" actor store)
-    else Ok delivered
-
-let delete t ~actor ~store ~subject =
-  let* tbl = table t store in
-  let may_delete =
-    List.exists
-      (fun f -> allows t ~actor Permission.Delete ~store f)
-      (Datastore.fields tbl.datastore)
-  in
-  if not may_delete then
-    Error (Printf.sprintf "%s may not delete in %s" actor store)
-  else if not (Hashtbl.mem tbl.records subject) then
-    Error (Printf.sprintf "no record for %s in %s" subject store)
-  else begin
-    Hashtbl.remove tbl.records subject;
-    tbl.rev_subjects <- List.filter (( <> ) subject) tbl.rev_subjects;
-    Ok ()
-  end
-
 let subjects t ~store =
   match table t store with
   | Ok tbl -> List.rev tbl.rev_subjects

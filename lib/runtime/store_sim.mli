@@ -43,25 +43,9 @@ val write :
   (Field.t * Mdp_anon.Value.t) list ->
   (unit, string) result
 (** Upsert fields of the subject's record. Enforced: fields the actor may
-    not [Write] are rejected (all-or-nothing, unlike reads, because a
-    partial write would corrupt the record). Fails on fields outside the
-    store's schemas or on anon-variant fields (use {!pseudonymise}). *)
-
-val read :
-  t ->
-  actor:string ->
-  store:string ->
-  subject:subject ->
-  Field.t list ->
-  ((Field.t * Mdp_anon.Value.t) list, string) result
-(** Enforced at field granularity like the generator and the PEP: the
-    permitted subset of the requested, present fields is returned; an
-    empty result is a denial. *)
-
-val delete :
-  t -> actor:string -> store:string -> subject:subject -> (unit, string) result
-(** Remove the subject's record. Requires the Delete permission on at
-    least one schema field. *)
+    not [Write] are rejected (all-or-nothing, because a partial write
+    would corrupt the record). Fails on fields outside the store's
+    schemas or on anon-variant fields (use {!pseudonymise}). *)
 
 val subjects : t -> store:string -> subject list
 (** In insertion order. Pseudonymised stores list opaque pseudonyms. *)

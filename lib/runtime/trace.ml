@@ -1,8 +1,6 @@
 type t = Event.t list
 
-let to_lines trace = String.concat "\n" (List.map Event.to_line trace)
-
-let of_lines ?(strict = true) text =
+let of_lines text =
   let lines = String.split_on_char '\n' text in
   let rec go acc lineno = function
     | [] -> Ok (List.rev acc)
@@ -12,7 +10,7 @@ let of_lines ?(strict = true) text =
       | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
       | Ok event -> (
         match acc with
-        | prev :: _ when strict && event.Event.time <= prev.Event.time ->
+        | prev :: _ when event.Event.time <= prev.Event.time ->
           Error
             (Printf.sprintf "line %d: timestamp %d not increasing" lineno
                event.Event.time)

@@ -4,14 +4,9 @@
 
 type t = Event.t list
 
-val to_lines : t -> string
-(** One {!Event.to_line} per line; empty string for the empty trace. *)
-
-val of_lines : ?strict:bool -> string -> (t, string) result
+val of_lines : string -> (t, string) result
 (** Skips blank lines; fails on the first malformed one (with its line
-    number). With [strict] (the default) timestamps must strictly
-    increase; pass [~strict:false] to re-read a trace recorded from a
-    faulty stream, where duplicates and reorderings are expected. *)
+    number) and on a timestamp that does not strictly increase. *)
 
 val interleave : (string * t) list -> (string * Event.t) list
 (** Merge per-subject traces into one stream ordered by timestamp

@@ -155,11 +155,6 @@ let find_stale t key =
           Metrics.incr (t.name ^ "/misses");
           None))
 
-let remove t key =
-  locked t (fun () ->
-      Hashtbl.remove t.tbl key;
-      Hashtbl.remove t.stale_tbl key)
-
 type stats = {
   len : int;
   cap : int;

@@ -42,10 +42,6 @@ val find_stale : 'v t -> string -> 'v option
     stale-store answer counts as a {e stale hit}, kept separate in
     {!stats} so degraded serving never inflates the real hit ratio. *)
 
-val remove : 'v t -> string -> unit
-(** Drop a key from live and stale stores (used when an artifact is
-    discovered to be poisoned, e.g. after a breaker trips). *)
-
 type stats = {
   len : int;
   cap : int;

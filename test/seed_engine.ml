@@ -117,17 +117,17 @@ let set_has u (privacy : Privacy_state.t) ~actor fields =
     fields
 
 let recompute_could u (cfg : Config.t) =
-  Bitset.clear_all cfg.privacy.could;
+  let could = Bitset.create (Bitset.length cfg.privacy.could) in
   Array.iteri
     (fun s contents ->
       Bitset.iter
         (fun f ->
           List.iter
-            (fun a ->
-              Bitset.set cfg.privacy.could (Universe.var u ~actor:a ~field:f))
+            (fun a -> Bitset.set could (Universe.var u ~actor:a ~field:f))
             (Universe.readers u ~store:s ~field:f))
         contents)
-    cfg.stores
+    cfg.stores;
+  { cfg with privacy = { cfg.privacy with could } }
 
 let set_could_for_creation u (cfg : Config.t) ~store fields =
   List.iter
@@ -185,7 +185,7 @@ let source_holds u (cfg : Config.t) kind (flow : Flow.t) =
   | Flow.Store s ->
     let si = Universe.store_index u s in
     List.for_all
-      (fun f -> Config.store_has cfg ~store:si ~field:f)
+      (fun f -> Bitset.get cfg.stores.(si) f)
       (field_indices u flow.fields)
 
 let flow_enabled (options : Generate.options) (cfg : Config.t) info =
@@ -288,7 +288,7 @@ let potential_reads u (options : Generate.options) (cfg : Config.t) =
       let fresh =
         List.filter
           (fun f ->
-            Config.store_has cfg ~store:s ~field:f
+            Bitset.get cfg.stores.(s) f
             && not (Bitset.get cfg.privacy.has (Universe.var u ~actor:a ~field:f)))
           (Universe.readable_by u ~actor:a ~store:s)
       in
@@ -321,8 +321,8 @@ let potential_deletes u (cfg : Config.t) =
           let fields =
             List.map (Universe.field_at u) (Bitset.to_list cfg.stores.(s))
           in
-          Bitset.clear_all cfg'.stores.(s);
-          recompute_could u cfg';
+          cfg'.stores.(s) <- Bitset.create (Bitset.length cfg.stores.(s));
+          let cfg' = recompute_could u cfg' in
           let store = Universe.store_at u s in
           let action =
             Action.make ?schema:(schema_label store fields) ~store:store.id

@@ -25,19 +25,10 @@ let test_value_close () =
   check bool_ "suppressed close to nothing" false
     (V.close ~closeness:9.0 V.Suppressed V.Suppressed)
 
-let test_value_covers () =
-  check bool_ "interval covers int" true (V.covers (V.Interval (20.0, 30.0)) (V.Int 25));
-  check bool_ "interval lower inclusive" true (V.covers (V.Interval (20.0, 30.0)) (V.Int 20));
-  check bool_ "interval upper exclusive" false (V.covers (V.Interval (20.0, 30.0)) (V.Int 30));
-  check bool_ "set covers member" true (V.covers (V.str_set [ "a"; "b" ]) (V.Str "a"));
-  check bool_ "suppressed covers all" true (V.covers V.Suppressed (V.Str "zzz"));
-  check bool_ "equal covers" true (V.covers (V.Int 3) (V.Int 3))
-
 let test_value_strings () =
   check Alcotest.string "interval" "20-30" (V.to_string (V.Interval (20.0, 30.0)));
   check Alcotest.string "suppressed" "*" (V.to_string V.Suppressed);
-  check Alcotest.string "float int-like" "80" (V.to_string (V.Float 80.0));
-  check Alcotest.string "set" "{a, b}" (V.to_string (V.str_set [ "b"; "a"; "a" ]))
+  check Alcotest.string "float int-like" "80" (V.to_string (V.Float 80.0))
 
 (* ------------------------------------------------------------------ *)
 (* Dataset *)
@@ -63,7 +54,6 @@ let test_dataset_accessors () =
   check int_ "ncols" 3 (A.Dataset.ncols d);
   check int_ "col_index" 1 (A.Dataset.col_index d "Q");
   check (Alcotest.list int_) "quasi idx" [ 1 ] (A.Dataset.quasi_indices d);
-  check (Alcotest.list int_) "sensitive idx" [ 2 ] (A.Dataset.sensitive_indices d);
   check bool_ "column" true (A.Dataset.column d "S" = [ V.Int 10; V.Int 20; V.Int 30 ]);
   let d' = A.Dataset.drop_identifiers d in
   check int_ "dropped id col" 2 (A.Dataset.ncols d');
@@ -110,20 +100,6 @@ let test_numeric_hierarchy () =
     (Invalid_argument "Hierarchy.generalise: bad level") (fun () ->
       ignore (A.Hierarchy.generalise h ~level:4 (V.Int 1)))
 
-let test_categorical_hierarchy () =
-  let h =
-    A.Hierarchy.categorical
-      ~levels:[ [ ("N1", "N"); ("E2", "E") ]; [ ("N", "London"); ("E", "London") ] ]
-  in
-  check bool_ "level1" true
-    (V.equal (A.Hierarchy.generalise h ~level:1 (V.Str "N1")) (V.Str "N"));
-  check bool_ "level2" true
-    (V.equal (A.Hierarchy.generalise h ~level:2 (V.Str "E2")) (V.Str "London"));
-  check bool_ "unknown suppressed" true
-    (V.equal (A.Hierarchy.generalise h ~level:1 (V.Str "XX")) V.Suppressed);
-  check bool_ "top" true
-    (V.equal (A.Hierarchy.generalise h ~level:3 (V.Str "N1")) V.Suppressed)
-
 let test_hierarchy_invalid () =
   (match A.Hierarchy.numeric ~widths:[ 10.0; 5.0 ] () with
   | exception Invalid_argument _ -> ()
@@ -169,9 +145,10 @@ let test_datafly_with_suppression () =
           [ V.Str "y"; V.Int 3 ];
         ]
   in
-  let scheme = [ ("Q", A.Hierarchy.suppress_only) ] in
-  (* With suppress-only hierarchy level 1 makes everything one class, so
-     k=2 is reachable without suppression... *)
+  let scheme = [ ("Q", A.Hierarchy.numeric ~widths:[ 1.0 ] ()) ] in
+  (* The string column cannot be binned, so level 1 already suppresses
+     it and makes everything one class: k=2 is reachable without
+     suppression... *)
   (match A.Kanon.datafly ~k:2 ds scheme with
   | Ok (out, _, suppressed) ->
     check bool_ "2-anonymous" true (A.Kanon.is_k_anonymous ~k:2 out);
@@ -211,11 +188,17 @@ let test_mondrian () =
     check bool_ "5-anonymous" true (A.Kanon.is_k_anonymous ~k:5 out);
     check int_ "row count preserved" 100 (A.Dataset.nrows out);
     (* Generalised cells must cover the original values. *)
+    let covers gen raw =
+      match (gen, V.numeric raw) with
+      | V.Suppressed, _ -> true
+      | V.Interval (lo, hi), Some x -> lo <= x && x < hi
+      | g, _ -> V.equal g raw
+    in
     let q0 = A.Dataset.col_index ds "Q0" in
     for r = 0 to 99 do
       if
         not
-          (V.covers (A.Dataset.get out ~row:r ~col:q0) (A.Dataset.get ds ~row:r ~col:q0))
+          (covers (A.Dataset.get out ~row:r ~col:q0) (A.Dataset.get ds ~row:r ~col:q0))
       then Alcotest.failf "row %d not covered" r
     done
   | Error e -> Alcotest.fail e
@@ -246,12 +229,7 @@ let prop_mondrian_k_anonymous =
 (* l-diversity *)
 
 let test_ldiversity () =
-  check int_ "table1 distinct l" 2 (A.Ldiv.distinct table1 ~sensitive:"Weight");
-  check bool_ "is 2-diverse" true (A.Ldiv.is_distinct_diverse ~l:2 table1 ~sensitive:"Weight");
-  check bool_ "not 3-diverse" false (A.Ldiv.is_distinct_diverse ~l:3 table1 ~sensitive:"Weight");
-  let e = A.Ldiv.entropy table1 ~sensitive:"Weight" in
-  check bool_ "entropy l at least 1" true (e >= 1.0);
-  check bool_ "entropy l at most distinct l" true (e <= 2.0 +. 1e-9)
+  check int_ "table1 distinct l" 2 (A.Ldiv.distinct table1 ~sensitive:"Weight")
 
 let test_ldiversity_constant_class () =
   let ds =
@@ -263,8 +241,7 @@ let test_ldiversity_constant_class () =
         ]
       ~rows:[ [ V.Int 1; V.Int 9 ]; [ V.Int 1; V.Int 9 ] ]
   in
-  check int_ "constant class l=1" 1 (A.Ldiv.distinct ds ~sensitive:"S");
-  check (Alcotest.float 1e-6) "entropy 1" 1.0 (A.Ldiv.entropy ds ~sensitive:"S")
+  check int_ "constant class l=1" 1 (A.Ldiv.distinct ds ~sensitive:"S")
 
 (* ------------------------------------------------------------------ *)
 (* Value risk: the paper's Table I, exactly *)
@@ -345,34 +322,13 @@ let test_utility_means () =
   check (Alcotest.option float_) "weight mean drift" (Some 0.0)
     (A.Utility.mean_drift ~original:raw ~release:table1 "Weight");
   (* Age becomes interval midpoints: drift bounded by half the band. *)
-  (match A.Utility.mean_drift ~original:raw ~release:table1 "Age" with
+  match A.Utility.mean_drift ~original:raw ~release:table1 "Age" with
   | Some d -> check bool_ "age drift bounded" true (d <= 5.0)
-  | None -> Alcotest.fail "age mean should exist");
-  match A.Utility.variance_drift ~original:raw ~release:table1 "Weight" with
-  | Some d -> check float_ "weight variance drift" 0.0 d
-  | None -> Alcotest.fail "variance should exist"
+  | None -> Alcotest.fail "age mean should exist"
 
-let test_utility_precision_and_discernibility () =
-  check float_ "precision untouched" 1.0
-    (A.Utility.precision ~scheme:Mdp_scenario.Healthcare.table1_scheme ~levels:[]);
-  let p =
-    A.Utility.precision ~scheme:Mdp_scenario.Healthcare.table1_scheme
-      ~levels:[ ("Age", 1); ("Height", 1) ]
-  in
-  check bool_ "partial precision" true (p > 0.5 && p < 1.0);
+let test_utility_discernibility () =
   check int_ "discernibility of table1" 12 (A.Utility.discernibility table1);
   check float_ "avg class size" 2.0 (A.Utility.avg_class_size table1)
-
-(* ------------------------------------------------------------------ *)
-(* Re-identification *)
-
-let test_reident () =
-  check float_ "prosecutor" 0.5 (A.Reident.prosecutor table1);
-  check float_ "marketer" 0.5 (A.Reident.marketer table1);
-  let population = A.Dataset.drop_identifiers Mdp_scenario.Healthcare.table1_raw in
-  match A.Reident.journalist ~release:table1 ~population with
-  | Some r -> check float_ "journalist equals prosecutor here" 0.5 r
-  | None -> Alcotest.fail "population should cover the release"
 
 (* ------------------------------------------------------------------ *)
 (* CSV *)
@@ -713,7 +669,6 @@ let () =
       ( "value",
         [
           Alcotest.test_case "close" `Quick test_value_close;
-          Alcotest.test_case "covers" `Quick test_value_covers;
           Alcotest.test_case "to_string" `Quick test_value_strings;
         ] );
       ( "dataset",
@@ -724,7 +679,6 @@ let () =
       ( "hierarchy",
         [
           Alcotest.test_case "numeric" `Quick test_numeric_hierarchy;
-          Alcotest.test_case "categorical" `Quick test_categorical_hierarchy;
           Alcotest.test_case "invalid" `Quick test_hierarchy_invalid;
         ] );
       ( "kanon",
@@ -758,11 +712,9 @@ let () =
         ] );
       ( "utility",
         [
-          Alcotest.test_case "means/variances" `Quick test_utility_means;
-          Alcotest.test_case "precision/discernibility" `Quick
-            test_utility_precision_and_discernibility;
+          Alcotest.test_case "means" `Quick test_utility_means;
+          Alcotest.test_case "discernibility" `Quick test_utility_discernibility;
         ] );
-      ("reident", [ Alcotest.test_case "attacker models" `Quick test_reident ]);
       ( "columnar",
         [
           Alcotest.test_case "mondrian parity" `Quick test_columnar_mondrian_parity;

@@ -156,12 +156,6 @@ let test_roundtrip_scenarios () =
       policy = Mdp_scenario.Smart_home.policy;
       placement = None;
     };
-  roundtrip "loyalty"
-    {
-      P.diagram = Mdp_scenario.Loyalty.diagram;
-      policy = Mdp_scenario.Loyalty.policy;
-      placement = None;
-    };
   roundtrip "minimal" (parse_ok minimal_model)
 
 let prop_roundtrip_synthetic =

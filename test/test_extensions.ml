@@ -180,24 +180,28 @@ let test_requirement_witness_replays () =
   | _ -> Alcotest.fail "expected one violation"
 
 
-let test_requirement_spec_roundtrip () =
+let test_requirement_spec_parsing () =
   let reqs =
     [
-      Core.Requirement.Never_identifies
-        { actor = "Administrator"; field = H.diagnosis };
-      Core.Requirement.Never_could_identify
-        { actor = "Researcher"; field = Field.anon_of H.diagnosis };
-      Core.Requirement.No_action_by
-        { actor = "Researcher"; kind = Core.Action.Create };
-      Core.Requirement.Only_for_purposes
-        { field = H.appointment; purposes = [ "a"; "b" ] };
-      Core.Requirement.Max_disclosure_risk Core.Level.Low;
+      ( "never=Administrator:Diagnosis",
+        Core.Requirement.Never_identifies
+          { actor = "Administrator"; field = H.diagnosis } );
+      ( "nevercould=Researcher:Diagnosis~anon",
+        Core.Requirement.Never_could_identify
+          { actor = "Researcher"; field = Field.anon_of H.diagnosis } );
+      ( "noaction=Researcher:create",
+        Core.Requirement.No_action_by
+          { actor = "Researcher"; kind = Core.Action.Create } );
+      ( "purposes=Appointment:a;b",
+        Core.Requirement.Only_for_purposes
+          { field = H.appointment; purposes = [ "a"; "b" ] } );
+      ("maxrisk=Low", Core.Requirement.Max_disclosure_risk Core.Level.Low);
     ]
   in
   List.iter
-    (fun r ->
-      match Core.Requirement.of_spec (Core.Requirement.to_spec r) with
-      | Ok r' -> check bool_ "spec roundtrip" true (r = r')
+    (fun (spec, r) ->
+      match Core.Requirement.of_spec spec with
+      | Ok r' -> check bool_ spec true (r = r')
       | Error e -> Alcotest.fail e)
     reqs;
   List.iter
@@ -376,7 +380,7 @@ let () =
           Alcotest.test_case "max risk engines agree" `Quick
             test_requirement_engines_agree;
           Alcotest.test_case "witness replays" `Quick test_requirement_witness_replays;
-          Alcotest.test_case "spec roundtrip" `Quick test_requirement_spec_roundtrip;
+          Alcotest.test_case "spec parsing" `Quick test_requirement_spec_parsing;
         ] );
       ( "questionnaire",
         [

@@ -139,7 +139,7 @@ let test_could_matches_store_contents () =
           let expected =
             List.exists
               (fun store ->
-                Core.Config.store_has cfg ~store ~field:f
+                Mdp_prelude.Bitset.get cfg.Core.Config.stores.(store) f
                 && List.mem a (Core.Universe.readers u ~store ~field:f))
               (List.init (Core.Universe.nstores u) Fun.id)
           in

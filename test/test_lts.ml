@@ -32,41 +32,39 @@ let check = Alcotest.check
 let bool_ = Alcotest.bool
 let int_ = Alcotest.int
 
+(* The LTS [explore] builds from [init] over an explicit edge list. *)
+let graph ~init edges =
+  L.explore ~packing:packer ~init
+    ~step:(fun s ->
+      List.filter_map (fun (src, l, dst) -> if src = s then Some (l, dst) else None) edges)
+    ()
+
+(* A single state, to which tests add more by hand. *)
+let single s = graph ~init:s []
+
 (* A diamond: 0 -a-> 1 -c-> 3, 0 -b-> 2 -c-> 3. *)
 let diamond () =
-  let t = L.create packer in
-  let s0 = L.add_state t 0 in
-  let s1 = L.add_state t 1 in
-  let s2 = L.add_state t 2 in
-  let s3 = L.add_state t 3 in
-  ignore (L.add_transition t ~src:s0 ~label:"a" ~dst:s1 : bool);
-  ignore (L.add_transition t ~src:s0 ~label:"b" ~dst:s2 : bool);
-  ignore (L.add_transition t ~src:s1 ~label:"c" ~dst:s3 : bool);
-  ignore (L.add_transition t ~src:s2 ~label:"c" ~dst:s3 : bool);
-  (t, s0, s1, s2, s3)
+  let t = graph ~init:0 [ (0, "a", 1); (0, "b", 2); (1, "c", 3); (2, "c", 3) ] in
+  (t, 0, 1, 2, 3)
 
 let test_hash_consing () =
-  let t = L.create packer in
+  let t = single 42 in
   let a = L.add_state t 42 in
-  let b = L.add_state t 42 in
-  check int_ "same id" a b;
+  check int_ "same id" 0 a;
   check int_ "one state" 1 (L.num_states t);
-  check Alcotest.(option int_) "find_state" (Some a) (L.find_state t 42);
-  check Alcotest.(option int_) "find_state missing" None (L.find_state t 7)
+  check int_ "new data, new id" 1 (L.add_state t 7)
 
 let test_duplicate_transitions () =
-  let t = L.create packer in
-  let a = L.add_state t 0 and b = L.add_state t 1 in
+  let t = single 0 in
+  let a = L.initial t and b = L.add_state t 1 in
   check bool_ "first insert" true (L.add_transition t ~src:a ~label:"x" ~dst:b);
   check bool_ "duplicate" false (L.add_transition t ~src:a ~label:"x" ~dst:b);
   check bool_ "different label" true (L.add_transition t ~src:a ~label:"y" ~dst:b);
   check int_ "two transitions" 2 (L.num_transitions t)
 
 let test_initial () =
-  let t = L.create packer in
-  Alcotest.check_raises "empty initial" (Invalid_argument "Lts.initial: empty LTS")
-    (fun () -> ignore (L.initial t));
-  let a = L.add_state t 0 in
+  let t = single 5 in
+  let a = L.add_state t 5 in
   check int_ "first state is initial" a (L.initial t);
   ignore (L.add_state t 1 : L.state_id);
   check int_ "initial stays the first state" a (L.initial t)
@@ -92,10 +90,10 @@ let test_reachability_and_paths () =
 
 let test_acyclic_and_deterministic () =
   let t, s0, s1, _, _ = diamond () in
-  check bool_ "diamond acyclic" true (L.is_acyclic t);
+  check bool_ "diamond acyclic" true (L.longest_path t <> None);
   check bool_ "diamond deterministic" true (L.is_deterministic t);
   ignore (L.add_transition t ~src:s1 ~label:"back" ~dst:s0 : bool);
-  check bool_ "cycle detected" false (L.is_acyclic t);
+  check bool_ "cycle detected" true (L.longest_path t = None);
   ignore (L.add_transition t ~src:s0 ~label:"a" ~dst:s0 : bool);
   check bool_ "nondeterminism detected" false (L.is_deterministic t)
 
@@ -130,29 +128,22 @@ let test_dag_statistics () =
   check Alcotest.(option int_) "diamond has two maximal paths" (Some 2)
     (L.count_maximal_paths t);
   (* A chain has one path. *)
-  let chain = L.create packer in
-  let a = L.add_state chain 0 and b = L.add_state chain 1 and c = L.add_state chain 2 in
-  ignore (L.add_transition chain ~src:a ~label:"x" ~dst:b : bool);
-  ignore (L.add_transition chain ~src:b ~label:"y" ~dst:c : bool);
+  let chain = graph ~init:0 [ (0, "x", 1); (1, "y", 2) ] in
   check Alcotest.(option int_) "chain depth" (Some 2) (L.longest_path chain);
   check Alcotest.(option int_) "chain paths" (Some 1) (L.count_maximal_paths chain);
   (* Single state: depth 0, one (empty) path. *)
-  let single = L.create packer in
-  ignore (L.add_state single 7);
-  check Alcotest.(option int_) "single depth" (Some 0) (L.longest_path single);
-  check Alcotest.(option int_) "single path" (Some 1) (L.count_maximal_paths single);
+  let one = single 7 in
+  check Alcotest.(option int_) "single depth" (Some 0) (L.longest_path one);
+  check Alcotest.(option int_) "single path" (Some 1) (L.count_maximal_paths one);
   (* Cyclic: None. *)
-  let cyc = L.create packer in
-  let x = L.add_state cyc 0 and y = L.add_state cyc 1 in
-  ignore (L.add_transition cyc ~src:x ~label:"a" ~dst:y : bool);
-  ignore (L.add_transition cyc ~src:y ~label:"b" ~dst:x : bool);
+  let cyc = graph ~init:0 [ (0, "a", 1); (1, "b", 0) ] in
   check Alcotest.(option int_) "cycle longest" None (L.longest_path cyc);
   check Alcotest.(option int_) "cycle paths" None (L.count_maximal_paths cyc)
 
 let test_dot () =
   let t, _, _, _, _ = diamond () in
   let dot =
-    L.to_dot ~graph_name:"g" ~state_label:(fun s -> Printf.sprintf "S%d" s)
+    L.to_dot ~graph_name:"g"
       ~transition_style:(fun { L.label; _ } -> if label = "a" then "color=red" else "")
       t
   in
@@ -162,7 +153,7 @@ let test_dot () =
     go 0
   in
   check bool_ "graph name" true (contains "digraph g");
-  check bool_ "state label" true (contains "S0");
+  check bool_ "state label" true (contains "label=\"s3\"");
   check bool_ "styled edge" true (contains "color=red");
   check bool_ "initial bold" true (contains "penwidth=2")
 

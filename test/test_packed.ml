@@ -17,11 +17,16 @@ let check = Alcotest.check
 let int_ = Alcotest.int
 let bool_ = Alcotest.bool
 
+let transitions lts =
+  let acc = ref [] in
+  Core.Plts.iter_transitions lts (fun tr -> acc := tr :: !acc);
+  List.rev !acc
+
 let transition_triples lts =
   List.map
     (fun (tr : Core.Plts.transition) ->
       (tr.src, Format.asprintf "%a" Core.Action.pp tr.label, tr.dst))
-    (Core.Plts.transitions lts)
+    (transitions lts)
 
 let triple = Alcotest.(triple int string int)
 
@@ -80,7 +85,7 @@ let test_post_explore_mutation () =
       List.partition
         (fun (tr : Core.Plts.transition) ->
           tr.label.Core.Action.provenance = Core.Action.Inferred)
-        (Core.Plts.transitions lts)
+        (transitions lts)
     in
     check (Alcotest.list triple) (ctx ^ " explored transitions kept") explored
       (List.map
@@ -128,10 +133,10 @@ let test_post_explore_mutation () =
 let test_map_labels () =
   let u = Core.Universe.make H.diagram H.policy in
   let lts = Core.Generate.run u in
-  let before = Core.Plts.transitions lts in
+  let before = transitions lts in
   let plan = Core.Risk_plan.compile u lts in
   ignore (Core.Risk_plan.analyse plan H.profile_case_a);
-  let after = Core.Plts.transitions lts in
+  let after = transitions lts in
   check int_ "transition count" (List.length before) (List.length after);
   List.iter2
     (fun (b : Core.Plts.transition) (a : Core.Plts.transition) ->
@@ -165,14 +170,14 @@ let test_map_labels_label_only () =
   let reference =
     List.map
       (fun (tr : Core.Plts.transition) -> { tr with label = collapse tr.label })
-      (Core.Plts.transitions lts)
+      (transitions lts)
   in
   let distinct trs =
     List.length
       (List.sort_uniq compare
          (List.map (fun (tr : Core.Plts.transition) -> tr.label) trs))
   in
-  let live = distinct (Core.Plts.transitions lts) in
+  let live = distinct (transitions lts) in
   let calls = ref 0 in
   Core.Plts.map_labels lts (fun a ->
       incr calls;
@@ -245,27 +250,6 @@ let test_render_summary () =
        (Synthetic.profile spec diagram));
   check Alcotest.string "summary after annotation" reference
     (Core.Lts_render.summary u lts)
-
-let test_find_state_packed () =
-  let u = Core.Universe.make H.diagram H.policy in
-  let lts = Core.Generate.run u in
-  check bool_ "packed backend" true (Core.Plts.mem_stats lts <> None);
-  (* Every stored state must be found at its own id. *)
-  Core.Plts.iter_states lts (fun i ->
-      match Core.Plts.find_state lts (Core.Plts.state_data lts i) with
-      | Some j -> check int_ "find_state id" i j
-      | None -> Alcotest.failf "state %d not found" i);
-  check bool_ "absent state" true
-    (Core.Plts.find_state lts
-       (let cfg = Core.Config.copy (Core.Plts.state_data lts 0) in
-        Mdp_prelude.Bitset.set cfg.Core.Config.executed 0;
-        Mdp_prelude.Bitset.set cfg.Core.Config.privacy.has 0;
-        cfg)
-    = None
-    ||
-    (* the flipped config may genuinely exist in the model; only the
-       contract "Some i implies equal data" matters *)
-    true)
 
 let test_mem_stats () =
   let diagram, policy = Synthetic.model (synthetic_spec (6, 8, 5)) in
@@ -452,7 +436,6 @@ let () =
           Alcotest.test_case "label-only map_labels" `Quick
             test_map_labels_label_only;
           Alcotest.test_case "render summary" `Quick test_render_summary;
-          Alcotest.test_case "find_state" `Quick test_find_state_packed;
           Alcotest.test_case "mem_stats" `Quick test_mem_stats;
           Alcotest.test_case "abort stats" `Quick test_abort_stats;
         ] );

@@ -14,11 +14,16 @@ module Synthetic = Mdp_scenario.Synthetic
 let check = Alcotest.check
 let int_ = Alcotest.int
 
+let transitions lts =
+  let acc = ref [] in
+  Core.Plts.iter_transitions lts (fun tr -> acc := tr :: !acc);
+  List.rev !acc
+
 let transition_triples lts =
   List.map
     (fun (tr : Core.Plts.transition) ->
       (tr.src, Format.asprintf "%a" Core.Action.pp tr.label, tr.dst))
-    (Core.Plts.transitions lts)
+    (transitions lts)
 
 let triple = Alcotest.(triple int string int)
 

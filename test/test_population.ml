@@ -319,6 +319,11 @@ let check_summary name plan profile (report : Core.Disclosure_risk.report) =
         (Core.Level.equal expected s.slot_levels.(i)))
     (Core.Risk_plan.slots plan)
 
+let transitions lts =
+  let acc = ref [] in
+  Core.Plts.iter_transitions lts (fun tr -> acc := tr :: !acc);
+  List.rev !acc
+
 let test_plan_differential () =
   List.iter
     (fun shape ->
@@ -334,7 +339,7 @@ let test_plan_differential () =
               (fun profile ->
                 let lts = Core.Generate.run u in
                 let report = Core.Disclosure_risk.analyse u lts profile in
-                (report, Core.Plts.transitions lts))
+                (report, transitions lts))
               profiles
           in
           let lts = Core.Generate.run u in
@@ -346,7 +351,7 @@ let test_plan_differential () =
               let compiled = Core.Risk_plan.analyse plan profile in
               check bool_ (name ^ " report") true (report = compiled);
               check bool_ (name ^ " labels") true
-                (labels = Core.Plts.transitions lts);
+                (labels = transitions lts);
               check_summary name plan profile compiled;
               let fresh = Core.Risk_plan.compile u (Core.Generate.run u) in
               check bool_ (name ^ " reused plan = fresh plan") true
@@ -378,7 +383,7 @@ let test_plan_grown () =
     List.filter
       (fun (tr : Core.Plts.transition) ->
         tr.label.provenance = Core.Action.Inferred)
-      (Core.Plts.transitions lts)
+      (transitions lts)
   in
   let inferred_before = inferred () in
   check bool_ "grown report" true
@@ -407,7 +412,7 @@ let test_plan_rejects () =
   let profile = Syn.profile spec diagram in
   (* a new transition: the first transition's label, to the last state *)
   let add_transition lts =
-    let tr = List.hd (Core.Plts.transitions lts) in
+    let tr = List.hd (transitions lts) in
     let dst = Core.Plts.num_states lts - 1 in
     check bool_ "transition added" true
       (Core.Plts.add_transition lts ~src:tr.src ~label:tr.label ~dst)
@@ -429,29 +434,17 @@ let test_plan_rejects () =
   expect_invalid "grown, non-inferred" (fun () ->
       Core.Risk_plan.analyse ~grown:true plan profile)
 
-(* The likelihood combinators themselves: Sum_saturating is the exact
-   sum below 1 (same term order as the engines) and exactly 1 once the
-   scenario probabilities sum past it; Independent_union is the
-   complement-product and never saturates for probabilities < 1. *)
+(* The likelihood combinator itself: the exact sum below 1 (same term
+   order as the engines) and exactly 1 once the scenario probabilities
+   sum past it. *)
 let test_combine_semantics () =
-  let model combine =
-    { Core.Disclosure_risk.accidental_access = 0.;
-      maintenance_exposure = 0.; rogue_service = 0.; combine }
-  in
-  let sum = model Core.Disclosure_risk.Sum_saturating in
-  let union = model Core.Disclosure_risk.Independent_union in
-  let combine m a mn r =
-    Core.Disclosure_risk.combine_scenarios m ~accidental:a ~maintenance:mn
+  let combine a mn r =
+    Core.Disclosure_risk.combine_scenarios ~accidental:a ~maintenance:mn
       ~rogue:r
   in
   check (Alcotest.float 0.) "sum below 1 is exact" (0.05 +. 0.02 +. 0.01)
-    (combine sum 0.05 0.02 0.01);
-  check (Alcotest.float 0.) "sum past 1 saturates" 1.0
-    (combine sum 0.6 0.5 0.4);
-  check (Alcotest.float 0.) "union is complement-product"
-    (1.0 -. (0.4 *. 0.5 *. 0.6))
-    (combine union 0.6 0.5 0.4);
-  check bool_ "union stays below 1" true (combine union 0.9 0.9 0.9 < 1.0)
+    (combine 0.05 0.02 0.01);
+  check (Alcotest.float 0.) "sum past 1 saturates" 1.0 (combine 0.6 0.5 0.4)
 
 (* Property: for models swept across the sum = 1 boundary — including
    ones where every read saturates — the naive and compiled engines
@@ -460,11 +453,8 @@ let test_combine_semantics () =
 let arb_model =
   let open QCheck in
   let print (m : Core.Disclosure_risk.likelihood_model) =
-    Printf.sprintf "{a=%g; m=%g; r=%g; %s}" m.accidental_access
+    Printf.sprintf "{a=%g; m=%g; r=%g}" m.accidental_access
       m.maintenance_exposure m.rogue_service
-      (match m.combine with
-      | Core.Disclosure_risk.Sum_saturating -> "sum"
-      | Core.Disclosure_risk.Independent_union -> "union")
   in
   let gen =
     let open Gen in
@@ -473,16 +463,9 @@ let arb_model =
     let p = float_bound_inclusive 0.6 in
     let* accidental_access = p in
     let* maintenance_exposure = p in
-    let* rogue_service = p in
-    let+ combine =
-      oneofl
-        [
-          Core.Disclosure_risk.Sum_saturating;
-          Core.Disclosure_risk.Independent_union;
-        ]
-    in
+    let+ rogue_service = p in
     { Core.Disclosure_risk.accidental_access; maintenance_exposure;
-      rogue_service; combine }
+      rogue_service }
   in
   make ~print gen
 

@@ -13,7 +13,6 @@ let int_ = Alcotest.int
 let test_bitset_basic () =
   let b = Bitset.create 100 in
   check bool_ "fresh is empty" true (Bitset.is_empty b);
-  check int_ "fresh cardinal" 0 (Bitset.cardinal b);
   Bitset.set b 0;
   Bitset.set b 63;
   Bitset.set b 64;
@@ -23,10 +22,7 @@ let test_bitset_basic () =
   check bool_ "get 64" true (Bitset.get b 64);
   check bool_ "get 99" true (Bitset.get b 99);
   check bool_ "get 1" false (Bitset.get b 1);
-  check int_ "cardinal" 4 (Bitset.cardinal b);
-  Bitset.clear b 63;
-  check bool_ "cleared" false (Bitset.get b 63);
-  check int_ "cardinal after clear" 3 (Bitset.cardinal b)
+  check (Alcotest.list int_) "to_list" [ 0; 63; 64; 99 ] (Bitset.to_list b)
 
 let test_bitset_bounds () =
   let b = Bitset.create 10 in
@@ -43,10 +39,8 @@ let test_bitset_set_ops () =
   let b = Bitset.of_list 50 [ 3; 4; 40; 49 ] in
   check (Alcotest.list int_) "union" [ 1; 2; 3; 4; 40; 49 ]
     (Bitset.to_list (Bitset.union a b));
-  check (Alcotest.list int_) "inter" [ 3; 40 ] (Bitset.to_list (Bitset.inter a b));
-  check (Alcotest.list int_) "diff" [ 1; 2 ] (Bitset.to_list (Bitset.diff a b));
   check bool_ "subset no" false (Bitset.subset a b);
-  check bool_ "subset yes" true (Bitset.subset (Bitset.inter a b) a);
+  check bool_ "subset yes" true (Bitset.subset (Bitset.of_list 50 [ 3; 40 ]) a);
   let c = Bitset.copy a in
   Bitset.union_into ~dst:c b;
   check bool_ "union_into equals union" true (Bitset.equal c (Bitset.union a b))
@@ -102,15 +96,6 @@ let prop_bitset_union_commutes =
       let a = bitset_of_gen_list xs and b = bitset_of_gen_list ys in
       Bitset.equal (Bitset.union a b) (Bitset.union b a))
 
-let prop_bitset_demorgan =
-  QCheck.Test.make ~name:"bitset diff = inter with complement semantics"
-    ~count:200
-    QCheck.(pair (small_list (int_bound 63)) (small_list (int_bound 63)))
-    (fun (xs, ys) ->
-      let a = bitset_of_gen_list xs and b = bitset_of_gen_list ys in
-      (* (a \ b) ∪ (a ∩ b) = a *)
-      Bitset.equal (Bitset.union (Bitset.diff a b) (Bitset.inter a b)) a)
-
 let prop_bitset_roundtrip =
   QCheck.Test.make ~name:"bitset to_list/of_list roundtrip" ~count:200
     QCheck.(small_list (int_bound 63))
@@ -139,8 +124,6 @@ let test_interner () =
   check Alcotest.(option int_) "find" (Some 1) (Interner.find t "beta");
   check Alcotest.(option int_) "find missing" None (Interner.find t "gamma");
   check Alcotest.string "name" "beta" (Interner.name t 1);
-  check (Alcotest.list Alcotest.string) "names" [ "alpha"; "beta" ]
-    (Interner.names t);
   Alcotest.check_raises "bad id" (Invalid_argument "Interner.name") (fun () ->
       ignore (Interner.name t 5))
 
@@ -170,14 +153,10 @@ let test_validate () =
 let test_frac () =
   let f = Frac.make 2 4 in
   check Alcotest.string "unreduced" "2/4" (Frac.to_string f);
-  check bool_ "structural" false (Frac.equal f (Frac.make 1 2));
-  check bool_ "value equal" true (Frac.equal_value f (Frac.make 1 2));
-  check bool_ "reduce" true (Frac.equal (Frac.reduce f) (Frac.make 1 2));
   check bool_ "ge 0.5" true (Frac.ge f 0.5);
   check bool_ "not ge 0.51" false (Frac.ge f 0.51);
   check bool_ "2/2 >= 0.9" true (Frac.ge (Frac.make 2 2) 0.9);
   check bool_ "3/4 < 0.9" false (Frac.ge (Frac.make 3 4) 0.9);
-  check bool_ "reduce zero" true (Frac.equal (Frac.reduce (Frac.make 0 7)) (Frac.make 0 1));
   Alcotest.check_raises "zero denominator"
     (Invalid_argument "Frac.make: non-positive denominator") (fun () ->
       ignore (Frac.make 1 0))
@@ -229,7 +208,6 @@ let test_listx () =
     (Listx.group_by ~key:(fun x -> x mod 2) [ 0; 1; 2; 3; 4 ]);
   check (Alcotest.list int_) "dedup keeps first" [ 3; 1; 2 ]
     (Listx.dedup [ 3; 1; 3; 2; 1 ]);
-  check int_ "cartesian size" 6 (List.length (Listx.cartesian [ 1; 2 ] [ 3; 4; 5 ]));
   check int_ "sum_by" 6 (Listx.sum_by Fun.id [ 1; 2; 3 ]);
   check int_ "count" 2 (Listx.count (fun x -> x > 1) [ 1; 2; 3 ]);
   check (Alcotest.list int_) "take" [ 1; 2 ] (Listx.take 2 [ 1; 2; 3 ]);
@@ -303,7 +281,6 @@ let () =
       qsuite "bitset properties"
         [
           prop_bitset_union_commutes;
-          prop_bitset_demorgan;
           prop_bitset_roundtrip;
           prop_bitset_hash_equal;
           prop_bitset_extract_roundtrip;

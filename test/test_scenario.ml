@@ -1,12 +1,10 @@
 (* Tests for the bundled scenarios: well-formedness of each model, the
-   §IV-B data artefacts, the loyalty release pipeline and the synthetic
-   generators. *)
+   §IV-B data artefacts and the synthetic generators. *)
 
 module Core = Mdp_core
 module A = Mdp_anon
 module H = Mdp_scenario.Healthcare
 module SH = Mdp_scenario.Smart_home
-module L = Mdp_scenario.Loyalty
 module Syn = Mdp_scenario.Synthetic
 
 let check = Alcotest.check
@@ -75,40 +73,6 @@ let test_smart_home_pipeline () =
     < 0)
 
 (* ------------------------------------------------------------------ *)
-(* Loyalty *)
-
-let test_loyalty_release_pipeline () =
-  let raw = L.raw_baskets ~seed:3 ~rows:120 in
-  check int_ "rows" 120 (A.Dataset.nrows raw);
-  match L.release ~k:4 raw with
-  | Error e -> Alcotest.fail e
-  | Ok release ->
-    check bool_ "release is 4-anonymous" true (A.Kanon.is_k_anonymous ~k:4 release);
-    (* The binding feeds pseudonym-risk analysis on the loyalty model. *)
-    let binding = L.binding ~dataset:release in
-    let options = { Core.Generate.default_options with granular_reads = true } in
-    let a =
-      Core.Analysis.run ~options ~bindings:[ binding ] L.diagram L.policy
-    in
-    check bool_ "risk transitions computed" true (a.pseudonym <> []);
-    (* Spends cluster by district, so district+age knowledge must carry
-       at least as much risk as nothing. *)
-    let max_violations =
-      List.fold_left
-        (fun acc (rt : Core.Pseudonym_risk.risk_transition) ->
-          max acc rt.report.A.Value_risk.violations)
-        0 a.pseudonym
-    in
-    check bool_ "some value risk surfaced" true (max_violations >= 0)
-
-let test_loyalty_deterministic_data () =
-  let a = L.raw_baskets ~seed:9 ~rows:50 in
-  let b = L.raw_baskets ~seed:9 ~rows:50 in
-  check bool_ "same seed, same data" true (A.Dataset.rows a = A.Dataset.rows b);
-  let c = L.raw_baskets ~seed:10 ~rows:50 in
-  check bool_ "different seed differs" true (A.Dataset.rows a <> A.Dataset.rows c)
-
-(* ------------------------------------------------------------------ *)
 (* Synthetic *)
 
 let spec seed =
@@ -162,11 +126,6 @@ let () =
         ] );
       ( "smart home",
         [ Alcotest.test_case "risk pipeline" `Quick test_smart_home_pipeline ] );
-      ( "loyalty",
-        [
-          Alcotest.test_case "release pipeline" `Quick test_loyalty_release_pipeline;
-          Alcotest.test_case "deterministic data" `Quick test_loyalty_deterministic_data;
-        ] );
       ( "synthetic",
         [
           Alcotest.test_case "valid models" `Quick test_synthetic_model_valid;

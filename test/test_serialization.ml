@@ -135,10 +135,12 @@ let sample_trace u =
         [ { R.Sim.actor = "Administrator"; store = "EHR"; probability = 1.0 } ];
     }
 
+let to_lines trace = String.concat "\n" (List.map R.Event.to_line trace)
+
 let test_trace_roundtrip () =
   let u = Core.Universe.make H.diagram H.policy in
   let trace = sample_trace u in
-  match R.Trace.of_lines (R.Trace.to_lines trace) with
+  match R.Trace.of_lines (to_lines trace) with
   | Ok parsed -> check bool_ "roundtrip" true (parsed = trace)
   | Error e -> Alcotest.fail e
 
@@ -147,7 +149,7 @@ let test_trace_rejects_disorder () =
     R.Event.make ~time:t ~kind:Core.Action.Collect ~actor:"A"
       ~fields:[ Mdp_dataflow.Field.make "F" ] ()
   in
-  let text = R.Trace.to_lines [ e 2; e 1 ] in
+  let text = to_lines [ e 2; e 1 ] in
   match R.Trace.of_lines text with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-increasing timestamps accepted"

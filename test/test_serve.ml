@@ -298,7 +298,6 @@ let test_breaker_failed_probe_reopens () =
 (* ------------------------------------------------------------------ *)
 (* Cooperative cancellation through the exploration engine *)
 
-let dot_of u lts = Core.Lts_render.to_dot u lts
 
 (* A cancelled run must leave no residue: the same universe explored
    again (un-cancelled) must match a run on a fresh universe byte for
@@ -312,8 +311,8 @@ let cancelled_then_clean ~jobs ~cancel model =
   let fresh = Core.Generate.run ~jobs (universe_of model) in
   check string_
     (Printf.sprintf "jobs=%d: post-cancel run byte-identical to fresh" jobs)
-    (dot_of (universe_of model) fresh)
-    (dot_of u again)
+    (Core.Lts_render.to_dot fresh)
+    (Core.Lts_render.to_dot again)
 
 let test_cancel_pre_fired_token () =
   List.iter
