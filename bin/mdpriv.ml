@@ -648,16 +648,11 @@ let simulate_cmd =
           | Ok sn -> collect (sn :: acc) rest
           | Error e -> Error e)
       in
-      match collect [] snoop_specs with
-      | Error e ->
+      match (collect [] snoop_specs, collect_sensitivities sens_specs) with
+      | Error e, _ | _, Error e ->
         prerr_endline e;
         exits_with_error
-      | Ok snoopers ->
-        let sensitivities =
-          List.filter_map
-            (fun s -> Result.to_option (parse_sensitivity s))
-            sens_specs
-        in
+      | Ok snoopers, Ok sensitivities ->
         let profile =
           Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
         in
@@ -701,12 +696,7 @@ let simulate_cmd =
   let seed =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Simulation seed.")
   in
-  let agree =
-    Arg.(value & opt_all string [] & info [ "agree" ] ~docv:"SERVICE" ~doc:"Agreed service.")
-  in
-  let sens =
-    Arg.(value & opt_all string [] & info [ "sensitivity" ] ~docv:"FIELD=V" ~doc:"Field sensitivity.")
-  in
+  let agree, sens = profile_args in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Simulate a subject's trace and run the privacy monitor over it.")
@@ -835,11 +825,18 @@ let check_cmd =
 let population_cmd =
   let run path size seed agree_probability jobs metrics =
     with_metrics metrics @@ fun () ->
-    match load_model path with
-    | Error (`Msg e) ->
+    (* the rules of serve's population spec; the negation refuses NaN *)
+    let bad_spec =
+      if size < 1 then Some "--size must be positive"
+      else if not (agree_probability >= 0.0 && agree_probability <= 1.0) then
+        Some "--agree-probability must be within [0,1]"
+      else None
+    in
+    match (bad_spec, load_model path) with
+    | Some e, _ | None, Error (`Msg e) ->
       prerr_endline e;
       exits_with_error
-    | Ok { diagram; policy; _ } ->
+    | None, Ok { diagram; policy; _ } ->
       let u = Core.Universe.make diagram policy in
       generate ~jobs u @@ fun lts ->
       let spec =
@@ -886,16 +883,17 @@ let monitor_cmd =
       prerr_endline e;
       exits_with_error
     | Ok { diagram; policy; _ } -> (
-      match Mdp_runtime.Trace.of_lines (read_file trace_path) with
-      | Error e ->
+      match
+        ( Mdp_runtime.Trace.of_lines (read_file trace_path),
+          collect_sensitivities sens_specs )
+      with
+      | Error e, _ ->
         prerr_endline (trace_path ^ ": " ^ e);
         exits_with_error
-      | Ok trace ->
-        let sensitivities =
-          List.filter_map
-            (fun s -> Result.to_option (parse_sensitivity s))
-            sens_specs
-        in
+      | _, Error e ->
+        prerr_endline e;
+        exits_with_error
+      | Ok trace, Ok sensitivities ->
         let profile =
           Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
         in
@@ -921,12 +919,7 @@ let monitor_cmd =
   let trace_arg =
     Arg.(required & pos 1 (some file) None & info [] ~docv:"TRACE" ~doc:"Recorded event trace file.")
   in
-  let agree =
-    Arg.(value & opt_all string [] & info [ "agree" ] ~docv:"SERVICE" ~doc:"Agreed service.")
-  in
-  let sens =
-    Arg.(value & opt_all string [] & info [ "sensitivity" ] ~docv:"FIELD=V" ~doc:"Field sensitivity.")
-  in
+  let agree, sens = profile_args in
   Cmd.v
     (Cmd.info "monitor"
        ~doc:"Replay a recorded event trace through the privacy monitor.")
@@ -937,11 +930,11 @@ let monitor_cmd =
 
 let transfers_cmd =
   let run path agreed sens_specs =
-    match load_model path with
-    | Error (`Msg e) ->
+    match (load_model path, collect_sensitivities sens_specs) with
+    | Error (`Msg e), _ | _, Error e ->
       prerr_endline e;
       exits_with_error
-    | Ok { diagram; policy; placement } -> (
+    | Ok { diagram; policy; placement }, Ok sensitivities -> (
       match placement with
       | None ->
         prerr_endline
@@ -969,11 +962,6 @@ let transfers_cmd =
             (fun tr ->
               Format.printf "%a@." Mdp_runtime.Deployment.pp_transfer tr)
             transfers;
-          let sensitivities =
-            List.filter_map
-              (fun s -> Result.to_option (parse_sensitivity s))
-              sens_specs
-          in
           if agreed <> [] || sensitivities <> [] then begin
             let profile =
               Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
@@ -991,12 +979,7 @@ let transfers_cmd =
           end;
           0))
   in
-  let agree =
-    Arg.(value & opt_all string [] & info [ "agree" ] ~docv:"SERVICE" ~doc:"Agreed service.")
-  in
-  let sens =
-    Arg.(value & opt_all string [] & info [ "sensitivity" ] ~docv:"FIELD=V" ~doc:"Field sensitivity.")
-  in
+  let agree, sens = profile_args in
   Cmd.v
     (Cmd.info "transfers"
        ~doc:"List network transfers under the model's node placement.")

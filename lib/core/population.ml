@@ -41,13 +41,23 @@ let simulate ?cancel spec diagram =
   if spec.westin_mix = [] then invalid_arg "Population.simulate: empty mix";
   let rng = Prng.create ~seed:spec.seed in
   let services = List.map (fun (s : Service.t) -> s.id) diagram.Diagram.services in
+  (* A profile depends only on (segment, agreed services): each distinct
+     one is built once and shared by every user who draws it. *)
+  let shared = Hashtbl.create 16 in
   List.init spec.size (fun i ->
       poll_cancel cancel i;
       let segment = pick_segment rng spec.westin_mix in
       let agreed =
         List.filter (fun _ -> Prng.float rng 1.0 < spec.agree_probability) services
       in
-      Questionnaire.profile diagram segment ~agreed_services:agreed ~answers:[])
+      match Hashtbl.find_opt shared (segment, agreed) with
+      | Some p -> p
+      | None ->
+        let p =
+          Questionnaire.profile diagram segment ~agreed_services:agreed ~answers:[]
+        in
+        Hashtbl.add shared (segment, agreed) p;
+        p)
 
 type hotspot = {
   actor : string;
@@ -126,6 +136,19 @@ let analyse ?matrix ?model u lts profiles =
 
 (* ----- equivalence classes ----- *)
 
+(* A profile's σ by universe field index (0 where it names no
+   sensitivity), filled in one pass over its sensitivities. *)
+let sigma_of u =
+  let nf = Universe.nfields u in
+  let pos = Hashtbl.create nf in
+  for i = 0 to nf - 1 do Hashtbl.replace pos (Universe.field_at u i) i done;
+  fun p ->
+    let sg = Array.make nf 0.0 in
+    List.iter
+      (fun (f, v) -> Option.iter (fun i -> sg.(i) <- v) (Hashtbl.find_opt pos f))
+      (User_profile.sensitivities p);
+    sg
+
 (* Within one universe, everything the analysis reads off a profile is
    (a) its sensitivity on each universe field and (b) which diagram
    services it agreed to (allowance, σ zeroing and the likelihood
@@ -139,19 +162,15 @@ let classes ?cancel u profiles =
   List.iteri
     (fun i (s : Service.t) -> Hashtbl.replace svc_pos s.id i)
     diagram.Diagram.services;
-  let nf = Universe.nfields u in
+  let sigma = sigma_of u in
   let key p =
-    let sens =
-      List.init nf (fun i ->
-          User_profile.sensitivity p (Universe.field_at u i))
-    in
     let agreed =
       List.sort_uniq Int.compare
         (List.filter_map
            (fun s -> Hashtbl.find_opt svc_pos s)
            (User_profile.agreed_services p))
     in
-    (sens, agreed)
+    (sigma p, agreed)
   in
   let counts = Hashtbl.create 64 in
   let order = ref [] in
@@ -285,14 +304,7 @@ let prepare ?matrix ?model ?jobs ?cancel ?plan ?classes u lts profiles =
   let plan, cls =
     plan_and_classes ?matrix ?model ?cancel ?plan ?classes u lts profiles
   in
-  let nf = Universe.nfields u in
-  let sigma =
-    Array.map
-      (fun (p, _) ->
-        Array.init nf (fun i ->
-            User_profile.sensitivity p (Universe.field_at u i)))
-      cls
-  in
+  let sigma = Array.map (sigma_of u) (Array.map fst cls) in
   let summaries = class_summaries ?jobs ?cancel plan cls in
   { ca_u = u; ca_plan = plan; ca_classes = cls; ca_sigma = sigma;
     ca_summaries = summaries }

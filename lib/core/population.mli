@@ -28,7 +28,10 @@ val simulate :
   Mdp_dataflow.Diagram.t ->
   User_profile.t list
 (** Deterministic in [spec.seed]. Every user answers the questionnaire
-    with their segment's baseline (no per-field overrides).
+    with their segment's baseline (no per-field overrides), so a profile
+    depends only on (segment, agreed services): each distinct one is
+    built once through {!Questionnaire.profile}, and the users share
+    these immutable profiles, at most [segments x 2^|services|] of them.
 
     @raise Mdp_obs.Cancel.Cancelled when [cancel] fires; it is polled
     every few thousand users. *)
@@ -76,7 +79,8 @@ val classes :
     diagram services — everything the disclosure analysis can observe —
     so a simulated population collapses to at most
     [segments x 2^|services|] classes. The counts sum to the input
-    length.
+    length. Each key is filled in one pass over a profile's
+    sensitivities: the cost is linear in the total sensitivities.
 
     @raise Mdp_obs.Cancel.Cancelled when [cancel] fires; it is polled
     every few thousand profiles. *)

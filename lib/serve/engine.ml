@@ -450,12 +450,13 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
                 let profiles =
                   C.Population.simulate ?cancel spec (C.Universe.diagram u')
                 in
+                let classes = C.Population.classes ?cancel u' profiles in
                 let agg =
                   C.Population.analyse_compiled ~jobs:t.config.jobs ?cancel
-                    ?plan:after_t.C.Analysis.plan u' after_t.C.Analysis.lts
-                    profiles
+                    ?plan:after_t.C.Analysis.plan ~classes u'
+                    after_t.C.Analysis.lts profiles
                 in
-                (agg, 0, List.length (C.Population.classes ?cancel u' profiles))
+                (agg, 0, List.length classes)
             in
             Some (pop_before, pop_after, reused, reevaluated)
         in

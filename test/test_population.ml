@@ -1,11 +1,18 @@
 (* The compiled population engine (Risk_plan + equivalence classes +
    parallel streaming aggregation) against the naive per-profile path:
    same seeds, several specs and job counts, byte-identical aggregates.
-   Plus the hotspot counting fix and the plan's full-report parity. *)
+   Plus the hotspot counting fix, the plan's full-report parity, and
+   [simulate]'s shared profiles and [classes]' key against oracles. *)
 
 module Core = Mdp_core
 module H = Mdp_scenario.Healthcare
 module SH = Mdp_scenario.Smart_home
+module Syn = Mdp_scenario.Synthetic
+
+let synthetic name =
+  match Syn.spec_of_string name with
+  | Some (Ok spec) -> spec
+  | _ -> Alcotest.failf "bad spec %s" name
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
@@ -110,6 +117,161 @@ let test_classes_distinguish () =
   in
   check int_ "three distinct classes" 3 (List.length classes);
   check int_ "first class has both members" 2 (snd (List.hd classes))
+
+(* [simulate] shares one profile per (segment, agreed services). The
+   oracle makes the same draws in the same order through the PRNG and
+   builds every user's profile afresh. *)
+let simulate_oracle (spec : Core.Population.spec) diagram =
+  let rng = Mdp_prelude.Prng.create ~seed:spec.seed in
+  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 spec.westin_mix in
+  let pick () =
+    let x = Mdp_prelude.Prng.float rng total in
+    let rec go acc = function
+      | [ (w, _) ] -> w
+      | (w, p) :: rest -> if x < acc +. p then w else go (acc +. p) rest
+      | [] -> assert false
+    in
+    go 0.0 spec.westin_mix
+  in
+  let services =
+    List.map (fun (s : Mdp_dataflow.Service.t) -> s.id)
+      diagram.Mdp_dataflow.Diagram.services
+  in
+  List.init spec.size (fun _ ->
+      let segment = pick () in
+      let agreed =
+        List.filter
+          (fun _ -> Mdp_prelude.Prng.float rng 1.0 < spec.agree_probability)
+          services
+      in
+      Core.Questionnaire.profile diagram segment ~agreed_services:agreed
+        ~answers:[])
+
+let oracle_diagrams =
+  [ H.diagram; SH.diagram; fst (Syn.model (synthetic "synthetic:6-8-5@1")) ]
+
+let arb_spec =
+  let open QCheck in
+  let segment =
+    Gen.oneofl
+      Core.Questionnaire.[ Fundamentalist; Pragmatist; Unconcerned ]
+  in
+  let gen =
+    let open Gen in
+    let* seed = int_bound 1_000_000 in
+    let* size = int_bound 5_000 in
+    let* westin_mix =
+      list_size (1 -- 4) (pair segment (float_range 0.01 1.0))
+    in
+    let+ agree_probability = float_bound_inclusive 1.0 in
+    { Core.Population.seed; size; westin_mix; agree_probability }
+  in
+  let print (s : Core.Population.spec) =
+    Printf.sprintf "{seed=%d; size=%d; mix=%d segment(s); agree=%g}" s.seed
+      s.size (List.length s.westin_mix) s.agree_probability
+  in
+  make ~print gen
+
+let prop_simulate_oracle =
+  QCheck.Test.make ~name:"simulate equals the per-user oracle" ~count:50
+    arb_spec (fun spec ->
+      List.for_all
+        (fun diagram ->
+          Core.Population.simulate spec diagram = simulate_oracle spec diagram)
+        oracle_diagrams)
+
+(* A reference for [classes]: the same grouping, keyed by one
+   [User_profile.sensitivity] lookup per universe field. *)
+let classes_oracle u profiles =
+  let svc_pos = Hashtbl.create 8 in
+  List.iteri
+    (fun i (s : Mdp_dataflow.Service.t) -> Hashtbl.replace svc_pos s.id i)
+    (Core.Universe.diagram u).Mdp_dataflow.Diagram.services;
+  let key p =
+    ( List.init (Core.Universe.nfields u) (fun i ->
+          Core.User_profile.sensitivity p (Core.Universe.field_at u i)),
+      List.sort_uniq Int.compare
+        (List.filter_map (Hashtbl.find_opt svc_pos)
+           (Core.User_profile.agreed_services p)) )
+  in
+  let counts = Hashtbl.create 64 in
+  let order = ref [] in
+  List.iter
+    (fun p ->
+      let k = key p in
+      match Hashtbl.find_opt counts k with
+      | Some r -> incr r
+      | None ->
+        let r = ref 1 in
+        Hashtbl.add counts k r;
+        order := (p, r) :: !order)
+    profiles;
+  List.rev_map (fun (p, r) -> (p, !r)) !order
+
+(* Hand-made profiles over universe fields, their anon variants and
+   fields outside the universe, agreeing to known, unknown and repeated
+   services. Few values, so that classes gather several members. *)
+let arb_profiles =
+  let open QCheck in
+  let u_fields = Mdp_dataflow.Diagram.all_fields H.diagram in
+  let pool =
+    Array.of_list
+      (u_fields
+      @ List.map Mdp_dataflow.Field.anon_of u_fields
+      @ List.map Mdp_dataflow.Field.make [ "Outside"; "Elsewhere" ])
+  in
+  let services = [ H.medical_service; H.research_service; "Bogus" ] in
+  let profile =
+    let open Gen in
+    let* picks =
+      list_size (0 -- 6)
+        (pair (int_bound (Array.length pool - 1)) (oneofl [ 0.0; 0.3; 0.9 ]))
+    in
+    let+ agreed = list_size (0 -- 3) (oneofl services) in
+    let sensitivities =
+      List.fold_left
+        (fun acc (i, v) ->
+          if List.exists (fun (f, _) -> Mdp_dataflow.Field.equal f pool.(i)) acc
+          then acc
+          else (pool.(i), v) :: acc)
+        [] picks
+    in
+    Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
+  in
+  let print ps =
+    String.concat "\n"
+      (List.map (Format.asprintf "%a" Core.User_profile.pp) ps)
+  in
+  make ~print Gen.(list_size (0 -- 40) profile)
+
+let prop_classes_oracle =
+  let u = Core.Universe.make H.diagram H.policy in
+  QCheck.Test.make ~name:"classes equal the per-field lookup key" ~count:200
+    arb_profiles (fun profiles ->
+      Core.Population.classes u profiles = classes_oracle u profiles)
+
+(* The memory property behind the sharing: a large draw holds one
+   profile per (segment, agreed-service subset) at most. *)
+let test_simulate_shares_profiles () =
+  let profiles = Core.Population.simulate (spec 50_000) H.diagram in
+  let bound =
+    List.length Core.Population.default_mix
+    * (1 lsl List.length H.diagram.Mdp_dataflow.Diagram.services)
+  in
+  (* stops collecting one past the bound, so a failure stays cheap *)
+  let distinct =
+    List.fold_left
+      (fun seen p ->
+        if List.length seen > bound || List.memq p seen then seen
+        else p :: seen)
+      [] profiles
+  in
+  check int_ "users" 50_000 (List.length profiles);
+  check bool_
+    (Printf.sprintf "%d physically distinct profiles <= %d"
+       (List.length distinct) bound)
+    true
+    (List.length distinct <= bound)
 
 (* ------------------------------------------------------------------ *)
 (* σ-delta reaggregation (PR 10): a 1-field sensitivity edit over a
@@ -279,14 +441,6 @@ let test_plan_rejects_stale_lts () =
 (* ------------------------------------------------------------------ *)
 (* Per-label plan against the oracle over generated models: several
    profiles, analysed in turn on one plan. *)
-
-module Syn = Mdp_scenario.Synthetic
-
-
-let synthetic name =
-  match Syn.spec_of_string name with
-  | Some (Ok spec) -> spec
-  | _ -> Alcotest.failf "bad spec %s" name
 
 (* Three profiles: the generator's, a reseeded one, and the reseeded
    sensitivities with no agreed service (every read rogue). *)
@@ -507,6 +661,13 @@ let () =
         [
           Alcotest.test_case "partition" `Quick test_classes_partition;
           Alcotest.test_case "distinguish" `Quick test_classes_distinguish;
+          QCheck_alcotest.to_alcotest prop_classes_oracle;
+        ] );
+      ( "simulate",
+        [
+          QCheck_alcotest.to_alcotest prop_simulate_oracle;
+          Alcotest.test_case "shared profiles" `Quick
+            test_simulate_shares_profiles;
         ] );
       ( "reaggregate",
         [
