@@ -107,7 +107,15 @@ let test_report_pseudonym () =
     Core.Analysis.run ~options ~bindings:[ H.study_binding ] H.study_diagram
       H.study_policy
   in
-  match Json.member "pseudonym_risks" (Core.Report.analysis a) with
+  let json = Core.Report.analysis a in
+  (match Json.member "model" json with
+  | Some model ->
+    check bool_ "45 states with risk targets" true
+      (Json.member "states" model = Some (Json.int 45));
+    check bool_ "93 transitions with risk-transitions" true
+      (Json.member "transitions" model = Some (Json.int 93))
+  | None -> Alcotest.fail "model section missing");
+  match Json.member "pseudonym_risks" json with
   | Some (Json.List rts) ->
     check int_ "all risk transitions exported" (List.length a.pseudonym)
       (List.length rts);
