@@ -154,7 +154,8 @@ let fig4 () =
     Core.Analysis.run ~options ~bindings:[ H.study_binding ] H.study_diagram
       H.study_policy
   in
-  Printf.printf "study LTS: %s\n" (Core.Lts_render.summary a.universe a.lts);
+  Printf.printf "study LTS: %s\n"
+    (Core.Lts_render.summary_with_risks a.universe a.lts a.pseudonym);
   Printf.printf "risk-transitions (dotted in the figure):\n";
   List.iter
     (fun (rt : Core.Pseudonym_risk.risk_transition) ->

@@ -1,6 +1,6 @@
 (* The paper's §IV-B case study: 2-anonymisation of the six-record health
    table, the Table I value-risk fractions, and the Fig. 4 risk-transitions
-   added to the generated LTS, including the design-time gate that rejects
+   out of the generated LTS, including the design-time gate that rejects
    the pseudonymisation when violations exceed 50%.
 
      dune exec examples/pseudonymisation_risk.exe *)
@@ -61,7 +61,8 @@ let () =
       Healthcare.study_diagram Healthcare.study_policy
   in
   Format.printf "%s@."
-    (Core.Lts_render.summary analysis.universe analysis.lts);
+    (Core.Lts_render.summary_with_risks analysis.universe analysis.lts
+       analysis.pseudonym);
   List.iter
     (fun rt -> Format.printf "  %a@." Core.Pseudonym_risk.pp_risk_transition rt)
     analysis.pseudonym;

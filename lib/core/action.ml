@@ -5,7 +5,6 @@ type kind = Collect | Create | Read | Disclose | Anon | Delete
 type provenance =
   | From_flow of { service : string; order : int }
   | Potential
-  | Inferred
 
 type risk =
   | Disclosure_risk of {
@@ -13,7 +12,6 @@ type risk =
       likelihood : Level.t;
       level : Level.t;
     }
-  | Value_risk of { violations : int; total : int; max_risk : float }
 
 type t = {
   kind : kind;
@@ -32,7 +30,7 @@ let make ?schema ?store ?purpose ?risk ~kind ~fields ~actor provenance =
 
 let with_risk t risk = { t with risk = Some risk }
 
-let findable a = a.kind = Read && a.provenance <> Inferred
+let findable a = a.kind = Read
 
 let equal a b =
   a == b
@@ -63,9 +61,6 @@ let pp_risk ppf = function
   | Disclosure_risk { impact; likelihood; level } ->
     Format.fprintf ppf "risk=%a (impact %a, likelihood %a)" Level.pp level
       Level.pp impact Level.pp likelihood
-  | Value_risk { violations; total; max_risk } ->
-    Format.fprintf ppf "value-risk: %d/%d violations (max %.2f)" violations
-      total max_risk
 
 let pp ppf t =
   Format.fprintf ppf "%a(%s%s) by %s" pp_kind t.kind
@@ -74,8 +69,7 @@ let pp ppf t =
     t.actor;
   (match t.provenance with
   | From_flow { service; order } -> Format.fprintf ppf " [%s#%d]" service order
-  | Potential -> Format.fprintf ppf " [potential]"
-  | Inferred -> Format.fprintf ppf " [inferred]");
+  | Potential -> Format.fprintf ppf " [potential]");
   (match t.purpose with
   | Some p -> Format.fprintf ppf " for %S" p
   | None -> ());

@@ -14,9 +14,6 @@ type provenance =
       (** Derived from the access policy alone: an action an actor is
           permitted, but no service flow prescribes (e.g. §IV-A's
           Administrator read of the EHR). *)
-  | Inferred
-      (** A §III-B risk-transition: not permitted, but achievable by
-          inference from pseudonymised data. *)
 
 type risk =
   | Disclosure_risk of {
@@ -24,8 +21,6 @@ type risk =
       likelihood : Level.t;
       level : Level.t;
     }  (** §III-A annotation. *)
-  | Value_risk of { violations : int; total : int; max_risk : float }
-      (** §III-B annotation: policy violations among [total] records. *)
 
 type t = {
   kind : kind;
@@ -52,9 +47,8 @@ val make :
 val with_risk : t -> risk -> t
 
 val findable : t -> bool
-(** A read whose provenance is not [Inferred] (from a flow, or a
-    policy-permitted potential read): the labels the §III-A disclosure
-    analysis levels and reports. *)
+(** A read, from a flow or a policy-permitted potential read: the
+    labels the §III-A disclosure analysis levels and reports. *)
 
 val equal : t -> t -> bool
 

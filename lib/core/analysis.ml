@@ -23,9 +23,8 @@ let analyse_phase params universe lts =
   let plan =
     (* Compiled plan path: bit-identical to Disclosure_risk.analyse
        (test_population checks the equality), one witness BFS instead of
-       one per finding. Compiled before the pseudonym pass, which adds
-       transitions and would invalidate the plan. Kept on the result so
-       [run_incremental] can reuse it. *)
+       one per finding. Kept on the result so [run_incremental] can
+       reuse it. *)
     Option.map
       (fun _ ->
         Risk_plan.compile ~matrix:params.matrix ~model:params.model universe
@@ -37,9 +36,7 @@ let analyse_phase params universe lts =
     | Some plan, Some profile -> Some (Risk_plan.analyse plan profile)
     | _ -> None
   in
-  let pseudonym =
-    List.concat_map (Pseudonym_risk.analyse universe lts) params.bindings
-  in
+  let pseudonym = Pseudonym_risk.analyse universe lts params.bindings in
   { params; universe; lts; consistency; disclosure; pseudonym; plan }
 
 let run_params ?jobs ?cancel params diagram policy =
@@ -108,8 +105,6 @@ let run_incremental ?jobs ?cancel ~previous edits =
       if inv.Edit.inv_consistency then Consistency.check universe
       else previous.consistency
     in
-    (* The disclosure re-evaluation must precede a pseudonym re-run:
-       that pass appends transitions (cold runs analyse first too). *)
     let plan, disclosure =
       match params.profile with
       | None -> (None, None)
@@ -117,9 +112,8 @@ let run_incremental ?jobs ?cancel ~previous edits =
         let plan =
           match previous.plan with
           | None ->
-            (* Previous run had no profile, so no pass ever grew the
-               LTS (edits cannot introduce a profile) — a fresh compile
-               over the reused LTS equals the cold one. *)
+            (* A fresh compile over the reused LTS equals the cold
+               one. *)
             Risk_plan.compile ~matrix:params.matrix ~model:params.model
               universe lts
           | Some plan ->
@@ -130,16 +124,14 @@ let run_incremental ?jobs ?cancel ~previous edits =
         in
         let disclosure =
           if inv.Edit.inv_risk || previous.disclosure = None then
-            Some (Risk_plan.analyse ~grown:true plan profile)
+            Some (Risk_plan.analyse plan profile)
           else previous.disclosure
         in
         (Some plan, disclosure)
     in
     let pseudonym =
       if inv.Edit.inv_pseudonym then
-        List.concat_map
-          (Pseudonym_risk.analyse universe lts)
-          after.Edit.bindings
+        Pseudonym_risk.analyse universe lts after.Edit.bindings
       else previous.pseudonym
     in
     { params; universe; lts; consistency; disclosure; pseudonym; plan }
@@ -187,7 +179,7 @@ let run_checked ?(options = Generate.default_options)
 
 let pp_summary ppf t =
   Format.fprintf ppf "@[<v>model: %s@,"
-    (Lts_render.summary t.universe t.lts);
+    (Lts_render.summary_with_risks t.universe t.lts t.pseudonym);
   (match t.consistency with
   | [] -> Format.fprintf ppf "policy consistency: ok@,"
   | gaps ->

@@ -19,6 +19,8 @@ type t = {
   disclosure : Disclosure_risk.report option;
       (** [None] when no profile was supplied. *)
   pseudonym : Pseudonym_risk.risk_transition list;
+      (** §III-B risk-transitions, kept beside [lts]: their targets are
+          not states of it. *)
   plan : Risk_plan.t option;
       (** The compiled risk plan behind [disclosure], kept so
           {!run_incremental} and the what-if sweep can reuse it. *)
@@ -57,9 +59,7 @@ val run_incremental :
     artifacts, all under a [phase/whatif] span.
 
     Like every analysis, this may re-annotate the shared LTS's labels
-    in place and, when bindings change, append pseudonym transitions to
-    it — [previous]'s {e report} stays valid, but re-[analyse]-ing its
-    plan afterwards follows the usual grown-LTS rules.
+    in place; [previous]'s {e report} stays valid.
 
     @raise Invalid_argument when an edit does not apply (unknown
     service, invalid policy, sensitivity out of range, ...).

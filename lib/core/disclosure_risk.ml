@@ -89,7 +89,7 @@ let transition_likelihood u profile model (action : Action.t) =
     let actor_i = Universe.actor_index u action.actor in
     let accidental =
       match action.provenance with
-      | Action.Potential | Action.Inferred -> model.accidental_access
+      | Action.Potential -> model.accidental_access
       | Action.From_flow { service; _ } ->
         (* A read prescribed by a non-agreed service is the rogue-service
            scenario itself; within an agreed service it is wanted
@@ -105,7 +105,7 @@ let transition_likelihood u profile model (action : Action.t) =
     let rogue =
       match action.provenance with
       | Action.From_flow _ -> 0.0 (* already counted above *)
-      | Action.Potential | Action.Inferred ->
+      | Action.Potential ->
         if in_rogue_read u profile ~actor:action.actor ~store:store_id then
           model.rogue_service
         else 0.0
@@ -122,18 +122,15 @@ let witness_of lts src =
 
 let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
     profile =
-  (* Annotate read labels in place. Inferred (§III-B) transitions carry
-     Value_risk annotations that must survive a later disclosure pass. *)
+  (* Annotate read labels in place. *)
   Plts.map_labels lts (fun label ->
-      match (label.Action.kind, label.Action.provenance) with
-      | Action.Read, (Action.From_flow _ | Action.Potential) ->
+      match label.Action.kind with
+      | Action.Read ->
         let impact = transition_impact u profile label in
         let likelihood = transition_likelihood u profile model label in
         Action.with_risk label (Risk_matrix.assess matrix ~impact ~likelihood)
-      | Action.Read, Action.Inferred
-      | ( ( Action.Collect | Action.Create | Action.Disclose | Action.Anon
-          | Action.Delete ),
-          _ ) ->
+      | Action.Collect | Action.Create | Action.Disclose | Action.Anon
+      | Action.Delete ->
         label);
   let findings = ref [] and exposures = ref [] in
   Plts.iter_transitions lts (fun { src; label; dst } ->
@@ -159,10 +156,8 @@ let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
       in
       match label.Action.kind with
       | Action.Read ->
-        if
-          label.Action.provenance <> Action.Inferred
-          && Level.compare level Level.None_ > 0
-        then findings := finding () :: !findings
+        if Level.compare level Level.None_ > 0 then
+          findings := finding () :: !findings
       | Action.Collect | Action.Create | Action.Disclose | Action.Anon ->
         if impact > 0.0 then exposures := finding () :: !exposures
       | Action.Delete -> ());

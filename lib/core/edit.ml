@@ -275,100 +275,88 @@ let classify ~(options : Generate.options) ~before ~after =
           before.diagram
     in
     let tuples = removed @ added in
-    let bindings_changed = before.bindings != after.bindings in
-    (* The pseudonym pass reads Read permissions ([readable_anywhere]);
-       any concrete policy change under active bindings forces a full
-       re-run, and the pass grows the LTS — so the LTS itself cannot be
-       reused either. Likewise, changing a non-empty binding set: the
-       previous pass already grew the LTS and appends cannot be undone. *)
-    if
-      (tuples <> [] && after.bindings <> [])
-      || (bindings_changed && before.bindings <> [])
-    then everything
+    (* The pseudonym pass reads Read permissions ([readable_anywhere]):
+       it re-runs on a binding change and on any concrete policy change
+       under active bindings. *)
+    let inv_pseudonym =
+      before.bindings != after.bindings || (tuples <> [] && after.bindings <> [])
+    in
+    let writable = Hashtbl.create 4 in
+    let writable_in policy store f =
+      let key = (store, options.enforce_policy, policy == after.policy) in
+      let fields =
+        match Hashtbl.find_opt writable key with
+        | Some fs -> fs
+        | None ->
+          let fs = writable_fields ~options before.diagram policy store in
+          Hashtbl.add writable key fs;
+          fs
+      in
+      List.exists (Field.equal f) fields
+    in
+    let lts_preserving (t : Policy.grant_tuple) =
+      match t.perm with
+      | Permission.Delete -> not options.potential_deletes
+      | Permission.Write ->
+        (not options.enforce_policy)
+        || not
+             (List.exists
+                (fun ((svc : Service.t), (flow : Flow.t)) ->
+                  (match options.services with
+                  | None -> true
+                  | Some ids -> List.mem svc.id ids)
+                  &&
+                  match (Diagram.classify before.diagram flow, flow.dst) with
+                  | (Flow.Create | Flow.Anon), Flow.Store s ->
+                    s = t.store
+                    && Flow.node_name flow.src = t.actor
+                    && List.exists (Field.equal t.field)
+                         (match Diagram.classify before.diagram flow with
+                         | Flow.Anon -> List.map Field.anon_of flow.fields
+                         | _ -> flow.fields)
+                  | _ -> false)
+                (Diagram.all_flows before.diagram))
+      | Permission.Read ->
+        (* Sound for both removals and additions: the field can reach
+           the store's contents under neither policy. *)
+        (not (writable_in before.policy t.store t.field))
+        && not (writable_in after.policy t.store t.field)
+    in
+    let profile_changed = not (profile_equal before.profile after.profile) in
+    let inv_sigma =
+      if profile_changed then sigma_delta before.profile after.profile
+      else None
+    in
+    if not (List.for_all lts_preserving tuples) then
+      (* The LTS must change, but only because of concrete ACL tuples
+         on an unchanged diagram — the damage is confined to the
+         touched stores' cones. Everything downstream still invalidates
+         (an incremental run explores the edited model cold);
+         [inv_cone] flags that the what-if sweep may answer the edit
+         with the cone walk instead. *)
+      { everything with inv_cone = true; inv_sigma }
     else begin
-      let writable = Hashtbl.create 4 in
-      let writable_in policy store f =
-        let key = (store, options.enforce_policy, policy == after.policy) in
-        let fields =
-          match Hashtbl.find_opt writable key with
-          | Some fs -> fs
-          | None ->
-            let fs =
-              writable_fields ~options before.diagram policy store
-            in
-            Hashtbl.add writable key fs;
-            fs
-        in
-        List.exists (Field.equal f) fields
+      let has perm =
+        List.exists
+          (fun (t : Policy.grant_tuple) -> Permission.equal t.perm perm)
+          tuples
       in
-      let lts_preserving (t : Policy.grant_tuple) =
-        match t.perm with
-        | Permission.Delete -> not options.potential_deletes
-        | Permission.Write ->
-          (not options.enforce_policy)
-          || not
-               (List.exists
-                  (fun ((svc : Service.t), (flow : Flow.t)) ->
-                    (match options.services with
-                    | None -> true
-                    | Some ids -> List.mem svc.id ids)
-                    &&
-                    match (Diagram.classify before.diagram flow, flow.dst)
-                    with
-                    | (Flow.Create | Flow.Anon), Flow.Store s ->
-                      s = t.store
-                      && Flow.node_name flow.src = t.actor
-                      && List.exists (Field.equal t.field)
-                           (match
-                              Diagram.classify before.diagram flow
-                            with
-                           | Flow.Anon ->
-                             List.map Field.anon_of flow.fields
-                           | _ -> flow.fields)
-                    | _ -> false)
-                  (Diagram.all_flows before.diagram))
-        | Permission.Read ->
-          (* Sound for both removals and additions: the field can reach
-             the store's contents under neither policy. *)
-          (not (writable_in before.policy t.store t.field))
-          && not (writable_in after.policy t.store t.field)
+      let deleters_changed =
+        has Permission.Delete
+        && deleter_sets before.diagram before.policy
+           <> deleter_sets before.diagram after.policy
       in
-      let profile_changed = not (profile_equal before.profile after.profile) in
-      let inv_sigma =
-        if profile_changed then sigma_delta before.profile after.profile
-        else None
-      in
-      if not (List.for_all lts_preserving tuples) then
-        (* The LTS must change, but only because of concrete ACL tuples
-           on an unchanged diagram with no binding interplay — the
-           damage is confined to the touched stores' cones. Everything
-           downstream still invalidates (an incremental run explores
-           the edited model cold); [inv_cone] flags that the what-if
-           sweep may answer the edit with the cone walk instead. *)
-        { everything with inv_cone = true; inv_sigma }
-      else begin
-        let has perm =
-          List.exists
-            (fun (t : Policy.grant_tuple) -> Permission.equal t.perm perm)
-            tuples
-        in
-        let deleters_changed =
-          has Permission.Delete
-          && deleter_sets before.diagram before.policy
-             <> deleter_sets before.diagram after.policy
-        in
-        {
-          inv_lts = false;
-          inv_cone = false;
-          inv_plan = deleters_changed;
-          inv_risk = deleters_changed || profile_changed;
-          inv_classes = false;
-          inv_sigma;
-          inv_pseudonym = bindings_changed;
-          (* Gaps query only Read and Write over flow fields. *)
-          inv_consistency = has Permission.Read || has Permission.Write;
-        }
-      end
+      {
+        inv_lts = false;
+        inv_cone = false;
+        inv_plan = deleters_changed;
+        inv_risk = deleters_changed || profile_changed;
+        inv_classes = false;
+        inv_sigma;
+        inv_pseudonym;
+        (* Gaps query only Read and Write over flow fields. *)
+        inv_consistency = has Permission.Read || has Permission.Write;
+      }
     end
   end
 

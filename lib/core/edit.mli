@@ -54,8 +54,8 @@ type invalidation = {
   inv_cone : bool;
       (** Set alongside [inv_lts] when the damage is a pure
           policy-shrink candidate for the what-if sweep's cone walk
-          ({!Regen.walk}): the diagram is unchanged, bindings are
-          empty, and only concrete ACL permissions moved. Candidacy
+          ({!Regen.walk}): the diagram is unchanged and only concrete
+          ACL permissions moved. Candidacy
           only — {!Regen.make_patch} makes the final eligibility call
           from the compiled artifacts, and the sweep computes the
           outcome in full when it declines. An incremental run
@@ -96,9 +96,9 @@ val classify :
       writes it) is invisible to the LTS and the report;
     - Write edits are invisible to the LTS when enforcement is off, or
       when the affected actor writes no flow carrying the field;
-    - any concrete policy change under active anonymisation bindings
-      invalidates everything (the pass reads Read permissions and grows
-      the LTS);
+    - a binding edit, or any concrete policy change under active
+      anonymisation bindings, re-runs the pseudonym pass (it reads Read
+      permissions) and nothing else on that account;
     - profile edits never invalidate the LTS or the plan;
     - diagram edits invalidate everything. *)
 

@@ -3,16 +3,13 @@ let transition_style (tr : Plts.transition) =
     match tr.label.Action.provenance with
     | Action.From_flow _ -> ""
     | Action.Potential -> "style=dashed"
-    | Action.Inferred -> "style=dotted, color=red, fontcolor=red"
   in
   let risk_colour =
     match tr.label.Action.risk with
     | Some (Action.Disclosure_risk { level = Level.High; _ }) -> "color=red"
     | Some (Action.Disclosure_risk { level = Level.Medium; _ }) -> "color=orange"
     | Some (Action.Disclosure_risk { level = Level.Low; _ }) -> "color=blue"
-    | Some (Action.Disclosure_risk { level = Level.None_; _ })
-    | Some (Action.Value_risk _) | None ->
-      ""
+    | Some (Action.Disclosure_risk { level = Level.None_; _ }) | None -> ""
   in
   String.concat ", " (List.filter (( <> ) "") [ base; risk_colour ])
 
@@ -27,8 +24,9 @@ let label_counts lts =
       Plts.iter_successors_lid lts s (fun l _ -> counts.(l) <- counts.(l) + 1));
   List.combine (Array.to_list labels) (Array.to_list counts)
 
-let summary u lts =
-  ignore u;
+(* The summary line, with [inferred] extra states each reached by one
+   inferred read. *)
+let tally lts ~inferred =
   let kinds = Hashtbl.create 8 and provs = Hashtbl.create 4 in
   let bump tbl k n =
     Hashtbl.replace tbl k (n + Option.value (Hashtbl.find_opt tbl k) ~default:0)
@@ -39,14 +37,27 @@ let summary u lts =
       bump provs
         (match a.provenance with
         | Action.From_flow _ -> "flow"
-        | Action.Potential -> "potential"
-        | Action.Inferred -> "inferred")
+        | Action.Potential -> "potential")
         n)
     (List.filter (fun (_, n) -> n > 0) (label_counts lts));
+  if inferred > 0 then begin
+    bump kinds "read" inferred;
+    bump provs "inferred" inferred
+  end;
   let render tbl =
     Hashtbl.fold (fun k v acc -> Printf.sprintf "%s %d" k v :: acc) tbl []
     |> List.sort String.compare
     |> String.concat ", "
   in
-  Printf.sprintf "%d states, %d transitions (%s; %s)" (Plts.num_states lts)
-    (Plts.num_transitions lts) (render kinds) (render provs)
+  Printf.sprintf "%d states, %d transitions (%s; %s)"
+    (Plts.num_states lts + inferred)
+    (Plts.num_transitions lts + inferred)
+    (render kinds) (render provs)
+
+let summary u lts =
+  ignore u;
+  tally lts ~inferred:0
+
+let summary_with_risks u lts risks =
+  ignore u;
+  tally lts ~inferred:(Pseudonym_risk.num_targets risks)

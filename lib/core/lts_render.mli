@@ -1,7 +1,6 @@
-(** Rendering of the privacy LTS (paper Fig. 3 / Fig. 4 shape): flow
-    transitions solid, policy-derived potential actions dashed,
-    §III-B inferred risk-transitions dotted and labelled with their
-    violation counts; risk-annotated reads are coloured by level. *)
+(** Rendering of the privacy LTS (paper Fig. 3 shape): flow transitions
+    solid, policy-derived potential actions dashed; risk-annotated reads
+    are coloured by level. *)
 
 val to_dot : Plts.t -> string
 (** Nodes are labelled with their state numbers. *)
@@ -9,3 +8,9 @@ val to_dot : Plts.t -> string
 val summary : Universe.t -> Plts.t -> string
 (** One-paragraph textual account: state/transition counts, counts per
     action kind and provenance. *)
+
+val summary_with_risks :
+  Universe.t -> Plts.t -> Pseudonym_risk.risk_transition list -> string
+(** {!summary} of the LTS together with its §III-B risk-transitions
+    (paper Fig. 4): each of {!Pseudonym_risk.num_targets} counts as one
+    more state and one more transition, an [inferred] [read]. *)

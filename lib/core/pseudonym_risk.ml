@@ -48,7 +48,9 @@ type risk_transition = {
    permission bitsets) instead of scanning reader lists per
    (state, actor). *)
 
-let analyse u lts binding =
+(* One binding's risk-transitions, ordered by source state; [target]
+   numbers their destinations. *)
+let analyse_binding u lts target binding =
   let diagram = Universe.diagram u in
   ignore (Diagram.find_store diagram binding.store);
   let sensitive_field =
@@ -89,64 +91,62 @@ let analyse u lts binding =
           | fi -> Some (attr, anon, fi))
         quasi_attrs
     in
-    (* The sweep appends states to [lts]; bound it by the pre-sweep count
-       so only generated states are scanned (snapshot semantics, without
-       materialising an O(n) id list). *)
-    let n0 = Plts.num_states lts in
-    for src = 0 to n0 - 1 do
-        let cfg : Config.t = Plts.state_data lts src in
-        for a = 0 to Universe.nactors u - 1 do
-          let actor = Universe.actor_name u a in
-          let accessed_anon =
-            Privacy_state.has_i cfg.Config.privacy
-              (Universe.var u ~actor:a ~field:sens_anon_i)
+    for src = 0 to Plts.num_states lts - 1 do
+      let cfg : Config.t = Plts.state_data lts src in
+      let has a fi =
+        Privacy_state.has_i cfg.Config.privacy
+          (Universe.var u ~actor:a ~field:fi)
+      in
+      for a = 0 to Universe.nactors u - 1 do
+        (* An actor that already holds the raw field (a flow can hand
+           it over) has nothing left to infer. *)
+        if
+          has a sens_anon_i
+          && Lazy.force eligible.(a)
+          && not (has a (Lazy.force sens_fi))
+        then begin
+          (* Quasi anon fields this actor has read at this state. *)
+          let fields_read_attrs, fields_read =
+            List.split
+              (List.filter_map
+                 (fun (attr, anon, fi) ->
+                   if has a fi then Some (attr, anon) else None)
+                 quasi_resolved)
           in
-          if accessed_anon && Lazy.force eligible.(a) then begin
-            (* Quasi anon fields this actor has read at this state. *)
-            let fields_read_attrs, fields_read =
-              List.split
-                (List.filter_map
-                   (fun (attr, anon, fi) ->
-                     if
-                       Privacy_state.has_i cfg.Config.privacy
-                         (Universe.var u ~actor:a ~field:fi)
-                     then Some (attr, anon)
-                     else None)
-                   quasi_resolved)
-            in
-            let report =
-              Mdp_anon.Value_risk.assess binding.dataset
-                ~fields_read:fields_read_attrs binding.policy
-            in
-            (* The inferred read leads to a state where the actor has
-               identified the raw field. *)
-            let cfg' = Config.copy cfg in
-            Bitset.set cfg'.Config.privacy.Privacy_state.has
-              (Universe.var u ~actor:a ~field:(Lazy.force sens_fi));
-            let dst = Plts.add_state lts cfg' in
-            let max_risk =
-              Frac.to_float (Mdp_anon.Value_risk.max_risk report)
-            in
-            let action =
-              Action.make ~store:binding.store ~kind:Action.Read
-                ~fields:[ sensitive_field ] ~actor
-                ~risk:
-                  (Action.Value_risk
-                     {
-                       violations = report.Mdp_anon.Value_risk.violations;
-                       total = List.length report.Mdp_anon.Value_risk.scores;
-                       max_risk;
-                     })
-                Action.Inferred
-            in
-            ignore (Plts.add_transition lts ~src ~label:action ~dst : bool);
-            results :=
-              { src; dst; actor; field = sensitive_field; fields_read; report }
-              :: !results
-          end
-        done
+          let report =
+            Mdp_anon.Value_risk.assess binding.dataset
+              ~fields_read:fields_read_attrs binding.policy
+          in
+          let dst = target (src, a, Lazy.force sens_fi) in
+          results :=
+            { src; dst; actor = Universe.actor_name u a;
+              field = sensitive_field; fields_read; report }
+            :: !results
+        end
+      done
     done);
   List.sort (fun a b -> Int.compare a.src b.src) !results
+
+(* The inferred read leads to a state past the explored ones where the
+   actor has identified the raw field. Flows only ever add has-bits, so
+   that state — the source plus one bit the actor may not read — is
+   never an explored one: targets are numbered from [num_states], one
+   per distinct (source, actor, field) in first-seen order, and
+   bindings inferring the same field from the same state share it. *)
+let analyse u lts bindings =
+  let targets = Hashtbl.create 16 in
+  let target key =
+    match Hashtbl.find_opt targets key with
+    | Some id -> id
+    | None ->
+      let id = Plts.num_states lts + Hashtbl.length targets in
+      Hashtbl.add targets key id;
+      id
+  in
+  List.concat_map (analyse_binding u lts target) bindings
+
+let num_targets transitions =
+  List.length (List.sort_uniq Int.compare (List.map (fun t -> t.dst) transitions))
 
 let check ~max_violation_ratio transitions =
   let worst =

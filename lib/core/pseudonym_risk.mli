@@ -2,12 +2,14 @@
 
     A value risk for actor [a] and sensitive field [f] is present in every
     state where [a] has accessed the pseudonymised variant f_anon while
-    holding access rights to f_anon but not to [f] itself. From each such
-    at-risk state a dotted *risk-transition* is added: an [Inferred] read
-    of [f] by [a], annotated with the §III-B risk scores computed from the
-    bound release dataset — the equivalence sets induced by the anon
-    fields [a] has actually read, the per-record marginal probabilities,
-    and the count of policy violations (Fig. 4's 0 / 2 / 4 labels). *)
+    holding access rights to f_anon but not to [f] itself, and does not
+    already hold [f]. From each such at-risk state leads a dotted
+    *risk-transition* (Fig. 4): an inferred read of [f] by [a], carrying
+    the §III-B risk scores computed from the bound release dataset — the
+    equivalence sets induced by the anon fields [a] has actually read,
+    the per-record marginal probabilities, and the count of policy
+    violations (Fig. 4's 0 / 2 / 4 labels). Risk-transitions are kept
+    beside the explored LTS, never added to it. *)
 
 open Mdp_dataflow
 
@@ -37,7 +39,10 @@ val make_binding :
 
 type risk_transition = {
   src : Plts.state_id;
-  dst : Plts.state_id;  (** Fresh state where the actor has the field. *)
+  dst : Plts.state_id;
+      (** The state where the actor has identified the field: not an
+          explored state, but an id from [Plts.num_states] up, one per
+          distinct (src, actor, field). *)
   actor : string;
   field : Field.t;  (** The base sensitive field inferred. *)
   fields_read : Field.t list;
@@ -45,10 +50,16 @@ type risk_transition = {
   report : Mdp_anon.Value_risk.report;
 }
 
-val analyse : Universe.t -> Plts.t -> binding -> risk_transition list
-(** Adds the risk-transitions to the LTS (labelled [Inferred], annotated
-    with {!Action.Value_risk}) and returns them, ordered by source
-    state. *)
+val analyse :
+  Universe.t -> Plts.t -> binding list -> risk_transition list
+(** The risk-transitions out of the explored states, binding by binding,
+    each binding's ordered by source state. Bindings that infer the same
+    field from the same state share its target. The LTS is left
+    untouched. *)
+
+val num_targets : risk_transition list -> int
+(** Distinct targets: the states the risk-transitions add to the
+    explored LTS's count (Fig. 4), and the transitions they add. *)
 
 val check :
   max_violation_ratio:float -> risk_transition list -> (unit, string) result

@@ -231,8 +231,7 @@ module ATbl = Hashtbl.Make (Action)
    Pass 1 fills the twins' region truth in one sweep over the old graph
    (BFS numbering: parents precede children); pass 2 is the hybrid BFS.
    Returns [None] when it declines (growing substitution, region or
-   state count too wide for one word, an inferred label in the row
-   space), [Some None] on budget abort. *)
+   state count too wide for one word), [Some None] on budget abort. *)
 let walk_fast p old_lts affected (labels : Action.t array) =
   let u = p.rp_u and options = p.rp_options in
   let nf = Universe.nfields u in
@@ -393,7 +392,6 @@ let walk_fast p old_lts affected (labels : Action.t array) =
     Array.iteri
       (fun lid (a : Action.t) ->
         match a.Action.provenance with
-        | Action.Inferred -> raise Ineligible
         | Action.From_flow { service; order } ->
           let key = (service, order) in
           let old_cf =

@@ -16,14 +16,6 @@ let risk = function
         ("likelihood", level likelihood);
         ("level", level l);
       ]
-  | Action.Value_risk { violations; total; max_risk } ->
-    Obj
-      [
-        ("type", Str "value");
-        ("violations", int violations);
-        ("total", int total);
-        ("max_risk", Num max_risk);
-      ]
 
 let action (a : Action.t) =
   Obj
@@ -38,8 +30,7 @@ let action (a : Action.t) =
         match a.provenance with
         | Action.From_flow { service; order } ->
           Obj [ ("service", Str service); ("order", int order) ]
-        | Action.Potential -> Str "potential"
-        | Action.Inferred -> Str "inferred" );
+        | Action.Potential -> Str "potential" );
       ("risk", match a.risk with Some r -> risk r | None -> Null);
     ]
 
@@ -105,13 +96,14 @@ let analysis (a : Analysis.t) =
           ("exposures", List (List.map finding report.exposures));
         ]
   in
+  let targets = Pseudonym_risk.num_targets a.pseudonym in
   Obj
     [
       ( "model",
         Obj
           [
-            ("states", int (Plts.num_states a.lts));
-            ("transitions", int (Plts.num_transitions a.lts));
+            ("states", int (Plts.num_states a.lts + targets));
+            ("transitions", int (Plts.num_transitions a.lts + targets));
             ("actors", int (Universe.nactors a.universe));
             ("fields", int (Universe.nfields a.universe));
             ("state_variable_pairs", int (Universe.nvars a.universe));

@@ -63,7 +63,7 @@ let violation_of u lts requirement =
           match label.Action.risk with
           | Some (Action.Disclosure_risk { level; _ }) ->
             Level.compare level max_level > 0
-          | Some (Action.Value_risk _) | None -> false)
+          | None -> false)
   in
   Option.map (fun witness -> { requirement; witness }) witness
 

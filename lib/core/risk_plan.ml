@@ -27,7 +27,7 @@ type impact_plan =
 
 (* The accidental-access term of the likelihood (first §III-A scenario). *)
 type accidental =
-  | Acc_potential  (** Potential/inferred read: [model.accidental_access]. *)
+  | Acc_potential  (** Potential read: [model.accidental_access]. *)
   | Acc_agreed of int
       (** Read prescribed by diagram service [i]: 0 when agreed,
           [model.rogue_service] otherwise. *)
@@ -42,7 +42,7 @@ type likelihood_plan = {
       (** Actor holds the Delete permission on the store (second
           scenario, [model.maintenance_exposure]). *)
   lk_rogue : Bitset.t option;
-      (** Third scenario, potential/inferred reads only: the diagram
+      (** Third scenario, potential reads only: the diagram
           services owning a [store -> actor] read flow. The term fires
           iff at least one of them is not agreed ([None] for from-flow
           reads, where the scenario is folded into [lk_accidental]). *)
@@ -217,7 +217,7 @@ let likelihood_plan lb (a : Action.t) =
     let actor_i = Universe.actor_index u a.actor in
     let lk_accidental =
       match a.provenance with
-      | Action.Potential | Action.Inferred -> Acc_potential
+      | Action.Potential -> Acc_potential
       | Action.From_flow { service; _ } -> (
         match Hashtbl.find_opt lb.lb_svc_ids service with
         | Some i -> Acc_agreed i
@@ -227,7 +227,7 @@ let likelihood_plan lb (a : Action.t) =
     let lk_rogue =
       match a.provenance with
       | Action.From_flow _ -> None
-      | Action.Potential | Action.Inferred ->
+      | Action.Potential ->
         Some
           (Option.value
              (Hashtbl.find_opt lb.lb_rogue (store_id, a.actor))
@@ -485,24 +485,8 @@ let witness_of t annotated tree src =
   in
   unwind [] src
 
-let analyse ?(grown = false) t profile =
-  let nt = Plts.num_transitions t.lts in
+let analyse t profile =
   let n = num_entries t in
-  if (if grown then nt < n else nt <> n) then
-    invalid_arg "Risk_plan.analyse: LTS changed since compile";
-  (* A grown LTS only ever gains [Pseudonym_risk]'s inferred-read
-     transitions, which the report skips (not findable, not annotated) —
-     but the witness tree must have been cached by an in-sync [analyse]
-     first, so the report stays the one over the compiled prefix. *)
-  if grown && nt > n then begin
-    if t.witness_tree = None then
-      invalid_arg "Risk_plan.analyse: no cached witness tree for grown LTS";
-    let inferred = ref 0 in
-    Plts.iter_transitions t.lts (fun { label; _ } ->
-        if label.Action.provenance = Action.Inferred then incr inferred);
-    if nt - !inferred <> n then
-      invalid_arg "Risk_plan.analyse: grown LTS has non-inferred new transitions"
-  end;
   let view = view t profile in
   (* Per label: the annotated action, and the finding its transitions
      get when reported. Every finding and witness hop of one label
@@ -535,16 +519,11 @@ let analyse ?(grown = false) t profile =
       f.impact > 0.0
     | Action.Delete -> false
   in
-  (* Annotate read labels in place, once per distinct label. Inferred
-     (§III-B) labels — including any a grown LTS gained — keep their
-     Value_risk annotations. *)
+  (* Annotate read labels in place, once per distinct label. *)
   Plts.map_labels t.lts (fun label ->
-      match (label.Action.kind, label.Action.provenance) with
-      | Action.Read, (Action.From_flow _ | Action.Potential) -> (
-        match Atbl.find_opt t.by_label (unannotated label) with
-        | Some l -> annotated.(l)
-        | None -> invalid_arg "Risk_plan.analyse: LTS changed since compile")
-      | _ -> label);
+      if Action.findable label then
+        annotated.(Atbl.find t.by_label (unannotated label))
+      else label);
   let tree = force_witness_tree t in
   let findings = ref [] in
   let exposures = ref [] in

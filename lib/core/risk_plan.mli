@@ -31,11 +31,9 @@ val compile :
   t
 (** One pass over the transitions, one plan per distinct label (defaults
     match [Disclosure_risk.analyse]); counts [risk_plan/labels] and
-    [risk_plan/entries]. The plan is tied to the LTS's current
-    transition set: label {e annotations} may change afterwards (the
-    plan itself rewrites them), but adding transitions — e.g. a
-    [Pseudonym_risk] pass — invalidates it, and {!analyse} then raises
-    [Invalid_argument]. *)
+    [risk_plan/entries]. The plan is tied to the LTS's transition set,
+    which exploration fixes for good; label {e annotations} may change
+    afterwards (the plan itself rewrites them). *)
 
 val slots : t -> (string * string option) array
 (** The distinct (actor, store) pairs over which findings can occur —
@@ -73,26 +71,14 @@ val summary : t -> User_profile.t -> summary
     rewriting). Safe to call concurrently from several domains on the
     same plan. *)
 
-val analyse : ?grown:bool -> t -> User_profile.t -> Disclosure_risk.report
+val analyse : t -> User_profile.t -> Disclosure_risk.report
 (** Drop-in replacement for [Disclosure_risk.analyse ~matrix ~model u
     lts profile]: annotates read labels in place and returns the
     identical report. Each distinct label is evaluated, annotated and
     relabelled ({!Plts.map_labels}) once; its findings and witness hops
     share that one [Action.t]. Witnesses come from a BFS tree built once
     per plan instead of one search per finding. Not domain-safe (it
-    mutates labels and the cached tree).
-
-    [~grown:true] additionally accepts an LTS that has {e gained}
-    transitions since {!compile} — only a [Pseudonym_risk] pass appends
-    to an LTS, and its inferred-read transitions are neither findable
-    nor annotated, so the report over the compiled prefix is identical
-    to one produced before the pass. The witness tree must already be
-    cached by an earlier in-sync [analyse] (the incremental engine's
-    profile-edit path guarantees this).
-
-    @raise Invalid_argument when transitions were added since
-    {!compile} (default mode), removed (any mode), or [~grown:true]
-    finds no cached witness tree. *)
+    mutates labels and the cached tree). *)
 
 (** {2 Per-label re-levelling}
 
@@ -106,9 +92,8 @@ val analyse : ?grown:bool -> t -> User_profile.t -> Disclosure_risk.report
     transitions. *)
 
 val num_findable_entries : t -> int
-(** Number of transitions whose label is findable (a read with
-    provenance other than [Inferred]) — the sites a finding can occur
-    at. *)
+(** Number of transitions whose label is findable ({!Action.findable})
+    — the sites a finding can occur at. *)
 
 type view
 (** A profile reduced to dense per-index lookups (σ by field index,
@@ -123,7 +108,7 @@ val iter_findable : t -> view -> (Action.t -> Level.t -> unit) -> unit
 (** Every distinct findable label of the plan, in first-occurrence
     order, with the finding level its transitions get under [view] —
     the same per-label loop {!summary} folds. Reads only the plan, so
-    it is safe on a grown LTS and from several domains. *)
+    it is safe from several domains. *)
 
 type labeller
 (** Per-universe label semantics — index lookups, reader sets, service

@@ -106,38 +106,28 @@ module Make (S : STATE) (L : LABEL) = struct
      relative to the previous one (the first relative to the source).
      BFS numbering makes consecutively discovered destinations
      adjacent, so most destination varints are a single byte and a
-     typical edge costs 2-4 bytes. Transitions added outside
-     exploration (hand-built LTSs, the pseudonym-risk pass)
-     append to per-source int overflow rows.
+     typical edge costs 2-4 bytes.
 
      A finished exploration is sealed by [packed_compact]: side tables
-     are trimmed to exact size and each dedup shard is rebuilt from its
-     explore-time int entries (8 bytes, load <= 1/2 — sized for probe
-     speed while millions of lookups are in flight) into a compact
-     5-byte-entry table at load <= 0.85, since post-exploration lookups
-     are rare. The retained bytes are what the serve cache holds on to,
-     which is the number the mem_stats report. *)
+     are trimmed to exact size and the dedup shards are dropped, since
+     nothing looks a state up once exploration ends. The retained bytes
+     are what the serve cache holds on to, which is the number the
+     mem_stats report. *)
   type shard = {
     mutable tbl : int array;
-        (* explore-time entries: (tag30 lsl 32) lor (id + 1); 0 empty *)
-    mutable ctbl : Bytes.t;
-        (* sealed entries, 5-byte stride: u32 LE (id + 1) then one tag
-           byte; empty until [seal_shard] *)
-    mutable ccap : int;  (* sealed capacity in entries; 0 = not sealed *)
-    mutable count : int;  (* total entries, young + sealed + spilled *)
-    mutable young : int;  (* entries in [tbl] (not yet sealed/spilled) *)
+        (* young entries: (tag30 lsl 32) lor (id + 1); 0 empty *)
+    mutable count : int;  (* total entries, young + spilled *)
+    mutable young : int;  (* entries in [tbl] (not yet spilled) *)
     mutable gens : (int * int) list;
         (* spilled generations, newest first: (file offset, capacity) of
            a sealed 5-byte table in the shard spill file. LSM-style:
            under budget pressure the young table seals to a new
            generation and inserts restart in a fresh young table.
-           Membership is the union over young + sealed + generations —
-           a state lives in exactly one — so probing order cannot
-           change any dedup verdict, which is what keeps numbering
-           byte-identical for every budget. *)
+           Membership is the union over young + generations — a state
+           lives in exactly one — so probing order cannot change any
+           dedup verdict, which is what keeps numbering byte-identical
+           for every budget. *)
   }
-
-  type ov = { mutable oarr : int array; mutable olen : int }
 
   (* Live spill run of one packed LTS: two append-only files (evicted
      arena chunks; sealed dedup generations) under a private directory. *)
@@ -168,13 +158,12 @@ module Make (S : STATE) (L : LABEL) = struct
     mutable ebytes : Bytes.t;
     mutable elen : int;
     row_start : P.U32.t;  (* state -> byte offset of its row, or row_none *)
-    ov : (int, ov) Hashtbl.t;
     (* the open row of the state being expanded: (lid lsl 32) lor dst *)
     mutable rbuf : int array;
     mutable rlen : int;
-    (* single-domain scratch: direct exploration rounds, [add_state] and
-       [find_state] reuse these; concurrent readers ([state_data] from
-       analysis workers) allocate their own *)
+    (* single-domain scratch: direct exploration rounds reuse these;
+       concurrent readers ([state_data] from analysis workers) allocate
+       their own *)
     enc_buf : Bytes.t;
     zeros : int array;  (* the base words of a full record *)
     full_maps : int array;  (* wordmap groups of the record being encoded *)
@@ -192,7 +181,7 @@ module Make (S : STATE) (L : LABEL) = struct
   (* Per-store reachability cones (what the cone walk reads): per
      label class — in generated models, the datastore index an action
      touches — the states with an outgoing transition in that class.
-     Arrays are class-indexed and grown on demand; [cn_last]
+     Arrays are class-indexed and enlarged on demand; [cn_last]
      de-duplicates the per-state count without any per-state
      allocation (source ids arrive in nondecreasing order). *)
   type cones = {
@@ -217,8 +206,7 @@ module Make (S : STATE) (L : LABEL) = struct
   let shard_of h = h land (nshards - 1)
   let tag_of h = h lsr 32 (* 30 bits: hashes are 62-bit non-negative *)
 
-  (* Sentinel [row_start] for states that have no edge row (created by
-     [add_state] outside exploration, or not yet expanded). *)
+  (* Sentinel [row_start] for states not yet expanded. *)
   let row_none = 0xffff_ffff
 
   (* Delta chains this deep cost a longer [decode_words] walk but cut
@@ -247,8 +235,6 @@ module Make (S : STATE) (L : LABEL) = struct
             Array.init nshards (fun _ ->
                 {
                   tbl = Array.make 64 0;
-                  ctbl = Bytes.empty;
-                  ccap = 0;
                   count = 0;
                   young = 0;
                   gens = [];
@@ -261,7 +247,6 @@ module Make (S : STATE) (L : LABEL) = struct
           ebytes = Bytes.create 4096;
           elen = 0;
           row_start = P.U32.create ();
-          ov = Hashtbl.create 16;
           rbuf = Array.make 16 0;
           rlen = 0;
           enc_buf = Bytes.create (32 + (10 * pk.pk_words));
@@ -413,22 +398,18 @@ module Make (S : STATE) (L : LABEL) = struct
       old;
     sh.tbl <- tbl
 
-  (* Sealed-shard slot and filter tag, both derived from the 30-bit tag
-     so sealing can rebuild without rehashing any state: the slot takes
-     the tag modulo the (arbitrary, exact-load) capacity, the filter
-     byte bits 22-29 (an overlap only weakens the filter). *)
+  (* Spilled-generation slot and filter tag, both derived from the
+     30-bit tag so spilling can rebuild without rehashing any state:
+     the slot takes the tag modulo the (arbitrary, exact-load)
+     capacity, the filter byte bits 22-29 (an overlap only weakens the
+     filter). *)
   let cslot tag cap = tag mod cap
   let ctag8 tag = (tag lsr 22) land 0xff
 
-  (* Rebuild the explore-time int entries into the compact 5-byte form
-     at a 0.85 load. The capacity is exact, not a power of two — pow2
-     rounding would retain up to 2x the bytes (measured ~10.7 vs ~5.9
-     bytes/state on a 14M-state case) — so probing is modulo; sealed
-     probes only serve post-exploration lookups, where division cost
-     is irrelevant. *)
-  (* Rebuild the young int entries into a compact 5-byte table at 0.85
-     load. Shared by the in-RAM seal and the spill path — both produce
-     the same byte layout, probed by the same [cslot]/[ctag8]. *)
+  (* Rebuild the young int entries into a compact 5-byte table
+     (u32 LE id + 1, then the filter byte) at a 0.85 load. The capacity
+     is exact, not a power of two — pow2 rounding would write up to 2x
+     the bytes — so probing is modulo. *)
   let young_ctbl sh =
     let cap = max 16 ((sh.young * 20 / 17) + 1) in
     let ctbl = Bytes.make (5 * cap) '\000' in
@@ -447,13 +428,6 @@ module Make (S : STATE) (L : LABEL) = struct
       sh.tbl;
     (ctbl, cap)
 
-  let seal_shard sh =
-    let ctbl, cap = young_ctbl sh in
-    sh.ctbl <- ctbl;
-    sh.ccap <- cap;
-    sh.tbl <- [||];
-    sh.young <- 0
-
   (* Seal the young table into a new on-disk generation and restart
      young inserts from scratch. Entries keep their ids and tags, so
      later probes find exactly what they would have found in RAM. *)
@@ -468,33 +442,8 @@ module Make (S : STATE) (L : LABEL) = struct
     sh.tbl <- [||];
     sh.young <- 0
 
-  let cshard_find p sh tag words cur buf =
-    let cap = sh.ccap in
-    let t8 = ctag8 tag in
-    let i = ref (cslot tag cap) in
-    let res = ref (-1) in
-    (try
-       while Bytes.get_int32_le sh.ctbl (5 * !i) <> 0l do
-         if Char.code (Bytes.unsafe_get sh.ctbl ((5 * !i) + 4)) = t8 then begin
-           let id =
-             (Int32.to_int (Bytes.get_int32_le sh.ctbl (5 * !i))
-             land 0xffff_ffff)
-             - 1
-           in
-           decode_words p cur buf id;
-           if words_equal words buf p.pk.pk_words then begin
-             res := id;
-             raise_notrace Exit
-           end
-         end;
-         incr i;
-         if !i = cap then i := 0
-       done
-     with Exit -> ());
-    !res
-
   (* Probe the spilled generations, newest first, through the mapped
-     view: same 5-byte entries, same modulo probe as [cshard_find]. *)
+     view of their 5-byte entries. *)
   let gshard_find p sh tag words cur buf =
     let sf = (Option.get p.spill).ss_shards in
     let t8 = ctag8 tag in
@@ -526,9 +475,8 @@ module Make (S : STATE) (L : LABEL) = struct
   (* Find the id whose words equal [words], or -1. Probes by tag;
      decodes (into [buf]) only on tag match, so a probe is normally a
      handful of int compares. A state lives in exactly one of the young
-     table, the sealed table and the spilled generations, so probe
-     order is irrelevant to the verdict — young first is just the warm
-     path. *)
+     table and the spilled generations, so probe order is irrelevant to
+     the verdict — young first is just the warm path. *)
   let shard_find p sh tag words cur buf =
     let res = ref (-1) in
     if sh.young > 0 then begin
@@ -549,62 +497,22 @@ module Make (S : STATE) (L : LABEL) = struct
          done
        with Exit -> ())
     end;
-    if !res < 0 && sh.ccap > 0 then res := cshard_find p sh tag words cur buf;
     if !res < 0 && sh.gens <> [] then res := gshard_find p sh tag words cur buf;
     !res
 
-  (* Growing a sealed shard cannot re-derive slots from the stored tag
-     byte, so it rehashes by decoding each entry's state. Only the rare
-     post-exploration [add_state] path can trigger this. *)
-  let cshard_grow p sh =
-    let cap = 2 * sh.ccap in
-    let ctbl = Bytes.make (5 * cap) '\000' in
-    let cur = P.cursor () in
-    let buf = Array.make p.pk.pk_words 0 in
-    for j = 0 to sh.ccap - 1 do
-      let e = Int32.to_int (Bytes.get_int32_le sh.ctbl (5 * j)) land 0xffff_ffff in
-      if e <> 0 then begin
-        decode_words p cur buf (e - 1);
-        let tag = tag_of (P.hash_words buf p.pk.pk_words) in
-        let i = ref (cslot tag cap) in
-        while Bytes.get_int32_le ctbl (5 * !i) <> 0l do
-          incr i;
-          if !i = cap then i := 0
-        done;
-        Bytes.set_int32_le ctbl (5 * !i) (Int32.of_int e);
-        Bytes.unsafe_set ctbl ((5 * !i) + 4) (Char.unsafe_chr (ctag8 tag))
-      end
+  (* Insert a known-absent id into the young table — spilled
+     generations are immutable. *)
+  let shard_insert sh tag id =
+    if Array.length sh.tbl = 0 then sh.tbl <- Array.make 64 0
+    else if 2 * (sh.young + 1) > Array.length sh.tbl then shard_grow sh;
+    let mask = Array.length sh.tbl - 1 in
+    let i = ref (tag land mask) in
+    while sh.tbl.(!i) <> 0 do
+      i := (!i + 1) land mask
     done;
-    sh.ctbl <- ctbl;
-    sh.ccap <- cap
-
-  (* Insert a known-absent id. Always goes to the young table when the
-     shard is unsealed — spilled generations are immutable. *)
-  let shard_insert p sh tag id =
-    if sh.ccap > 0 then begin
-      if 20 * (sh.count + 1) > 17 * sh.ccap then cshard_grow p sh;
-      let cap = sh.ccap in
-      let i = ref (cslot tag cap) in
-      while Bytes.get_int32_le sh.ctbl (5 * !i) <> 0l do
-        incr i;
-        if !i = cap then i := 0
-      done;
-      Bytes.set_int32_le sh.ctbl (5 * !i) (Int32.of_int (id + 1));
-      Bytes.unsafe_set sh.ctbl ((5 * !i) + 4) (Char.unsafe_chr (ctag8 tag));
-      sh.count <- sh.count + 1
-    end
-    else begin
-      if Array.length sh.tbl = 0 then sh.tbl <- Array.make 64 0
-      else if 2 * (sh.young + 1) > Array.length sh.tbl then shard_grow sh;
-      let mask = Array.length sh.tbl - 1 in
-      let i = ref (tag land mask) in
-      while sh.tbl.(!i) <> 0 do
-        i := (!i + 1) land mask
-      done;
-      sh.tbl.(!i) <- (tag lsl 32) lor (id + 1);
-      sh.count <- sh.count + 1;
-      sh.young <- sh.young + 1
-    end
+    sh.tbl.(!i) <- (tag lsl 32) lor (id + 1);
+    sh.count <- sh.count + 1;
+    sh.young <- sh.young + 1
 
   (* Fill [maps] with the wordmap of [words] against [base] (bit i of
      group g set = word 63g+i differs) and return the bytes the groups
@@ -678,9 +586,7 @@ module Make (S : STATE) (L : LABEL) = struct
     P.Arena.resident_bytes p.arena
     + Bytes.length p.ebytes
     + P.U32.bytes p.offs + P.U32.bytes p.row_start + P.U8.bytes p.depths
-    + Array.fold_left
-        (fun a sh -> a + (8 * Array.length sh.tbl) + Bytes.length sh.ctbl)
-        0 p.shards
+    + Array.fold_left (fun a sh -> a + (8 * Array.length sh.tbl)) 0 p.shards
 
   let ensure_spill p =
     match p.spill with
@@ -754,29 +660,27 @@ module Make (S : STATE) (L : LABEL) = struct
     P.U32.set p.offs id off;
     P.U8.set p.depths id depth;
     P.U32.set p.row_start id row_none;
-    shard_insert p p.shards.(shard_of h) (tag_of h) id;
+    shard_insert p.shards.(shard_of h) (tag_of h) id;
     t.n <- id + 1;
     if t.n land (spill_check_batch - 1) = 0 then spill_down p;
     id
 
   (* Seal a finished exploration: trim every growable structure to what
-     it actually holds (doubling leaves up to 2x slack) and rebuild the
-     dedup shards in their compact form. Skipped on abort — an aborted
-     LTS is discarded anyway. *)
+     it actually holds (doubling leaves up to 2x slack) and drop the
+     dedup shards — an explored LTS never looks a state up again.
+     Skipped on abort — an aborted LTS is discarded anyway. *)
   let packed_compact p n =
     if Bytes.length p.ebytes > p.elen then
       p.ebytes <- Bytes.sub p.ebytes 0 (max 1 p.elen);
     P.U32.trim p.offs n;
     P.U32.trim p.row_start n;
     P.U8.trim p.depths n;
-    (match p.spill with
-    | None -> Array.iter seal_shard p.shards
-    | Some ss ->
-      (* A spilled exploration seals every remaining young table to
-         disk instead of to RAM — the retained footprint is what the
-         serve cache holds, and post-exploration dedup probes are
-         rare. *)
-      Array.iter (fun sh -> spill_shard ss sh) p.shards);
+    Array.iter
+      (fun sh ->
+        sh.tbl <- [||];
+        sh.young <- 0;
+        sh.gens <- [])
+      p.shards;
     (* Re-enforce the budget on the sealed result: trims may not be
        enough when the run finished mid-growth. *)
     spill_down p;
@@ -845,8 +749,8 @@ module Make (S : STATE) (L : LABEL) = struct
     p.elen <- !pos;
     p.rlen <- 0
 
-  (* Decode the sealed row of [src] (overflow not included): calls
-     [f lid dst] per edge in insertion order. *)
+  (* Decode the sealed row of [src]: calls [f lid dst] per edge in
+     insertion order. *)
   let iter_row p src f =
     let rs = P.U32.get p.row_start src in
     if rs <> row_none then begin
@@ -859,14 +763,6 @@ module Make (S : STATE) (L : LABEL) = struct
         prev := dst;
         f lid dst
       done
-    end
-
-  let row_degree p src =
-    let rs = P.U32.get p.row_start src in
-    if rs = row_none then 0
-    else begin
-      let cur = { P.b = p.ebytes; P.pos = rs } in
-      P.get_varint cur
     end
 
   let packed_mem p n ntrans =
@@ -886,10 +782,7 @@ module Make (S : STATE) (L : LABEL) = struct
     let gen_bytes = spill_bytes - (spill_chunks * P.Arena.chunk_size) in
     let dedup_bytes =
       gen_bytes
-      + Array.fold_left
-          (fun a sh ->
-            a + (8 * Array.length sh.tbl) + Bytes.length sh.ctbl)
-          0 p.shards
+      + Array.fold_left (fun a sh -> a + (8 * Array.length sh.tbl)) 0 p.shards
     in
     let total = state_bytes + edge_bytes + index_bytes + dedup_bytes in
     {
@@ -1013,21 +906,7 @@ module Make (S : STATE) (L : LABEL) = struct
       end
 
 
-  (* ----- construction ----- *)
-
-  (* Outside exploration a new state has no frontier parent to delta
-     against, so it is stored as a full record. *)
-  let add_state t s =
-    let p = t.p in
-    p.pk.pk_blit s p.cand_buf 0;
-    let h = P.hash_words p.cand_buf p.pk.pk_words in
-    let id =
-      shard_find p p.shards.(shard_of h) (tag_of h) p.cand_buf p.cur p.cmp_buf
-    in
-    if id >= 0 then id
-    else
-      packed_new_state t p ~parent:(-1) ~parent_words:[||] ~parent_depth:0
-        p.cand_buf h
+  (* ----- observation ----- *)
 
   (* The first state added — the root of every exploration — is id 0. *)
   let initial t = if t.n = 0 then invalid_arg "Lts.initial: empty LTS" else 0
@@ -1052,20 +931,9 @@ module Make (S : STATE) (L : LABEL) = struct
      still match on it. *)
   let interned_labels t = Some (Array.sub t.p.lbl_data 0 t.p.nlabels)
 
-  (* Every edge of [id] as (label id, dst): the row, then the overflow. *)
-  let iter_edges p id f =
-    iter_row p id f;
-    match Hashtbl.find_opt p.ov id with
-    | None -> ()
-    | Some o ->
-      for i = 0 to o.olen - 1 do
-        let e = o.oarr.(i) in
-        f (e lsr 32) (e land 0xffff_ffff)
-      done
-
   let iter_successors_lid t id f =
     if id < 0 || id >= t.n then invalid_arg "Lts.iter_successors_lid";
-    iter_edges t.p id f
+    iter_row t.p id f
 
   let iter_states t f =
     for i = 0 to t.n - 1 do
@@ -1093,88 +961,12 @@ module Make (S : STATE) (L : LABEL) = struct
   let iter_successors t id f =
     if id < 0 || id >= t.n then invalid_arg "Lts.iter_successors";
     let p = t.p in
-    iter_edges p id (fun lid dst -> f p.lbl_data.(lid) dst)
+    iter_row p id (fun lid dst -> f p.lbl_data.(lid) dst)
 
   let successors t id =
     let acc = ref [] in
     iter_successors t id (fun label dst -> acc := (label, dst) :: !acc);
     List.rev !acc
-
-  (* Positional successor access for the iterative graph walks below:
-     no closure allocation, resumable mid-row. *)
-  let out_degree t id =
-    let p = t.p in
-    row_degree p id
-    + (match Hashtbl.find_opt p.ov id with None -> 0 | Some o -> o.olen)
-
-  (* O(row): the varint row has no random access. Row degrees in
-     generated models are bounded by the flow count, so the graph walks
-     below stay effectively linear. *)
-  let nth_dst t id i =
-    let p = t.p in
-    let rs = P.U32.get p.row_start id in
-    let remaining = ref i in
-    let found = ref (-1) in
-    if rs <> row_none then begin
-      let cur = { P.b = p.ebytes; P.pos = rs } in
-      let deg = P.get_varint cur in
-      let prev = ref id in
-      (try
-         for _ = 1 to deg do
-           let _lid = P.get_varint cur in
-           let dst = !prev + P.unzigzag (P.get_varint cur) in
-           prev := dst;
-           if !remaining = 0 then begin
-             found := dst;
-             raise_notrace Exit
-           end;
-           decr remaining
-         done
-       with Exit -> ())
-    end;
-    if !found >= 0 then !found
-    else
-      (Option.get (Hashtbl.find_opt p.ov id)).oarr.(!remaining)
-      land 0xffff_ffff
-
-  (* Interning makes equal labels share one id, so duplicate detection
-     is an integer scan over the decoded row plus the overflow. *)
-  let add_transition t ~src ~label ~dst =
-    if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
-      invalid_arg "Lts.add_transition";
-    let p = t.p in
-    let lid = intern p label in
-    let e = (lid lsl 32) lor dst in
-    let in_row =
-      let hit = ref false in
-      iter_row p src (fun l d -> if l = lid && d = dst then hit := true);
-      !hit
-    in
-    let o =
-      match Hashtbl.find_opt p.ov src with
-      | Some o -> o
-      | None ->
-        let o = { oarr = [||]; olen = 0 } in
-        Hashtbl.add p.ov src o;
-        o
-    in
-    let in_ov =
-      let rec go i = i < o.olen && (o.oarr.(i) = e || go (i + 1)) in
-      go 0
-    in
-    if in_row || in_ov then false
-    else begin
-      if o.olen = Array.length o.oarr then begin
-        let cap = max 4 (2 * o.olen) in
-        let bigger = Array.make cap 0 in
-        Array.blit o.oarr 0 bigger 0 o.olen;
-        o.oarr <- bigger
-      end;
-      o.oarr.(o.olen) <- e;
-      o.olen <- o.olen + 1;
-      t.ntrans <- t.ntrans + 1;
-      true
-    end
 
   let iter_transitions t f =
     for src = 0 to t.n - 1 do
@@ -1190,14 +982,13 @@ module Make (S : STATE) (L : LABEL) = struct
     let old = Array.sub p.lbl_data 0 p.nlabels in
     let remap = Array.make (Array.length old) (-1) in
     for src = 0 to t.n - 1 do
-      iter_edges p src (fun lid _ -> remap.(lid) <- 0)
+      iter_row p src (fun lid _ -> remap.(lid) <- 0)
     done;
     (* every [f] call before any mutation: a raising [f] leaves the LTS intact *)
     let mapped = Array.mapi (fun i l -> if remap.(i) = 0 then f l else l) old in
     Ltbl.reset p.lbl_ids;
     p.nlabels <- 0;
     Array.iteri (fun i l -> if remap.(i) = 0 then remap.(i) <- intern p l) mapped;
-    let relabel e = (remap.(e lsr 32) lsl 32) lor (e land 0xffff_ffff) in
     let reader = { p with ebytes = p.ebytes } in
     p.ebytes <- Bytes.create (max 4096 p.elen);
     p.elen <- 0;
@@ -1207,10 +998,7 @@ module Make (S : STATE) (L : LABEL) = struct
         iter_row reader src (fun lid dst ->
             push_edge p ((remap.(lid) lsl 32) lor dst));
         close_row p src
-      end;
-      Option.iter
-        (fun o -> for i = 0 to o.olen - 1 do o.oarr.(i) <- relabel o.oarr.(i) done)
-        (Hashtbl.find_opt p.ov src)
+      end
     done;
     if Bytes.length p.ebytes > p.elen then
       p.ebytes <- Bytes.sub p.ebytes 0 (max 1 p.elen)
@@ -1518,7 +1306,13 @@ module Make (S : STATE) (L : LABEL) = struct
         t.cones <- Some (new_cones ());
         label_class
     in
-    ignore (add_state t init : state_id);
+    (* The root: the first state, id 0, a full record. *)
+    p.pk.pk_blit init p.cand_buf 0;
+    ignore
+      (packed_new_state t p ~parent:(-1) ~parent_words:[||] ~parent_depth:0
+         p.cand_buf
+         (P.hash_words p.cand_buf p.pk.pk_words)
+        : state_id);
     if t.n > max_states then too_many t max_states;
     (try explore_rounds t p ~max_states ~cancel ~cone ~step ~jobs
      with e ->
@@ -1544,6 +1338,7 @@ module Make (S : STATE) (L : LABEL) = struct
     | None -> ()
     | Some ss ->
       Mdp_obs.Metrics.add "lts/spill_chunks" ss.ss_chunks;
+      Mdp_obs.Metrics.add "lts/spill_tables" ss.ss_tables;
       Mdp_obs.Metrics.add "lts/spill_bytes" ss.ss_bytes;
       Mdp_obs.Metrics.add "lts/spill_faults" (Spill.faults ss.ss_spill));
     if Mdp_obs.Metrics.enabled () then begin
@@ -1595,10 +1390,10 @@ module Make (S : STATE) (L : LABEL) = struct
         | None ->
           if on_stack.(s) then raise Cyclic;
           on_stack.(s) <- true;
-          let deg = out_degree t s in
+          let dsts = ref [] in
+          iter_row t.p s (fun _ d -> dsts := d :: !dsts);
           let v =
-            if deg = 0 then sink
-            else combine (List.init deg (fun i -> value (nth_dst t s i)))
+            if !dsts = [] then sink else combine (List.rev_map value !dsts)
           in
           on_stack.(s) <- false;
           memo.(s) <- Some v;

@@ -3,15 +3,16 @@
     States are hash-consed: adding equal state data twice yields the same
     dense integer id, which is what makes fixed-point exploration of the
     privacy model terminate (paper §II-B generates the LTS as the set of
-    reachable privacy states). Labels are arbitrary and mutable in place
-    (risk analysis annotates transition labels after generation, paper
-    §III).
+    reachable privacy states). An explored LTS is immutable apart from
+    its labels, which risk analysis annotates in place after generation
+    (paper §III, {!Make.map_labels}).
 
     Storage is packed: a state is a fixed number of 63-bit payload words
     (given by the LTS's {!packer}), stored as a byte-granular record in
     an append-only arena — delta-encoded against its breadth-first
     parent when that is smaller than a full record — and deduplicated
-    through hash-partitioned shard tables. Labels are interned; a
+    during exploration through hash-partitioned shard tables, which are
+    dropped once it ends. Labels are interned; a
     transition is one int. At privacy-model shapes this stores states at
     a few bytes each instead of a materialised config's hundreds, which
     is what lets ten-million-state models sit in RAM. States of any
@@ -73,7 +74,9 @@ type mem_stats = {
   ms_state_bytes : int;  (** state-record arena (full + delta records) *)
   ms_edge_bytes : int;  (** flat (label id, dst) edge stream *)
   ms_index_bytes : int;  (** record offsets, depths, row table *)
-  ms_dedup_bytes : int;  (** shard tables *)
+  ms_dedup_bytes : int;
+      (** shard tables: the young tables during exploration, the
+          spilled generations after it *)
   ms_full_states : int;  (** states stored as full (zero-base) records *)
   ms_delta_states : int;  (** states stored as deltas against their parent *)
   ms_labels : int;  (** distinct interned labels *)
@@ -127,19 +130,6 @@ module Make (S : STATE) (L : LABEL) : sig
 
   (** {1 Construction} *)
 
-  val add_state : t -> S.t -> state_id
-  (** Hash-consing: returns the existing id when equal data was added
-      before. The first state added (id 0) is the initial state.
-      Outside {!explore} the state is encoded as a full record (there
-      is no frontier parent to delta against). *)
-
-  val add_transition : t -> src:state_id -> label:L.t -> dst:state_id -> bool
-  (** [false] when an identical transition (same endpoints, equal label)
-      already exists; the LTS is unchanged in that case. Transitions
-      added outside {!explore} go to per-source overflow rows and
-      iterate after the transitions exploration laid down, so
-      successors stay in insertion order. *)
-
   val explore :
     ?max_states:int ->
     ?jobs:int ->
@@ -153,12 +143,14 @@ module Make (S : STATE) (L : LABEL) : sig
     unit ->
     t
   (** Breadth-first fixed point: starting from [init], repeatedly expand
-      unvisited states with [step].
+      unvisited states with [step]. Equal states (by their packed
+      words) get one id, and a successor [step] lists twice under an
+      equal label is one transition.
 
       [packing] is the state codec: states live as packed words in an
       arena (delta-encoded against their BFS parent when smaller), dedup
-      runs through hash-partitioned shard tables, and [step] receives
-      freshly decoded states.
+      runs through hash-partitioned shard tables (dropped when the
+      exploration ends), and [step] receives freshly decoded states.
 
       Ids are handed out in discovery order, so each breadth-first
       round expands exactly the id range the previous round discovered,
@@ -177,7 +169,7 @@ module Make (S : STATE) (L : LABEL) : sig
       [mem_budget] bounds the engine's {e
       resident} bytes: when arena chunks, side tables and dedup shards
       together exceed the budget, sealed 64 KiB arena chunks — oldest
-      first — and sealed dedup-shard tables are evicted to append-only
+      first — and young dedup-shard tables are evicted to append-only
       spill files in a fresh temporary directory (override the parent
       with [spill_dir]), and are read back on demand through bounded
       mmap windows and a small per-domain pinned-chunk cache. The
@@ -238,9 +230,7 @@ module Make (S : STATE) (L : LABEL) : sig
       of the label — an int-only row scan. *)
 
   val iter_states : t -> (state_id -> unit) -> unit
-  (** Iterate ids [0 .. num_states - 1] without allocating. Reads
-      [num_states] once: states appended during iteration (as the
-      pseudonym-risk pass does) are not visited — snapshot semantics. *)
+  (** Iterate ids [0 .. num_states - 1] without allocating. *)
 
   val successors : t -> state_id -> (L.t * state_id) list
   (** In insertion order. Allocates a fresh list; prefer

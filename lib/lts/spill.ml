@@ -189,7 +189,7 @@ let append f b ~pos ~len =
 (* 1 MiB windows in a per-domain, per-file table indexed by window
    number: each window of a file is mapped at most once per domain and
    kept until the run is removed (a remap happens only when the file
-   has grown past what an existing mapping covers, which is bounded by
+   extends past what an existing mapping covers, which is bounded by
    append rounds, not reads). Mapped pages count toward the process
    address space, so the invariants that matter are (a) resident
    windows never exceed the spill size per domain, and (b) reads never

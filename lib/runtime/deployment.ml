@@ -76,7 +76,7 @@ let endpoints t (label : Core.Action.t) =
             ( Some (node_of_actor t label.actor),
               node_of_actor t receiver )
         | Some _ | None -> None))
-    | Core.Action.Potential | Core.Action.Inferred -> None)
+    | Core.Action.Potential -> None)
   | Core.Action.Create | Core.Action.Anon ->
     Option.map
       (fun store -> (Some (node_of_actor t label.actor), node_of_store t store))
@@ -129,7 +129,7 @@ let risky_transfers t lts profile =
       match tr.action.Core.Action.provenance with
       | Core.Action.From_flow { service; _ } ->
         not (Core.User_profile.agrees_to profile service)
-      | Core.Action.Potential | Core.Action.Inferred -> true)
+      | Core.Action.Potential -> true)
     (transfers t lts)
 
 

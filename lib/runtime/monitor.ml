@@ -103,10 +103,8 @@ let matches (event : Event.t) (label : Core.Action.t) =
 let provenance_consistent (event : Event.t) (label : Core.Action.t) =
   match (event.Event.service, label.Core.Action.provenance) with
   | Some svc, Core.Action.From_flow { service; _ } -> svc = service
-  | None, (Core.Action.Potential | Core.Action.Inferred) -> true
-  | Some _, (Core.Action.Potential | Core.Action.Inferred)
-  | None, Core.Action.From_flow _ ->
-    false
+  | None, Core.Action.Potential -> true
+  | Some _, Core.Action.Potential | None, Core.Action.From_flow _ -> false
 
 let best_match t state event =
   let candidates = Core.Plts.successors t.lts state in
@@ -124,11 +122,7 @@ let risk_alert t (label : Core.Action.t) =
   | Some (Core.Action.Disclosure_risk { level; _ } as risk)
     when Core.Level.compare level t.min_level >= 0 ->
     Some risk
-  | Some (Core.Action.Value_risk { violations; _ } as risk) when violations > 0
-    ->
-    Some risk
-  | Some (Core.Action.Disclosure_risk _ | Core.Action.Value_risk _) | None ->
-    None
+  | Some (Core.Action.Disclosure_risk _) | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Resilience *)

@@ -54,8 +54,7 @@ val create :
   Mdp_core.Plts.t ->
   t
 (** [min_level] (default [Low]) is the smallest disclosure-risk level that
-    raises [Risky]; value-risk annotations always raise when they carry at
-    least one violation. [resync_depth] (default 0: off) bounds how many
+    raises [Risky]. [resync_depth] (default 0: off) bounds how many
     transitions a resynchronisation may skip. [dead_letter_cap]
     (default 256) bounds the dead-letter queue: when full, the oldest
     letter is shed (counted in [stats.dead_dropped]) to admit the new
@@ -63,8 +62,9 @@ val create :
     newest evidence at constant memory instead of growing without
     limit; 0 keeps no letters at all (every dead event only counts).
     The LTS should already be annotated (run
-    {!Mdp_core.Risk_plan.analyse} / {!Mdp_core.Pseudonym_risk.analyse}
-    first). *)
+    {!Mdp_core.Risk_plan.analyse} first). §III-B risk-transitions are
+    not part of the LTS, so an inferred read of a raw field is never a
+    modelled event. *)
 
 val current_state : t -> Mdp_core.Plts.state_id
 

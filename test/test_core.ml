@@ -195,7 +195,7 @@ let test_generation_strict_ordering () =
       match label.provenance with
       | Core.Action.From_flow { order; _ } ->
         check int_ "only first flows enabled initially" 1 order
-      | Core.Action.Potential | Core.Action.Inferred ->
+      | Core.Action.Potential ->
         Alcotest.fail "flow_only should not emit potential actions")
     (Core.Plts.successors lts init)
 
@@ -538,8 +538,7 @@ let test_annotation_in_place () =
       if tr.label.Core.Action.kind = Core.Action.Read then begin
         match tr.label.Core.Action.risk with
         | Some (Core.Action.Disclosure_risk _) -> incr annotated
-        | Some (Core.Action.Value_risk _) | None ->
-          Alcotest.fail "read transition left unannotated"
+        | None -> Alcotest.fail "read transition left unannotated"
       end);
   check bool_ "reads annotated" true (!annotated > 0)
 
@@ -638,35 +637,36 @@ let test_impact_computation () =
     (Core.Disclosure_risk.transition_impact u H.profile_case_a create)
 
 
-let test_disclosure_preserves_value_risk_annotations () =
-  (* Running the disclosure pass AFTER the pseudonymisation pass must not
-     clobber the Value_risk annotations on inferred transitions. *)
+let test_disclosure_keeps_pseudonym_risks () =
+  (* The two passes are independent, in either order: the pseudonymisation
+     pass leaves the LTS alone, so a disclosure pass after it reports what
+     it reports without it, and the risk-transitions outlive the
+     disclosure pass's label rewriting. *)
   let u = Core.Universe.make H.study_diagram H.study_policy in
-  let lts =
+  let lts () =
     Core.Generate.run
       ~options:{ Core.Generate.default_options with granular_reads = true }
       u
   in
-  let rts = Core.Pseudonym_risk.analyse u lts H.study_binding in
-  check bool_ "risk transitions exist" true (rts <> []);
   let profile =
     Core.User_profile.make
       ~sensitivities:[ (H.weight, 0.9) ]
       ~agreed_services:[ "DataCollection" ] ()
   in
-  let report = Core.Disclosure_risk.analyse u lts profile in
-  (* Inferred transitions keep their Value_risk... *)
-  Core.Plts.iter_transitions lts (fun tr ->
-      if tr.label.Core.Action.provenance = Core.Action.Inferred then
-        match tr.label.Core.Action.risk with
-        | Some (Core.Action.Value_risk _) -> ()
-        | _ -> Alcotest.fail "value-risk annotation clobbered");
-  (* ...and never appear among the disclosure findings. *)
-  List.iter
-    (fun (f : Core.Disclosure_risk.finding) ->
-      check bool_ "no inferred disclosure findings" true
-        (f.action.Core.Action.provenance <> Core.Action.Inferred))
-    report.findings
+  let render report = Format.asprintf "%a" Core.Disclosure_risk.pp_report report in
+  let render_rts rts =
+    Format.asprintf "%a"
+      (Format.pp_print_list Core.Pseudonym_risk.pp_risk_transition)
+      rts
+  in
+  let expected = render (Core.Disclosure_risk.analyse u (lts ()) profile) in
+  let lts = lts () in
+  let rts = Core.Pseudonym_risk.analyse u lts [ H.study_binding ] in
+  check bool_ "risk transitions exist" true (rts <> []);
+  check Alcotest.string "disclosure report unchanged" expected
+    (render (Core.Disclosure_risk.analyse u lts profile));
+  check Alcotest.string "risk-transitions unchanged" (render_rts rts)
+    (render_rts (Core.Pseudonym_risk.analyse u lts [ H.study_binding ]))
 
 let prop_fix_never_raises_risk =
   QCheck.Test.make ~name:"revocation monotone on max level" ~count:10
@@ -733,17 +733,121 @@ let test_study_violation_counts () =
     ]
     by_fields
 
+(* Every risk-transition carries its §III-B scores over the six released
+   records, leads out of an explored state into a target numbered past
+   them, one target per transition. *)
 let test_study_risk_transitions_annotated () =
   let a = study () in
-  let inferred = ref 0 in
-  Core.Plts.iter_transitions a.lts (fun tr ->
-      if tr.label.Core.Action.provenance = Core.Action.Inferred then begin
-        incr inferred;
-        match tr.label.Core.Action.risk with
-        | Some (Core.Action.Value_risk { total = 6; _ }) -> ()
-        | _ -> Alcotest.fail "inferred transition lacks value-risk annotation"
-      end);
-  check int_ "annotated = reported" (List.length a.pseudonym) !inferred
+  let n = Core.Plts.num_states a.lts in
+  check int_ "eleven risk-transitions" 11 (List.length a.pseudonym);
+  List.iteri
+    (fun k (rt : Core.Pseudonym_risk.risk_transition) ->
+      check int_ "scores cover the release" 6
+        (List.length rt.report.Mdp_anon.Value_risk.scores);
+      check bool_ "source explored" true (rt.src < n);
+      check int_ "target numbered past the explored states" (n + k) rt.dst)
+    a.pseudonym
+
+(* The study with the raw Weight handed to the Researcher by a flow. *)
+let study_with_weight_flow () =
+  let inputs =
+    {
+      Core.Edit.diagram = H.study_diagram;
+      policy = H.study_policy;
+      profile = None;
+      bindings = [];
+    }
+  in
+  let flow =
+    Flow.make ~order:6 ~src:(Flow.Actor "Administrator")
+      ~dst:(Flow.Actor "Researcher") ~fields:[ H.weight ]
+      ~purpose:"share raw weights"
+  in
+  match Core.Edit.apply inputs (Core.Edit.Add_flow { service = "ResearchStudy"; flow }) with
+  | Ok inputs -> inputs.diagram
+  | Error e -> Alcotest.fail e
+
+(* Explored configs by value, to look a risk-transition target up. *)
+module Cfg_tbl = Hashtbl.Make (Core.Config)
+
+(* The target of [rt]: its source config with the raw field identified. *)
+let target_config u lts (rt : Core.Pseudonym_risk.risk_transition) =
+  let cfg = Core.Config.copy (Core.Plts.state_data lts rt.src) in
+  Mdp_prelude.Bitset.set cfg.privacy.has
+    (Core.Universe.var u
+       ~actor:(Core.Universe.actor_index u rt.actor)
+       ~field:(Core.Universe.field_index u rt.field));
+  cfg
+
+(* An actor that already holds the raw field infers nothing: the state
+   where the Researcher received Weight by a flow has no risk-transition
+   (before, it got one back to itself and the LTS became cyclic). Every
+   target is a state exploration never reached. *)
+let test_held_field_not_inferred () =
+  let options = { Core.Generate.default_options with granular_reads = true } in
+  let diagram = study_with_weight_flow () in
+  let a =
+    Core.Analysis.run ~options ~bindings:[ H.study_binding ] diagram
+      H.study_policy
+  in
+  check int_ "eleven risk-transitions" 11 (List.length a.pseudonym);
+  check bool_ "no self-loop" true
+    (List.for_all
+       (fun (rt : Core.Pseudonym_risk.risk_transition) -> rt.src <> rt.dst)
+       a.pseudonym);
+  check bool_ "LTS stays acyclic" true (Core.Plts.longest_path a.lts <> None);
+  let explored = Cfg_tbl.create 64 in
+  Core.Plts.iter_states a.lts (fun s ->
+      Cfg_tbl.replace explored (Core.Plts.state_data a.lts s) ());
+  List.iter
+    (fun rt ->
+      check bool_ "target is not an explored state" false
+        (Cfg_tbl.mem explored (target_config a.universe a.lts rt)))
+    a.pseudonym
+
+(* Two bindings see the same explored states: each reports its own
+   risk-transitions, and the same inference from the same state shares
+   one target, so the summary counts it once. The LTS itself equals the
+   one a run without bindings explores. *)
+let test_bindings_do_not_chain () =
+  let options = { Core.Generate.default_options with granular_reads = true } in
+  let run bindings =
+    Core.Analysis.run ~options ~bindings H.study_diagram H.study_policy
+  in
+  let a = run [ H.study_binding; H.study_binding ] in
+  let single = run [ H.study_binding ] and bare = run [] in
+  let first, second =
+    List.partition (fun (k, _) -> k < 11) (List.mapi (fun k rt -> (k, rt)) a.pseudonym)
+  in
+  let render rts =
+    List.map
+      (fun (_, rt) -> Format.asprintf "%a" Core.Pseudonym_risk.pp_risk_transition rt)
+      rts
+  in
+  check int_ "eleven per binding" 22 (List.length a.pseudonym);
+  check (Alcotest.list Alcotest.string) "first binding as alone"
+    (render (List.mapi (fun k rt -> (k, rt)) single.pseudonym))
+    (render first);
+  check (Alcotest.list Alcotest.string) "second binding shares the targets"
+    (render first) (render second);
+  check Alcotest.string "summary"
+    "45 states, 93 transitions (anon 1, collect 1, create 1, read 90; flow \
+     33, inferred 11, potential 49)"
+    (Core.Lts_render.summary_with_risks a.universe a.lts a.pseudonym);
+  let triples (x : Core.Analysis.t) =
+    let acc = ref [] in
+    Core.Plts.iter_transitions x.lts (fun tr ->
+        acc := (tr.src, Format.asprintf "%a" Core.Action.pp tr.label, tr.dst) :: !acc);
+    List.rev !acc
+  in
+  check int_ "same states" (Core.Plts.num_states bare.lts)
+    (Core.Plts.num_states a.lts);
+  Core.Plts.iter_states a.lts (fun s ->
+      check bool_ "same state data" true
+        (Core.Config.equal
+           (Core.Plts.state_data bare.lts s)
+           (Core.Plts.state_data a.lts s)));
+  check bool_ "same transitions" true (triples bare = triples a)
 
 let test_study_gate () =
   let a = study () in
@@ -898,7 +1002,7 @@ let () =
           Alcotest.test_case "impact computation" `Quick test_impact_computation;
           qtest prop_fix_never_raises_risk;
           Alcotest.test_case "pseudonym annotations survive" `Quick
-            test_disclosure_preserves_value_risk_annotations;
+            test_disclosure_keeps_pseudonym_risks;
         ] );
       ( "pseudonym risk (section IV-B)",
         [
@@ -912,6 +1016,10 @@ let () =
           Alcotest.test_case "raw access removes risk" `Quick
             test_no_risk_when_raw_access_allowed;
           Alcotest.test_case "binding validation" `Quick test_binding_validation;
+          Alcotest.test_case "held field not inferred" `Quick
+            test_held_field_not_inferred;
+          Alcotest.test_case "bindings do not chain" `Quick
+            test_bindings_do_not_chain;
         ] );
       ( "consistency",
         [

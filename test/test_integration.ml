@@ -173,7 +173,7 @@ let test_monitor_follows_witness () =
     let service =
       match act.provenance with
       | Core.Action.From_flow { service; _ } -> Some service
-      | Core.Action.Potential | Core.Action.Inferred -> None
+      | Core.Action.Potential -> None
     in
     R.Event.make ~time:(i + 1) ~kind:act.kind ~actor:act.actor
       ~fields:act.fields ?store:act.store ?service ()

@@ -39,7 +39,6 @@ let graph ~init edges =
       List.filter_map (fun (src, l, dst) -> if src = s then Some (l, dst) else None) edges)
     ()
 
-(* A single state, to which tests add more by hand. *)
 let single s = graph ~init:s []
 
 (* A diamond: 0 -a-> 1 -c-> 3, 0 -b-> 2 -c-> 3. *)
@@ -48,26 +47,25 @@ let diamond () =
   (t, 0, 1, 2, 3)
 
 let test_hash_consing () =
-  let t = single 42 in
-  let a = L.add_state t 42 in
-  check int_ "same id" 0 a;
-  check int_ "one state" 1 (L.num_states t);
-  check int_ "new data, new id" 1 (L.add_state t 7)
+  (* 42 reaches itself and 7 twice over: three edges into two states. *)
+  let t = graph ~init:42 [ (42, "loop", 42); (42, "a", 7); (42, "b", 7) ] in
+  check int_ "two states" 2 (L.num_states t);
+  check int_ "new data, new id" 7 (L.state_data t 1);
+  check (Alcotest.list (Alcotest.pair Alcotest.string int_))
+    "equal data, same id" [ ("loop", 0); ("a", 1); ("b", 1) ] (L.successors t 0)
 
 let test_duplicate_transitions () =
-  let t = single 0 in
-  let a = L.initial t and b = L.add_state t 1 in
-  check bool_ "first insert" true (L.add_transition t ~src:a ~label:"x" ~dst:b);
-  check bool_ "duplicate" false (L.add_transition t ~src:a ~label:"x" ~dst:b);
-  check bool_ "different label" true (L.add_transition t ~src:a ~label:"y" ~dst:b);
-  check int_ "two transitions" 2 (L.num_transitions t)
+  let t = graph ~init:0 [ (0, "x", 1); (0, "x", 1); (0, "y", 1) ] in
+  check int_ "duplicate dropped, different label kept" 2 (L.num_transitions t);
+  check (Alcotest.list (Alcotest.pair Alcotest.string int_)) "successors"
+    [ ("x", 1); ("y", 1) ] (L.successors t 0)
 
 let test_initial () =
-  let t = single 5 in
-  let a = L.add_state t 5 in
-  check int_ "first state is initial" a (L.initial t);
-  ignore (L.add_state t 1 : L.state_id);
-  check int_ "initial stays the first state" a (L.initial t)
+  let t = graph ~init:5 [ (5, "a", 1); (1, "b", 9) ] in
+  check int_ "initial is id 0" 0 (L.initial t);
+  check int_ "initial holds the init data" 5 (L.state_data t (L.initial t));
+  check int_ "later states follow" 3 (L.num_states t);
+  check int_ "single state" 0 (L.initial (single 5))
 
 let test_successors () =
   let t, s0, s1, s2, _ = diamond () in
@@ -77,10 +75,9 @@ let test_successors () =
 
 let test_reachability_and_paths () =
   let t, s0, _, _, s3 = diamond () in
-  let orphan = L.add_state t 99 in
-  check int_ "reachable excludes orphan" 4 (List.length (L.reachable t));
-  check bool_ "no path to orphan" true
-    (L.path_to t (fun s -> s = orphan) = None);
+  check int_ "every explored state is reachable" 4 (List.length (L.reachable t));
+  check bool_ "no path to an absent state" true
+    (L.path_to t (fun s -> L.state_data t s = 99) = None);
   (match L.path_to t (fun s -> s = s3) with
   | Some steps ->
     check int_ "shortest path length" 2 (List.length steps);
@@ -89,13 +86,14 @@ let test_reachability_and_paths () =
   check bool_ "path to initial is empty" true (L.path_to t (fun s -> s = s0) = Some [])
 
 let test_acyclic_and_deterministic () =
-  let t, s0, s1, _, _ = diamond () in
+  let t, _, _, _, _ = diamond () in
   check bool_ "diamond acyclic" true (L.longest_path t <> None);
   check bool_ "diamond deterministic" true (L.is_deterministic t);
-  ignore (L.add_transition t ~src:s1 ~label:"back" ~dst:s0 : bool);
-  check bool_ "cycle detected" true (L.longest_path t = None);
-  ignore (L.add_transition t ~src:s0 ~label:"a" ~dst:s0 : bool);
-  check bool_ "nondeterminism detected" false (L.is_deterministic t)
+  let diamond_edges = [ (0, "a", 1); (0, "b", 2); (1, "c", 3); (2, "c", 3) ] in
+  let back = graph ~init:0 ((1, "back", 0) :: diamond_edges) in
+  check bool_ "cycle detected" true (L.longest_path back = None);
+  let nondet = graph ~init:0 ((0, "a", 0) :: diamond_edges) in
+  check bool_ "nondeterminism detected" false (L.is_deterministic nondet)
 
 let test_explore () =
   (* Count to 5 with two labels; states are hash-consed ints. *)

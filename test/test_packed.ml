@@ -1,9 +1,8 @@
 (* Regression tests for the packed LTS store: the arena-backed,
    sharded-dedup representation must record what a materialised
-   reference records, survive post-exploration mutation (the
-   pseudonym-risk pass appends states and transitions) and label
-   rewriting, account for its bytes, and round-trip states through the
-   byte codecs exactly. Job-count determinism is covered by
+   reference records, stay unchanged through the post-exploration
+   pseudonym-risk pass, survive label rewriting, account for its bytes,
+   and round-trip states through the byte codecs exactly. Job-count determinism is covered by
    test_perf_engine. *)
 
 module Core = Mdp_core
@@ -65,69 +64,42 @@ let synthetic_spec (na, nf, fps) =
     flows_per_service = fps;
   }
 
-(* The pseudonym-risk pass mutates the LTS after exploration —
-   [add_state] on a new config plus [add_transition] from mid-graph
-   sources (overflow rows). Before the pass the LTS is the seed's;
-   the pass keeps every explored transition and appends only inferred
-   ones, one per reported risk; and the mutated LTS, the risks and a
-   disclosure pass over it are the same for every job count. *)
+(* The pseudonym-risk pass reads the explored LTS and leaves it alone:
+   after the pass the LTS is still the seed's, and the risk-transitions,
+   the LTS and a disclosure pass over it are the same for every job
+   count. *)
 let test_post_explore_mutation () =
   let u = Core.Universe.make H.study_diagram H.study_policy in
   let seed = Seed_engine.run ~options:granular u in
   let run jobs =
     let lts = Core.Generate.run ~options:granular ~jobs u in
     let ctx = Printf.sprintf "jobs=%d" jobs in
-    Seed_engine.check_lts (ctx ^ " before the pass") seed lts;
-    let explored = transition_triples lts in
-    let risks = Core.Pseudonym_risk.analyse u lts H.study_binding in
+    let risks = Core.Pseudonym_risk.analyse u lts [ H.study_binding ] in
     check bool_ "risk transitions found" true (risks <> []);
-    let inferred, kept =
-      List.partition
-        (fun (tr : Core.Plts.transition) ->
-          tr.label.Core.Action.provenance = Core.Action.Inferred)
-        (transitions lts)
-    in
-    check (Alcotest.list triple) (ctx ^ " explored transitions kept") explored
-      (List.map
-         (fun (tr : Core.Plts.transition) ->
-           (tr.src, Format.asprintf "%a" Core.Action.pp tr.label, tr.dst))
-         kept);
-    List.iter
-      (fun (r : Core.Pseudonym_risk.risk_transition) ->
-        if
-          not
-            (List.exists
-               (fun (tr : Core.Plts.transition) ->
-                 tr.src = r.src && tr.dst = r.dst)
-               inferred)
-        then Alcotest.failf "%s: risk %d -> %d has no transition" ctx r.src r.dst)
-      risks;
+    Seed_engine.check_lts (ctx ^ " after the pass") seed lts;
     (lts, risks)
+  in
+  let render risks =
+    List.map (Format.asprintf "%a" Core.Pseudonym_risk.pp_risk_transition) risks
   in
   let seq, seq_risks = run 1 in
   let par, par_risks = run 4 in
-  check int_ "same risk count" (List.length seq_risks) (List.length par_risks);
-  List.iter2
-    (fun (a : Core.Pseudonym_risk.risk_transition)
-         (b : Core.Pseudonym_risk.risk_transition) ->
-      check int_ "risk src" a.src b.src;
-      check int_ "risk dst" a.dst b.dst;
-      check Alcotest.string "risk actor" a.actor b.actor)
-    seq_risks par_risks;
-  same_lts "post-mutation" seq par;
+  check (Alcotest.list Alcotest.string) "same risk-transitions"
+    (render seq_risks) (render par_risks);
+  same_lts "after the pass" seq par;
   let profile =
     Core.User_profile.make
       ~sensitivities:[ (H.weight, 0.9) ]
       ~agreed_services:[ "DataCollection" ] ()
   in
-  check Alcotest.string "disclosure after mutation"
+  check Alcotest.string "disclosure after the pass"
     (Format.asprintf "%a" Core.Disclosure_risk.pp_report
        (Core.Disclosure_risk.analyse u seq profile))
     (Format.asprintf "%a" Core.Disclosure_risk.pp_report
        (Core.Disclosure_risk.analyse u par profile))
 
 (* map_labels rewrites labels in place (risk annotation), re-interning
-   them in rows and overflow: the compiled plan's annotation leaves
+   them in the rows: the compiled plan's annotation leaves
    every edge where it was with its label's risk filled in, and
    annotates exactly as the per-transition disclosure engine does. *)
 let test_map_labels () =
@@ -151,22 +123,25 @@ let test_map_labels () =
   ignore (Core.Disclosure_risk.analyse u naive H.profile_case_a);
   same_lts "plan vs per-transition annotation" naive lts
 
-(* Label-only map_labels over rows and overflow rows (the pseudonym
-   pass appends inferred transitions after exploration), with a
-   non-injective map: the result is the captured transition list with
+(* Label-only map_labels with a non-injective map: the result is the captured transition list with
    [f] applied to each label, [f] runs once per live label, and
    [is_deterministic] reads the same as over the list. *)
 let test_map_labels_label_only () =
   let u = Core.Universe.make H.study_diagram H.study_policy in
-  (* Drops every field of a read but the first and clears annotations:
-     reads of one store by one actor collapse onto one label. *)
+  (* Keeps only a read's first field, actor and store: the flow and
+     potential reads of one field collapse onto one label. *)
   let collapse (a : Core.Action.t) =
     if a.kind = Core.Action.Read then
-      { a with fields = [ List.hd a.fields ]; risk = None }
+      {
+        a with
+        fields = [ List.hd a.fields ];
+        provenance = Core.Action.Potential;
+        purpose = None;
+        risk = None;
+      }
     else a
   in
   let lts = Core.Generate.run ~options:granular u in
-  ignore (Core.Pseudonym_risk.analyse u lts H.study_binding);
   let reference =
     List.map
       (fun (tr : Core.Plts.transition) -> { tr with label = collapse tr.label })
@@ -230,8 +205,7 @@ let test_render_summary () =
           bump provs
             (match a.provenance with
             | Core.Action.From_flow _ -> "flow"
-            | Core.Action.Potential -> "potential"
-            | Core.Action.Inferred -> "inferred"))
+            | Core.Action.Potential -> "potential"))
         (Seed_engine.successors seed s)
     done;
     let render tbl =

@@ -427,17 +427,6 @@ let test_plan_parity_smart_home () =
   check_plan_parity "smart-home" SH.diagram SH.policy
     Core.Generate.default_options SH.profile
 
-let test_plan_rejects_stale_lts () =
-  let u = Core.Universe.make H.study_diagram H.study_policy in
-  let lts = Core.Generate.run ~options:granular u in
-  let plan = Core.Risk_plan.compile u lts in
-  (* The pseudonym pass adds inferred transitions: the plan must refuse
-     to analyse the grown LTS rather than misattribute entries. *)
-  ignore (Core.Pseudonym_risk.analyse u lts H.study_binding);
-  match Core.Risk_plan.analyse plan H.profile_case_a with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument on a grown LTS"
-
 (* ------------------------------------------------------------------ *)
 (* Per-label plan against the oracle over generated models: several
    profiles, analysed in turn on one plan. *)
@@ -515,78 +504,6 @@ let test_plan_differential () =
            finding) ~20 s *)
         [ 2; 3; 4 ])
     [ "2-4-3"; "6-8-5"; "8-10-6" ]
-
-(* A pseudonym pass grows the LTS with inferred reads; [~grown:true]
-   keeps reporting over the compiled transitions, for the profile that
-   cached the witness tree and for another one, and leaves the inferred
-   labels' Value_risk annotations alone. *)
-let test_plan_grown () =
-  let u = Core.Universe.make H.study_diagram H.study_policy in
-  let other =
-    Core.User_profile.make
-      ~sensitivities:(Core.User_profile.sensitivities H.profile_case_a)
-      ~agreed_services:[] ()
-  in
-  let lts = Core.Generate.run ~options:granular u in
-  let plan = Core.Risk_plan.compile u lts in
-  let before = Core.Risk_plan.analyse plan H.profile_case_a in
-  let n = Core.Plts.num_transitions lts in
-  ignore (Core.Pseudonym_risk.analyse u lts H.study_binding);
-  check bool_ "pass grew the LTS" true (Core.Plts.num_transitions lts > n);
-  let inferred () =
-    List.filter
-      (fun (tr : Core.Plts.transition) ->
-        tr.label.provenance = Core.Action.Inferred)
-      (transitions lts)
-  in
-  let inferred_before = inferred () in
-  check bool_ "grown report" true
-    (before = Core.Risk_plan.analyse ~grown:true plan H.profile_case_a);
-  let fresh =
-    Core.Risk_plan.analyse
-      (Core.Risk_plan.compile u (Core.Generate.run ~options:granular u))
-      other
-  in
-  check bool_ "grown report, other profile" true
-    (fresh = Core.Risk_plan.analyse ~grown:true plan other);
-  check bool_ "inferred labels untouched" true (inferred_before = inferred ())
-
-let expect_invalid name f =
-  match f () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
-
-(* The plan refuses an LTS it cannot account for: one that changed
-   under it, one that grew before any witness tree was cached, and one
-   that grew by a transition other than an inferred read. *)
-let test_plan_rejects () =
-  let spec = synthetic "synthetic:6-8-5@1" in
-  let diagram, policy = Syn.model spec in
-  let u = Core.Universe.make diagram policy in
-  let profile = Syn.profile spec diagram in
-  (* a new transition: the first transition's label, to the last state *)
-  let add_transition lts =
-    let tr = List.hd (transitions lts) in
-    let dst = Core.Plts.num_states lts - 1 in
-    check bool_ "transition added" true
-      (Core.Plts.add_transition lts ~src:tr.src ~label:tr.label ~dst)
-  in
-  let fresh () =
-    let lts = Core.Generate.run u in
-    (lts, Core.Risk_plan.compile u lts)
-  in
-  let lts, plan = fresh () in
-  add_transition lts;
-  expect_invalid "changed LTS" (fun () -> Core.Risk_plan.analyse plan profile);
-  let lts, plan = fresh () in
-  add_transition lts;
-  expect_invalid "grown, no witness tree" (fun () ->
-      Core.Risk_plan.analyse ~grown:true plan profile);
-  let lts, plan = fresh () in
-  ignore (Core.Risk_plan.analyse plan profile);
-  add_transition lts;
-  expect_invalid "grown, non-inferred" (fun () ->
-      Core.Risk_plan.analyse ~grown:true plan profile)
 
 (* The likelihood combinator itself: the exact sum below 1 (same term
    order as the engines) and exactly 1 once the scenario probabilities
@@ -684,12 +601,8 @@ let () =
           Alcotest.test_case "healthcare" `Quick test_plan_parity_healthcare;
           Alcotest.test_case "granular" `Quick test_plan_parity_granular;
           Alcotest.test_case "smart home" `Quick test_plan_parity_smart_home;
-          Alcotest.test_case "stale lts rejected" `Quick
-            test_plan_rejects_stale_lts;
           Alcotest.test_case "synthetic differential" `Quick
             test_plan_differential;
-          Alcotest.test_case "grown lts" `Quick test_plan_grown;
-          Alcotest.test_case "rejected lts" `Quick test_plan_rejects;
         ] );
       ( "likelihood-clamp",
         [

@@ -7,6 +7,8 @@ module Core = Mdp_core
 module Policy = Mdp_policy.Policy
 module Acl = Mdp_policy.Acl
 module Permission = Mdp_policy.Permission
+module A = Mdp_anon
+module R = Mdp_runtime
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
@@ -138,6 +140,94 @@ let test_dsl_variant_matches () =
     check int_ "same LTS" (Core.Plts.num_states direct.lts)
       (Core.Plts.num_states a.lts)
 
+(* §6: the released trips; rides from the same pickup/dropoff pair cost
+   within 2 units of each other. *)
+let release =
+  A.Dataset.make
+    ~attrs:
+      [
+        A.Attribute.make ~name:"Pickup" ~kind:A.Attribute.Quasi;
+        A.Attribute.make ~name:"Dropoff" ~kind:A.Attribute.Quasi;
+        A.Attribute.make ~name:"Fare" ~kind:A.Attribute.Sensitive;
+      ]
+    ~rows:
+      A.Value.
+        [
+          [ Str "North"; Str "South"; Int 12 ];
+          [ Str "North"; Str "South"; Int 13 ];
+          [ Str "East"; Str "West"; Int 30 ];
+          [ Str "East"; Str "West"; Int 31 ];
+        ]
+
+let binding =
+  Core.Pseudonym_risk.make_binding ~store:"AnonTrips" ~dataset:release
+    ~attr_fields:
+      [
+        ("Pickup", field "Pickup");
+        ("Dropoff", field "Dropoff");
+        ("Fare", field "Fare");
+      ]
+    ~policy:{ sensitive = "Fare"; closeness = 2.0; confidence = 0.9 }
+
+let released =
+  Policy.grant fixed
+    (Acl.allow (Acl.Actor_subject "Driver") ~store:"AnonTrips"
+       [ Permission.Read ])
+
+let analysis'' policy =
+  Core.Analysis.run
+    ~options:{ Core.Generate.default_options with granular_reads = true }
+    ~profile ~bindings:[ binding ] diagram policy
+
+let test_pseudonym_risk () =
+  check int_ "DataScience may read the raw Fare: nothing to infer" 0
+    (List.length (analysis'' fixed).pseudonym);
+  let a = analysis'' released in
+  check bool_ "Driver gets risk-transitions" true (a.pseudonym <> []);
+  check bool_ "all of them Driver inferring Fare" true
+    (List.for_all
+       (fun (rt : Core.Pseudonym_risk.risk_transition) ->
+         rt.actor = "Driver" && Field.equal rt.field (field "Fare"))
+       a.pseudonym);
+  check bool_ "some violate the policy" true
+    (List.exists
+       (fun (rt : Core.Pseudonym_risk.risk_transition) ->
+         rt.report.A.Value_risk.violations > 0)
+       a.pseudonym)
+
+(* §7: drive the monitor along the LTS to a state with a risk-transition,
+   then let Driver read the raw Fare. *)
+let test_monitor_raw_read () =
+  let a = analysis'' released in
+  let rt = List.hd a.pseudonym in
+  let path = Option.get (Core.Plts.path_to a.lts (fun s -> s = rt.src)) in
+  let event time (label : Core.Action.t) =
+    let service =
+      match label.provenance with
+      | Core.Action.From_flow { service; _ } -> Some service
+      | Core.Action.Potential -> None
+    in
+    R.Event.make ~time ~kind:label.kind ~actor:label.actor ~fields:label.fields
+      ?store:label.store ?service ()
+  in
+  let monitor = R.Monitor.create a.universe a.lts in
+  List.iteri
+    (fun i (label, _) ->
+      ignore (R.Monitor.observe monitor (event (i + 1) label) : R.Monitor.alert list))
+    path;
+  check int_ "monitor at the risk source" rt.src (R.Monitor.current_state monitor);
+  let raw_read time store =
+    R.Event.make ~time ~kind:Core.Action.Read ~actor:"Driver"
+      ~fields:[ field "Fare" ] ~store ()
+  in
+  let t = List.length path + 1 in
+  (match R.Monitor.observe monitor (raw_read t "Trips") with
+  | [ R.Monitor.Denied _; R.Monitor.Off_model _ ] -> ()
+  | _ -> Alcotest.fail "raw Fare read from Trips: expected Denied, Off_model");
+  match R.Monitor.observe monitor (raw_read (t + 1) "AnonTrips") with
+  | [ R.Monitor.Off_model _ ] -> ()
+  | _ -> Alcotest.fail "raw Fare read from AnonTrips: expected Off_model"
+
 let () =
   Alcotest.run "tutorial"
     [
@@ -149,5 +239,7 @@ let () =
           Alcotest.test_case "requirements after fix" `Quick
             test_requirements_after_fix;
           Alcotest.test_case "DSL variant" `Quick test_dsl_variant_matches;
+          Alcotest.test_case "pseudonymisation risk" `Quick test_pseudonym_risk;
+          Alcotest.test_case "monitor raw read" `Quick test_monitor_raw_read;
         ] );
     ]

@@ -138,16 +138,31 @@ let study_base ?bindings () =
   Core.Analysis.run ~options ~profile ?bindings H.study_diagram H.study_policy
 
 let test_bindings_chain () =
-  (* Adding bindings to a binding-free run reuses the LTS; profile
-     edits on a binding-bearing run reuse the pass; policy edits under
-     bindings fall back to a full run. *)
-  check_chain "study" ~jobs:1
-    (study_base ())
+  (* The pass never touches the LTS: binding edits and policy edits
+     under bindings re-run only the pass over the reused LTS; profile
+     edits on a binding-bearing run reuse the pass too. *)
+  let base = study_base () in
+  check_chain "study" ~jobs:1 base
     [
       Core.Edit.Set_bindings [ H.study_binding ];
       Core.Edit.Set_sensitivity (H.weight, 0.3);
       revoke "Administrator" Permission.Delete "StudyRecords";
-    ]
+      Core.Edit.Set_bindings [];
+      Core.Edit.Set_bindings [ H.study_binding; H.study_binding ];
+    ];
+  let bound =
+    Core.Analysis.run_incremental ~previous:base
+      [ Core.Edit.Set_bindings [ H.study_binding ] ]
+  in
+  let edited =
+    Core.Analysis.run_incremental ~previous:bound
+      [ revoke "Administrator" Permission.Delete "StudyRecords" ]
+  in
+  check bool_ "binding edit reuses the LTS" true
+    (bound.Core.Analysis.lts == base.Core.Analysis.lts);
+  check bool_ "policy edit under bindings reuses the LTS" true
+    (edited.Core.Analysis.lts == bound.Core.Analysis.lts);
+  check bool_ "the pass re-ran" true (edited.Core.Analysis.pseudonym <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Synthetic models: deterministic chain + randomized sequences. *)
