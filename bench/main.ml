@@ -155,7 +155,7 @@ let fig4 () =
       H.study_policy
   in
   Printf.printf "study LTS: %s\n"
-    (Core.Lts_render.summary_with_risks a.universe a.lts a.pseudonym);
+    (Core.Lts_render.summary_with_risks a.lts a.pseudonym);
   Printf.printf "risk-transitions (dotted in the figure):\n";
   List.iter
     (fun (rt : Core.Pseudonym_risk.risk_transition) ->

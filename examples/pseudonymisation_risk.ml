@@ -61,8 +61,7 @@ let () =
       Healthcare.study_diagram Healthcare.study_policy
   in
   Format.printf "%s@."
-    (Core.Lts_render.summary_with_risks analysis.universe analysis.lts
-       analysis.pseudonym);
+    (Core.Lts_render.summary_with_risks analysis.lts analysis.pseudonym);
   List.iter
     (fun rt -> Format.printf "  %a@." Core.Pseudonym_risk.pp_risk_transition rt)
     analysis.pseudonym;

@@ -179,7 +179,7 @@ let run_checked ?(options = Generate.default_options)
 
 let pp_summary ppf t =
   Format.fprintf ppf "@[<v>model: %s@,"
-    (Lts_render.summary_with_risks t.universe t.lts t.pseudonym);
+    (Lts_render.summary_with_risks t.lts t.pseudonym);
   (match t.consistency with
   | [] -> Format.fprintf ppf "policy consistency: ok@,"
   | gaps ->

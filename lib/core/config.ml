@@ -14,13 +14,6 @@ let initial u =
     executed = Bitset.create (max 1 (Universe.nflows u));
   }
 
-let copy t =
-  {
-    privacy = Privacy_state.copy t.privacy;
-    stores = Array.map Bitset.copy t.stores;
-    executed = Bitset.copy t.executed;
-  }
-
 (* The generator builds successor configs copy-on-write, so configs
    reaching the same privacy state usually share bitsets (and often whole
    store arrays) physically; the [==] fast paths here and in

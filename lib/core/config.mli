@@ -17,7 +17,6 @@ type t = {
 val initial : Universe.t -> t
 (** Absolute privacy, empty stores, no flows executed. *)
 
-val copy : t -> t
 val equal : t -> t -> bool
 val hash : t -> int
 

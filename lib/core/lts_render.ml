@@ -24,9 +24,10 @@ let label_counts lts =
       Plts.iter_successors_lid lts s (fun l _ -> counts.(l) <- counts.(l) + 1));
   List.combine (Array.to_list labels) (Array.to_list counts)
 
-(* The summary line, with [inferred] extra states each reached by one
-   inferred read. *)
-let tally lts ~inferred =
+(* Each risk-transition target is one more state, reached by one more
+   transition: an inferred read. *)
+let summary_with_risks lts risks =
+  let inferred = Pseudonym_risk.num_targets risks in
   let kinds = Hashtbl.create 8 and provs = Hashtbl.create 4 in
   let bump tbl k n =
     Hashtbl.replace tbl k (n + Option.value (Hashtbl.find_opt tbl k) ~default:0)
@@ -56,8 +57,4 @@ let tally lts ~inferred =
 
 let summary u lts =
   ignore u;
-  tally lts ~inferred:0
-
-let summary_with_risks u lts risks =
-  ignore u;
-  tally lts ~inferred:(Pseudonym_risk.num_targets risks)
+  summary_with_risks lts []

@@ -9,8 +9,7 @@ val summary : Universe.t -> Plts.t -> string
 (** One-paragraph textual account: state/transition counts, counts per
     action kind and provenance. *)
 
-val summary_with_risks :
-  Universe.t -> Plts.t -> Pseudonym_risk.risk_transition list -> string
+val summary_with_risks : Plts.t -> Pseudonym_risk.risk_transition list -> string
 (** {!summary} of the LTS together with its §III-B risk-transitions
     (paper Fig. 4): each of {!Pseudonym_risk.num_targets} counts as one
     more state and one more transition, an [inferred] [read]. *)

@@ -5,8 +5,6 @@ type t = { has : Bitset.t; could : Bitset.t }
 let absolute u =
   { has = Bitset.create (Universe.nvars u); could = Bitset.create (Universe.nvars u) }
 
-let copy t = { has = Bitset.copy t.has; could = Bitset.copy t.could }
-
 let equal a b =
   a == b || (Bitset.equal a.has b.has && Bitset.equal a.could b.could)
 

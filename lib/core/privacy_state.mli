@@ -12,7 +12,6 @@ val absolute : Universe.t -> t
 (** The absolute privacy state: every variable false (§III-A measures
     impact "relative to the absolute privacy state"). *)
 
-val copy : t -> t
 val equal : t -> t -> bool
 val hash : t -> int
 

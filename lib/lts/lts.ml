@@ -406,11 +406,14 @@ module Make (S : STATE) (L : LABEL) = struct
   let cslot tag cap = tag mod cap
   let ctag8 tag = (tag lsr 22) land 0xff
 
-  (* Rebuild the young int entries into a compact 5-byte table
-     (u32 LE id + 1, then the filter byte) at a 0.85 load. The capacity
-     is exact, not a power of two — pow2 rounding would write up to 2x
-     the bytes — so probing is modulo. *)
-  let young_ctbl sh =
+  (* Seal the young table into a new on-disk generation and restart
+     young inserts from scratch: the int entries are rebuilt into a
+     compact 5-byte table (u32 LE id + 1, then the filter byte) at a
+     0.85 load. The capacity is exact, not a power of two — pow2
+     rounding would write up to 2x the bytes — so probing is modulo.
+     Entries keep their ids and tags, so later probes find exactly what
+     they would have found in RAM. *)
+  let spill_shard ss sh =
     let cap = max 16 ((sh.young * 20 / 17) + 1) in
     let ctbl = Bytes.make (5 * cap) '\000' in
     Array.iter
@@ -426,19 +429,10 @@ module Make (S : STATE) (L : LABEL) = struct
           Bytes.unsafe_set ctbl ((5 * !i) + 4) (Char.unsafe_chr (ctag8 tag))
         end)
       sh.tbl;
-    (ctbl, cap)
-
-  (* Seal the young table into a new on-disk generation and restart
-     young inserts from scratch. Entries keep their ids and tags, so
-     later probes find exactly what they would have found in RAM. *)
-  let spill_shard ss sh =
-    if sh.young > 0 then begin
-      let ctbl, cap = young_ctbl sh in
-      let off = Spill.append ss.ss_shards ctbl ~pos:0 ~len:(5 * cap) in
-      sh.gens <- (off, cap) :: sh.gens;
-      ss.ss_bytes <- ss.ss_bytes + (5 * cap);
-      ss.ss_tables <- ss.ss_tables + 1
-    end;
+    let off = Spill.append ss.ss_shards ctbl ~pos:0 ~len:(5 * cap) in
+    sh.gens <- (off, cap) :: sh.gens;
+    ss.ss_bytes <- ss.ss_bytes + (5 * cap);
+    ss.ss_tables <- ss.ss_tables + 1;
     sh.tbl <- [||];
     sh.young <- 0
 
@@ -1393,7 +1387,7 @@ module Make (S : STATE) (L : LABEL) = struct
           let dsts = ref [] in
           iter_row t.p s (fun _ d -> dsts := d :: !dsts);
           let v =
-            if !dsts = [] then sink else combine (List.rev_map value !dsts)
+            if !dsts = [] then sink else combine (List.map value !dsts)
           in
           on_stack.(s) <- false;
           memo.(s) <- Some v;

@@ -226,8 +226,20 @@ let effective_fields u (options : Generate.options) info =
             Mdp_policy.Permission.Write ~store (Field.anon_of f))
         info.flow.Flow.fields
 
+(* A config with its own bitsets, for the successor to mutate. *)
+let copy_config (c : Config.t) =
+  {
+    Config.privacy =
+      {
+        Privacy_state.has = Bitset.copy c.privacy.has;
+        could = Bitset.copy c.privacy.could;
+      };
+    stores = Array.map Bitset.copy c.stores;
+    executed = Bitset.copy c.executed;
+  }
+
 let apply_flow u (cfg : Config.t) info eff_fields =
-  let cfg' = Config.copy cfg in
+  let cfg' = copy_config cfg in
   Bitset.set cfg'.executed info.index;
   let flow = { info.flow with Flow.fields = eff_fields } in
   let provenance =
@@ -293,7 +305,7 @@ let potential_reads u (options : Generate.options) (cfg : Config.t) =
           (Universe.readable_by u ~actor:a ~store:s)
       in
       let emit fis =
-        let cfg' = Config.copy cfg in
+        let cfg' = copy_config cfg in
         set_has u cfg'.privacy ~actor:a fis;
         let store = Universe.store_at u s in
         let fields = List.map (Universe.field_at u) fis in
@@ -317,7 +329,7 @@ let potential_deletes u (cfg : Config.t) =
     if not (Bitset.is_empty cfg.stores.(s)) then
       List.iter
         (fun a ->
-          let cfg' = Config.copy cfg in
+          let cfg' = copy_config cfg in
           let fields =
             List.map (Universe.field_at u) (Bitset.to_list cfg.stores.(s))
           in

@@ -310,7 +310,7 @@ let prop_config_roundtrip =
   let template = Core.Config.initial u in
   let w = Core.Config.nwords template in
   let random_config bits =
-    let cfg = Core.Config.copy template in
+    let cfg = Seed_engine.copy_config template in
     let open Mdp_prelude in
     List.iter
       (fun bit ->
