@@ -50,8 +50,7 @@ type risk_transition = {
   report : Mdp_anon.Value_risk.report;
 }
 
-val analyse :
-  Universe.t -> Plts.t -> binding list -> risk_transition list
+val analyse : Universe.t -> Plts.t -> binding list -> risk_transition list
 (** The risk-transitions out of the explored states, binding by binding,
     each binding's ordered by source state. Bindings that infer the same
     field from the same state share its target. The LTS is left
@@ -59,7 +58,8 @@ val analyse :
 
 val num_targets : risk_transition list -> int
 (** Distinct targets: the states the risk-transitions add to the
-    explored LTS's count (Fig. 4), and the transitions they add. *)
+    explored LTS's count in Fig. 4, each with one incoming
+    risk-transition. *)
 
 val check :
   max_violation_ratio:float -> risk_transition list -> (unit, string) result

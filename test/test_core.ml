@@ -787,9 +787,8 @@ let target_config u lts (rt : Core.Pseudonym_risk.risk_transition) =
   cfg
 
 (* An actor that already holds the raw field infers nothing: the state
-   where the Researcher received Weight by a flow has no risk-transition
-   (before, it got one back to itself and the LTS became cyclic). Every
-   target is a state exploration never reached. *)
+   where the Researcher received Weight by a flow has no risk-transition.
+   Every target is a state exploration never reached. *)
 let test_held_field_not_inferred () =
   let options = { Core.Generate.default_options with granular_reads = true } in
   let diagram = study_with_weight_flow () in

@@ -2,8 +2,8 @@
    sharded-dedup representation must record what a materialised
    reference records, stay unchanged through the post-exploration
    pseudonym-risk pass, survive label rewriting, account for its bytes,
-   and round-trip states through the byte codecs exactly. Job-count determinism is covered by
-   test_perf_engine. *)
+   and round-trip states through the byte codecs exactly. Job-count
+   determinism is covered by test_perf_engine. *)
 
 module Core = Mdp_core
 module H = Mdp_scenario.Healthcare
