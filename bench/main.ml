@@ -320,12 +320,14 @@ let requirements () =
   section "[requirements] Compliance queries on the generated LTS";
   let u = Core.Universe.make H.diagram H.policy in
   let lts = Core.Generate.run u in
-  ignore
-    (Core.Risk_plan.analyse (Core.Risk_plan.compile u lts) H.profile_case_a);
+  let annotate =
+    Core.Risk_plan.annotate (Core.Risk_plan.compile u lts) H.profile_case_a
+  in
   List.iter
     (fun req ->
       Format.printf "  %s %a@."
-        (if Core.Requirement.holds u lts req then "ok      " else "VIOLATED")
+        (if Core.Requirement.holds ~annotate u lts req then "ok      "
+         else "VIOLATED")
         Core.Requirement.pp req)
     [
       Core.Requirement.Never_identifies
@@ -377,7 +379,8 @@ let chaos_resilience () =
   let module R = Mdp_runtime in
   let analysis = Core.Analysis.run ~profile:H.profile_case_a H.diagram H.policy in
   let u = analysis.Core.Analysis.universe
-  and lts = analysis.Core.Analysis.lts in
+  and lts = analysis.Core.Analysis.lts
+  and annotate = Core.Analysis.annotate analysis in
   let subjects = 40 and repeats = 50 and resync_depth = 8 in
   let traces =
     List.init subjects (fun i ->
@@ -405,7 +408,7 @@ let chaos_resilience () =
              traces)
       in
       let feed () =
-        let fleet = R.Fleet.create ~resync_depth u lts in
+        let fleet = R.Fleet.create ~resync_depth ~annotate u lts in
         List.iter
           (fun (s, e) -> ignore (R.Fleet.observe fleet ~subject:s e))
           stream;

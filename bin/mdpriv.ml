@@ -674,8 +674,9 @@ let simulate_cmd =
           exits_with_error
         | Ok trace ->
           let monitor =
-            Mdp_runtime.Monitor.create analysis.Core.Analysis.universe
-              analysis.Core.Analysis.lts
+            Mdp_runtime.Monitor.create
+              ~annotate:(Core.Analysis.annotate analysis)
+              analysis.Core.Analysis.universe analysis.Core.Analysis.lts
           in
           List.iter
             (fun event ->
@@ -785,13 +786,14 @@ let check_cmd =
         let u = Core.Universe.make diagram policy in
         generate u @@ fun lts ->
         (* Risk annotations are needed for maxrisk requirements. *)
-        (if agreed <> [] || sensitivities <> [] then
-           let profile =
-             Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
-           in
-           ignore
-             (Core.Risk_plan.analyse (Core.Risk_plan.compile u lts) profile));
-        let violations = Core.Requirement.check u lts requirements in
+        let annotate =
+          if agreed = [] && sensitivities = [] then Fun.id
+          else
+            Core.Risk_plan.annotate
+              (Core.Risk_plan.compile u lts)
+              (Core.User_profile.make ~sensitivities ~agreed_services:agreed ())
+        in
+        let violations = Core.Requirement.check ~annotate u lts requirements in
         List.iter
           (fun r ->
             if
@@ -901,8 +903,9 @@ let monitor_cmd =
         Format.printf "%a@." Mdp_runtime.Trace.pp_stats
           (Mdp_runtime.Trace.stats trace);
         let monitor =
-          Mdp_runtime.Monitor.create analysis.Core.Analysis.universe
-            analysis.Core.Analysis.lts
+          Mdp_runtime.Monitor.create
+            ~annotate:(Core.Analysis.annotate analysis)
+            analysis.Core.Analysis.universe analysis.Core.Analysis.lts
         in
         let alerts = ref 0 in
         List.iter
@@ -957,7 +960,9 @@ let transfers_cmd =
           exits_with_error
         | Ok deployment ->
           generate u @@ fun lts ->
-          let transfers = Mdp_runtime.Deployment.transfers deployment lts in
+          let transfers =
+            Mdp_runtime.Deployment.transfers ~annotate:Fun.id deployment lts
+          in
           List.iter
             (fun tr ->
               Format.printf "%a@." Mdp_runtime.Deployment.pp_transfer tr)
@@ -967,7 +972,8 @@ let transfers_cmd =
               Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
             in
             match
-              Mdp_runtime.Deployment.risky_transfers deployment lts profile
+              Mdp_runtime.Deployment.risky_transfers ~annotate:Fun.id
+                deployment lts profile
             with
             | [] -> Format.printf "@.no unconsented cross-region transfers@."
             | risky ->
@@ -1173,10 +1179,11 @@ module Chaos = struct
   (* Checkpoint after the prefix, restore into a fresh fleet, replay the
      suffix there; the combined alert stream and final states must match
      the uninterrupted reference run exactly. *)
-  let checkpoint_roundtrip u lts ~resync_depth reference prefix suffix =
-    let a = R.Fleet.create ~resync_depth u lts in
+  let checkpoint_roundtrip u lts ~resync_depth ~annotate reference prefix
+      suffix =
+    let a = R.Fleet.create ~resync_depth ~annotate u lts in
     feed a prefix;
-    match R.Fleet.restore u lts (R.Fleet.checkpoint a) with
+    match R.Fleet.restore ~annotate u lts (R.Fleet.checkpoint a) with
     | Error e -> Error e
     | Ok b ->
       feed b suffix;
@@ -1210,7 +1217,8 @@ module Chaos = struct
       false
     | Ok analysis ->
     let u = analysis.Core.Analysis.universe
-    and lts = analysis.Core.Analysis.lts in
+    and lts = analysis.Core.Analysis.lts
+    and annotate = Core.Analysis.annotate analysis in
     let traces =
       List.init subjects (fun i ->
         ( Printf.sprintf "%s-%02d" name i,
@@ -1237,7 +1245,7 @@ module Chaos = struct
       (100. *. rate);
     Format.printf "  %d subjects, %d events generated, %d delivered (%a)@."
       subjects generated (List.length stream) R.Faults.pp_stats fstats;
-    let fleet = R.Fleet.create ~resync_depth u lts in
+    let fleet = R.Fleet.create ~resync_depth ~annotate u lts in
     feed fleet stream;
     let subject_ids = R.Fleet.subjects fleet in
     let risky, denied, off, resyncs, skipped = count_alerts fleet subject_ids in
@@ -1263,7 +1271,8 @@ module Chaos = struct
     let mid = List.length stream / 2 in
     let cp_ok =
       match
-        checkpoint_roundtrip u lts ~resync_depth fleet (L.take mid stream)
+        checkpoint_roundtrip u lts ~resync_depth ~annotate fleet
+          (L.take mid stream)
           (L.drop mid stream)
       with
       | Ok () ->

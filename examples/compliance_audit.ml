@@ -15,9 +15,10 @@ let section title = Format.printf "@.== %s ==@." title
 let () =
   let u = Core.Universe.make Healthcare.diagram Healthcare.policy in
   let lts = Core.Generate.run u in
-  ignore
-    (Core.Risk_plan.analyse (Core.Risk_plan.compile u lts)
-       Healthcare.profile_case_a);
+  let annotate =
+    Core.Risk_plan.annotate (Core.Risk_plan.compile u lts)
+      Healthcare.profile_case_a
+  in
 
   section "Requirements audit on the healthcare model";
   let requirements =
@@ -40,12 +41,12 @@ let () =
   in
   List.iter
     (fun req ->
-      if Core.Requirement.holds u lts req then
+      if Core.Requirement.holds ~annotate u lts req then
         Format.printf "ok       %a@." Core.Requirement.pp req
       else Format.printf "VIOLATED %a@." Core.Requirement.pp req)
     requirements;
   (match
-     Core.Requirement.check u lts
+     Core.Requirement.check ~annotate u lts
        [
          Core.Requirement.Never_identifies
            { actor = "Administrator"; field = Healthcare.diagnosis };

@@ -18,6 +18,7 @@ let () =
       Healthcare.policy
   in
   let u = analysis.universe and lts = analysis.lts in
+  let annotate = Core.Analysis.annotate analysis in
   let deployment =
     match
       R.Deployment.create
@@ -50,16 +51,19 @@ let () =
   section "Every network transfer the model can perform";
   List.iter
     (fun tr -> Format.printf "  %a@." R.Deployment.pp_transfer tr)
-    (R.Deployment.transfers deployment lts);
+    (R.Deployment.transfers ~annotate deployment lts);
 
   section "Cross-region transfers of sensitive data without consent";
-  (match R.Deployment.risky_transfers deployment lts Healthcare.profile_case_a with
+  (match
+     R.Deployment.risky_transfers ~annotate deployment lts
+       Healthcare.profile_case_a
+   with
   | [] -> Format.printf "none@."
   | risky ->
     List.iter (fun tr -> Format.printf "  %a@." R.Deployment.pp_transfer tr) risky);
 
   section "Transparency report after a monitored medical-service run";
-  let monitor = R.Monitor.create u lts in
+  let monitor = R.Monitor.create ~annotate u lts in
   let trace =
     R.Sim.run_exn u { seed = 11; services = [ Healthcare.medical_service ]; snoopers = [] }
   in

@@ -13,7 +13,10 @@ module R = Mdp_runtime
 let section title = Format.printf "@.== %s ==@." title
 
 let replay analysis ~seed =
-  let monitor = R.Monitor.create analysis.Core.Analysis.universe analysis.Core.Analysis.lts in
+  let monitor =
+    R.Monitor.create ~annotate:(Core.Analysis.annotate analysis)
+      analysis.Core.Analysis.universe analysis.Core.Analysis.lts
+  in
   let trace =
     R.Sim.run_exn analysis.Core.Analysis.universe
       {

@@ -6,12 +6,7 @@ type provenance =
   | From_flow of { service : string; order : int }
   | Potential
 
-type risk =
-  | Disclosure_risk of {
-      impact : Level.t;
-      likelihood : Level.t;
-      level : Level.t;
-    }
+type risk = { impact : Level.t; likelihood : Level.t; level : Level.t }
 
 type t = {
   kind : kind;
@@ -57,10 +52,9 @@ let pp_kind ppf k =
     | Anon -> "anon"
     | Delete -> "delete")
 
-let pp_risk ppf = function
-  | Disclosure_risk { impact; likelihood; level } ->
-    Format.fprintf ppf "risk=%a (impact %a, likelihood %a)" Level.pp level
-      Level.pp impact Level.pp likelihood
+let pp_risk ppf { impact; likelihood; level } =
+  Format.fprintf ppf "risk=%a (impact %a, likelihood %a)" Level.pp level
+    Level.pp impact Level.pp likelihood
 
 let pp ppf t =
   Format.fprintf ppf "%a(%s%s) by %s" pp_kind t.kind

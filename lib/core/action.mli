@@ -15,12 +15,8 @@ type provenance =
           permitted, but no service flow prescribes (e.g. §IV-A's
           Administrator read of the EHR). *)
 
-type risk =
-  | Disclosure_risk of {
-      impact : Level.t;
-      likelihood : Level.t;
-      level : Level.t;
-    }  (** §III-A annotation. *)
+type risk = { impact : Level.t; likelihood : Level.t; level : Level.t }
+(** §III-A disclosure-risk annotation. *)
 
 type t = {
   kind : kind;

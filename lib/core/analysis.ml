@@ -55,6 +55,11 @@ let run ?(options = Generate.default_options) ?(matrix = Risk_matrix.default)
 let rerun_with_policy t policy =
   run_params t.params (Universe.diagram t.universe) policy
 
+let annotate t =
+  match (t.plan, t.params.profile) with
+  | Some plan, Some profile -> Risk_plan.annotate plan profile
+  | _ -> Fun.id
+
 (* ----- incremental re-analysis ----- *)
 
 let inputs_of t =

@@ -14,7 +14,7 @@ type params = {
 type t = {
   params : params;
   universe : Universe.t;
-  lts : Plts.t;  (** Annotated in place by the analyses. *)
+  lts : Plts.t;  (** Never written after exploration. *)
   consistency : Consistency.gap list;
   disclosure : Disclosure_risk.report option;
       (** [None] when no profile was supplied. *)
@@ -58,12 +58,16 @@ val run_incremental :
     is reused, [whatif/invalidated_{lts,plan,classes}] for recomputed
     artifacts, all under a [phase/whatif] span.
 
-    Like every analysis, this may re-annotate the shared LTS's labels
-    in place; [previous]'s {e report} stays valid.
+    The result may share [previous]'s LTS and plan; [previous] stays
+    valid, and so does every map {!annotate} made from it.
 
     @raise Invalid_argument when an edit does not apply (unknown
     service, invalid policy, sensitivity out of range, ...).
     @raise Mdp_obs.Cancel.Cancelled when [cancel] fires mid-exploration. *)
+
+val annotate : t -> Action.t -> Action.t
+(** The run's label annotator: {!Risk_plan.annotate} on its plan and
+    profile, or [Fun.id] when the run has no profile. *)
 
 val inputs_of : t -> Edit.inputs
 (** The run's model inputs as an editable value. *)

@@ -115,23 +115,26 @@ let transition_likelihood u profile model (action : Action.t) =
     | Action.Anon | Action.Delete), _ ->
     0.0
 
-let witness_of lts src =
-  match Plts.path_to lts (fun s -> s = src) with
-  | Some steps -> List.map fst steps
-  | None -> []
-
 let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
     profile =
-  (* Annotate read labels in place. *)
-  Plts.map_labels lts (fun label ->
-      match label.Action.kind with
-      | Action.Read ->
-        let impact = transition_impact u profile label in
-        let likelihood = transition_likelihood u profile model label in
-        Action.with_risk label (Risk_matrix.assess matrix ~impact ~likelihood)
-      | Action.Collect | Action.Create | Action.Disclose | Action.Anon
-      | Action.Delete ->
-        label);
+  let annotate label ~impact ~likelihood =
+    match label.Action.kind with
+    | Action.Read ->
+      Action.with_risk label (Risk_matrix.assess matrix ~impact ~likelihood)
+    | Action.Collect | Action.Create | Action.Disclose | Action.Anon
+    | Action.Delete ->
+      label
+  in
+  let annotate_hop label =
+    annotate label
+      ~impact:(transition_impact u profile label)
+      ~likelihood:(transition_likelihood u profile model label)
+  in
+  let witness_of src =
+    match Plts.path_to lts (fun s -> s = src) with
+    | Some steps -> List.map (fun (label, _) -> annotate_hop label) steps
+    | None -> []
+  in
   let findings = ref [] and exposures = ref [] in
   Plts.iter_transitions lts (fun { src; label; dst } ->
       let impact = transition_impact u profile label in
@@ -145,13 +148,13 @@ let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
         {
           src;
           dst;
-          action = label;
+          action = annotate label ~impact ~likelihood;
           impact;
           likelihood;
           impact_level;
           likelihood_level;
           level;
-          witness = witness_of lts src;
+          witness = witness_of src;
         }
       in
       match label.Action.kind with

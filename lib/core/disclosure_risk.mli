@@ -17,8 +17,9 @@
     participates in a non-agreed service that reads the store). The
     likelihood is their sum, clipped to 1 — see {!combine_scenarios}.
 
-    [analyse] annotates every [read] transition's label in place with a
-    {!Action.Disclosure_risk} and returns the findings sorted by risk. *)
+    [analyse] returns the findings sorted by risk; every [read] label
+    in them (finding or witness hop) carries its {!Action.risk}. The
+    LTS itself is not written. *)
 
 open Mdp_dataflow
 

@@ -282,8 +282,7 @@ let fire (cfg : Config.t) cf =
    most states, so building the label (schema lookup, field names,
    record) once per distinct key removes the bulk of the emit cost.
    Sharing one [Action.t] across transitions is safe: actions are
-   immutable, and the analyses replace labels (never mutate them) with
-   [Plts.map_labels], which maps each distinct label once.
+   immutable, and no analysis writes an explored LTS's labels.
 
    The table is domain-local so the parallel explorer shares no mutable
    state; worker domains are short-lived and simply warm their own copy.

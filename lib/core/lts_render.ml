@@ -1,17 +1,7 @@
 let transition_style (tr : Plts.transition) =
-  let base =
-    match tr.label.Action.provenance with
-    | Action.From_flow _ -> ""
-    | Action.Potential -> "style=dashed"
-  in
-  let risk_colour =
-    match tr.label.Action.risk with
-    | Some (Action.Disclosure_risk { level = Level.High; _ }) -> "color=red"
-    | Some (Action.Disclosure_risk { level = Level.Medium; _ }) -> "color=orange"
-    | Some (Action.Disclosure_risk { level = Level.Low; _ }) -> "color=blue"
-    | Some (Action.Disclosure_risk { level = Level.None_; _ }) | None -> ""
-  in
-  String.concat ", " (List.filter (( <> ) "") [ base; risk_colour ])
+  match tr.label.Action.provenance with
+  | Action.From_flow _ -> ""
+  | Action.Potential -> "style=dashed"
 
 let to_dot lts = Plts.to_dot ~graph_name:"privacy_lts" ~transition_style lts
 

@@ -1,6 +1,5 @@
 (** Rendering of the privacy LTS (paper Fig. 3 shape): flow transitions
-    solid, policy-derived potential actions dashed; risk-annotated reads
-    are coloured by level. *)
+    solid, policy-derived potential actions dashed. *)
 
 val to_dot : Plts.t -> string
 (** Nodes are labelled with their state numbers. *)

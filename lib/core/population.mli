@@ -64,9 +64,7 @@ val analyse :
   User_profile.t list ->
   aggregate
 (** The naive reference path: one full [Disclosure_risk.analyse] per
-    profile. The LTS is generated once and shared; per-profile label
-    annotations are overwritten on each pass and left in the last
-    profile's state. *)
+    profile over the one shared LTS. *)
 
 val classes :
   ?cancel:Mdp_obs.Cancel.t ->

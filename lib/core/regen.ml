@@ -194,9 +194,6 @@ let affected_bitset p lts =
 let bit bs i =
   Char.code (Bytes.unsafe_get bs (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let strip (a : Action.t) =
-  match a.Action.risk with None -> a | Some _ -> { a with risk = None }
-
 (* ----- timed walk: distinct findable labels of the edited model ----- *)
 
 module ATbl = Hashtbl.Make (Action)
@@ -476,7 +473,7 @@ let walk_fast p old_lts affected (labels : Action.t array) =
     let present = Array.make (max nl 1) false in
     let fresh_labels = ATbl.create 32 in
     let add_label a =
-      if Action.findable a then ATbl.replace fresh_labels (strip a) ()
+      if Action.findable a then ATbl.replace fresh_labels a ()
     in
     let emit_read a s bits =
       let action, _ =
@@ -659,7 +656,7 @@ let walk_fast p old_lts affected (labels : Action.t array) =
       let acc = ref (ATbl.fold (fun a () l -> a :: l) fresh_labels []) in
       Array.iteri
         (fun lid seen ->
-          if seen && is_findable.(lid) then acc := strip labels.(lid) :: !acc)
+          if seen && is_findable.(lid) then acc := labels.(lid) :: !acc)
         present;
       Some (Some !acc)
     end

@@ -33,7 +33,7 @@ val classes : patch -> int list
     the edit turned out to have no LTS effect. *)
 
 val walk : patch -> Plts.t -> Action.t list option
-(** The timed what-if path: the distinct findable (read) labels reachable in the edited model, annotation-free. For a
+(** The timed what-if path: the distinct findable (read) labels reachable in the edited model, as raw LTS labels. For a
     Read/Write ACL edit a finding's level is a pure function of its
     label, so these determine the edited report's finding signatures
     and levels. An arithmetic walk over the old edge rows answers

@@ -7,15 +7,14 @@ let fields fs = List (List.map (fun f -> Str (Field.name f)) fs)
 
 let level l = Str (Level.to_string l)
 
-let risk = function
-  | Action.Disclosure_risk { impact; likelihood; level = l } ->
-    Obj
-      [
-        ("type", Str "disclosure");
-        ("impact", level impact);
-        ("likelihood", level likelihood);
-        ("level", level l);
-      ]
+let risk { Action.impact; likelihood; level = l } =
+  Obj
+    [
+      ("type", Str "disclosure");
+      ("impact", level impact);
+      ("likelihood", level likelihood);
+      ("level", level l);
+    ]
 
 let action (a : Action.t) =
   Obj

@@ -22,9 +22,8 @@ type t =
       (** The actor never performs this action kind on any reachable
           transition. *)
   | Max_disclosure_risk of Level.t
-      (** No reachable transition is annotated above this level; check
-          after {!Risk_plan.analyse} has annotated the LTS's read
-          labels. *)
+      (** No reachable transition is annotated above this level by the
+          [annotate] map {!check} is given. *)
 
 type violation = {
   requirement : t;
@@ -39,10 +38,15 @@ val of_spec : string -> (t, string) result
     [never=Actor:Field], [nevercould=Actor:Field], [noaction=Actor:KIND],
     [purposes=Field:p1;p2], [maxrisk=LEVEL]. *)
 
-val check : Universe.t -> Plts.t -> t list -> violation list
+val check :
+  annotate:(Action.t -> Action.t) -> Universe.t -> Plts.t -> t list ->
+  violation list
 (** One violation (with a shortest witness) per violated requirement;
-    requirements that hold contribute nothing. *)
+    requirements that hold contribute nothing. Transition requirements
+    test, and witnesses show, labels as [annotate] maps them: a
+    profile's {!Risk_plan.annotate}, or [Fun.id] for raw labels. *)
 
-val holds : Universe.t -> Plts.t -> t -> bool
+val holds :
+  annotate:(Action.t -> Action.t) -> Universe.t -> Plts.t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val pp_violation : Format.formatter -> violation -> unit

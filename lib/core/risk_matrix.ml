@@ -47,4 +47,4 @@ let level t ~impact ~likelihood =
 
 let assess t ~impact ~likelihood =
   let i = impact_level t impact and l = likelihood_level t likelihood in
-  Action.Disclosure_risk { impact = i; likelihood = l; level = level t ~impact:i ~likelihood:l }
+  { Action.impact = i; likelihood = l; level = level t ~impact:i ~likelihood:l }

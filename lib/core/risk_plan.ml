@@ -11,7 +11,7 @@ open Mdp_prelude
    by bitset — no diagram scans, no string lookups, no flow traversals.
 
    The compiled plan reproduces [Disclosure_risk.analyse] bit for bit
-   (same floats, same ordering, same label annotations); the equality is
+   (same floats, same ordering, same annotated actions); the equality is
    enforced by test/test_population.ml. *)
 
 (* How the impact of a label is computed (naive reference:
@@ -73,9 +73,8 @@ type t = {
   model : Disclosure_risk.likelihood_model;
   labels : label_plan array;  (** Distinct labels, first-occurrence order. *)
   by_label : int Atbl.t;
-      (** Annotated label with its risk stripped -> label id: how
-          {!analyse} recognises an LTS label whatever annotation an
-          earlier pass left on it. *)
+      (** Findable LTS label -> label id: how {!annotate} finds a
+          label's plan. *)
   src : int array;
   dst : int array;
   lid : int array;  (** Entry (transition, [iter_transitions] order) -> label id. *)
@@ -243,10 +242,6 @@ let likelihood_plan lb (a : Action.t) =
       }
   | _ -> None
 
-(* [label] with its risk annotation stripped: the key under which
-   {!analyse} finds a label's plan. *)
-let unannotated (a : Action.t) = { a with Action.risk = None }
-
 let compile ?(matrix = Risk_matrix.default)
     ?(model = Disclosure_risk.default_likelihood) u lts =
   Mdp_obs.Metrics.span "risk_plan/compile" @@ fun () ->
@@ -273,7 +268,7 @@ let compile ?(matrix = Risk_matrix.default)
     in
     let l = !nlabels in
     incr nlabels;
-    if l_findable then Atbl.replace by_label (unannotated a) l;
+    if l_findable then Atbl.replace by_label a l;
     plans :=
       { l_action = a; l_findable; l_slot;
         l_impact = impact_plan lb a; l_likelihood = likelihood_plan lb a }
@@ -477,40 +472,48 @@ let force_witness_tree t =
     t.witness_tree <- Some tree;
     tree
 
-let witness_of t annotated tree src =
+let witness_of t (per_label : Disclosure_risk.finding array) tree src =
   let rec unwind acc s =
     match tree.(s) with
     | -1, _ -> acc
-    | prev, e -> unwind (annotated.(t.lid.(e)) :: acc) prev
+    | prev, e -> unwind (per_label.(t.lid.(e)).action :: acc) prev
   in
   unwind [] src
 
+(* Per label: the finding its transitions get when reported, with the
+   annotated action. Every finding, witness hop and {!annotate} lookup
+   of one label shares these values. *)
+let per_label t view =
+  Array.map
+    (fun lp ->
+      let impact = eval_impact view lp.l_impact in
+      let likelihood = eval_likelihood t.model view lp.l_likelihood in
+      let action =
+        if lp.l_findable then
+          Action.with_risk lp.l_action
+            (Risk_matrix.assess t.matrix ~impact ~likelihood)
+        else lp.l_action
+      in
+      let impact_level = Risk_matrix.impact_level t.matrix impact in
+      let likelihood_level = Risk_matrix.likelihood_level t.matrix likelihood in
+      let level =
+        Risk_matrix.level t.matrix ~impact:impact_level
+          ~likelihood:likelihood_level
+      in
+      { Disclosure_risk.src = -1; dst = -1; action; impact; likelihood;
+        impact_level; likelihood_level; level; witness = [] })
+    t.labels
+
+let annotate t profile =
+  let per_label = per_label t (view t profile) in
+  fun label ->
+    match Atbl.find_opt t.by_label label with
+    | Some l -> per_label.(l).Disclosure_risk.action
+    | None -> label
+
 let analyse t profile =
   let n = num_entries t in
-  let view = view t profile in
-  (* Per label: the annotated action, and the finding its transitions
-     get when reported. Every finding and witness hop of one label
-     shares these values. *)
-  let finding (lp : label_plan) =
-    let impact = eval_impact view lp.l_impact in
-    let likelihood = eval_likelihood t.model view lp.l_likelihood in
-    let action =
-      if lp.l_findable then
-        Action.with_risk lp.l_action
-          (Risk_matrix.assess t.matrix ~impact ~likelihood)
-      else lp.l_action
-    in
-    let impact_level = Risk_matrix.impact_level t.matrix impact in
-    let likelihood_level = Risk_matrix.likelihood_level t.matrix likelihood in
-    let level =
-      Risk_matrix.level t.matrix ~impact:impact_level
-        ~likelihood:likelihood_level
-    in
-    { Disclosure_risk.src = -1; dst = -1; action; impact; likelihood;
-      impact_level; likelihood_level; level; witness = [] }
-  in
-  let per_label = Array.map finding t.labels in
-  let annotated = Array.map (fun (f : Disclosure_risk.finding) -> f.action) per_label in
+  let per_label = per_label t (view t profile) in
   let reported (f : Disclosure_risk.finding) =
     match f.action.Action.kind with
     | Action.Read ->
@@ -519,11 +522,6 @@ let analyse t profile =
       f.impact > 0.0
     | Action.Delete -> false
   in
-  (* Annotate read labels in place, once per distinct label. *)
-  Plts.map_labels t.lts (fun label ->
-      if Action.findable label then
-        annotated.(Atbl.find t.by_label (unannotated label))
-      else label);
   let tree = force_witness_tree t in
   let findings = ref [] in
   let exposures = ref [] in
@@ -532,7 +530,7 @@ let analyse t profile =
     if reported f then begin
       let src = t.src.(k) in
       let f =
-        { f with src; dst = t.dst.(k); witness = witness_of t annotated tree src }
+        { f with src; dst = t.dst.(k); witness = witness_of t per_label tree src }
       in
       if f.action.Action.kind = Action.Read then findings := f :: !findings
       else exposures := f :: !exposures

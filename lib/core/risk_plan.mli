@@ -16,7 +16,7 @@
     over the label table.
 
     Both evaluation modes reproduce the naive path bit for bit (same
-    floats, same ordering, same annotations): {!analyse} returns a
+    floats, same ordering, same annotated actions): {!analyse} returns a
     [Disclosure_risk.report] equal to what [Disclosure_risk.analyse]
     would return, and {!summary} computes exactly the per-user facts
     [Population] aggregates. *)
@@ -31,9 +31,8 @@ val compile :
   t
 (** One pass over the transitions, one plan per distinct label (defaults
     match [Disclosure_risk.analyse]); counts [risk_plan/labels] and
-    [risk_plan/entries]. The plan is tied to the LTS's transition set,
-    which exploration fixes for good; label {e annotations} may change
-    afterwards (the plan itself rewrites them). *)
+    [risk_plan/entries]. The plan is tied to the LTS, which exploration
+    fixes for good. *)
 
 val slots : t -> (string * string option) array
 (** The distinct (actor, store) pairs over which findings can occur —
@@ -73,12 +72,19 @@ val summary : t -> User_profile.t -> summary
 
 val analyse : t -> User_profile.t -> Disclosure_risk.report
 (** Drop-in replacement for [Disclosure_risk.analyse ~matrix ~model u
-    lts profile]: annotates read labels in place and returns the
-    identical report. Each distinct label is evaluated, annotated and
-    relabelled ({!Plts.map_labels}) once; its findings and witness hops
-    share that one [Action.t]. Witnesses come from a BFS tree built once
-    per plan instead of one search per finding. Not domain-safe (it
-    mutates labels and the cached tree). *)
+    lts profile]: the identical report. Each distinct label is
+    evaluated and annotated once; its findings and witness hops share
+    that one [Action.t]. Witnesses come from a BFS tree built once per
+    plan instead of one search per finding. Not domain-safe (it builds
+    and caches that tree on first use). *)
+
+val annotate : t -> User_profile.t -> Action.t -> Action.t
+(** [annotate t profile] evaluates every distinct label once under
+    [profile], as {!analyse} does, and returns the map from a raw LTS
+    label to its annotated copy: a findable label gets its
+    {!Action.risk}, any other label comes back unchanged. The LTS is
+    never written; readers that show risk ({!Requirement},
+    [Mdp_runtime.Monitor]) take this map. *)
 
 (** {2 Per-label re-levelling}
 

@@ -229,8 +229,9 @@ let sweep ?(jobs = 1) ?(exact = false) base edits =
       uncomputed arr.(i) Full_rerun
   in
   let outcomes =
-    (* The exact path re-analyses on the shared LTS (label mutation):
-       sequential only. The delta path is read-only on the base. *)
+    (* The exact path runs a whole incremental analysis per candidate,
+       cold explorations included: sequential only. The delta path is
+       read-only on the base. *)
     if exact || jobs <= 1 then List.init n eval
     else
       List.concat

@@ -70,9 +70,9 @@ val eval_edit :
 (** Evaluate one candidate. Errors are application failures (unknown
     store, ...); classification never fails. Increments
     [whatif/incremental_hits] or [whatif/invalidated_lts] per
-    candidate. The computed paths are read-only on the base; [~exact] is
-    not (it re-annotates the shared LTS labels) and must not run
-    concurrently. *)
+    candidate. The computed paths are read-only on the base; [~exact]
+    runs a whole {!Analysis.run_incremental} per uncomputed candidate,
+    which {!sweep} keeps sequential. *)
 
 val improvement_score : Risk_diff.t -> int
 (** Σ (rank before − rank after) over removed/added/changed

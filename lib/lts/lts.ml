@@ -967,36 +967,6 @@ module Make (S : STATE) (L : LABEL) = struct
       iter_successors t src (fun label dst -> f { src; label; dst })
     done
 
-  (* [f] runs once per live interned label; the table is rebuilt from
-     the mapped labels and rows are re-encoded through an int remap
-     into a fresh buffer (mapped ids can need wider varints). One pass,
-     O(edge bytes), no per-transition hashing. *)
-  let map_labels t f =
-    let p = t.p in
-    let old = Array.sub p.lbl_data 0 p.nlabels in
-    let remap = Array.make (Array.length old) (-1) in
-    for src = 0 to t.n - 1 do
-      iter_row p src (fun lid _ -> remap.(lid) <- 0)
-    done;
-    (* every [f] call before any mutation: a raising [f] leaves the LTS intact *)
-    let mapped = Array.mapi (fun i l -> if remap.(i) = 0 then f l else l) old in
-    Ltbl.reset p.lbl_ids;
-    p.nlabels <- 0;
-    Array.iteri (fun i l -> if remap.(i) = 0 then remap.(i) <- intern p l) mapped;
-    let reader = { p with ebytes = p.ebytes } in
-    p.ebytes <- Bytes.create (max 4096 p.elen);
-    p.elen <- 0;
-    for src = 0 to t.n - 1 do
-      if P.U32.get p.row_start src <> row_none then begin
-        p.rlen <- 0;
-        iter_row reader src (fun lid dst ->
-            push_edge p ((remap.(lid) lsl 32) lor dst));
-        close_row p src
-      end
-    done;
-    if Bytes.length p.ebytes > p.elen then
-      p.ebytes <- Bytes.sub p.ebytes 0 (max 1 p.elen)
-
   (* Breadth-first walk from the initial state, queued in an id array
      (each state enters once): [visit s label d] runs when [d] is first
      reached, from [s]; the walk stops once it returns [true]. Returns

@@ -3,9 +3,8 @@
     States are hash-consed: adding equal state data twice yields the same
     dense integer id, which is what makes fixed-point exploration of the
     privacy model terminate (paper §II-B generates the LTS as the set of
-    reachable privacy states). An explored LTS is immutable apart from
-    its labels, which risk analysis annotates in place after generation
-    (paper §III, {!Make.map_labels}).
+    reachable privacy states). An explored LTS is immutable: risk
+    analysis (paper §III) returns its annotations beside it.
 
     Storage is packed: a state is a fixed number of 63-bit payload words
     (given by the LTS's {!packer}), stored as a byte-granular record in
@@ -259,13 +258,6 @@ module Make (S : STATE) (L : LABEL) : sig
       transition, in ascending id order — the rows a cone-scoped
       what-if walk must substitute. [None] unless [explore]
       ran with [label_class]; [Some [||]] for a class never touched. *)
-
-  (** {1 Label rewriting} *)
-
-  val map_labels : t -> (L.t -> L.t) -> unit
-  (** Replace every transition's label [l] by [f l] in place. [f] runs
-      once per distinct live label (the interned table is rebuilt from
-      the results, so label ids change). *)
 
   (** {1 Analysis} *)
 

@@ -5,16 +5,19 @@ type entry = { monitor : Monitor.t; mutable rev_alerts : Monitor.alert list }
 type t = {
   universe : Mdp_core.Universe.t;
   lts : Mdp_core.Plts.t;
+  annotate : Mdp_core.Action.t -> Mdp_core.Action.t;
   min_level : Mdp_core.Level.t;
   resync_depth : int;
   monitors : (string, entry) Hashtbl.t;
   mutable rev_subjects : string list;
 }
 
-let create ?(min_level = Mdp_core.Level.Low) ?(resync_depth = 0) universe lts =
+let create ?(min_level = Mdp_core.Level.Low) ?(resync_depth = 0) ~annotate
+    universe lts =
   {
     universe;
     lts;
+    annotate;
     min_level;
     resync_depth;
     monitors = Hashtbl.create 16;
@@ -33,7 +36,7 @@ let entry_for t subject =
       {
         monitor =
           Monitor.create ~min_level:t.min_level ~resync_depth:t.resync_depth
-            t.universe t.lts;
+            ~annotate:t.annotate t.universe t.lts;
         rev_alerts = [];
       }
     in
@@ -119,7 +122,7 @@ let checkpoint t =
 
 let ( let* ) = Result.bind
 
-let restore universe lts json =
+let restore ~annotate universe lts json =
   let field name conv err =
     match Option.bind (Json.member name json) conv with
     | Some v -> Ok v
@@ -140,7 +143,7 @@ let restore universe lts json =
   let* subject_objs =
     field "subjects" Json.to_list_opt "checkpoint: missing subject list"
   in
-  let t = create ~min_level ~resync_depth universe lts in
+  let t = create ~min_level ~resync_depth ~annotate universe lts in
   let* () =
     List.fold_left
       (fun acc obj ->
@@ -155,7 +158,7 @@ let restore universe lts json =
           | Some j -> Ok j
           | None -> Error (Printf.sprintf "checkpoint: %s has no monitor" subject)
         in
-        let* monitor = Monitor.of_json universe lts monitor_json in
+        let* monitor = Monitor.of_json ~annotate universe lts monitor_json in
         add_entry t subject { monitor; rev_alerts = [] };
         Ok ())
       (Ok ()) subject_objs

@@ -16,12 +16,13 @@ type t
 val create :
   ?min_level:Mdp_core.Level.t ->
   ?resync_depth:int ->
+  annotate:(Mdp_core.Action.t -> Mdp_core.Action.t) ->
   Mdp_core.Universe.t ->
   Mdp_core.Plts.t ->
   t
-(** All subjects share the (annotated) LTS; monitor state is
-    per-subject. [min_level] and [resync_depth] are passed to every
-    monitor the fleet creates (see {!Monitor.create}). *)
+(** All subjects share the LTS and the [annotate] map; monitor state is
+    per-subject. [min_level], [resync_depth] and [annotate] are passed
+    to every monitor the fleet creates (see {!Monitor.create}). *)
 
 val observe : t -> subject:string -> Event.t -> Monitor.alert list
 val subjects : t -> string list
@@ -59,6 +60,7 @@ val checkpoint : t -> Mdp_prelude.Json.t
     restored fleet's {!alerts_for} lists post-restore alerts only. *)
 
 val restore :
+  annotate:(Mdp_core.Action.t -> Mdp_core.Action.t) ->
   Mdp_core.Universe.t -> Mdp_core.Plts.t -> Mdp_prelude.Json.t ->
   (t, string) result
 (** Rebuild a fleet from {!checkpoint} output against an LTS generated

@@ -34,6 +34,7 @@ let default_dead_letter_cap = 256
 type t = {
   universe : Core.Universe.t;
   lts : Core.Plts.t;
+  annotate : Core.Action.t -> Core.Action.t;
   min_level : Core.Level.t;
   resync_depth : int;
   dead_cap : int;
@@ -53,10 +54,11 @@ type t = {
 }
 
 let create ?(min_level = Core.Level.Low) ?(resync_depth = 0)
-    ?(dead_letter_cap = default_dead_letter_cap) universe lts =
+    ?(dead_letter_cap = default_dead_letter_cap) ~annotate universe lts =
   {
     universe;
     lts;
+    annotate;
     min_level;
     resync_depth;
     dead_cap = max 0 dead_letter_cap;
@@ -117,12 +119,10 @@ let best_match t state event =
   | Some _ as exact -> exact
   | None -> ( match matching with m :: _ -> Some m | [] -> None)
 
-let risk_alert t (label : Core.Action.t) =
-  match label.Core.Action.risk with
-  | Some (Core.Action.Disclosure_risk { level; _ } as risk)
-    when Core.Level.compare level t.min_level >= 0 ->
-    Some risk
-  | Some (Core.Action.Disclosure_risk _) | None -> None
+let risk_alert t label =
+  match (t.annotate label).Core.Action.risk with
+  | Some risk when Core.Level.compare risk.level t.min_level >= 0 -> Some risk
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Resilience *)
@@ -380,7 +380,7 @@ let pending_of_json json =
       p_fields = List.map Field.of_name p_fields;
     }
 
-let of_json universe lts json =
+let of_json ~annotate universe lts json =
   let* state = int_field "state" json in
   let* last_time = int_field "last_time" json in
   let* level_s = str_field "min_level" json in
@@ -422,7 +422,8 @@ let of_json universe lts json =
          (Core.Plts.num_states lts))
   else begin
     let t =
-      create ~min_level ~resync_depth ~dead_letter_cap:dead_cap universe lts
+      create ~min_level ~resync_depth ~dead_letter_cap:dead_cap ~annotate
+        universe lts
     in
     t.state <- state;
     t.last_time <- last_time;

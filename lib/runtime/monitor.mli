@@ -2,13 +2,14 @@
     privacy risks during the lifetime of the service").
 
     One monitor tracks one data subject's journey through the generated
-    (and risk-annotated) LTS. Each observed event is first put through the
+    LTS, reading each transition's risk through the [annotate] map it is
+    created with. Each observed event is first put through the
     {!Enforce} PEP, then matched against the outgoing transitions of the
     current LTS state:
 
-    - a matching risk-annotated transition raises a {!Risky} alert (and
-      the state advances);
-    - a matching unannotated transition advances silently;
+    - a matching transition whose annotated label carries a risk at or
+      above [min_level] raises a {!Risky} alert (and the state advances);
+    - any other matching transition advances silently;
     - a denied event raises {!Denied} (plus {!Off_model} when the attempt
       was not even predicted by the model) and does not advance;
     - an event matching no transition is handled by the resilience layer
@@ -50,6 +51,7 @@ val create :
   ?min_level:Mdp_core.Level.t ->
   ?resync_depth:int ->
   ?dead_letter_cap:int ->
+  annotate:(Mdp_core.Action.t -> Mdp_core.Action.t) ->
   Mdp_core.Universe.t ->
   Mdp_core.Plts.t ->
   t
@@ -61,10 +63,11 @@ val create :
     one, so a monitor that has lost track in a long-lived run holds the
     newest evidence at constant memory instead of growing without
     limit; 0 keeps no letters at all (every dead event only counts).
-    The LTS should already be annotated (run
-    {!Mdp_core.Risk_plan.analyse} first). §III-B risk-transitions are
-    not part of the LTS, so an inferred read of a raw field is never a
-    modelled event. *)
+    [annotate] maps an LTS label to its risk-annotated copy: a
+    profile's {!Mdp_core.Risk_plan.annotate} ({!Mdp_core.Analysis.annotate}
+    for an analysis), or [Fun.id] to raise no {!Risky} alerts. §III-B
+    risk-transitions are not part of the LTS, so an inferred read of a
+    raw field is never a modelled event. *)
 
 val current_state : t -> Mdp_core.Plts.state_id
 
@@ -107,6 +110,7 @@ val to_json : t -> Mdp_prelude.Json.t
     an LTS generated from the same model with the same options. *)
 
 val of_json :
+  annotate:(Mdp_core.Action.t -> Mdp_core.Action.t) ->
   Mdp_core.Universe.t -> Mdp_core.Plts.t -> Mdp_prelude.Json.t ->
   (t, string) result
 

@@ -5,9 +5,9 @@
     cache": a warm hit skips DSL parsing, LTS exploration and risk-plan
     compilation. The cache is shared by every worker domain, so all
     operations take an internal lock — entries must therefore be
-    treated as immutable by readers (the engine wraps the one mutable
-    artifact, the risk plan's label annotations, in its own per-entry
-    lock).
+    treated as immutable by readers (the engine wraps an artifact's one
+    lazily built part, its risk plan with the plan's witness tree, in
+    its own per-entry lock).
 
     Eviction is least-recently-used with a hard entry cap. Evicted
     entries can optionally be retained in a second-chance [stale] store

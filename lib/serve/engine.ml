@@ -40,7 +40,7 @@ let default_config =
 (* The compiled state of one model: everything downstream of the DSL
    parse. [plan] is compiled on first risk/population use; the [lock]
    serialises that compilation and every [Risk_plan.analyse] call
-   (which rewrites LTS label annotations in place). *)
+   (which builds and caches the plan's witness tree on first use). *)
 type artifact = {
   universe : C.Universe.t;
   lts : C.Plts.t;
@@ -377,9 +377,9 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
     with_artifact_lock a (fun () ->
         Metrics.span "serve/whatif" @@ fun () ->
         let plan = plan_of a in
-        (* The in-sync analyse both yields the baseline report and
-           caches the plan's witness tree, which the incremental
-           re-evaluation over the (possibly reused) LTS depends on. *)
+        (* The base analyse both yields the baseline report and caches
+           the plan's witness tree, which the incremental re-evaluation
+           over the (possibly reused) LTS depends on. *)
         let before = C.Risk_plan.analyse plan profile in
         let base =
           {

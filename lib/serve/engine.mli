@@ -18,9 +18,12 @@
       {!stale_response} serves (flagged [stale]) when the daemon sheds
       load.
 
-    [Risk_plan.analyse] mutates LTS labels, so each artifact carries a
-    lock serialising plan use; [Risk_plan.summary]-based population
-    sweeps still fan out over [jobs] domains {e inside} the lock.
+    The LTS is never written after exploration; the plan is compiled
+    on first use and [Risk_plan.analyse] builds and caches its witness
+    tree on first use, neither of them domain-safe. So each artifact
+    carries a lock serialising plan use; [Risk_plan.summary]-based
+    population sweeps still fan out over [jobs] domains {e inside} the
+    lock.
 
     [whatif] requests run {!Mdp_core.Analysis.run_incremental} against
     the cached artifact under that same lock: edits the classifier
@@ -28,7 +31,8 @@
     (re-evaluation only), and result keys canonicalise the edit specs
     so equivalent edit spellings share a cache entry. A full fallback
     (LTS-invalidating edit) explores a fresh LTS without touching the
-    cached artifact; it honours the state guard but not [cancel].
+    cached artifact; it honours the state guard and the request's
+    deadline ([cancel]).
 
     Failures are structured, never escaping exceptions: state-limit
     trips and deadline expiries also feed the per-model-hash circuit

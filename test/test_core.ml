@@ -153,8 +153,7 @@ let test_action_label () =
   (* risk annotation changes equality and printing *)
   let a' =
     Core.Action.with_risk a
-      (Core.Action.Disclosure_risk
-         { impact = Core.Level.High; likelihood = Core.Level.Low; level = Core.Level.Medium })
+      { impact = Core.Level.High; likelihood = Core.Level.Low; level = Core.Level.Medium }
   in
   check bool_ "risk breaks equality" false (Core.Action.equal a a');
   check bool_ "risk printed" true
@@ -364,7 +363,6 @@ let prop_strict_subset_of_data_driven =
 let test_lts_render_smoke () =
   let u = universe () in
   let lts = Core.Generate.run u in
-  ignore (Core.Disclosure_risk.analyse u lts H.profile_case_a);
   let dot = Core.Lts_render.to_dot lts in
   let contains needle =
     let hn = String.length dot and nn = String.length needle in
@@ -373,7 +371,6 @@ let test_lts_render_smoke () =
   in
   check bool_ "digraph" true (contains "digraph privacy_lts");
   check bool_ "dashed potential" true (contains "style=dashed");
-  check bool_ "risk colour" true (contains "color=orange");
   let summary = Core.Lts_render.summary u lts in
   check bool_ "summary mentions counts" true
     (String.length summary > 10 && contains "digraph" = contains "digraph")
@@ -536,16 +533,23 @@ let test_case_a_fix_reduces_to_low () =
     (Core.Disclosure_risk.level_for report' ~actor:"Administrator" ~store:"EHR"
        ~field:H.diagnosis)
 
-let test_annotation_in_place () =
-  let _, lts, _ = case_a () in
-  let annotated = ref 0 in
+(* The analysis returns its read labels annotated, findings and witness
+   hops alike; the LTS keeps the raw labels. *)
+let test_labels_annotated () =
+  let _, lts, report = case_a () in
   Core.Plts.iter_transitions lts (fun tr ->
-      if tr.label.Core.Action.kind = Core.Action.Read then begin
-        match tr.label.Core.Action.risk with
-        | Some (Core.Action.Disclosure_risk _) -> incr annotated
-        | None -> Alcotest.fail "read transition left unannotated"
-      end);
-  check bool_ "reads annotated" true (!annotated > 0)
+      if tr.label.Core.Action.risk <> None then
+        Alcotest.fail "analysis wrote an LTS label");
+  let reads =
+    List.filter
+      (fun (a : Core.Action.t) -> a.kind = Core.Action.Read)
+      (List.concat_map
+         (fun (f : Core.Disclosure_risk.finding) -> f.action :: f.witness)
+         report.findings)
+  in
+  check bool_ "reads annotated" true
+    (reads <> []
+    && List.for_all (fun (a : Core.Action.t) -> a.risk <> None) reads)
 
 let test_exposures_reported () =
   let _, _, report = case_a () in
@@ -997,7 +1001,7 @@ let () =
             test_case_a_no_researcher_findings;
           Alcotest.test_case "witness paths" `Quick test_case_a_witnesses_reach_src;
           Alcotest.test_case "Low after fix" `Quick test_case_a_fix_reduces_to_low;
-          Alcotest.test_case "labels annotated" `Quick test_annotation_in_place;
+          Alcotest.test_case "labels annotated" `Quick test_labels_annotated;
           Alcotest.test_case "exposures" `Quick test_exposures_reported;
           Alcotest.test_case "report rendering" `Quick test_report_rendering;
           Alcotest.test_case "likelihood scenarios" `Quick test_likelihood_scenarios;

@@ -24,7 +24,9 @@ let test_transparency_initial_empty () =
 
 let test_transparency_tracks_monitor () =
   let a = Core.Analysis.run ~profile:H.profile_case_a H.diagram H.policy in
-  let monitor = R.Monitor.create a.universe a.lts in
+  let monitor =
+    R.Monitor.create ~annotate:(Core.Analysis.annotate a) a.universe a.lts
+  in
   let trace =
     R.Sim.run_exn a.universe
       { seed = 4; services = [ H.medical_service ]; snoopers = [] }
@@ -127,7 +129,7 @@ let test_deployment_transfers () =
   match placement u with
   | Error msgs -> Alcotest.fail (String.concat "; " msgs)
   | Ok dep ->
-    let transfers = R.Deployment.transfers dep lts in
+    let transfers = R.Deployment.transfers ~annotate:Fun.id dep lts in
     check bool_ "transfers found" true (transfers <> []);
     (* The Doctor's EHR create moves data surgery/UK -> dc-eu/EU. *)
     check bool_ "EHR create crosses UK->EU" true
@@ -157,7 +159,9 @@ let test_deployment_risky_transfers () =
   match placement u with
   | Error msgs -> Alcotest.fail (String.concat "; " msgs)
   | Ok dep ->
-    let risky = R.Deployment.risky_transfers dep lts H.profile_case_a in
+    let risky =
+      R.Deployment.risky_transfers ~annotate:Fun.id dep lts H.profile_case_a
+    in
     check bool_ "risky transfers exist" true (risky <> []);
     List.iter
       (fun (tr : R.Deployment.transfer) ->

@@ -28,7 +28,7 @@ let test_requirement_never_identifies () =
   let req =
     Core.Requirement.Never_identifies { actor = "Administrator"; field = H.diagnosis }
   in
-  (match Core.Requirement.check u lts [ req ] with
+  (match Core.Requirement.check ~annotate:Fun.id u lts [ req ] with
   | [ v ] ->
     check bool_ "witness non-empty" true (v.witness <> []);
     let last = List.nth v.witness (List.length v.witness - 1) in
@@ -37,7 +37,7 @@ let test_requirement_never_identifies () =
   | _ -> Alcotest.fail "expected exactly one violation");
   (* The Receptionist never sees the Diagnosis. *)
   check bool_ "receptionist clean" true
-    (Core.Requirement.holds u lts
+    (Core.Requirement.holds ~annotate:Fun.id u lts
        (Core.Requirement.Never_identifies
           { actor = "Receptionist"; field = H.diagnosis }))
 
@@ -46,12 +46,12 @@ let test_requirement_could_stronger_than_has () =
   let lts = Core.Generate.run u in
   (* After the fix the Administrator never identifies the Diagnosis... *)
   check bool_ "has-requirement holds after fix" true
-    (Core.Requirement.holds u lts
+    (Core.Requirement.holds ~annotate:Fun.id u lts
        (Core.Requirement.Never_identifies
           { actor = "Administrator"; field = H.diagnosis }));
   (* ...and could-never holds as well (the deny removed read access). *)
   check bool_ "could-requirement also holds" true
-    (Core.Requirement.holds u lts
+    (Core.Requirement.holds ~annotate:Fun.id u lts
        (Core.Requirement.Never_could_identify
           { actor = "Administrator"; field = H.diagnosis }))
 
@@ -63,7 +63,8 @@ let test_requirement_purposes () =
     Core.Requirement.Only_for_purposes
       { field = H.diagnosis; purposes = [ "record diagnosis and treatment" ] }
   in
-  check bool_ "strict purposes violated" false (Core.Requirement.holds u lts strict);
+  check bool_ "strict purposes violated" false
+    (Core.Requirement.holds ~annotate:Fun.id u lts strict);
   (* Appointment data flows only within the medical service's purposes. *)
   let appointment_req =
     Core.Requirement.Only_for_purposes
@@ -75,33 +76,47 @@ let test_requirement_purposes () =
   (* Violated too: the Nurse's potential read of Appointments has no
      purpose. The flow-only model satisfies it. *)
   check bool_ "violated with potential reads" false
-    (Core.Requirement.holds u lts appointment_req);
+    (Core.Requirement.holds ~annotate:Fun.id u lts appointment_req);
   let flow_lts = Core.Generate.run ~options:Core.Generate.flow_only u in
   check bool_ "holds on flows only" true
-    (Core.Requirement.holds u flow_lts appointment_req)
+    (Core.Requirement.holds ~annotate:Fun.id u flow_lts appointment_req)
 
 let test_requirement_no_action () =
   let u, lts = setup () in
   check bool_ "researcher never creates" true
-    (Core.Requirement.holds u lts
+    (Core.Requirement.holds ~annotate:Fun.id u lts
        (Core.Requirement.No_action_by { actor = "Researcher"; kind = Core.Action.Create }));
   check bool_ "administrator anonymises" false
-    (Core.Requirement.holds u lts
+    (Core.Requirement.holds ~annotate:Fun.id u lts
        (Core.Requirement.No_action_by
           { actor = "Administrator"; kind = Core.Action.Anon }))
 
+(* The reference engine's annotation of one label: what
+   [Disclosure_risk.analyse] attaches to a read. *)
+let naive_annotate u profile (label : Core.Action.t) =
+  match label.kind with
+  | Core.Action.Read ->
+    Core.Action.with_risk label
+      (Core.Risk_matrix.assess Core.Risk_matrix.default
+         ~impact:(Core.Disclosure_risk.transition_impact u profile label)
+         ~likelihood:
+           (Core.Disclosure_risk.transition_likelihood u profile
+              Core.Disclosure_risk.default_likelihood label))
+  | _ -> label
+
 let test_requirement_max_risk () =
   let u, lts = setup () in
-  ignore (Core.Disclosure_risk.analyse u lts H.profile_case_a);
+  let annotate = naive_annotate u H.profile_case_a in
   check bool_ "medium exceeds low cap" false
-    (Core.Requirement.holds u lts (Core.Requirement.Max_disclosure_risk Core.Level.Low));
+    (Core.Requirement.holds ~annotate u lts
+       (Core.Requirement.Max_disclosure_risk Core.Level.Low));
   check bool_ "medium within medium cap" true
-    (Core.Requirement.holds u lts
+    (Core.Requirement.holds ~annotate u lts
        (Core.Requirement.Max_disclosure_risk Core.Level.Medium))
 
 (* [mdpriv check] annotates through the compiled plan; the reference
-   engine must yield the same violations, witness annotations
-   included. *)
+   engine's annotation must yield the same violations, witness
+   annotations included. *)
 let test_requirement_engines_agree () =
   let synth =
     match Mdp_scenario.Synthetic.spec_of_string "synthetic:6-8-4@3" with
@@ -112,10 +127,10 @@ let test_requirement_engines_agree () =
   in
   List.iter
     (fun (name, (diagram, policy, profile)) ->
-      let violations annotate =
+      let violations annotator =
         let u = Core.Universe.make diagram policy in
         let lts = Core.Generate.run u in
-        annotate u lts;
+        let annotate = annotator u lts in
         let reqs =
           List.map
             (fun l -> Core.Requirement.Max_disclosure_risk l)
@@ -134,16 +149,12 @@ let test_requirement_engines_agree () =
               | Core.Requirement.Max_disclosure_risk _ -> true
               | _ -> false),
               Format.asprintf "%a" Core.Requirement.pp_violation v ))
-          (Core.Requirement.check u lts reqs)
+          (Core.Requirement.check ~annotate u lts reqs)
       in
-      let naive =
-        violations (fun u lts ->
-            ignore (Core.Disclosure_risk.analyse u lts profile))
-      in
+      let naive = violations (fun u _ -> naive_annotate u profile) in
       let planned =
         violations (fun u lts ->
-            ignore
-              (Core.Risk_plan.analyse (Core.Risk_plan.compile u lts) profile))
+            Core.Risk_plan.annotate (Core.Risk_plan.compile u lts) profile)
       in
       check bool_ (name ^ ": a risk cap is violated") true
         (List.exists fst naive);
@@ -157,7 +168,7 @@ let test_requirement_engines_agree () =
 let test_requirement_witness_replays () =
   let u, lts = setup () in
   match
-    Core.Requirement.check u lts
+    Core.Requirement.check ~annotate:Fun.id u lts
       [ Core.Requirement.Never_identifies { actor = "Researcher"; field = Field.anon_of H.diagnosis } ]
   with
   | [ v ] ->

@@ -69,19 +69,20 @@ let test_inject_stats_match_faults () =
 (* Monitor self-healing *)
 
 let terminal_state u lts trace =
-  let m = R.Monitor.create u lts in
+  let m = R.Monitor.create ~annotate:Fun.id u lts in
   ignore (R.Monitor.run_trace m trace);
   R.Monitor.current_state m
 
 let test_resync_bridges_dropped_event () =
   let a = analysed () in
   let u = a.universe and lts = a.lts in
+  let annotate = Core.Analysis.annotate a in
   let trace = medical_trace u [ H.medical_service ] in
   let clean_end = terminal_state u lts trace in
   (* Drop one interior event: the monitor must bridge the gap with a
      Resynced alert and converge back to the clean terminal state. *)
   let dropped = List.filteri (fun i _ -> i <> 2) trace in
-  let m = R.Monitor.create ~resync_depth:8 u lts in
+  let m = R.Monitor.create ~resync_depth:8 ~annotate u lts in
   let alerts = R.Monitor.run_trace m dropped in
   let resyncs =
     L.count (function R.Monitor.Resynced _ -> true | _ -> false) alerts
@@ -96,9 +97,10 @@ let test_resync_bridges_dropped_event () =
 let test_resync_off_without_depth () =
   let a = analysed () in
   let u = a.universe and lts = a.lts in
+  let annotate = Core.Analysis.annotate a in
   let trace = medical_trace u [ H.medical_service ] in
   let dropped = List.filteri (fun i _ -> i <> 2) trace in
-  let m = R.Monitor.create u lts in
+  let m = R.Monitor.create ~annotate u lts in
   (* resync_depth defaults to 0 *)
   ignore (R.Monitor.run_trace m dropped);
   check bool_ "legacy monitor dead-letters instead" true
@@ -107,18 +109,19 @@ let test_resync_off_without_depth () =
 let test_duplicates_raise_no_duplicate_alerts () =
   let a = analysed () in
   let u = a.universe and lts = a.lts in
+  let annotate = Core.Analysis.annotate a in
   let trace =
     medical_trace u
       ~snoopers:[ { R.Sim.actor = "Administrator"; store = "EHR"; probability = 0.5 } ]
       [ H.medical_service; H.research_service ]
   in
-  let clean = R.Monitor.create ~resync_depth:8 u lts in
+  let clean = R.Monitor.create ~resync_depth:8 ~annotate u lts in
   let clean_alerts = R.Monitor.run_trace clean trace in
   check bool_ "clean run raises alerts to compare" true (clean_alerts <> []);
   let inj = R.Faults.inject ~seed:9 (duplicate_only 0.6) trace in
   check bool_ "injector duplicated something" true
     ((R.Faults.stats inj.faults).duplicated >= 1);
-  let m = R.Monitor.create ~resync_depth:8 u lts in
+  let m = R.Monitor.create ~resync_depth:8 ~annotate u lts in
   let alerts = R.Monitor.run_trace m inj.delivered in
   check bool_ "alert stream identical to the clean run" true
     (alerts = clean_alerts);
@@ -128,12 +131,13 @@ let test_duplicates_raise_no_duplicate_alerts () =
 let test_reorder_converges () =
   let a = analysed () in
   let u = a.universe and lts = a.lts in
+  let annotate = Core.Analysis.annotate a in
   let trace = medical_trace u [ H.medical_service; H.research_service ] in
   let clean_end = terminal_state u lts trace in
   let inj = R.Faults.inject ~seed:4 (reorder_only 0.5) trace in
   check bool_ "injector reordered something" true
     ((R.Faults.stats inj.faults).reordered >= 1);
-  let m = R.Monitor.create ~resync_depth:8 u lts in
+  let m = R.Monitor.create ~resync_depth:8 ~annotate u lts in
   ignore (R.Monitor.run_trace m inj.delivered);
   let st = R.Monitor.stats m in
   check int_ "nothing dead-lettered" 0 st.dead;
@@ -148,8 +152,9 @@ let beheaded_trace u = List.tl (medical_trace u [ H.medical_service ])
 let test_dead_letter_cap_bounds_memory () =
   let a = analysed () in
   let u = a.universe and lts = a.lts in
+  let annotate = Core.Analysis.annotate a in
   let beheaded = beheaded_trace u in
-  let unbounded = R.Monitor.create u lts in
+  let unbounded = R.Monitor.create ~annotate u lts in
   ignore (R.Monitor.run_trace unbounded beheaded);
   let letters = R.Monitor.dead_letters unbounded in
   let total = List.length letters in
@@ -157,7 +162,7 @@ let test_dead_letter_cap_bounds_memory () =
   check int_ "default cap holds them all" total (R.Monitor.stats unbounded).dead;
   check int_ "nothing shed below the cap" 0
     (R.Monitor.stats unbounded).dead_dropped;
-  let m = R.Monitor.create ~dead_letter_cap:2 u lts in
+  let m = R.Monitor.create ~dead_letter_cap:2 ~annotate u lts in
   ignore (R.Monitor.run_trace m beheaded);
   let st = R.Monitor.stats m in
   check int_ "held letters bounded by the cap" 2 st.dead;
@@ -165,7 +170,7 @@ let test_dead_letter_cap_bounds_memory () =
   (* Oldest letters are shed: the newest evidence is what survives. *)
   check bool_ "newest letters kept" true
     (R.Monitor.dead_letters m = L.drop (total - 2) letters);
-  let z = R.Monitor.create ~dead_letter_cap:0 u lts in
+  let z = R.Monitor.create ~dead_letter_cap:0 ~annotate u lts in
   ignore (R.Monitor.run_trace z beheaded);
   let sz = R.Monitor.stats z in
   check int_ "cap 0 keeps nothing" 0 sz.dead;
@@ -175,9 +180,10 @@ let test_dead_letter_cap_bounds_memory () =
 let test_dead_letter_cap_checkpoints () =
   let a = analysed () in
   let u = a.universe and lts = a.lts in
-  let m = R.Monitor.create ~dead_letter_cap:2 u lts in
+  let annotate = Core.Analysis.annotate a in
+  let m = R.Monitor.create ~dead_letter_cap:2 ~annotate u lts in
   ignore (R.Monitor.run_trace m (beheaded_trace u));
-  match R.Monitor.of_json u lts (R.Monitor.to_json m) with
+  match R.Monitor.of_json ~annotate u lts (R.Monitor.to_json m) with
   | Error e -> Alcotest.fail e
   | Ok m' ->
     check bool_ "stats (incl. dead_dropped) survive the roundtrip" true
@@ -209,17 +215,18 @@ let feed fleet stream =
 let test_checkpoint_restore_replays_identically () =
   let a = analysed () in
   let u = a.universe and lts = a.lts in
+  let annotate = Core.Analysis.annotate a in
   let stream =
     faulty_stream a ~subjects:4 ~seed:7 ~rate:0.05
       ~services:[ H.medical_service; H.research_service ]
       ~snoopers:[ { R.Sim.actor = "Administrator"; store = "EHR"; probability = 0.3 } ]
   in
-  let reference = R.Fleet.create ~resync_depth:8 u lts in
+  let reference = R.Fleet.create ~resync_depth:8 ~annotate u lts in
   feed reference stream;
   let mid = List.length stream / 2 in
-  let first = R.Fleet.create ~resync_depth:8 u lts in
+  let first = R.Fleet.create ~resync_depth:8 ~annotate u lts in
   feed first (L.take mid stream);
-  match R.Fleet.restore u lts (R.Fleet.checkpoint first) with
+  match R.Fleet.restore ~annotate u lts (R.Fleet.checkpoint first) with
   | Error e -> Alcotest.fail e
   | Ok resumed ->
     feed resumed (L.drop mid stream);
@@ -240,7 +247,8 @@ let test_checkpoint_restore_replays_identically () =
 
 let test_checkpoint_rejects_garbage () =
   let a = analysed () in
-  match R.Fleet.restore a.universe a.lts (Mdp_prelude.Json.Num 3.0) with
+  match R.Fleet.restore ~annotate:(Core.Analysis.annotate a) a.universe
+      a.lts (Mdp_prelude.Json.Num 3.0) with
   | Ok _ -> Alcotest.fail "restored a fleet from a number"
   | Error _ -> ()
 
@@ -249,10 +257,11 @@ let test_checkpoint_rejects_garbage () =
 
 let acceptance_scenario name analysis services snoopers =
   let u = analysis.Core.Analysis.universe and lts = analysis.Core.Analysis.lts in
+  let annotate = Core.Analysis.annotate analysis in
   let stream =
     faulty_stream analysis ~subjects:6 ~seed:7 ~rate:0.05 ~services ~snoopers
   in
-  let fleet = R.Fleet.create ~resync_depth:8 u lts in
+  let fleet = R.Fleet.create ~resync_depth:8 ~annotate u lts in
   feed fleet stream;
   List.iter
     (fun (s, h) ->

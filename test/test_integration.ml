@@ -88,7 +88,9 @@ let test_dsl_to_monitor () =
       (Core.Plts.num_transitions direct.lts)
       (Core.Plts.num_transitions a.lts);
     (* ... and supports monitoring. *)
-    let monitor = R.Monitor.create a.universe a.lts in
+    let monitor =
+      R.Monitor.create ~annotate:(Core.Analysis.annotate a) a.universe a.lts
+    in
     let trace =
       R.Sim.run_exn a.universe
         {
@@ -168,7 +170,9 @@ let test_monitor_follows_witness () =
   let a = Core.Analysis.run ~profile:H.profile_case_a H.diagram H.policy in
   let report = Option.get a.disclosure in
   let finding = List.hd report.findings in
-  let monitor = R.Monitor.create a.universe a.lts in
+  let monitor =
+    R.Monitor.create ~annotate:(Core.Analysis.annotate a) a.universe a.lts
+  in
   let to_event i (act : Core.Action.t) =
     let service =
       match act.provenance with
@@ -187,6 +191,74 @@ let test_monitor_follows_witness () =
        alerts);
   check int_ "monitor lands on the finding source" finding.src
     (R.Monitor.current_state monitor)
+
+(* An explored LTS is never written: every analysis returns its
+   annotations beside it. The fingerprint is every row (label id,
+   destination) plus the printed interned labels. *)
+let fingerprint lts =
+  let rows =
+    List.init (Core.Plts.num_states lts) (fun s ->
+        let row = ref [] in
+        Core.Plts.iter_successors_lid lts s (fun l d -> row := (l, d) :: !row);
+        List.rev !row)
+  in
+  let labels =
+    Array.map
+      (Format.asprintf "%a" Core.Action.pp)
+      (Option.get (Core.Plts.interned_labels lts))
+  in
+  (rows, labels)
+
+let test_analyses_leave_lts_untouched () =
+  let synthetic name =
+    match Mdp_scenario.Synthetic.spec_of_string name with
+    | Some (Ok spec) ->
+      let diagram, policy = Mdp_scenario.Synthetic.model spec in
+      (name, diagram, policy, Mdp_scenario.Synthetic.profile spec diagram)
+    | _ -> Alcotest.failf "bad spec %s" name
+  in
+  List.iter
+    (fun (name, diagram, policy, profile) ->
+      let a = Core.Analysis.run ~profile diagram policy in
+      let u = a.universe and lts = a.lts in
+      let expected = fingerprint (Core.Generate.run u) in
+      let unchanged what =
+        check bool_ (name ^ ": LTS unchanged by " ^ what) true
+          (fingerprint lts = expected)
+      in
+      unchanged "Analysis.run";
+      ignore (Core.Risk_plan.analyse (Option.get a.plan) profile);
+      unchanged "Risk_plan.analyse";
+      ignore (Core.Disclosure_risk.analyse u lts profile);
+      unchanged "Disclosure_risk.analyse";
+      ignore
+        (Core.Population.analyse u lts
+           [ profile; Core.User_profile.make ~agreed_services:[] () ]);
+      unchanged "Population.analyse";
+      let base = Result.get_ok (Core.Whatif.prepare a) in
+      let exact edit =
+        match Core.Whatif.eval_edit ~exact:true base edit with
+        | Ok o ->
+          unchanged ("exact what-if " ^ Core.Edit.to_string edit);
+          o.classification
+        | Error e -> Alcotest.fail e
+      in
+      ignore
+        (exact
+           (Core.Edit.Set_sensitivity (List.hd (Diagram.all_fields diagram), 0.0)));
+      (* A profile edit that keeps the LTS but re-analyses on it. *)
+      let service = (List.hd diagram.Diagram.services).Service.id in
+      check bool_ (name ^ ": agreement edit replays") true
+        (exact
+           (Core.Edit.Set_agreement
+              {
+                service;
+                agreed = not (Core.User_profile.agrees_to profile service);
+              })
+        = Core.Whatif.Replay))
+    (("healthcare", H.diagram, H.policy, H.profile_case_a)
+    :: List.map synthetic
+         [ "synthetic:2-4-3@1"; "synthetic:4-6-4@2"; "synthetic:6-8-5@3" ])
 
 let () =
   Alcotest.run "integration"
@@ -207,5 +279,7 @@ let () =
           Alcotest.test_case "monitor follows witness" `Quick
             test_monitor_follows_witness;
           Alcotest.test_case "Fig 2 dimensions" `Quick test_fig2_table_dimensions;
+          Alcotest.test_case "analyses leave the LTS untouched" `Quick
+            test_analyses_leave_lts_untouched;
         ] );
     ]

@@ -113,13 +113,6 @@ let test_explore_max_states () =
   | exception Mdp_lts.Lts.Too_many_states n -> check int_ "carries the limit" 10 n
   | _ -> Alcotest.fail "expected Too_many_states"
 
-let test_map_labels () =
-  let t, s0, s1, _, _ = diamond () in
-  L.map_labels t String.uppercase_ascii;
-  check (Alcotest.list (Alcotest.pair Alcotest.string int_)) "rewritten"
-    [ ("A", s1) ]
-    (List.filter (fun (_, d) -> d = s1) (L.successors t s0))
-
 let test_dag_statistics () =
   let t, _, _, _, _ = diamond () in
   check Alcotest.(option int_) "diamond longest path" (Some 2) (L.longest_path t);
@@ -183,7 +176,6 @@ let () =
         [
           Alcotest.test_case "reachability/paths" `Quick test_reachability_and_paths;
           Alcotest.test_case "acyclic/deterministic" `Quick test_acyclic_and_deterministic;
-          Alcotest.test_case "map_labels" `Quick test_map_labels;
         ] );
       ( "exploration",
         [

@@ -98,89 +98,6 @@ let test_post_explore_mutation () =
     (Format.asprintf "%a" Core.Disclosure_risk.pp_report
        (Core.Disclosure_risk.analyse u par profile))
 
-(* map_labels rewrites labels in place (risk annotation), re-interning
-   them in the rows: the compiled plan's annotation leaves
-   every edge where it was with its label's risk filled in, and
-   annotates exactly as the per-transition disclosure engine does. *)
-let test_map_labels () =
-  let u = Core.Universe.make H.diagram H.policy in
-  let lts = Core.Generate.run u in
-  let before = transitions lts in
-  let plan = Core.Risk_plan.compile u lts in
-  ignore (Core.Risk_plan.analyse plan H.profile_case_a);
-  let after = transitions lts in
-  check int_ "transition count" (List.length before) (List.length after);
-  List.iter2
-    (fun (b : Core.Plts.transition) (a : Core.Plts.transition) ->
-      if
-        a.src <> b.src || a.dst <> b.dst
-        || not (Core.Action.equal { a.label with risk = None } b.label)
-      then Alcotest.failf "edge %d -> %d moved or relabelled" b.src b.dst)
-    before after;
-  check bool_ "some labels annotated" true
-    (List.exists (fun (tr : Core.Plts.transition) -> tr.label.risk <> None) after);
-  let naive = Core.Generate.run u in
-  ignore (Core.Disclosure_risk.analyse u naive H.profile_case_a);
-  same_lts "plan vs per-transition annotation" naive lts
-
-(* Label-only map_labels with a non-injective map: the result is the captured transition list with
-   [f] applied to each label, [f] runs once per live label, and
-   [is_deterministic] reads the same as over the list. *)
-let test_map_labels_label_only () =
-  let u = Core.Universe.make H.study_diagram H.study_policy in
-  (* Keeps only a read's first field, actor and store: the flow and
-     potential reads of one field collapse onto one label. *)
-  let collapse (a : Core.Action.t) =
-    if a.kind = Core.Action.Read then
-      {
-        a with
-        fields = [ List.hd a.fields ];
-        provenance = Core.Action.Potential;
-        purpose = None;
-        risk = None;
-      }
-    else a
-  in
-  let lts = Core.Generate.run ~options:granular u in
-  let reference =
-    List.map
-      (fun (tr : Core.Plts.transition) -> { tr with label = collapse tr.label })
-      (transitions lts)
-  in
-  let distinct trs =
-    List.length
-      (List.sort_uniq compare
-         (List.map (fun (tr : Core.Plts.transition) -> tr.label) trs))
-  in
-  let live = distinct (transitions lts) in
-  let calls = ref 0 in
-  Core.Plts.map_labels lts (fun a ->
-      incr calls;
-      collapse a);
-  check int_ "one call per live label" live !calls;
-  check bool_ "map collapsed some labels" true (live > distinct reference);
-  let triples =
-    List.map (fun (tr : Core.Plts.transition) ->
-        (tr.src, Format.asprintf "%a" Core.Action.pp tr.label, tr.dst))
-  in
-  check (Alcotest.list triple) "after label-only map" (triples reference)
-    (transition_triples lts);
-  let out_labels s =
-    List.filter_map
-      (fun (tr : Core.Plts.transition) ->
-        if tr.src = s then Some tr.label else None)
-      reference
-  in
-  let rec has_dup = function
-    | [] -> false
-    | l :: rest -> List.exists (Core.Action.equal l) rest || has_dup rest
-  in
-  check bool_ "is_deterministic agrees"
-    (not
-       (List.exists has_dup
-          (List.init (Core.Plts.num_states lts) out_labels)))
-    (Core.Plts.is_deterministic lts)
-
 (* The per-label transition counts behind [Lts_render.summary] read
    the same as counts over the seed engine's transitions, before and
    after annotation. *)
@@ -406,9 +323,6 @@ let () =
         [
           Alcotest.test_case "post-explore mutation" `Quick
             test_post_explore_mutation;
-          Alcotest.test_case "map_labels" `Quick test_map_labels;
-          Alcotest.test_case "label-only map_labels" `Quick
-            test_map_labels_label_only;
           Alcotest.test_case "render summary" `Quick test_render_summary;
           Alcotest.test_case "mem_stats" `Quick test_mem_stats;
           Alcotest.test_case "abort stats" `Quick test_abort_stats;

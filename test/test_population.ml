@@ -382,30 +382,42 @@ let test_hotspot_counts_user_once () =
 (* Full-report parity: Risk_plan.analyse is a drop-in replacement for
    Disclosure_risk.analyse, annotations included. *)
 
-let labels_of lts =
-  let acc = ref [] in
-  Core.Plts.iter_transitions lts (fun tr ->
-      acc :=
-        Format.asprintf "%d>%d %a" tr.src tr.dst Core.Action.pp tr.label
-        :: !acc);
-  List.rev !acc
+(* Every interned label of [lts] as [Risk_plan.annotate] maps it, and
+   as the naive per-label assessment annotates it (a read gets
+   [Risk_matrix.assess] of its impact and likelihood). *)
+let annotated_labels u lts plan profile =
+  let annotate = Core.Risk_plan.annotate plan profile in
+  let naive (label : Core.Action.t) =
+    match label.kind with
+    | Core.Action.Read ->
+      Core.Action.with_risk label
+        (Core.Risk_matrix.assess (Core.Risk_plan.matrix plan)
+           ~impact:(Core.Disclosure_risk.transition_impact u profile label)
+           ~likelihood:
+             (Core.Disclosure_risk.transition_likelihood u profile
+                (Core.Risk_plan.model plan) label))
+    | _ -> label
+  in
+  let pp = List.map (Format.asprintf "%a" Core.Action.pp) in
+  let labels = Array.to_list (Option.get (Core.Plts.interned_labels lts)) in
+  (pp (List.map naive labels), pp (List.map annotate labels))
 
 let check_plan_parity name diagram policy options profile =
   let u = Core.Universe.make diagram policy in
-  let naive_lts = Core.Generate.run ~options u in
-  let naive = Core.Disclosure_risk.analyse u naive_lts profile in
-  let plan_lts = Core.Generate.run ~options u in
-  let plan = Core.Risk_plan.compile u plan_lts in
+  let lts = Core.Generate.run ~options u in
+  let naive = Core.Disclosure_risk.analyse u lts profile in
+  let plan = Core.Risk_plan.compile u lts in
   let compiled = Core.Risk_plan.analyse plan profile in
   check Alcotest.string
     (name ^ " report")
     (Format.asprintf "%a" Core.Disclosure_risk.pp_report naive)
     (Format.asprintf "%a" Core.Disclosure_risk.pp_report compiled);
   check bool_ (name ^ " reports structurally equal") true (naive = compiled);
+  let naive_labels, plan_labels = annotated_labels u lts plan profile in
   check
     Alcotest.(list string)
     (name ^ " annotated labels")
-    (labels_of naive_lts) (labels_of plan_lts);
+    naive_labels plan_labels;
   (* Witnesses come from the plan's BFS tree; spot-check against the
      per-finding searches of the naive path. *)
   List.iter2
@@ -462,11 +474,6 @@ let check_summary name plan profile (report : Core.Disclosure_risk.report) =
         (Core.Level.equal expected s.slot_levels.(i)))
     (Core.Risk_plan.slots plan)
 
-let transitions lts =
-  let acc = ref [] in
-  Core.Plts.iter_transitions lts (fun tr -> acc := tr :: !acc);
-  List.rev !acc
-
 let test_plan_differential () =
   List.iter
     (fun shape ->
@@ -477,24 +484,22 @@ let test_plan_differential () =
           let diagram, policy = Syn.model spec in
           let u = Core.Universe.make diagram policy in
           let profiles = profiles_for spec diagram in
+          let lts = Core.Generate.run u in
           let oracle =
-            List.map
-              (fun profile ->
-                let lts = Core.Generate.run u in
-                let report = Core.Disclosure_risk.analyse u lts profile in
-                (report, transitions lts))
+            List.map (fun profile -> Core.Disclosure_risk.analyse u lts profile)
               profiles
           in
-          let lts = Core.Generate.run u in
           let plan = Core.Risk_plan.compile u lts in
           List.iteri
             (fun i profile ->
               let name = Printf.sprintf "%s profile %d" model i in
-              let report, labels = List.nth oracle i in
+              let report = List.nth oracle i in
               let compiled = Core.Risk_plan.analyse plan profile in
               check bool_ (name ^ " report") true (report = compiled);
-              check bool_ (name ^ " labels") true
-                (labels = transitions lts);
+              let naive_labels, plan_labels =
+                annotated_labels u lts plan profile
+              in
+              check bool_ (name ^ " labels") true (naive_labels = plan_labels);
               check_summary name plan profile compiled;
               let fresh = Core.Risk_plan.compile u (Core.Generate.run u) in
               check bool_ (name ^ " reused plan = fresh plan") true

@@ -202,7 +202,7 @@ let test_sim_snoopers_fire () =
 let monitored ?profile () =
   let profile = Option.value profile ~default:H.profile_case_a in
   let a = Core.Analysis.run ~profile H.diagram H.policy in
-  (a, R.Monitor.create a.universe a.lts)
+  (a, R.Monitor.create ~annotate:(Core.Analysis.annotate a) a.universe a.lts)
 
 let test_monitor_clean_medical_run () =
   let a, monitor = monitored () in
@@ -223,7 +223,7 @@ let test_monitor_flags_snoop_as_risky () =
   check bool_ "risky alert present" true
     (List.exists
        (function
-         | R.Monitor.Risky (_, Core.Action.Disclosure_risk { level; _ }) ->
+         | R.Monitor.Risky (_, { level; _ }) ->
            Core.Level.equal level Core.Level.Medium
          | _ -> false)
        alerts)
@@ -255,9 +255,48 @@ let test_monitor_off_model () =
   let init_state = R.Monitor.current_state monitor in
   check int_ "state unchanged" init_state (R.Monitor.current_state monitor)
 
+(* A σ what-if that reuses the base analysis's LTS leaves a monitor on
+   the base analysis reporting the base levels: the administrator's
+   snoop stays Medium, not the Low the edited σ would give. *)
+let test_monitor_survives_whatif () =
+  let a, before = monitored () in
+  let after =
+    R.Monitor.create ~annotate:(Core.Analysis.annotate a) a.universe a.lts
+  in
+  let trace =
+    R.Sim.run_exn a.universe
+      (sim_config ~seed:42
+         ~snoopers:
+           [ { R.Sim.actor = "Administrator"; store = "EHR"; probability = 1.0 } ]
+         [ H.medical_service ])
+  in
+  let render alerts =
+    List.map (Format.asprintf "%a" R.Monitor.pp_alert) alerts
+  in
+  let expected = R.Monitor.run_trace before trace in
+  check bool_ "Medium snoop before the what-if" true
+    (List.exists
+       (function
+         | R.Monitor.Risky (_, { level; _ }) ->
+           Core.Level.equal level Core.Level.Medium
+         | _ -> false)
+       expected);
+  let a' =
+    Core.Analysis.run_incremental ~previous:a
+      [ Core.Edit.Set_sensitivity (H.diagnosis, 0.0) ]
+  in
+  check bool_ "what-if reuses the LTS" true (a'.lts == a.lts);
+  check
+    Alcotest.(list string)
+    "same alerts after the what-if" (render expected)
+    (render (R.Monitor.run_trace after trace))
+
 let test_monitor_min_level_filter () =
   let a = Core.Analysis.run ~profile:H.profile_case_a H.diagram H.policy in
-  let strict = R.Monitor.create ~min_level:Core.Level.High a.universe a.lts in
+  let strict =
+    R.Monitor.create ~min_level:Core.Level.High
+      ~annotate:(Core.Analysis.annotate a) a.universe a.lts
+  in
   let trace =
     R.Sim.run_exn a.universe
       (sim_config ~seed:42
@@ -273,7 +312,9 @@ let test_monitor_full_interleaving () =
   (* Both services plus a snooper: the whole trace stays on-model. *)
   let a, monitor = monitored () in
   for seed = 1 to 10 do
-    let fresh = R.Monitor.create a.universe a.lts in
+    let fresh =
+      R.Monitor.create ~annotate:(Core.Analysis.annotate a) a.universe a.lts
+    in
     ignore monitor;
     let trace =
       R.Sim.run_exn a.universe
@@ -519,6 +560,8 @@ let () =
           Alcotest.test_case "denied" `Quick test_monitor_denied;
           Alcotest.test_case "off-model" `Quick test_monitor_off_model;
           Alcotest.test_case "min level filter" `Quick test_monitor_min_level_filter;
+          Alcotest.test_case "base monitor survives a what-if" `Quick
+            test_monitor_survives_whatif;
           Alcotest.test_case "full interleaving" `Quick test_monitor_full_interleaving;
         ] );
       ( "trace-stats",

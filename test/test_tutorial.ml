@@ -112,18 +112,21 @@ let test_requirements_after_fix () =
   let a = analysis () in
   let a' = Core.Analysis.rerun_with_policy a fixed in
   check bool_ "Support never identifies Route" true
-    (Core.Requirement.holds a'.universe a'.lts
+    (Core.Requirement.holds ~annotate:(Core.Analysis.annotate a')
+       a'.universe a'.lts
        (Core.Requirement.Never_identifies
           { actor = "Support"; field = field "Route" }));
   (* Both tutorial requirements hold after the fix: the remaining
      DataScience reads of Pickup/Dropoff are Medium impact at Low
      likelihood, which the default matrix maps to Low. *)
   check bool_ "maxrisk Low holds after the fix" true
-    (Core.Requirement.holds a'.universe a'.lts
+    (Core.Requirement.holds ~annotate:(Core.Analysis.annotate a')
+       a'.universe a'.lts
        (Core.Requirement.Max_disclosure_risk Core.Level.Low));
   (* Before the fix it was violated by the Support read. *)
   check bool_ "maxrisk Low violated before the fix" false
-    (Core.Requirement.holds a.universe a.lts
+    (Core.Requirement.holds ~annotate:(Core.Analysis.annotate a)
+       a.universe a.lts
        (Core.Requirement.Max_disclosure_risk Core.Level.Low))
 
 let test_dsl_variant_matches () =
@@ -210,7 +213,9 @@ let test_monitor_raw_read () =
     R.Event.make ~time ~kind:label.kind ~actor:label.actor ~fields:label.fields
       ?store:label.store ?service ()
   in
-  let monitor = R.Monitor.create a.universe a.lts in
+  let monitor =
+    R.Monitor.create ~annotate:(Core.Analysis.annotate a) a.universe a.lts
+  in
   List.iteri
     (fun i (label, _) ->
       ignore (R.Monitor.observe monitor (event (i + 1) label) : R.Monitor.alert list))

@@ -63,7 +63,7 @@ let test_diff_regression_detected () =
 
 let fleet_setup () =
   let a = Core.Analysis.run ~profile:H.profile_case_a H.diagram H.policy in
-  (a, R.Fleet.create a.universe a.lts)
+  (a, R.Fleet.create ~annotate:(Core.Analysis.annotate a) a.universe a.lts)
 
 let trace_for a seed =
   R.Sim.run_exn a.Core.Analysis.universe
@@ -151,7 +151,7 @@ let prop_sim_stays_on_model =
           diagram.Mdp_dataflow.Diagram.services
       in
       let trace = R.Sim.run_exn u { seed = sim_seed; services; snoopers = [] } in
-      let monitor = R.Monitor.create u lts in
+      let monitor = R.Monitor.create ~annotate:Fun.id u lts in
       List.for_all
         (function
           | R.Monitor.Off_model _ | R.Monitor.Denied _
