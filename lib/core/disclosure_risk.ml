@@ -115,24 +115,33 @@ let transition_likelihood u profile model (action : Action.t) =
     | Action.Anon | Action.Delete), _ ->
     0.0
 
+module Atbl = Hashtbl.Make (Action)
+
 let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
     profile =
-  let annotate label ~impact ~likelihood =
+  (* One annotated copy per distinct read label, shared by every finding
+     and witness hop. *)
+  let annotated = Atbl.create 64 in
+  let annotate label =
     match label.Action.kind with
-    | Action.Read ->
-      Action.with_risk label (Risk_matrix.assess matrix ~impact ~likelihood)
+    | Action.Read -> (
+      match Atbl.find_opt annotated label with
+      | Some a -> a
+      | None ->
+        let impact = transition_impact u profile label in
+        let likelihood = transition_likelihood u profile model label in
+        let a =
+          Action.with_risk label (Risk_matrix.assess matrix ~impact ~likelihood)
+        in
+        Atbl.add annotated label a;
+        a)
     | Action.Collect | Action.Create | Action.Disclose | Action.Anon
     | Action.Delete ->
       label
   in
-  let annotate_hop label =
-    annotate label
-      ~impact:(transition_impact u profile label)
-      ~likelihood:(transition_likelihood u profile model label)
-  in
   let witness_of src =
     match Plts.path_to lts (fun s -> s = src) with
-    | Some steps -> List.map (fun (label, _) -> annotate_hop label) steps
+    | Some steps -> List.map (fun (label, _) -> annotate label) steps
     | None -> []
   in
   let findings = ref [] and exposures = ref [] in
@@ -148,7 +157,7 @@ let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
         {
           src;
           dst;
-          action = annotate label ~impact ~likelihood;
+          action = annotate label;
           impact;
           likelihood;
           impact_level;
