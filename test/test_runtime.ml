@@ -560,9 +560,9 @@ let () =
           Alcotest.test_case "denied" `Quick test_monitor_denied;
           Alcotest.test_case "off-model" `Quick test_monitor_off_model;
           Alcotest.test_case "min level filter" `Quick test_monitor_min_level_filter;
+          Alcotest.test_case "full interleaving" `Quick test_monitor_full_interleaving;
           Alcotest.test_case "base monitor survives a what-if" `Quick
             test_monitor_survives_whatif;
-          Alcotest.test_case "full interleaving" `Quick test_monitor_full_interleaving;
         ] );
       ( "trace-stats",
         [
