@@ -960,9 +960,7 @@ let transfers_cmd =
           exits_with_error
         | Ok deployment ->
           generate u @@ fun lts ->
-          let transfers =
-            Mdp_runtime.Deployment.transfers ~annotate:Fun.id deployment lts
-          in
+          let transfers = Mdp_runtime.Deployment.transfers deployment lts in
           List.iter
             (fun tr ->
               Format.printf "%a@." Mdp_runtime.Deployment.pp_transfer tr)
@@ -972,8 +970,7 @@ let transfers_cmd =
               Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
             in
             match
-              Mdp_runtime.Deployment.risky_transfers ~annotate:Fun.id
-                deployment lts profile
+              Mdp_runtime.Deployment.risky_transfers deployment lts profile
             with
             | [] -> Format.printf "@.no unconsented cross-region transfers@."
             | risky ->

@@ -49,18 +49,16 @@ let () =
   in
 
   section "Every network transfer the model can perform";
-  List.iter
-    (fun tr -> Format.printf "  %a@." R.Deployment.pp_transfer tr)
-    (R.Deployment.transfers ~annotate deployment lts);
+  let print tr =
+    Format.printf "  %a@." R.Deployment.pp_transfer
+      { tr with R.Deployment.action = annotate tr.R.Deployment.action }
+  in
+  List.iter print (R.Deployment.transfers deployment lts);
 
   section "Cross-region transfers of sensitive data without consent";
-  (match
-     R.Deployment.risky_transfers ~annotate deployment lts
-       Healthcare.profile_case_a
-   with
+  (match R.Deployment.risky_transfers deployment lts Healthcare.profile_case_a with
   | [] -> Format.printf "none@."
-  | risky ->
-    List.iter (fun tr -> Format.printf "  %a@." R.Deployment.pp_transfer tr) risky);
+  | risky -> List.iter print risky);
 
   section "Transparency report after a monitored medical-service run";
   let monitor = R.Monitor.create ~annotate u lts in

@@ -10,31 +10,29 @@ type t =
 type violation = { requirement : t; witness : Action.t list }
 
 (* A requirement is violated either at a state (predicate on privacy
-   variables) or on a transition (predicate on the annotated label).
-   Both reduce to a shortest-path search; for transition requirements we
-   search for the earliest reachable source state with an offending
-   outgoing label and extend the witness by that label. Witness labels
-   go through [annotate]. *)
+   variables) or on a transition (predicate on the label). Both reduce to
+   a shortest-path search; for transition requirements we search for the
+   earliest reachable source state with an offending outgoing label and
+   extend the witness by that label. *)
 
-let state_violation ~annotate lts pred =
+let state_violation lts pred =
   match
     Plts.path_to lts (fun s ->
         pred (Plts.state_data lts s : Config.t).Config.privacy)
   with
-  | Some steps -> Some (List.map (fun (label, _) -> annotate label) steps)
+  | Some steps -> Some (List.map fst steps)
   | None -> None
 
-let transition_violation ~annotate lts pred =
+let transition_violation lts pred =
   (* BFS over reachable states, checking outgoing labels in order. *)
   let reachable = Plts.reachable lts in
   let rec scan = function
     | [] -> None
     | s :: rest -> (
-      let offending (label, _) = pred (annotate label) in
-      match List.find_opt offending (Plts.successors lts s) with
+      match List.find_opt (fun (label, _) -> pred label) (Plts.successors lts s) with
       | Some (label, _) -> (
         match Plts.path_to lts (fun s' -> s' = s) with
-        | Some steps -> Some (List.map annotate (List.map fst steps @ [ label ]))
+        | Some steps -> Some (List.map fst steps @ [ label ])
         | None -> None)
       | None -> scan rest)
   in
@@ -44,31 +42,31 @@ let touches field (label : Action.t) =
   List.exists (Field.equal field) label.fields
 
 let violation_of ~annotate u lts requirement =
-  let state_violation = state_violation ~annotate lts
-  and transition_violation = transition_violation ~annotate lts in
   let witness =
     match requirement with
     | Never_identifies { actor; field } ->
-      state_violation (fun p -> Privacy_state.has u p ~actor ~field)
+      state_violation lts (fun p -> Privacy_state.has u p ~actor ~field)
     | Never_could_identify { actor; field } ->
-      state_violation (fun p -> Privacy_state.could u p ~actor ~field)
+      state_violation lts (fun p -> Privacy_state.could u p ~actor ~field)
     | Only_for_purposes { field; purposes } ->
-      transition_violation (fun label ->
+      transition_violation lts (fun label ->
           touches field label
           &&
           match label.Action.purpose with
           | Some p -> not (List.mem p purposes)
           | None -> true)
     | No_action_by { actor; kind } ->
-      transition_violation (fun label ->
+      transition_violation lts (fun label ->
           label.Action.actor = actor && label.Action.kind = kind)
     | Max_disclosure_risk max_level ->
-      transition_violation (fun label ->
-          match label.Action.risk with
+      transition_violation lts (fun label ->
+          match (annotate label).Action.risk with
           | Some { level; _ } -> Level.compare level max_level > 0
           | None -> false)
   in
-  Option.map (fun witness -> { requirement; witness }) witness
+  Option.map
+    (fun witness -> { requirement; witness = List.map annotate witness })
+    witness
 
 let kind_of_string = function
   | "collect" -> Some Action.Collect

@@ -42,8 +42,8 @@ val check :
   annotate:(Action.t -> Action.t) -> Universe.t -> Plts.t -> t list ->
   violation list
 (** One violation (with a shortest witness) per violated requirement;
-    requirements that hold contribute nothing. Transition requirements
-    test, and witnesses show, labels as [annotate] maps them: a
+    requirements that hold contribute nothing. [Max_disclosure_risk]
+    tests, and witnesses show, labels as [annotate] maps them: a
     profile's {!Risk_plan.annotate}, or [Fun.id] for raw labels. *)
 
 val holds :

@@ -86,11 +86,11 @@ let endpoints t (label : Core.Action.t) =
       (fun store -> (Some (node_of_store t store), node_of_actor t label.actor))
       label.Core.Action.store
 
-let transfers ~annotate t lts =
+let transfers t lts =
   let seen = Hashtbl.create 32 in
   let acc = ref [] in
   Core.Plts.iter_transitions lts (fun tr ->
-      let label = annotate tr.Core.Plts.label in
+      let label = tr.Core.Plts.label in
       let key = Format.asprintf "%a" Core.Action.pp label in
       if not (Hashtbl.mem seen key) then begin
         Hashtbl.add seen key ();
@@ -117,7 +117,7 @@ let transfers ~annotate t lts =
       end);
   List.rev !acc
 
-let risky_transfers ~annotate t lts profile =
+let risky_transfers t lts profile =
   List.filter
     (fun tr ->
       tr.cross_region
@@ -130,7 +130,7 @@ let risky_transfers ~annotate t lts profile =
       | Core.Action.From_flow { service; _ } ->
         not (Core.User_profile.agrees_to profile service)
       | Core.Action.Potential -> true)
-    (transfers ~annotate t lts)
+    (transfers t lts)
 
 
 let pp_transfer ppf tr =

@@ -34,18 +34,13 @@ type transfer = {
   cross_region : bool;
 }
 
-val transfers :
-  annotate:(Mdp_core.Action.t -> Mdp_core.Action.t) ->
-  t -> Mdp_core.Plts.t -> transfer list
+val transfers : t -> Mdp_core.Plts.t -> transfer list
 (** One entry per distinct LTS transition label that moves data between
     nodes (collect: subject->actor; disclose: actor->actor; create/anon:
     actor->store; read: store->actor). Same-node actions are omitted;
-    collects always appear (device -> service). Each [action] is the
-    label as [annotate] maps it ([Fun.id] for raw labels; see
-    {!Monitor.create}). *)
+    collects always appear (device -> service). *)
 
 val risky_transfers :
-  annotate:(Mdp_core.Action.t -> Mdp_core.Action.t) ->
   t -> Mdp_core.Plts.t -> Mdp_core.User_profile.t -> transfer list
 (** Cross-region transfers whose fields include one the profile rates
     sensitive (σ > 0) — the transfers a data-protection review should

@@ -129,7 +129,7 @@ let test_deployment_transfers () =
   match placement u with
   | Error msgs -> Alcotest.fail (String.concat "; " msgs)
   | Ok dep ->
-    let transfers = R.Deployment.transfers ~annotate:Fun.id dep lts in
+    let transfers = R.Deployment.transfers dep lts in
     check bool_ "transfers found" true (transfers <> []);
     (* The Doctor's EHR create moves data surgery/UK -> dc-eu/EU. *)
     check bool_ "EHR create crosses UK->EU" true
@@ -159,9 +159,7 @@ let test_deployment_risky_transfers () =
   match placement u with
   | Error msgs -> Alcotest.fail (String.concat "; " msgs)
   | Ok dep ->
-    let risky =
-      R.Deployment.risky_transfers ~annotate:Fun.id dep lts H.profile_case_a
-    in
+    let risky = R.Deployment.risky_transfers dep lts H.profile_case_a in
     check bool_ "risky transfers exist" true (risky <> []);
     List.iter
       (fun (tr : R.Deployment.transfer) ->
