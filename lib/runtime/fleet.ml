@@ -3,9 +3,7 @@ module Json = Mdp_prelude.Json
 type entry = { monitor : Monitor.t; mutable rev_alerts : Monitor.alert list }
 
 type t = {
-  universe : Mdp_core.Universe.t;
-  lts : Mdp_core.Plts.t;
-  annotate : Mdp_core.Action.t -> Mdp_core.Action.t;
+  template : Monitor.t;  (* every subject's monitor starts as a copy *)
   min_level : Mdp_core.Level.t;
   resync_depth : int;
   monitors : (string, entry) Hashtbl.t;
@@ -15,9 +13,7 @@ type t = {
 let create ?(min_level = Mdp_core.Level.Low) ?(resync_depth = 0) ~annotate
     universe lts =
   {
-    universe;
-    lts;
-    annotate;
+    template = Monitor.create ~min_level ~resync_depth ~annotate universe lts;
     min_level;
     resync_depth;
     monitors = Hashtbl.create 16;
@@ -34,9 +30,7 @@ let entry_for t subject =
   | None ->
     let e =
       {
-        monitor =
-          Monitor.create ~min_level:t.min_level ~resync_depth:t.resync_depth
-            ~annotate:t.annotate t.universe t.lts;
+        monitor = Monitor.fresh t.template;
         rev_alerts = [];
       }
     in

@@ -21,8 +21,9 @@ val create :
   Mdp_core.Plts.t ->
   t
 (** All subjects share the LTS and the [annotate] map; monitor state is
-    per-subject. [min_level], [resync_depth] and [annotate] are passed
-    to every monitor the fleet creates (see {!Monitor.create}). *)
+    per-subject. Every monitor the fleet creates is a {!Monitor.fresh}
+    copy of one {!Monitor.create} with these arguments, so [annotate]
+    runs once per fleet, not once per subject. *)
 
 val observe : t -> subject:string -> Event.t -> Monitor.alert list
 val subjects : t -> string list

@@ -34,7 +34,10 @@ let default_dead_letter_cap = 256
 type t = {
   universe : Core.Universe.t;
   lts : Core.Plts.t;
-  annotate : Core.Action.t -> Core.Action.t;
+  labels : Core.Action.t array;  (* the LTS's interned labels, by label id *)
+  risks : Core.Action.risk option array;
+      (* the [annotate] map's risk per label id, looked up once at
+         creation so placing an event reads an array, not a hashed label *)
   min_level : Core.Level.t;
   resync_depth : int;
   dead_cap : int;
@@ -53,15 +56,16 @@ type t = {
   mutable consecutive_dead : int;
 }
 
-let create ?(min_level = Core.Level.Low) ?(resync_depth = 0)
-    ?(dead_letter_cap = default_dead_letter_cap) ~annotate universe lts =
+(* A monitor at the LTS's initial state that has observed nothing. *)
+let start ~min_level ~resync_depth ~dead_cap universe lts labels risks =
   {
     universe;
     lts;
-    annotate;
+    labels;
+    risks;
     min_level;
     resync_depth;
-    dead_cap = max 0 dead_letter_cap;
+    dead_cap;
     state = Core.Plts.initial lts;
     last_time = min_int;
     seen = Hashtbl.create 64;
@@ -76,6 +80,17 @@ let create ?(min_level = Core.Level.Low) ?(resync_depth = 0)
     skipped = 0;
     consecutive_dead = 0;
   }
+
+let create ?(min_level = Core.Level.Low) ?(resync_depth = 0)
+    ?(dead_letter_cap = default_dead_letter_cap) ~annotate universe lts =
+  let labels = Option.get (Core.Plts.interned_labels lts) in
+  start ~min_level ~resync_depth ~dead_cap:(max 0 dead_letter_cap) universe lts
+    labels
+    (Array.map (fun label -> (annotate label).Core.Action.risk) labels)
+
+let fresh t =
+  start ~min_level:t.min_level ~resync_depth:t.resync_depth ~dead_cap:t.dead_cap
+    t.universe t.lts t.labels t.risks
 
 let current_state t = t.state
 let dead_letters t = List.of_seq (Queue.to_seq t.dead_q)
@@ -108,19 +123,22 @@ let provenance_consistent (event : Event.t) (label : Core.Action.t) =
   | None, Core.Action.Potential -> true
   | Some _, Core.Action.Potential | None, Core.Action.From_flow _ -> false
 
+(* The matched transition as (label id, target). *)
 let best_match t state event =
-  let candidates = Core.Plts.successors t.lts state in
-  let matching =
-    List.filter (fun (label, _) -> matches event label) candidates
-  in
+  let matching = ref [] in
+  Core.Plts.iter_successors_lid t.lts state (fun lid next ->
+      if matches event t.labels.(lid) then matching := (lid, next) :: !matching);
+  let matching = List.rev !matching in
   match
-    List.find_opt (fun (label, _) -> provenance_consistent event label) matching
+    List.find_opt
+      (fun (lid, _) -> provenance_consistent event t.labels.(lid))
+      matching
   with
   | Some _ as exact -> exact
   | None -> ( match matching with m :: _ -> Some m | [] -> None)
 
-let risk_alert t label =
-  match (t.annotate label).Core.Action.risk with
+let risk_alert t lid =
+  match t.risks.(lid) with
   | Some risk when Core.Level.compare risk.level t.min_level >= 0 -> Some risk
   | _ -> None
 
@@ -167,8 +185,8 @@ let resync t event =
        let state, rev_path = Queue.pop q in
        let depth = List.length rev_path in
        (match if depth = 0 then None else best_match t state event with
-       | Some (label, next) ->
-         result := Some (List.rev rev_path, label, next, depth);
+       | Some (lid, next) ->
+         result := Some (List.rev rev_path, lid, next, depth);
          raise Exit
        | None -> ());
        if depth < t.resync_depth then
@@ -210,20 +228,20 @@ let dead_letter t event =
 
 let place t orig event =
   match best_match t t.state event with
-  | Some (label, next) ->
+  | Some (lid, next) ->
     advance t event next;
-    (match risk_alert t label with
+    (match risk_alert t lid with
     | Some risk -> [ Risky (orig, risk) ]
     | None -> [])
   | None when t.resync_depth > 0 -> (
     match resync t event with
-    | Some (skipped_labels, label, next, depth) ->
+    | Some (skipped_labels, lid, next, depth) ->
       t.pending <- t.pending @ List.map pending_of_label skipped_labels;
       t.resyncs <- t.resyncs + 1;
       t.skipped <- t.skipped + depth;
       advance t event next;
       Resynced (orig, depth)
-      :: (match risk_alert t label with
+      :: (match risk_alert t lid with
          | Some risk -> [ Risky (orig, risk) ]
          | None -> [])
     | None -> dead_letter t orig)

@@ -65,9 +65,14 @@ val create :
     limit; 0 keeps no letters at all (every dead event only counts).
     [annotate] maps an LTS label to its risk-annotated copy: a
     profile's {!Mdp_core.Risk_plan.annotate} ({!Mdp_core.Analysis.annotate}
-    for an analysis), or [Fun.id] to raise no {!Risky} alerts. §III-B
+    for an analysis), or [Fun.id] to raise no {!Risky} alerts. It is
+    applied once per distinct LTS label, here. §III-B
     risk-transitions are not part of the LTS, so an inferred read of a
     raw field is never a modelled event. *)
+
+val fresh : t -> t
+(** A new monitor at the initial state with [t]'s settings and risk
+    per label, without running [annotate] again. *)
 
 val current_state : t -> Mdp_core.Plts.state_id
 

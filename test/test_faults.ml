@@ -192,6 +192,31 @@ let test_dead_letter_cap_checkpoints () =
       (List.map R.Event.to_line (R.Monitor.dead_letters m')
       = List.map R.Event.to_line (R.Monitor.dead_letters m))
 
+let test_fresh_restarts () =
+  let a = analysed () in
+  let u = a.universe and lts = a.lts in
+  let annotate = Core.Analysis.annotate a in
+  let trace =
+    medical_trace u
+      ~snoopers:[ { R.Sim.actor = "Administrator"; store = "EHR"; probability = 0.5 } ]
+      [ H.medical_service ]
+  in
+  let lines alerts = List.map (Format.asprintf "%a" R.Monitor.pp_alert) alerts in
+  let m = R.Monitor.create ~resync_depth:8 ~annotate u lts in
+  let first = lines (R.Monitor.run_trace m trace) in
+  let f = R.Monitor.fresh m in
+  check int_ "fresh starts at the initial state" (Core.Plts.initial lts)
+    (R.Monitor.current_state f);
+  check int_ "fresh has observed nothing" 0 (R.Monitor.stats f).observed;
+  check bool_ "the trace raises a risky alert" true
+    (List.exists
+       (function R.Monitor.Risky _ -> true | _ -> false)
+       (R.Monitor.run_trace (R.Monitor.create ~annotate u lts) trace));
+  check (Alcotest.list Alcotest.string) "fresh alerts as a new monitor does"
+    first (lines (R.Monitor.run_trace f trace));
+  check int_ "the original is unchanged" (List.length trace)
+    (R.Monitor.stats m).observed
+
 (* ------------------------------------------------------------------ *)
 (* Fleet checkpoint/restore *)
 
@@ -421,6 +446,7 @@ let () =
             test_dead_letter_cap_bounds_memory;
           Alcotest.test_case "dead-letter bounds checkpoint" `Quick
             test_dead_letter_cap_checkpoints;
+          Alcotest.test_case "fresh restarts" `Quick test_fresh_restarts;
         ] );
       ( "checkpoint",
         [
