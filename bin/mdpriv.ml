@@ -389,7 +389,7 @@ let pp_invalidation ppf (inv : Core.Edit.invalidation) =
       ("cone", inv.Core.Edit.inv_cone);
       ("plan", inv.Core.Edit.inv_plan);
       ("risk", inv.Core.Edit.inv_risk);
-      ("classes", inv.Core.Edit.inv_classes);
+      ("classes", inv.Core.Edit.inv_lts);
       ("sigma", inv.Core.Edit.inv_sigma <> None);
       ("pseudonym", inv.Core.Edit.inv_pseudonym);
       ("consistency", inv.Core.Edit.inv_consistency);

@@ -97,8 +97,6 @@ let run_incremental ?jobs ?cancel ~previous edits =
   else begin
     Mdp_obs.Metrics.incr "whatif/incremental_hits";
     if inv.Edit.inv_plan then Mdp_obs.Metrics.incr "whatif/invalidated_plan";
-    if inv.Edit.inv_classes then
-      Mdp_obs.Metrics.incr "whatif/invalidated_classes";
     let policy_changed = before.Edit.policy != after.Edit.policy in
     let universe =
       if policy_changed then

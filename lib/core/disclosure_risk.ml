@@ -73,47 +73,51 @@ let transition_impact u profile (action : Action.t) =
 (* Does the actor take part in a service the user did not agree to, one of
    whose flows reads this store into the actor? (§III-A's third scenario:
    "an actor begins the execution of a service that the user did not agree
-   to use".) *)
-let in_rogue_read u profile ~actor ~store =
+   to use".) [flows] is the diagram's [Diagram.all_flows]. *)
+let in_rogue_read flows profile ~actor ~store =
   List.exists
     (fun ((svc : Service.t), (flow : Flow.t)) ->
       (not (User_profile.agrees_to profile svc.id))
       && Flow.equal_node flow.src (Flow.Store store)
       && Flow.equal_node flow.dst (Flow.Actor actor))
-    (Diagram.all_flows (Universe.diagram u))
+    (Lazy.force flows)
 
-let transition_likelihood u profile model (action : Action.t) =
-  match (action.kind, action.store) with
-  | Action.Read, Some store_id ->
-    let store = Universe.store_index u store_id in
-    let actor_i = Universe.actor_index u action.actor in
-    let accidental =
-      match action.provenance with
-      | Action.Potential -> model.accidental_access
-      | Action.From_flow { service; _ } ->
-        (* A read prescribed by a non-agreed service is the rogue-service
-           scenario itself; within an agreed service it is wanted
-           behaviour, not an accident. *)
-        if User_profile.agrees_to profile service then 0.0
-        else model.rogue_service
-    in
-    let maintenance =
-      if List.mem actor_i (Universe.deleters u ~store) then
-        model.maintenance_exposure
-      else 0.0
-    in
-    let rogue =
-      match action.provenance with
-      | Action.From_flow _ -> 0.0 (* already counted above *)
-      | Action.Potential ->
-        if in_rogue_read u profile ~actor:action.actor ~store:store_id then
-          model.rogue_service
+(* Partial application to (u, profile, model) shares one flow list
+   across every action scored. *)
+let transition_likelihood u profile model =
+  let flows = lazy (Diagram.all_flows (Universe.diagram u)) in
+  fun (action : Action.t) ->
+    match (action.kind, action.store) with
+    | Action.Read, Some store_id ->
+      let store = Universe.store_index u store_id in
+      let actor_i = Universe.actor_index u action.actor in
+      let accidental =
+        match action.provenance with
+        | Action.Potential -> model.accidental_access
+        | Action.From_flow { service; _ } ->
+          (* A read prescribed by a non-agreed service is the rogue-service
+             scenario itself; within an agreed service it is wanted
+             behaviour, not an accident. *)
+          if User_profile.agrees_to profile service then 0.0
+          else model.rogue_service
+      in
+      let maintenance =
+        if List.mem actor_i (Universe.deleters u ~store) then
+          model.maintenance_exposure
         else 0.0
-    in
-    combine_scenarios ~accidental ~maintenance ~rogue
-  | (Action.Read | Action.Collect | Action.Create | Action.Disclose
-    | Action.Anon | Action.Delete), _ ->
-    0.0
+      in
+      let rogue =
+        match action.provenance with
+        | Action.From_flow _ -> 0.0 (* already counted above *)
+        | Action.Potential ->
+          if in_rogue_read flows profile ~actor:action.actor ~store:store_id
+          then model.rogue_service
+          else 0.0
+      in
+      combine_scenarios ~accidental ~maintenance ~rogue
+    | (Action.Read | Action.Collect | Action.Create | Action.Disclose
+      | Action.Anon | Action.Delete), _ ->
+      0.0
 
 module Atbl = Hashtbl.Make (Action)
 
@@ -121,6 +125,7 @@ let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
     profile =
   (* One annotated copy per distinct read label, shared by every finding
      and witness hop. *)
+  let likelihood_of = transition_likelihood u profile model in
   let annotated = Atbl.create 64 in
   let annotate label =
     match label.Action.kind with
@@ -129,7 +134,7 @@ let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
       | Some a -> a
       | None ->
         let impact = transition_impact u profile label in
-        let likelihood = transition_likelihood u profile model label in
+        let likelihood = likelihood_of label in
         let a =
           Action.with_risk label (Risk_matrix.assess matrix ~impact ~likelihood)
         in
@@ -147,7 +152,7 @@ let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
   let findings = ref [] and exposures = ref [] in
   Plts.iter_transitions lts (fun { src; label; dst } ->
       let impact = transition_impact u profile label in
-      let likelihood = transition_likelihood u profile model label in
+      let likelihood = likelihood_of label in
       let impact_level = Risk_matrix.impact_level matrix impact in
       let likelihood_level = Risk_matrix.likelihood_level matrix likelihood in
       let level =

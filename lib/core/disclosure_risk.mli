@@ -75,7 +75,8 @@ val transition_impact : Universe.t -> User_profile.t -> Action.t -> float
 
 val transition_likelihood :
   Universe.t -> User_profile.t -> likelihood_model -> Action.t -> float
-(** 0 for non-read actions. *)
+(** 0 for non-read actions. Applied to its first three arguments it
+    returns a scorer that builds the diagram's flow list at most once. *)
 
 val analyse :
   ?matrix:Risk_matrix.t ->

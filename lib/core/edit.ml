@@ -156,7 +156,6 @@ type invalidation = {
          (it must compare compiled guards). *)
   inv_plan : bool;
   inv_risk : bool;
-  inv_classes : bool;
   inv_sigma : (Field.t * float) list option;
       (* [Some changes] when the profile edit is a pure sensitivity
          delta (same agreed services): the fields whose σ changed, with
@@ -174,7 +173,6 @@ let everything =
     inv_cone = false;
     inv_plan = true;
     inv_risk = true;
-    inv_classes = true;
     inv_sigma = None;
     inv_pseudonym = true;
     inv_consistency = true;
@@ -351,7 +349,6 @@ let classify ~(options : Generate.options) ~before ~after =
         inv_cone = false;
         inv_plan = deleters_changed;
         inv_risk = deleters_changed || profile_changed;
-        inv_classes = false;
         inv_sigma;
         inv_pseudonym;
         (* Gaps query only Read and Write over flow fields. *)

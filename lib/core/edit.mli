@@ -50,7 +50,8 @@ val apply_all : inputs -> t list -> (inputs, string) result
 type invalidation = {
   inv_lts : bool;
       (** Reachable transition structure may differ: re-explore (and
-          with it everything downstream). *)
+          with it everything downstream, population equivalence classes
+          included — reported as [classes] beside [lts]). *)
   inv_cone : bool;
       (** Set alongside [inv_lts] when the damage is a pure
           policy-shrink candidate for the what-if sweep's cone walk
@@ -64,16 +65,13 @@ type invalidation = {
       (** Compiled risk-plan entries stale (today: deleter sets
           changed — repatchable without recompiling). *)
   inv_risk : bool;  (** Per-profile risk report must be re-evaluated. *)
-  inv_classes : bool;
-      (** Population equivalence classes invalidated (field/service
-          inventory changed). *)
   inv_sigma : (Field.t * float) list option;
       (** [Some overrides] when the only profile change is per-field
           sensitivity (agreed services identical): the changed fields
           with their new values. Population aggregates can then
           re-evaluate only the equivalence classes whose σ actually
-          moved ({!Population.reaggregate}) instead of tripping
-          [inv_classes]. *)
+          moved ({!Population.reaggregate}) instead of all of
+          them. *)
   inv_pseudonym : bool;  (** Pseudonym pass must re-run. *)
   inv_consistency : bool;  (** Consistency gaps must be recomputed. *)
 }

@@ -493,10 +493,9 @@ let make_step u options ~stamp ~compiled ~readable_words =
     let deletes = if options.potential_deletes then potential_deletes u cfg else [] in
     from_flows @ reads @ deletes
 
-(* Per-store reachability cones, accumulated as the LTS is built: the
-   class of a transition is the index of the store its action touches
-   (potential reads, deletes and store-directed flows all carry one).
-   Store-less actions class as -1 and are not coned. *)
+(* The store class of a transition label: the index of the store its
+   action touches (potential reads, deletes and store-directed flows all
+   carry one); -1 for store-less actions. *)
 let store_classifier u (a : Action.t) =
   match a.Action.store with
   | Some s -> Universe.store_index u s
@@ -521,5 +520,4 @@ let run ?(options = default_options) ?(jobs = 1) ?cancel u =
   let init = Config.initial u in
   Plts.explore ~max_states:options.max_states ~jobs ?cancel
     ~packing:(config_packer init) ?mem_budget:options.mem_budget
-    ?spill_dir:options.spill_dir
-    ~label_class:(store_classifier u) ~init ~step ()
+    ?spill_dir:options.spill_dir ~init ~step ()

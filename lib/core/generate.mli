@@ -120,9 +120,10 @@ val read_action :
     groups without rebuilding configurations. *)
 
 val store_classifier : Universe.t -> Action.t -> int
-(** The per-store cone class of a transition label: the touched store's
-    index, or -1 for store-less actions. What [run] passes to
-    [Lts.explore ~label_class]. *)
+(** The store class of a transition label: the touched store's index,
+    or -1 for store-less actions. {!Regen} classifies an explored LTS's
+    interned labels with it to find the states an edit's affected
+    stores can touch. *)
 
 val run :
   ?options:options ->

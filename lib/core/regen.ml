@@ -1,7 +1,7 @@
 open Mdp_prelude
 
 (* Cone-scoped what-if answers: the region-granular what-if step, read
-   off the per-store cones recorded during exploration.
+   off the per-store cones of the explored LTS's edge rows.
 
    A pure ACL revocation can only *shrink* the model: deny-overrides
    means [Policy.allows] flips true->false, so effective flow fields
@@ -20,9 +20,11 @@ open Mdp_prelude
      the new readable word, replacing the old group's consecutive block.
 
    Any old state carrying an affected transition has a class-[s]
-   outgoing edge for an affected store [s], so it is in [s]'s recorded
-   cone-source set — the per-state test for "does this row need
-   substitution" is a bitset probe.
+   outgoing edge for an affected store [s], so it is in [s]'s cone —
+   the states with such an edge. The walk's first pass over the old
+   rows classifies each interned label once and marks these states, so
+   the per-state test for "does this row need substitution" is a bitset
+   probe.
 
    {!walk} is the timed what-if path. For a Read/Write revocation a
    finding's level is a pure function of its label (impact from the
@@ -51,8 +53,6 @@ type patch = {
   rp_classes : int list;  (* affected store classes, deduplicated *)
 }
 
-let classes p = p.rp_classes
-
 let flow_key (cf : Generate.compiled_flow) =
   match cf.cf_action.Action.provenance with
   | Action.From_flow { service; order } -> (service, order)
@@ -69,7 +69,7 @@ let same_flow (a : Generate.compiled_flow) (b : Generate.compiled_flow) =
 (* Substitution is exact only when the flow's enabledness is untouched:
    equal guard (creates are [Always]-guarded; a read flow's guard covers
    its effective fields, so a shrunk read never qualifies — a weakened
-   guard could enable the flow at states outside the cone) and equal
+   guard could enable the flow at states outside the cones) and equal
    Strict prereqs. *)
 let substitutable (a : Generate.compiled_flow) (b : Generate.compiled_flow) =
   a.cf_guard = b.cf_guard && Bitset.equal a.cf_prereqs b.cf_prereqs
@@ -122,8 +122,8 @@ let make_patch ~u_old ~u (options : Generate.options) =
             add_class (Generate.store_classifier u_old cf_old.cf_action);
             Hashtbl.replace flow_sub (flow_key cf_old) None)
         compiled_old;
-      (* A flow present only in the edited model can appear at states the
-         cones never marked — not a revocation shape. *)
+      (* A flow present only in the edited model can appear at states
+         outside the cones — not a revocation shape. *)
       List.iter
         (fun (cf : Generate.compiled_flow) ->
           if not (Hashtbl.mem seen cf.cf_index) then ok := false)
@@ -139,7 +139,7 @@ let make_patch ~u_old ~u (options : Generate.options) =
                 if w_new <> w_old then
                   if w_new land lnot w_old <> 0 then
                     (* readable set grew: fresh reads could appear at
-                       states outside the recorded cones *)
+                       states outside the cones *)
                     ok := false
                   else begin
                     add_class s;
@@ -168,31 +168,13 @@ let make_patch ~u_old ~u (options : Generate.options) =
           }
   end
 
-(* Union of the affected classes' recorded cone-source sets, as a bit
-   per old state: the per-row "needs substitution" test. [None] when the
-   previous exploration recorded no cones. *)
-let affected_bitset p lts =
-  let n = Plts.num_states lts in
-  let bs = Bytes.make ((n + 7) / 8) '\000' in
-  let mark src =
-    let byte = src lsr 3 in
-    Bytes.unsafe_set bs byte
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get bs byte) lor (1 lsl (src land 7))))
-  in
-  let ok =
-    List.for_all
-      (fun c ->
-        match Plts.cone_sources lts c with
-        | None -> false
-        | Some sources ->
-          Array.iter mark sources;
-          true)
-      p.rp_classes
-  in
-  if ok then Some bs else None
-
 let bit bs i =
   Char.code (Bytes.unsafe_get bs (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let set_bit bs i =
+  Bytes.unsafe_set bs (i lsr 3)
+    (Char.unsafe_chr
+       (Char.code (Bytes.unsafe_get bs (i lsr 3)) lor (1 lsl (i land 7))))
 
 (* ----- timed walk: distinct findable labels of the edited model ----- *)
 
@@ -226,10 +208,12 @@ module ATbl = Hashtbl.Make (Action)
      region-relevant (actor, store) pairs not present in the twin's row.
 
    Pass 1 fills the twins' region truth in one sweep over the old graph
-   (BFS numbering: parents precede children); pass 2 is the hybrid BFS.
+   (BFS numbering: parents precede children) and marks the affected
+   states — those with an edge whose label touches an affected store;
+   pass 2 is the hybrid BFS.
    Returns [None] when it declines (growing substitution, region or
    state count too wide for one word), [Some None] on budget abort. *)
-let walk_fast p old_lts affected (labels : Action.t array) =
+let walk_fast p old_lts (labels : Action.t array) =
   let u = p.rp_u and options = p.rp_options in
   let nf = Universe.nfields u in
   let ns = Universe.nstores u in
@@ -439,8 +423,14 @@ let walk_fast p old_lts affected (labels : Action.t array) =
             end
           | _ -> raise Ineligible))
       labels;
-    (* ---- pass 1: region truth of every old state ---- *)
+    let affects =
+      Array.map
+        (fun a -> List.mem (Generate.store_classifier u a) p.rp_classes)
+        labels
+    in
+    (* ---- pass 1: region truth and affectedness of every old state ---- *)
     let twin_reg = Array.make n (-1) in
+    let affected = Bytes.make ((n + 7) / 8) '\000' in
     (let cfg0 : Config.t = Plts.state_data old_lts 0 in
      let r = ref 0 in
      for k = 0 to dfn - 1 do
@@ -459,10 +449,10 @@ let walk_fast p old_lts affected (labels : Action.t array) =
      twin_reg.(0) <- !r);
     for q = 0 to n - 1 do
       let rq = twin_reg.(q) in
-      if rq >= 0 then
-        Plts.iter_successors_lid old_lts q (fun lid dst ->
-            if twin_reg.(dst) < 0 then
-              twin_reg.(dst) <- rq lor wr_old_reg.(lid))
+      Plts.iter_successors_lid old_lts q (fun lid dst ->
+          if affects.(lid) then set_bit affected q;
+          if rq >= 0 && twin_reg.(dst) < 0 then
+            twin_reg.(dst) <- rq lor wr_old_reg.(lid))
     done;
     (* ---- pass 2: hybrid BFS over old ids and (twin, assignment) ---- *)
     let visited = Bytes.make ((n + 7) / 8) '\000' in
@@ -483,9 +473,7 @@ let walk_fast p old_lts affected (labels : Action.t array) =
     in
     let visit_old q =
       if not (bit visited q) then begin
-        Bytes.set visited (q lsr 3)
-          (Char.chr
-             (Char.code (Bytes.get visited (q lsr 3)) lor (1 lsl (q land 7))));
+        set_bit visited q;
         incr reached;
         Queue.push q old_queue
       end
@@ -667,18 +655,13 @@ let walk_fast p old_lts affected (labels : Action.t array) =
    exploration interns sits on at least one transition, so the LTS's
    label table is exactly the reachable label set. *)
 let walk p old_lts =
-  match affected_bitset p old_lts with
-  | None -> None
-  | Some affected -> (
-    match
-      walk_fast p old_lts affected (Option.get (Plts.interned_labels old_lts))
-    with
-    | Some result -> result
-    | None -> (
-      Mdp_obs.Metrics.incr "whatif/cone_walk_declined";
-      match Generate.run ~options:p.rp_options p.rp_u with
-      | lts ->
-        let labels = Option.get (Plts.interned_labels lts) in
-        Plts.drop_spill lts;
-        Some (List.filter Action.findable (Array.to_list labels))
-      | exception Mdp_lts.Lts.Too_many_states _ -> None))
+  match walk_fast p old_lts (Option.get (Plts.interned_labels old_lts)) with
+  | Some result -> result
+  | None -> (
+    Mdp_obs.Metrics.incr "whatif/cone_walk_declined";
+    match Generate.run ~options:p.rp_options p.rp_u with
+    | lts ->
+      let labels = Option.get (Plts.interned_labels lts) in
+      Plts.drop_spill lts;
+      Some (List.filter Action.findable (Array.to_list labels))
+    | exception Mdp_lts.Lts.Too_many_states _ -> None)

@@ -8,7 +8,9 @@
     edited row of every old state is therefore a pointwise substitution
     of the old row, and every state that needs one carries an outgoing
     transition of an affected store class — i.e. it is in that class's
-    cone-source set recorded by [Lts.explore ~label_class].
+    cone. {!walk} derives the cones from the old LTS's edge rows,
+    classifying each interned label once with
+    [Generate.store_classifier].
 
     {!make_patch} decides eligibility by diffing the two universes'
     compiled artifacts; {!walk} answers a what-if candidate from the
@@ -25,12 +27,8 @@ val make_patch :
 (** [None] when the edit is not a cone-eligible shrink: potential
     deletes on, model too wide for the word-packed read path, a changed
     flow whose guard or prereqs moved (enabledness could differ outside
-    the recorded cones), a flow or readable field {e added}, or an
+    the cones), a flow or readable field {e added}, or an
     affected flow without a store class. *)
-
-val classes : patch -> int list
-(** The affected store classes (deduplicated, unordered). Empty when
-    the edit turned out to have no LTS effect. *)
 
 val walk : patch -> Plts.t -> Action.t list option
 (** The timed what-if path: the distinct findable (read) labels reachable in the edited model, as raw LTS labels. For a
@@ -42,5 +40,5 @@ val walk : patch -> Plts.t -> Action.t list option
     cold exploration of the edited model under the patch's options,
     counted under [whatif/cone_walk_declined]. Multiple walks over one
     LTS may run concurrently (each allocates its own scratch). [None]
-    when the previous exploration recorded no cones or the edited model
-    exceeds [max_states] — callers fall back to a full rerun. *)
+    when the edited model exceeds [max_states] — callers fall back to a
+    full rerun. *)

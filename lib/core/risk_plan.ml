@@ -4,11 +4,12 @@ open Mdp_prelude
 (* Everything about a label's §III-A risk that does not depend on the
    user profile, resolved to dense indices once per distinct label. The
    risk of a transition is a function of its label alone (action,
-   fields, actor, store, provenance), so transitions are kept only as
-   int triples (source, destination, label id) and per-profile
-   evaluation is one pass over the label table: look up σ by field
-   index, test actor allowance by actor index, test service agreement
-   by bitset — no diagram scans, no string lookups, no flow traversals.
+   fields, actor, store, provenance), so the plan keeps no transitions
+   of its own — it reads the LTS's edge rows through a remap from
+   interned label ids to plan labels — and per-profile evaluation is
+   one pass over the label table: look up σ by field index, test actor
+   allowance by actor index, test service agreement by bitset — no
+   diagram scans, no string lookups, no flow traversals.
 
    The compiled plan reproduces [Disclosure_risk.analyse] bit for bit
    (same floats, same ordering, same annotated actions); the equality is
@@ -75,21 +76,15 @@ type t = {
   by_label : int Atbl.t;
       (** Findable LTS label -> label id: how {!annotate} finds a
           label's plan. *)
-  src : int array;
-  dst : int array;
-  lid : int array;  (** Entry (transition, [iter_transitions] order) -> label id. *)
-  findable_entries : int;  (** Entries with a findable label. *)
+  remap : int array;  (** Interned LTS label id -> label id. *)
+  findable_entries : int;  (** Transitions with a findable label. *)
   findable_labels : int array;
   slots : (string * string option) array;
       (** Slot -> (actor, store) of its findable labels — the hotspot
           key the population aggregation counts per user. *)
-  entry_base : int array;
-      (** State -> index of its first entry ([num_states] -> entry
-          count): the [i]-th successor of [s] is entry
-          [entry_base.(s) + i]. *)
-  mutable witness_tree : (int * int) array option;
-      (** State -> (BFS parent, entry index of the discovering
-          transition); (-1, -1) for the initial state and unreachable
+  mutable witness_tree : (int array * int array) option;
+      (** State -> BFS parent, and state -> label id of the discovering
+          transition; parent -1 for the initial state and unreachable
           states. Built on first [analyse]; not domain-safe (the
           population summary path never touches it). *)
 }
@@ -97,7 +92,7 @@ type t = {
 let slots t = t.slots
 let matrix t = t.matrix
 let model t = t.model
-let num_entries t = Array.length t.lid
+let num_entries t = Plts.num_transitions t.lts
 let num_findable_entries t = t.findable_entries
 
 let with_universe t u = { t with u }
@@ -246,8 +241,6 @@ let compile ?(matrix = Risk_matrix.default)
     ?(model = Disclosure_risk.default_likelihood) u lts =
   Mdp_obs.Metrics.span "risk_plan/compile" @@ fun () ->
   let lb = make_labeller u in
-  let n = Plts.num_transitions lts in
-  let nstates = Plts.num_states lts in
   let plans = ref [] and nlabels = ref 0 in
   let by_label = Atbl.create 64 in
   let slot_ids = Hashtbl.create 16 and slot_list = ref [] in
@@ -276,30 +269,19 @@ let compile ?(matrix = Risk_matrix.default)
     l
   in
   (* Label ids in first-occurrence order: the LTS's interned ids,
-     remapped densely as they are first met. *)
+     remapped densely as they are first met in state and row order. *)
   let interned = Option.get (Plts.interned_labels lts) in
   let remap = Array.make (Array.length interned) (-1) in
-  let iter_lids s f =
-    Plts.iter_successors_lid lts s (fun i d ->
+  let findable_entries = ref 0 in
+  for s = 0 to Plts.num_states lts - 1 do
+    Plts.iter_successors_lid lts s (fun i _ ->
         if remap.(i) < 0 then remap.(i) <- new_label interned.(i);
-        f remap.(i) d)
-  in
-  let src = Array.make n 0 and dst = Array.make n 0 and lid = Array.make n 0 in
-  let entry_base = Array.make (nstates + 1) n in
-  let k = ref 0 in
-  for s = 0 to nstates - 1 do
-    entry_base.(s) <- !k;
-    iter_lids s (fun l d ->
-        src.(!k) <- s;
-        dst.(!k) <- d;
-        lid.(!k) <- l;
-        incr k)
+        if Action.findable interned.(i) then incr findable_entries)
   done;
-  assert (!k = n);
   let labels = Array.of_list (List.rev !plans) in
   let findable_label l = labels.(l).l_findable in
   Mdp_obs.Metrics.add "risk_plan/labels" (Array.length labels);
-  Mdp_obs.Metrics.add "risk_plan/entries" n;
+  Mdp_obs.Metrics.add "risk_plan/entries" (Plts.num_transitions lts);
   {
     u;
     lts;
@@ -307,16 +289,12 @@ let compile ?(matrix = Risk_matrix.default)
     model;
     labels;
     by_label;
-    src;
-    dst;
-    lid;
-    findable_entries =
-      Array.fold_left (fun c l -> if findable_label l then c + 1 else c) 0 lid;
+    remap;
+    findable_entries = !findable_entries;
     findable_labels =
       Array.of_seq
         (Seq.filter findable_label (Seq.init (Array.length labels) Fun.id));
     slots = Array.of_list (List.rev !slot_list);
-    entry_base;
     witness_tree = None;
   }
 
@@ -324,7 +302,7 @@ let compile ?(matrix = Risk_matrix.default)
 
 (* The profile reduced to dense lookups: σ by field index, allowance by
    actor index, agreement by diagram-service bitset. Extracted once per
-   profile (or per equivalence class) and shared by every entry. *)
+   profile (or per equivalence class) and shared by every label. *)
 type view = {
   vp_profile : User_profile.t;
   sens : float array;
@@ -444,39 +422,39 @@ let summary t profile =
 
 (* ----- full report (bit-compatible with Disclosure_risk.analyse) ----- *)
 
-(* BFS over the compiled entries. The parents are assigned at first
+(* BFS over the LTS's rows. The parents are assigned at first
    discovery in successor order, exactly as a per-finding
    [Plts.path_to] search would, so unwound paths are identical. *)
 let force_witness_tree t =
   match t.witness_tree with
   | Some tree -> tree
   | None ->
-    let n = Plts.num_states t.lts in
-    let tree = Array.make (max n 1) (-1, -1) in
-    let seen = Array.make (max n 1) false in
+    let n = max (Plts.num_states t.lts) 1 in
+    let parent = Array.make n (-1) and via = Array.make n (-1) in
+    let seen = Array.make n false in
     let q = Queue.create () in
     let start = Plts.initial t.lts in
     seen.(start) <- true;
     Queue.push start q;
     while not (Queue.is_empty q) do
       let s = Queue.pop q in
-      for e = t.entry_base.(s) to t.entry_base.(s + 1) - 1 do
-        let d = t.dst.(e) in
-        if not seen.(d) then begin
-          seen.(d) <- true;
-          tree.(d) <- (s, e);
-          Queue.push d q
-        end
-      done
+      Plts.iter_successors_lid t.lts s (fun i d ->
+          if not seen.(d) then begin
+            seen.(d) <- true;
+            parent.(d) <- s;
+            via.(d) <- t.remap.(i);
+            Queue.push d q
+          end)
     done;
+    let tree = (parent, via) in
     t.witness_tree <- Some tree;
     tree
 
-let witness_of t (per_label : Disclosure_risk.finding array) tree src =
+let witness_of (per_label : Disclosure_risk.finding array) (parent, via) src =
   let rec unwind acc s =
-    match tree.(s) with
-    | -1, _ -> acc
-    | prev, e -> unwind (per_label.(t.lid.(e)).action :: acc) prev
+    match parent.(s) with
+    | -1 -> acc
+    | prev -> unwind (per_label.(via.(s)).action :: acc) prev
   in
   unwind [] src
 
@@ -512,7 +490,6 @@ let annotate t profile =
     | None -> label
 
 let analyse t profile =
-  let n = num_entries t in
   let per_label = per_label t (view t profile) in
   let reported (f : Disclosure_risk.finding) =
     match f.action.Action.kind with
@@ -525,16 +502,14 @@ let analyse t profile =
   let tree = force_witness_tree t in
   let findings = ref [] in
   let exposures = ref [] in
-  for k = 0 to n - 1 do
-    let f = per_label.(t.lid.(k)) in
-    if reported f then begin
-      let src = t.src.(k) in
-      let f =
-        { f with src; dst = t.dst.(k); witness = witness_of t per_label tree src }
-      in
-      if f.action.Action.kind = Action.Read then findings := f :: !findings
-      else exposures := f :: !exposures
-    end
+  for src = 0 to Plts.num_states t.lts - 1 do
+    Plts.iter_successors_lid t.lts src (fun i dst ->
+        let f = per_label.(t.remap.(i)) in
+        if reported f then begin
+          let f = { f with src; dst; witness = witness_of per_label tree src } in
+          if f.action.Action.kind = Action.Read then findings := f :: !findings
+          else exposures := f :: !exposures
+        end)
   done;
   let by_severity (a : Disclosure_risk.finding) (b : Disclosure_risk.finding) =
     match Level.compare b.level a.level with

@@ -9,8 +9,9 @@
     plan per distinct label: the action kind, the field and actor
     indices, the policy reader sets of created fields, the rogue-read
     candidate services per (actor, store), and the likelihood scenario
-    structure. Transitions are kept as int triples (source, destination,
-    label id). A profile then reduces to a {e view} — a σ vector indexed
+    structure. The plan keeps no transitions of its own: it reads the
+    LTS's edge rows, mapping each interned label id to its plan. A
+    profile then reduces to a {e view} — a σ vector indexed
     by field, an allowance vector indexed by actor, an agreement bitset
     indexed by diagram service — and per-profile evaluation is a walk
     over the label table.
@@ -29,10 +30,10 @@ val compile :
   Universe.t ->
   Plts.t ->
   t
-(** One pass over the transitions, one plan per distinct label (defaults
-    match [Disclosure_risk.analyse]); counts [risk_plan/labels] and
-    [risk_plan/entries]. The plan is tied to the LTS, which exploration
-    fixes for good. *)
+(** One pass over the LTS's edge rows, one plan per distinct label
+    (defaults match [Disclosure_risk.analyse]); counts
+    [risk_plan/labels] and [risk_plan/entries]. The plan is tied to the
+    LTS, which exploration fixes for good. *)
 
 val slots : t -> (string * string option) array
 (** The distinct (actor, store) pairs over which findings can occur —
@@ -43,7 +44,7 @@ val matrix : t -> Risk_matrix.t
 val model : t -> Disclosure_risk.likelihood_model
 
 val num_entries : t -> int
-(** Number of transitions the plan was compiled over. *)
+(** Number of transitions of the plan's LTS ([Plts.num_transitions]). *)
 
 val with_universe : t -> Universe.t -> t
 (** Rebind the plan to an edited universe {e known} to leave every

@@ -17,7 +17,7 @@
     - profile edits that touch agreement, or policy edits needing a
       full re-evaluation over the reused LTS, are [Replay];
     - pure policy-shrink edits that do change the reachable transition
-      structure but only within recorded store cones level the
+      structure but only within store cones level the
       distinct findable labels a cone-scoped reachability walk reaches
       ([Cone]);
     - the remaining structure-changing edits are [Full_rerun].

@@ -178,28 +178,10 @@ module Make (S : STATE) (L : LABEL) = struct
     mutable spill : spill_state option;
   }
 
-  (* Per-store reachability cones (what the cone walk reads): per
-     label class — in generated models, the datastore index an action
-     touches — the states with an outgoing transition in that class.
-     Arrays are class-indexed and enlarged on demand; [cn_last]
-     de-duplicates the per-state count without any per-state
-     allocation (source ids arrive in nondecreasing order). *)
-  type cones = {
-    mutable cn_states : int array;
-    mutable cn_last : int array;
-    mutable cn_sources : Bytes.t array;
-        (* Per-class bitset over source state ids: bit [src] set iff the
-           state has at least one outgoing transition in that class.
-           Grown on demand alongside the count arrays; this is what lets
-           a what-if walk find exactly the states a store's edits can
-           touch. *)
-  }
-
   type t = {
     p : packed;
     mutable n : int;
     mutable ntrans : int;
-    mutable cones : cones option;
   }
 
   let nshards = 64
@@ -262,7 +244,6 @@ module Make (S : STATE) (L : LABEL) = struct
         };
       n = 0;
       ntrans = 0;
-      cones = None;
     }
 
   (* ----- packed primitives ----- *)
@@ -822,84 +803,6 @@ module Make (S : STATE) (L : LABEL) = struct
      with. *)
   let drop_spill t = Option.iter (fun ss -> Spill.remove ss.ss_spill) t.p.spill
 
-  (* ----- store cones ----- *)
-
-  let new_cones () =
-    { cn_states = [||]; cn_last = [||]; cn_sources = [||] }
-
-  let cone_ensure c cls =
-    if cls >= Array.length c.cn_states then begin
-      let cap = max (cls + 1) (max 4 (2 * Array.length c.cn_states)) in
-      let grow a fill =
-        let b = Array.make cap fill in
-        Array.blit a 0 b 0 (Array.length a);
-        b
-      in
-      c.cn_states <- grow c.cn_states 0;
-      c.cn_last <- grow c.cn_last (-1);
-      let srcs = Array.make cap Bytes.empty in
-      Array.blit c.cn_sources 0 srcs 0 (Array.length c.cn_sources);
-      c.cn_sources <- srcs
-    end
-
-  (* Set bit [src] in the class's source bitset, growing it
-     geometrically (byte-granular, so 10M states cost 1.25 MB/class). *)
-  let cone_mark_source c cls src =
-    let bs = c.cn_sources.(cls) in
-    let need = (src lsr 3) + 1 in
-    let bs =
-      if Bytes.length bs >= need then bs
-      else begin
-        let nb = Bytes.make (max need (max 64 (2 * Bytes.length bs))) '\000' in
-        Bytes.blit bs 0 nb 0 (Bytes.length bs);
-        c.cn_sources.(cls) <- nb;
-        nb
-      end
-    in
-    let byte = src lsr 3 in
-    Bytes.unsafe_set bs byte
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get bs byte) lor (1 lsl (src land 7))))
-
-  (* Record one added transition out of [src] in class [cls] (< 0 =
-     unclassified, not recorded). Sources arrive in nondecreasing order
-     during exploration, so [cn_last] dedups the per-state count with
-     one compare. *)
-  let cone_touch t cls src =
-    if cls >= 0 then
-      match t.cones with
-      | None -> ()
-      | Some c ->
-        cone_ensure c cls;
-        if c.cn_last.(cls) <> src then begin
-          c.cn_last.(cls) <- src;
-          c.cn_states.(cls) <- c.cn_states.(cls) + 1;
-          cone_mark_source c cls src
-        end
-
-  let cone_sources t cls =
-    match t.cones with
-    | None -> None
-    | Some c ->
-      if cls < 0 || cls >= Array.length c.cn_sources then Some [||]
-      else begin
-        let bs = c.cn_sources.(cls) in
-        let out = Array.make c.cn_states.(cls) 0 in
-        let k = ref 0 in
-        for byte = 0 to Bytes.length bs - 1 do
-          let v = Char.code (Bytes.unsafe_get bs byte) in
-          if v <> 0 then
-            for bit = 0 to 7 do
-              if v land (1 lsl bit) <> 0 then begin
-                out.(!k) <- (byte lsl 3) lor bit;
-                incr k
-              end
-            done
-        done;
-        Some (if !k = Array.length out then out else Array.sub out 0 !k)
-      end
-
-
   (* ----- observation ----- *)
 
   (* The first state added — the root of every exploration — is id 0. *)
@@ -1017,32 +920,6 @@ module Make (S : STATE) (L : LABEL) = struct
     | None -> ()
     | Some c -> Mdp_obs.Cancel.check c
 
-  (* Per-exploration cache of label id -> cone class: the classifier
-     runs once per interned label instead of once per transition.
-     Stored as class + 2 so 0 reads as "not yet classified" (classes
-     start at -1 = no store). Without a classifier this is a constant
-     [min_int], which [cone_touch] drops on its sign check. *)
-  let lid_classifier cone =
-    match cone with
-    | None -> fun _ _ -> min_int
-    | Some classify ->
-      let cache = ref [||] in
-      fun lid label ->
-        let n = Array.length !cache in
-        if lid >= n then begin
-          let cap = max (lid + 1) (max 16 (2 * n)) in
-          let bigger = Array.make cap 0 in
-          Array.blit !cache 0 bigger 0 n;
-          cache := bigger
-        end;
-        let v = !cache.(lid) in
-        if v <> 0 then v - 2
-        else begin
-          let c = classify label in
-          !cache.(lid) <- c + 2;
-          c
-        end
-
   (* Frontiers narrower than this expand on the calling domain even
      with [jobs > 1]: below it the domain spawn/join overhead exceeds
      the expansion work. *)
@@ -1070,8 +947,7 @@ module Make (S : STATE) (L : LABEL) = struct
      Both kinds assign ids in the order a sequential queue would
      discover the states, so the numbering is byte-identical for every
      job count. *)
-  let explore_rounds t p ~max_states ~cancel ~cone ~step ~jobs =
-    let class_of = lid_classifier cone in
+  let explore_rounds t p ~max_states ~cancel ~step ~jobs =
     let w = p.pk.pk_words in
     let hits = ref 0 and misses = ref 0 in
     let rounds = ref 0 and par_rounds = ref 0 in
@@ -1083,14 +959,13 @@ module Make (S : STATE) (L : LABEL) = struct
       incr misses;
       id
     in
-    (* Append [src -label-> dst] to [src]'s open row, once. *)
-    let add_edge src label dst =
+    (* Append [-label-> dst] to the open row, once. *)
+    let add_edge label dst =
       let lid = intern p label in
       let e = (lid lsl 32) lor dst in
       if not (row_contains p e) then begin
         push_edge p e;
-        t.ntrans <- t.ntrans + 1;
-        cone_touch t (class_of lid label) src
+        t.ntrans <- t.ntrans + 1
       end
     in
     let parent_buf = Array.make w 0 in
@@ -1126,7 +1001,7 @@ module Make (S : STATE) (L : LABEL) = struct
                 new_state ~parent:src ~parent_words:parent_buf
                   ~parent_depth:src_depth p.cand_buf h
             in
-            add_edge src label dst)
+            add_edge label dst)
           (step cfg);
         close_row p src
       done
@@ -1230,7 +1105,7 @@ module Make (S : STATE) (L : LABEL) = struct
               end
             in
             ids_of.(k) <- dst;
-            add_edge src label dst)
+            add_edge label dst)
           cands.(i);
         close_row p src
       done
@@ -1259,17 +1134,10 @@ module Make (S : STATE) (L : LABEL) = struct
     done
 
   let explore ?(max_states = 200_000) ?(jobs = 1) ?cancel ~packing ?mem_budget
-      ?spill_dir ?label_class ~init ~step () =
+      ?spill_dir ~init ~step () =
     Mdp_obs.Metrics.span "lts/explore" @@ fun () ->
     let t = make ?mem_budget ?spill_dir packing in
     let p = t.p in
-    let cone =
-      match label_class with
-      | None -> None
-      | Some _ ->
-        t.cones <- Some (new_cones ());
-        label_class
-    in
     (* The root: the first state, id 0, a full record. *)
     p.pk.pk_blit init p.cand_buf 0;
     ignore
@@ -1278,7 +1146,7 @@ module Make (S : STATE) (L : LABEL) = struct
          (P.hash_words p.cand_buf p.pk.pk_words)
         : state_id);
     if t.n > max_states then too_many t max_states;
-    (try explore_rounds t p ~max_states ~cancel ~cone ~step ~jobs
+    (try explore_rounds t p ~max_states ~cancel ~step ~jobs
      with e ->
        let bt = Printexc.get_raw_backtrace () in
        (match e with
@@ -1289,14 +1157,6 @@ module Make (S : STATE) (L : LABEL) = struct
        drop_spill t;
        Printexc.raise_with_backtrace e bt);
     Mdp_obs.Metrics.add "lts/states" t.n;
-    (match t.cones with
-    | None -> ()
-    | Some c ->
-      let stores = ref 0 and touches = ref 0 in
-      Array.iter (fun k -> if k > 0 then incr stores) c.cn_states;
-      Array.iter (fun k -> touches := !touches + k) c.cn_states;
-      Mdp_obs.Metrics.add "whatif/cone_stores" !stores;
-      Mdp_obs.Metrics.add "whatif/cone_state_touches" !touches);
     packed_compact p t.n;
     (match p.spill with
     | None -> ()

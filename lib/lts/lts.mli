@@ -136,7 +136,6 @@ module Make (S : STATE) (L : LABEL) : sig
     packing:S.t packer ->
     ?mem_budget:int ->
     ?spill_dir:string ->
-    ?label_class:(L.t -> int) ->
     init:S.t ->
     step:(S.t -> (L.t * S.t) list) ->
     unit ->
@@ -182,12 +181,6 @@ module Make (S : STATE) (L : LABEL) : sig
       failure ({!Too_many_states}, cancellation, a spill I/O failure),
       and by an [at_exit] sweep. The disk tier's OS failures — an
       unusable [spill_dir], a full disk — raise [Spill.Io_error].
-
-      [label_class] assigns each transition label a small non-negative
-      class (e.g. the index of the store it touches; [-1] for none);
-      when set, exploration records each class's cone — the states
-      with an outgoing transition in that class — readable via
-      {!cone_sources} at no extra passes over the LTS.
 
       [cancel] is polled cooperatively: before every parallel round
       (only the calling domain polls, so no worker raises mid-chunk)
@@ -252,12 +245,6 @@ module Make (S : STATE) (L : LABEL) : sig
   (** Delete the LTS's spill directory now instead of waiting for GC or
       process exit. Decodes of spilled states fail afterwards — call
       only when done with the LTS. No-op when nothing spilled. *)
-
-  val cone_sources : t -> int -> state_id array option
-  (** The distinct source states with at least one class-[c] outgoing
-      transition, in ascending id order — the rows a cone-scoped
-      what-if walk must substitute. [None] unless [explore]
-      ran with [label_class]; [Some [||]] for a class never touched. *)
 
   (** {1 Analysis} *)
 

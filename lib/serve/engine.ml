@@ -244,7 +244,7 @@ let whatif_body ?population ~diff ~(inv : C.Edit.invalidation) ~before
              ("cone", Json.Bool inv.C.Edit.inv_cone);
              ("plan", Json.Bool inv.C.Edit.inv_plan);
              ("risk", Json.Bool inv.C.Edit.inv_risk);
-             ("classes", Json.Bool inv.C.Edit.inv_classes);
+             ("classes", Json.Bool inv.C.Edit.inv_lts);
              ("sigma", Json.Bool (inv.C.Edit.inv_sigma <> None));
              ("pseudonym", Json.Bool inv.C.Edit.inv_pseudonym);
              ("consistency", Json.Bool inv.C.Edit.inv_consistency);

@@ -26,11 +26,9 @@ let spec ?(seed = 7) ?(agree_probability = 0.7) size =
 
 let render agg = Format.asprintf "%a" Core.Population.pp_aggregate agg
 
-(* Naive vs compiled on one model: equal aggregates (structurally and as
+(* Naive vs compiled on one LTS: equal aggregates (structurally and as
    rendered text) for jobs 1 and 4. *)
-let check_engines name diagram policy options profiles =
-  let u = Core.Universe.make diagram policy in
-  let lts = Core.Generate.run ~options u in
+let check_engines_on name u lts profiles =
   let naive = Core.Population.analyse u lts profiles in
   List.iter
     (fun jobs ->
@@ -44,6 +42,10 @@ let check_engines name diagram policy options profiles =
         (Printf.sprintf "%s jobs=%d rendered equality" name jobs)
         (render naive) (render compiled))
     [ 1; 4 ]
+
+let check_engines name diagram policy options profiles =
+  let u = Core.Universe.make diagram policy in
+  check_engines_on name u (Core.Generate.run ~options u) profiles
 
 let test_healthcare_default () =
   let profiles = Core.Population.simulate (spec 300) H.diagram in
@@ -402,9 +404,7 @@ let annotated_labels u lts plan profile =
   let labels = Array.to_list (Option.get (Core.Plts.interned_labels lts)) in
   (pp (List.map naive labels), pp (List.map annotate labels))
 
-let check_plan_parity name diagram policy options profile =
-  let u = Core.Universe.make diagram policy in
-  let lts = Core.Generate.run ~options u in
+let check_plan_parity_on name u lts profile =
   let naive = Core.Disclosure_risk.analyse u lts profile in
   let plan = Core.Risk_plan.compile u lts in
   let compiled = Core.Risk_plan.analyse plan profile in
@@ -426,6 +426,40 @@ let check_plan_parity name diagram policy options profile =
       check int_ (name ^ " witness lengths") (List.length a.witness)
         (List.length b.witness))
     naive.findings compiled.findings
+
+let check_plan_parity name diagram policy options profile =
+  let u = Core.Universe.make diagram policy in
+  check_plan_parity_on name u (Core.Generate.run ~options u) profile
+
+(* An LTS explored under a spill budget (75% of its unbudgeted peak):
+   the plan reads its edge rows as it reads an in-RAM LTS's, so both
+   the population aggregate and the full report match the naive
+   engine's. The smallest synthetic model that spills an arena chunk. *)
+let test_spilled_lts () =
+  let sspec = synthetic "synthetic:7-10-7@2" in
+  let diagram, policy = Syn.model sspec in
+  let u = Core.Universe.make diagram policy in
+  let peak =
+    match Core.Plts.mem_stats (Core.Generate.run u) with
+    | Some ms -> ms.Mdp_lts.Lts.ms_total_bytes
+    | None -> Alcotest.fail "expected byte accounting"
+  in
+  let options =
+    { Core.Generate.default_options with mem_budget = Some (3 * peak / 4) }
+  in
+  let lts = Core.Generate.run ~options u in
+  check bool_ "LTS spilled" true (Core.Plts.spill_stats lts <> None);
+  (* One sensitive field under one agreed service keeps the naive
+     engine's per-finding witness searches to ~3k (its cost); the other
+     profiles have no findings. *)
+  let p sens agreed =
+    Core.User_profile.make ~sensitivities:sens ~agreed_services:agreed ()
+  in
+  let sensitive = p [ (Mdp_dataflow.Field.make "Field8", 0.9) ] [ "Service0" ] in
+  check_engines_on "spilled" u lts
+    [ sensitive; p [] [ "Service0" ]; p [] [] ];
+  check_plan_parity_on "spilled" u lts sensitive;
+  Core.Plts.drop_spill lts
 
 let test_plan_parity_healthcare () =
   check_plan_parity "healthcare" H.diagram H.policy
@@ -578,6 +612,7 @@ let () =
           Alcotest.test_case "empty population" `Quick test_empty_population;
           Alcotest.test_case "handmade profiles" `Quick
             test_handmade_profiles;
+          Alcotest.test_case "spilled LTS" `Quick test_spilled_lts;
         ] );
       ( "classes",
         [

@@ -71,9 +71,9 @@ let step n i =
   let a = (2 * i) + 1 and b = (2 * i) + 2 in
   [ (0, a mod n); (1, b mod n); (0, a mod n) ]
 
-let explore ?mem_budget ?spill_dir ?label_class ~packing ~jobs n =
+let explore ?mem_budget ?spill_dir ~packing ~jobs n =
   L.explore ~max_states:(n + 10) ~jobs ~packing ?mem_budget
-    ?spill_dir ?label_class ~init:0 ~step:(step n) ()
+    ?spill_dir ~init:0 ~step:(step n) ()
 
 (* [f ()] with metrics on, and the number of parallel frontier rounds
    it ran. *)
@@ -276,69 +276,6 @@ let test_teardown_cancelled () =
   rmdir_base base
 
 (* ------------------------------------------------------------------ *)
-(* Per-store reachability cones (satellite of PR 9) *)
-
-(* Classes: label 0 -> class 0, label 1 -> class 1, label 3 -> class 3,
-   label 2 -> -1 (no store). Every state emits classes 0 and 1; only
-   every seventh state emits class 3; class 2 is never emitted; the
-   label-2 self-loop checks that unclassified labels are recorded
-   nowhere. *)
-let cone_step n i =
-  let sparse = if i mod 7 = 0 then [ (3, (i + 1) mod n) ] else [] in
-  ((2, i) :: step n i) @ sparse
-
-let cone_class l = if l = 2 then -1 else l
-
-(* The recorded cone of each class — the source-state array the
-   what-if walk reads — is exact and identical across jobs {1,4} and
-   budgets {unbudgeted, 75% of peak}. *)
-let test_cone_sources () =
-  let n = 20_000 in
-  let run ?mem_budget jobs =
-    L.explore ~max_states:(n + 10) ~jobs ~packing:packer8
-      ?mem_budget ~label_class:cone_class ~init:0 ~step:(cone_step n) ()
-  in
-  let sources lts cls =
-    match L.cone_sources lts cls with
-    | Some a -> a
-    | None -> Alcotest.fail "expected recorded cones"
-  in
-  let baseline = run 1 in
-  let all = Array.init n Fun.id in
-  let sevenths = Array.init (((n - 1) / 7) + 1) (fun k -> 7 * k) in
-  let expected = [ (0, all); (1, all); (2, [||]); (3, sevenths) ] in
-  let ints = Alcotest.(array int_) in
-  List.iter
-    (fun (cls, want) ->
-      check ints (Printf.sprintf "class %d sources" cls) want
-        (sources baseline cls))
-    expected;
-  check ints "unclassified labels record nothing" [||] (sources baseline (-1));
-  let peak =
-    match L.mem_stats baseline with
-    | Some ms -> ms.Lts.ms_total_bytes
-    | None -> Alcotest.fail "expected byte accounting"
-  in
-  List.iter
-    (fun (bname, mem_budget) ->
-      List.iter
-        (fun jobs ->
-          let lts = run ?mem_budget jobs in
-          if mem_budget <> None then
-            check bool_ (bname ^ " spilled") true (L.spill_stats lts <> None);
-          List.iter
-            (fun (cls, _) ->
-              check ints
-                (Printf.sprintf "%s jobs=%d class %d" bname jobs cls)
-                (sources baseline cls) (sources lts cls))
-            expected;
-          L.drop_spill lts)
-        [ 1; 4 ])
-    [ ("unbudgeted", None); ("75%", Some (3 * peak / 4)) ];
-  check bool_ "no classifier, no cones" true
-    (L.cone_sources (explore ~packing:packer1 ~jobs:1 100) 0 = None)
-
-(* ------------------------------------------------------------------ *)
 (* Random budgets stay byte-identical (qcheck) *)
 
 let prop_random_budget =
@@ -373,7 +310,6 @@ let () =
             test_teardown_cancelled;
           QCheck_alcotest.to_alcotest prop_random_budget;
         ] );
-      ("cones", [ Alcotest.test_case "store cones" `Quick test_cone_sources ]);
       ( "wide states",
         [ Alcotest.test_case "70-word packer, budgeted and not" `Quick
             test_wide_states ] );
