@@ -266,13 +266,13 @@ let synthetic_spec (na, nf, fps) =
     flows_per_service = fps;
   }
 
-let scaling_generation ~jobs () =
+let scaling_generation () =
   section "[scaling] LTS generation on synthetic models";
   let table =
     Mdp_prelude.Texttable.create
       ~header:
         [ "actors"; "fields"; "flows/svc"; "states"; "transitions";
-          "ms (median)"; Printf.sprintf "ms (%d jobs)" jobs ]
+          "ms (median)" ]
   in
   List.iter
     (fun dims ->
@@ -281,14 +281,12 @@ let scaling_generation ~jobs () =
       let u = Core.Universe.make diagram policy in
       let lts = Core.Generate.run u in
       let seq = time_median ~runs:3 (fun () -> Core.Generate.run u) in
-      let par = time_median ~runs:3 (fun () -> Core.Generate.run ~jobs u) in
       Mdp_prelude.Texttable.add_row table
         [
           string_of_int na; string_of_int nf; string_of_int fps;
           string_of_int (Core.Plts.num_states lts);
           string_of_int (Core.Plts.num_transitions lts);
           Printf.sprintf "%.1f" (1000.0 *. seq);
-          Printf.sprintf "%.1f" (1000.0 *. par);
         ])
     [ (2, 4, 3); (4, 6, 4); (6, 8, 5); (8, 10, 6); (10, 12, 7) ];
   Format.printf "%a@." Mdp_prelude.Texttable.pp table
@@ -455,7 +453,7 @@ let () =
   ablation_anonymisers ();
   population ();
   requirements ();
-  scaling_generation ~jobs:4 ();
+  scaling_generation ();
   scaling_anonymisation ();
   chaos_resilience ();
   Printf.printf "\ndone.\n"

@@ -125,11 +125,18 @@ let services_arg =
 
 let jobs_arg =
   let doc =
-    "Domains used for parallel work (LTS generation, population analysis, \
-     Mondrian partitioning). The result is identical for every value, \
-     including state numbering."
+    "Domains used for the sweep's delta and cone candidate evaluations. \
+     The ranking is identical for every value."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+
+(* The OCaml runtime runs at most 128 domains by default (Max_domains
+   in caml/domain.h), the calling domain included; past it
+   [Domain.spawn] raises. *)
+let domains_error opt ~others n =
+  let most = 128 - others in
+  if n >= 1 && n <= most then None
+  else Some (Printf.sprintf "%s must be within [1,%d]" opt most)
 
 let max_states_arg =
   let doc =
@@ -169,8 +176,8 @@ let mem_budget_arg =
      plain numbers are bytes). Above it, sealed arena chunks and dedup \
      tables spill to append-only files in a temporary directory and \
      exploration completes bounded by disk instead of RAM — with \
-     byte-identical state numbering for every budget and $(b,--jobs). \
-     Unset: never spill."
+     byte-identical state numbering for every budget. Unset: never \
+     spill."
   in
   Arg.(
     value
@@ -189,11 +196,11 @@ let exploring f k =
     prerr_endline (Core.Analysis.failure_message failure);
     exits_with_error
 
-let generate ?options ?jobs u k =
+let generate ?options u k =
   exploring
     (fun () ->
       Mdp_obs.Metrics.span "phase/explore" (fun () ->
-          Core.Generate.run ?options ?jobs u))
+          Core.Generate.run ?options u))
     k
 
 (* Same contract for the full-analysis paths. *)
@@ -232,7 +239,7 @@ let validate_cmd =
 (* ----- dot ----- *)
 
 let dot_cmd =
-  let run path lts_mode flow_only services jobs =
+  let run path lts_mode flow_only services =
     match load_model path with
     | Error (`Msg e) ->
       prerr_endline e;
@@ -253,7 +260,7 @@ let dot_cmd =
           | [] -> base
           | l -> { base with Core.Generate.services = Some l }
         in
-        generate ~options ~jobs u (fun lts ->
+        generate ~options u (fun lts ->
             print_string (Core.Lts_render.to_dot lts);
             0)
       end
@@ -266,13 +273,12 @@ let dot_cmd =
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit Graphviz for the data-flow diagram or the privacy LTS.")
-    Term.(const run $ model_arg $ lts_flag $ flow_only_flag $ services_arg $ jobs_arg)
+    Term.(const run $ model_arg $ lts_flag $ flow_only_flag $ services_arg)
 
 (* ----- lts ----- *)
 
 let lts_cmd =
-  let run path flow_only granular services jobs max_states mem_budget metrics
-      =
+  let run path flow_only granular services max_states mem_budget metrics =
     with_metrics metrics @@ fun () ->
     match load_model path with
     | Error (`Msg e) ->
@@ -293,7 +299,7 @@ let lts_cmd =
           services = (match services with [] -> None | l -> Some l);
         }
       in
-      generate ~options ~jobs u (fun lts ->
+      generate ~options u (fun lts ->
           Mdp_obs.Metrics.span "phase/render" (fun () ->
               print_endline (Core.Lts_render.summary u lts));
           0)
@@ -308,7 +314,7 @@ let lts_cmd =
     (Cmd.info "lts" ~doc:"Generate the privacy LTS and print its statistics.")
     Term.(
       const run $ model_arg $ flow_only_flag $ granular_flag $ services_arg
-      $ jobs_arg $ max_states_arg $ mem_budget_arg $ metrics_term)
+      $ max_states_arg $ mem_budget_arg $ metrics_term)
 
 (* ----- risk ----- *)
 
@@ -405,8 +411,8 @@ let worst_of (t : Core.Analysis.t) =
   | None -> Core.Level.None_
 
 let whatif_cmd =
-  let run path agreed sens_specs edit_specs diff json jobs max_states
-      mem_budget metrics =
+  let run path agreed sens_specs edit_specs diff json max_states mem_budget
+      metrics =
     with_metrics metrics @@ fun () ->
     match load_model path with
     | Error (`Msg e) ->
@@ -424,51 +430,45 @@ let whatif_cmd =
         let options =
           { Core.Generate.default_options with max_states; mem_budget }
         in
-        match
-          Core.Analysis.run_checked ~options ~profile ~jobs diagram policy
-        with
-        | Error failure ->
-          prerr_endline (Core.Analysis.failure_message failure);
+        run_analysis ~options ~profile diagram policy @@ fun base ->
+        let inputs = Core.Analysis.inputs_of base in
+        match Core.Edit.apply_all inputs edits with
+        | Error e ->
+          prerr_endline ("edit does not apply: " ^ e);
           exits_with_error
-        | Ok base -> (
-          let inputs = Core.Analysis.inputs_of base in
-          match Core.Edit.apply_all inputs edits with
-          | Error e ->
-            prerr_endline ("edit does not apply: " ^ e);
-            exits_with_error
-          | Ok after_inputs -> (
-            let inv =
-              Core.Edit.classify ~options ~before:inputs ~after:after_inputs
-            in
-            exploring (fun () ->
-                Core.Analysis.run_incremental ~jobs ~previous:base edits)
-            @@ fun after ->
-            (* With --json, stdout carries the report alone; the edit
-               trail goes to stderr so the JSON stays parseable. *)
-            let meta =
-              if json then Format.err_formatter else Format.std_formatter
-            in
-            List.iter
-              (fun e -> Format.fprintf meta "edit: %a@." Core.Edit.pp e)
-              edits;
-            Format.fprintf meta "invalidated: %a  (%s)@." pp_invalidation inv
-              (if inv.Core.Edit.inv_lts then "full re-exploration"
-               else "LTS reused");
-            Format.fprintf meta "worst risk: %a -> %a@." Core.Level.pp
-              (worst_of base) Core.Level.pp (worst_of after);
-            (if diff then
-               match
-                 ( base.Core.Analysis.disclosure,
-                   after.Core.Analysis.disclosure )
-               with
-               | Some before, Some after ->
-                 Format.fprintf meta "%a@." Core.Risk_diff.pp
-                   (Core.Risk_diff.diff ~before ~after)
-               | _ -> ());
-            Mdp_obs.Metrics.span "phase/render" (fun () ->
-                if json then print_endline (Core.Report.to_string after)
-                else Format.printf "%a@." Core.Analysis.pp_summary after);
-            0))))
+        | Ok after_inputs -> (
+          let inv =
+            Core.Edit.classify ~options ~before:inputs ~after:after_inputs
+          in
+          exploring (fun () ->
+              Core.Analysis.run_incremental ~previous:base edits)
+          @@ fun after ->
+          (* With --json, stdout carries the report alone; the edit
+             trail goes to stderr so the JSON stays parseable. *)
+          let meta =
+            if json then Format.err_formatter else Format.std_formatter
+          in
+          List.iter
+            (fun e -> Format.fprintf meta "edit: %a@." Core.Edit.pp e)
+            edits;
+          Format.fprintf meta "invalidated: %a  (%s)@." pp_invalidation inv
+            (if inv.Core.Edit.inv_lts then "full re-exploration"
+             else "LTS reused");
+          Format.fprintf meta "worst risk: %a -> %a@." Core.Level.pp
+            (worst_of base) Core.Level.pp (worst_of after);
+          (if diff then
+             match
+               ( base.Core.Analysis.disclosure,
+                 after.Core.Analysis.disclosure )
+             with
+             | Some before, Some after ->
+               Format.fprintf meta "%a@." Core.Risk_diff.pp
+                 (Core.Risk_diff.diff ~before ~after)
+             | _ -> ());
+          Mdp_obs.Metrics.span "phase/render" (fun () ->
+              if json then print_endline (Core.Report.to_string after)
+              else Format.printf "%a@." Core.Analysis.pp_summary after);
+          0)))
   in
   let agree, sens = profile_args in
   let edit_specs =
@@ -517,17 +517,17 @@ let whatif_cmd =
          ])
     Term.(
       const run $ model_arg $ agree $ sens $ edit_specs $ diff $ json
-      $ jobs_arg $ max_states_arg $ mem_budget_arg $ metrics_term)
+      $ max_states_arg $ mem_budget_arg $ metrics_term)
 
 let sweep_cmd =
   let run path agreed sens_specs exact top jobs max_states mem_budget metrics
       =
     with_metrics metrics @@ fun () ->
-    match load_model path with
-    | Error (`Msg e) ->
+    match (domains_error "--jobs" ~others:0 jobs, load_model path) with
+    | Some e, _ | None, Error (`Msg e) ->
       prerr_endline e;
       exits_with_error
-    | Ok { diagram; policy; _ } -> (
+    | None, Ok { diagram; policy; _ } -> (
       match collect_sensitivities sens_specs with
       | Error e ->
         prerr_endline e;
@@ -539,52 +539,46 @@ let sweep_cmd =
         let options =
           { Core.Generate.default_options with max_states; mem_budget }
         in
-        match
-          Core.Analysis.run_checked ~options ~profile ~jobs diagram policy
-        with
-        | Error failure ->
-          prerr_endline (Core.Analysis.failure_message failure);
+        run_analysis ~options ~profile diagram policy @@ fun base ->
+        match Core.Whatif.prepare base with
+        | Error e ->
+          prerr_endline e;
           exits_with_error
-        | Ok base -> (
-          match Core.Whatif.prepare base with
-          | Error e ->
-            prerr_endline e;
-            exits_with_error
-          | Ok b ->
-            let candidates = Core.Whatif.acl_candidates b in
-            let ranked = Core.Whatif.sweep ~jobs ~exact b candidates in
-            Format.printf
-              "sweep: %d single-ACL candidates over %d finding signatures \
-               (%d sites), worst before %a@."
-              (List.length candidates)
-              (Core.Whatif.num_signatures b)
-              (Core.Whatif.num_sites b) Core.Level.pp
-              (Core.Whatif.worst_before b);
-            let shown =
-              if top > 0 then List.filteri (fun i _ -> i < top) ranked
-              else ranked
-            in
-            List.iter
-              (fun { Core.Whatif.outcome; score } ->
-                let score_s =
-                  (* min_int marks a candidate that was classified but not
-                     computed (replay/full-rerun without --exact). *)
-                  if score = min_int then "   ?" else Printf.sprintf "%+4d" score
-                in
-                let worst_s =
-                  match outcome.Core.Whatif.worst_after with
-                  | Some l -> Core.Level.to_string l
-                  | None -> "-"
-                in
-                Format.printf "  %s  %-10s  worst %-6s  %a@." score_s
-                  (Core.Whatif.classification_to_string
-                     outcome.Core.Whatif.classification)
-                  worst_s Core.Edit.pp outcome.Core.Whatif.edit)
-              shown;
-            let omitted = List.length ranked - List.length shown in
-            if omitted > 0 then
-              Format.printf "  ... %d more (raise --top)@." omitted;
-            0)))
+        | Ok b ->
+          let candidates = Core.Whatif.acl_candidates b in
+          let ranked = Core.Whatif.sweep ~jobs ~exact b candidates in
+          Format.printf
+            "sweep: %d single-ACL candidates over %d finding signatures \
+             (%d sites), worst before %a@."
+            (List.length candidates)
+            (Core.Whatif.num_signatures b)
+            (Core.Whatif.num_sites b) Core.Level.pp
+            (Core.Whatif.worst_before b);
+          let shown =
+            if top > 0 then List.filteri (fun i _ -> i < top) ranked
+            else ranked
+          in
+          List.iter
+            (fun { Core.Whatif.outcome; score } ->
+              let score_s =
+                (* min_int marks a candidate that was classified but not
+                   computed (replay/full-rerun without --exact). *)
+                if score = min_int then "   ?" else Printf.sprintf "%+4d" score
+              in
+              let worst_s =
+                match outcome.Core.Whatif.worst_after with
+                | Some l -> Core.Level.to_string l
+                | None -> "-"
+              in
+              Format.printf "  %s  %-10s  worst %-6s  %a@." score_s
+                (Core.Whatif.classification_to_string
+                   outcome.Core.Whatif.classification)
+                worst_s Core.Edit.pp outcome.Core.Whatif.edit)
+            shown;
+          let omitted = List.length ranked - List.length shown in
+          if omitted > 0 then
+            Format.printf "  ... %d more (raise --top)@." omitted;
+          0))
   in
   let agree, sens = profile_args in
   let exact =
@@ -708,7 +702,7 @@ let simulate_cmd =
 (* ----- anon ----- *)
 
 let anon_cmd =
-  let run csv_path quasi sensitive k closeness confidence jobs metrics =
+  let run csv_path quasi sensitive k closeness confidence metrics =
     with_metrics metrics @@ fun () ->
     let kinds =
       List.map (fun q -> (q, Mdp_anon.Attribute.Quasi)) quasi
@@ -724,8 +718,7 @@ let anon_cmd =
          sweep reuses its dictionaries instead of recompiling the dataset
          it just produced. *)
       match
-        Mdp_anon.Columnar.mondrian_release ~jobs ~k
-          (Mdp_anon.Columnar.compile ds)
+        Mdp_anon.Columnar.mondrian_release ~k (Mdp_anon.Columnar.compile ds)
       with
       | Error e ->
         prerr_endline e;
@@ -759,7 +752,7 @@ let anon_cmd =
        ~doc:"Mondrian-anonymise a CSV and sweep §III-B value risk over it.")
     Term.(
       const run $ csv $ quasi $ sensitive $ k $ closeness $ confidence
-      $ jobs_arg $ metrics_term)
+      $ metrics_term)
 
 
 (* ----- check (requirements) ----- *)
@@ -825,7 +818,7 @@ let check_cmd =
 (* ----- population ----- *)
 
 let population_cmd =
-  let run path size seed agree_probability jobs metrics =
+  let run path size seed agree_probability metrics =
     with_metrics metrics @@ fun () ->
     (* the rules of serve's population spec; the negation refuses NaN *)
     let bad_spec =
@@ -840,7 +833,7 @@ let population_cmd =
       exits_with_error
     | None, Ok { diagram; policy; _ } ->
       let u = Core.Universe.make diagram policy in
-      generate ~jobs u @@ fun lts ->
+      generate u @@ fun lts ->
       let spec =
         {
           Core.Population.seed;
@@ -852,7 +845,7 @@ let population_cmd =
       let profiles = Core.Population.simulate spec diagram in
       let aggregate =
         Mdp_obs.Metrics.span "phase/analyse" (fun () ->
-            Core.Population.analyse_compiled ~jobs u lts profiles)
+            Core.Population.analyse_compiled u lts profiles)
       in
       Mdp_obs.Metrics.span "phase/render" (fun () ->
           Format.printf "%a@." Core.Population.pp_aggregate aggregate);
@@ -872,7 +865,7 @@ let population_cmd =
     (Cmd.info "population"
        ~doc:"Aggregate disclosure risk over a simulated user population.")
     Term.(
-      const run $ model_arg $ size $ seed $ agreep $ jobs_arg $ metrics_term)
+      const run $ model_arg $ size $ seed $ agreep $ metrics_term)
 
 
 (* ----- monitor (offline trace replay) ----- *)
@@ -1025,11 +1018,15 @@ let transparency_cmd =
 (* ----- serve ----- *)
 
 let serve_cmd =
-  let run workers queue_cap jobs cache_cap deadline_ms max_states mem_budget
-      soak seed fault_rate metrics =
+  let run workers queue_cap cache_cap deadline_ms max_states mem_budget soak
+      seed fault_rate metrics =
     with_metrics metrics @@ fun () ->
-    match soak with
-    | Some requests ->
+    (* each worker is a domain beside the one reading requests *)
+    match (domains_error "--workers" ~others:1 workers, soak) with
+    | Some e, _ ->
+      prerr_endline e;
+      exits_with_error
+    | None, Some requests ->
       (* In-process chaos soak: seeded adversarial workload through the
          same Server/Engine stack the daemon runs, with the resilience
          contract checked by the harness. *)
@@ -1046,11 +1043,10 @@ let serve_cmd =
       let outcome = Mdp_serve.Soak.run spec in
       Format.printf "%a@." Mdp_serve.Soak.pp_outcome outcome;
       if outcome.Mdp_serve.Soak.ok then 0 else exits_with_error
-    | None ->
+    | None, None ->
       let config =
         {
           Mdp_serve.Engine.default_config with
-          jobs;
           result_cap = cache_cap;
           stale_cap = max 1 (cache_cap / 2);
           default_deadline_ms = deadline_ms;
@@ -1129,7 +1125,7 @@ let serve_cmd =
          "Long-lived analysis daemon: newline-delimited JSON requests on \
           stdin, responses on stdout. See docs/SERVE.md for the protocol.")
     Term.(
-      const run $ workers $ queue_cap $ jobs_arg $ cache_cap $ deadline
+      const run $ workers $ queue_cap $ cache_cap $ deadline
       $ serve_max_states $ mem_budget_arg $ soak $ seed $ fault_rate
       $ metrics_term)
 

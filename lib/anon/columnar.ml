@@ -307,79 +307,11 @@ let rec explore p depth lo hi acc =
   | Some mid ->
     explore p (depth + 1) mid hi (explore p (depth + 1) lo mid acc)
 
-(* Ranges below this many rows are always explored sequentially. *)
-let par_threshold = 16384
-
-(* Fan the recursion out over a Domain pool: split top-down on the
-   calling domain until there are enough independent subranges, then
-   work contiguous runs of them in parallel. Each subrange owns a
-   disjoint slice of idx and the scratch arrays, so domains never touch
-   the same words. Split decisions are the sequential ones, so the
-   leaf list is identical for any [jobs]. *)
-let partition_ranges ~jobs t ~k =
+let partition_ranges t ~k =
   Mdp_obs.Metrics.span "mondrian/partition" @@ fun () ->
   Mdp_obs.Metrics.add "columnar/rows" t.nrows;
   let p = make_partitioner t ~k in
-  let n = t.nrows in
-  let ranges =
-    if jobs <= 1 || n < par_threshold then List.rev (explore p 0 0 n [])
-    else begin
-      let target = 4 * jobs in
-      (* pieces in left-to-right order, each carrying the split depth
-         that produced it; [`Open] may still split. *)
-      let rec phase1 pieces count =
-        if count >= target then pieces
-        else begin
-          let widest =
-            List.fold_left
-              (fun acc (lo, hi, _, state) ->
-                match (state, acc) with
-                | `Done, _ -> acc
-                | `Open, Some (blo, bhi) when bhi - blo >= hi - lo -> acc
-                | `Open, _ -> Some (lo, hi))
-              None pieces
-          in
-          match widest with
-          | None -> pieces
-          | Some (lo, hi) when hi - lo < par_threshold -> pieces
-          | Some (lo, hi) -> (
-            match step p lo hi with
-            | None ->
-              phase1
-                (List.map
-                   (fun (l, h, d, s) ->
-                     if l = lo && h = hi then (l, h, d, `Done) else (l, h, d, s))
-                   pieces)
-                count
-            | Some mid ->
-              phase1
-                (List.concat_map
-                   (fun (l, h, d, s) ->
-                     if l = lo && h = hi then
-                       [ (l, mid, d + 1, `Open); (mid, h, d + 1, `Open) ]
-                     else [ (l, h, d, s) ])
-                   pieces)
-                (count + 1))
-        end
-      in
-      let pieces = phase1 [ (0, n, 0, `Open) ] 1 in
-      let pending = Array.of_list pieces in
-      let leaf_lists =
-        Parallel.map_chunks ~jobs (Array.length pending) (fun a b ->
-            let acc = ref [] in
-            for i = a to b - 1 do
-              let lo, hi, depth, state = pending.(i) in
-              match state with
-              | `Done ->
-                Mdp_obs.Metrics.observe "mondrian/leaf_depth" depth;
-                acc := (lo, hi) :: !acc
-              | `Open -> acc := explore p depth lo hi !acc
-            done;
-            List.rev !acc)
-      in
-      List.concat leaf_lists
-    end
-  in
+  let ranges = List.rev (explore p 0 0 t.nrows []) in
   Mdp_obs.Metrics.add "mondrian/partitions" (List.length ranges);
   (p, ranges)
 
@@ -455,11 +387,11 @@ let materialise t p ranges =
    is exactly what the lazy builder produces — class semantics,
    including any merging of equal renderings, are unchanged. The
    [ekeys] side stays lazy. *)
-let mondrian_release ?(jobs = 1) ~k t =
+let mondrian_release ~k t =
   match validate_for_mondrian ~k t with
   | Error e -> Error e
   | Ok () ->
-    let p, ranges = partition_ranges ~jobs t ~k in
+    let p, ranges = partition_ranges t ~k in
     let ds', part_of, part_vals = materialise t p ranges in
     let plan = compile ds' in
     let nq = Array.length p.qcols in

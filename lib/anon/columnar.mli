@@ -11,13 +11,12 @@
 
     Guarantees (checked by the [test_anon] parity suites):
     - the release's cells, and every error and its message, equal
-      {!Mondrian.anonymise}'s for every [jobs] value;
+      {!Mondrian.anonymise}'s;
     - value-risk reports equal {!Value_risk.sweep}'s, fraction for
       fraction.
 
     Plans cache dictionaries as analyses need them, so one plan is not
-    safe to analyse from several domains at once ({!mondrian_release}
-    parallelises internally instead). *)
+    safe to analyse from several domains at once. *)
 
 type t
 (** A dataset compiled to columns. Immutable view of the source
@@ -28,17 +27,15 @@ val compile : Dataset.t -> t
 val source : t -> Dataset.t
 (** The dataset the plan was compiled from (physical identity). *)
 
-val mondrian_release : ?jobs:int -> k:int -> t -> (t, string) result
+val mondrian_release : k:int -> t -> (t, string) result
 (** {!Mondrian.anonymise}, returning the release already compiled (the
     released dataset is its {!source}). Recursion steps permute a
     row-index array in place (stable partition around an O(range)
-    quickselect median) instead of rebuilding row lists, and with
-    [jobs > 1] independent subranges of at least 16,384 rows are fanned
-    out over a domain pool. The release's quasi-column dictionaries are
-    seeded from the partition structure, one rendering per (leaf,
-    column) instead of one per row, with the codes a fresh {!compile}
-    would assign. [Error] for [k < 1], fewer rows than [k], or a
-    non-numeric quasi cell. *)
+    quickselect median) instead of rebuilding row lists. The release's
+    quasi-column dictionaries are seeded from the partition structure,
+    one rendering per (leaf, column) instead of one per row, with the
+    codes a fresh {!compile} would assign. [Error] for [k < 1], fewer
+    rows than [k], or a non-numeric quasi cell. *)
 
 val value_risk_sweep : t -> Value_risk.policy -> Value_risk.report list
 (** {!Value_risk.sweep} over the compiled plan: classes by hashed

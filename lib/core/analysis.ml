@@ -39,11 +39,11 @@ let analyse_phase params universe lts =
   let pseudonym = Pseudonym_risk.analyse universe lts params.bindings in
   { params; universe; lts; consistency; disclosure; pseudonym; plan }
 
-let run_params ?jobs ?cancel params diagram policy =
+let run_params ?cancel params diagram policy =
   let universe = Universe.make diagram policy in
   let lts =
     Mdp_obs.Metrics.span "phase/explore" @@ fun () ->
-    Generate.run ~options:params.options ?jobs ?cancel universe
+    Generate.run ~options:params.options ?cancel universe
   in
   analyse_phase params universe lts
 
@@ -70,7 +70,7 @@ let inputs_of t =
     bindings = t.params.bindings;
   }
 
-let run_incremental ?jobs ?cancel ~previous edits =
+let run_incremental ?cancel ~previous edits =
   Mdp_obs.Metrics.span "phase/whatif" @@ fun () ->
   let before = inputs_of previous in
   let after =
@@ -92,7 +92,7 @@ let run_incremental ?jobs ?cancel ~previous edits =
     Mdp_obs.Metrics.incr "whatif/invalidated_classes";
     (* One exact path for an edited transition structure: a cold
        exploration of the edited model. *)
-    run_params ?jobs ?cancel params after.Edit.diagram after.Edit.policy
+    run_params ?cancel params after.Edit.diagram after.Edit.policy
   end
   else begin
     Mdp_obs.Metrics.incr "whatif/incremental_hits";
@@ -174,9 +174,9 @@ let checked f =
 
 let run_checked ?(options = Generate.default_options)
     ?(matrix = Risk_matrix.default) ?(model = Disclosure_risk.default_likelihood)
-    ?profile ?(bindings = []) ?jobs ?cancel diagram policy =
+    ?profile ?(bindings = []) ?cancel diagram policy =
   checked (fun () ->
-      run_params ?jobs ?cancel
+      run_params ?cancel
         { options; matrix; model; profile; bindings }
         diagram policy)
 

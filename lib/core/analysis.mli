@@ -43,7 +43,7 @@ val rerun_with_policy : t -> Mdp_policy.Policy.t -> t
     edited policy; everything regenerated. *)
 
 val run_incremental :
-  ?jobs:int -> ?cancel:Mdp_obs.Cancel.t -> previous:t -> Edit.t list -> t
+  ?cancel:Mdp_obs.Cancel.t -> previous:t -> Edit.t list -> t
 (** The same loop, recomputing only what the edits invalidate. The
     result is byte-identical to [run] on the edited inputs (enforced by
     test/test_whatif.ml and the PR 8 bench gate): [Edit.classify]
@@ -109,12 +109,11 @@ val run_checked :
   ?model:Disclosure_risk.likelihood_model ->
   ?profile:User_profile.t ->
   ?bindings:Pseudonym_risk.binding list ->
-  ?jobs:int ->
   ?cancel:Mdp_obs.Cancel.t ->
   Mdp_dataflow.Diagram.t ->
   Mdp_policy.Policy.t ->
   (t, failure) result
-(** {!run} under {!checked}, plus [jobs]/[cancel] forwarded to the
+(** {!run} under {!checked}, plus [cancel] forwarded to the
     exploration. Still raises [Invalid_argument] on a policy that does
     not validate — that is caller error, not an operational failure. *)
 

@@ -144,10 +144,32 @@ let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
     | Action.Delete ->
       label
   in
+  (* One BFS tree per call. Parents are assigned at first discovery in
+     successor order, exactly as a per-finding [Plts.path_to] search
+     would, so every witness unwinds to the same path. *)
+  let n = Plts.num_states lts in
+  let back = Array.make n None in
+  if n > 0 then begin
+    let seen = Array.make n false and q = Queue.create () in
+    seen.(Plts.initial lts) <- true;
+    Queue.push (Plts.initial lts) q;
+    while not (Queue.is_empty q) do
+      let s = Queue.pop q in
+      Plts.iter_successors lts s (fun label d ->
+          if not seen.(d) then begin
+            seen.(d) <- true;
+            back.(d) <- Some (s, label);
+            Queue.push d q
+          end)
+    done
+  end;
   let witness_of src =
-    match Plts.path_to lts (fun s -> s = src) with
-    | Some steps -> List.map (fun (label, _) -> annotate label) steps
-    | None -> []
+    let rec unwind acc s =
+      match back.(s) with
+      | None -> acc
+      | Some (prev, label) -> unwind (annotate label :: acc) prev
+    in
+    unwind [] src
   in
   let findings = ref [] and exposures = ref [] in
   Plts.iter_transitions lts (fun { src; label; dst } ->

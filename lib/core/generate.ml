@@ -284,8 +284,9 @@ let fire (cfg : Config.t) cf =
    Sharing one [Action.t] across transitions is safe: actions are
    immutable, and no analysis writes an explored LTS's labels.
 
-   The table is domain-local so the parallel explorer shares no mutable
-   state; worker domains are short-lived and simply warm their own copy.
+   The table is domain-local so concurrent explorations (serve workers,
+   the sweep's fan-out) share no mutable state; each domain warms its
+   own copy.
    [stamp] ties entries to one run — field indices mean different things
    in different universes. *)
 let run_stamp = Atomic.make 1
@@ -511,13 +512,13 @@ let config_packer init =
     pk_decode = (fun src off -> Config.of_words ~template:init src off);
   }
 
-let run ?(options = default_options) ?(jobs = 1) ?cancel u =
+let run ?(options = default_options) ?cancel u =
   Mdp_obs.Metrics.span "generate/run" @@ fun () ->
   let compiled = compile u options in
   let stamp = fresh_stamp () in
   let readable_words = readable_rows u options in
   let step = make_step u options ~stamp ~compiled ~readable_words in
   let init = Config.initial u in
-  Plts.explore ~max_states:options.max_states ~jobs ?cancel
+  Plts.explore ~max_states:options.max_states ?cancel
     ~packing:(config_packer init) ?mem_budget:options.mem_budget
     ?spill_dir:options.spill_dir ~init ~step ()

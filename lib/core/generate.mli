@@ -127,17 +127,12 @@ val store_classifier : Universe.t -> Action.t -> int
 
 val run :
   ?options:options ->
-  ?jobs:int ->
   ?cancel:Mdp_obs.Cancel.t ->
   Universe.t ->
   Plts.t
-(** [jobs] (default 1) is the number of domains used for frontier
-    exploration; the resulting LTS — state numbering included — is
-    identical for every value (see {!Mdp_lts.Lts.Make.explore}:
-    frontiers narrower than 512 states expand on the calling domain
-    whatever [jobs] is, so small models never lose to sequential).
-    [cancel] aborts a runaway exploration cooperatively within one
-    frontier round (forwarded to [Lts.explore]).
+(** Explore the universe's LTS (see {!Mdp_lts.Lts.Make.explore}).
+    [cancel] aborts a runaway exploration cooperatively within 512
+    expansions (forwarded to [Lts.explore]).
 
     @raise Mdp_obs.Cancel.Cancelled if [cancel] fires mid-run.
     @raise Mdp_lts.Lts.Too_many_states if [max_states] is exceeded. *)

@@ -1,7 +1,6 @@
 open Mdp_dataflow
 module Prng = Mdp_prelude.Prng
 module Listx = Mdp_prelude.Listx
-module Parallel = Mdp_prelude.Parallel
 
 type spec = {
   seed : int;
@@ -187,12 +186,12 @@ let classes ?cancel u profiles =
     profiles;
   List.rev_map (fun (p, r) -> (p, !r)) !order
 
-(* ----- compiled + parallel aggregation ----- *)
+(* ----- compiled aggregation ----- *)
 
 (* Folds per-class summaries, in class order, with sums and maxes only,
-   so the aggregate is identical for every [jobs] (summation order
-   cannot matter, and [sort_hotspots] is a total order) and to the
-   naive per-profile path. *)
+   so the aggregate is identical to the naive per-profile path
+   (summation order cannot matter, and [sort_hotspots] is a total
+   order). *)
 let aggregate_of plan cls summaries =
   let nslots = Array.length (Risk_plan.slots plan) in
   let counts = Array.make 4 0 in
@@ -231,11 +230,9 @@ let aggregate_of plan cls summaries =
     by_level; hotspots }
 
 (* The one class-evaluation loop: [eval plan c] for every class index
-   [c < n], chunked over [jobs] domains, no per-profile report ever
-   materialised. Every domain polls the shared token between class
-   evaluations and simply stops when it fires — no exception crosses a
-   domain boundary; the token is checked once, after the join. *)
-let summaries_for ?(jobs = 1) ?cancel plan n eval =
+   [c < n], no per-profile report ever materialised. The token is
+   polled every 64 classes; a fired token stops the loop and raises. *)
+let summaries_for ?cancel plan n eval =
   let out =
     Array.make n { Risk_plan.worst = Level.None_; slot_levels = [||] }
   in
@@ -244,17 +241,12 @@ let summaries_for ?(jobs = 1) ?cancel plan n eval =
     | Some tok -> c land 63 = 0 && Mdp_obs.Cancel.cancelled tok
     | None -> false
   in
-  let evaluated =
-    Parallel.map_chunks ~jobs n (fun lo hi ->
-        let c = ref lo in
-        while !c < hi && not (fired !c) do
-          out.(!c) <- eval plan !c;
-          incr c
-        done;
-        !c - lo)
-  in
-  Mdp_obs.Metrics.add "population/class_evals"
-    (Listx.sum_by Fun.id evaluated);
+  let c = ref 0 in
+  while !c < n && not (fired !c) do
+    out.(!c) <- eval plan !c;
+    incr c
+  done;
+  Mdp_obs.Metrics.add "population/class_evals" !c;
   Option.iter Mdp_obs.Cancel.check cancel;
   out
 
@@ -270,11 +262,11 @@ let plan_and_classes ?matrix ?model ?cancel ?plan ?classes:precomputed u lts
   in
   (plan, Array.of_list cls)
 
-let class_summaries ?jobs ?cancel plan cls =
-  summaries_for ?jobs ?cancel plan (Array.length cls) (fun plan c ->
+let class_summaries ?cancel plan cls =
+  summaries_for ?cancel plan (Array.length cls) (fun plan c ->
       Risk_plan.summary plan (fst cls.(c)))
 
-let analyse_compiled ?matrix ?model ?jobs ?cancel ?plan ?classes u lts
+let analyse_compiled ?matrix ?model ?cancel ?plan ?classes u lts
     profiles =
   Mdp_obs.Metrics.span "population/analyse_compiled" @@ fun () ->
   Option.iter Mdp_obs.Cancel.check cancel;
@@ -284,7 +276,7 @@ let analyse_compiled ?matrix ?model ?jobs ?cancel ?plan ?classes u lts
   Mdp_obs.Metrics.add "population/profiles"
     (Array.fold_left (fun acc (_, w) -> acc + w) 0 cls);
   Mdp_obs.Metrics.add "population/classes" (Array.length cls);
-  let summaries = class_summaries ?jobs ?cancel plan cls in
+  let summaries = class_summaries ?cancel plan cls in
   Mdp_obs.Metrics.span "population/merge" @@ fun () ->
   aggregate_of plan cls summaries
 
@@ -299,13 +291,13 @@ type cached = {
   ca_summaries : Risk_plan.summary array;
 }
 
-let prepare ?matrix ?model ?jobs ?cancel ?plan ?classes u lts profiles =
+let prepare ?matrix ?model ?cancel ?plan ?classes u lts profiles =
   Mdp_obs.Metrics.span "population/prepare" @@ fun () ->
   let plan, cls =
     plan_and_classes ?matrix ?model ?cancel ?plan ?classes u lts profiles
   in
   let sigma = Array.map (sigma_of u) (Array.map fst cls) in
-  let summaries = class_summaries ?jobs ?cancel plan cls in
+  let summaries = class_summaries ?cancel plan cls in
   { ca_u = u; ca_plan = plan; ca_classes = cls; ca_sigma = sigma;
     ca_summaries = summaries }
 
@@ -331,7 +323,7 @@ let override_profile overrides p =
     ~agreed_services:(User_profile.agreed_services p)
     ()
 
-let reaggregate ?jobs ?cancel c ~overrides =
+let reaggregate ?cancel c ~overrides =
   Mdp_obs.Metrics.span "population/reaggregate" @@ fun () ->
   let u = c.ca_u in
   let idx =
@@ -353,7 +345,7 @@ let reaggregate ?jobs ?cancel c ~overrides =
   in
   let stale_arr = Array.of_list stale_ids in
   let fresh =
-    summaries_for ?jobs ?cancel c.ca_plan (Array.length stale_arr)
+    summaries_for ?cancel c.ca_plan (Array.length stale_arr)
       (fun plan j ->
         let p, _ = c.ca_classes.(stale_arr.(j)) in
         Risk_plan.summary plan (override_profile overrides p))

@@ -86,7 +86,6 @@ val classes :
 val analyse_compiled :
   ?matrix:Risk_matrix.t ->
   ?model:Disclosure_risk.likelihood_model ->
-  ?jobs:int ->
   ?cancel:Mdp_obs.Cancel.t ->
   ?plan:Risk_plan.t ->
   ?classes:(User_profile.t * int) list ->
@@ -96,20 +95,17 @@ val analyse_compiled :
   aggregate
 (** The compiled engine: one {!Risk_plan.compile} pass over the LTS,
     profiles deduplicated through {!classes}, each class evaluated once
-    via [Risk_plan.summary] and weighted by its size, with the classes
-    fanned out over [jobs] domains (default 1) and their summaries
-    folded by one merge — no per-profile reports exist at any point.
-    It shares {!prepare}'s class-evaluation loop and
+    via [Risk_plan.summary] and weighted by its size, with the class
+    summaries folded by one merge — no per-profile reports exist at any
+    point. It shares {!prepare}'s class-evaluation loop and
     {!cached_aggregate}'s merge, which uses only sums and maxes, so the
-    result is identical for every [jobs] value and byte-identical to
-    {!analyse} on the same inputs. Unlike {!analyse} it leaves the LTS labels
-    untouched.
+    result is byte-identical to {!analyse} on the same inputs. Unlike
+    {!analyse} it leaves the LTS labels untouched.
 
-    [cancel] is polled between class evaluations on every domain: a
-    fired token makes each chunk stop evaluating within a few classes,
-    the domains join normally, and the call then raises
-    [Mdp_obs.Cancel.Cancelled] — no partial aggregate escapes and the
-    plan/LTS remain untouched and reusable.
+    [cancel] is polled every 64 class evaluations: a fired token stops
+    the loop and the call raises [Mdp_obs.Cancel.Cancelled] — no
+    partial aggregate escapes and the plan/LTS remain untouched and
+    reusable.
 
     [plan] and [classes] let a long-lived caller (the serve daemon)
     reuse a previously compiled risk plan and previously computed
@@ -137,7 +133,6 @@ type cached
 val prepare :
   ?matrix:Risk_matrix.t ->
   ?model:Disclosure_risk.likelihood_model ->
-  ?jobs:int ->
   ?cancel:Mdp_obs.Cancel.t ->
   ?plan:Risk_plan.t ->
   ?classes:(User_profile.t * int) list ->
@@ -145,7 +140,7 @@ val prepare :
   Plts.t ->
   User_profile.t list ->
   cached
-(** Evaluate every class once (fanned over [jobs] domains) and retain
+(** Evaluate every class once and retain
     the summaries. Same [plan]/[classes] reuse contract and [cancel]
     discipline as {!analyse_compiled}. *)
 
@@ -154,7 +149,6 @@ val cached_aggregate : cached -> aggregate
     {!analyse_compiled} on the same inputs. *)
 
 val reaggregate :
-  ?jobs:int ->
   ?cancel:Mdp_obs.Cancel.t ->
   cached ->
   overrides:(Mdp_dataflow.Field.t * float) list ->

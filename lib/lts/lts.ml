@@ -74,7 +74,7 @@ type spill_stats = {
 
 (* A state codec: every reachable state of one model encodes to
    exactly [pk_words] payload words. [pk_decode] must be safe to call
-   concurrently (parallel rounds decode on worker domains).
+   concurrently (analyses decode from several domains).
    Word-equality must coincide with [S.equal] on the states of one
    model — true for bitset-backed privacy configs, and the contract any
    other packer must honour. *)
@@ -161,7 +161,7 @@ module Make (S : STATE) (L : LABEL) = struct
     (* the open row of the state being expanded: (lid lsl 32) lor dst *)
     mutable rbuf : int array;
     mutable rlen : int;
-    (* single-domain scratch: direct exploration rounds reuse these;
+    (* single-domain scratch: exploration rounds reuse these;
        concurrent readers ([state_data] from analysis workers) allocate
        their own *)
     enc_buf : Bytes.t;
@@ -706,7 +706,7 @@ module Make (S : STATE) (L : LABEL) = struct
   (* Encode the open row as [src]'s permanent varint row and reset the
      scratch. Must be called exactly once per expanded source, in
      discovery order (which keeps the byte layout identical for every
-     job count). *)
+     budget). *)
   let close_row p src =
     ensure_ebytes p ((10 * (p.rlen + 1)) + 10);
     let pos = ref (P.put_varint p.ebytes p.elen p.rlen) in
@@ -920,56 +920,18 @@ module Make (S : STATE) (L : LABEL) = struct
     | None -> ()
     | Some c -> Mdp_obs.Cancel.check c
 
-  (* Frontiers narrower than this expand on the calling domain even
-     with [jobs > 1]: below it the domain spawn/join overhead exceeds
-     the expansion work. *)
-  let par_min_width = 512
-
   (* Breadth-first exploration by id-range frontiers. BFS hands out ids
      in discovery order, so the states a round discovers are exactly
      the id range [lo, hi) the next round expands, starting from the
      initial state 0; word-equality dedup coincides with [S.equal]
-     (the packer contract). A round is either
-
-     - direct: expand the ids one by one against the live tables (one
-       job, or a frontier narrower than [par_min_width]); or
-     - parallel, in three deterministic phases:
-       1. expand (parallel): decode + [step] each frontier state, pack
-          and hash every successor candidate on the worker domains;
-       2. resolve (parallel over hash shards): each shard resolves its
-          own candidates in global candidate order against its table —
-          existing id, first-occurrence-in-round, or duplicate-of-k —
-          with no cross-shard communication and no table merge;
-       3. number (sequential): walk candidates in frontier order,
-          assign dense ids to first occurrences and append
-          records/edges.
-
-     Both kinds assign ids in the order a sequential queue would
-     discover the states, so the numbering is byte-identical for every
-     job count. *)
-  let explore_rounds t p ~max_states ~cancel ~step ~jobs =
+     (the packer contract). A round expands its ids one by one against
+     the live tables; the round boundary is where the spill tier
+     evicts and where the [lts/frontier_*] metrics are taken. *)
+  let explore_rounds t p ~max_states ~cancel ~step =
     let w = p.pk.pk_words in
-    let hits = ref 0 and misses = ref 0 in
-    let rounds = ref 0 and par_rounds = ref 0 in
-    let new_state ~parent ~parent_words ~parent_depth words h =
-      let id =
-        packed_new_state t p ~parent ~parent_words ~parent_depth words h
-      in
-      if t.n > max_states then too_many t max_states;
-      incr misses;
-      id
-    in
-    (* Append [-label-> dst] to the open row, once. *)
-    let add_edge label dst =
-      let lid = intern p label in
-      let e = (lid lsl 32) lor dst in
-      if not (row_contains p e) then begin
-        push_edge p e;
-        t.ntrans <- t.ntrans + 1
-      end
-    in
+    let hits = ref 0 and misses = ref 0 and rounds = ref 0 in
     let parent_buf = Array.make w 0 in
-    let direct lo hi =
+    let expand lo hi =
       for src = lo to hi - 1 do
         (* [src] is also the number of states expanded so far. *)
         if src land (cancel_poll_batch - 1) = 0 then begin
@@ -997,144 +959,43 @@ module Make (S : STATE) (L : LABEL) = struct
                 incr hits;
                 found
               end
-              else
-                new_state ~parent:src ~parent_words:parent_buf
-                  ~parent_depth:src_depth p.cand_buf h
+              else begin
+                let id =
+                  packed_new_state t p ~parent:src ~parent_words:parent_buf
+                    ~parent_depth:src_depth p.cand_buf h
+                in
+                if t.n > max_states then too_many t max_states;
+                incr misses;
+                id
+              end
             in
-            add_edge label dst)
+            (* Append [-label-> dst] to the open row, once. *)
+            let e = (intern p label lsl 32) lor dst in
+            if not (row_contains p e) then begin
+              push_edge p e;
+              t.ntrans <- t.ntrans + 1
+            end)
           (step cfg);
-        close_row p src
-      done
-    in
-    let parallel lo hi =
-      poll_cancel cancel;
-      let nf = hi - lo in
-      let fwords = Array.make nf [||] in
-      let fdepth = Array.make nf 0 in
-      let cands : (L.t * int array * int) array array = Array.make nf [||] in
-      Mdp_prelude.Parallel.iter_chunks ~jobs nf (fun a b ->
-          let cur = P.cursor () in
-          for i = a to b - 1 do
-            let words = Array.make w 0 in
-            decode_words p cur words (lo + i);
-            fwords.(i) <- words;
-            fdepth.(i) <- P.U8.get p.depths (lo + i);
-            cands.(i) <-
-              Array.of_list
-                (List.map
-                   (fun (label, d) ->
-                     let cw = Array.make w 0 in
-                     p.pk.pk_blit d cw 0;
-                     (label, cw, P.hash_words cw w))
-                   (step (p.pk.pk_decode words 0)))
-          done);
-      (* Candidate k, in frontier order, is the k-th discovery a
-         sequential queue would make. *)
-      let cand_off = Array.make (nf + 1) 0 in
-      for i = 0 to nf - 1 do
-        cand_off.(i + 1) <- cand_off.(i) + Array.length cands.(i)
-      done;
-      let m = cand_off.(nf) in
-      let cw = Array.make m [||] and ch = Array.make m 0 in
-      Array.iteri
-        (fun i cs ->
-          Array.iteri
-            (fun j (_, words, h) ->
-              cw.(cand_off.(i) + j) <- words;
-              ch.(cand_off.(i) + j) <- h)
-            cs)
-        cands;
-      (* Bucket candidate indices by shard (stable, so each shard sees
-         its candidates in k order). *)
-      let start = Array.make (nshards + 1) 0 in
-      Array.iter
-        (fun h ->
-          let s = shard_of h in
-          start.(s + 1) <- start.(s + 1) + 1)
-        ch;
-      for s = 0 to nshards - 1 do
-        start.(s + 1) <- start.(s + 1) + start.(s)
-      done;
-      let fill = Array.copy start in
-      let order = Array.make m 0 in
-      Array.iteri
-        (fun k h ->
-          let s = shard_of h in
-          order.(fill.(s)) <- k;
-          fill.(s) <- fill.(s) + 1)
-        ch;
-      (* Per-shard verdicts: >= 0 first occurrence index (k itself for
-         the first), -1-id for an already-known state. *)
-      let first_of = Array.make m 0 in
-      Mdp_prelude.Parallel.iter_chunks ~jobs nshards (fun a b ->
-          let cur = P.cursor () in
-          let buf = Array.make w 0 in
-          for s = a to b - 1 do
-            let tmp = Hashtbl.create (2 * (start.(s + 1) - start.(s))) in
-            for x = start.(s) to start.(s + 1) - 1 do
-              let k = order.(x) in
-              let h = ch.(k) in
-              let id = shard_find p p.shards.(s) (tag_of h) cw.(k) cur buf in
-              if id >= 0 then first_of.(k) <- -1 - id
-              else begin
-                let prev = Option.value (Hashtbl.find_opt tmp h) ~default:[] in
-                let same k' = words_equal cw.(k') cw.(k) w in
-                match List.find_opt same prev with
-                | Some k' -> first_of.(k) <- k'
-                | None ->
-                  first_of.(k) <- k;
-                  Hashtbl.replace tmp h (k :: prev)
-              end
-            done
-          done);
-      let ids_of = Array.make m 0 in
-      for i = 0 to nf - 1 do
-        let src = lo + i in
-        p.rlen <- 0;
-        Array.iteri
-          (fun j (label, words, h) ->
-            let k = cand_off.(i) + j in
-            let v = first_of.(k) in
-            let dst =
-              if v = k then
-                new_state ~parent:src ~parent_words:fwords.(i)
-                  ~parent_depth:fdepth.(i) words h
-              else begin
-                incr hits;
-                if v < 0 then -1 - v else ids_of.(v)
-              end
-            in
-            ids_of.(k) <- dst;
-            add_edge label dst)
-          cands.(i);
         close_row p src
       done
     in
     Fun.protect ~finally:(fun () ->
         Mdp_obs.Metrics.add "lts/dedup_hits" !hits;
         Mdp_obs.Metrics.add "lts/dedup_misses" !misses;
-        Mdp_obs.Metrics.add "lts/frontier_rounds" !rounds;
-        Mdp_obs.Metrics.add "lts/par_rounds" !par_rounds)
+        Mdp_obs.Metrics.add "lts/frontier_rounds" !rounds)
     @@ fun () ->
     let lo = ref 0 in
     while !lo < t.n do
       let hi = t.n in
       incr rounds;
       Mdp_obs.Metrics.observe "lts/frontier_width" (hi - !lo);
-      if jobs > 1 && hi - !lo >= par_min_width then begin
-        incr par_rounds;
-        parallel !lo hi
-      end
-      else direct !lo hi;
-      (* Evict between rounds, on the calling domain only: the next
-         round's worker domains are spawned after this point, and the
-         spawn publishes the mutated arena/shard state to them. *)
+      expand !lo hi;
       spill_down p;
       lo := hi
     done
 
-  let explore ?(max_states = 200_000) ?(jobs = 1) ?cancel ~packing ?mem_budget
-      ?spill_dir ~init ~step () =
+  let explore ?(max_states = 200_000) ?cancel ~packing ?mem_budget ?spill_dir
+      ~init ~step () =
     Mdp_obs.Metrics.span "lts/explore" @@ fun () ->
     let t = make ?mem_budget ?spill_dir packing in
     let p = t.p in
@@ -1146,7 +1007,7 @@ module Make (S : STATE) (L : LABEL) = struct
          (P.hash_words p.cand_buf p.pk.pk_words)
         : state_id);
     if t.n > max_states then too_many t max_states;
-    (try explore_rounds t p ~max_states ~cancel ~step ~jobs
+    (try explore_rounds t p ~max_states ~cancel ~step
      with e ->
        let bt = Printexc.get_raw_backtrace () in
        (match e with

@@ -18,10 +18,8 @@
     width are supported, up to records that fit one 64 KiB arena chunk
     (about 6,500 words).
 
-    [explore] walks breadth-first frontiers, expanding wide ones on
-    multiple OCaml 5 domains with a deterministic merge; the resulting
-    LTS — state numbering included — is identical for every job
-    count. *)
+    [explore] walks breadth-first frontiers on the calling domain;
+    state ids follow discovery order. *)
 
 module type STATE = sig
   type t
@@ -131,7 +129,6 @@ module Make (S : STATE) (L : LABEL) : sig
 
   val explore :
     ?max_states:int ->
-    ?jobs:int ->
     ?cancel:Mdp_obs.Cancel.t ->
     packing:S.t packer ->
     ?mem_budget:int ->
@@ -152,17 +149,8 @@ module Make (S : STATE) (L : LABEL) : sig
 
       Ids are handed out in discovery order, so each breadth-first
       round expands exactly the id range the previous round discovered,
-      starting from the initial state, id 0. A round expands its ids
-      one by one on the calling domain, unless [jobs > 1] and the
-      frontier is at least 512 states wide: then the frontier is
-      expanded in parallel on that many OCaml domains, each hash shard
-      resolves its own candidates independently (no global table
-      merge), and a sequential pass in frontier order numbers the new
-      states. Below 512 states the spawn/join overhead exceeds the
-      expansion work. Either way ids follow discovery order, so the
-      result — state numbering included — is identical for every job
-      count. [step] must be safe to call concurrently when [jobs > 1]
-      (pure up to freshly allocated results).
+      starting from the initial state, id 0, one state at a time on the
+      calling domain.
 
       [mem_budget] bounds the engine's {e
       resident} bytes: when arena chunks, side tables and dedup shards
@@ -173,19 +161,17 @@ module Make (S : STATE) (L : LABEL) : sig
       mmap windows and a small per-domain pinned-chunk cache. The
       exploration then completes in disk rather than RAM, identically:
       spilling moves bytes, never changes discovery order, so state
-      numbering stays byte-identical for every budget and every job
-      count. Budgets below the engine's unevictable floor (edge stream
-      + offset index + the open chunk) degrade to spilling everything
-      evictable. The spill directory is deleted when the LTS is
-      GC-collected, when {!drop_spill} is called, on any exploration
+      numbering stays byte-identical for every budget. Budgets below the
+      engine's unevictable floor (edge stream + offset index + the open
+      chunk) degrade to spilling everything evictable. The spill
+      directory is deleted when the LTS is GC-collected, when
+      {!drop_spill} is called, on any exploration
       failure ({!Too_many_states}, cancellation, a spill I/O failure),
       and by an [at_exit] sweep. The disk tier's OS failures — an
       unusable [spill_dir], a full disk — raise [Spill.Io_error].
 
-      [cancel] is polled cooperatively: before every parallel round
-      (only the calling domain polls, so no worker raises mid-chunk)
-      and every 512 expansions on the calling domain. A fired token
-      unwinds with [Mdp_obs.Cancel.Cancelled] within one round;
+      [cancel] is polled cooperatively every 512 expansions. A fired
+      token unwinds with [Mdp_obs.Cancel.Cancelled] at the next poll;
       the partially built LTS is discarded and nothing run-global is
       left behind, so the caller can immediately start a fresh
       exploration.

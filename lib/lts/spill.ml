@@ -1,7 +1,7 @@
 (* Disk tier for the packed LTS engine.
 
    A spill run is one directory holding append-only files. Writers are
-   single-domain (the exploration's merging domain) and strictly
+   single-domain (the exploring domain) and strictly
    sequential — sealed arena chunks and sealed dedup tables are
    immutable once written, so a spill file never needs a rename, a
    rewrite or an fsync barrier for correctness (the data is a cache of
@@ -31,9 +31,9 @@ type file = {
   f_fd : Unix.file_descr;
   f_owner : t;
   mutable f_len : int;
-      (* appended bytes; only the writing domain mutates it, and worker
-         domains are spawned after any append they could observe (the
-         spawn is the publication point) *)
+      (* appended bytes; only the writing domain mutates it, and
+         readers on other domains start after the exploration that
+         wrote it has returned *)
 }
 
 and t = {
@@ -41,8 +41,8 @@ and t = {
   mutable sp_files : (string * file) list;
   mutable sp_live : bool;
   sp_faults : int Atomic.t;
-      (* chunk loads + window mappings; atomic because worker domains
-         fault concurrently *)
+      (* chunk loads + window mappings; atomic because readers on
+         several domains fault concurrently *)
 }
 
 exception Io_error of string
@@ -280,9 +280,8 @@ let entry5 f ~off =
 (* Pinned-chunk cache *)
 
 (* Verbatim copies of spilled arena chunks, direct-mapped per domain.
-   64 KiB chunks x 64 slots = 4 MiB per long-lived domain; worker
-   domains live one frontier round, so theirs cost at most that
-   transiently. *)
+   64 KiB chunks x 64 slots = 4 MiB per long-lived domain; short-lived
+   fan-out domains cost at most that transiently. *)
 let pinned_slots = 64
 
 type pcache = {

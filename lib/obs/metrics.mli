@@ -5,7 +5,7 @@
     lock.  Shards are merged deterministically when a {!snapshot} is
     taken: counters sum, histograms sum bucket-wise, spans sort by
     start time, and every series is ordered by name — the same inputs
-    produce the same snapshot regardless of [--jobs].
+    produce the same snapshot however the work is split across domains.
 
     The subsystem is disabled by default and every recording entry
     point starts with a single [Atomic.get] check, so instrumentation

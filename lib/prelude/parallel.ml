@@ -28,6 +28,3 @@ let map_chunks ~jobs n f =
           | Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
         (first :: rest)
     end
-
-let iter_chunks ~jobs n f =
-  ignore (map_chunks ~jobs n (fun lo hi -> f lo hi) : unit list)

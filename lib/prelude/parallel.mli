@@ -1,6 +1,6 @@
 (** Contiguous-chunk fan-out over OCaml 5 domains.
 
-    All functions split [0, n) into at most [jobs] contiguous
+    [map_chunks] splits [0, n) into at most [jobs] contiguous
     half-open ranges [lo, hi) with the standard balanced bound
     [k * n / jobs]. The calling domain always processes the first
     chunk itself; only the remaining chunks get a [Domain.spawn].
@@ -20,6 +20,3 @@ val map_chunks : jobs:int -> int -> (int -> int -> 'a) -> 'a list
     [jobs]). Empty list when [n <= 0]. When chunks raise, every spawned
     domain is still joined before the first exception in chunk order
     is re-raised. *)
-
-val iter_chunks : jobs:int -> int -> (int -> int -> unit) -> unit
-(** {!map_chunks} for side-effecting chunk bodies. *)

@@ -10,7 +10,6 @@ type config = {
   artifact_cap : int;
   result_cap : int;
   stale_cap : int;
-  jobs : int;
   breaker_threshold : int;
   breaker_cooldown_ms : int;
   default_deadline_ms : int option;
@@ -23,7 +22,6 @@ let default_config =
     artifact_cap = 8;
     result_cap = 64;
     stale_cap = 32;
-    jobs = 1;
     breaker_threshold = 3;
     breaker_cooldown_ms = 5000;
     default_deadline_ms = None;
@@ -300,7 +298,7 @@ let compile_artifact t ~cancel ~max_states source =
       mem_budget = t.config.mem_budget;
     }
   in
-  let lts = C.Generate.run ~options ~jobs:t.config.jobs ?cancel universe in
+  let lts = C.Generate.run ~options ?cancel universe in
   {
     universe;
     lts;
@@ -365,7 +363,7 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
     with_artifact_lock a (fun () ->
         let plan = plan_of a in
         population_body
-          (C.Population.analyse_compiled ~jobs:t.config.jobs ?cancel ~plan
+          (C.Population.analyse_compiled ?cancel ~plan
              ~classes:cls a.universe a.lts []))
   | Protocol.Whatif w ->
     let profile = profile_of w.wprofile in
@@ -409,8 +407,7 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
           C.Edit.classify ~options:a.options ~before:inputs ~after:after_inputs
         in
         let after_t =
-          C.Analysis.run_incremental ~jobs:t.config.jobs ?cancel ~previous:base
-            edits
+          C.Analysis.run_incremental ?cancel ~previous:base edits
         in
         let population =
           match w.wpop with
@@ -418,7 +415,7 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
           | Some pop ->
             let cls = classes_for t ~akey ~cancel a pop in
             let cached =
-              C.Population.prepare ~jobs:t.config.jobs ?cancel ~plan
+              C.Population.prepare ?cancel ~plan
                 ~classes:cls a.universe a.lts []
             in
             let pop_before = C.Population.cached_aggregate cached in
@@ -433,8 +430,7 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
             let pop_after, reused, reevaluated =
               match inv.C.Edit.inv_sigma with
               | Some overrides when sigma_only ->
-                C.Population.reaggregate ~jobs:t.config.jobs ?cancel cached
-                  ~overrides
+                C.Population.reaggregate ?cancel cached ~overrides
               | _ ->
                 (* full recompute against the edited model; the
                    simulated profiles themselves are unchanged *)
@@ -452,7 +448,7 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
                 in
                 let classes = C.Population.classes ?cancel u' profiles in
                 let agg =
-                  C.Population.analyse_compiled ~jobs:t.config.jobs ?cancel
+                  C.Population.analyse_compiled ?cancel
                     ?plan:after_t.C.Analysis.plan ~classes u'
                     after_t.C.Analysis.lts profiles
                 in
@@ -552,7 +548,6 @@ let health_json t =
       ("results", Cache.stats_json t.results);
       ("classes", Cache.stats_json t.class_sets);
       ("breaker", Breaker.to_json t.breaker);
-      ("jobs", Json.int t.config.jobs);
       ("metrics_enabled", Json.Bool (Metrics.enabled ()));
     ]
 

@@ -21,9 +21,7 @@
     The LTS is never written after exploration; the plan is compiled
     on first use and [Risk_plan.analyse] builds and caches its witness
     tree on first use, neither of them domain-safe. So each artifact
-    carries a lock serialising plan use; [Risk_plan.summary]-based
-    population sweeps still fan out over [jobs] domains {e inside} the
-    lock.
+    carries a lock serialising plan use, population sweeps included.
 
     [whatif] requests run {!Mdp_core.Analysis.run_incremental} against
     the cached artifact under that same lock: edits the classifier
@@ -45,7 +43,6 @@ type config = {
   artifact_cap : int;  (** Compiled-artifact LRU entries. *)
   result_cap : int;  (** Rendered-result LRU entries. *)
   stale_cap : int;  (** Evicted results kept for degraded serving. *)
-  jobs : int;  (** Domains per exploration / population sweep. *)
   breaker_threshold : int;
   breaker_cooldown_ms : int;
   default_deadline_ms : int option;
@@ -61,7 +58,7 @@ type config = {
 }
 
 val default_config : config
-(** 8 artifacts, 64 results (32 stale), jobs 1, breaker 3 / 5000 ms,
+(** 8 artifacts, 64 results (32 stale), breaker 3 / 5000 ms,
     no default deadline, 200_000-state ceiling. *)
 
 type t
@@ -87,4 +84,4 @@ val deadline_ms_for : t -> Protocol.analysis -> int option
 (** The effective budget: the request's, else the configured default. *)
 
 val health_json : t -> Json.t
-(** Cache/breaker/jobs snapshot (the server adds queue depth). *)
+(** Cache/breaker snapshot (the server adds queue depth). *)

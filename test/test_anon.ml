@@ -421,16 +421,15 @@ module C = A.Columnar
 let seeds = [ 3; 17; 23 ]
 let parity_ds seed = Mdp_scenario.Synthetic.dataset ~seed ~rows:400 ~quasi:3
 
-let release_cells ?jobs ~k ds =
+let release_cells ~k ds =
   Result.map
     (fun plan -> A.Dataset.rows (C.source plan))
-    (C.mondrian_release ?jobs ~k (C.compile ds))
+    (C.mondrian_release ~k (C.compile ds))
 
 let naive_cells ~k ds = Result.map A.Dataset.rows (A.Mondrian.anonymise ~k ds)
 
 let test_columnar_mondrian_parity () =
-  (* The 40,000-row input is wide enough for jobs = 4 to take the
-     parallel partitioner. *)
+  (* The 40,000-row input grows a deep partition tree. *)
   let inputs =
     List.map
       (fun seed -> (seed, Mdp_scenario.Synthetic.dataset ~seed ~rows:600 ~quasi:2))
@@ -441,15 +440,11 @@ let test_columnar_mondrian_parity () =
     (fun (seed, ds) ->
       List.iter
         (fun k ->
-          let naive = naive_cells ~k ds in
-          List.iter
-            (fun jobs ->
-              check bool_
-                (Printf.sprintf "release seed %d rows %d k %d jobs %d" seed
-                   (A.Dataset.nrows ds) k jobs)
-                true
-                (naive = release_cells ~jobs ~k ds))
-            [ 1; 4 ])
+          check bool_
+            (Printf.sprintf "release seed %d rows %d k %d" seed
+               (A.Dataset.nrows ds) k)
+            true
+            (naive_cells ~k ds = release_cells ~k ds))
         [ 2; 7; 25 ])
     inputs
 
@@ -515,13 +510,10 @@ let test_mondrian_k_below_1 () =
         (Printf.sprintf "naive k %d" k)
         true
         (within ~seconds:2 (fun () -> naive_cells ~k ds) = expected);
-      List.iter
-        (fun jobs ->
-          check bool_
-            (Printf.sprintf "columnar k %d jobs %d" k jobs)
-            true
-            (within ~seconds:2 (fun () -> release_cells ~jobs ~k ds) = expected))
-        [ 1; 4 ])
+      check bool_
+        (Printf.sprintf "columnar k %d" k)
+        true
+        (within ~seconds:2 (fun () -> release_cells ~k ds) = expected))
     [ 0; -3 ]
 
 let policy_s = { A.Value_risk.sensitive = "S"; closeness = 5.0; confidence = 0.9 }
@@ -571,8 +563,7 @@ let test_columnar_categorical_parity () =
 
 let test_columnar_release_plan () =
   (* [mondrian_release]'s seeded dictionaries must give the value-risk
-     sweep the naive engine computes on the naive release, for any job
-     count. *)
+     sweep the naive engine computes on the naive release. *)
   List.iter
     (fun seed ->
       let ds = parity_ds seed in
@@ -580,15 +571,12 @@ let test_columnar_release_plan () =
       List.iter
         (fun k ->
           let naive_rel = Result.get_ok (A.Mondrian.anonymise ~k ds) in
-          let naive = A.Value_risk.sweep naive_rel policy_s in
-          List.iter
-            (fun jobs ->
-              let rplan = Result.get_ok (C.mondrian_release ~jobs ~k plan) in
-              check bool_
-                (Printf.sprintf "seeded sweep seed %d k %d jobs %d" seed k jobs)
-                true
-                (naive = C.value_risk_sweep rplan policy_s))
-            [ 1; 4 ])
+          let rplan = Result.get_ok (C.mondrian_release ~k plan) in
+          check bool_
+            (Printf.sprintf "seeded sweep seed %d k %d" seed k)
+            true
+            (A.Value_risk.sweep naive_rel policy_s
+            = C.value_risk_sweep rplan policy_s))
         [ 2; 10 ])
     seeds
 

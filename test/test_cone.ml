@@ -3,13 +3,12 @@
    the states of the previous exploration with an outgoing edge on an
    affected store — instead of a re-exploration of the edited model.
 
-   The gates here: the ACL sweep's outcomes are identical across job
-   counts and spill budgets of the base LTS; and every what-if [Cone]
-   outcome — from
-   the arithmetic pair walk or, where it declines, from a cold
-   exploration of the edited model — matches a cold run's diff as
-   sorted sets and its worst level, over a base LTS built unbudgeted
-   sequentially, in parallel, and under a spill budget. *)
+   The gates here: the ACL sweep's ranked outcomes are identical across
+   its job counts and spill budgets of the base LTS; and every what-if
+   [Cone] outcome — from the arithmetic pair walk or, where it
+   declines, from a cold exploration of the edited model — matches a
+   cold run's diff as sorted sets and its worst level, over a base LTS
+   built unbudgeted and under a spill budget. *)
 
 module Core = Mdp_core
 module Synth = Mdp_scenario.Synthetic
@@ -37,10 +36,10 @@ let synth_model name =
     (spec, diagram, policy)
   | _ -> Alcotest.fail ("bad spec " ^ name)
 
-let base ?(options = Core.Generate.default_options) ?(jobs = 1) name =
+let base ?(options = Core.Generate.default_options) name =
   let spec, diagram, policy = synth_model name in
   let profile = Synth.profile spec diagram in
-  match Core.Analysis.run_checked ~options ~profile ~jobs diagram policy with
+  match Core.Analysis.run_checked ~options ~profile diagram policy with
   | Ok t -> t
   | Error f -> Alcotest.fail (Core.Analysis.failure_message f)
 
@@ -59,15 +58,10 @@ let packed_peak lts =
   | Some ms -> ms.Lts.ms_total_bytes
   | None -> Alcotest.fail "expected byte accounting"
 
-(* The budget matrix. [peak] is the unbudgeted baseline's resident
-   size; 75% of it forces the spill tier on. *)
-let configs peak =
-  [
-    ("unbudgeted", Core.Generate.default_options);
-    ( "spill75",
-      { Core.Generate.default_options with mem_budget = Some (3 * peak / 4) }
-    );
-  ]
+(* [peak] is the unbudgeted baseline's resident size; 75% of it forces
+   the spill tier on. *)
+let spill75 peak =
+  { Core.Generate.default_options with mem_budget = Some (3 * peak / 4) }
 
 let whatif_base analysis =
   match Core.Whatif.prepare analysis with
@@ -92,39 +86,43 @@ let census analysis =
   (outcomes, count)
 
 (* ------------------------------------------------------------------ *)
-(* Sweep outcomes are jobs/budget-independent: the cone walk reads the
-   base LTS's rows, whose content no job count or spill budget moves. *)
+(* Sweep outcomes are jobs/budget-independent: the sweep's fan-out
+   evaluates read-only candidates, and the cone walk reads the base
+   LTS's rows, whose content no spill budget moves. *)
 
 let test_sweep_equivalence () =
-  let sweep analysis =
+  let sweep ~jobs analysis =
+    let b = whatif_base analysis in
     List.map
-      (fun (o : Core.Whatif.outcome) ->
-        (Core.Edit.to_string o.edit, o.classification, o.diff, o.worst_after))
-      (fst (census analysis))
+      (fun { Core.Whatif.outcome = o; score } ->
+        ( Core.Edit.to_string o.edit,
+          o.classification,
+          o.diff,
+          o.worst_after,
+          score ))
+      (Core.Whatif.sweep ~jobs b (Core.Whatif.acl_candidates b))
   in
   let baseline = base matrix_spec_name in
-  let expected = sweep baseline in
+  let expected = sweep ~jobs:1 baseline in
   check bool_ "the sweep has cone outcomes" true
-    (List.exists (fun (_, c, _, _) -> c = Core.Whatif.Cone) expected);
-  let peak = packed_peak baseline.Core.Analysis.lts in
+    (List.exists (fun (_, c, _, _, _) -> c = Core.Whatif.Cone) expected);
+  let spilled =
+    base ~options:(spill75 (packed_peak baseline.Core.Analysis.lts))
+      matrix_spec_name
+  in
+  check bool_ "spill75: base LTS spilled" true
+    (Core.Plts.spill_stats spilled.Core.Analysis.lts <> None);
   List.iter
-    (fun (cname, options) ->
-      List.iter
-        (fun jobs ->
-          let budgeted = options.Core.Generate.mem_budget <> None in
-          if budgeted || jobs > 1 then begin
-            let ctx = Printf.sprintf "%s jobs=%d" cname jobs in
-            let t = base ~options ~jobs matrix_spec_name in
-            if budgeted then
-              check bool_ (ctx ^ ": base LTS spilled") true
-                (Core.Plts.spill_stats t.Core.Analysis.lts <> None);
-            List.iter2
-              (fun ((edit, _, _, _) as want) got ->
-                check bool_ (Printf.sprintf "%s %s" ctx edit) true (want = got))
-              expected (sweep t)
-          end)
-        [ 1; 4 ])
-    (configs peak)
+    (fun (ctx, jobs, t) ->
+      List.iter2
+        (fun ((edit, _, _, _, _) as want) got ->
+          check bool_ (Printf.sprintf "%s %s" ctx edit) true (want = got))
+        expected (sweep ~jobs t))
+    [
+      ("unbudgeted jobs=4", 4, baseline);
+      ("spill75 jobs=1", 1, spilled);
+      ("spill75 jobs=4", 4, spilled);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The sweep census: most former full-rerun ACL candidates are now
@@ -268,45 +266,24 @@ let test_walk_matches_cold () =
   check bool_ "some candidate took the cold-exploration fallback" true
     (counter "whatif/cone_walk_declined" > declined_before)
 
-(* The same check over base LTSs built in parallel or under a spill
-   budget: the walk reads their rows and derives the cones, and the
-   fallback's cold exploration runs under the same budget. The cold
-   truth does not depend on the base's jobs or budget, so each edit's
-   is computed once. *)
+(* The same check over a base LTS built under a spill budget: the walk
+   reads its rows and derives the cones, and the fallback's cold
+   exploration runs under the same budget. The cold truth does not
+   depend on the base's budget, so it runs unbudgeted. *)
 let test_matrix () =
   with_metrics @@ fun () ->
   let baseline = base matrix_spec_name in
   let peak = packed_peak baseline.Core.Analysis.lts in
-  let truths = Hashtbl.create 64 in
-  let truth _ edit =
-    let key = Core.Edit.to_string edit in
-    match Hashtbl.find_opt truths key with
-    | Some r -> r
-    | None ->
-      let r = cold_report baseline edit in
-      Hashtbl.add truths key r;
-      r
-  in
-  List.iter
-    (fun (cname, options) ->
-      List.iter
-        (fun jobs ->
-          let budgeted = options.Core.Generate.mem_budget <> None in
-          if budgeted || jobs > 1 then begin
-            let ctx = Printf.sprintf "%s jobs=%d" cname jobs in
-            let analysis = base ~options ~jobs matrix_spec_name in
-            if budgeted then
-              check bool_ (ctx ^ ": base LTS spilled") true
-                (Core.Plts.spill_stats analysis.Core.Analysis.lts <> None);
-            let declined_before = counter "whatif/cone_walk_declined" in
-            let _, moved = check_cone_outcomes ~truth ctx analysis in
-            check bool_ (ctx ^ ": some cone diff is non-empty") true (moved > 0);
-            if budgeted then
-              check bool_ (ctx ^ ": the fallback ran under the budget") true
-                (counter "whatif/cone_walk_declined" > declined_before)
-          end)
-        [ 1; 4 ])
-    (configs peak)
+  let truth _ edit = cold_report baseline edit in
+  let ctx = "spill75" in
+  let analysis = base ~options:(spill75 peak) matrix_spec_name in
+  check bool_ (ctx ^ ": base LTS spilled") true
+    (Core.Plts.spill_stats analysis.Core.Analysis.lts <> None);
+  let declined_before = counter "whatif/cone_walk_declined" in
+  let _, moved = check_cone_outcomes ~truth ctx analysis in
+  check bool_ (ctx ^ ": some cone diff is non-empty") true (moved > 0);
+  check bool_ (ctx ^ ": the fallback ran under the budget") true
+    (counter "whatif/cone_walk_declined" > declined_before)
 
 let () =
   Alcotest.run "cone"

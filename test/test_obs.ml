@@ -34,12 +34,14 @@ let test_merge_deterministic () =
   let n = 10_000 in
   let run jobs =
     Metrics.reset ();
-    Mdp_prelude.Parallel.iter_chunks ~jobs n (fun lo hi ->
-        for i = lo to hi - 1 do
-          Metrics.incr "t/events";
-          Metrics.add "t/sum" i;
-          Metrics.observe "t/width" (i mod 257)
-        done);
+    ignore
+      (Mdp_prelude.Parallel.map_chunks ~jobs n (fun lo hi ->
+           for i = lo to hi - 1 do
+             Metrics.incr "t/events";
+             Metrics.add "t/sum" i;
+             Metrics.observe "t/width" (i mod 257)
+           done)
+        : unit list);
     Metrics.snapshot ()
   in
   let base = run 1 in

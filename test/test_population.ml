@@ -1,6 +1,6 @@
 (* The compiled population engine (Risk_plan + equivalence classes +
-   parallel streaming aggregation) against the naive per-profile path:
-   same seeds, several specs and job counts, byte-identical aggregates.
+   streaming aggregation) against the naive per-profile path: same
+   seeds, several specs, byte-identical aggregates.
    Plus the hotspot counting fix, the plan's full-report parity, and
    [simulate]'s shared profiles and [classes]' key against oracles. *)
 
@@ -27,21 +27,13 @@ let spec ?(seed = 7) ?(agree_probability = 0.7) size =
 let render agg = Format.asprintf "%a" Core.Population.pp_aggregate agg
 
 (* Naive vs compiled on one LTS: equal aggregates (structurally and as
-   rendered text) for jobs 1 and 4. *)
+   rendered text). *)
 let check_engines_on name u lts profiles =
   let naive = Core.Population.analyse u lts profiles in
-  List.iter
-    (fun jobs ->
-      let compiled =
-        Core.Population.analyse_compiled ~jobs u lts profiles
-      in
-      check bool_
-        (Printf.sprintf "%s jobs=%d structural equality" name jobs)
-        true (naive = compiled);
-      check Alcotest.string
-        (Printf.sprintf "%s jobs=%d rendered equality" name jobs)
-        (render naive) (render compiled))
-    [ 1; 4 ]
+  let compiled = Core.Population.analyse_compiled u lts profiles in
+  check bool_ (name ^ " structural equality") true (naive = compiled);
+  check Alcotest.string (name ^ " rendered equality") (render naive)
+    (render compiled)
 
 let check_engines name diagram policy options profiles =
   let u = Core.Universe.make diagram policy in
@@ -301,13 +293,13 @@ let test_reaggregate_single_class () =
   let profiles =
     List.init 100_000 (fun i -> patterns.(i mod Array.length patterns))
   in
-  let cached = Core.Population.prepare ~jobs:4 u lts profiles in
+  let cached = Core.Population.prepare u lts profiles in
   check Alcotest.string "cached aggregate matches compiled"
     (render (Core.Population.analyse_compiled u lts profiles))
     (render (Core.Population.cached_aggregate cached));
   let overrides = [ (H.diagnosis, 0.9) ] in
   let agg, reused, reevaluated =
-    Core.Population.reaggregate ~jobs:4 cached ~overrides
+    Core.Population.reaggregate cached ~overrides
   in
   check int_ "only the moved class re-evaluates" 1 reevaluated;
   check int_ "the other classes are reused" 4 reused;
@@ -327,15 +319,15 @@ let test_reaggregate_single_class () =
       ()
   in
   let truth =
-    Core.Population.analyse_compiled ~jobs:1 u lts (List.map edit profiles)
+    Core.Population.analyse_compiled u lts (List.map edit profiles)
   in
   check bool_ "reaggregate structurally equals cold" true (agg = truth);
   check Alcotest.string "reaggregate byte-identical to cold" (render truth)
     (render agg);
-  (* jobs-independence and cache immutability: a second pass (jobs 1)
-     answers identically, and a vacuous override reuses everything. *)
-  let agg1, _, _ = Core.Population.reaggregate ~jobs:1 cached ~overrides in
-  check bool_ "jobs=1 agrees" true (agg = agg1);
+  (* Cache immutability: a second pass answers identically, and a
+     vacuous override reuses everything. *)
+  let agg1, _, _ = Core.Population.reaggregate cached ~overrides in
+  check bool_ "second pass agrees" true (agg = agg1);
   let agg0, r0, e0 = Core.Population.reaggregate cached ~overrides:[] in
   check int_ "empty override re-evaluates nothing" 0 e0;
   check int_ "empty override reuses every class" 5 r0;
@@ -418,8 +410,8 @@ let check_plan_parity_on name u lts profile =
     Alcotest.(list string)
     (name ^ " annotated labels")
     naive_labels plan_labels;
-  (* Witnesses come from the plan's BFS tree; spot-check against the
-     per-finding searches of the naive path. *)
+  (* Witnesses come from each path's BFS tree; spot-check their
+     lengths. *)
   List.iter2
     (fun (a : Core.Disclosure_risk.finding)
          (b : Core.Disclosure_risk.finding) ->
@@ -449,16 +441,13 @@ let test_spilled_lts () =
   in
   let lts = Core.Generate.run ~options u in
   check bool_ "LTS spilled" true (Core.Plts.spill_stats lts <> None);
-  (* One sensitive field under one agreed service keeps the naive
-     engine's per-finding witness searches to ~3k (its cost); the other
-     profiles have no findings. *)
-  let p sens agreed =
-    Core.User_profile.make ~sensitivities:sens ~agreed_services:agreed ()
+  let profile = Syn.profile sspec diagram in
+  let agreed services =
+    Core.User_profile.make ~sensitivities:[] ~agreed_services:services ()
   in
-  let sensitive = p [ (Mdp_dataflow.Field.make "Field8", 0.9) ] [ "Service0" ] in
   check_engines_on "spilled" u lts
-    [ sensitive; p [] [ "Service0" ]; p [] [] ];
-  check_plan_parity_on "spilled" u lts sensitive;
+    [ profile; agreed [ "Service0" ]; agreed [] ];
+  check_plan_parity_on "spilled" u lts profile;
   Core.Plts.drop_spill lts
 
 let test_plan_parity_healthcare () =

@@ -302,49 +302,33 @@ let test_breaker_failed_probe_reopens () =
 (* A cancelled run must leave no residue: the same universe explored
    again (un-cancelled) must match a run on a fresh universe byte for
    byte — this is what guards the Domain.DLS read-memo hygiene. *)
-let cancelled_then_clean ~jobs ~cancel model =
-  let u = universe_of model in
-  (match Core.Generate.run ~jobs ~cancel u with
+let test_cancel_pre_fired_token () =
+  let cancel = Cancel.create () in
+  Cancel.cancel cancel;
+  let u = universe_of small_model in
+  (match Core.Generate.run ~cancel u with
   | _ -> Alcotest.fail "expected cancellation"
   | exception Cancel.Cancelled _ -> ());
-  let again = Core.Generate.run ~jobs u in
-  let fresh = Core.Generate.run ~jobs (universe_of model) in
-  check string_
-    (Printf.sprintf "jobs=%d: post-cancel run byte-identical to fresh" jobs)
+  let again = Core.Generate.run u in
+  let fresh = Core.Generate.run (universe_of small_model) in
+  check string_ "post-cancel run byte-identical to fresh"
     (Core.Lts_render.to_dot fresh)
     (Core.Lts_render.to_dot again)
 
-let test_cancel_pre_fired_token () =
-  List.iter
-    (fun jobs ->
-      let c = Cancel.create () in
-      Cancel.cancel c;
-      cancelled_then_clean ~jobs ~cancel:c small_model)
-    [ 1; 4 ]
-
 let test_cancel_mid_run_deadline () =
-  List.iter
-    (fun jobs ->
-      let u = universe_of big_model in
-      let options =
-        { Core.Generate.default_options with max_states = 1_000_000 }
-      in
-      let cancel = Cancel.with_budget_ms 5 in
-      let t0 = Mdp_obs.Clock.now_ns () in
-      (match Core.Generate.run ~options ~jobs ~cancel u with
-      | _ -> Alcotest.fail "expected mid-run deadline cancellation"
-      | exception Cancel.Cancelled Cancel.Deadline -> ());
-      let elapsed_ms =
-        float_of_int (Mdp_obs.Clock.now_ns () - t0) /. 1.e6
-      in
-      check bool_
-        (Printf.sprintf "jobs=%d: stopped within budget + slack (%.0fms)" jobs
-           elapsed_ms)
-        true (elapsed_ms < 2000.0);
-      (* The universe stays usable for further (bounded) runs. *)
-      let small = universe_of small_model in
-      ignore (Core.Generate.run ~jobs small))
-    [ 1; 4 ]
+  let u = universe_of big_model in
+  let options = { Core.Generate.default_options with max_states = 1_000_000 } in
+  let cancel = Cancel.with_budget_ms 5 in
+  let t0 = Mdp_obs.Clock.now_ns () in
+  (match Core.Generate.run ~options ~cancel u with
+  | _ -> Alcotest.fail "expected mid-run deadline cancellation"
+  | exception Cancel.Cancelled Cancel.Deadline -> ());
+  let elapsed_ms = float_of_int (Mdp_obs.Clock.now_ns () - t0) /. 1.e6 in
+  check bool_
+    (Printf.sprintf "stopped within budget + slack (%.0fms)" elapsed_ms)
+    true (elapsed_ms < 2000.0);
+  (* The universe stays usable for further (bounded) runs. *)
+  ignore (Core.Generate.run (universe_of small_model))
 
 let test_population_cancel () =
   let u = universe_of small_model in
@@ -360,15 +344,12 @@ let test_population_cancel () =
   let profiles = Core.Population.simulate spec (Core.Universe.diagram u) in
   let fired = Cancel.create () in
   Cancel.cancel fired;
-  List.iter
-    (fun jobs ->
-      (match Core.Population.analyse_compiled ~jobs ~cancel:fired u lts profiles with
-      | _ -> Alcotest.fail "expected population cancellation"
-      | exception Cancel.Cancelled _ -> ());
-      match Core.Population.prepare ~jobs ~cancel:fired u lts profiles with
-      | _ -> Alcotest.fail "expected population prepare cancellation"
-      | exception Cancel.Cancelled _ -> ())
-    [ 1; 4 ];
+  (match Core.Population.analyse_compiled ~cancel:fired u lts profiles with
+  | _ -> Alcotest.fail "expected population cancellation"
+  | exception Cancel.Cancelled _ -> ());
+  (match Core.Population.prepare ~cancel:fired u lts profiles with
+  | _ -> Alcotest.fail "expected population prepare cancellation"
+  | exception Cancel.Cancelled _ -> ());
   (* The LTS and a fresh pass are unaffected by the aborted one. *)
   let a = Core.Population.analyse_compiled u lts profiles in
   let b = Core.Population.analyse u lts profiles in
@@ -910,9 +891,9 @@ let () =
         ] );
       ( "cancellation",
         [
-          Alcotest.test_case "pre-fired token, clean rerun (jobs 1/4)" `Quick
+          Alcotest.test_case "pre-fired token, clean rerun" `Quick
             test_cancel_pre_fired_token;
-          Alcotest.test_case "mid-run deadline (jobs 1/4)" `Quick
+          Alcotest.test_case "mid-run deadline" `Quick
             test_cancel_mid_run_deadline;
           Alcotest.test_case "population sweep cancels" `Quick
             test_population_cancel;

@@ -2,7 +2,7 @@
    byte budget the packed engine evicts sealed arena chunks and sealed
    dedup generations to disk and completes the exploration bounded by
    disk instead of RAM — with byte-identical state numbering for every
-   budget and every job count, and with the spill directory torn down
+   budget, and with the spill directory torn down
    on every exit path (success via [drop_spill]/GC, [Too_many_states],
    cancellation).
 
@@ -11,9 +11,7 @@
    wide frontiers at near-zero step cost, so the tests can afford state
    counts that overflow shard tables (generation spill needs thousands
    of entries per shard) without the expense of real privacy-model
-   steps. Frontiers double per round, so at [jobs > 1] every model of
-   a few thousand states or more takes the parallel round (frontiers
-   of 512 states and up). *)
+   steps. *)
 
 module Lts = Mdp_lts.Lts
 
@@ -71,25 +69,9 @@ let step n i =
   let a = (2 * i) + 1 and b = (2 * i) + 2 in
   [ (0, a mod n); (1, b mod n); (0, a mod n) ]
 
-let explore ?mem_budget ?spill_dir ~packing ~jobs n =
-  L.explore ~max_states:(n + 10) ~jobs ~packing ?mem_budget
-    ?spill_dir ~init:0 ~step:(step n) ()
-
-(* [f ()] with metrics on, and the number of parallel frontier rounds
-   it ran. *)
-let counting_par_rounds f =
-  let was_enabled = Mdp_obs.Metrics.enabled () in
-  Mdp_obs.Metrics.set_enabled true;
-  let rounds () =
-    Option.value ~default:0
-      (List.assoc_opt "lts/par_rounds"
-         (Mdp_obs.Metrics.snapshot ()).Mdp_obs.Metrics.counters)
-  in
-  let before = rounds () in
-  Fun.protect ~finally:(fun () -> Mdp_obs.Metrics.set_enabled was_enabled)
-  @@ fun () ->
-  let v = f () in
-  (v, rounds () - before)
+let explore ?mem_budget ?spill_dir ~packing n =
+  L.explore ~max_states:(n + 10) ~packing ?mem_budget ?spill_dir ~init:0
+    ~step:(step n) ()
 
 let same_lts ctx a b =
   check int_ (ctx ^ " states") (L.num_states a) (L.num_states b);
@@ -110,7 +92,7 @@ let same_lts ctx a b =
 let big_n = 280_000
 
 let test_budget_determinism () =
-  let baseline = explore ~packing:packer1 ~jobs:1 big_n in
+  let baseline = explore ~packing:packer1 big_n in
   check int_ "covers the whole graph" big_n (L.num_states baseline);
   let peak =
     match L.mem_stats baseline with
@@ -119,24 +101,12 @@ let test_budget_determinism () =
   in
   check bool_ "baseline did not spill" true
     (L.spill_stats baseline = None);
-  List.iter
-    (fun (frac, budget) ->
-      List.iter
-        (fun jobs ->
-          let ctx = Printf.sprintf "budget=%s jobs=%d" frac jobs in
-          let lts, ran =
-            counting_par_rounds (fun () ->
-                explore ~packing:packer1 ~mem_budget:budget ~jobs big_n)
-          in
-          if jobs > 1 then
-            check bool_ (ctx ^ " ran a parallel round") true (ran > 0);
-          same_lts ctx baseline lts;
-          L.drop_spill lts)
-        [ 1; 4 ])
-    [ ("75%", 3 * peak / 4); ("25%", peak / 4) ];
+  let at_75 = explore ~packing:packer1 ~mem_budget:(3 * peak / 4) big_n in
+  same_lts "budget=75%" baseline at_75;
+  L.drop_spill at_75;
   (* The tight budget must actually have used the disk tier — both
      tiers of it. *)
-  let lts = explore ~packing:packer1 ~mem_budget:(peak / 4) ~jobs:1 big_n in
+  let lts = explore ~packing:packer1 ~mem_budget:(peak / 4) big_n in
   (match L.spill_stats lts with
   | None -> Alcotest.fail "25% budget did not spill"
   | Some sp ->
@@ -154,7 +124,7 @@ let test_budget_determinism () =
     check bool_ "budget in mem stats" true
       (ms.Lts.ms_mem_budget = Some (peak / 4)));
   (* Decodes must keep working against the disk tier after sealing. *)
-  same_lts "post-compact reread" baseline lts;
+  same_lts "budget=25%" baseline lts;
   L.drop_spill lts
 
 (* ------------------------------------------------------------------ *)
@@ -183,7 +153,7 @@ let packer70 =
 
 let test_wide_states () =
   let n = 20_000 in
-  let baseline = explore ~packing:packer70 ~jobs:1 n in
+  let baseline = explore ~packing:packer70 n in
   check int_ "covers the whole graph" n (L.num_states baseline);
   (* Heap numbering is BFS order: state [i] is discovered as id [i]. *)
   for i = 0 to n - 1 do
@@ -191,18 +161,13 @@ let test_wide_states () =
       Alcotest.failf "state %d does not round-trip" i
   done;
   let budget = 256 * 1024 in
-  List.iter
-    (fun jobs ->
-      same_lts (Printf.sprintf "jobs=%d" jobs) baseline
-        (explore ~packing:packer70 ~jobs n);
-      let lts = explore ~packing:packer70 ~mem_budget:budget ~jobs n in
-      check bool_ (Printf.sprintf "jobs=%d spilled" jobs) true
-        (match L.spill_stats lts with
-        | Some sp -> sp.Lts.sp_chunks > 0
-        | None -> false);
-      same_lts (Printf.sprintf "budget jobs=%d" jobs) baseline lts;
-      L.drop_spill lts)
-    [ 1; 4 ]
+  let lts = explore ~packing:packer70 ~mem_budget:budget n in
+  check bool_ "spilled" true
+    (match L.spill_stats lts with
+    | Some sp -> sp.Lts.sp_chunks > 0
+    | None -> false);
+  same_lts "budget" baseline lts;
+  L.drop_spill lts
 
 (* ------------------------------------------------------------------ *)
 (* Teardown *)
@@ -226,7 +191,7 @@ let rmdir_base base = try Unix.rmdir base with Unix.Unix_error _ -> ()
 let test_teardown_success () =
   let base = fresh_base () in
   let n = 100_000 in
-  let lts = explore ~packing:packer1 ~mem_budget:65536 ~spill_dir:base ~jobs:1 n in
+  let lts = explore ~packing:packer1 ~mem_budget:65536 ~spill_dir:base n in
   check int_ "one spill run under the base" 1 (entries base);
   check bool_ "spilled" true (L.spill_stats lts <> None);
   (* Reads still come off the disk tier before the drop. *)
@@ -239,7 +204,7 @@ let test_teardown_too_many_states () =
   let base = fresh_base () in
   let n = 100_000 in
   (match
-     L.explore ~max_states:60_000 ~jobs:1 ~packing:packer1 ~mem_budget:65536
+     L.explore ~max_states:60_000 ~packing:packer1 ~mem_budget:65536
        ~spill_dir:base ~init:0 ~step:(step n) ()
    with
   | exception Lts.Too_many_states limit -> (
@@ -267,7 +232,7 @@ let test_teardown_cancelled () =
     step n i
   in
   (match
-     L.explore ~max_states:(n + 10) ~jobs:1 ~packing:packer1 ~cancel:tok
+     L.explore ~max_states:(n + 10) ~packing:packer1 ~cancel:tok
        ~mem_budget:65536 ~spill_dir:base ~init:0 ~step ()
    with
   | exception Mdp_obs.Cancel.Cancelled _ ->
@@ -279,12 +244,11 @@ let test_teardown_cancelled () =
 (* Random budgets stay byte-identical (qcheck) *)
 
 let prop_random_budget =
-  QCheck.Test.make ~name:"random budget/jobs byte-identical" ~count:12
-    QCheck.(
-      triple (int_range 500 6_000) (int_range 0 (256 * 1024)) (int_range 1 4))
-    (fun (n, budget, jobs) ->
-      let baseline = explore ~packing:packer8 ~jobs:1 n in
-      let lts = explore ~packing:packer8 ~mem_budget:budget ~jobs n in
+  QCheck.Test.make ~name:"random budget byte-identical" ~count:12
+    QCheck.(pair (int_range 500 6_000) (int_range 0 (256 * 1024)))
+    (fun (n, budget) ->
+      let baseline = explore ~packing:packer8 n in
+      let lts = explore ~packing:packer8 ~mem_budget:budget n in
       let ok = ref (L.num_states baseline = L.num_states lts) in
       for i = 0 to L.num_states baseline - 1 do
         ok :=

@@ -23,26 +23,26 @@ let render t =
   Core.Report.to_string t ^ "\n----\n"
   ^ Format.asprintf "%a" Core.Analysis.pp_summary t
 
-let cold ?jobs (params : Core.Analysis.params) (inputs : Core.Edit.inputs) =
+let cold (params : Core.Analysis.params) (inputs : Core.Edit.inputs) =
   match
     Core.Analysis.run_checked ~options:params.Core.Analysis.options
       ~matrix:params.matrix ~model:params.model
       ?profile:inputs.Core.Edit.profile ~bindings:inputs.Core.Edit.bindings
-      ?jobs inputs.Core.Edit.diagram inputs.Core.Edit.policy
+      inputs.Core.Edit.diagram inputs.Core.Edit.policy
   with
   | Ok t -> t
   | Error f -> Alcotest.fail (Core.Analysis.failure_message f)
 
 (* Apply [edits] one at a time, chaining incrementally, and assert
    byte-identity with a cold run after every step. *)
-let check_chain name ~jobs base edits =
+let check_chain name base edits =
   let rec go prev step = function
     | [] -> ()
     | edit :: rest ->
-      let incr = Core.Analysis.run_incremental ~jobs ~previous:prev [ edit ] in
-      let c = cold ~jobs incr.Core.Analysis.params (Core.Analysis.inputs_of incr) in
+      let incr = Core.Analysis.run_incremental ~previous:prev [ edit ] in
+      let c = cold incr.Core.Analysis.params (Core.Analysis.inputs_of incr) in
       check string_
-        (Printf.sprintf "%s step %d (jobs=%d) byte-identical" name step jobs)
+        (Printf.sprintf "%s step %d byte-identical" name step)
         (render c) (render incr);
       go incr (step + 1) rest
   in
@@ -81,15 +81,12 @@ let healthcare_edits =
   ]
 
 let test_healthcare_chain () =
-  List.iter
-    (fun jobs ->
-      check_chain "healthcare" ~jobs
-        (healthcare_base ~profile:H.profile_case_a ())
-        healthcare_edits)
-    [ 1; 4 ]
+  check_chain "healthcare"
+    (healthcare_base ~profile:H.profile_case_a ())
+    healthcare_edits
 
 let test_healthcare_no_profile_chain () =
-  check_chain "healthcare-noprofile" ~jobs:1 (healthcare_base ())
+  check_chain "healthcare-noprofile" (healthcare_base ())
     [
       revoke "Administrator" Permission.Delete "EHR";
       revoke ~fields:[ H.diagnosis ] "Administrator" Permission.Read "EHR";
@@ -142,7 +139,7 @@ let test_bindings_chain () =
      under bindings re-run only the pass over the reused LTS; profile
      edits on a binding-bearing run reuse the pass too. *)
   let base = study_base () in
-  check_chain "study" ~jobs:1 base
+  check_chain "study" base
     [
       Core.Edit.Set_bindings [ H.study_binding ];
       Core.Edit.Set_sensitivity (H.weight, 0.3);
@@ -174,41 +171,35 @@ let synth_model name =
     (spec, diagram, policy)
   | _ -> Alcotest.fail ("bad spec " ^ name)
 
-let synth_base ?(jobs = 1) name =
+let synth_base name =
   let spec, diagram, policy = synth_model name in
   let profile = Synth.profile spec diagram in
-  match
-    Core.Analysis.run_checked ~profile ~jobs diagram policy
-  with
+  match Core.Analysis.run_checked ~profile diagram policy with
   | Ok t -> t
   | Error f -> Alcotest.fail (Core.Analysis.failure_message f)
 
 let test_synthetic_chain () =
-  List.iter
-    (fun jobs ->
-      let base = synth_base ~jobs "synthetic:4-6-3@1" in
-      let inputs = Core.Analysis.inputs_of base in
-      let grants =
-        Policy.concrete_grants inputs.Core.Edit.policy
-          inputs.Core.Edit.diagram
-      in
-      let of_perm p =
-        List.filter (fun (g : Policy.grant_tuple) -> g.perm = p) grants
-      in
-      let candidate p =
-        match of_perm p with
-        | g :: _ -> [ revoke ~fields:[ g.field ] g.actor g.perm g.store ]
-        | [] -> []
-      in
-      check_chain "synthetic:4-6-3@1" ~jobs base
-        (candidate Permission.Delete
-        @ candidate Permission.Read
-        @ candidate Permission.Write
-        @ [
-            Core.Edit.Set_sensitivity (Field.make "Field2", 1.0);
-            Core.Edit.Set_agreement { service = "Service1"; agreed = false };
-          ]))
-    [ 1; 4 ]
+  let base = synth_base "synthetic:4-6-3@1" in
+  let inputs = Core.Analysis.inputs_of base in
+  let grants =
+    Policy.concrete_grants inputs.Core.Edit.policy inputs.Core.Edit.diagram
+  in
+  let of_perm p =
+    List.filter (fun (g : Policy.grant_tuple) -> g.perm = p) grants
+  in
+  let candidate p =
+    match of_perm p with
+    | g :: _ -> [ revoke ~fields:[ g.field ] g.actor g.perm g.store ]
+    | [] -> []
+  in
+  check_chain "synthetic:4-6-3@1" base
+    (candidate Permission.Delete
+    @ candidate Permission.Read
+    @ candidate Permission.Write
+    @ [
+        Core.Edit.Set_sensitivity (Field.make "Field2", 1.0);
+        Core.Edit.Set_agreement { service = "Service1"; agreed = false };
+      ])
 
 (* Randomized edit sequences, byte-identity after every step. *)
 let edit_vocabulary (inputs : Core.Edit.inputs) =
@@ -266,11 +257,9 @@ let edit_vocabulary (inputs : Core.Edit.inputs) =
 
 let test_random_sequences =
   QCheck.Test.make ~count:12 ~name:"random edit sequences stay byte-identical"
-    QCheck.(
-      pair (list_of_size Gen.(1 -- 3) (int_bound 10_000)) (int_bound 1))
-    (fun (picks, jobs_pick) ->
-      let jobs = if jobs_pick = 0 then 1 else 4 in
-      let base = synth_base ~jobs "synthetic:3-5-2@5" in
+    QCheck.(list_of_size Gen.(1 -- 3) (int_bound 10_000))
+    (fun picks ->
+      let base = synth_base "synthetic:3-5-2@5" in
       let rec go prev = function
         | [] -> true
         | pick :: rest ->
@@ -281,16 +270,13 @@ let test_random_sequences =
            with
           | Error _ -> go prev rest (* inapplicable against current model *)
           | Ok _ ->
-            let incr =
-              Core.Analysis.run_incremental ~jobs ~previous:prev [ edit ]
-            in
+            let incr = Core.Analysis.run_incremental ~previous:prev [ edit ] in
             let c =
-              cold ~jobs incr.Core.Analysis.params
-                (Core.Analysis.inputs_of incr)
+              cold incr.Core.Analysis.params (Core.Analysis.inputs_of incr)
             in
             if render c <> render incr then
-              QCheck.Test.fail_reportf "divergence after %s (jobs=%d)"
-                (Core.Edit.to_string edit) jobs
+              QCheck.Test.fail_reportf "divergence after %s"
+                (Core.Edit.to_string edit)
             else go incr rest)
       in
       go base picks)
