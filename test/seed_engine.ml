@@ -2,9 +2,9 @@
    Config/Action) as a test-only oracle: a cons-list LTS with linear
    duplicate scans, full-config copies per successor, and per-state
    [Policy.allows] queries. It shares no code with the library engine
-   (lib/core/generate.ml, stepping through [Generate.make_step] into
-   the packed LTS store), so it is the independent check on generation
-   semantics and on the transitions the packed store records. *)
+   (lib/core/generate.ml, emitting packed successor words into the LTS
+   store), so it is the independent check on generation semantics, on
+   the emission order and on the transitions the packed store records. *)
 
 open Mdp_dataflow
 open Mdp_prelude
@@ -382,29 +382,26 @@ let successors t id = List.rev t.out.(id)
 
 (* ----- comparison against a library LTS ----- *)
 
-(* Printed label and destination id of each edge, sorted: a successor
-   set that still exposes duplicate edges. *)
-let edge_set dst_id edges =
-  List.sort compare
-    (List.map (fun (a, d) -> (Format.asprintf "%a" Action.pp a, dst_id d)) edges)
+(* A row as printed label and destination id, in insertion order. *)
+let printed_row edges =
+  List.map (fun (a, d) -> (Format.asprintf "%a" Action.pp a, d)) edges
 
-(* [lts] has exactly the seed's states and, per state, the seed's
-   successor set: printed label and destination configuration (the
-   latter compared through the seed's hash-consing, i.e. by
-   [Config.equal]). Numbering may differ. *)
+(* [lts] is the seed's LTS, numbering included: both engines hand out
+   ids in breadth-first discovery order, so state [i] of [lts] must be
+   the seed's state [i] (compared through the seed's hash-consing, i.e.
+   by [Config.equal]), and each row must list the seed's edges —
+   printed label and destination id — in the seed's order. *)
 let check_lts ctx t lts =
   let module Plts = Core.Plts in
   Alcotest.(check int) (ctx ^ " states") t.n (Plts.num_states lts);
   Alcotest.(check int) (ctx ^ " transitions") t.ntrans (Plts.num_transitions lts);
-  let ids =
-    Array.init (Plts.num_states lts) (fun i ->
-        match find t (Plts.state_data lts i) with
-        | Some j -> j
-        | None -> Alcotest.failf "%s: state %d unknown to the seed engine" ctx i)
-  in
-  Array.iteri
-    (fun i j ->
-      if edge_set (fun d -> ids.(d)) (Plts.successors lts i)
-         <> edge_set Fun.id (successors t j)
-      then Alcotest.failf "%s: successors of state %d differ from the seed's" ctx i)
-    ids
+  for i = 0 to Plts.num_states lts - 1 do
+    match find t (Plts.state_data lts i) with
+    | Some j when j = i -> ()
+    | Some j -> Alcotest.failf "%s: state %d is the seed's state %d" ctx i j
+    | None -> Alcotest.failf "%s: state %d unknown to the seed engine" ctx i
+  done;
+  for i = 0 to Plts.num_states lts - 1 do
+    if printed_row (Plts.successors lts i) <> printed_row (successors t i) then
+      Alcotest.failf "%s: the row of state %d differs from the seed's" ctx i
+  done

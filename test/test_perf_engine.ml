@@ -141,9 +141,8 @@ let test_wide_deletes () =
     { Core.Generate.default_options with potential_deletes = true }
 
 (* Against the seed engine: equal state and transition counts, the
-   same set of reachable configurations (every library state is one the
-   seed reached; with equal counts the sets coincide), and per state the
-   seed's successor set — printed label and destination configuration. *)
+   seed's state numbering, and per state the seed's row — printed label
+   and destination id, in order. *)
 let check_seed_oracle name u options =
   Seed_engine.check_lts name
     (Seed_engine.run ~options u)
@@ -170,6 +169,44 @@ let test_seed_oracle () =
   check_seed_oracle (name ^ " granular")
     (Core.Universe.make diagram policy)
     granular
+
+(* Every option that changes the step function, each against the seed
+   engine on small models (under [Data_driven] the state space grows
+   fast: synthetic:6-8-6@3 already exceeds 100k states). *)
+let step_options u =
+  let d = Core.Generate.default_options and fo = Core.Generate.flow_only in
+  let first_service =
+    match (Core.Universe.diagram u).Mdp_dataflow.Diagram.services with
+    | s :: _ -> [ s.Mdp_dataflow.Service.id ]
+    | [] -> []
+  in
+  [
+    ("deletes", { d with potential_deletes = true });
+    ("data-driven", { d with ordering = Core.Generate.Data_driven });
+    ("flow-only", fo);
+    ("flow-only data-driven", { fo with ordering = Core.Generate.Data_driven });
+    ("no potential reads", { d with potential_reads = false });
+    ("unenforced", { d with enforce_policy = false });
+    ("granular deletes", { d with granular_reads = true; potential_deletes = true });
+    ("one service", { d with services = Some first_service });
+  ]
+
+let test_seed_options () =
+  let synthetic name =
+    let diagram, policy = Synthetic.model (spec_of name) in
+    (name, Core.Universe.make diagram policy)
+  in
+  List.iter
+    (fun (model, u) ->
+      List.iter
+        (fun (what, options) ->
+          check_seed_oracle (Printf.sprintf "%s %s" model what) u options)
+        (step_options u))
+    [
+      synthetic "synthetic:4-6-4";
+      synthetic "synthetic:3-6-4@3";
+      ("healthcare", Core.Universe.make H.diagram H.policy);
+    ]
 
 (* A universe wider than 63 words, so every state record's wordmap
    spans several groups: the seed's LTS, the same LTS and disclosure
@@ -234,6 +271,7 @@ let () =
       ( "seed oracle",
         [
           Alcotest.test_case "reachable configurations" `Quick test_seed_oracle;
+          Alcotest.test_case "every step option" `Quick test_seed_options;
           Alcotest.test_case "wide universe (over 63 words)" `Quick
             test_wide_universe;
         ] );
