@@ -14,10 +14,9 @@ let initial u =
     executed = Bitset.create (max 1 (Universe.nflows u));
   }
 
-(* The generator builds successor configs copy-on-write, so configs
-   reaching the same privacy state usually share bitsets (and often whole
-   store arrays) physically; the [==] fast paths here and in
-   [Bitset.equal] make hash-table probes near-O(1). *)
+(* Exploration dedups on packed words, never on configs; [equal] and
+   [hash] serve the [Plts] functor and config-keyed tables outside it.
+   The [==] fast paths pay off on configs that share bitsets. *)
 let equal a b =
   a == b
   || Privacy_state.equal a.privacy b.privacy

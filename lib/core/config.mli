@@ -3,8 +3,8 @@
     The paper's LTS states are privacy states; generating the reachable
     system additionally needs the operational context — which fields each
     datastore currently holds and which flows have executed. A [Config.t]
-    bundles all three and is what the generator hash-conses; analyses
-    project out the privacy state. *)
+    bundles all three; the generator hash-conses its packed words (see
+    {!blit_words}), and analyses project out the privacy state. *)
 
 open Mdp_prelude
 

@@ -125,7 +125,7 @@ let effective_fields u options info =
    the transition label, an enabling guard, and the state-variable deltas
    — all config-independent, so they are computed once per run instead of
    once per state (paper §II-B's extraction rules, evaluated ahead of
-   time). Firing a compiled flow is then a handful of bitset unions. *)
+   time). [word_flow] lowers them further to masks over packed words. *)
 type source_guard =
   | Always
   | Actor_has of int list (* privacy.has variable indices *)
@@ -239,50 +239,13 @@ let compile u options =
       | eff -> Some (compile_flow u info eff))
     (flows_in_scope u options)
 
-let guard_holds (cfg : Config.t) = function
-  | Always -> true
-  | Actor_has vars -> List.for_all (Bitset.get cfg.privacy.has) vars
-  | Store_holds (si, fis) -> List.for_all (Bitset.get cfg.stores.(si)) fis
-
-let flow_enabled options (cfg : Config.t) cf =
-  (not (Bitset.get cfg.executed cf.cf_index))
-  && (match options.ordering with
-     | Data_driven -> true
-     | Strict -> Bitset.subset cf.cf_prereqs cfg.executed)
-  && guard_holds cfg cf.cf_guard
-
-(* Copy-on-write successor: only the bitsets the action changes are
-   duplicated; everything else is shared with the parent config, which is
-   what makes state-table probes cheap (physical equality fast paths). *)
-let fire (cfg : Config.t) cf =
-  let executed = Bitset.with_set cfg.executed cf.cf_index in
-  let privacy =
-    let has = Bitset.with_bits cfg.privacy.has cf.cf_has_vars in
-    let could = Bitset.with_bits cfg.privacy.could cf.cf_could_vars in
-    if has == cfg.privacy.has && could == cfg.privacy.could then cfg.privacy
-    else { Privacy_state.has; could }
-  in
-  let stores =
-    match cf.cf_store_write with
-    | None -> cfg.stores
-    | Some (si, fis) ->
-      let contents = Bitset.with_bits cfg.stores.(si) fis in
-      if contents == cfg.stores.(si) then cfg.stores
-      else begin
-        let stores = Array.copy cfg.stores in
-        stores.(si) <- contents;
-        stores
-      end
-  in
-  { Config.privacy; stores; executed }
-
-(* Memoised construction of potential-read actions: the action value and
-   the privacy vars it sets depend only on (actor, store, field set) —
-   never on the configuration — and the same few field sets recur across
-   most states, so building the label (schema lookup, field names,
-   record) once per distinct key removes the bulk of the emit cost.
-   Sharing one [Action.t] across transitions is safe: actions are
-   immutable, and no analysis writes an explored LTS's labels.
+(* Memoised construction of potential-read actions: the action value
+   depends only on (actor, store, field set) — never on the
+   configuration — and the same few field sets recur across most
+   states, so building the label (schema lookup, field names, record)
+   once per distinct key removes the bulk of the naming cost. Sharing
+   one [Action.t] across transitions is safe: actions are immutable,
+   and no analysis writes an explored LTS's labels.
 
    The table is domain-local so concurrent explorations (serve workers,
    the sweep's fan-out) share no mutable state; each domain warms its
@@ -291,14 +254,10 @@ let fire (cfg : Config.t) cf =
    in different universes. *)
 let run_stamp = Atomic.make 1
 
-let read_memo :
-    (int ref * (int * int * int, Action.t * Bitset.t) Hashtbl.t) Domain.DLS.key
-    =
+let read_memo : (int ref * (int * int * int, Action.t) Hashtbl.t) Domain.DLS.key =
   Domain.DLS.new_key (fun () -> (ref 0, Hashtbl.create 64))
 
-(* [bits] is the fresh field set packed into one word (bit i = field i).
-   The memo value pairs the action with the has-bitset mask it implies,
-   ready for a word-wise union. *)
+(* [bits] is the fresh field set packed into one word (bit i = field i). *)
 let read_action u ~stamp ~actor ~store bits =
   let cur, tbl = Domain.DLS.get read_memo in
   if !cur <> stamp then begin
@@ -307,7 +266,7 @@ let read_action u ~stamp ~actor ~store bits =
   end;
   let key = (actor, store, bits) in
   match Hashtbl.find_opt tbl key with
-  | Some v -> v
+  | Some action -> action
   | None ->
     let nf = Universe.nfields u in
     let fis = ref [] in
@@ -321,61 +280,11 @@ let read_action u ~stamp ~actor ~store bits =
         ~kind:Action.Read ~fields ~actor:(Universe.actor_name u actor)
         Action.Potential
     in
-    let mask = Bitset.create (Universe.nvars u) in
-    Bitset.set_word mask ~pos:(actor * nf) ~len:nf bits;
-    let v = (action, mask) in
-    Hashtbl.add tbl key v;
-    v
+    Hashtbl.add tbl key action;
+    action
 
-(* Policy-derived reads: fields present in the store, readable by the
-   actor, and not yet identified by it (reads that change no state are
-   omitted to keep the LTS acyclic).
-
-   Fast path, available whenever every field index fits one machine word
-   (in practice always): the fresh set for an (actor, store) pair is a
-   single masked AND — readable & contents & ~has — with no per-bit
-   probing, and the [has] update is a word-wise union with the memoised
-   mask. Emission order matches the generic path: actors outer, stores
-   inner, fields in increasing order. *)
-let potential_reads_packed u options ~stamp ~readable_words (cfg : Config.t) =
-  let nf = Universe.nfields u in
-  let ns = Universe.nstores u in
-  let transitions = ref [] in
-  let store_words =
-    Array.init ns (fun s -> Bitset.extract cfg.stores.(s) ~pos:0 ~len:nf)
-  in
-  for a = 0 to Universe.nactors u - 1 do
-    let has = Bitset.extract cfg.privacy.has ~pos:(a * nf) ~len:nf in
-    let row : int array = readable_words.(a) in
-    for s = 0 to ns - 1 do
-      let fresh = row.(s) land store_words.(s) land lnot has in
-      if fresh <> 0 then begin
-        let emit bits =
-          let action, mask = read_action u ~stamp ~actor:a ~store:s bits in
-          let privacy =
-            {
-              Privacy_state.has = Bitset.union cfg.privacy.has mask;
-              could = cfg.privacy.could;
-            }
-          in
-          transitions := (action, { cfg with Config.privacy }) :: !transitions
-        in
-        if options.granular_reads then begin
-          let bits = ref fresh in
-          while !bits <> 0 do
-            let lsb = !bits land - !bits in
-            emit lsb;
-            bits := !bits land lnot lsb
-          done
-        end
-        else emit fresh
-      end
-    done
-  done;
-  !transitions
-
-(* Generic fallback for models with more fields than a word holds;
-   mirrors the seed implementation. *)
+(* Potential reads of models with more fields than a word holds, as a
+   list in row order; mirrors the seed implementation. *)
 let potential_reads_generic u options (cfg : Config.t) =
   let transitions = ref [] in
   for a = 0 to Universe.nactors u - 1 do
@@ -413,6 +322,7 @@ let potential_reads_generic u options (cfg : Config.t) =
   done;
   !transitions
 
+(* Potential deletes, as a list in row order. *)
 let potential_deletes u (cfg : Config.t) =
   let transitions = ref [] in
   for s = 0 to Universe.nstores u - 1 do
@@ -472,27 +382,216 @@ let readable_rows u options =
                  ~pos:0 ~len:nf)))
   else None
 
-(* The successor function [run] explores with: enabled flows in
-   flow-index order, then potential reads, then potential deletes. *)
-let make_step u options ~stamp ~compiled ~readable_words =
-  fun cfg ->
-    let from_flows =
-      List.filter_map
-        (fun cf ->
-          if flow_enabled options cfg cf then Some (cf.cf_action, fire cfg cf)
-          else None)
-        compiled
+(* ----- the word-level successor function ----- *)
+
+(* Where each bitset of a packed config starts, in [Config.blit_words]
+   order: has, could, each store, executed. *)
+type layout = {
+  l_words : int;
+  l_has : int;
+  l_could : int;
+  l_stores : int array;
+  l_exec : int;
+}
+
+let layout (init : Config.t) =
+  let wc = Bitset.word_count in
+  let l_could = wc init.privacy.has in
+  let off = ref (l_could + wc init.privacy.could) in
+  let l_stores =
+    Array.map
+      (fun st ->
+        let o = !off in
+        off := o + wc st;
+        o)
+      init.stores
+  in
+  { l_words = Config.nwords init; l_has = 0; l_could; l_stores; l_exec = !off }
+
+(* A sparse word mask: bits [m_bits.(i)] of word [m_idx.(i)]. *)
+type mask = { m_idx : int array; m_bits : int array }
+
+(* The mask of the given (bitset offset, bit index) pairs. *)
+let mask_of l bits =
+  let bpw = Bitset.bits_per_word in
+  let dense = Array.make l.l_words 0 in
+  List.iter
+    (fun (off, i) ->
+      let k = off + (i / bpw) in
+      dense.(k) <- dense.(k) lor (1 lsl (i mod bpw)))
+    bits;
+  let idx = List.filter (fun k -> dense.(k) <> 0) (List.init l.l_words Fun.id) in
+  { m_idx = Array.of_list idx; m_bits = Array.of_list (List.map (Array.get dense) idx) }
+
+let mask_holds m words =
+  let rec go i =
+    i = Array.length m.m_idx
+    || (let b = Array.unsafe_get m.m_bits i in
+        Array.unsafe_get words (Array.unsafe_get m.m_idx i) land b = b
+        && go (i + 1))
+  in
+  go 0
+
+let mask_into m words =
+  for i = 0 to Array.length m.m_idx - 1 do
+    let k = Array.unsafe_get m.m_idx i in
+    Array.unsafe_set words k (Array.unsafe_get words k lor Array.unsafe_get m.m_bits i)
+  done
+
+(* A compiled flow over packed words: enabled when its executed bit is
+   clear and the parent holds every [wf_guard] bit (source guard, plus
+   the prerequisite flows under [Strict]); its successor is the parent
+   with every [wf_fire] bit set. *)
+type word_flow = { wf_exec : mask; wf_guard : mask; wf_fire : mask }
+
+let word_flow l options cf =
+  let at off = List.map (fun i -> (off, i)) in
+  let guard =
+    match cf.cf_guard with
+    | Always -> []
+    | Actor_has vars -> at l.l_has vars
+    | Store_holds (si, fis) -> at l.l_stores.(si) fis
+  in
+  let prereqs =
+    match options.ordering with
+    | Data_driven -> []
+    | Strict -> at l.l_exec (Bitset.to_list cf.cf_prereqs)
+  in
+  let store_write =
+    match cf.cf_store_write with
+    | None -> []
+    | Some (si, fis) -> at l.l_stores.(si) fis
+  in
+  {
+    wf_exec = mask_of l [ (l.l_exec, cf.cf_index) ];
+    wf_guard = mask_of l (guard @ prereqs);
+    wf_fire =
+      mask_of l
+        (((l.l_exec, cf.cf_index) :: at l.l_has cf.cf_has_vars)
+        @ at l.l_could cf.cf_could_vars @ store_write);
+  }
+
+(* Fresh field words keyed by a multiplicative mix: cheaper than the
+   generic [Hashtbl.hash], and it spreads the high field bits. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = (x * 0x2545F4914F6CDD1D) lsr 20
+end)
+
+module Atbl = Hashtbl.Make (Action)
+
+(* The run's successor function as a word emitter for [Lts.explore],
+   with its label table. Label keys are dense: the compiled flows take
+   keys [0 .. nflows - 1], and each distinct potential action gets the
+   next free key the first time it is emitted.
+
+   Emission order is the row order of every state: enabled flows in
+   compiled order, then potential reads — actors and stores descending,
+   granular bits highest first — then potential deletes. Packed reads
+   are one masked AND per (actor, store) with a per-(actor, store)
+   [fresh bits -> key] memo. Deletes, and the reads of models too wide
+   for one word, rebuild the parent's [Config] and blit each successor
+   into [cand]; they are the rare paths. *)
+let emitter u options ~stamp ~compiled ~readable_words init =
+  let l = layout init in
+  let w = l.l_words in
+  let flows = Array.of_list (List.map (word_flow l options) compiled) in
+  let labels = ref (Array.of_list (List.map (fun cf -> cf.cf_action) compiled)) in
+  let nkeys = ref (Array.length flows) in
+  let new_key action =
+    let k = !nkeys in
+    if k = Array.length !labels then begin
+      let bigger = Array.make (max 16 (2 * k)) action in
+      Array.blit !labels 0 bigger 0 k;
+      labels := bigger
+    end;
+    !labels.(k) <- action;
+    nkeys := k + 1;
+    k
+  in
+  let label_of k = !labels.(k) in
+  let na = Universe.nactors u and ns = Universe.nstores u in
+  let nf = Universe.nfields u in
+  let bpw = Bitset.bits_per_word in
+  let fmask = if nf >= bpw then lnot 0 else (1 lsl nf) - 1 in
+  let read_keys = Array.init (na * ns) (fun _ -> Itbl.create 8) in
+  let emit_read parent cand emit a s bits =
+    let tbl = read_keys.((a * ns) + s) in
+    let key =
+      match Itbl.find tbl bits with
+      | k -> k
+      | exception Not_found ->
+        let k = new_key (read_action u ~stamp ~actor:a ~store:s bits) in
+        Itbl.add tbl bits k;
+        k
     in
-    let reads =
-      match readable_words with
-      | Some readable_words ->
-        potential_reads_packed u options ~stamp ~readable_words cfg
-      | None ->
-        if options.potential_reads then potential_reads_generic u options cfg
-        else []
+    Array.blit parent 0 cand 0 w;
+    let pos = a * nf in
+    let k = l.l_has + (pos / bpw) and off = pos mod bpw in
+    (* [lsl] drops the bits past the word, which the next word takes. *)
+    cand.(k) <- cand.(k) lor (bits lsl off);
+    if off + nf > bpw then cand.(k + 1) <- cand.(k + 1) lor (bits lsr (bpw - off));
+    emit key
+  in
+  let packed_reads readable parent cand emit =
+    for a = na - 1 downto 0 do
+      let pos = a * nf in
+      let k = l.l_has + (pos / bpw) and off = pos mod bpw in
+      let lo = parent.(k) lsr off in
+      let has =
+        (if off + nf <= bpw then lo else lo lor (parent.(k + 1) lsl (bpw - off)))
+        land fmask
+      in
+      let row : int array = readable.(a) in
+      for s = ns - 1 downto 0 do
+        let fresh = row.(s) land parent.(l.l_stores.(s)) land lnot has in
+        if fresh <> 0 then
+          if options.granular_reads then begin
+            for f = nf - 1 downto 0 do
+              if fresh land (1 lsl f) <> 0 then
+                emit_read parent cand emit a s (1 lsl f)
+            done
+          end
+          else emit_read parent cand emit a s fresh
+      done
+    done
+  in
+  let action_keys = Atbl.create 16 in
+  let emit_config cand emit (action, (cfg : Config.t)) =
+    let key =
+      match Atbl.find action_keys action with
+      | k -> k
+      | exception Not_found ->
+        let k = new_key action in
+        Atbl.add action_keys action k;
+        k
     in
-    let deletes = if options.potential_deletes then potential_deletes u cfg else [] in
-    from_flows @ reads @ deletes
+    ignore (Config.blit_words cfg cand 0 : int);
+    emit key
+  in
+  let wide_reads = options.potential_reads && readable_words = None in
+  let step_words parent cand emit =
+    for key = 0 to Array.length flows - 1 do
+      let wf = flows.(key) in
+      if (not (mask_holds wf.wf_exec parent)) && mask_holds wf.wf_guard parent
+      then begin
+        Array.blit parent 0 cand 0 w;
+        mask_into wf.wf_fire cand;
+        emit key
+      end
+    done;
+    Option.iter (fun readable -> packed_reads readable parent cand emit) readable_words;
+    if wide_reads || options.potential_deletes then begin
+      let cfg = Config.of_words ~template:init parent 0 in
+      if wide_reads then
+        List.iter (emit_config cand emit) (potential_reads_generic u options cfg);
+      if options.potential_deletes then
+        List.iter (emit_config cand emit) (potential_deletes u cfg)
+    end
+  in
+  (label_of, step_words)
 
 (* The store class of a transition label: the index of the store its
    action touches (potential reads, deletes and store-directed flows all
@@ -517,8 +616,10 @@ let run ?(options = default_options) ?cancel u =
   let compiled = compile u options in
   let stamp = fresh_stamp () in
   let readable_words = readable_rows u options in
-  let step = make_step u options ~stamp ~compiled ~readable_words in
   let init = Config.initial u in
+  let label_of, step_words =
+    emitter u options ~stamp ~compiled ~readable_words init
+  in
   Plts.explore ~max_states:options.max_states ?cancel
     ~packing:(config_packer init) ?mem_budget:options.mem_budget
-    ?spill_dir:options.spill_dir ~init ~step ()
+    ?spill_dir:options.spill_dir ~init ~label_of ~step_words ()

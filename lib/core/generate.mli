@@ -107,17 +107,11 @@ val readable_rows : Universe.t -> options -> int array array option
     word holds or potential reads are off. *)
 
 val read_action :
-  Universe.t ->
-  stamp:int ->
-  actor:int ->
-  store:int ->
-  int ->
-  Action.t * Mdp_prelude.Bitset.t
+  Universe.t -> stamp:int -> actor:int -> store:int -> int -> Action.t
 (** The memoised potential-read label for a packed fresh field set (bit
-    [i] = field [i]) together with the privacy.has mask it implies —
-    exactly the label a cold run emits for that (actor, store, field
-    set). Exposed so {!Regen}'s arithmetic walk can name recomputed read
-    groups without rebuilding configurations. *)
+    [i] = field [i]) — exactly the label a cold run emits for that
+    (actor, store, field set). Exposed so {!Regen}'s arithmetic walk can
+    name recomputed read groups without rebuilding configurations. *)
 
 val store_classifier : Universe.t -> Action.t -> int
 (** The store class of a transition label: the touched store's index,

@@ -466,10 +466,7 @@ let walk_fast p old_lts (labels : Action.t array) =
       if Action.findable a then ATbl.replace fresh_labels a ()
     in
     let emit_read a s bits =
-      let action, _ =
-        Generate.read_action u ~stamp:p.rp_stamp ~actor:a ~store:s bits
-      in
-      add_label action
+      add_label (Generate.read_action u ~stamp:p.rp_stamp ~actor:a ~store:s bits)
     in
     let visit_old q =
       if not (bit visited q) then begin

@@ -896,15 +896,15 @@ module Make (S : STATE) (L : LABEL) = struct
   let reachable t =
     if t.n = 0 then [] else Array.to_list (bfs t (fun _ _ _ -> false))
 
+  (* Equal labels share one interned id, so a repeated label in a row
+     is a repeated int: [last.(lid)] holds the last state whose row
+     used [lid]. *)
   let is_deterministic t =
+    let last = Array.make t.p.nlabels (-1) in
     let ok = ref true in
     for s = 0 to t.n - 1 do
-      let labels = List.map fst (successors t s) in
-      let rec dup = function
-        | [] -> false
-        | l :: rest -> List.exists (L.equal l) rest || dup rest
-      in
-      if dup labels then ok := false
+      iter_row t.p s (fun lid _ ->
+          if last.(lid) = s then ok := false else last.(lid) <- s)
     done;
     !ok
 
@@ -926,15 +926,65 @@ module Make (S : STATE) (L : LABEL) = struct
      initial state 0; word-equality dedup coincides with [S.equal]
      (the packer contract). A round expands its ids one by one against
      the live tables; the round boundary is where the spill tier
-     evicts and where the [lts/frontier_*] metrics are taken. *)
-  let explore_rounds t p ~max_states ~cancel ~step =
+     evicts and where the [lts/frontier_*] metrics are taken.
+
+     Successors arrive as words: [step_words] writes each candidate
+     into [p.cand_buf] and calls [emit key], which probes the shards
+     and appends the edge with nothing boxed. [lids] resolves the
+     emitter's dense label keys to interned label ids, so [label_of]
+     and [intern] run once per key; a label's first key is seen at the
+     label's first edge, so label ids keep first-edge order. *)
+  let explore_rounds t p ~max_states ~cancel ~label_of ~step_words =
     let w = p.pk.pk_words in
     let hits = ref 0 and misses = ref 0 and rounds = ref 0 in
-    let parent_buf = Array.make w 0 in
+    let parent_buf = Array.make w 0 and cand = p.cand_buf in
+    let src = ref 0 and src_depth = ref 0 in
+    let lids = ref (Array.make 64 (-1)) in
+    let lid_of key =
+      if key >= Array.length !lids then begin
+        let bigger = Array.make (max (key + 1) (2 * Array.length !lids)) (-1) in
+        Array.blit !lids 0 bigger 0 (Array.length !lids);
+        lids := bigger
+      end;
+      let lid = !lids.(key) in
+      if lid >= 0 then lid
+      else begin
+        let lid = intern p (label_of key) in
+        !lids.(key) <- lid;
+        lid
+      end
+    in
+    let emit key =
+      let h = P.hash_words cand w in
+      let found =
+        shard_find p p.shards.(shard_of h) (tag_of h) cand p.cur p.cmp_buf
+      in
+      let dst =
+        if found >= 0 then begin
+          incr hits;
+          found
+        end
+        else begin
+          let id =
+            packed_new_state t p ~parent:!src ~parent_words:parent_buf
+              ~parent_depth:!src_depth cand h
+          in
+          if t.n > max_states then too_many t max_states;
+          incr misses;
+          id
+        end
+      in
+      (* Append [-label-> dst] to the open row, once. *)
+      let e = (lid_of key lsl 32) lor dst in
+      if not (row_contains p e) then begin
+        push_edge p e;
+        t.ntrans <- t.ntrans + 1
+      end
+    in
     let expand lo hi =
-      for src = lo to hi - 1 do
-        (* [src] is also the number of states expanded so far. *)
-        if src land (cancel_poll_batch - 1) = 0 then begin
+      for s = lo to hi - 1 do
+        (* [s] is also the number of states expanded so far. *)
+        if s land (cancel_poll_batch - 1) = 0 then begin
           poll_cancel cancel;
           (* Spill on the expansion batch too: edge rows and dedup
              tables grow even through stretches that discover few
@@ -942,41 +992,12 @@ module Make (S : STATE) (L : LABEL) = struct
              budget. *)
           spill_down p
         end;
-        decode_words p p.cur parent_buf src;
-        let src_depth = P.U8.get p.depths src in
-        let cfg = p.pk.pk_decode parent_buf 0 in
+        decode_words p p.cur parent_buf s;
+        src := s;
+        src_depth := P.U8.get p.depths s;
         p.rlen <- 0;
-        List.iter
-          (fun (label, dst_data) ->
-            p.pk.pk_blit dst_data p.cand_buf 0;
-            let h = P.hash_words p.cand_buf w in
-            let found =
-              shard_find p p.shards.(shard_of h) (tag_of h) p.cand_buf p.cur
-                p.cmp_buf
-            in
-            let dst =
-              if found >= 0 then begin
-                incr hits;
-                found
-              end
-              else begin
-                let id =
-                  packed_new_state t p ~parent:src ~parent_words:parent_buf
-                    ~parent_depth:src_depth p.cand_buf h
-                in
-                if t.n > max_states then too_many t max_states;
-                incr misses;
-                id
-              end
-            in
-            (* Append [-label-> dst] to the open row, once. *)
-            let e = (intern p label lsl 32) lor dst in
-            if not (row_contains p e) then begin
-              push_edge p e;
-              t.ntrans <- t.ntrans + 1
-            end)
-          (step cfg);
-        close_row p src
+        step_words parent_buf cand emit;
+        close_row p s
       done
     in
     Fun.protect ~finally:(fun () ->
@@ -995,7 +1016,7 @@ module Make (S : STATE) (L : LABEL) = struct
     done
 
   let explore ?(max_states = 200_000) ?cancel ~packing ?mem_budget ?spill_dir
-      ~init ~step () =
+      ~init ~label_of ~step_words () =
     Mdp_obs.Metrics.span "lts/explore" @@ fun () ->
     let t = make ?mem_budget ?spill_dir packing in
     let p = t.p in
@@ -1007,7 +1028,7 @@ module Make (S : STATE) (L : LABEL) = struct
          (P.hash_words p.cand_buf p.pk.pk_words)
         : state_id);
     if t.n > max_states then too_many t max_states;
-    (try explore_rounds t p ~max_states ~cancel ~step
+    (try explore_rounds t p ~max_states ~cancel ~label_of ~step_words
      with e ->
        let bt = Printexc.get_raw_backtrace () in
        (match e with

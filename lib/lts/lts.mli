@@ -134,18 +134,34 @@ module Make (S : STATE) (L : LABEL) : sig
     ?mem_budget:int ->
     ?spill_dir:string ->
     init:S.t ->
-    step:(S.t -> (L.t * S.t) list) ->
+    label_of:(int -> L.t) ->
+    step_words:(int array -> int array -> (int -> unit) -> unit) ->
     unit ->
     t
   (** Breadth-first fixed point: starting from [init], repeatedly expand
-      unvisited states with [step]. Equal states (by their packed
-      words) get one id, and a successor [step] lists twice under an
-      equal label is one transition.
+      unvisited states with [step_words]. Equal states (by their packed
+      words) get one id, and a successor emitted twice under an equal
+      label is one transition.
+
+      Successors are emitted as packed words, so nothing is boxed per
+      candidate. [step_words parent cand emit] expands one state:
+      [parent] holds its [pk_words] decoded words (read-only); for each
+      successor, in row order, the emitter writes all [pk_words] words
+      of the successor (its [pk_blit] encoding, so the {!packer}
+      contract holds) into [cand] and calls [emit key]. [cand] is
+      the engine's buffer and its contents are valid only until [emit]
+      returns, so every successor rewrites it in full. [key] is a
+      dense, emitter-local label key (a small non-negative int, one
+      label per key; several keys may name equal labels). The engine
+      maps keys to interned label ids through an int array and calls
+      [label_of key] only the first time it sees [key], at the edge
+      that first carries it — so label ids keep first-edge order.
 
       [packing] is the state codec: states live as packed words in an
       arena (delta-encoded against their BFS parent when smaller), dedup
       runs through hash-partitioned shard tables (dropped when the
-      exploration ends), and [step] receives freshly decoded states.
+      exploration ends), and [packing.pk_blit] is used for [init]
+      alone: every other state enters as emitted words.
 
       Ids are handed out in discovery order, so each breadth-first
       round expands exactly the id range the previous round discovered,
@@ -238,7 +254,8 @@ module Make (S : STATE) (L : LABEL) : sig
   (** States reachable from the initial state, BFS order. *)
 
   val is_deterministic : t -> bool
-  (** No state has two outgoing transitions with equal labels. *)
+  (** No state has two outgoing transitions with equal labels (compared
+      by interned label id: equal labels share one). *)
 
   val path_to : t -> (state_id -> bool) -> (L.t * state_id) list option
   (** Shortest witness path (sequence of steps from the initial state) to

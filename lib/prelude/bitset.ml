@@ -43,10 +43,6 @@ let equal a b =
 let hash t =
   Array.fold_left (fun acc w -> (acc * 1000003) lxor w) t.len t.words
 
-let union a b =
-  same_len a b;
-  { len = a.len; words = Array.map2 ( lor ) a.words b.words }
-
 let union_into ~dst src =
   same_len dst src;
   Array.iteri (fun i w -> dst.words.(i) <- dst.words.(i) lor w) src.words
@@ -97,14 +93,6 @@ let of_list len l =
   List.iter (set t) l;
   t
 
-let with_set t i =
-  if get t i then t
-  else begin
-    let c = copy t in
-    set c i;
-    c
-  end
-
 let with_bits t l =
   if List.for_all (get t) l then t
   else begin
@@ -131,18 +119,6 @@ let extract t ~pos ~len =
       else lo lor (t.words.(w + 1) lsl (bits_per_word - off))
     in
     v land word_mask len
-  end
-
-let set_word t ~pos ~len bits =
-  range_check t pos len;
-  let bits = bits land word_mask len in
-  if bits <> 0 then begin
-    let w = pos / bits_per_word and off = pos mod bits_per_word in
-    (* [lsl] drops bits shifted past the word width, which is exactly
-       the high part carried into the next word below. *)
-    t.words.(w) <- t.words.(w) lor (bits lsl off);
-    if off + len > bits_per_word then
-      t.words.(w + 1) <- t.words.(w + 1) lor (bits lsr (bits_per_word - off))
   end
 
 let word_count t = Array.length t.words

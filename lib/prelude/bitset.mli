@@ -22,9 +22,6 @@ val is_empty : t -> bool
 val equal : t -> t -> bool
 val hash : t -> int
 
-val union : t -> t -> t
-(** Fresh bitset; operands unchanged. *)
-
 val union_into : dst:t -> t -> unit
 (** [union_into ~dst src] sets every bit of [src] in [dst]. *)
 
@@ -44,10 +41,6 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> int list
 val of_list : int -> int list -> t
 
-val with_set : t -> int -> t
-(** Copy-on-write [set]: a fresh bitset with the bit additionally set —
-    or [t] itself (shared, no allocation) when the bit is already set. *)
-
 val with_bits : t -> int list -> t
 (** Copy-on-write [set] of several bits; [t] itself when they are all
     already set. *)
@@ -59,11 +52,6 @@ val extract : t -> pos:int -> len:int -> int
 (** [extract t ~pos ~len] is bits [pos .. pos+len-1] of [t] packed into
     an int, bit [pos] lowest. [len] must be at most [bits_per_word]; the
     range must lie within the capacity. *)
-
-val set_word : t -> pos:int -> len:int -> int -> unit
-(** [set_word t ~pos ~len w] sets every bit [pos + i] of [t] for which
-    bit [i] of [w] is set ([i < len]); clears nothing. Inverse direction
-    of {!extract} restricted to unions. *)
 
 (** {1 Raw word access}
 

@@ -32,12 +32,15 @@ let check = Alcotest.check
 let bool_ = Alcotest.bool
 let int_ = Alcotest.int
 
+(* Explore from [init] with a list-valued successor function. *)
+let explore ?max_states ~init step =
+  let label_of, step_words = List_step.emitter packer step in
+  L.explore ?max_states ~packing:packer ~init ~label_of ~step_words ()
+
 (* The LTS [explore] builds from [init] over an explicit edge list. *)
 let graph ~init edges =
-  L.explore ~packing:packer ~init
-    ~step:(fun s ->
+  explore ~init (fun s ->
       List.filter_map (fun (src, l, dst) -> if src = s then Some (l, dst) else None) edges)
-    ()
 
 let single s = graph ~init:s []
 
@@ -53,6 +56,33 @@ let test_hash_consing () =
   check int_ "new data, new id" 7 (L.state_data t 1);
   check (Alcotest.list (Alcotest.pair Alcotest.string int_))
     "equal data, same id" [ ("loop", 0); ("a", 1); ("b", 1) ] (L.successors t 0)
+
+(* Emitter keys: two keys may name equal labels. [label_of] runs once
+   per key, equal labels share one id and make one transition per
+   destination, and ids follow first-edge order. *)
+let test_label_keys () =
+  let names = [| "b"; "a"; "b" |] and calls = Array.make 3 0 in
+  let label_of k =
+    calls.(k) <- calls.(k) + 1;
+    names.(k)
+  in
+  let step_words parent cand emit =
+    let s = parent.(0) in
+    if s < 3 then
+      List.iter
+        (fun k ->
+          cand.(0) <- s + 1;
+          emit k)
+        [ 2; 1; 0 ]
+  in
+  let t = L.explore ~packing:packer ~init:0 ~label_of ~step_words () in
+  check (Alcotest.array int_) "label_of once per key" [| 1; 1; 1 |] calls;
+  check
+    Alcotest.(option (array string))
+    "first-edge order" (Some [| "b"; "a" |]) (L.interned_labels t);
+  check int_ "states" 4 (L.num_states t);
+  check int_ "equal labels, one transition" 6 (L.num_transitions t);
+  check bool_ "deterministic" true (L.is_deterministic t)
 
 let test_duplicate_transitions () =
   let t = graph ~init:0 [ (0, "x", 1); (0, "x", 1); (0, "y", 1) ] in
@@ -98,9 +128,8 @@ let test_acyclic_and_deterministic () =
 let test_explore () =
   (* Count to 5 with two labels; states are hash-consed ints. *)
   let t =
-    L.explore ~packing:packer ~init:0
-      ~step:(fun s -> if s >= 5 then [] else [ ("inc", s + 1); ("двa", min 5 (s + 2)) ])
-      ()
+    explore ~init:0 (fun s ->
+        if s >= 5 then [] else [ ("inc", s + 1); ("двa", min 5 (s + 2)) ])
   in
   check int_ "state count" 6 (L.num_states t);
   check bool_ "reaches 5" true
@@ -108,7 +137,7 @@ let test_explore () =
 
 let test_explore_max_states () =
   match
-    L.explore ~max_states:10 ~packing:packer ~init:0 ~step:(fun s -> [ ("i", s + 1) ]) ()
+    explore ~max_states:10 ~init:0 (fun s -> [ ("i", s + 1) ])
   with
   | exception Mdp_lts.Lts.Too_many_states n -> check int_ "carries the limit" 10 n
   | _ -> Alcotest.fail "expected Too_many_states"
@@ -153,11 +182,9 @@ let prop_explore_deterministic =
     QCheck.(int_bound 20)
     (fun n ->
       let build () =
-        L.explore ~packing:packer ~init:0
-          ~step:(fun s ->
+        explore ~init:0 (fun s ->
             if s >= n then []
             else [ ("a", (s + 1) mod (n + 1)); ("b", (s * 2) mod (n + 1)) ])
-          ()
       in
       let a = build () and b = build () in
       L.num_states a = L.num_states b && L.num_transitions a = L.num_transitions b)
@@ -169,6 +196,7 @@ let () =
         [
           Alcotest.test_case "hash-consing" `Quick test_hash_consing;
           Alcotest.test_case "duplicate transitions" `Quick test_duplicate_transitions;
+          Alcotest.test_case "label keys" `Quick test_label_keys;
           Alcotest.test_case "initial" `Quick test_initial;
           Alcotest.test_case "successors" `Quick test_successors;
         ] );

@@ -69,9 +69,14 @@ let step n i =
   let a = (2 * i) + 1 and b = (2 * i) + 2 in
   [ (0, a mod n); (1, b mod n); (0, a mod n) ]
 
+(* Explore from 0 with a list-valued successor function. *)
+let explore_with ?max_states ?cancel ?mem_budget ?spill_dir ~packing step =
+  let label_of, step_words = List_step.emitter packing step in
+  L.explore ?max_states ?cancel ~packing ?mem_budget ?spill_dir ~init:0
+    ~label_of ~step_words ()
+
 let explore ?mem_budget ?spill_dir ~packing n =
-  L.explore ~max_states:(n + 10) ~packing ?mem_budget ?spill_dir ~init:0
-    ~step:(step n) ()
+  explore_with ~max_states:(n + 10) ~packing ?mem_budget ?spill_dir (step n)
 
 let same_lts ctx a b =
   check int_ (ctx ^ " states") (L.num_states a) (L.num_states b);
@@ -204,8 +209,8 @@ let test_teardown_too_many_states () =
   let base = fresh_base () in
   let n = 100_000 in
   (match
-     L.explore ~max_states:60_000 ~packing:packer1 ~mem_budget:65536
-       ~spill_dir:base ~init:0 ~step:(step n) ()
+     explore_with ~max_states:60_000 ~packing:packer1 ~mem_budget:65536
+       ~spill_dir:base (step n)
    with
   | exception Lts.Too_many_states limit -> (
     check int_ "limit carried" 60_000 limit;
@@ -232,8 +237,8 @@ let test_teardown_cancelled () =
     step n i
   in
   (match
-     L.explore ~max_states:(n + 10) ~packing:packer1 ~cancel:tok
-       ~mem_budget:65536 ~spill_dir:base ~init:0 ~step ()
+     explore_with ~max_states:(n + 10) ~packing:packer1 ~cancel:tok
+       ~mem_budget:65536 ~spill_dir:base step
    with
   | exception Mdp_obs.Cancel.Cancelled _ ->
     check int_ "spill dir removed on cancel" 0 (entries base)
