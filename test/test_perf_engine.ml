@@ -271,8 +271,8 @@ let () =
       ( "seed oracle",
         [
           Alcotest.test_case "reachable configurations" `Quick test_seed_oracle;
-          Alcotest.test_case "every step option" `Quick test_seed_options;
           Alcotest.test_case "wide universe (over 63 words)" `Quick
             test_wide_universe;
+          Alcotest.test_case "every step option" `Quick test_seed_options;
         ] );
     ]
