@@ -224,6 +224,57 @@ let test_wide_universe () =
   check Alcotest.bool "byte accounting" true
     (Core.Plts.mem_stats (Core.Generate.run u) <> None)
 
+(* Reads over more than one 63-field group: synthetic:30-64-3 (64
+   fields) under every step option but the granular ones, which exceed
+   100k states there. *)
+let test_wide_fields () =
+  let name = "synthetic:30-64-3" in
+  let diagram, policy = Synthetic.model (spec_of name) in
+  let u = Core.Universe.make diagram policy in
+  check Alcotest.bool "wider than 63 fields" true
+    (Core.Universe.nfields u > 63);
+  List.iter
+    (fun (what, (options : Core.Generate.options)) ->
+      if not options.granular_reads then
+        check_seed_oracle (Printf.sprintf "%s %s" name what) u options)
+    (step_options u)
+
+(* Healthcare plus a 60-field store no flow touches (70 fields): the
+   store stays empty, so the LTS is healthcare's, but every potential
+   read spans two field groups. *)
+let test_padded_healthcare () =
+  let d = H.diagram in
+  let pad =
+    Mdp_dataflow.Datastore.make ~id:"Padding"
+      ~schemas:
+        [
+          Mdp_dataflow.Schema.make ~id:"PaddingRecord"
+            ~fields:
+              (List.init 60 (fun i ->
+                   Mdp_dataflow.Field.make (Printf.sprintf "Pad%d" i)));
+        ]
+      ()
+  in
+  let diagram =
+    Mdp_dataflow.Diagram.make_exn ~actors:d.actors
+      ~datastores:(d.datastores @ [ pad ])
+      ~services:d.services
+  in
+  let u = Core.Universe.make diagram H.policy in
+  check int_ "70 fields" 70 (Core.Universe.nfields u);
+  List.iter
+    (fun (what, options) ->
+      check_seed_oracle ("padded healthcare " ^ what) u options)
+    (step_options u);
+  let counts options =
+    let lts = Core.Generate.run ~options u in
+    (Core.Plts.num_states lts, Core.Plts.num_transitions lts)
+  in
+  let pair = Alcotest.(pair int int) in
+  check pair "default options" (46, 112) (counts Core.Generate.default_options);
+  check pair "granular reads" (1_082, 6_518)
+    (counts { Core.Generate.default_options with granular_reads = true })
+
 (* The guard must trip inside a wide round. Ids are BFS order, so the
    rounds are the BFS levels of the finished LTS: a limit of the first
    id of the level after a wide one (>= 512 states) is exceeded by the
@@ -274,5 +325,9 @@ let () =
           Alcotest.test_case "wide universe (over 63 words)" `Quick
             test_wide_universe;
           Alcotest.test_case "every step option" `Quick test_seed_options;
+          Alcotest.test_case "wide fields, every step option" `Quick
+            test_wide_fields;
+          Alcotest.test_case "padded healthcare, every step option" `Quick
+            test_padded_healthcare;
         ] );
     ]
