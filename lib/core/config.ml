@@ -15,7 +15,7 @@ let initial u =
   }
 
 (* Exploration dedups on packed words, never on configs; [equal] and
-   [hash] serve the [Plts] functor and config-keyed tables outside it.
+   [hash] serve config-keyed tables outside it.
    The [==] fast paths pay off on configs that share bitsets. *)
 let equal a b =
   a == b

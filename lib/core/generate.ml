@@ -239,138 +239,38 @@ let compile u options =
       | eff -> Some (compile_flow u info eff))
     (flows_in_scope u options)
 
-(* Memoised construction of potential-read actions: the action value
-   depends only on (actor, store, field set) — never on the
-   configuration — and the same few field sets recur across most
-   states, so building the label (schema lookup, field names, record)
-   once per distinct key removes the bulk of the naming cost. Sharing
-   one [Action.t] across transitions is safe: actions are immutable,
-   and no analysis writes an explored LTS's labels.
+(* The label of a potential read or delete of the fields [fis]
+   (ascending indices) of [store] by [actor]. It depends only on (kind,
+   actor, store, field set), never on the configuration, so the emitter
+   builds each one once per label key. Sharing one [Action.t] across
+   transitions is safe: actions are immutable, and no analysis writes an
+   explored LTS's labels. *)
+let potential_action u ~kind ~actor ~store fis =
+  let st = Universe.store_at u store in
+  let fields = List.map (Universe.field_at u) fis in
+  Action.make ?schema:(schema_label st fields) ~store:st.id ~kind ~fields
+    ~actor:(Universe.actor_name u actor) Action.Potential
 
-   The table is domain-local so concurrent explorations (serve workers,
-   the sweep's fan-out) share no mutable state; each domain warms its
-   own copy.
-   [stamp] ties entries to one run — field indices mean different things
-   in different universes. *)
-let run_stamp = Atomic.make 1
-
-let read_memo : (int ref * (int * int * int, Action.t) Hashtbl.t) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (ref 0, Hashtbl.create 64))
-
-(* [bits] is the fresh field set packed into one word (bit i = field i). *)
-let read_action u ~stamp ~actor ~store bits =
-  let cur, tbl = Domain.DLS.get read_memo in
-  if !cur <> stamp then begin
-    Hashtbl.reset tbl;
-    cur := stamp
-  end;
-  let key = (actor, store, bits) in
-  match Hashtbl.find_opt tbl key with
-  | Some action -> action
-  | None ->
-    let nf = Universe.nfields u in
-    let fis = ref [] in
-    for f = nf - 1 downto 0 do
-      if bits land (1 lsl f) <> 0 then fis := f :: !fis
-    done;
-    let st = Universe.store_at u store in
-    let fields = List.map (Universe.field_at u) !fis in
-    let action =
-      Action.make ?schema:(schema_label st fields) ~store:st.id
-        ~kind:Action.Read ~fields ~actor:(Universe.actor_name u actor)
-        Action.Potential
-    in
-    Hashtbl.add tbl key action;
-    action
-
-(* Potential reads of models with more fields than a word holds, as a
-   list in row order; mirrors the seed implementation. *)
-let potential_reads_generic u options (cfg : Config.t) =
-  let transitions = ref [] in
-  for a = 0 to Universe.nactors u - 1 do
-    for s = 0 to Universe.nstores u - 1 do
-      let fresh = ref [] in
-      Bitset.iter_inter
-        (fun f ->
-          if not (Bitset.get cfg.privacy.has (Universe.var u ~actor:a ~field:f))
-          then fresh := f :: !fresh)
-        (Universe.readable_bits u ~actor:a ~store:s)
-        cfg.stores.(s);
-      let fresh = List.rev !fresh in
-      let emit fis =
-        let vars = List.map (fun f -> Universe.var u ~actor:a ~field:f) fis in
-        let privacy =
-          {
-            Privacy_state.has = Bitset.with_bits cfg.privacy.has vars;
-            could = cfg.privacy.could;
-          }
-        in
-        let cfg' = { cfg with Config.privacy } in
-        let store = Universe.store_at u s in
-        let fields = List.map (Universe.field_at u) fis in
-        let action =
-          Action.make ?schema:(schema_label store fields) ~store:store.id
-            ~kind:Action.Read ~fields ~actor:(Universe.actor_name u a)
-            Action.Potential
-        in
-        transitions := (action, cfg') :: !transitions
-      in
-      if fresh <> [] then
-        if options.granular_reads then List.iter (fun f -> emit [ f ]) fresh
-        else emit fresh
+(* The field indices set in the [ng] group words at [words.(off ..)]
+   (bit i of group g is field 63g + i), ascending. *)
+let fields_of_words words off ng =
+  let bpw = Bitset.bits_per_word in
+  let fis = ref [] in
+  for g = ng - 1 downto 0 do
+    for i = bpw - 1 downto 0 do
+      if words.(off + g) land (1 lsl i) <> 0 then fis := ((g * bpw) + i) :: !fis
     done
   done;
-  !transitions
+  !fis
 
-(* Potential deletes, as a list in row order. *)
-let potential_deletes u (cfg : Config.t) =
-  let transitions = ref [] in
-  for s = 0 to Universe.nstores u - 1 do
-    if not (Bitset.is_empty cfg.stores.(s)) then
-      List.iter
-        (fun a ->
-          let fields =
-            List.map (Universe.field_at u) (Bitset.to_list cfg.stores.(s))
-          in
-          let stores = Array.copy cfg.stores in
-          stores.(s) <- Bitset.create (Universe.nfields u);
-          (* Recompute every [could] bit from the remaining contents: an
-             actor could identify a field iff some store still holds it
-             and the policy lets the actor read it there. *)
-          let could = Bitset.create (Universe.nvars u) in
-          Array.iteri
-            (fun s' contents ->
-              Bitset.iter
-                (fun f ->
-                  List.iter
-                    (fun a' ->
-                      Bitset.set could (Universe.var u ~actor:a' ~field:f))
-                    (Universe.readers u ~store:s' ~field:f))
-                contents)
-            stores;
-          let cfg' =
-            {
-              Config.privacy = { Privacy_state.has = cfg.privacy.has; could };
-              stores;
-              executed = cfg.executed;
-            }
-          in
-          let store = Universe.store_at u s in
-          let action =
-            Action.make ?schema:(schema_label store fields) ~store:store.id
-              ~kind:Action.Delete ~fields ~actor:(Universe.actor_name u a)
-              Action.Potential
-          in
-          transitions := (action, cfg') :: !transitions)
-        (Universe.deleters u ~store:s)
-  done;
-  !transitions
+(* [bits] is the fresh field set packed into one word (bit i = field i). *)
+let read_action u ~actor ~store bits =
+  potential_action u ~kind:Action.Read ~actor ~store
+    (fields_of_words [| bits |] 0 1)
 
-let fresh_stamp () = Atomic.fetch_and_add run_stamp 1
-
-(* The per-(actor, store) readable field sets as single words, the fast
-   potential-read representation; [None] when the model is too wide for
-   one word. *)
+(* The per-(actor, store) readable field sets as single words, the view
+   {!Regen}'s arithmetic walk works in; [None] when the model is too
+   wide for one word. *)
 let readable_rows u options =
   let nf = Universe.nfields u in
   if options.potential_reads && nf <= Bitset.bits_per_word then
@@ -480,7 +380,12 @@ module Itbl = Hashtbl.Make (struct
   let hash x = (x * 0x2545F4914F6CDD1D) lsr 20
 end)
 
-module Atbl = Hashtbl.Make (Action)
+
+(* Label keys of potential transitions, looked up by their field-group
+   words (a read's fresh fields, a deleted store's contents): one [Itbl]
+   level per 63-field group, the last level holding the key. A model of
+   at most 63 fields costs one probe. *)
+type trie = Key of int | Next of trie Itbl.t
 
 (* The run's successor function as a word emitter for [Lts.explore],
    with its label table. Label keys are dense: the compiled flows take
@@ -489,12 +394,12 @@ module Atbl = Hashtbl.Make (Action)
 
    Emission order is the row order of every state: enabled flows in
    compiled order, then potential reads — actors and stores descending,
-   granular bits highest first — then potential deletes. Packed reads
-   are one masked AND per (actor, store) with a per-(actor, store)
-   [fresh bits -> key] memo. Deletes, and the reads of models too wide
-   for one word, rebuild the parent's [Config] and blit each successor
-   into [cand]; they are the rare paths. *)
-let emitter u options ~stamp ~compiled ~readable_words init =
+   granular bits highest first — then potential deletes — stores
+   descending, each store's deleters in reverse. Every successor is
+   written as words: a read is one masked AND per (actor, store) and
+   63-field group, a delete clears the store's words and rebuilds the
+   [could] block from per-(store, field) reader masks. *)
+let emitter u options ~compiled init =
   let l = layout init in
   let w = l.l_words in
   let flows = Array.of_list (List.map (word_flow l options) compiled) in
@@ -515,63 +420,157 @@ let emitter u options ~stamp ~compiled ~readable_words init =
   let na = Universe.nactors u and ns = Universe.nstores u in
   let nf = Universe.nfields u in
   let bpw = Bitset.bits_per_word in
-  let fmask = if nf >= bpw then lnot 0 else (1 lsl nf) - 1 in
-  let read_keys = Array.init (na * ns) (fun _ -> Itbl.create 8) in
-  let emit_read parent cand emit a s bits =
-    let tbl = read_keys.((a * ns) + s) in
-    let key =
-      match Itbl.find tbl bits with
-      | k -> k
-      | exception Not_found ->
-        let k = new_key (read_action u ~stamp ~actor:a ~store:s bits) in
-        Itbl.add tbl bits k;
-        k
-    in
-    Array.blit parent 0 cand 0 w;
-    let pos = a * nf in
-    let k = l.l_has + (pos / bpw) and off = pos mod bpw in
-    (* [lsl] drops the bits past the word, which the next word takes. *)
-    cand.(k) <- cand.(k) lor (bits lsl off);
-    if off + nf > bpw then cand.(k + 1) <- cand.(k + 1) lor (bits lsr (bpw - off));
-    emit key
+  (* Field groups: a store's words, and the windows of an actor's [has]
+     slice. *)
+  let ng = max 1 ((nf + bpw - 1) / bpw) in
+  let glen = Array.init ng (fun g -> Int.min bpw (nf - (g * bpw))) in
+  let rec trie_key tbl words off g ~kind ~actor ~store =
+    match Itbl.find tbl words.(off + g) with
+    | Key k -> k
+    | Next t -> trie_key t words off (g + 1) ~kind ~actor ~store
+    | exception Not_found ->
+      Itbl.add tbl words.(off + g)
+        (if g = ng - 1 then
+           Key
+             (new_key
+                (potential_action u ~kind ~actor ~store
+                   (fields_of_words words off ng)))
+         else Next (Itbl.create 8));
+      trie_key tbl words off g ~kind ~actor ~store
   in
-  let packed_reads readable parent cand emit =
+  (* Potential reads. [readable] holds each (actor, store) permission
+     row as [ng] group words; granular reads key on the field index. *)
+  let readable = Array.make (na * ns * ng) 0 in
+  for a = 0 to na - 1 do
+    for s = 0 to ns - 1 do
+      ignore
+        (Bitset.blit_words
+           (Universe.readable_bits u ~actor:a ~store:s)
+           readable
+           (((a * ns) + s) * ng)
+          : int)
+    done
+  done;
+  let read_keys = Array.init (na * ns) (fun _ -> Itbl.create 8) in
+  let field_keys =
+    Array.make (if options.granular_reads then na * ns * nf else 0) (-1)
+  in
+  let has = Array.make ng 0 and fresh = Array.make ng 0 in
+  let reads parent cand emit =
     for a = na - 1 downto 0 do
-      let pos = a * nf in
-      let k = l.l_has + (pos / bpw) and off = pos mod bpw in
-      let lo = parent.(k) lsr off in
-      let has =
-        (if off + nf <= bpw then lo else lo lor (parent.(k + 1) lsl (bpw - off)))
-        land fmask
-      in
-      let row : int array = readable.(a) in
+      for g = 0 to ng - 1 do
+        let pos = (a * nf) + (g * bpw) in
+        let k = l.l_has + (pos / bpw) and off = pos mod bpw in
+        let lo = parent.(k) lsr off in
+        (* Bits past the group are masked off by the readable row. *)
+        has.(g) <-
+          (if off + glen.(g) <= bpw then lo
+           else lo lor (parent.(k + 1) lsl (bpw - off)))
+      done;
       for s = ns - 1 downto 0 do
-        let fresh = row.(s) land parent.(l.l_stores.(s)) land lnot has in
-        if fresh <> 0 then
-          if options.granular_reads then begin
-            for f = nf - 1 downto 0 do
-              if fresh land (1 lsl f) <> 0 then
-                emit_read parent cand emit a s (1 lsl f)
+        let pair = (a * ns) + s in
+        let r = pair * ng and st = l.l_stores.(s) in
+        let any = ref 0 in
+        for g = 0 to ng - 1 do
+          let x = readable.(r + g) land parent.(st + g) land lnot has.(g) in
+          fresh.(g) <- x;
+          any := !any lor x
+        done;
+        if !any <> 0 then
+          if options.granular_reads then
+            for g = ng - 1 downto 0 do
+              for i = glen.(g) - 1 downto 0 do
+                if fresh.(g) land (1 lsl i) <> 0 then begin
+                  let f = (g * bpw) + i in
+                  let fk = (pair * nf) + f in
+                  if field_keys.(fk) < 0 then
+                    field_keys.(fk) <-
+                      new_key
+                        (potential_action u ~kind:Action.Read ~actor:a ~store:s
+                           [ f ]);
+                  Array.blit parent 0 cand 0 w;
+                  let v = (a * nf) + f in
+                  let k = l.l_has + (v / bpw) in
+                  cand.(k) <- cand.(k) lor (1 lsl (v mod bpw));
+                  emit field_keys.(fk)
+                end
+              done
             done
+          else begin
+            let key =
+              trie_key read_keys.(pair) fresh 0 0 ~kind:Action.Read ~actor:a
+                ~store:s
+            in
+            Array.blit parent 0 cand 0 w;
+            for g = 0 to ng - 1 do
+              let pos = (a * nf) + (g * bpw) in
+              let k = l.l_has + (pos / bpw) and off = pos mod bpw in
+              (* [lsl] drops the bits past the word, which the next word
+                 takes. *)
+              cand.(k) <- cand.(k) lor (fresh.(g) lsl off);
+              if off + glen.(g) > bpw then
+                cand.(k + 1) <- cand.(k + 1) lor (fresh.(g) lsr (bpw - off))
+            done;
+            emit key
           end
-          else emit_read parent cand emit a s fresh
       done
     done
   in
-  let action_keys = Atbl.create 16 in
-  let emit_config cand emit (action, (cfg : Config.t)) =
-    let key =
-      match Atbl.find action_keys action with
-      | k -> k
-      | exception Not_found ->
-        let k = new_key action in
-        Atbl.add action_keys action k;
-        k
-    in
-    ignore (Config.blit_words cfg cand 0 : int);
-    emit key
+  (* Potential deletes. [reader.((s * nf) + f)] sets the [could] bits of
+     every actor the policy lets read field [f] in store [s]. *)
+  let reader =
+    if not options.potential_deletes then [||]
+    else
+      Array.init (ns * nf) (fun i ->
+          let s = i / nf and f = i mod nf in
+          mask_of l
+            (List.map
+               (fun a -> (l.l_could, Universe.var u ~actor:a ~field:f))
+               (Universe.readers u ~store:s ~field:f)))
   in
-  let wide_reads = options.potential_reads && readable_words = None in
+  let deleters =
+    Array.init ns (fun s ->
+        Array.of_list (List.rev (Universe.deleters u ~store:s)))
+  in
+  let delete_keys = Array.map (Array.map (fun _ -> Itbl.create 8)) deleters in
+  let ncould = Bitset.word_count init.privacy.could in
+  let cleared = Array.make w 0 in
+  let deletes parent cand emit =
+    for s = ns - 1 downto 0 do
+      let st = l.l_stores.(s) in
+      let held = ref 0 in
+      for g = 0 to ng - 1 do
+        held := !held lor parent.(st + g)
+      done;
+      if !held <> 0 && Array.length deleters.(s) > 0 then begin
+        (* One successor for every deleter: the store emptied, and every
+           [could] bit recomputed from the remaining contents — an actor
+           could identify a field iff some store still holds it and the
+           policy lets the actor read it there. *)
+        Array.blit parent 0 cleared 0 w;
+        Array.fill cleared st ng 0;
+        Array.fill cleared l.l_could ncould 0;
+        for s' = 0 to ns - 1 do
+          for g = 0 to ng - 1 do
+            let x = cleared.(l.l_stores.(s') + g) in
+            for i = 0 to glen.(g) - 1 do
+              if x land (1 lsl i) <> 0 then
+                mask_into reader.((s' * nf) + (g * bpw) + i) cleared
+            done
+          done
+        done;
+        Array.iteri
+          (fun d a ->
+            let key =
+              trie_key delete_keys.(s).(d) parent st 0 ~kind:Action.Delete
+                ~actor:a ~store:s
+            in
+            Array.blit cleared 0 cand 0 w;
+            emit key)
+          deleters.(s)
+      end
+    done
+  in
   let step_words parent cand emit =
     for key = 0 to Array.length flows - 1 do
       let wf = flows.(key) in
@@ -582,14 +581,8 @@ let emitter u options ~stamp ~compiled ~readable_words init =
         emit key
       end
     done;
-    Option.iter (fun readable -> packed_reads readable parent cand emit) readable_words;
-    if wide_reads || options.potential_deletes then begin
-      let cfg = Config.of_words ~template:init parent 0 in
-      if wide_reads then
-        List.iter (emit_config cand emit) (potential_reads_generic u options cfg);
-      if options.potential_deletes then
-        List.iter (emit_config cand emit) (potential_deletes u cfg)
-    end
+    if options.potential_reads then reads parent cand emit;
+    if options.potential_deletes then deletes parent cand emit
   in
   (label_of, step_words)
 
@@ -613,12 +606,9 @@ let config_packer init =
 
 let run ?(options = default_options) ?cancel u =
   Mdp_obs.Metrics.span "generate/run" @@ fun () ->
-  let compiled = compile u options in
-  let stamp = fresh_stamp () in
-  let readable_words = readable_rows u options in
   let init = Config.initial u in
   let label_of, step_words =
-    emitter u options ~stamp ~compiled ~readable_words init
+    emitter u options ~compiled:(compile u options) init
   in
   Plts.explore ~max_states:options.max_states ?cancel
     ~packing:(config_packer init) ?mem_budget:options.mem_budget

@@ -97,21 +97,18 @@ val compile : Universe.t -> options -> compiled_flow list
 (** The in-scope flows with non-empty effective field sets, in flow-index
     order — the from-flow segment of every state's successor row. *)
 
-val fresh_stamp : unit -> int
-(** A new run stamp for the potential-read action memo (entries are
-    per-universe; the stamp keys them to one run). *)
-
 val readable_rows : Universe.t -> options -> int array array option
 (** Per-(actor, store) readable field sets as single words
-    ([.(actor).(store)]); [None] when the model has more fields than a
-    word holds or potential reads are off. *)
+    ([.(actor).(store)]), the view {!Regen}'s arithmetic walk works in;
+    [None] when the model has more fields than a word holds or potential
+    reads are off. *)
 
-val read_action :
-  Universe.t -> stamp:int -> actor:int -> store:int -> int -> Action.t
-(** The memoised potential-read label for a packed fresh field set (bit
-    [i] = field [i]) — exactly the label a cold run emits for that
-    (actor, store, field set). Exposed so {!Regen}'s arithmetic walk can
-    name recomputed read groups without rebuilding configurations. *)
+val read_action : Universe.t -> actor:int -> store:int -> int -> Action.t
+(** The potential-read label for a packed fresh field set (bit [i] =
+    field [i]) — exactly the label a cold run emits for that (actor,
+    store, field set). Built afresh on every call. Exposed so {!Regen}'s
+    arithmetic walk can name recomputed read groups without rebuilding
+    configurations. *)
 
 val store_classifier : Universe.t -> Action.t -> int
 (** The store class of a transition label: the touched store's index,

@@ -1,12 +1,5 @@
 module State = struct
   type t = Config.t
-
-  let equal = Config.equal
-  let hash = Config.hash
-
-  (* Configs cannot be printed without their universe; LTS renderers take
-     explicit state_label functions instead. *)
-  let pp ppf _ = Format.pp_print_string ppf "<config>"
 end
 
 include Mdp_lts.Lts.Make (State) (Action)

@@ -42,7 +42,6 @@ open Mdp_prelude
 type patch = {
   rp_u : Universe.t;  (* the edited universe *)
   rp_options : Generate.options;
-  rp_stamp : int;
   rp_compiled_old : Generate.compiled_flow list;
   rp_readable : int array array;  (* [||] when potential reads are off *)
   rp_readable_old : int array array;
@@ -156,7 +155,6 @@ let make_patch ~u_old ~u (options : Generate.options) =
           {
             rp_u = u;
             rp_options = options;
-            rp_stamp = Generate.fresh_stamp ();
             rp_compiled_old = compiled_old;
             rp_readable =
               (match readable_new with Some r -> r | None -> [||]);
@@ -465,9 +463,9 @@ let walk_fast p old_lts (labels : Action.t array) =
     let add_label a =
       if Action.findable a then ATbl.replace fresh_labels a ()
     in
-    let emit_read a s bits =
-      add_label (Generate.read_action u ~stamp:p.rp_stamp ~actor:a ~store:s bits)
-    in
+    (* Recomputed read groups, labelled once each after the walk. *)
+    let fresh_reads = Hashtbl.create 32 in
+    let emit_read a s bits = Hashtbl.replace fresh_reads (a, s, bits) () in
     let visit_old q =
       if not (bit visited q) then begin
         set_bit visited q;
@@ -639,6 +637,10 @@ let walk_fast p old_lts (labels : Action.t array) =
     else begin
       let is_findable = Array.map Action.findable labels in
       let acc = ref (ATbl.fold (fun a () l -> a :: l) fresh_labels []) in
+      Hashtbl.iter
+        (fun (a, s, bits) () ->
+          acc := Generate.read_action u ~actor:a ~store:s bits :: !acc)
+        fresh_reads;
       Array.iteri
         (fun lid seen ->
           if seen && is_findable.(lid) then acc := labels.(lid) :: !acc)

@@ -1,9 +1,5 @@
 module type STATE = sig
   type t
-
-  val equal : t -> t -> bool
-  val hash : t -> int
-  val pp : Format.formatter -> t -> unit
 end
 
 module type LABEL = sig
@@ -75,9 +71,9 @@ type spill_stats = {
 (* A state codec: every reachable state of one model encodes to
    exactly [pk_words] payload words. [pk_decode] must be safe to call
    concurrently (analyses decode from several domains).
-   Word-equality must coincide with [S.equal] on the states of one
-   model — true for bitset-backed privacy configs, and the contract any
-   other packer must honour. *)
+   Two states of one model are the same state iff their words are
+   equal — true for bitset-backed privacy configs, and the contract any
+   other packer must honour: the engine dedups on words alone. *)
 type 'a packer = {
   pk_words : int;
   pk_blit : 'a -> int array -> int -> unit;
@@ -923,10 +919,10 @@ module Make (S : STATE) (L : LABEL) = struct
   (* Breadth-first exploration by id-range frontiers. BFS hands out ids
      in discovery order, so the states a round discovers are exactly
      the id range [lo, hi) the next round expands, starting from the
-     initial state 0; word-equality dedup coincides with [S.equal]
-     (the packer contract). A round expands its ids one by one against
-     the live tables; the round boundary is where the spill tier
-     evicts and where the [lts/frontier_*] metrics are taken.
+     initial state 0; dedup is word-equality (the packer contract).
+     A round expands its ids one by one against the live tables; the
+     round boundary is where the spill tier evicts and where the
+     [lts/frontier_*] metrics are taken.
 
      Successors arrive as words: [step_words] writes each candidate
      into [p.cand_buf] and calls [emit key], which probes the shards

@@ -23,10 +23,8 @@
 
 module type STATE = sig
   type t
-
-  val equal : t -> t -> bool
-  val hash : t -> int
-  val pp : Format.formatter -> t -> unit
+  (** The state type. The engine compares, hashes and prints no state:
+      it works on packed words (see {!packer}). *)
 end
 
 module type LABEL = sig
@@ -114,8 +112,9 @@ type 'a packer = {
           be safe to call from multiple domains concurrently *)
 }
 (** Fixed-width word codec for a state type. Contract: two states of the
-    same model are [S.equal] iff their encoded words are equal — the
-    engine dedups and hashes on words alone. *)
+    same model are the same state iff their encoded words are equal —
+    the engine dedups and hashes on words alone, so {!STATE} asks for
+    nothing but the type. *)
 
 module Make (S : STATE) (L : LABEL) : sig
   type t

@@ -10,8 +10,6 @@ let create len =
 
 let length t = t.len
 
-let copy t = { t with words = Array.copy t.words }
-
 let check t i =
   if i < 0 || i >= t.len then invalid_arg "Bitset: index out of bounds"
 
@@ -23,8 +21,6 @@ let set t i =
   check t i;
   let w = i / bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
-
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let popcount =
   (* Kernighan's loop: words are sparse in privacy states. *)
@@ -70,17 +66,6 @@ let iter f t =
     done
   done
 
-let iter_inter f a b =
-  same_len a b;
-  for w = 0 to Array.length a.words - 1 do
-    let bits = ref (a.words.(w) land b.words.(w)) in
-    while !bits <> 0 do
-      let lsb = !bits land - !bits in
-      f ((w * bits_per_word) + lsb_index lsb);
-      bits := !bits land lnot lsb
-    done
-  done
-
 let fold f t init =
   let acc = ref init in
   iter (fun i -> acc := f i !acc) t;
@@ -92,15 +77,6 @@ let of_list len l =
   let t = create len in
   List.iter (set t) l;
   t
-
-let with_bits t l =
-  if List.for_all (get t) l then t
-  else begin
-    let c = copy t in
-    List.iter (set c) l;
-    c
-  end
-
 
 let range_check t pos len =
   if len < 0 || len > bits_per_word || pos < 0 || pos + len > t.len then

@@ -12,12 +12,8 @@ val create : int -> t
 val length : t -> int
 (** Capacity given at creation. *)
 
-val copy : t -> t
-
 val get : t -> int -> bool
 val set : t -> int -> unit
-
-val is_empty : t -> bool
 
 val equal : t -> t -> bool
 val hash : t -> int
@@ -33,17 +29,9 @@ val iter : (int -> unit) -> t -> unit
     is proportional to the number of words plus the number of set bits,
     not to the capacity. *)
 
-val iter_inter : (int -> unit) -> t -> t -> unit
-(** [iter_inter f a b] calls [f] on every index set in both [a] and [b],
-    in increasing order, without materialising the intersection. *)
-
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> int list
 val of_list : int -> int list -> t
-
-val with_bits : t -> int list -> t
-(** Copy-on-write [set] of several bits; [t] itself when they are all
-    already set. *)
 
 val bits_per_word : int
 (** Number of payload bits per machine word (63). *)

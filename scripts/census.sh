@@ -17,7 +17,8 @@
 # Prints one line per unreached definition, `Module.name file:line`,
 # marked `(test)` when only test/ reaches it, then a count line. The
 # count is information, not a verdict: the exit status is 0 whenever
-# the census ran.
+# the census ran. CI compares the names and marks, without file:line,
+# against scripts/census.expected and fails on any difference.
 set -eu
 dune build @check
 tmp=$(mktemp -d)

@@ -228,14 +228,15 @@ let effective_fields u (options : Generate.options) info =
 
 (* A config with its own bitsets, for the successor to mutate. *)
 let copy_config (c : Config.t) =
+  let copy b = Bitset.of_list (Bitset.length b) (Bitset.to_list b) in
   {
     Config.privacy =
       {
-        Privacy_state.has = Bitset.copy c.privacy.has;
-        could = Bitset.copy c.privacy.could;
+        Privacy_state.has = copy c.privacy.has;
+        could = copy c.privacy.could;
       };
-    stores = Array.map Bitset.copy c.stores;
-    executed = Bitset.copy c.executed;
+    stores = Array.map copy c.stores;
+    executed = copy c.executed;
   }
 
 let apply_flow u (cfg : Config.t) info eff_fields =
@@ -326,7 +327,7 @@ let potential_reads u (options : Generate.options) (cfg : Config.t) =
 let potential_deletes u (cfg : Config.t) =
   let transitions = ref [] in
   for s = 0 to Universe.nstores u - 1 do
-    if not (Bitset.is_empty cfg.stores.(s)) then
+    if Bitset.to_list cfg.stores.(s) <> [] then
       List.iter
         (fun a ->
           let cfg' = copy_config cfg in

@@ -104,12 +104,16 @@ let test_privacy_state () =
   let u = universe () in
   let s = Core.Privacy_state.absolute u in
   check bool_ "absolute has none" true
-    (Mdp_prelude.Bitset.is_empty s.Core.Privacy_state.has
-    && Mdp_prelude.Bitset.is_empty s.Core.Privacy_state.could);
+    (Mdp_prelude.Bitset.to_list s.Core.Privacy_state.has = []
+    && Mdp_prelude.Bitset.to_list s.Core.Privacy_state.could = []);
+  let copy b =
+    Mdp_prelude.Bitset.of_list (Mdp_prelude.Bitset.length b)
+      (Mdp_prelude.Bitset.to_list b)
+  in
   let s' =
     {
-      Core.Privacy_state.has = Mdp_prelude.Bitset.copy s.has;
-      could = Mdp_prelude.Bitset.copy s.could;
+      Core.Privacy_state.has = copy s.has;
+      could = copy s.could;
     }
   in
   let v =
@@ -297,7 +301,7 @@ let test_generation_deletes () =
           Core.Universe.store_index u (Option.get tr.label.Core.Action.store)
         in
         check bool_ "store emptied" true
-          (Mdp_prelude.Bitset.is_empty dst.Core.Config.stores.(store))
+          (Mdp_prelude.Bitset.to_list dst.Core.Config.stores.(store) = [])
       end);
   check bool_ "a delete transition exists" true !found
 

@@ -4,10 +4,6 @@
 
 module IntState = struct
   type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-  let pp = Format.pp_print_int
 end
 
 module StrLabel = struct

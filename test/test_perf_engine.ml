@@ -1,9 +1,8 @@
 (* Regression tests for the fast-path LTS engine: it must reach exactly
    the configurations of the seed engine (test/seed_engine.ml), and a
    second exploration of a universe must reproduce the first — state
-   numbering, transition order, analysis output — although the first
-   left the domain's read memo warm. The wide cases use synthetic
-   models with frontiers of 512 states and more. *)
+   numbering, transition order, analysis output. The wide cases use
+   synthetic models with frontiers of 512 states and more. *)
 
 module Core = Mdp_core
 module H = Mdp_scenario.Healthcare
@@ -191,6 +190,50 @@ let step_options u =
     ("one service", { d with services = Some first_service });
   ]
 
+(* Every shipped model grants Delete to at most one actor per store;
+   a second EHR deleter fixes the order of a store's delete
+   transitions (the seed's: deleters in reverse). *)
+let two_deleters () =
+  Core.Universe.make H.diagram
+    (Mdp_policy.Policy.grant H.policy
+       (Mdp_policy.Acl.allow (Mdp_policy.Acl.Actor_subject "Doctor")
+          ~store:"EHR" [ Mdp_policy.Permission.Delete ]))
+
+(* Fields 62 and 63 sit in different 63-field groups: A collects and
+   stores all 64 fields, B may read and delete just those two, and A
+   may delete too. A coarse read spans both groups, and granular reads
+   cross the boundary highest first. *)
+let group_boundary () =
+  let open Mdp_dataflow in
+  let fields = List.init 64 (fun i -> Field.make (Printf.sprintf "F%d" i)) in
+  let diagram =
+    Diagram.make_exn
+      ~actors:[ Actor.make "A"; Actor.make "B" ]
+      ~datastores:
+        [ Datastore.make ~id:"S" ~schemas:[ Schema.make ~id:"Record" ~fields ] () ]
+      ~services:
+        [
+          Service.make ~id:"Intake"
+            ~flows:
+              [
+                Flow.make ~order:1 ~src:Flow.User ~dst:(Flow.Actor "A")
+                  ~fields ~purpose:"collect";
+                Flow.make ~order:2 ~src:(Flow.Actor "A") ~dst:(Flow.Store "S")
+                  ~fields ~purpose:"store";
+              ];
+        ]
+  in
+  let module Acl = Mdp_policy.Acl in
+  let module P = Mdp_policy.Permission in
+  Core.Universe.make diagram
+    (Mdp_policy.Policy.make
+       [
+         Acl.allow (Acl.Actor_subject "A") ~store:"S" [ P.Write; P.Delete ];
+         Acl.allow (Acl.Actor_subject "B") ~store:"S"
+           ~fields:[ List.nth fields 62; List.nth fields 63 ]
+           [ P.Read; P.Delete ];
+       ])
+
 let test_seed_options () =
   let synthetic name =
     let diagram, policy = Synthetic.model (spec_of name) in
@@ -206,6 +249,8 @@ let test_seed_options () =
       synthetic "synthetic:4-6-4";
       synthetic "synthetic:3-6-4@3";
       ("healthcare", Core.Universe.make H.diagram H.policy);
+      ("healthcare two deleters", two_deleters ());
+      ("group boundary", group_boundary ());
     ]
 
 (* A universe wider than 63 words, so every state record's wordmap

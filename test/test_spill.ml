@@ -17,10 +17,6 @@ module Lts = Mdp_lts.Lts
 
 module IntState = struct
   type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-  let pp = Format.pp_print_int
 end
 
 module IntLabel = struct
