@@ -211,26 +211,31 @@ let run_analysis ?options ?profile diagram policy k =
     prerr_endline (Core.Analysis.failure_message failure);
     exits_with_error
 
+(* Continue with the model at [path] (a file or a synthetic spec); a
+   model that does not load prints its one-line message instead. *)
+let with_model path k =
+  match load_model path with
+  | Ok model -> k model
+  | Error (`Msg e) ->
+    prerr_endline e;
+    exits_with_error
+
 (* ----- validate ----- *)
 
 let validate_cmd =
   let run path =
-    match load_model path with
-    | Error (`Msg e) ->
-      prerr_endline e;
-      exits_with_error
-    | Ok model ->
-      let d = model.Mdp_dsl.Parser.diagram in
-      Printf.printf
-        "ok: %d actors, %d datastores, %d services, %d fields (%d state \
-         variable pairs)\n"
-        (List.length d.Mdp_dataflow.Diagram.actors)
-        (List.length d.Mdp_dataflow.Diagram.datastores)
-        (List.length d.Mdp_dataflow.Diagram.services)
-        (List.length (Mdp_dataflow.Diagram.all_fields d))
-        (List.length d.Mdp_dataflow.Diagram.actors
-        * List.length (Mdp_dataflow.Diagram.all_fields d));
-      0
+    with_model path @@ fun model ->
+    let d = model.Mdp_dsl.Parser.diagram in
+    Printf.printf
+      "ok: %d actors, %d datastores, %d services, %d fields (%d state \
+       variable pairs)\n"
+      (List.length d.Mdp_dataflow.Diagram.actors)
+      (List.length d.Mdp_dataflow.Diagram.datastores)
+      (List.length d.Mdp_dataflow.Diagram.services)
+      (List.length (Mdp_dataflow.Diagram.all_fields d))
+      (List.length d.Mdp_dataflow.Diagram.actors
+      * List.length (Mdp_dataflow.Diagram.all_fields d));
+    0
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Parse and validate a model file.")
@@ -240,30 +245,26 @@ let validate_cmd =
 
 let dot_cmd =
   let run path lts_mode flow_only services =
-    match load_model path with
-    | Error (`Msg e) ->
-      prerr_endline e;
-      exits_with_error
-    | Ok { diagram; policy; _ } ->
-      if not lts_mode then begin
-        print_string (Mdp_dataflow.Dot.to_string diagram);
-        0
-      end
-      else begin
-        let u = Core.Universe.make diagram policy in
-        let base =
-          if flow_only then Core.Generate.flow_only
-          else Core.Generate.default_options
-        in
-        let options =
-          match services with
-          | [] -> base
-          | l -> { base with Core.Generate.services = Some l }
-        in
-        generate ~options u (fun lts ->
-            print_string (Core.Lts_render.to_dot lts);
-            0)
-      end
+    with_model path @@ fun { diagram; policy; _ } ->
+    if not lts_mode then begin
+      print_string (Mdp_dataflow.Dot.to_string diagram);
+      0
+    end
+    else begin
+      let u = Core.Universe.make diagram policy in
+      let base =
+        if flow_only then Core.Generate.flow_only
+        else Core.Generate.default_options
+      in
+      let options =
+        match services with
+        | [] -> base
+        | l -> { base with Core.Generate.services = Some l }
+      in
+      generate ~options u (fun lts ->
+          print_string (Core.Lts_render.to_dot lts);
+          0)
+    end
   in
   let lts_flag =
     Arg.(value & flag & info [ "lts" ] ~doc:"Render the generated LTS instead of the data-flow diagram.")
@@ -280,29 +281,25 @@ let dot_cmd =
 let lts_cmd =
   let run path flow_only granular services max_states mem_budget metrics =
     with_metrics metrics @@ fun () ->
-    match load_model path with
-    | Error (`Msg e) ->
-      prerr_endline e;
-      exits_with_error
-    | Ok { diagram; policy; _ } ->
-      let u = Core.Universe.make diagram policy in
-      let base =
-        if flow_only then Core.Generate.flow_only
-        else Core.Generate.default_options
-      in
-      let options =
-        {
-          base with
-          Core.Generate.granular_reads = granular;
-          max_states;
-          mem_budget;
-          services = (match services with [] -> None | l -> Some l);
-        }
-      in
-      generate ~options u (fun lts ->
-          Mdp_obs.Metrics.span "phase/render" (fun () ->
-              print_endline (Core.Lts_render.summary u lts));
-          0)
+    with_model path @@ fun { diagram; policy; _ } ->
+    let u = Core.Universe.make diagram policy in
+    let base =
+      if flow_only then Core.Generate.flow_only
+      else Core.Generate.default_options
+    in
+    let options =
+      {
+        base with
+        Core.Generate.granular_reads = granular;
+        max_states;
+        mem_budget;
+        services = (match services with [] -> None | l -> Some l);
+      }
+    in
+    generate ~options u (fun lts ->
+        Mdp_obs.Metrics.span "phase/render" (fun () ->
+            print_endline (Core.Lts_render.summary u lts));
+        0)
   in
   let flow_only_flag =
     Arg.(value & flag & info [ "flow-only" ] ~doc:"Flows only; no potential actions.")
@@ -354,27 +351,23 @@ let profile_args =
 let risk_cmd =
   let run path agreed sens_specs json max_states mem_budget metrics =
     with_metrics metrics @@ fun () ->
-    match load_model path with
-    | Error (`Msg e) ->
+    with_model path @@ fun { diagram; policy; _ } ->
+    match collect_sensitivities sens_specs with
+    | Error e ->
       prerr_endline e;
       exits_with_error
-    | Ok { diagram; policy; _ } -> (
-      match collect_sensitivities sens_specs with
-      | Error e ->
-        prerr_endline e;
-        exits_with_error
-      | Ok sensitivities -> (
-        let profile =
-          Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
-        in
-        let options =
-          { Core.Generate.default_options with max_states; mem_budget }
-        in
-        run_analysis ~options ~profile diagram policy (fun analysis ->
-            Mdp_obs.Metrics.span "phase/render" (fun () ->
-                if json then print_endline (Core.Report.to_string analysis)
-                else Format.printf "%a@." Core.Analysis.pp_summary analysis);
-            0)))
+    | Ok sensitivities -> (
+      let profile =
+        Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
+      in
+      let options =
+        { Core.Generate.default_options with max_states; mem_budget }
+      in
+      run_analysis ~options ~profile diagram policy (fun analysis ->
+          Mdp_obs.Metrics.span "phase/render" (fun () ->
+              if json then print_endline (Core.Report.to_string analysis)
+              else Format.printf "%a@." Core.Analysis.pp_summary analysis);
+          0))
   in
   let agree, sens = profile_args in
   let json =
@@ -414,61 +407,57 @@ let whatif_cmd =
   let run path agreed sens_specs edit_specs diff json max_states mem_budget
       metrics =
     with_metrics metrics @@ fun () ->
-    match load_model path with
-    | Error (`Msg e) ->
+    with_model path @@ fun { diagram; policy; _ } ->
+    match (collect_sensitivities sens_specs, Core.Edit.parse_all edit_specs) with
+    | Error e, _ | _, Error e ->
       prerr_endline e;
       exits_with_error
-    | Ok { diagram; policy; _ } -> (
-      match (collect_sensitivities sens_specs, Core.Edit.parse_all edit_specs) with
-      | Error e, _ | _, Error e ->
-        prerr_endline e;
+    | Ok sensitivities, Ok edits -> (
+      let profile =
+        Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
+      in
+      let options =
+        { Core.Generate.default_options with max_states; mem_budget }
+      in
+      run_analysis ~options ~profile diagram policy @@ fun base ->
+      let inputs = Core.Analysis.inputs_of base in
+      match Core.Edit.apply_all inputs edits with
+      | Error e ->
+        prerr_endline ("edit does not apply: " ^ e);
         exits_with_error
-      | Ok sensitivities, Ok edits -> (
-        let profile =
-          Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
+      | Ok after_inputs -> (
+        let inv =
+          Core.Edit.classify ~options ~before:inputs ~after:after_inputs
         in
-        let options =
-          { Core.Generate.default_options with max_states; mem_budget }
+        exploring (fun () ->
+            Core.Analysis.run_incremental ~previous:base edits)
+        @@ fun after ->
+        (* With --json, stdout carries the report alone; the edit
+           trail goes to stderr so the JSON stays parseable. *)
+        let meta =
+          if json then Format.err_formatter else Format.std_formatter
         in
-        run_analysis ~options ~profile diagram policy @@ fun base ->
-        let inputs = Core.Analysis.inputs_of base in
-        match Core.Edit.apply_all inputs edits with
-        | Error e ->
-          prerr_endline ("edit does not apply: " ^ e);
-          exits_with_error
-        | Ok after_inputs -> (
-          let inv =
-            Core.Edit.classify ~options ~before:inputs ~after:after_inputs
-          in
-          exploring (fun () ->
-              Core.Analysis.run_incremental ~previous:base edits)
-          @@ fun after ->
-          (* With --json, stdout carries the report alone; the edit
-             trail goes to stderr so the JSON stays parseable. *)
-          let meta =
-            if json then Format.err_formatter else Format.std_formatter
-          in
-          List.iter
-            (fun e -> Format.fprintf meta "edit: %a@." Core.Edit.pp e)
-            edits;
-          Format.fprintf meta "invalidated: %a  (%s)@." pp_invalidation inv
-            (if inv.Core.Edit.inv_lts then "full re-exploration"
-             else "LTS reused");
-          Format.fprintf meta "worst risk: %a -> %a@." Core.Level.pp
-            (worst_of base) Core.Level.pp (worst_of after);
-          (if diff then
-             match
-               ( base.Core.Analysis.disclosure,
-                 after.Core.Analysis.disclosure )
-             with
-             | Some before, Some after ->
-               Format.fprintf meta "%a@." Core.Risk_diff.pp
-                 (Core.Risk_diff.diff ~before ~after)
-             | _ -> ());
-          Mdp_obs.Metrics.span "phase/render" (fun () ->
-              if json then print_endline (Core.Report.to_string after)
-              else Format.printf "%a@." Core.Analysis.pp_summary after);
-          0)))
+        List.iter
+          (fun e -> Format.fprintf meta "edit: %a@." Core.Edit.pp e)
+          edits;
+        Format.fprintf meta "invalidated: %a  (%s)@." pp_invalidation inv
+          (if inv.Core.Edit.inv_lts then "full re-exploration"
+           else "LTS reused");
+        Format.fprintf meta "worst risk: %a -> %a@." Core.Level.pp
+          (worst_of base) Core.Level.pp (worst_of after);
+        (if diff then
+           match
+             ( base.Core.Analysis.disclosure,
+               after.Core.Analysis.disclosure )
+           with
+           | Some before, Some after ->
+             Format.fprintf meta "%a@." Core.Risk_diff.pp
+               (Core.Risk_diff.diff ~before ~after)
+           | _ -> ());
+        Mdp_obs.Metrics.span "phase/render" (fun () ->
+            if json then print_endline (Core.Report.to_string after)
+            else Format.printf "%a@." Core.Analysis.pp_summary after);
+        0))
   in
   let agree, sens = profile_args in
   let edit_specs =
@@ -523,11 +512,12 @@ let sweep_cmd =
   let run path agreed sens_specs exact top jobs max_states mem_budget metrics
       =
     with_metrics metrics @@ fun () ->
-    match (domains_error "--jobs" ~others:0 jobs, load_model path) with
-    | Some e, _ | None, Error (`Msg e) ->
+    match domains_error "--jobs" ~others:0 jobs with
+    | Some e ->
       prerr_endline e;
       exits_with_error
-    | None, Ok { diagram; policy; _ } -> (
+    | None -> (
+      with_model path @@ fun { diagram; policy; _ } ->
       match collect_sensitivities sens_specs with
       | Error e ->
         prerr_endline e;
@@ -630,57 +620,53 @@ let parse_snooper s =
 let simulate_cmd =
   let run path services snoop_specs seed agreed sens_specs metrics =
     with_metrics metrics @@ fun () ->
-    match load_model path with
-    | Error (`Msg e) ->
+    with_model path @@ fun { diagram; policy; _ } ->
+    let rec collect acc = function
+      | [] -> Ok (List.rev acc)
+      | spec :: rest -> (
+        match parse_snooper spec with
+        | Ok sn -> collect (sn :: acc) rest
+        | Error e -> Error e)
+    in
+    match (collect [] snoop_specs, collect_sensitivities sens_specs) with
+    | Error e, _ | _, Error e ->
       prerr_endline e;
       exits_with_error
-    | Ok { diagram; policy; _ } -> (
-      let rec collect acc = function
-        | [] -> Ok (List.rev acc)
-        | spec :: rest -> (
-          match parse_snooper spec with
-          | Ok sn -> collect (sn :: acc) rest
-          | Error e -> Error e)
+    | Ok snoopers, Ok sensitivities ->
+      let profile =
+        Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
       in
-      match (collect [] snoop_specs, collect_sensitivities sens_specs) with
-      | Error e, _ | _, Error e ->
+      run_analysis ~profile diagram policy @@ fun analysis ->
+      let services =
+        match services with
+        | [] ->
+          List.map
+            (fun (s : Mdp_dataflow.Service.t) -> s.id)
+            diagram.Mdp_dataflow.Diagram.services
+        | l -> l
+      in
+      match
+        Mdp_runtime.Sim.run analysis.Core.Analysis.universe
+          { seed; services; snoopers }
+      with
+      | Error e ->
         prerr_endline e;
         exits_with_error
-      | Ok snoopers, Ok sensitivities ->
-        let profile =
-          Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
+      | Ok trace ->
+        let monitor =
+          Mdp_runtime.Monitor.create
+            ~annotate:(Core.Analysis.annotate analysis)
+            analysis.Core.Analysis.universe analysis.Core.Analysis.lts
         in
-        run_analysis ~profile diagram policy @@ fun analysis ->
-        let services =
-          match services with
-          | [] ->
-            List.map
-              (fun (s : Mdp_dataflow.Service.t) -> s.id)
-              diagram.Mdp_dataflow.Diagram.services
-          | l -> l
-        in
-        match
-          Mdp_runtime.Sim.run analysis.Core.Analysis.universe
-            { seed; services; snoopers }
-        with
-        | Error e ->
-          prerr_endline e;
-          exits_with_error
-        | Ok trace ->
-          let monitor =
-            Mdp_runtime.Monitor.create
-              ~annotate:(Core.Analysis.annotate analysis)
-              analysis.Core.Analysis.universe analysis.Core.Analysis.lts
-          in
-          List.iter
-            (fun event ->
-              Format.printf "%a@." Mdp_runtime.Event.pp event;
-              List.iter
-                (fun alert ->
-                  Format.printf "  !! %a@." Mdp_runtime.Monitor.pp_alert alert)
-                (Mdp_runtime.Monitor.observe monitor event))
-            trace;
-          0)
+        List.iter
+          (fun event ->
+            Format.printf "%a@." Mdp_runtime.Event.pp event;
+            List.iter
+              (fun alert ->
+                Format.printf "  !! %a@." Mdp_runtime.Monitor.pp_alert alert)
+              (Mdp_runtime.Monitor.observe monitor event))
+          trace;
+        0
   in
   let snoop =
     Arg.(
@@ -759,47 +745,43 @@ let anon_cmd =
 
 let check_cmd =
   let run path specs agreed sens_specs =
-    match load_model path with
-    | Error (`Msg e) ->
+    with_model path @@ fun { diagram; policy; _ } ->
+    let rec collect acc = function
+      | [] -> Ok (List.rev acc)
+      | spec :: rest -> (
+        match Core.Requirement.of_spec spec with
+        | Ok r -> collect (r :: acc) rest
+        | Error e -> Error e)
+    in
+    match (collect [] specs, collect_sensitivities sens_specs) with
+    | Error e, _ | _, Error e ->
       prerr_endline e;
       exits_with_error
-    | Ok { diagram; policy; _ } -> (
-      let rec collect acc = function
-        | [] -> Ok (List.rev acc)
-        | spec :: rest -> (
-          match Core.Requirement.of_spec spec with
-          | Ok r -> collect (r :: acc) rest
-          | Error e -> Error e)
+    | Ok requirements, Ok sensitivities ->
+      let u = Core.Universe.make diagram policy in
+      generate u @@ fun lts ->
+      (* Risk annotations are needed for maxrisk requirements. *)
+      let annotate =
+        if agreed = [] && sensitivities = [] then Fun.id
+        else
+          Core.Risk_plan.annotate
+            (Core.Risk_plan.compile u lts)
+            (Core.User_profile.make ~sensitivities ~agreed_services:agreed ())
       in
-      match (collect [] specs, collect_sensitivities sens_specs) with
-      | Error e, _ | _, Error e ->
-        prerr_endline e;
-        exits_with_error
-      | Ok requirements, Ok sensitivities ->
-        let u = Core.Universe.make diagram policy in
-        generate u @@ fun lts ->
-        (* Risk annotations are needed for maxrisk requirements. *)
-        let annotate =
-          if agreed = [] && sensitivities = [] then Fun.id
-          else
-            Core.Risk_plan.annotate
-              (Core.Risk_plan.compile u lts)
-              (Core.User_profile.make ~sensitivities ~agreed_services:agreed ())
-        in
-        let violations = Core.Requirement.check ~annotate u lts requirements in
-        List.iter
-          (fun r ->
-            if
-              List.exists
-                (fun (v : Core.Requirement.violation) -> v.requirement = r)
-                violations
-            then Format.printf "VIOLATED %a@." Core.Requirement.pp r
-            else Format.printf "ok       %a@." Core.Requirement.pp r)
-          requirements;
-        List.iter
-          (fun v -> Format.printf "@.%a@." Core.Requirement.pp_violation v)
-          violations;
-        if violations = [] then 0 else exits_with_error)
+      let violations = Core.Requirement.check ~annotate u lts requirements in
+      List.iter
+        (fun r ->
+          if
+            List.exists
+              (fun (v : Core.Requirement.violation) -> v.requirement = r)
+              violations
+          then Format.printf "VIOLATED %a@." Core.Requirement.pp r
+          else Format.printf "ok       %a@." Core.Requirement.pp r)
+        requirements;
+      List.iter
+        (fun v -> Format.printf "@.%a@." Core.Requirement.pp_violation v)
+        violations;
+      if violations = [] then 0 else exits_with_error
   in
   let specs =
     Arg.(
@@ -827,11 +809,12 @@ let population_cmd =
         Some "--agree-probability must be within [0,1]"
       else None
     in
-    match (bad_spec, load_model path) with
-    | Some e, _ | None, Error (`Msg e) ->
+    match bad_spec with
+    | Some e ->
       prerr_endline e;
       exits_with_error
-    | None, Ok { diagram; policy; _ } ->
+    | None ->
+      with_model path @@ fun { diagram; policy; _ } ->
       let u = Core.Universe.make diagram policy in
       generate u @@ fun lts ->
       let spec =
@@ -873,44 +856,40 @@ let population_cmd =
 let monitor_cmd =
   let run path trace_path agreed sens_specs metrics =
     with_metrics metrics @@ fun () ->
-    match load_model path with
-    | Error (`Msg e) ->
+    with_model path @@ fun { diagram; policy; _ } ->
+    match
+      ( Mdp_runtime.Trace.of_lines (read_file trace_path),
+        collect_sensitivities sens_specs )
+    with
+    | Error e, _ ->
+      prerr_endline (trace_path ^ ": " ^ e);
+      exits_with_error
+    | _, Error e ->
       prerr_endline e;
       exits_with_error
-    | Ok { diagram; policy; _ } -> (
-      match
-        ( Mdp_runtime.Trace.of_lines (read_file trace_path),
-          collect_sensitivities sens_specs )
-      with
-      | Error e, _ ->
-        prerr_endline (trace_path ^ ": " ^ e);
-        exits_with_error
-      | _, Error e ->
-        prerr_endline e;
-        exits_with_error
-      | Ok trace, Ok sensitivities ->
-        let profile =
-          Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
-        in
-        run_analysis ~profile diagram policy @@ fun analysis ->
-        Format.printf "%a@." Mdp_runtime.Trace.pp_stats
-          (Mdp_runtime.Trace.stats trace);
-        let monitor =
-          Mdp_runtime.Monitor.create
-            ~annotate:(Core.Analysis.annotate analysis)
-            analysis.Core.Analysis.universe analysis.Core.Analysis.lts
-        in
-        let alerts = ref 0 in
-        List.iter
-          (fun event ->
-            List.iter
-              (fun alert ->
-                incr alerts;
-                Format.printf "%a@." Mdp_runtime.Monitor.pp_alert alert)
-              (Mdp_runtime.Monitor.observe monitor event))
-          trace;
-        Format.printf "%d event(s), %d alert(s)@." (List.length trace) !alerts;
-        if !alerts = 0 then 0 else exits_with_error)
+    | Ok trace, Ok sensitivities ->
+      let profile =
+        Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
+      in
+      run_analysis ~profile diagram policy @@ fun analysis ->
+      Format.printf "%a@." Mdp_runtime.Trace.pp_stats
+        (Mdp_runtime.Trace.stats trace);
+      let monitor =
+        Mdp_runtime.Monitor.create
+          ~annotate:(Core.Analysis.annotate analysis)
+          analysis.Core.Analysis.universe analysis.Core.Analysis.lts
+      in
+      let alerts = ref 0 in
+      List.iter
+        (fun event ->
+          List.iter
+            (fun alert ->
+              incr alerts;
+              Format.printf "%a@." Mdp_runtime.Monitor.pp_alert alert)
+            (Mdp_runtime.Monitor.observe monitor event))
+        trace;
+      Format.printf "%d event(s), %d alert(s)@." (List.length trace) !alerts;
+      if !alerts = 0 then 0 else exits_with_error
   in
   let trace_arg =
     Arg.(required & pos 1 (some file) None & info [] ~docv:"TRACE" ~doc:"Recorded event trace file.")
@@ -926,11 +905,12 @@ let monitor_cmd =
 
 let transfers_cmd =
   let run path agreed sens_specs =
-    match (load_model path, collect_sensitivities sens_specs) with
-    | Error (`Msg e), _ | _, Error e ->
+    with_model path @@ fun { diagram; policy; placement } ->
+    match collect_sensitivities sens_specs with
+    | Error e ->
       prerr_endline e;
       exits_with_error
-    | Ok { diagram; policy; placement }, Ok sensitivities -> (
+    | Ok sensitivities -> (
       match placement with
       | None ->
         prerr_endline
@@ -986,23 +966,19 @@ let transfers_cmd =
 
 let transparency_cmd =
   let run path worst =
-    match load_model path with
-    | Error (`Msg e) ->
-      prerr_endline e;
-      exits_with_error
-    | Ok { diagram; policy; _ } ->
-      let u = Core.Universe.make diagram policy in
-      generate u @@ fun lts ->
-      let entries =
-        if worst then Core.Transparency.worst_case u lts
-        else Core.Transparency.at_state u lts (Core.Plts.initial lts)
-      in
-      (if entries = [] then
-         print_endline
-           "(no exposure at the initial state; pass --worst-case for the \
-            whole model)"
-       else Format.printf "@[<v>%a@]@." Core.Transparency.pp entries);
-      0
+    with_model path @@ fun { diagram; policy; _ } ->
+    let u = Core.Universe.make diagram policy in
+    generate u @@ fun lts ->
+    let entries =
+      if worst then Core.Transparency.worst_case u lts
+      else Core.Transparency.at_state u lts (Core.Plts.initial lts)
+    in
+    (if entries = [] then
+       print_endline
+         "(no exposure at the initial state; pass --worst-case for the \
+          whole model)"
+     else Format.printf "@[<v>%a@]@." Core.Transparency.pp entries);
+    0
   in
   let worst =
     Arg.(

@@ -22,9 +22,9 @@ let analyse_phase params universe lts =
   let consistency = Consistency.check universe in
   let plan =
     (* Compiled plan path: bit-identical to Disclosure_risk.analyse
-       (test_population checks the equality), one witness BFS instead of
-       one per finding. Kept on the result so [run_incremental] can
-       reuse it. *)
+       (test_population checks the equality), one witness tree instead
+       of one search per finding. Kept on the result so [run_incremental]
+       can reuse it. *)
     Option.map
       (fun _ ->
         Risk_plan.compile ~matrix:params.matrix ~model:params.model universe
@@ -89,7 +89,6 @@ let run_incremental ?cancel ~previous edits =
   if inv.Edit.inv_lts then begin
     Mdp_obs.Metrics.incr "whatif/invalidated_lts";
     Mdp_obs.Metrics.incr "whatif/invalidated_plan";
-    Mdp_obs.Metrics.incr "whatif/invalidated_classes";
     (* One exact path for an edited transition structure: a cold
        exploration of the edited model. *)
     run_params ?cancel params after.Edit.diagram after.Edit.policy

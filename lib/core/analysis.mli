@@ -55,8 +55,9 @@ val run_incremental :
     exploration is the only step [cancel] interrupts.
 
     Counters (under [Mdp_obs]): [whatif/incremental_hits] when the LTS
-    is reused, [whatif/invalidated_{lts,plan,classes}] for recomputed
-    artifacts, all under a [phase/whatif] span.
+    is reused, [whatif/invalidated_lts] when it is explored again and
+    [whatif/invalidated_plan] when the plan is recompiled or repatched,
+    all under a [phase/whatif] span.
 
     The result may share [previous]'s LTS and plan; [previous] stays
     valid, and so does every map {!annotate} made from it.

@@ -11,32 +11,31 @@ type violation = { requirement : t; witness : Action.t list }
 
 (* A requirement is violated either at a state (predicate on privacy
    variables) or on a transition (predicate on the label). Both reduce to
-   a shortest-path search; for transition requirements we search for the
-   earliest reachable source state with an offending outgoing label and
-   extend the witness by that label. *)
+   a shortest-path search. State ids are breadth-first order, so the
+   first violating state is the lowest id satisfying the predicate, and
+   for transition requirements the earliest reachable source state is
+   the lowest id with an offending outgoing label; the witness is that
+   source's tree path extended by the row's first offending label. *)
 
 let state_violation lts pred =
-  match
-    Plts.path_to lts (fun s ->
-        pred (Plts.state_data lts s : Config.t).Config.privacy)
-  with
-  | Some steps -> Some (List.map fst steps)
-  | None -> None
+  Option.map (List.map fst)
+    (Plts.path_to lts (fun s ->
+         pred (Plts.state_data lts s : Config.t).Config.privacy))
 
 let transition_violation lts pred =
-  (* BFS over reachable states, checking outgoing labels in order. *)
-  let reachable = Plts.reachable lts in
-  let rec scan = function
-    | [] -> None
-    | s :: rest -> (
-      match List.find_opt (fun (label, _) -> pred label) (Plts.successors lts s) with
-      | Some (label, _) -> (
-        match Plts.path_to lts (fun s' -> s' = s) with
-        | Some steps -> Some (List.map fst steps @ [ label ])
-        | None -> None)
-      | None -> scan rest)
-  in
-  scan reachable
+  let labels = Option.get (Plts.interned_labels lts) in
+  let offends = Array.map pred labels in
+  let exception Found of Plts.state_id * int in
+  match
+    Plts.iter_states lts (fun s ->
+        Plts.iter_successors_lid lts s (fun lid _ ->
+            if offends.(lid) then raise (Found (s, lid))))
+  with
+  | () -> None
+  | exception Found (src, lid) ->
+    Option.map
+      (fun steps -> List.map fst steps @ [ labels.(lid) ])
+      (Plts.path_to lts (fun s -> s = src))
 
 let touches field (label : Action.t) =
   List.exists (Field.equal field) label.fields

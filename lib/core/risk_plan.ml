@@ -82,11 +82,9 @@ type t = {
   slots : (string * string option) array;
       (** Slot -> (actor, store) of its findable labels — the hotspot
           key the population aggregation counts per user. *)
-  mutable witness_tree : (int array * int array) option;
-      (** State -> BFS parent, and state -> label id of the discovering
-          transition; parent -1 for the initial state and unreachable
-          states. Built on first [analyse]; not domain-safe (the
-          population summary path never touches it). *)
+  tree : int array * int array;
+      (** The LTS's {!Plts.witness_tree}: state -> BFS parent and
+          state -> interned label id of the discovering transition. *)
 }
 
 let slots t = t.slots
@@ -295,7 +293,7 @@ let compile ?(matrix = Risk_matrix.default)
       Array.of_seq
         (Seq.filter findable_label (Seq.init (Array.length labels) Fun.id));
     slots = Array.of_list (List.rev !slot_list);
-    witness_tree = None;
+    tree = Plts.witness_tree lts;
   }
 
 (* ----- per-profile view ----- *)
@@ -422,41 +420,10 @@ let summary t profile =
 
 (* ----- full report (bit-compatible with Disclosure_risk.analyse) ----- *)
 
-(* BFS over the LTS's rows. The parents are assigned at first
-   discovery in successor order, exactly as a per-finding
-   [Plts.path_to] search would, so unwound paths are identical. *)
-let force_witness_tree t =
-  match t.witness_tree with
-  | Some tree -> tree
-  | None ->
-    let n = max (Plts.num_states t.lts) 1 in
-    let parent = Array.make n (-1) and via = Array.make n (-1) in
-    let seen = Array.make n false in
-    let q = Queue.create () in
-    let start = Plts.initial t.lts in
-    seen.(start) <- true;
-    Queue.push start q;
-    while not (Queue.is_empty q) do
-      let s = Queue.pop q in
-      Plts.iter_successors_lid t.lts s (fun i d ->
-          if not seen.(d) then begin
-            seen.(d) <- true;
-            parent.(d) <- s;
-            via.(d) <- t.remap.(i);
-            Queue.push d q
-          end)
-    done;
-    let tree = (parent, via) in
-    t.witness_tree <- Some tree;
-    tree
-
-let witness_of (per_label : Disclosure_risk.finding array) (parent, via) src =
-  let rec unwind acc s =
-    match parent.(s) with
-    | -1 -> acc
-    | prev -> unwind (per_label.(via.(s)).action :: acc) prev
-  in
-  unwind [] src
+(* The witness of a finding at [src]: its tree path, each hop the
+   annotated action of its label. *)
+let witness_of t (per_label : Disclosure_risk.finding array) src =
+  Plts.unwind t.tree (fun i _ -> per_label.(t.remap.(i)).action) src
 
 (* Per label: the finding its transitions get when reported, with the
    annotated action. Every finding, witness hop and {!annotate} lookup
@@ -499,14 +466,13 @@ let analyse t profile =
       f.impact > 0.0
     | Action.Delete -> false
   in
-  let tree = force_witness_tree t in
   let findings = ref [] in
   let exposures = ref [] in
   for src = 0 to Plts.num_states t.lts - 1 do
     Plts.iter_successors_lid t.lts src (fun i dst ->
         let f = per_label.(t.remap.(i)) in
         if reported f then begin
-          let f = { f with src; dst; witness = witness_of per_label tree src } in
+          let f = { f with src; dst; witness = witness_of t per_label src } in
           if f.action.Action.kind = Action.Read then findings := f :: !findings
           else exposures := f :: !exposures
         end)

@@ -31,9 +31,10 @@ val compile :
   Plts.t ->
   t
 (** One pass over the LTS's edge rows, one plan per distinct label
-    (defaults match [Disclosure_risk.analyse]); counts
+    (defaults match [Disclosure_risk.analyse]), plus the LTS's
+    {!Plts.witness_tree} for {!analyse}'s witnesses; counts
     [risk_plan/labels] and [risk_plan/entries]. The plan is tied to the
-    LTS, which exploration fixes for good. *)
+    LTS, which exploration fixes for good, and is immutable. *)
 
 val slots : t -> (string * string option) array
 (** The distinct (actor, store) pairs over which findings can occur —
@@ -75,9 +76,9 @@ val analyse : t -> User_profile.t -> Disclosure_risk.report
 (** Drop-in replacement for [Disclosure_risk.analyse ~matrix ~model u
     lts profile]: the identical report. Each distinct label is
     evaluated and annotated once; its findings and witness hops share
-    that one [Action.t]. Witnesses come from a BFS tree built once per
-    plan instead of one search per finding. Not domain-safe (it builds
-    and caches that tree on first use). *)
+    that one [Action.t]. Witnesses unwind the plan's
+    {!Plts.witness_tree} instead of searching once per finding. Reads
+    only the plan, so it is safe from several domains. *)
 
 val annotate : t -> User_profile.t -> Action.t -> Action.t
 (** [annotate t profile] evaluates every distinct label once under

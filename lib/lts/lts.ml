@@ -866,31 +866,40 @@ module Make (S : STATE) (L : LABEL) = struct
       iter_successors t src (fun label dst -> f { src; label; dst })
     done
 
-  (* Breadth-first walk from the initial state, queued in an id array
-     (each state enters once): [visit s label d] runs when [d] is first
-     reached, from [s]; the walk stops once it returns [true]. Returns
-     the reached states in BFS order. *)
-  let bfs t visit =
-    let seen = Array.make t.n false and order = Array.make t.n 0 in
-    let start = initial t in
-    seen.(start) <- true;
-    order.(0) <- start;
-    let head = ref 0 and tail = ref 1 and stop = ref false in
-    while (not !stop) && !head < !tail do
-      let s = order.(!head) in
-      incr head;
-      iter_successors t s (fun label d ->
-          if (not !stop) && not seen.(d) then begin
-            seen.(d) <- true;
-            order.(!tail) <- d;
-            incr tail;
-            stop := visit s label d
+  (* The breadth-first tree from one row pass. Ids are BFS discovery
+     order and rows keep emission order, so scanning rows by ascending
+     id meets each state's tree edge — the edge that discovered it —
+     before any other edge into it. A parent's id is below its child's,
+     so the rows of ids below [rows] settle every state up to [rows]. *)
+  let tree_of_rows t rows =
+    let parent = Array.make t.n (-1) and via = Array.make t.n (-1) in
+    for s = 0 to rows - 1 do
+      iter_row t.p s (fun lid d ->
+          if d > 0 && parent.(d) < 0 then begin
+            parent.(d) <- s;
+            via.(d) <- lid
           end)
     done;
-    Array.sub order 0 !tail
+    (parent, via)
 
-  let reachable t =
-    if t.n = 0 then [] else Array.to_list (bfs t (fun _ _ _ -> false))
+  let witness_tree t = tree_of_rows t t.n
+
+  let unwind (parent, via) f s =
+    let rec go acc s =
+      match parent.(s) with -1 -> acc | prev -> go (f via.(s) s :: acc) prev
+    in
+    go [] s
+
+  (* The first state in BFS order is the lowest id satisfying [pred];
+     only the rows below it are needed to unwind its path. *)
+  let path_to t pred =
+    let rec first s =
+      if s >= t.n then None else if pred s then Some s else first (s + 1)
+    in
+    Option.map
+      (fun s ->
+        unwind (tree_of_rows t s) (fun lid d -> (t.p.lbl_data.(lid), d)) s)
+      (first 0)
 
   (* Equal labels share one interned id, so a repeated label in a row
      is a repeated int: [last.(lid)] holds the last state whose row
@@ -1057,26 +1066,6 @@ module Make (S : STATE) (L : LABEL) = struct
         p.shards
     end;
     t
-
-  let path_to t pred =
-    if t.n = 0 then None
-    else if pred (initial t) then Some []
-    else begin
-      let back = Array.make t.n None in
-      let found = ref None in
-      ignore
-        (bfs t (fun s label d ->
-             back.(d) <- Some (s, label);
-             if pred d then found := Some d;
-             !found <> None)
-          : state_id array);
-      let rec unwind acc s =
-        match back.(s) with
-        | None -> acc
-        | Some (prev, label) -> unwind ((label, s) :: acc) prev
-      in
-      Option.map (unwind []) !found
-    end
 
   let dag_fold t ~(combine : 'a list -> 'a) ~(sink : 'a) =
     (* Memoised fold over the reachable DAG from the initial state;

@@ -18,8 +18,13 @@
     width are supported, up to records that fit one 64 KiB arena chunk
     (about 6,500 words).
 
-    [explore] walks breadth-first frontiers on the calling domain;
-    state ids follow discovery order. *)
+    [explore] walks breadth-first frontiers on the calling domain.
+    Two facts about every explored LTS follow, and the analyses rely on
+    them: every stored state is reachable from the initial state, and
+    state ids follow breadth-first discovery order while each row keeps
+    its emission order. So scanning rows by ascending id is a
+    breadth-first walk, and it meets each state's discovering edge
+    before any other edge into it ({!witness_tree}). *)
 
 module type STATE = sig
   type t
@@ -249,8 +254,19 @@ module Make (S : STATE) (L : LABEL) : sig
 
   (** {1 Analysis} *)
 
-  val reachable : t -> state_id list
-  (** States reachable from the initial state, BFS order. *)
+  val witness_tree : t -> int array * int array
+  (** [(parent, via)], indexed by state: the state's parent in the
+      breadth-first tree and the interned label id ({!interned_labels})
+      of the edge that discovered it; both -1 for the initial state.
+      Built in one pass over the rows by ascending id, with no queue:
+      the first edge into a state in that scan is its discovering edge.
+      Every state but the initial one has a parent with a lower id. *)
+
+  val unwind :
+    int array * int array -> (int -> state_id -> 'a) -> state_id -> 'a list
+  (** [unwind tree f s]: the tree path from the initial state to [s],
+      one [f via dst] per step in order — [via] is the step's label id,
+      [dst] the state it reaches; [[]] for the initial state. *)
 
   val is_deterministic : t -> bool
   (** No state has two outgoing transitions with equal labels (compared
@@ -258,8 +274,10 @@ module Make (S : STATE) (L : LABEL) : sig
 
   val path_to : t -> (state_id -> bool) -> (L.t * state_id) list option
   (** Shortest witness path (sequence of steps from the initial state) to
-      a state satisfying the predicate; [Some []] if the initial state
-      does. *)
+      the first state, in breadth-first order, satisfying the predicate
+      — the lowest such id, with its {!witness_tree} path; [Some []] if
+      the initial state does. Unwinds a tree built from the rows below
+      that id only. *)
 
   val longest_path : t -> int option
   (** Longest transition count along any path from the initial state;

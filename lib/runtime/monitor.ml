@@ -190,13 +190,11 @@ let resync t event =
          raise Exit
        | None -> ());
        if depth < t.resync_depth then
-         List.iter
-           (fun (label, next) ->
+         Core.Plts.iter_successors_lid t.lts state (fun lid next ->
              if not (Hashtbl.mem visited next) then begin
                Hashtbl.add visited next ();
-               Queue.add (next, label :: rev_path) q
+               Queue.add (next, t.labels.(lid) :: rev_path) q
              end)
-           (Core.Plts.successors t.lts state)
      done
    with Exit -> ());
   !result
@@ -278,12 +276,11 @@ let observe t event =
         (* The action was blocked, so the state must not advance; but an
            attempt the model never predicted is still the strongest
            signal, so report both facets. *)
-        let modelled =
-          List.exists
-            (fun (label, _) -> matches event label)
-            (Core.Plts.successors t.lts t.state)
-        in
-        Denied (event, reason) :: (if modelled then [] else [ Off_model event ])
+        let modelled = ref false in
+        Core.Plts.iter_successors_lid t.lts t.state (fun lid _ ->
+            if matches event t.labels.(lid) then modelled := true);
+        Denied (event, reason)
+        :: (if !modelled then [] else [ Off_model event ])
       | Enforce.Allowed narrowed ->
         (* A stale timestamp accounted for by a transition we skipped while
            resynchronising is a late arrival, not a new action: absorb it.

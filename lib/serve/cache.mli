@@ -6,8 +6,8 @@
     compilation. The cache is shared by every worker domain, so all
     operations take an internal lock — entries must therefore be
     treated as immutable by readers (the engine wraps an artifact's one
-    lazily built part, its risk plan with the plan's witness tree, in
-    its own per-entry lock).
+    lazily built part, its compiled risk plan, in its own per-entry
+    lock).
 
     Eviction is least-recently-used with a hard entry cap. Evicted
     entries can optionally be retained in a second-chance [stale] store

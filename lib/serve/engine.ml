@@ -37,8 +37,8 @@ let default_config =
 
 (* The compiled state of one model: everything downstream of the DSL
    parse. [plan] is compiled on first risk/population use; the [lock]
-   serialises that compilation and every [Risk_plan.analyse] call
-   (which builds and caches the plan's witness tree on first use). *)
+   guards that one mutable field, so the plan is compiled once, and
+   every request that uses the plan runs under it. *)
 type artifact = {
   universe : C.Universe.t;
   lts : C.Plts.t;
@@ -375,9 +375,8 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
     with_artifact_lock a (fun () ->
         Metrics.span "serve/whatif" @@ fun () ->
         let plan = plan_of a in
-        (* The base analyse both yields the baseline report and caches
-           the plan's witness tree, which the incremental re-evaluation
-           over the (possibly reused) LTS depends on. *)
+        (* The baseline report the incremental re-evaluation over the
+           (possibly reused) LTS starts from. *)
         let before = C.Risk_plan.analyse plan profile in
         let base =
           {

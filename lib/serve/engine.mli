@@ -18,10 +18,10 @@
       {!stale_response} serves (flagged [stale]) when the daemon sheds
       load.
 
-    The LTS is never written after exploration; the plan is compiled
-    on first use and [Risk_plan.analyse] builds and caches its witness
-    tree on first use, neither of them domain-safe. So each artifact
-    carries a lock serialising plan use, population sweeps included.
+    The LTS is never written after exploration, and a compiled plan is
+    immutable; the plan is compiled on first use, into the artifact's
+    one mutable field. Each artifact carries a lock that guards that
+    compilation and serialises plan use, population sweeps included.
 
     [whatif] requests run {!Mdp_core.Analysis.run_incremental} against
     the cached artifact under that same lock: edits the classifier

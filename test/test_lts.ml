@@ -1,6 +1,6 @@
 (* Tests for the generic LTS library: hash-consing, exploration,
-   reachability, witness paths, acyclicity, determinism and DOT
-   export. *)
+   reachability, the witness tree and paths, acyclicity, determinism
+   and DOT export. *)
 
 module IntState = struct
   type t = int
@@ -101,7 +101,22 @@ let test_successors () =
 
 let test_reachability_and_paths () =
   let t, s0, _, _, s3 = diamond () in
-  check int_ "every explored state is reachable" 4 (List.length (L.reachable t));
+  let parent, via = L.witness_tree t in
+  check bool_ "every explored state is reachable" true
+    (L.num_states t = 4
+    && parent.(0) = -1
+    && List.for_all
+         (fun s -> 0 <= parent.(s) && parent.(s) < s)
+         [ 1; 2; 3 ]);
+  check (Alcotest.array int_) "tree parents: first edge in" [| -1; 0; 0; 1 |]
+    parent;
+  check
+    Alcotest.(list string)
+    "tree labels"
+    [ "a"; "c" ]
+    (L.unwind (parent, via)
+       (fun lid _ -> (Option.get (L.interned_labels t)).(lid))
+       s3);
   check bool_ "no path to an absent state" true
     (L.path_to t (fun s -> L.state_data t s = 99) = None);
   (match L.path_to t (fun s -> s = s3) with

@@ -234,7 +234,8 @@ let group_boundary () =
            [ P.Read; P.Delete ];
        ])
 
-let test_seed_options () =
+(* [f name u options] for every step option on each of these models. *)
+let iter_step_options f =
   let synthetic name =
     let diagram, policy = Synthetic.model (spec_of name) in
     (name, Core.Universe.make diagram policy)
@@ -242,8 +243,7 @@ let test_seed_options () =
   List.iter
     (fun (model, u) ->
       List.iter
-        (fun (what, options) ->
-          check_seed_oracle (Printf.sprintf "%s %s" model what) u options)
+        (fun (what, options) -> f (Printf.sprintf "%s %s" model what) u options)
         (step_options u))
     [
       synthetic "synthetic:4-6-4";
@@ -252,6 +252,39 @@ let test_seed_options () =
       ("healthcare two deleters", two_deleters ());
       ("group boundary", group_boundary ());
     ]
+
+let test_seed_options () = iter_step_options check_seed_oracle
+
+(* [Plts.witness_tree] against a queue BFS written here: the BFS must
+   visit ids 0 .. n-1 in order (ids are discovery order), and its
+   first-discovery parents and label ids must equal the tree's. *)
+let check_witness_tree name u options =
+  let lts = Core.Generate.run ~options u in
+  let n = Core.Plts.num_states lts in
+  let parent = Array.make n (-1) and via = Array.make n (-1) in
+  let seen = Array.make n false and q = Queue.create () and visits = ref 0 in
+  seen.(0) <- true;
+  Queue.push 0 q;
+  while not (Queue.is_empty q) do
+    let s = Queue.pop q in
+    if s <> !visits then
+      Alcotest.failf "%s: the BFS visits state %d at position %d" name s
+        !visits;
+    incr visits;
+    Core.Plts.iter_successors_lid lts s (fun lid d ->
+        if not seen.(d) then begin
+          seen.(d) <- true;
+          parent.(d) <- s;
+          via.(d) <- lid;
+          Queue.push d q
+        end)
+  done;
+  check int_ (name ^ ": the BFS visits every state") n !visits;
+  let tree_parent, tree_via = Core.Plts.witness_tree lts in
+  check (Alcotest.array int_) (name ^ ": parents") parent tree_parent;
+  check (Alcotest.array int_) (name ^ ": label ids") via tree_via
+
+let test_witness_tree () = iter_step_options check_witness_tree
 
 (* A universe wider than 63 words, so every state record's wordmap
    spans several groups: the seed's LTS, the same LTS and disclosure
@@ -374,5 +407,10 @@ let () =
             test_wide_fields;
           Alcotest.test_case "padded healthcare, every step option" `Quick
             test_padded_healthcare;
+        ] );
+      ( "witness tree",
+        [
+          Alcotest.test_case "queue BFS, every step option" `Quick
+            test_witness_tree;
         ] );
     ]
