@@ -385,7 +385,7 @@ let pp_invalidation ppf (inv : Core.Edit.invalidation) =
   let flags =
     [
       ("lts", inv.Core.Edit.inv_lts);
-      ("cone", inv.Core.Edit.inv_cone);
+      ("cone", Option.is_some inv.Core.Edit.inv_cone);
       ("plan", inv.Core.Edit.inv_plan);
       ("risk", inv.Core.Edit.inv_risk);
       ("classes", inv.Core.Edit.inv_lts);
@@ -427,7 +427,8 @@ let whatif_cmd =
         exits_with_error
       | Ok after_inputs -> (
         let inv =
-          Core.Edit.classify ~options ~before:inputs ~after:after_inputs
+          Core.Edit.classify ~options ~universe:base.Core.Analysis.universe
+            ~before:inputs ~after:after_inputs
         in
         exploring (fun () ->
             Core.Analysis.run_incremental ~previous:base edits)
@@ -965,31 +966,21 @@ let transfers_cmd =
 (* ----- transparency ----- *)
 
 let transparency_cmd =
-  let run path worst =
+  let run path =
     with_model path @@ fun { diagram; policy; _ } ->
     let u = Core.Universe.make diagram policy in
     generate u @@ fun lts ->
-    let entries =
-      if worst then Core.Transparency.worst_case u lts
-      else Core.Transparency.at_state u lts (Core.Plts.initial lts)
-    in
-    (if entries = [] then
-       print_endline
-         "(no exposure at the initial state; pass --worst-case for the \
-          whole model)"
-     else Format.printf "@[<v>%a@]@." Core.Transparency.pp entries);
+    (match Core.Transparency.worst_case u lts with
+    | [] -> print_endline "(no exposure in any reachable state)"
+    | entries -> Format.printf "@[<v>%a@]@." Core.Transparency.pp entries);
     0
-  in
-  let worst =
-    Arg.(
-      value & flag
-      & info [ "worst-case" ]
-          ~doc:"Union over every reachable state instead of the initial one.")
   in
   Cmd.v
     (Cmd.info "transparency"
-       ~doc:"Data-subject transparency report: who could see which fields.")
-    Term.(const run $ model_arg $ worst)
+       ~doc:
+         "Data-subject transparency report: who has seen or could see \
+          which fields, in any reachable state.")
+    Term.(const run $ model_arg)
 
 (* ----- serve ----- *)
 

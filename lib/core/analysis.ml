@@ -78,7 +78,10 @@ let run_incremental ?cancel ~previous edits =
     | Ok a -> a
     | Error msg -> invalid_arg ("Analysis.run_incremental: " ^ msg)
   in
-  let inv = Edit.classify ~options:previous.params.options ~before ~after in
+  let inv =
+    Edit.classify ~options:previous.params.options ~universe:previous.universe
+      ~before ~after
+  in
   let params =
     {
       previous.params with

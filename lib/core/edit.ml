@@ -147,13 +147,10 @@ let apply_all inputs edits =
 
 type invalidation = {
   inv_lts : bool;
-  inv_cone : bool;
-      (* inv_lts is set solely by concrete ACL tuples on an unchanged
-         diagram with no binding interplay: the LTS damage is scoped to
-         the touched stores' reachability cones, and a cone-scoped
-         re-exploration ([Regen]) may answer the edit without a cold
-         run. Candidacy only — [Regen.make_patch] makes the final call
-         (it must compare compiled guards). *)
+  inv_cone : Generate.policy_changes option;
+      (* [Some] when inv_lts comes from the policy alone, on an unchanged
+         diagram: the compiled-input comparison that decided it, from
+         which [Regen.make_patch] may build a cone-scoped answer. *)
   inv_plan : bool;
   inv_risk : bool;
   inv_sigma : (Field.t * float) list option;
@@ -170,65 +167,13 @@ type invalidation = {
 let everything =
   {
     inv_lts = true;
-    inv_cone = false;
+    inv_cone = None;
     inv_plan = true;
     inv_risk = true;
     inv_sigma = None;
     inv_pseudonym = true;
     inv_consistency = true;
   }
-
-(* Fields that can ever reach [store]'s contents: the created (stored)
-   fields of the active create/anon flows into it, filtered by the
-   writers' Write permission when enforcement is on. Exploration reads —
-   from-flow, potential, granular — all fetch from store contents, so a
-   Read grant on a field outside this set is invisible to the LTS. *)
-let writable_fields ~(options : Generate.options) diagram policy store =
-  let active (svc : Service.t) =
-    match options.services with
-    | None -> true
-    | Some ids -> List.mem svc.id ids
-  in
-  List.concat_map
-    (fun ((svc : Service.t), (flow : Flow.t)) ->
-      if not (active svc) then []
-      else
-        match (Diagram.classify diagram flow, flow.dst) with
-        | (Flow.Create | Flow.Anon), Flow.Store s when s = store ->
-          let actor = Flow.node_name flow.src in
-          let created =
-            match Diagram.classify diagram flow with
-            | Flow.Anon -> List.map Field.anon_of flow.fields
-            | _ -> flow.fields
-          in
-          if options.enforce_policy then
-            List.filter
-              (fun f ->
-                Policy.allows policy ~diagram ~actor Permission.Write
-                  ~store f)
-              created
-          else created
-        | _ -> [])
-    (Diagram.all_flows diagram)
-
-(* Store-level deleter sets — the only §III-A consumer of Delete
-   permissions when potential deletes are off. *)
-let deleter_sets diagram policy =
-  List.map
-    (fun (ds : Datastore.t) ->
-      let fields = Diagram.all_fields diagram in
-      List.filter_map
-        (fun (a : Actor.t) ->
-          if
-            List.exists
-              (fun f ->
-                Policy.allows policy ~diagram ~actor:a.id
-                  Permission.Delete ~store:ds.id f)
-              fields
-          then Some a.id
-          else None)
-        diagram.Diagram.actors)
-    diagram.Diagram.datastores
 
 (* The pure-sensitivity delta of a profile edit: the fields whose σ
    changed, with their new values — [None] when the agreed-service sets
@@ -264,7 +209,7 @@ let profile_equal a b =
          (User_profile.sensitivities b)
   | _ -> false
 
-let classify ~(options : Generate.options) ~before ~after =
+let classify ~(options : Generate.options) ~universe ~before ~after =
   if before.diagram != after.diagram then everything
   else begin
     let removed, added =
@@ -279,74 +224,45 @@ let classify ~(options : Generate.options) ~before ~after =
     let inv_pseudonym =
       before.bindings != after.bindings || (tuples <> [] && after.bindings <> [])
     in
-    let writable = Hashtbl.create 4 in
-    let writable_in policy store f =
-      let key = (store, options.enforce_policy, policy == after.policy) in
-      let fields =
-        match Hashtbl.find_opt writable key with
-        | Some fs -> fs
-        | None ->
-          let fs = writable_fields ~options before.diagram policy store in
-          Hashtbl.add writable key fs;
-          fs
-      in
-      List.exists (Field.equal f) fields
-    in
-    let lts_preserving (t : Policy.grant_tuple) =
-      match t.perm with
-      | Permission.Delete -> not options.potential_deletes
-      | Permission.Write ->
-        (not options.enforce_policy)
-        || not
-             (List.exists
-                (fun ((svc : Service.t), (flow : Flow.t)) ->
-                  (match options.services with
-                  | None -> true
-                  | Some ids -> List.mem svc.id ids)
-                  &&
-                  match (Diagram.classify before.diagram flow, flow.dst) with
-                  | (Flow.Create | Flow.Anon), Flow.Store s ->
-                    s = t.store
-                    && Flow.node_name flow.src = t.actor
-                    && List.exists (Field.equal t.field)
-                         (match Diagram.classify before.diagram flow with
-                         | Flow.Anon -> List.map Field.anon_of flow.fields
-                         | _ -> flow.fields)
-                  | _ -> false)
-                (Diagram.all_flows before.diagram))
-      | Permission.Read ->
-        (* Sound for both removals and additions: the field can reach
-           the store's contents under neither policy. *)
-        (not (writable_in before.policy t.store t.field))
-        && not (writable_in after.policy t.store t.field)
-    in
     let profile_changed = not (profile_equal before.profile after.profile) in
     let inv_sigma =
       if profile_changed then sigma_delta before.profile after.profile
       else None
     in
-    if not (List.for_all lts_preserving tuples) then
-      (* The LTS must change, but only because of concrete ACL tuples
-         on an unchanged diagram — the damage is confined to the
-         touched stores' cones. Everything downstream still invalidates
-         (an incremental run explores the edited model cold);
-         [inv_cone] flags that the what-if sweep may answer the edit
-         with the cone walk instead. *)
-      { everything with inv_cone = true; inv_sigma }
-    else begin
+    let edited =
+      if tuples = [] then None
+      else Some (Universe.with_policy universe after.policy)
+    in
+    match
+      Option.bind edited (fun u ->
+          Generate.policy_changes ~u_old:universe ~u options)
+    with
+    | Some _ as changes ->
+      (* The LTS must change, but only because of the policy on an
+         unchanged diagram. Everything downstream still invalidates (an
+         incremental run explores the edited model cold); [inv_cone]
+         lets the what-if sweep try the cone walk instead. *)
+      { everything with inv_cone = changes; inv_sigma }
+    | None ->
       let has perm =
         List.exists
           (fun (t : Policy.grant_tuple) -> Permission.equal t.perm perm)
           tuples
       in
+      (* The §III-A maintenance-exposure relation: the risk plan's one
+         input from Delete permissions when the LTS is unchanged. *)
       let deleters_changed =
-        has Permission.Delete
-        && deleter_sets before.diagram before.policy
-           <> deleter_sets before.diagram after.policy
+        match edited with
+        | None -> false
+        | Some u ->
+          List.exists
+            (fun s ->
+              Universe.deleters universe ~store:s <> Universe.deleters u ~store:s)
+            (List.init (Universe.nstores u) Fun.id)
       in
       {
         inv_lts = false;
-        inv_cone = false;
+        inv_cone = None;
         inv_plan = deleters_changed;
         inv_risk = deleters_changed || profile_changed;
         inv_sigma;
@@ -354,7 +270,6 @@ let classify ~(options : Generate.options) ~before ~after =
         (* Gaps query only Read and Write over flow fields. *)
         inv_consistency = has Permission.Read || has Permission.Write;
       }
-    end
   end
 
 (* ----- parsing and printing (CLI --edit specs, serve requests) -----

@@ -52,15 +52,14 @@ type invalidation = {
       (** Reachable transition structure may differ: re-explore (and
           with it everything downstream, population equivalence classes
           included — reported as [classes] beside [lts]). *)
-  inv_cone : bool;
-      (** Set alongside [inv_lts] when the damage is a pure
-          policy-shrink candidate for the what-if sweep's cone walk
-          ({!Regen.walk}): the diagram is unchanged and only concrete
-          ACL permissions moved. Candidacy
-          only — {!Regen.make_patch} makes the final eligibility call
-          from the compiled artifacts, and the sweep computes the
-          outcome in full when it declines. An incremental run
-          explores the edited model cold either way. *)
+  inv_cone : Generate.policy_changes option;
+      (** [Some changes] alongside [inv_lts] when the LTS changes because
+          of the policy alone, on an unchanged diagram: the comparison
+          that decided it, which the what-if sweep hands to
+          {!Regen.make_patch} to try the cone walk. Candidacy only —
+          the patch makes the final eligibility call, and the sweep
+          computes the outcome in full when it declines. An incremental
+          run explores the edited model cold either way. *)
   inv_plan : bool;
       (** Compiled risk-plan entries stale (today: deleter sets
           changed — repatchable without recompiling). *)
@@ -79,41 +78,34 @@ type invalidation = {
 val everything : invalidation
 
 val classify :
-  options:Generate.options -> before:inputs -> after:inputs -> invalidation
+  options:Generate.options ->
+  universe:Universe.t ->
+  before:inputs ->
+  after:inputs ->
+  invalidation
 (** Compare two input sets (typically [before] and [apply_all before
-    edits]) and bound the damage. The interesting judgements:
+    edits]) and bound the damage. [universe] is [before]'s universe
+    (the previous run's). The interesting judgements:
 
     - a policy edit whose concrete permission relation is unchanged
       ([Policy.diff] empty) invalidates nothing;
-    - Delete-permission edits preserve the LTS when potential deletes
-      are off — only the maintenance-exposure flags of the risk plan
-      (and the report) change, and not even those when the store-level
-      deleter sets are unchanged;
-    - a Read grant/revocation on a field that can never reach the
-      store's contents (no active, policy-permitted create/anon flow
-      writes it) is invisible to the LTS and the report;
-    - Write edits are invisible to the LTS when enforcement is off, or
-      when the affected actor writes no flow carrying the field;
+    - any other policy edit on an unchanged diagram invalidates the LTS
+      exactly when {!Generate.policy_changes} finds a compiled input of
+      exploration that moved: a compiled flow, a potential-read row
+      over the fields that can reach the store, or (with potential
+      deletes) a deleter or reader set. Delete edits with potential
+      deletes off and Write edits with enforcement off therefore keep
+      the LTS. A Read edit on a field no flow ever writes into the
+      store keeps it too, unless a read flow of that store carries the
+      field: the flow's guard moves with its effective fields;
+    - with the LTS kept, the risk plan (and report) re-evaluate only
+      when a store's deleter set moved — the maintenance-exposure
+      flags;
     - a binding edit, or any concrete policy change under active
       anonymisation bindings, re-runs the pseudonym pass (it reads Read
       permissions) and nothing else on that account;
     - profile edits never invalidate the LTS or the plan;
     - diagram edits invalidate everything. *)
-
-val writable_fields :
-  options:Generate.options ->
-  Diagram.t ->
-  Policy.t ->
-  string ->
-  Field.t list
-(** Fields that can ever reach the store's contents (with duplicates);
-    the Read-edit preservation test above, exposed for the sweep
-    driver. *)
-
-val deleter_sets : Diagram.t -> Policy.t -> string list list
-(** Per datastore (in diagram order), the actors holding Delete on any
-    of its fields — the §III-A maintenance-exposure relation the
-    Delete-edit delta compares before/after. *)
 
 (** {2 CLI specs}
 

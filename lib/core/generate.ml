@@ -239,6 +239,97 @@ let compile u options =
       | eff -> Some (compile_flow u info eff))
     (flows_in_scope u options)
 
+(* ----- what a policy edit changes ----- *)
+
+type policy_changes = {
+  pc_u : Universe.t;
+  pc_compiled_old : compiled_flow list;
+  pc_flows : (compiled_flow option * compiled_flow option) list;
+  pc_reads : (int * int * int list * int list) list;
+}
+
+let same_flow a b =
+  Action.equal a.cf_action b.cf_action
+  && a.cf_guard = b.cf_guard
+  && Bitset.equal a.cf_prereqs b.cf_prereqs
+  && a.cf_has_vars = b.cf_has_vars
+  && a.cf_store_write = b.cf_store_write
+  && a.cf_could_vars = b.cf_could_vars
+
+(* The policy enters exploration in three places: the compiled flows
+   (effective fields, guards, could-readers), the readable rows of
+   potential reads and the deleter and reader sets of potential
+   deletes. A store only ever holds fields some compiled flow writes
+   into it, so a permission on any other field of the store is never
+   read while exploring. Compare exactly those inputs, masked by the
+   fields written under either policy. *)
+let policy_changes ~u_old ~u options =
+  let old_flows = compile u_old options and new_flows = compile u options in
+  (* both lists ascend by flow index *)
+  let rec align acc olds news =
+    match (olds, news) with
+    | [], [] -> List.rev acc
+    | o :: os, n :: ns when o.cf_index = n.cf_index ->
+      align (if same_flow o n then acc else (Some o, Some n) :: acc) os ns
+    | o :: os, n :: _ when o.cf_index < n.cf_index ->
+      align ((Some o, None) :: acc) os news
+    | o :: os, [] -> align ((Some o, None) :: acc) os []
+    | _, n :: ns -> align ((None, Some n) :: acc) olds ns
+  in
+  let flows = align [] old_flows new_flows in
+  let ns = Universe.nstores u and nf = Universe.nfields u in
+  let written = Array.init ns (fun _ -> Bitset.create nf) in
+  List.iter
+    (fun cf ->
+      match cf.cf_store_write with
+      | Some (s, fis) -> List.iter (Bitset.set written.(s)) fis
+      | None -> ())
+    (old_flows @ new_flows);
+  let reads = ref [] in
+  if options.potential_reads then
+    for a = Universe.nactors u - 1 downto 0 do
+      for s = ns - 1 downto 0 do
+        let ro = Universe.readable_bits u_old ~actor:a ~store:s
+        and rn = Universe.readable_bits u ~actor:a ~store:s in
+        if not (Bitset.equal ro rn) then
+          match
+            Bitset.fold
+              (fun f (lost, gained) ->
+                match (Bitset.get ro f, Bitset.get rn f) with
+                | true, false -> (f :: lost, gained)
+                | false, true -> (lost, f :: gained)
+                | _ -> (lost, gained))
+              written.(s) ([], [])
+          with
+          | [], [] -> ()
+          | lost, gained ->
+            reads := (a, s, List.rev lost, List.rev gained) :: !reads
+      done
+    done;
+  let deletes =
+    options.potential_deletes
+    && List.exists
+         (fun s ->
+           let fis = Bitset.to_list written.(s) in
+           fis <> []
+           && (Universe.deleters u_old ~store:s <> Universe.deleters u ~store:s
+              || List.exists
+                   (fun f ->
+                     Universe.readers u_old ~store:s ~field:f
+                     <> Universe.readers u ~store:s ~field:f)
+                   fis))
+         (List.init ns Fun.id)
+  in
+  if flows = [] && !reads = [] && not deletes then None
+  else
+    Some
+      {
+        pc_u = u;
+        pc_compiled_old = old_flows;
+        pc_flows = flows;
+        pc_reads = !reads;
+      }
+
 (* The label of a potential read or delete of the fields [fis]
    (ascending indices) of [store] by [actor]. It depends only on (kind,
    actor, store, field set), never on the configuration, so the emitter

@@ -71,11 +71,10 @@ val flow_only : options
 
 (** {1 Compiled-step internals}
 
-    The pieces [run] assembles, exposed for the cone-scoped incremental
-    re-exploration ({!Regen}): comparing the compiled flows of two
-    policies tells an edit exactly which emissions change, and stepping
-    a fresh state during the incremental walk must use exactly the cold
-    semantics. *)
+    The pieces [run] assembles, exposed for the what-if paths:
+    {!policy_changes} compares what two policies compile to, which
+    decides whether an edit changes the LTS ({!Edit.classify}) and which
+    emissions a cone-scoped answer must substitute ({!Regen}). *)
 
 type source_guard =
   | Always
@@ -93,9 +92,32 @@ type compiled_flow = {
   cf_could_vars : int list;  (** privacy.could bits set on creation *)
 }
 
-val compile : Universe.t -> options -> compiled_flow list
-(** The in-scope flows with non-empty effective field sets, in flow-index
-    order — the from-flow segment of every state's successor row. *)
+(** What a policy edit changes in the inputs exploration reads. *)
+type policy_changes = {
+  pc_u : Universe.t;  (** the edited universe *)
+  pc_compiled_old : compiled_flow list;
+      (** every compiled flow under the old policy, in flow-index order *)
+  pc_flows : (compiled_flow option * compiled_flow option) list;
+      (** the flows whose compiled form moved, in flow-index order, as
+          (old, edited); [None] where the flow is fully denied *)
+  pc_reads : (int * int * int list * int list) list;
+      (** (actor, store, lost, gained): the readable fields that left or
+          joined the pair's potential reads, among the fields a compiled
+          flow writes into the store under either policy. Empty when
+          potential reads are off. *)
+}
+
+val policy_changes :
+  u_old:Universe.t -> u:Universe.t -> options -> policy_changes option
+(** The one decision of whether a policy edit changes the generated
+    LTS. [u] must share [u_old]'s diagram. It compares exactly the
+    policy-derived inputs the emitter reads, as bitsets at any field
+    count: the compiled flows (effective fields, guards, could-readers);
+    with potential reads, {!Universe.readable_bits} masked by the fields
+    some compiled flow writes into the store (no other field ever
+    reaches it); with potential deletes, {!Universe.deleters} and
+    {!Universe.readers} under the same mask. [None]: the two universes
+    explore to the same LTS, state for state and label for label. *)
 
 val readable_rows : Universe.t -> options -> int array array option
 (** Per-(actor, store) readable field sets as single words

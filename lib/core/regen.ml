@@ -44,11 +44,10 @@ type patch = {
   rp_options : Generate.options;
   rp_compiled_old : Generate.compiled_flow list;
   rp_readable : int array array;  (* [||] when potential reads are off *)
-  rp_readable_old : int array array;
   rp_flow_sub : (string * int, Generate.compiled_flow option) Hashtbl.t;
       (* (service, order) of an affected flow -> substitute or drop *)
-  rp_read_keys : (string * string, int * int) Hashtbl.t;
-      (* (actor name, store id) of a shrunk readable pair -> indices *)
+  rp_read_drops : int;
+      (* the fields some shrunk readable pair lost, as one word *)
   rp_classes : int list;  (* affected store classes, deduplicated *)
 }
 
@@ -56,14 +55,6 @@ let flow_key (cf : Generate.compiled_flow) =
   match cf.cf_action.Action.provenance with
   | Action.From_flow { service; order } -> (service, order)
   | _ -> invalid_arg "Regen.flow_key: flow action without flow provenance"
-
-let same_flow (a : Generate.compiled_flow) (b : Generate.compiled_flow) =
-  Action.equal a.cf_action b.cf_action
-  && a.cf_guard = b.cf_guard
-  && Bitset.equal a.cf_prereqs b.cf_prereqs
-  && a.cf_has_vars = b.cf_has_vars
-  && a.cf_store_write = b.cf_store_write
-  && a.cf_could_vars = b.cf_could_vars
 
 (* Substitution is exact only when the flow's enabledness is untouched:
    equal guard (creates are [Always]-guarded; a read flow's guard covers
@@ -73,98 +64,64 @@ let same_flow (a : Generate.compiled_flow) (b : Generate.compiled_flow) =
 let substitutable (a : Generate.compiled_flow) (b : Generate.compiled_flow) =
   a.cf_guard = b.cf_guard && Bitset.equal a.cf_prereqs b.cf_prereqs
 
-let make_patch ~u_old ~u (options : Generate.options) =
-  (* Potential deletes recompute could-bits from global reader sets per
-     transition; no label-local substitution exists for them. *)
-  if options.potential_deletes then None
-  else begin
-    let readable_pair =
-      if not options.potential_reads then Some (None, None)
-      else
-        match
-          (Generate.readable_rows u_old options, Generate.readable_rows u options)
-        with
-        | Some ro, Some rn -> Some (Some ro, Some rn)
-        | _ -> None  (* model too wide for the word-packed read path *)
+let make_patch (options : Generate.options) (c : Generate.policy_changes) =
+  let u = c.pc_u in
+  let readable =
+    if options.potential_deletes then
+      (* Potential deletes recompute could-bits from global reader sets
+         per transition; no label-local substitution exists for them. *)
+      None
+    else if not options.potential_reads then Some [||]
+    else
+      (* [None] when the model is too wide for the word-packed read path *)
+      Generate.readable_rows u options
+  in
+  match readable with
+  | None -> None
+  | Some readable -> (
+    let exception Decline in
+    let classes = ref [] in
+    let add_class s =
+      if s < 0 then raise Decline
+      else if not (List.mem s !classes) then classes := s :: !classes
     in
-    match readable_pair with
-    | None -> None
-    | Some (readable_old, readable_new) ->
-      let ok = ref true in
-      let classes = ref [] in
-      let add_class c =
-        if c < 0 then ok := false
-        else if not (List.mem c !classes) then classes := c :: !classes
+    let flow_sub = Hashtbl.create 8 in
+    let sub (cf_old : Generate.compiled_flow) cf_new =
+      add_class (Generate.store_classifier u cf_old.cf_action);
+      Hashtbl.replace flow_sub (flow_key cf_old) cf_new
+    in
+    try
+      List.iter
+        (function
+          | Some cf_old, Some cf_new when substitutable cf_old cf_new ->
+            sub cf_old (Some cf_new)
+          | Some cf_old, None -> (* fully denied: the entry drops *)
+            sub cf_old None
+          | _ ->
+            (* a moved guard, or a flow present only in the edited
+               model, can fire at states outside the cones *)
+            raise Decline)
+        c.pc_flows;
+      let read_drops =
+        List.fold_left
+          (fun w (_, s, lost, gained) ->
+            (* a grown readable set could enable fresh reads anywhere *)
+            if gained <> [] then raise Decline;
+            add_class s;
+            List.fold_left (fun w f -> w lor (1 lsl f)) w lost)
+          0 c.pc_reads
       in
-      let compiled_old = Generate.compile u_old options in
-      let compiled_new = Generate.compile u options in
-      let by_index = Hashtbl.create 16 in
-      List.iter
-        (fun (cf : Generate.compiled_flow) ->
-          Hashtbl.replace by_index cf.cf_index cf)
-        compiled_new;
-      let flow_sub = Hashtbl.create 8 in
-      let seen = Hashtbl.create 16 in
-      List.iter
-        (fun (cf_old : Generate.compiled_flow) ->
-          Hashtbl.replace seen cf_old.cf_index ();
-          match Hashtbl.find_opt by_index cf_old.cf_index with
-          | Some cf_new ->
-            if not (same_flow cf_old cf_new) then
-              if substitutable cf_old cf_new then begin
-                add_class (Generate.store_classifier u cf_old.cf_action);
-                Hashtbl.replace flow_sub (flow_key cf_old) (Some cf_new)
-              end
-              else ok := false
-          | None ->
-            (* fully denied: the entry drops *)
-            add_class (Generate.store_classifier u_old cf_old.cf_action);
-            Hashtbl.replace flow_sub (flow_key cf_old) None)
-        compiled_old;
-      (* A flow present only in the edited model can appear at states
-         outside the cones — not a revocation shape. *)
-      List.iter
-        (fun (cf : Generate.compiled_flow) ->
-          if not (Hashtbl.mem seen cf.cf_index) then ok := false)
-        compiled_new;
-      let read_keys = Hashtbl.create 8 in
-      (match (readable_old, readable_new) with
-      | Some ro, Some rn ->
-        Array.iteri
-          (fun a row ->
-            Array.iteri
-              (fun s w_old ->
-                let w_new = rn.(a).(s) in
-                if w_new <> w_old then
-                  if w_new land lnot w_old <> 0 then
-                    (* readable set grew: fresh reads could appear at
-                       states outside the cones *)
-                    ok := false
-                  else begin
-                    add_class s;
-                    Hashtbl.replace read_keys
-                      (Universe.actor_name u a, Universe.store_name u s)
-                      (a, s)
-                  end)
-              row)
-          ro
-      | _ -> ());
-      if not !ok then None
-      else
-        Some
-          {
-            rp_u = u;
-            rp_options = options;
-            rp_compiled_old = compiled_old;
-            rp_readable =
-              (match readable_new with Some r -> r | None -> [||]);
-            rp_readable_old =
-              (match readable_old with Some r -> r | None -> [||]);
-            rp_flow_sub = flow_sub;
-            rp_read_keys = read_keys;
-            rp_classes = !classes;
-          }
-  end
+      Some
+        {
+          rp_u = u;
+          rp_options = options;
+          rp_compiled_old = c.pc_compiled_old;
+          rp_readable = readable;
+          rp_flow_sub = flow_sub;
+          rp_read_drops = read_drops;
+          rp_classes = !classes;
+        }
+    with Decline -> None)
 
 let bit bs i =
   Char.code (Bytes.unsafe_get bs (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -226,7 +183,7 @@ let walk_fast p old_lts (labels : Action.t array) =
         Hashtbl.replace old_by_key (flow_key cf) cf)
       p.rp_compiled_old;
     (* ---- the dropped-field region ---- *)
-    let df_mask = ref 0 in
+    let df_mask = ref p.rp_read_drops in
     let add_field f = df_mask := !df_mask lor (1 lsl f) in
     Hashtbl.iter
       (fun key sub ->
@@ -265,12 +222,6 @@ let walk_fast p old_lts (labels : Action.t array) =
           | Some (_, fo), None -> List.iter add_field fo
           | _ -> raise Ineligible))
       p.rp_flow_sub;
-    Hashtbl.iter
-      (fun _ (a, s) ->
-        df_mask :=
-          !df_mask
-          lor (p.rp_readable_old.(a).(s) land lnot p.rp_readable.(a).(s)))
-      p.rp_read_keys;
     let df_mask = !df_mask in
     let df_arr =
       let acc = ref [] in

@@ -12,23 +12,24 @@
     classifying each interned label once with
     [Generate.store_classifier].
 
-    {!make_patch} decides eligibility by diffing the two universes'
-    compiled artifacts; {!walk} answers a what-if candidate from the
-    reachable findable-label set, usually without building an LTS.
-    Exact re-exploration of an edited model is a cold [Generate.run]. *)
+    {!make_patch} turns the compiled-input comparison the edit was
+    classified by ({!Generate.policy_changes}) into a substitution
+    recipe; {!walk} answers a what-if candidate from the reachable
+    findable-label set, usually without building an LTS. Exact
+    re-exploration of an edited model is a cold [Generate.run]. *)
 
 type patch
 (** An eligible edit's substitution recipe: per-flow substitutes/drops,
-    the revoked (actor, store) readable pairs, and the affected store
-    classes. *)
+    the fields each shrunk (actor, store) readable pair lost, and the
+    affected store classes. *)
 
-val make_patch :
-  u_old:Universe.t -> u:Universe.t -> Generate.options -> patch option
-(** [None] when the edit is not a cone-eligible shrink: potential
-    deletes on, model too wide for the word-packed read path, a changed
-    flow whose guard or prereqs moved (enabledness could differ outside
-    the cones), a flow or readable field {e added}, or an
-    affected flow without a store class. *)
+val make_patch : Generate.options -> Generate.policy_changes -> patch option
+(** The recipe for the compared edit, read off the comparison without
+    compiling either universe again. [None] when the edit is not a
+    cone-eligible shrink: potential deletes on, model too wide for the
+    word-packed read path, a changed flow whose guard or prereqs moved
+    (enabledness could differ outside the cones), a flow or readable
+    field {e added}, or an affected flow without a store class. *)
 
 val walk : patch -> Plts.t -> Action.t list option
 (** The timed what-if path: the distinct findable (read) labels reachable in the edited model, as raw LTS labels. For a

@@ -131,12 +131,11 @@ let sensitivity_levels base (after : Edit.inputs) =
 (* Cone-scoped evaluation: a pure policy-shrink edit answered by a walk
    through the affected store classes' cones ([Regen.walk]), whose
    distinct findable labels determine the after-report's signature
-   levels. Read-only on the base (fresh labeller and scratch per call),
+   levels. The patch comes from the comparison the edit was classified
+   by. Read-only on the base (fresh labeller and scratch per call),
    so it parallelises like the delta path. *)
-let cone_levels base (after : Edit.inputs) =
-  let u_old = base.analysis.Analysis.universe in
-  let u = Universe.make after.Edit.diagram after.Edit.policy in
-  match Regen.make_patch ~u_old ~u base.options with
+let cone_levels base (changes : Generate.policy_changes) =
+  match Regen.make_patch base.options changes with
   | None -> None
   | Some patch -> (
     Mdp_obs.Metrics.span "whatif/cone" @@ fun () ->
@@ -144,7 +143,7 @@ let cone_levels base (after : Edit.inputs) =
     | None -> None
     | Some labels ->
       Mdp_obs.Metrics.incr "whatif/cone_hits";
-      let lb = Risk_plan.make_labeller u in
+      let lb = Risk_plan.make_labeller changes.Generate.pc_u in
       let matrix = Risk_plan.matrix base.plan in
       let model = Risk_plan.model base.plan in
       let levels = Hashtbl.create 64 in
@@ -175,7 +174,10 @@ let eval_edit ?(exact = false) base edit =
   match Edit.apply base.inputs edit with
   | Error msg -> Error msg
   | Ok after ->
-    let inv = Edit.classify ~options:base.options ~before:base.inputs ~after in
+    let inv =
+      Edit.classify ~options:base.options
+        ~universe:base.analysis.Analysis.universe ~before:base.inputs ~after
+    in
     let fallback classification =
       if exact then exact_outcome base edit classification
       else uncomputed edit classification
@@ -183,7 +185,7 @@ let eval_edit ?(exact = false) base edit =
     Ok
       (if inv.Edit.inv_lts then begin
          Mdp_obs.Metrics.incr "whatif/invalidated_lts";
-         match if inv.Edit.inv_cone then cone_levels base after else None with
+         match Option.bind inv.Edit.inv_cone (cone_levels base) with
          | Some levels -> computed base edit Cone levels
          | None -> fallback Full_rerun
        end

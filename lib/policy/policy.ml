@@ -76,6 +76,11 @@ let concrete_grants t diagram =
 
 let diff ~before ~after diagram =
   let b = concrete_grants before diagram and a = concrete_grants after diagram in
-  let removed = List.filter (fun g -> not (List.mem g a)) b in
-  let added = List.filter (fun g -> not (List.mem g b)) a in
-  (removed, added)
+  (* one membership table per side keeps this linear in the relation *)
+  let table gs =
+    let t = Hashtbl.create (List.length gs) in
+    List.iter (fun g -> Hashtbl.replace t g ()) gs;
+    t
+  in
+  let not_in gs g = not (Hashtbl.mem gs g) in
+  (List.filter (not_in (table a)) b, List.filter (not_in (table b)) a)

@@ -44,4 +44,5 @@ val concrete_grants : t -> Diagram.t -> grant_tuple list
     stores and schema fields. *)
 
 val diff : before:t -> after:t -> Diagram.t -> grant_tuple list * grant_tuple list
-(** [(removed, added)] concrete grants. *)
+(** [(removed, added)] concrete grants, each in {!concrete_grants}
+    order. *)

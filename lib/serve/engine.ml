@@ -239,7 +239,7 @@ let whatif_body ?population ~diff ~(inv : C.Edit.invalidation) ~before
          Json.Obj
            [
              ("lts", Json.Bool inv.C.Edit.inv_lts);
-             ("cone", Json.Bool inv.C.Edit.inv_cone);
+             ("cone", Json.Bool (Option.is_some inv.C.Edit.inv_cone));
              ("plan", Json.Bool inv.C.Edit.inv_plan);
              ("risk", Json.Bool inv.C.Edit.inv_risk);
              ("classes", Json.Bool inv.C.Edit.inv_lts);
@@ -403,7 +403,8 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
           | Error msg -> refuse_error ("edit does not apply: " ^ msg)
         in
         let inv =
-          C.Edit.classify ~options:a.options ~before:inputs ~after:after_inputs
+          C.Edit.classify ~options:a.options ~universe:a.universe
+            ~before:inputs ~after:after_inputs
         in
         let after_t =
           C.Analysis.run_incremental ?cancel ~previous:base edits

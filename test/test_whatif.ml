@@ -120,6 +120,33 @@ let test_case_a_improvement () =
   check bool_ "something improved" true
     (diff.Core.Risk_diff.changed <> [] || diff.Core.Risk_diff.removed <> [])
 
+(* A read flow [S -> Y [A B]] whose guard names a field nothing ever
+   writes into [S]: revoking Y's read of B shrinks the flow's effective
+   fields and its guard to [A], so the flow starts to fire. The edit
+   must re-explore, not reuse the LTS. *)
+let test_unwritten_read () =
+  let model =
+    match
+      Mdp_dsl.Parser.parse
+        (In_channel.with_open_bin "unwritten_read.mdp" In_channel.input_all)
+    with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let profile =
+    Core.User_profile.make
+      ~sensitivities:[ (Field.make "A", 0.9) ]
+      ~agreed_services:[] ()
+  in
+  let base =
+    Core.Analysis.run ~profile model.Mdp_dsl.Parser.diagram model.policy
+  in
+  let edit = revoke ~fields:[ Field.make "B" ] "Y" Permission.Read "S" in
+  check_chain "unwritten read" base [ edit ];
+  let incr = Core.Analysis.run_incremental ~previous:base [ edit ] in
+  check Alcotest.int "edited model has 5 states" 5
+    (Core.Plts.num_states incr.Core.Analysis.lts)
+
 (* ------------------------------------------------------------------ *)
 (* Pseudonym bindings: reuse and invalidation around the §III-B pass. *)
 
@@ -680,6 +707,8 @@ let () =
             test_healthcare_no_profile_chain;
           Alcotest.test_case "batched edits" `Quick test_batched_edits;
           Alcotest.test_case "§IV-A improvement" `Quick test_case_a_improvement;
+          Alcotest.test_case "read of an unwritten field" `Quick
+            test_unwritten_read;
           Alcotest.test_case "bindings chain" `Quick test_bindings_chain;
           Alcotest.test_case "synthetic chain" `Quick test_synthetic_chain;
           QCheck_alcotest.to_alcotest test_random_sequences;
