@@ -431,7 +431,7 @@ let whatif_cmd =
             ~before:inputs ~after:after_inputs
         in
         exploring (fun () ->
-            Core.Analysis.run_incremental ~previous:base edits)
+            Core.Analysis.run_incremental ~inv ~previous:base edits)
         @@ fun after ->
         (* With --json, stdout carries the report alone; the edit
            trail goes to stderr so the JSON stays parseable. *)

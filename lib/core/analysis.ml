@@ -39,13 +39,15 @@ let analyse_phase params universe lts =
   let pseudonym = Pseudonym_risk.analyse universe lts params.bindings in
   { params; universe; lts; consistency; disclosure; pseudonym; plan }
 
-let run_params ?cancel params diagram policy =
-  let universe = Universe.make diagram policy in
+let run_universe ?cancel params universe =
   let lts =
     Mdp_obs.Metrics.span "phase/explore" @@ fun () ->
     Generate.run ~options:params.options ?cancel universe
   in
   analyse_phase params universe lts
+
+let run_params ?cancel params diagram policy =
+  run_universe ?cancel params (Universe.make diagram policy)
 
 let run ?(options = Generate.default_options) ?(matrix = Risk_matrix.default)
     ?(model = Disclosure_risk.default_likelihood) ?profile ?(bindings = [])
@@ -70,7 +72,17 @@ let inputs_of t =
     bindings = t.params.bindings;
   }
 
-let run_incremental ?cancel ~previous edits =
+let count_incremental (inv : Edit.invalidation) =
+  if inv.Edit.inv_lts then begin
+    Mdp_obs.Metrics.incr "whatif/invalidated_lts";
+    Mdp_obs.Metrics.incr "whatif/invalidated_plan"
+  end
+  else begin
+    Mdp_obs.Metrics.incr "whatif/incremental_hits";
+    if inv.Edit.inv_plan then Mdp_obs.Metrics.incr "whatif/invalidated_plan"
+  end
+
+let run_incremental ?cancel ?inv ~previous edits =
   Mdp_obs.Metrics.span "phase/whatif" @@ fun () ->
   let before = inputs_of previous in
   let after =
@@ -79,9 +91,13 @@ let run_incremental ?cancel ~previous edits =
     | Error msg -> invalid_arg ("Analysis.run_incremental: " ^ msg)
   in
   let inv =
-    Edit.classify ~options:previous.params.options ~universe:previous.universe
-      ~before ~after
+    match inv with
+    | Some inv -> inv
+    | None ->
+      Edit.classify ~options:previous.params.options
+        ~universe:previous.universe ~before ~after
   in
+  count_incremental inv;
   let params =
     {
       previous.params with
@@ -89,16 +105,14 @@ let run_incremental ?cancel ~previous edits =
       bindings = after.Edit.bindings;
     }
   in
-  if inv.Edit.inv_lts then begin
-    Mdp_obs.Metrics.incr "whatif/invalidated_lts";
-    Mdp_obs.Metrics.incr "whatif/invalidated_plan";
+  if inv.Edit.inv_lts then
     (* One exact path for an edited transition structure: a cold
-       exploration of the edited model. *)
-    run_params ?cancel params after.Edit.diagram after.Edit.policy
-  end
+       exploration of the edited model (of the universe the
+       classification built, for a policy edit). *)
+    match inv.Edit.inv_cone with
+    | Some c -> run_universe ?cancel params c.Generate.pc_u
+    | None -> run_params ?cancel params after.Edit.diagram after.Edit.policy
   else begin
-    Mdp_obs.Metrics.incr "whatif/incremental_hits";
-    if inv.Edit.inv_plan then Mdp_obs.Metrics.incr "whatif/invalidated_plan";
     let policy_changed = before.Edit.policy != after.Edit.policy in
     let universe =
       if policy_changed then

@@ -43,7 +43,11 @@ val rerun_with_policy : t -> Mdp_policy.Policy.t -> t
     edited policy; everything regenerated. *)
 
 val run_incremental :
-  ?cancel:Mdp_obs.Cancel.t -> previous:t -> Edit.t list -> t
+  ?cancel:Mdp_obs.Cancel.t ->
+  ?inv:Edit.invalidation ->
+  previous:t ->
+  Edit.t list ->
+  t
 (** The same loop, recomputing only what the edits invalidate. The
     result is byte-identical to [run] on the edited inputs (enforced by
     test/test_whatif.ml and the PR 8 bench gate): [Edit.classify]
@@ -54,10 +58,13 @@ val run_incremental :
     the edited model is explored cold, exactly as [run] does; that
     exploration is the only step [cancel] interrupts.
 
-    Counters (under [Mdp_obs]): [whatif/incremental_hits] when the LTS
-    is reused, [whatif/invalidated_lts] when it is explored again and
-    [whatif/invalidated_plan] when the plan is recompiled or repatched,
-    all under a [phase/whatif] span.
+    [inv], when given, must be the edits' classification
+    ([Edit.classify] of [inputs_of previous] and the edited inputs); a
+    caller that has already classified the edits passes it so they are
+    not classified twice.
+
+    Counters (under [Mdp_obs], see {!count_incremental}) under a
+    [phase/whatif] span.
 
     The result may share [previous]'s LTS and plan; [previous] stays
     valid, and so does every map {!annotate} made from it.
@@ -65,6 +72,13 @@ val run_incremental :
     @raise Invalid_argument when an edit does not apply (unknown
     service, invalid policy, sensitivity out of range, ...).
     @raise Mdp_obs.Cancel.Cancelled when [cancel] fires mid-exploration. *)
+
+val count_incremental : Edit.invalidation -> unit
+(** The counters {!run_incremental} records for edits so classified:
+    [whatif/incremental_hits] when the LTS is reused,
+    [whatif/invalidated_lts] when it is explored again and
+    [whatif/invalidated_plan] when the plan is recompiled or
+    repatched. *)
 
 val annotate : t -> Action.t -> Action.t
 (** The run's label annotator: {!Risk_plan.annotate} on its plan and

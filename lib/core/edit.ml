@@ -209,13 +209,32 @@ let profile_equal a b =
          (User_profile.sensitivities b)
   | _ -> false
 
-let classify ~(options : Generate.options) ~universe ~before ~after =
+(* The before side of every classification against one base: its
+   concrete permission relation and its compiled flows, built once. *)
+type baseline = {
+  bl_inputs : inputs;
+  bl_grants : Policy.relation;
+  bl_compiled : Generate.compiled_policy;
+  bl_universe : Universe.t;
+}
+
+let baseline ~options ~universe inputs =
+  {
+    bl_inputs = inputs;
+    bl_grants = Policy.relation inputs.policy inputs.diagram;
+    bl_compiled = Generate.compile_policy universe options;
+    bl_universe = universe;
+  }
+
+let classify_against bl after =
+  let before = bl.bl_inputs and universe = bl.bl_universe in
   if before.diagram != after.diagram then everything
   else begin
     let removed, added =
       if before.policy == after.policy then ([], [])
-      else Policy.diff ~before:before.policy ~after:after.policy
-          before.diagram
+      else
+        Policy.diff_relations ~before:bl.bl_grants
+          ~after:(Policy.relation after.policy after.diagram)
     in
     let tuples = removed @ added in
     (* The pseudonym pass reads Read permissions ([readable_anywhere]):
@@ -234,8 +253,7 @@ let classify ~(options : Generate.options) ~universe ~before ~after =
       else Some (Universe.with_policy universe after.policy)
     in
     match
-      Option.bind edited (fun u ->
-          Generate.policy_changes ~u_old:universe ~u options)
+      Option.bind edited (fun u -> Generate.policy_changes bl.bl_compiled ~u)
     with
     | Some _ as changes ->
       (* The LTS must change, but only because of the policy on an
@@ -271,6 +289,9 @@ let classify ~(options : Generate.options) ~universe ~before ~after =
         inv_consistency = has Permission.Read || has Permission.Write;
       }
   end
+
+let classify ~options ~universe ~before ~after =
+  classify_against (baseline ~options ~universe before) after
 
 (* ----- parsing and printing (CLI --edit specs, serve requests) -----
 

@@ -107,6 +107,19 @@ val classify :
     - profile edits never invalidate the LTS or the plan;
     - diagram edits invalidate everything. *)
 
+type baseline
+(** The before side of {!classify}: the before inputs with their
+    concrete permission relation and compiled flows, built once so that
+    many edits of one base (the what-if sweep) compare against it
+    without recomputing it. Read-only once built. *)
+
+val baseline :
+  options:Generate.options -> universe:Universe.t -> inputs -> baseline
+
+val classify_against : baseline -> inputs -> invalidation
+(** [classify_against (baseline ~options ~universe before) after] is
+    {!classify}[ ~options ~universe ~before ~after]. *)
+
 (** {2 CLI specs}
 
     Concrete syntax used by [mdpriv whatif --edit] and the serve

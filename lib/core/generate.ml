@@ -263,8 +263,18 @@ let same_flow a b =
    into it, so a permission on any other field of the store is never
    read while exploring. Compare exactly those inputs, masked by the
    fields written under either policy. *)
-let policy_changes ~u_old ~u options =
-  let old_flows = compile u_old options and new_flows = compile u options in
+type compiled_policy = {
+  cp_u : Universe.t;
+  cp_options : options;
+  cp_flows : compiled_flow list;
+}
+
+let compile_policy u options =
+  { cp_u = u; cp_options = options; cp_flows = compile u options }
+
+let policy_changes before ~u =
+  let u_old = before.cp_u and options = before.cp_options in
+  let old_flows = before.cp_flows and new_flows = compile u options in
   (* both lists ascend by flow index *)
   let rec align acc olds news =
     match (olds, news) with

@@ -107,16 +107,23 @@ type policy_changes = {
           potential reads are off. *)
 }
 
-val policy_changes :
-  u_old:Universe.t -> u:Universe.t -> options -> policy_changes option
+type compiled_policy
+(** The before side of {!policy_changes}: a universe with its flows
+    compiled under some options, built once per base and read-only
+    afterwards. *)
+
+val compile_policy : Universe.t -> options -> compiled_policy
+
+val policy_changes : compiled_policy -> u:Universe.t -> policy_changes option
 (** The one decision of whether a policy edit changes the generated
-    LTS. [u] must share [u_old]'s diagram. It compares exactly the
-    policy-derived inputs the emitter reads, as bitsets at any field
-    count: the compiled flows (effective fields, guards, could-readers);
-    with potential reads, {!Universe.readable_bits} masked by the fields
-    some compiled flow writes into the store (no other field ever
-    reaches it); with potential deletes, {!Universe.deleters} and
-    {!Universe.readers} under the same mask. [None]: the two universes
+    LTS, under the before side's options. [u] must share the before
+    side's diagram. It compares exactly the policy-derived inputs the
+    emitter reads, as bitsets at any field count: the compiled flows
+    (effective fields, guards, could-readers); with potential reads,
+    {!Universe.readable_bits} masked by the fields some compiled flow
+    writes into the store (no other field ever reaches it); with
+    potential deletes, {!Universe.deleters} and {!Universe.readers}
+    under the same mask. [None]: the two universes
     explore to the same LTS, state for state and label for label. *)
 
 val readable_rows : Universe.t -> options -> int array array option

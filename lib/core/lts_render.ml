@@ -1,9 +1,9 @@
-let transition_style (tr : Plts.transition) =
-  match tr.label.Action.provenance with
+let label_style (a : Action.t) =
+  match a.Action.provenance with
   | Action.From_flow _ -> ""
   | Action.Potential -> "style=dashed"
 
-let to_dot lts = Plts.to_dot ~graph_name:"privacy_lts" ~transition_style lts
+let to_dot lts = Plts.to_dot ~graph_name:"privacy_lts" ~label_style lts
 
 (* Transitions per distinct label: an int per transition, counted by
    interned label id. *)

@@ -21,10 +21,10 @@ open Mdp_prelude
 
    Any old state carrying an affected transition has a class-[s]
    outgoing edge for an affected store [s], so it is in [s]'s cone —
-   the states with such an edge. The walk's first pass over the old
-   rows classifies each interned label once and marks these states, so
-   the per-state test for "does this row need substitution" is a bitset
-   probe.
+   the states with such an edge. {!index} classifies each interned
+   label once and marks every class's cone in one row pass per base;
+   a walk ORs the affected classes' cones, so the per-state test for
+   "does this row need substitution" is a bitset probe.
 
    {!walk} is the timed what-if path. For a Read/Write revocation a
    finding's level is a pure function of its label (impact from the
@@ -131,9 +131,102 @@ let set_bit bs i =
     (Char.unsafe_chr
        (Char.code (Bytes.unsafe_get bs (i lsr 3)) lor (1 lsl (i land 7))))
 
-(* ----- timed walk: distinct findable labels of the edited model ----- *)
+(* ----- the base index: what every walk over one base LTS shares ----- *)
 
-module ATbl = Hashtbl.Make (Action)
+type index = {
+  ix_lts : Plts.t;
+  ix_labels : Action.t array;  (* interned labels, by label id *)
+  ix_cones : Bytes.t array;
+      (* per store class: the states with an edge of that class *)
+  ix_root_stores : int array;
+      (* the root's fields per store, one word each; [||] when the model
+         is too wide for the pair walk *)
+  ix_root_has : int array;  (* the root's has-fields per actor, likewise *)
+  ix_row_start : int array;
+      (* edge rows as flat arrays: state [q]'s edges are
+         [ix_edges.(ix_row_start.(q) .. ix_row_start.(q + 1) - 1)], each
+         [(label id lsl ix_dst_bits) lor dst]; [||] over a spilled LTS,
+         whose rows are read from it *)
+  ix_edges : int array;
+  ix_dst_bits : int;
+}
+
+let bits_for n =
+  let b = ref 0 in
+  while (n - 1) lsr !b <> 0 do
+    incr b
+  done;
+  !b
+
+let iter_row ix q f =
+  if Array.length ix.ix_row_start = 0 then
+    Plts.iter_successors_lid ix.ix_lts q f
+  else begin
+    let mask = (1 lsl ix.ix_dst_bits) - 1 in
+    for e = ix.ix_row_start.(q) to ix.ix_row_start.(q + 1) - 1 do
+      let w = Array.unsafe_get ix.ix_edges e in
+      f (w lsr ix.ix_dst_bits) (w land mask)
+    done
+  end
+
+let index u lts =
+  let n = Plts.num_states lts in
+  let labels = Option.get (Plts.interned_labels lts) in
+  let ns = Universe.nstores u and na = Universe.nactors u in
+  let nf = Universe.nfields u in
+  let dst_bits = bits_for n in
+  let flat =
+    Plts.spill_stats lts = None
+    && dst_bits + bits_for (Array.length labels) < Sys.int_size - 1
+  in
+  let row_start = if flat then Array.make (n + 1) 0 else [||] in
+  let edges =
+    if flat then Array.make (Plts.num_transitions lts) 0 else [||]
+  in
+  let classes = Array.map (Generate.store_classifier u) labels in
+  let cones = Array.init ns (fun _ -> Bytes.make ((n + 7) / 8) '\000') in
+  let e = ref 0 in
+  for q = 0 to n - 1 do
+    Plts.iter_successors_lid lts q (fun lid dst ->
+        let c = classes.(lid) in
+        if c >= 0 then set_bit cones.(c) q;
+        if flat then begin
+          edges.(!e) <- (lid lsl dst_bits) lor dst;
+          incr e
+        end);
+    if flat then row_start.(q + 1) <- !e
+  done;
+  let root_stores, root_has =
+    if nf >= Sys.int_size - 1 then ([||], [||])
+    else begin
+      (* state 0 is the initial configuration: built, not decoded *)
+      let cfg0 = Config.initial u in
+      let word holds =
+        let w = ref 0 in
+        for f = 0 to nf - 1 do
+          if holds f then w := !w lor (1 lsl f)
+        done;
+        !w
+      in
+      ( Array.init ns (fun s -> word (Bitset.get cfg0.Config.stores.(s))),
+        Array.init na (fun a ->
+            word (fun f ->
+                Bitset.get cfg0.Config.privacy.Privacy_state.has
+                  (Universe.var u ~actor:a ~field:f))) )
+    end
+  in
+  {
+    ix_lts = lts;
+    ix_labels = labels;
+    ix_cones = cones;
+    ix_root_stores = root_stores;
+    ix_root_has = root_has;
+    ix_row_start = row_start;
+    ix_edges = edges;
+    ix_dst_bits = dst_bits;
+  }
+
+(* ----- timed walk: distinct findable labels of the edited model ----- *)
 
 (* Arithmetic pair walk: the packed fast path.
 
@@ -163,17 +256,18 @@ module ATbl = Hashtbl.Make (Action)
      region-relevant (actor, store) pairs not present in the twin's row.
 
    Pass 1 fills the twins' region truth in one sweep over the old graph
-   (BFS numbering: parents precede children) and marks the affected
-   states — those with an edge whose label touches an affected store;
-   pass 2 is the hybrid BFS.
+   (BFS numbering: parents precede children); the affected states —
+   those with an edge whose label touches an affected store — are the
+   union of the index's cones. Pass 2 is the hybrid BFS.
    Returns [None] when it declines (growing substitution, region or
    state count too wide for one word), [Some None] on budget abort. *)
-let walk_fast p old_lts (labels : Action.t array) =
+let walk_fast ix p =
+  let labels = ix.ix_labels in
   let u = p.rp_u and options = p.rp_options in
   let nf = Universe.nfields u in
   let ns = Universe.nstores u in
   let na = Universe.nactors u in
-  let n = Plts.num_states old_lts in
+  let n = Plts.num_states ix.ix_lts in
   let exception Ineligible in
   try
     if nf >= Sys.int_size - 1 then raise Ineligible;
@@ -234,13 +328,7 @@ let walk_fast p old_lts (labels : Action.t array) =
     let df_pos = Array.make (max nf 1) (-1) in
     Array.iteri (fun k f -> df_pos.(f) <- k) df_arr;
     let rbits = (ns + na) * dfn in
-    let qbits =
-      let b = ref 0 in
-      while (n - 1) lsr !b <> 0 do
-        incr b
-      done;
-      !b
-    in
+    let qbits = bits_for n in
     if rbits + qbits > Sys.int_size - 2 then raise Ineligible;
     let sbit s k = (s * dfn) + k in
     let hbit a k = (ns * dfn) + (a * dfn) + k in
@@ -372,36 +460,38 @@ let walk_fast p old_lts (labels : Action.t array) =
             end
           | _ -> raise Ineligible))
       labels;
-    let affects =
-      Array.map
-        (fun a -> List.mem (Generate.store_classifier u a) p.rp_classes)
-        labels
-    in
-    (* ---- pass 1: region truth and affectedness of every old state ---- *)
-    let twin_reg = Array.make n (-1) in
+    (* ---- pass 1: region truth of every old state; the affected
+       states are the union of the affected classes' cones ---- *)
     let affected = Bytes.make ((n + 7) / 8) '\000' in
-    (let cfg0 : Config.t = Plts.state_data old_lts 0 in
-     let r = ref 0 in
+    List.iter
+      (fun c ->
+        let cone = ix.ix_cones.(c) in
+        for i = 0 to Bytes.length affected - 1 do
+          Bytes.unsafe_set affected i
+            (Char.unsafe_chr
+               (Char.code (Bytes.unsafe_get affected i)
+               lor Char.code (Bytes.unsafe_get cone i)))
+        done)
+      p.rp_classes;
+    let twin_reg = Array.make n (-1) in
+    (let r = ref 0 in
      for k = 0 to dfn - 1 do
-       let f = df_arr.(k) in
+       let fb = 1 lsl df_arr.(k) in
        for s = 0 to ns - 1 do
-         if Bitset.get cfg0.Config.stores.(s) f then
+         if ix.ix_root_stores.(s) land fb <> 0 then
            r := !r lor (1 lsl sbit s k)
        done;
        for a = 0 to na - 1 do
-         if
-           Bitset.get cfg0.Config.privacy.Privacy_state.has
-             (Universe.var u ~actor:a ~field:f)
-         then r := !r lor (1 lsl hbit a k)
+         if ix.ix_root_has.(a) land fb <> 0 then r := !r lor (1 lsl hbit a k)
        done
      done;
      twin_reg.(0) <- !r);
     for q = 0 to n - 1 do
       let rq = twin_reg.(q) in
-      Plts.iter_successors_lid old_lts q (fun lid dst ->
-          if affects.(lid) then set_bit affected q;
-          if rq >= 0 && twin_reg.(dst) < 0 then
-            twin_reg.(dst) <- rq lor wr_old_reg.(lid))
+      if rq >= 0 then
+        iter_row ix q (fun lid dst ->
+            if twin_reg.(dst) < 0 then
+              twin_reg.(dst) <- rq lor wr_old_reg.(lid))
     done;
     (* ---- pass 2: hybrid BFS over old ids and (twin, assignment) ---- *)
     let visited = Bytes.make ((n + 7) / 8) '\000' in
@@ -410,10 +500,9 @@ let walk_fast p old_lts (labels : Action.t array) =
     let reached = ref 0 in
     let over_budget () = !reached > options.Generate.max_states in
     let present = Array.make (max nl 1) false in
-    let fresh_labels = ATbl.create 32 in
-    let add_label a =
-      if Action.findable a then ATbl.replace fresh_labels a ()
-    in
+    (* Old labels whose substitute fired: one flow each, so their
+       substitutes are distinct. *)
+    let subst_fired = Array.make (max nl 1) false in
     (* Recomputed read groups, labelled once each after the walk. *)
     let fresh_reads = Hashtbl.create 32 in
     let emit_read a s bits = Hashtbl.replace fresh_reads (a, s, bits) () in
@@ -461,15 +550,14 @@ let walk_fast p old_lts (labels : Action.t array) =
       if bit affected q then begin
         let rq = twin_reg.(q) in
         if rq < 0 then raise Ineligible;
-        Plts.iter_successors_lid old_lts q (fun lid dst ->
+        iter_row ix q (fun lid dst ->
             match kind.(lid) with
             | 0 ->
               present.(lid) <- true;
               visit_old dst
             | 2 -> ()
             | 1 ->
-              let cf = get_subst lid in
-              add_label cf.Generate.cf_action;
+              subst_fired.(lid) <- true;
               resolve dst (rq lor wr_new_reg.(lid))
             | _ ->
               let a = read_actor.(lid) and s = read_store.(lid) in
@@ -485,7 +573,7 @@ let walk_fast p old_lts (labels : Action.t array) =
               end)
       end
       else
-        Plts.iter_successors_lid old_lts q (fun lid dst ->
+        iter_row ix q (fun lid dst ->
             present.(lid) <- true;
             visit_old dst)
     in
@@ -494,7 +582,7 @@ let walk_fast p old_lts (labels : Action.t array) =
       let asn = key land ((1 lsl rbits) - 1) in
       let tq = twin_reg.(q) in
       let seen_pairs = ref 0 in
-      Plts.iter_successors_lid old_lts q (fun lid dst ->
+      iter_row ix q (fun lid dst ->
           match kind.(lid) with
           | 0 ->
             if guard_reg.(lid) land lnot asn = 0 then begin
@@ -504,8 +592,7 @@ let walk_fast p old_lts (labels : Action.t array) =
           | 2 -> ()
           | 1 ->
             if guard_reg.(lid) land lnot asn = 0 then begin
-              let cf = get_subst lid in
-              add_label cf.Generate.cf_action;
+              subst_fired.(lid) <- true;
               resolve dst (asn lor wr_new_reg.(lid))
             end
           | _ ->
@@ -586,32 +673,36 @@ let walk_fast p old_lts (labels : Action.t array) =
     done;
     if !aborted then Some None
     else begin
-      let is_findable = Array.map Action.findable labels in
-      let acc = ref (ATbl.fold (fun a () l -> a :: l) fresh_labels []) in
+      let acc = ref [] in
+      let add a = if Action.findable a then acc := a :: !acc in
       Hashtbl.iter
         (fun (a, s, bits) () ->
           acc := Generate.read_action u ~actor:a ~store:s bits :: !acc)
         fresh_reads;
       Array.iteri
-        (fun lid seen ->
-          if seen && is_findable.(lid) then acc := labels.(lid) :: !acc)
-        present;
+        (fun lid fired ->
+          if fired then add (get_subst lid).Generate.cf_action;
+          if present.(lid) then add labels.(lid))
+        subst_fired;
       Some (Some !acc)
     end
   with Ineligible -> None
 
+(* Every label an exploration interns sits on at least one transition,
+   so the LTS's label table is exactly the reachable label set. *)
+let cold_labels options u =
+  let lts = Generate.run ~options u in
+  let labels = Option.get (Plts.interned_labels lts) in
+  Plts.drop_spill lts;
+  List.filter Action.findable (Array.to_list labels)
+
 (* The timed walk: the pair walk, or — when it declines — the findable
-   labels of a cold exploration of the edited model. Every label an
-   exploration interns sits on at least one transition, so the LTS's
-   label table is exactly the reachable label set. *)
-let walk p old_lts =
-  match walk_fast p old_lts (Option.get (Plts.interned_labels old_lts)) with
+   labels of a cold exploration of the edited model. *)
+let walk ix p =
+  match walk_fast ix p with
   | Some result -> result
   | None -> (
     Mdp_obs.Metrics.incr "whatif/cone_walk_declined";
-    match Generate.run ~options:p.rp_options p.rp_u with
-    | lts ->
-      let labels = Option.get (Plts.interned_labels lts) in
-      Plts.drop_spill lts;
-      Some (List.filter Action.findable (Array.to_list labels))
+    match cold_labels p.rp_options p.rp_u with
+    | labels -> Some labels
     | exception Mdp_lts.Lts.Too_many_states _ -> None)

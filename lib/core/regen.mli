@@ -8,8 +8,8 @@
     edited row of every old state is therefore a pointwise substitution
     of the old row, and every state that needs one carries an outgoing
     transition of an affected store class — i.e. it is in that class's
-    cone. {!walk} derives the cones from the old LTS's edge rows,
-    classifying each interned label once with
+    cone. {!index} derives every class's cone from the old LTS's edge
+    rows once per base, classifying each interned label once with
     [Generate.store_classifier].
 
     {!make_patch} turns the compiled-input comparison the edit was
@@ -31,15 +31,33 @@ val make_patch : Generate.options -> Generate.policy_changes -> patch option
     (enabledness could differ outside the cones), a flow or readable
     field {e added}, or an affected flow without a store class. *)
 
-val walk : patch -> Plts.t -> Action.t list option
+type index
+(** What every walk over one base LTS shares, built once by {!index}:
+    the interned labels, one cone bitmap per store class (the states
+    with an outgoing edge on that store), the root's store and has
+    fields as words, and — unless the LTS spills — its edge rows as
+    flat arrays. Immutable once built, so walks on several domains may
+    share it. *)
+
+val index : Universe.t -> Plts.t -> index
+(** One row pass over the LTS explored from the universe (the base of a
+    sweep). *)
+
+val walk : index -> patch -> Action.t list option
 (** The timed what-if path: the distinct findable (read) labels reachable in the edited model, as raw LTS labels. For a
     Read/Write ACL edit a finding's level is a pure function of its
     label, so these determine the edited report's finding signatures
-    and levels. An arithmetic walk over the old edge rows answers
+    and levels. An arithmetic walk over the indexed base rows answers
     without building an LTS; when it declines (a region or state count
-    wider than a word, a growing substitution) the labels come from a
-    cold exploration of the edited model under the patch's options,
-    counted under [whatif/cone_walk_declined]. Multiple walks over one
-    LTS may run concurrently (each allocates its own scratch). [None]
+    wider than a word, a growing substitution) the labels come from
+    {!cold_labels} under the patch's options, counted under
+    [whatif/cone_walk_declined]. Each walk allocates only its own
+    per-edit scratch (region words, a visited set, queues) and reads
+    the index, so walks over one index may run concurrently. [None]
     when the edited model exceeds [max_states] — callers fall back to a
     full rerun. *)
+
+val cold_labels : Generate.options -> Universe.t -> Action.t list
+(** The distinct findable labels of a cold exploration of the universe:
+    every label an exploration interns sits on a transition.
+    @raise Mdp_lts.Lts.Too_many_states past [max_states]. *)

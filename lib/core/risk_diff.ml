@@ -27,35 +27,59 @@ let signature_of_finding (f : Disclosure_risk.finding) =
   signature_of_action f.action
 
 (* Worst level per signature: the same access can appear from many LTS
-   states; the report's risk for it is the maximum. *)
+   states; the report's risk for it is the maximum. Listed by last
+   occurrence in the report, latest first. *)
 let levels_by_signature (report : Disclosure_risk.report) =
-  List.fold_left
-    (fun acc (f : Disclosure_risk.finding) ->
-      let s = signature_of_finding f in
-      let existing = Option.value (List.assoc_opt s acc) ~default:Level.None_ in
-      (s, Level.max existing f.level) :: List.remove_assoc s acc)
-    [] report.findings
+  let sigs =
+    List.map
+      (fun (f : Disclosure_risk.finding) -> (signature_of_finding f, f.level))
+      report.findings
+  in
+  let worst = Hashtbl.create 64 in
+  List.iter
+    (fun (s, level) ->
+      let existing =
+        Option.value (Hashtbl.find_opt worst s) ~default:Level.None_
+      in
+      Hashtbl.replace worst s (Level.max existing level))
+    sigs;
+  (* walking backwards, a signature's first sighting is its last
+     occurrence *)
+  List.filter_map
+    (fun (s, _) ->
+      match Hashtbl.find_opt worst s with
+      | Some level ->
+        Hashtbl.remove worst s;
+        Some (s, level)
+      | None -> None)
+    (List.rev sigs)
+
+let table pairs =
+  let t = Hashtbl.create (List.length pairs) in
+  List.iter (fun (s, lvl) -> Hashtbl.replace t s lvl) pairs;
+  t
 
 let diff ~before ~after =
   let b = levels_by_signature before and a = levels_by_signature after in
+  let bt = table b and at = table a in
   let removed =
     List.filter_map
       (fun (s, lvl) ->
-        if List.mem_assoc s a then None
+        if Hashtbl.mem at s then None
         else Some { signature = s; before = lvl; after = Level.None_ })
       b
   in
   let added =
     List.filter_map
       (fun (s, lvl) ->
-        if List.mem_assoc s b then None
+        if Hashtbl.mem bt s then None
         else Some { signature = s; before = Level.None_; after = lvl })
       a
   in
   let changed, unchanged =
     List.fold_left
       (fun (changed, unchanged) (s, before_lvl) ->
-        match List.assoc_opt s a with
+        match Hashtbl.find_opt at s with
         | Some after_lvl when not (Level.equal before_lvl after_lvl) ->
           ({ signature = s; before = before_lvl; after = after_lvl } :: changed,
            unchanged)

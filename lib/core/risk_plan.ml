@@ -308,17 +308,17 @@ type view = {
   agreed : Bitset.t;
 }
 
-let view t profile =
-  let diagram = Universe.diagram t.u in
-  let nf = Universe.nfields t.u in
+let view_in u profile =
+  let diagram = Universe.diagram u in
+  let nf = Universe.nfields u in
   let sens =
     Array.init nf (fun i ->
-        User_profile.sensitivity profile (Universe.field_at t.u i))
+        User_profile.sensitivity profile (Universe.field_at u i))
   in
   let allowed_names = User_profile.allowed_actors profile diagram in
   let allowed =
-    Array.init (Universe.nactors t.u) (fun a ->
-        List.mem (Universe.actor_name t.u a) allowed_names)
+    Array.init (Universe.nactors u) (fun a ->
+        List.mem (Universe.actor_name u a) allowed_names)
   in
   let services = diagram.Diagram.services in
   let agreed = Bitset.create (List.length services) in
@@ -327,6 +327,9 @@ let view t profile =
       if User_profile.agrees_to profile s.id then Bitset.set agreed i)
     services;
   { vp_profile = profile; sens; allowed; agreed }
+
+let view t profile = view_in t.u profile
+let labeller_view lb profile = view_in lb.lb_u profile
 
 let eval_impact view = function
   | Imp_none -> 0.0

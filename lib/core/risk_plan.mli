@@ -95,8 +95,8 @@ val annotate : t -> User_profile.t -> Action.t -> Action.t
     re-levelling the plan's distinct findable labels: under an edited
     profile's {!view} (σ edits), or on {!repatch_maintenance}'s plan
     (Delete-permission edits). An edit that changes the structure is
-    answered by levelling the labels a cone walk reaches with
-    {!label_level}. Each is one pass over labels, never over
+    answered by levelling the labels a cone walk or a cold exploration
+    reaches with {!label_level}. Each is one pass over labels, never over
     transitions. *)
 
 val num_findable_entries : t -> int
@@ -126,6 +126,10 @@ type labeller
     levels reachable labels directly. *)
 
 val make_labeller : Universe.t -> labeller
+
+val labeller_view : labeller -> User_profile.t -> view
+(** {!view} against the labeller's universe: what a plan compiled over
+    it would give, without compiling one. *)
 
 val label_level :
   labeller ->

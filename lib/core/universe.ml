@@ -65,8 +65,8 @@ let build_caches diagram policy actors fields stores =
     let store = Option.get (Diagram.find_store diagram (Interner.name stores s)) in
     for a = na - 1 downto 0 do
       let actor = Interner.name actors a in
-      let can perm f =
-        Mdp_policy.Policy.allows policy ~diagram ~actor perm ~store:store.id f
+      let can =
+        Mdp_policy.Policy.allows_at policy ~diagram ~actor ~store:store.id
       in
       for f = nf - 1 downto 0 do
         let field = fields.(f) in

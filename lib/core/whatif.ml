@@ -2,14 +2,14 @@ open Mdp_policy
 
 (* The interactive what-if sweep (the batched form of the §IV-A edit
    loop): prepare the base analysis once — its per-signature level
-   table — then answer each candidate edit by levelling labels. A
+   table, the classification's before side and the index the cone walks
+   read — then answer each candidate edit by levelling labels. A
    finding's level is a function of its label alone, so an edit that
-   only flips maintenance-exposure flags or σ values re-levels the
-   plan's distinct findable labels, and a pure policy shrink levels the
-   labels its cone walk reaches; every outcome is one table diffed
-   against the base table. Candidates that would change the reachable
-   transition structure outside a cone are classified, not recomputed,
-   unless [~exact] asks for the full incremental run. *)
+   keeps the LTS re-levels the reused plan's distinct findable labels,
+   a pure policy shrink levels the labels its cone walk reaches, and a
+   full rerun levels the labels of a cold exploration; every outcome is
+   one table diffed against the base table. Replay and full-rerun
+   candidates are classified, not computed, unless [~exact] asks. *)
 
 type classification = Unchanged | Delta | Cone | Replay | Full_rerun
 
@@ -33,6 +33,8 @@ type base = {
   view : Risk_plan.view;  (** The base profile's view. *)
   options : Generate.options;
   inputs : Edit.inputs;
+  before : Edit.baseline;  (** Every classification's before side. *)
+  index : Regen.index;  (** Every cone walk's view of the base LTS. *)
   levels : Risk_diff.levels;
       (** Worst level per signature of the plan's findable labels. *)
 }
@@ -48,6 +50,8 @@ let plan_levels plan view =
   Risk_plan.iter_findable plan view (Risk_diff.add_level levels);
   levels
 
+(* Everything that depends only on the base is built here, before any
+   fan-out, and only read afterwards. *)
 let prepare analysis =
   match
     ( analysis.Analysis.plan,
@@ -57,13 +61,18 @@ let prepare analysis =
   | Some plan, Some profile, Some _ ->
     Mdp_obs.Metrics.span "whatif/prepare" @@ fun () ->
     let view = Risk_plan.view plan profile in
+    let options = analysis.Analysis.params.Analysis.options in
+    let universe = analysis.Analysis.universe in
+    let inputs = Analysis.inputs_of analysis in
     Ok
       {
         analysis;
         plan;
         view;
-        options = analysis.Analysis.params.Analysis.options;
-        inputs = Analysis.inputs_of analysis;
+        options;
+        inputs;
+        before = Edit.baseline ~options ~universe inputs;
+        index = Regen.index universe analysis.Analysis.lts;
         levels = plan_levels plan view;
       }
   | _ -> Error "what-if needs an analysis run with a user profile"
@@ -114,58 +123,70 @@ let computed base edit classification levels =
     worst_after = Some (Risk_diff.worst levels);
   }
 
-(* Maintenance-exposure delta: the edit changed only Delete
-   permissions, so the repatched plan — exactly what a compile over the
-   reused LTS would give — is levelled under the base view. *)
-let maintenance_levels base (after : Edit.inputs) =
-  let u =
-    Universe.with_policy base.analysis.Analysis.universe after.Edit.policy
+(* An edit that keeps the LTS: the reused plan's findable labels —
+   repatched when the deleter sets moved, exactly what a compile over
+   the reused LTS would give — under the edited profile's view. *)
+let reuse_levels base (after : Edit.inputs) (inv : Edit.invalidation) =
+  let plan =
+    if inv.Edit.inv_plan then
+      Risk_plan.repatch_maintenance base.plan
+        (Universe.with_policy base.analysis.Analysis.universe after.Edit.policy)
+    else base.plan
   in
-  plan_levels (Risk_plan.repatch_maintenance base.plan u) base.view
+  let view =
+    if after.Edit.profile == base.inputs.Edit.profile then base.view
+    else Risk_plan.view plan (Option.get after.Edit.profile)
+  in
+  plan_levels plan view
 
-(* Sensitivity delta: the plan's labels under the edited profile. *)
-let sensitivity_levels base (after : Edit.inputs) =
-  plan_levels base.plan
-    (Risk_plan.view base.plan (Option.get after.Edit.profile))
+(* The level table of reachable findable [labels], levelled in [lb]'s
+   universe under [view]. *)
+let label_levels base lb view labels =
+  let matrix = Risk_plan.matrix base.plan in
+  let model = Risk_plan.model base.plan in
+  let levels = Hashtbl.create 64 in
+  List.iter
+    (fun a ->
+      Risk_diff.add_level levels a
+        (Risk_plan.label_level lb ~matrix ~model view a))
+    labels;
+  levels
 
 (* Cone-scoped evaluation: a pure policy-shrink edit answered by a walk
    through the affected store classes' cones ([Regen.walk]), whose
    distinct findable labels determine the after-report's signature
    levels. The patch comes from the comparison the edit was classified
-   by. Read-only on the base (fresh labeller and scratch per call),
-   so it parallelises like the delta path. *)
+   by. Reads the base and its index only (each walk has its own
+   scratch), so it parallelises like the delta path. *)
 let cone_levels base (changes : Generate.policy_changes) =
   match Regen.make_patch base.options changes with
   | None -> None
   | Some patch -> (
     Mdp_obs.Metrics.span "whatif/cone" @@ fun () ->
-    match Regen.walk patch base.analysis.Analysis.lts with
+    match Regen.walk base.index patch with
     | None -> None
     | Some labels ->
       Mdp_obs.Metrics.incr "whatif/cone_hits";
-      let lb = Risk_plan.make_labeller changes.Generate.pc_u in
-      let matrix = Risk_plan.matrix base.plan in
-      let model = Risk_plan.model base.plan in
-      let levels = Hashtbl.create 64 in
-      List.iter
-        (fun a ->
-          Risk_diff.add_level levels a
-            (Risk_plan.label_level lb ~matrix ~model base.view a))
-        labels;
-      Some levels)
+      Some
+        (label_levels base
+           (Risk_plan.make_labeller changes.Generate.pc_u)
+           base.view labels))
+
+(* An edit that changes the LTS, in full: the findable labels of a cold
+   exploration of the edited universe (the one the classification built,
+   for a policy edit), levelled there under the edited profile. *)
+let rerun_levels base (after : Edit.inputs) (inv : Edit.invalidation) =
+  let u =
+    match inv.Edit.inv_cone with
+    | Some c -> c.Generate.pc_u
+    | None -> Universe.make after.Edit.diagram after.Edit.policy
+  in
+  let lb = Risk_plan.make_labeller u in
+  label_levels base lb
+    (Risk_plan.labeller_view lb (Option.get after.Edit.profile))
+    (Regen.cold_labels base.options u)
 
 (* ----- per-candidate evaluation ----- *)
-
-let exact_outcome base edit classification =
-  let t = Analysis.run_incremental ~previous:base.analysis [ edit ] in
-  let before = Option.get base.analysis.Analysis.disclosure in
-  let after = Option.get t.Analysis.disclosure in
-  {
-    edit;
-    classification;
-    diff = Some (Risk_diff.diff ~before ~after);
-    worst_after = Some (Disclosure_risk.max_level after);
-  }
 
 let uncomputed edit classification =
   { edit; classification; diff = None; worst_after = None }
@@ -174,12 +195,14 @@ let eval_edit ?(exact = false) base edit =
   match Edit.apply base.inputs edit with
   | Error msg -> Error msg
   | Ok after ->
-    let inv =
-      Edit.classify ~options:base.options
-        ~universe:base.analysis.Analysis.universe ~before:base.inputs ~after
-    in
-    let fallback classification =
-      if exact then exact_outcome base edit classification
+    let inv = Edit.classify_against base.before after in
+    (* Replay and full-rerun outcomes are computed only on request, and
+       then counted as the incremental run they stand in for. *)
+    let on_request classification levels =
+      if exact then begin
+        Analysis.count_incremental inv;
+        computed base edit classification (levels base after inv)
+      end
       else uncomputed edit classification
     in
     Ok
@@ -187,7 +210,7 @@ let eval_edit ?(exact = false) base edit =
          Mdp_obs.Metrics.incr "whatif/invalidated_lts";
          match Option.bind inv.Edit.inv_cone (cone_levels base) with
          | Some levels -> computed base edit Cone levels
-         | None -> fallback Full_rerun
+         | None -> on_request Full_rerun rerun_levels
        end
        else begin
          Mdp_obs.Metrics.incr "whatif/incremental_hits";
@@ -196,15 +219,15 @@ let eval_edit ?(exact = false) base edit =
            inv.Edit.inv_plan && after.Edit.profile == base.inputs.Edit.profile
          then begin
            Mdp_obs.Metrics.incr "whatif/invalidated_plan";
-           computed base edit Delta (maintenance_levels base after)
+           computed base edit Delta (reuse_levels base after inv)
          end
          else
            match edit with
            | Edit.Set_sensitivity _
              when (not inv.Edit.inv_plan)
                   && after.Edit.policy == base.inputs.Edit.policy ->
-             computed base edit Delta (sensitivity_levels base after)
-           | _ -> fallback Replay
+             computed base edit Delta (reuse_levels base after inv)
+           | _ -> on_request Replay reuse_levels
        end)
 
 (* ----- ranking sweep ----- *)
@@ -231,9 +254,8 @@ let sweep ?(jobs = 1) ?(exact = false) base edits =
       uncomputed arr.(i) Full_rerun
   in
   let outcomes =
-    (* The exact path runs a whole incremental analysis per candidate,
-       cold explorations included: sequential only. The delta path is
-       read-only on the base. *)
+    (* The exact path explores every full-rerun candidate cold:
+       sequential only. Every other path reads the base only. *)
     if exact || jobs <= 1 then List.init n eval
     else
       List.concat

@@ -22,12 +22,18 @@
       ([Cone]);
     - the remaining structure-changing edits are [Full_rerun].
 
-    [Unchanged], [Delta] and [Cone] outcomes are set- and
-    level-identical to the exact path, with change lists in canonical
-    (signature-sorted) order. [Replay]/[Full_rerun] candidates are not
-    computed unless [~exact] routes them through
-    {!Analysis.run_incremental} (byte-identical to a cold run, seconds
-    on large models). *)
+    Every computed outcome is set- and level-identical to
+    {!Analysis.run_incremental} on the same edit (and so to a cold
+    run), with change lists in canonical (signature-sorted) order.
+    [Replay]/[Full_rerun] candidates are computed only under [~exact]:
+    a replay levels the reused plan's labels under the edited profile,
+    a full rerun levels the findable labels of a cold exploration of
+    the edited model (seconds on large models).
+
+    Everything that depends only on the base — the level table, the
+    classification's before side ({!Edit.baseline}) and the cone walks'
+    index of the base LTS ({!Regen.index}) — is built by {!prepare} and
+    only read afterwards. *)
 
 type classification = Unchanged | Delta | Cone | Replay | Full_rerun
 
@@ -45,9 +51,10 @@ type outcome = {
 type base
 
 val prepare : Analysis.t -> (base, string) result
-(** One pass over the plan's distinct findable labels (a
-    [whatif/prepare] span). Fails when the analysis has no profile (and
-    hence no disclosure report to delta against). *)
+(** One pass over the plan's distinct findable labels and one row pass
+    over the base LTS (a [whatif/prepare] span). Fails when the analysis
+    has no profile (and hence no disclosure report to delta
+    against). *)
 
 val worst_before : base -> Level.t
 
@@ -67,12 +74,16 @@ val acl_candidates : base -> Edit.t list
 
 val eval_edit :
   ?exact:bool -> base -> Edit.t -> (outcome, string) result
-(** Evaluate one candidate. Errors are application failures (unknown
-    store, ...); classification never fails. Increments
-    [whatif/incremental_hits] or [whatif/invalidated_lts] per
-    candidate. The computed paths are read-only on the base; [~exact]
-    runs a whole {!Analysis.run_incremental} per uncomputed candidate,
-    which {!sweep} keeps sequential. *)
+(** Evaluate one candidate, classifying it once against the base.
+    Errors are application failures (unknown store, ...);
+    classification never fails. Increments [whatif/incremental_hits]
+    or [whatif/invalidated_lts] per candidate, and an outcome computed
+    only under [~exact] also records {!Analysis.count_incremental}, as
+    the incremental run it stands in for. Every path reads the base
+    only; under [~exact] a full rerun explores the edited model cold,
+    which {!sweep} keeps sequential.
+    @raise Mdp_lts.Lts.Too_many_states when an exact full rerun
+    exceeds the options' [max_states]. *)
 
 val improvement_score : Risk_diff.t -> int
 (** Σ (rank before − rank after) over removed/added/changed
@@ -83,5 +94,6 @@ type ranked = { outcome : outcome; score : int }
 val sweep : ?jobs:int -> ?exact:bool -> base -> Edit.t list -> ranked list
 (** Evaluate every candidate and rank by descending {!improvement_score}
     (uncomputed candidates last, ties in candidate order), under a
-    [phase/whatif] span. [~jobs] fans the (read-only) delta evaluations
-    over a domain pool; forced sequential when [~exact]. *)
+    [phase/whatif] span. [~jobs] fans the (read-only) delta and cone
+    evaluations over a domain pool, all reading one base; forced
+    sequential when [~exact], whose full reruns explore cold. *)

@@ -1106,18 +1106,31 @@ module Make (S : STATE) (L : LABEL) = struct
          (function '"' -> "\\\"" | '\n' -> "\\n" | c -> String.make 1 c)
          (List.init (String.length s) (String.get s)))
 
-  let to_dot ~graph_name ~transition_style t =
+  let to_dot ~graph_name ~label_style t =
     let buf = Buffer.create 1024 in
     let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
     addf "digraph %s {\n  rankdir=LR;\n" graph_name;
     iter_states t (fun s ->
         let init_mark = if s = 0 then ", penwidth=2" else "" in
         addf "  n%d [label=\"s%d\"%s];\n" s s init_mark);
-    iter_transitions t (fun tr ->
-        let style = match transition_style tr with "" -> "" | st -> ", " ^ st in
-        addf "  n%d -> n%d [label=\"%s\"%s];\n" tr.src tr.dst
-          (dot_escape (Format.asprintf "%a" L.pp tr.label))
-          style);
+    (* each interned label's attributes, rendered once *)
+    let attrs =
+      Array.map
+        (fun label ->
+          let style = match label_style label with "" -> "" | st -> ", " ^ st in
+          Printf.sprintf " [label=\"%s\"%s];\n"
+            (dot_escape (Format.asprintf "%a" L.pp label))
+            style)
+        (Array.sub t.p.lbl_data 0 t.p.nlabels)
+    in
+    for src = 0 to t.n - 1 do
+      iter_row t.p src (fun lid dst ->
+          Buffer.add_string buf "  n";
+          Buffer.add_string buf (string_of_int src);
+          Buffer.add_string buf " -> n";
+          Buffer.add_string buf (string_of_int dst);
+          Buffer.add_string buf attrs.(lid))
+    done;
     addf "}\n";
     Buffer.contents buf
 end

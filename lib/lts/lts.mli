@@ -291,8 +291,9 @@ module Make (S : STATE) (L : LABEL) : sig
   (** {1 Output} *)
 
   val to_dot :
-    graph_name:string -> transition_style:(transition -> string) -> t -> string
+    graph_name:string -> label_style:(L.t -> string) -> t -> string
   (** States are labelled [s<id>], the initial one drawn bold.
-      [transition_style] returns extra DOT attributes (e.g.
-      ["style=dashed, color=red"]); empty string for none. *)
+      [label_style] returns extra DOT attributes for the transitions
+      carrying a label (e.g. ["style=dashed, color=red"]); empty string
+      for none. Each interned label is printed and styled once. *)
 end

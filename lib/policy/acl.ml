@@ -35,10 +35,3 @@ let selector_matches selector f =
 let subject_matches rbac (actor : Actor.t) = function
   | Actor_subject id -> id = actor.id
   | Role_subject role -> Rbac.holds_role rbac actor role
-
-let entry_matches rbac actor perm ~store f entry =
-  entry.store = store
-  && List.exists (Permission.equal perm) entry.perms
-  && selector_matches entry.selector f
-  && subject_matches rbac actor entry.subject
-

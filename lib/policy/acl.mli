@@ -33,7 +33,3 @@ val subject_matches : Rbac.t -> Actor.t -> subject -> bool
 (** True when the subject names the actor, or names a role the actor holds
     (directly or through the hierarchy). *)
 
-val entry_matches :
-  Rbac.t -> Actor.t -> Permission.t -> store:string -> Field.t -> entry -> bool
-(** Ignores the entry's effect. *)
-

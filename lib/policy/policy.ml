@@ -4,19 +4,31 @@ type t = { rbac : Rbac.t; entries : Acl.entry list }
 
 let make ?(rbac = Rbac.empty) entries = { rbac; entries }
 
-let allows t ~diagram ~actor perm ~store field =
+let allows_at t ~diagram ~actor ~store =
   match Diagram.find_actor diagram actor with
-  | None -> false
+  | None -> fun _ _ -> false
   | Some a ->
-    let matches (e : Acl.entry) =
-      Acl.entry_matches t.rbac a perm ~store field e
+    (* only entries on this store naming this actor can match *)
+    let entries =
+      List.filter
+        (fun (e : Acl.entry) ->
+          e.store = store && Acl.subject_matches t.rbac a e.subject)
+        t.entries
     in
-    List.exists (fun (e : Acl.entry) -> e.effect_ = Acl.Allow && matches e)
-      t.entries
-    && not
-         (List.exists
-            (fun (e : Acl.entry) -> e.effect_ = Acl.Deny && matches e)
-            t.entries)
+    fun perm field ->
+      let matches (e : Acl.entry) =
+        List.exists (Permission.equal perm) e.perms
+        && Acl.selector_matches e.selector field
+      in
+      List.exists (fun (e : Acl.entry) -> e.effect_ = Acl.Allow && matches e)
+        entries
+      && not
+           (List.exists
+              (fun (e : Acl.entry) -> e.effect_ = Acl.Deny && matches e)
+              entries)
+
+let allows t ~diagram ~actor perm ~store field =
+  allows_at t ~diagram ~actor ~store perm field
 
 let grant t entry = { t with entries = t.entries @ [ entry ] }
 
@@ -62,11 +74,12 @@ let concrete_grants t diagram =
     (fun (a : Actor.t) ->
       List.concat_map
         (fun (s : Datastore.t) ->
+          let allows = allows_at t ~diagram ~actor:a.id ~store:s.id in
           List.concat_map
             (fun field ->
               List.filter_map
                 (fun perm ->
-                  if allows t ~diagram ~actor:a.id perm ~store:s.id field then
+                  if allows perm field then
                     Some { actor = a.id; perm; store = s.id; field }
                   else None)
                 Permission.all)
@@ -74,13 +87,24 @@ let concrete_grants t diagram =
         diagram.Diagram.datastores)
     diagram.Diagram.actors
 
+(* The grant list with a membership table: one per side keeps a diff
+   linear in the relation. *)
+type relation = {
+  tuples : grant_tuple list;
+  members : (grant_tuple, unit) Hashtbl.t;
+}
+
+let relation t diagram =
+  let tuples = concrete_grants t diagram in
+  let members = Hashtbl.create (List.length tuples) in
+  List.iter (fun g -> Hashtbl.replace members g ()) tuples;
+  { tuples; members }
+
+let diff_relations ~before ~after =
+  let not_in r g = not (Hashtbl.mem r.members g) in
+  ( List.filter (not_in after) before.tuples,
+    List.filter (not_in before) after.tuples )
+
 let diff ~before ~after diagram =
-  let b = concrete_grants before diagram and a = concrete_grants after diagram in
-  (* one membership table per side keeps this linear in the relation *)
-  let table gs =
-    let t = Hashtbl.create (List.length gs) in
-    List.iter (fun g -> Hashtbl.replace t g ()) gs;
-    t
-  in
-  let not_in gs g = not (Hashtbl.mem gs g) in
-  (List.filter (not_in (table a)) b, List.filter (not_in (table b)) a)
+  diff_relations ~before:(relation before diagram)
+    ~after:(relation after diagram)

@@ -18,6 +18,14 @@ val allows :
   Field.t -> bool
 (** False for unknown actors. *)
 
+val allows_at :
+  t -> diagram:Diagram.t -> actor:string -> store:string ->
+  Permission.t -> Field.t -> bool
+(** [allows_at t ~diagram ~actor ~store] is [allows] for one (actor,
+    store) pair, with the entries that can match it selected once:
+    apply it partially when asking about many fields and
+    permissions. *)
+
 val grant : t -> Acl.entry -> t
 (** Appends an entry (of either effect). *)
 
@@ -46,3 +54,13 @@ val concrete_grants : t -> Diagram.t -> grant_tuple list
 val diff : before:t -> after:t -> Diagram.t -> grant_tuple list * grant_tuple list
 (** [(removed, added)] concrete grants, each in {!concrete_grants}
     order. *)
+
+type relation
+(** A policy's {!concrete_grants} with a membership table, so that one
+    side of many diffs is computed once. Read-only once built. *)
+
+val relation : t -> Diagram.t -> relation
+
+val diff_relations :
+  before:relation -> after:relation -> grant_tuple list * grant_tuple list
+(** {!diff} of two relations over the same diagram. *)

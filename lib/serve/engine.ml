@@ -407,7 +407,7 @@ let evaluate t ~akey ~cancel (a : artifact) (kind : Protocol.kind) =
             ~before:inputs ~after:after_inputs
         in
         let after_t =
-          C.Analysis.run_incremental ?cancel ~previous:base edits
+          C.Analysis.run_incremental ?cancel ~inv ~previous:base edits
         in
         let population =
           match w.wpop with

@@ -124,6 +124,19 @@ let test_sweep_equivalence () =
       ("spill75 jobs=4", 4, spilled);
     ]
 
+(* One prepared base swept on one domain and on two: the base index is
+   built before the fan-out and only read by the concurrent walks. *)
+let test_shared_base () =
+  let b = whatif_base (base matrix_spec_name) in
+  let sweep jobs = Core.Whatif.sweep ~jobs b (Core.Whatif.acl_candidates b) in
+  let one = sweep 1 in
+  check bool_ "the sweep has cone outcomes" true
+    (List.exists
+       (fun r -> r.Core.Whatif.outcome.classification = Core.Whatif.Cone)
+       one);
+  check bool_ "jobs 2 ranks as jobs 1" true (sweep 2 = one);
+  check bool_ "jobs 1 again ranks the same" true (sweep 1 = one)
+
 (* ------------------------------------------------------------------ *)
 (* The sweep census: most former full-rerun ACL candidates are now
    answered through the cone walk (the PR 10 acceptance shape). *)
@@ -292,6 +305,8 @@ let () =
         [
           Alcotest.test_case "sweep outcomes jobs/budget-independent"
             `Quick test_sweep_equivalence;
+          Alcotest.test_case "one prepared base, jobs 1 and 2" `Quick
+            test_shared_base;
           Alcotest.test_case "sweep census favours the cone path" `Quick
             test_census;
           Alcotest.test_case "cone outcomes match a cold run" `Quick

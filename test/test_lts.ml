@@ -175,7 +175,7 @@ let test_dot () =
   let t, _, _, _, _ = diamond () in
   let dot =
     L.to_dot ~graph_name:"g"
-      ~transition_style:(fun { L.label; _ } -> if label = "a" then "color=red" else "")
+      ~label_style:(fun label -> if label = "a" then "color=red" else "")
       t
   in
   let contains needle =

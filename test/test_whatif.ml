@@ -320,13 +320,12 @@ let normalize (d : Core.Risk_diff.t) =
     changed = List.sort compare (List.map key d.changed);
   }
 
-(* A computed outcome against [run_incremental] on the same edit: the
-   normalised diff and the worst level must match. [None] when they do
-   (or the outcome was left uncomputed), else what differed. *)
+(* An exact outcome against [run_incremental] on the same edit: the
+   normalised diff and the worst level must match. [None] when they do,
+   else what differed. *)
 let outcome_mismatch analysis (o : Core.Whatif.outcome) =
   let name = Core.Edit.to_string o.edit in
   match (o.classification, o.diff) with
-  | (Core.Whatif.Replay | Core.Whatif.Full_rerun), None -> None
   | _, None ->
     Some
       (Printf.sprintf "%s classified %s but carries no diff" name
@@ -346,6 +345,21 @@ let prepare_exn analysis =
   | Ok b -> b
   | Error e -> Alcotest.fail e
 
+(* One agreement flip per diagram service: profile edits answered by
+   re-levelling the reused plan ([Replay]). *)
+let agreement_flips analysis =
+  let profile =
+    Option.get analysis.Core.Analysis.params.Core.Analysis.profile
+  in
+  List.map
+    (fun (svc : Service.t) ->
+      Core.Edit.Set_agreement
+        {
+          service = svc.id;
+          agreed = not (Core.User_profile.agrees_to profile svc.id);
+        })
+    (Core.Universe.diagram analysis.Core.Analysis.universe).Diagram.services
+
 let check_sweep_against_truth name analysis =
   let base = prepare_exn analysis in
   (* The candidate list carries a σ edit for each scenario's fields; on
@@ -359,23 +373,27 @@ let check_sweep_against_truth name analysis =
       not (List.exists (Field.equal f) fields)
     | _ -> false
   in
+  let replays = ref 0 in
   List.iter
     (fun edit ->
-      match Core.Whatif.eval_edit base edit with
+      match Core.Whatif.eval_edit ~exact:true base edit with
       | Error _ when unknown_field edit -> ()
       | Ok _ when unknown_field edit ->
         Alcotest.failf "%s: %s names an unknown field yet applied" name
           (Core.Edit.to_string edit)
       | Error e -> Alcotest.fail e
       | Ok o -> (
+        if o.classification = Core.Whatif.Replay then incr replays;
         match outcome_mismatch analysis o with
         | None -> ()
         | Some msg -> Alcotest.failf "%s: %s" name msg))
     (Core.Whatif.acl_candidates base
+    @ agreement_flips analysis
     @ [
         Core.Edit.Set_sensitivity (H.diagnosis, 0.2);
         Core.Edit.Set_sensitivity (Field.make "Field0", 0.99);
-      ])
+      ]);
+  check bool_ (name ^ ": replay outcomes checked") true (!replays > 0)
 
 let test_sweep_truth_healthcare () =
   check_sweep_against_truth "healthcare"
@@ -387,9 +405,10 @@ let test_sweep_truth_synthetic () =
 
 (* The same check over generated models: small synthetic specs and
    seeds, under the default matrix or one that makes maintenance flips
-   visible. Candidates are the ACL removals plus one σ edit per field;
-   every computed outcome must match [run_incremental], and the sweep
-   must not depend on [jobs]. *)
+   visible. Candidates are the ACL removals plus one σ edit per field
+   and one agreement flip per service; every exact outcome must match
+   [run_incremental], every outcome the sweep computes without [~exact]
+   must equal the exact one, and the sweep must not depend on [jobs]. *)
 let test_sweep_truth_generated =
   let gen =
     QCheck.Gen.(
@@ -422,6 +441,7 @@ let test_sweep_truth_generated =
       let base = prepare_exn analysis in
       let edits =
         Core.Whatif.acl_candidates base
+        @ agreement_flips analysis
         @ List.map
             (fun f -> Core.Edit.Set_sensitivity (f, sigma))
             (Diagram.all_fields diagram)
@@ -429,13 +449,115 @@ let test_sweep_truth_generated =
       let ranked = Core.Whatif.sweep ~jobs:1 base edits in
       if ranked <> Core.Whatif.sweep ~jobs:4 base edits then
         QCheck.Test.fail_report "sweep ~jobs:4 differs from ~jobs:1";
+      let exact = Core.Whatif.sweep ~exact:true base edits in
       List.iter
         (fun (r : Core.Whatif.ranked) ->
           match outcome_mismatch analysis r.outcome with
           | None -> ()
           | Some msg -> QCheck.Test.fail_report msg)
+        exact;
+      List.iter
+        (fun (r : Core.Whatif.ranked) ->
+          if
+            r.outcome.diff <> None
+            && not
+                 (List.exists
+                    (fun (x : Core.Whatif.ranked) -> x.outcome = r.outcome)
+                    exact)
+          then
+            QCheck.Test.fail_reportf "%s: computed outcome differs from exact"
+              (Core.Edit.to_string r.outcome.edit))
         ranked;
       true)
+
+(* ------------------------------------------------------------------ *)
+(* [Risk_diff.diff] against the association-list fold it replaced, kept
+   here as the oracle: same change lists in the same order (signatures
+   by last occurrence in the report, latest first). *)
+
+let oracle_levels (report : Core.Disclosure_risk.report) =
+  List.fold_left
+    (fun acc (f : Core.Disclosure_risk.finding) ->
+      let s = Core.Risk_diff.signature_of_finding f in
+      let existing =
+        Option.value (List.assoc_opt s acc) ~default:Core.Level.None_
+      in
+      (s, Core.Level.max existing f.level) :: List.remove_assoc s acc)
+    [] report.findings
+
+let oracle_diff ~before ~after : Core.Risk_diff.t =
+  let b = oracle_levels before and a = oracle_levels after in
+  let change signature before after =
+    { Core.Risk_diff.signature; before; after }
+  in
+  let removed =
+    List.filter_map
+      (fun (s, lvl) ->
+        if List.mem_assoc s a then None
+        else Some (change s lvl Core.Level.None_))
+      b
+  in
+  let added =
+    List.filter_map
+      (fun (s, lvl) ->
+        if List.mem_assoc s b then None
+        else Some (change s Core.Level.None_ lvl))
+      a
+  in
+  let changed, unchanged =
+    List.fold_left
+      (fun (changed, unchanged) (s, before_lvl) ->
+        match List.assoc_opt s a with
+        | Some after_lvl when not (Core.Level.equal before_lvl after_lvl) ->
+          (change s before_lvl after_lvl :: changed, unchanged)
+        | Some _ -> (changed, unchanged + 1)
+        | None -> (changed, unchanged))
+      ([], 0) b
+  in
+  { removed; added; changed = List.rev changed; unchanged }
+
+(* Reports over a pool of eight signatures (several actors, stores,
+   field sets and a store-less one), each finding at a random level, so
+   signatures repeat and a repeated one can rise or fall. *)
+let gen_report =
+  let pool =
+    Array.of_list
+      (List.concat_map
+         (fun (actor, store) ->
+           List.map
+             (fun fields ->
+               Core.Action.make ?store ~kind:Core.Action.Read
+                 ~fields:(List.map Field.make fields) ~actor
+                 Core.Action.Potential)
+             [ [ "A" ]; [ "B"; "A" ] ])
+         [ ("X", Some "S"); ("Y", Some "S"); ("X", Some "T"); ("Y", None) ])
+  in
+  let finding (i, l) : Core.Disclosure_risk.finding =
+    {
+      src = 0;
+      dst = 0;
+      action = pool.(i);
+      impact = 0.0;
+      likelihood = 0.0;
+      impact_level = Core.Level.None_;
+      likelihood_level = Core.Level.None_;
+      level = [| Core.Level.None_; Low; Medium; High |].(l);
+      witness = [];
+    }
+  in
+  QCheck.Gen.(
+    map
+      (fun fs ->
+        { Core.Disclosure_risk.non_allowed = []; findings = List.map finding fs;
+          exposures = [] })
+      (list_size (int_bound 40)
+         (pair (int_bound (Array.length pool - 1)) (int_bound 3))))
+
+let test_risk_diff_oracle =
+  QCheck.Test.make ~count:500 ~name:"Risk_diff.diff equals the list fold"
+    (QCheck.make QCheck.Gen.(pair gen_report gen_report))
+    (fun (before, after) ->
+      Core.Risk_diff.diff ~before ~after = oracle_diff ~before ~after)
 
 let test_sweep_ranking () =
   let analysis = healthcare_base ~profile:H.profile_case_a () in
@@ -721,6 +843,7 @@ let () =
             test_sweep_truth_synthetic;
           QCheck_alcotest.to_alcotest test_sweep_truth_generated;
           Alcotest.test_case "ranking" `Quick test_sweep_ranking;
+          QCheck_alcotest.to_alcotest test_risk_diff_oracle;
         ] );
       ( "specs",
         [
