@@ -48,7 +48,8 @@ let () =
   (match Core.Disclosure_risk.findings_for report ~actor:"Administrator" with
   | f :: _ ->
     Format.printf "witness:@.";
-    List.iter (fun a -> Format.printf "  %a@." Core.Action.pp a) f.witness;
+    List.iter (fun a -> Format.printf "  %a@." Core.Action.pp a)
+      (Core.Disclosure_risk.witness f);
     Format.printf "  %a   <- the risky event@." Core.Action.pp f.action
   | [] -> ());
 

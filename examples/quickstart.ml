@@ -53,6 +53,6 @@ let () =
     Format.printf "Witness path from the initial state:@.";
     List.iter
       (fun action -> Format.printf "  %a@." Core.Action.pp action)
-      worst.witness
+      (Core.Disclosure_risk.witness worst)
   | Some { findings = []; _ } | None ->
     Format.printf "No disclosure risks found.@."

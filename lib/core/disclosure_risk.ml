@@ -21,6 +21,8 @@ let combine_scenarios ~accidental ~maintenance ~rogue =
   if sum > 1.0 then Mdp_obs.Metrics.incr "risk/likelihood_saturated";
   Float.min 1.0 sum
 
+type trail = Start | Hop of trail * Action.t
+
 type finding = {
   src : Plts.state_id;
   dst : Plts.state_id;
@@ -30,8 +32,15 @@ type finding = {
   impact_level : Level.t;
   likelihood_level : Level.t;
   level : Level.t;
-  witness : Action.t list;
+  trail : trail;
 }
+
+let witness f =
+  let rec root_first acc = function
+    | Start -> acc
+    | Hop (parent, label) -> root_first (label :: acc) parent
+  in
+  root_first [] f.trail
 
 type report = {
   non_allowed : string list;
@@ -146,9 +155,10 @@ let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
   in
   (* One BFS tree per call. Parents are assigned at first discovery in
      successor order, exactly as a per-finding [Plts.path_to] search
-     would, so every witness unwinds to the same path. *)
+     would, so every trail is the same path. A state is discovered after
+     its parent, so its trail is one hop on the parent's finished one. *)
   let n = Plts.num_states lts in
-  let back = Array.make n None in
+  let trails = Array.make n Start in
   if n > 0 then begin
     let seen = Array.make n false and q = Queue.create () in
     seen.(Plts.initial lts) <- true;
@@ -158,19 +168,11 @@ let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
       Plts.iter_successors lts s (fun label d ->
           if not seen.(d) then begin
             seen.(d) <- true;
-            back.(d) <- Some (s, label);
+            trails.(d) <- Hop (trails.(s), annotate label);
             Queue.push d q
           end)
     done
   end;
-  let witness_of src =
-    let rec unwind acc s =
-      match back.(s) with
-      | None -> acc
-      | Some (prev, label) -> unwind (annotate label :: acc) prev
-    in
-    unwind [] src
-  in
   let findings = ref [] and exposures = ref [] in
   Plts.iter_transitions lts (fun { src; label; dst } ->
       let impact = transition_impact u profile label in
@@ -190,7 +192,7 @@ let analyse ?(matrix = Risk_matrix.default) ?(model = default_likelihood) u lts
           impact_level;
           likelihood_level;
           level;
-          witness = witness_of src;
+          trail = trails.(src);
         }
       in
       match label.Action.kind with
@@ -236,21 +238,44 @@ let pp_prefix ppf f =
 
 let pp_finding ppf f = Format.fprintf ppf "%a at s%d" pp_prefix f f.src
 
+(* Everything [pp_prefix] prints, compared as the prefix table's
+   structural key would compare it. *)
+let same_prefix a b =
+  a.action == b.action
+  && Float.equal a.impact b.impact
+  && Float.equal a.likelihood b.likelihood
+  && Level.equal a.impact_level b.impact_level
+  && Level.equal a.likelihood_level b.likelihood_level
+  && Level.equal a.level b.level
+
 let pp_report ppf r =
   (* Findings of one label differ only in their states: render each
-     distinct prefix once. *)
+     distinct prefix once. Both engines give every finding of a label
+     one physical annotated action, so the previous line's prefix is
+     tried first. The table serves a label seen before the previous
+     line, and equal but distinct actions in a hand-built report. *)
   let prefixes = Hashtbl.create 64 in
+  let last = ref None in
+  let prefix f =
+    match !last with
+    | Some (g, p) when same_prefix f g -> p
+    | _ ->
+      let key = { f with src = 0; dst = 0; trail = Start } in
+      let p =
+        match Hashtbl.find_opt prefixes key with
+        | Some p -> p
+        | None ->
+          let p = Format.asprintf "%a" pp_prefix f in
+          Hashtbl.add prefixes key p;
+          p
+      in
+      last := Some (f, p);
+      p
+  in
   let pp_line ppf f =
-    let key = { f with src = 0; dst = 0; witness = [] } in
-    let prefix =
-      match Hashtbl.find_opt prefixes key with
-      | Some p -> p
-      | None ->
-        let p = Format.asprintf "%a" pp_prefix f in
-        Hashtbl.add prefixes key p;
-        p
-    in
-    Format.fprintf ppf "%s at s%d" prefix f.src
+    Format.pp_print_string ppf (prefix f);
+    Format.pp_print_string ppf " at s";
+    Format.pp_print_int ppf f.src
   in
   Format.fprintf ppf "@[<v>non-allowed actors: %s@,%d risk finding(s):@,%a@]"
     (String.concat ", " r.non_allowed)

@@ -43,6 +43,16 @@ val combine_scenarios :
     engines are float-identical under every model, including ones where
     the sum crosses 1. *)
 
+(** A witness stored leaf-first: the outermost cell is the last hop. A
+    state's trail is one cell on top of its breadth-first parent's, so
+    both engines build one cell per state, and every finding at a state
+    shares that state's trail. Read it root-first with {!witness}. *)
+type trail =
+  | Start  (** The initial state: no hop. *)
+  | Hop of trail * Action.t
+      (** The trail to the parent state, then the (annotated) label of
+          the edge that leads from it. *)
+
 type finding = {
   src : Plts.state_id;
   dst : Plts.state_id;
@@ -52,8 +62,9 @@ type finding = {
   impact_level : Level.t;
   likelihood_level : Level.t;
   level : Level.t;
-  witness : Action.t list;
-      (** A shortest action path from the initial state to [src]. *)
+  trail : trail;
+      (** A shortest action path from the initial state to [src], last
+          hop outermost; {!witness} lists it from the initial state. *)
 }
 
 type report = {
@@ -69,6 +80,11 @@ type report = {
           non-allowed actor. Not risk-labelled (no likelihood dimension),
           reported for design feedback. *)
 }
+
+val witness : finding -> Action.t list
+(** The finding's shortest action path from the initial state to its
+    [src], first hop first: its {!trail} reversed, one fresh list per
+    call. *)
 
 val transition_impact : Universe.t -> User_profile.t -> Action.t -> float
 (** Exposed for tests and ablations. *)

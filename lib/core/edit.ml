@@ -209,34 +209,47 @@ let profile_equal a b =
          (User_profile.sensitivities b)
   | _ -> false
 
-(* The before side of every classification against one base: its
-   concrete permission relation and its compiled flows, built once. *)
+(* The before side of a policy comparison: the base's concrete
+   permission relation and its compiled flows. Read only when the policy
+   changed on an unchanged diagram. *)
+let before_side ~options ~universe inputs =
+  ( Policy.relation inputs.policy inputs.diagram,
+    Generate.compile_policy universe options )
+
+(* The before side of every classification against one base, built
+   once. *)
 type baseline = {
   bl_inputs : inputs;
-  bl_grants : Policy.relation;
-  bl_compiled : Generate.compiled_policy;
   bl_universe : Universe.t;
+  bl_side : Policy.relation * Generate.compiled_policy;
 }
 
 let baseline ~options ~universe inputs =
   {
     bl_inputs = inputs;
-    bl_grants = Policy.relation inputs.policy inputs.diagram;
-    bl_compiled = Generate.compile_policy universe options;
     bl_universe = universe;
+    bl_side = before_side ~options ~universe inputs;
   }
 
-let classify_against bl after =
-  let before = bl.bl_inputs and universe = bl.bl_universe in
+(* [side] gives the before side; it is called at most once, and only
+   when the policy changed on the same diagram. *)
+let classify_with ~universe ~before side after =
   if before.diagram != after.diagram then everything
   else begin
-    let removed, added =
-      if before.policy == after.policy then ([], [])
+    let tuples, edited, changes =
+      if before.policy == after.policy then ([], None, None)
       else
-        Policy.diff_relations ~before:bl.bl_grants
-          ~after:(Policy.relation after.policy after.diagram)
+        let grants, compiled = side () in
+        let removed, added =
+          Policy.diff_relations ~before:grants
+            ~after:(Policy.relation after.policy after.diagram)
+        in
+        match removed @ added with
+        | [] -> ([], None, None)
+        | tuples ->
+          let u = Universe.with_policy universe after.policy in
+          (tuples, Some u, Generate.policy_changes compiled ~u)
     in
-    let tuples = removed @ added in
     (* The pseudonym pass reads Read permissions ([readable_anywhere]):
        it re-runs on a binding change and on any concrete policy change
        under active bindings. *)
@@ -248,14 +261,8 @@ let classify_against bl after =
       if profile_changed then sigma_delta before.profile after.profile
       else None
     in
-    let edited =
-      if tuples = [] then None
-      else Some (Universe.with_policy universe after.policy)
-    in
-    match
-      Option.bind edited (fun u -> Generate.policy_changes bl.bl_compiled ~u)
-    with
-    | Some _ as changes ->
+    match changes with
+    | Some _ ->
       (* The LTS must change, but only because of the policy on an
          unchanged diagram. Everything downstream still invalidates (an
          incremental run explores the edited model cold); [inv_cone]
@@ -290,8 +297,16 @@ let classify_against bl after =
       }
   end
 
+let classify_against bl after =
+  classify_with ~universe:bl.bl_universe ~before:bl.bl_inputs
+    (fun () -> bl.bl_side)
+    after
+
+(* One comparison: the before side is built only if it is read. *)
 let classify ~options ~universe ~before ~after =
-  classify_against (baseline ~options ~universe before) after
+  classify_with ~universe ~before
+    (fun () -> before_side ~options ~universe before)
+    after
 
 (* ----- parsing and printing (CLI --edit specs, serve requests) -----
 

@@ -105,7 +105,10 @@ val classify :
       anonymisation bindings, re-runs the pseudonym pass (it reads Read
       permissions) and nothing else on that account;
     - profile edits never invalidate the LTS or the plan;
-    - diagram edits invalidate everything. *)
+    - diagram edits invalidate everything.
+
+    The before side of the policy comparison ({!baseline}) is built only
+    when the policy changed on an unchanged diagram. *)
 
 type baseline
 (** The before side of {!classify}: the before inputs with their

@@ -42,7 +42,7 @@ let finding (f : Disclosure_risk.finding) =
       ("impact", Num f.impact);
       ("likelihood", Num f.likelihood);
       ("level", level f.level);
-      ("witness", List (List.map action f.witness));
+      ("witness", List (List.map action (Disclosure_risk.witness f)));
     ]
 
 let risk_transition (rt : Pseudonym_risk.risk_transition) =

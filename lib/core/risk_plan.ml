@@ -423,10 +423,19 @@ let summary t profile =
 
 (* ----- full report (bit-compatible with Disclosure_risk.analyse) ----- *)
 
-(* The witness of a finding at [src]: its tree path, each hop the
-   annotated action of its label. *)
-let witness_of t (per_label : Disclosure_risk.finding array) src =
-  Plts.unwind t.tree (fun i _ -> per_label.(t.remap.(i)).action) src
+(* Every state's trail, each hop the annotated action of its label: one
+   ascending pass over the witness tree, since a parent's id is below
+   its child's, so its trail is already built. *)
+let trails t (per_label : Disclosure_risk.finding array) =
+  let parent, via = t.tree in
+  let trails = Array.make (Array.length parent) Disclosure_risk.Start in
+  Array.iteri
+    (fun s p ->
+      if p >= 0 then
+        trails.(s) <-
+          Disclosure_risk.Hop (trails.(p), per_label.(t.remap.(via.(s))).action))
+    parent;
+  trails
 
 (* Per label: the finding its transitions get when reported, with the
    annotated action. Every finding, witness hop and {!annotate} lookup
@@ -449,7 +458,7 @@ let per_label t view =
           ~likelihood:likelihood_level
       in
       { Disclosure_risk.src = -1; dst = -1; action; impact; likelihood;
-        impact_level; likelihood_level; level; witness = [] })
+        impact_level; likelihood_level; level; trail = Start })
     t.labels
 
 let annotate t profile =
@@ -469,13 +478,14 @@ let analyse t profile =
       f.impact > 0.0
     | Action.Delete -> false
   in
+  let trails = trails t per_label in
   let findings = ref [] in
   let exposures = ref [] in
   for src = 0 to Plts.num_states t.lts - 1 do
     Plts.iter_successors_lid t.lts src (fun i dst ->
         let f = per_label.(t.remap.(i)) in
         if reported f then begin
-          let f = { f with src; dst; witness = witness_of t per_label src } in
+          let f = { f with src; dst; trail = trails.(src) } in
           if f.action.Action.kind = Action.Read then findings := f :: !findings
           else exposures := f :: !exposures
         end)

@@ -76,9 +76,12 @@ val analyse : t -> User_profile.t -> Disclosure_risk.report
 (** Drop-in replacement for [Disclosure_risk.analyse ~matrix ~model u
     lts profile]: the identical report. Each distinct label is
     evaluated and annotated once; its findings and witness hops share
-    that one [Action.t]. Witnesses unwind the plan's
-    {!Plts.witness_tree} instead of searching once per finding. Reads
-    only the plan, so it is safe from several domains. *)
+    that one [Action.t]. Witness hops are shared per state, not unwound
+    per finding: one ascending pass over the plan's
+    {!Plts.witness_tree} gives every state its
+    {!Disclosure_risk.trail}, one cell on its parent's, and each finding
+    points at its source's. Reads only the plan, so it is safe from
+    several domains. *)
 
 val annotate : t -> User_profile.t -> Action.t -> Action.t
 (** [annotate t profile] evaluates every distinct label once under

@@ -522,9 +522,89 @@ let test_case_a_witnesses_reach_src () =
           with
           | Some (_, next) -> state := next
           | None -> Alcotest.fail "witness step not found")
-        f.witness;
+        (Core.Disclosure_risk.witness f);
       check int_ "witness reaches finding source" f.src !state)
     (Mdp_prelude.Listx.take 5 report.findings)
+
+(* Every finding and exposure of the compiled analysis carries the tree
+   path to its source: replayed from the initial state label by label
+   (risk annotations aside) it reaches [src], in as many hops as [src]'s
+   depth in the witness tree. *)
+let witnesses_replay lts (report : Core.Disclosure_risk.report) =
+  let parent, _ = Core.Plts.witness_tree lts in
+  let depth = Array.make (Array.length parent) 0 in
+  Array.iteri (fun s p -> if p >= 0 then depth.(s) <- depth.(p) + 1) parent;
+  let raw (a : Core.Action.t) = { a with risk = None } in
+  let step states hop =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun s ->
+           List.filter_map
+             (fun (l, d) ->
+               if Core.Action.equal (raw l) (raw hop) then Some d else None)
+             (Core.Plts.successors lts s))
+         states)
+  in
+  let replays (f : Core.Disclosure_risk.finding) =
+    let witness = Core.Disclosure_risk.witness f in
+    List.length witness = depth.(f.src)
+    && List.mem f.src
+         (List.fold_left step [ Core.Plts.initial lts ] witness)
+  in
+  List.for_all replays report.findings && List.for_all replays report.exposures
+
+(* A profile under which every read is risky: every field sensitive, no
+   service agreed. *)
+let all_rogue diagram =
+  Core.User_profile.make
+    ~sensitivities:(List.map (fun f -> (f, 0.9)) (Diagram.all_fields diagram))
+    ~agreed_services:[] ()
+
+let analyse_compiled diagram policy profile =
+  let u = Core.Universe.make diagram policy in
+  let lts = Core.Generate.run u in
+  (lts, Core.Risk_plan.analyse (Core.Risk_plan.compile u lts) profile)
+
+let prop_witnesses_replay =
+  QCheck.Test.make ~name:"every witness replays (synthetic models)" ~count:15
+    QCheck.(quad (int_range 1 200) (int_range 3 4) (int_range 4 6) bool)
+    (fun (seed, nactors, nfields, rogue) ->
+      let spec =
+        { Mdp_scenario.Synthetic.seed; nactors; nfields; nstores = 2;
+          nservices = 2; flows_per_service = 4 }
+      in
+      let diagram, policy = Mdp_scenario.Synthetic.model spec in
+      let profile =
+        if rogue then all_rogue diagram
+        else Mdp_scenario.Synthetic.profile spec diagram
+      in
+      let lts, report = analyse_compiled diagram policy profile in
+      witnesses_replay lts report)
+
+let test_shipped_witnesses_replay () =
+  let dir = if Sys.file_exists "../models" then "../models" else "models" in
+  let models =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mdp")
+    |> List.sort String.compare
+  in
+  check bool_ "shipped models found" true (models <> []);
+  List.iter
+    (fun name ->
+      match
+        Mdp_dsl.Parser.parse
+          (In_channel.with_open_bin (Filename.concat dir name)
+             In_channel.input_all)
+      with
+      | Error e -> Alcotest.fail (name ^ ": " ^ e)
+      | Ok m ->
+        let lts, report =
+          analyse_compiled m.diagram m.policy (all_rogue m.diagram)
+        in
+        check bool_ (name ^ " has findings") true (report.findings <> []);
+        check bool_ (name ^ " witnesses replay") true
+          (witnesses_replay lts report))
+    models
 
 let test_case_a_fix_reduces_to_low () =
   let u, _, _ = case_a () in
@@ -548,7 +628,8 @@ let test_labels_annotated () =
     List.filter
       (fun (a : Core.Action.t) -> a.kind = Core.Action.Read)
       (List.concat_map
-         (fun (f : Core.Disclosure_risk.finding) -> f.action :: f.witness)
+         (fun (f : Core.Disclosure_risk.finding) ->
+           f.action :: Core.Disclosure_risk.witness f)
          report.findings)
   in
   check bool_ "reads annotated" true
@@ -565,17 +646,21 @@ let test_exposures_reported () =
        report.exposures)
 
 (* [pp_report] renders each distinct finding prefix once; the lines must
-   equal [pp_finding]'s, including for findings that share one action
-   but differ in impact, likelihood or level. *)
+   equal [pp_finding]'s, including for adjacent findings that share one
+   physical action — as every finding of a label does in both engines —
+   but differ in impact, likelihood or level, and for findings whose
+   actions are equal but distinct. *)
 let test_report_rendering () =
   let action =
     Core.Action.make ~store:"EHR" ~kind:Core.Action.Read
       ~fields:[ H.diagnosis ] ~actor:"Administrator" Core.Action.Potential
   in
-  let finding src impact likelihood level : Core.Disclosure_risk.finding =
+  let copy = { action with Core.Action.actor = action.actor } in
+  let finding ?(action = action) src impact likelihood level :
+      Core.Disclosure_risk.finding =
     { src; dst = src + 1; action; impact; likelihood; level;
       impact_level = Core.Level.Medium; likelihood_level = Core.Level.Low;
-      witness = [] }
+      trail = Core.Disclosure_risk.Start }
   in
   let findings =
     [
@@ -585,6 +670,7 @@ let test_report_rendering () =
       finding 5 0.5 0.08 Core.Level.High;
       finding 6 0.5 0.02 Core.Level.Medium;
       finding 3 0.5 0.08 Core.Level.Medium;
+      finding ~action:copy 8 0.5 0.08 Core.Level.Medium;
     ]
   in
   let report =
@@ -598,8 +684,20 @@ let test_report_rendering () =
          Core.Disclosure_risk.pp_finding)
       findings
   in
-  check Alcotest.string "per-finding rendering" expected
-    (Format.asprintf "%a" Core.Disclosure_risk.pp_report report)
+  let rendered = Format.asprintf "%a" Core.Disclosure_risk.pp_report report in
+  check Alcotest.string "per-finding rendering" expected rendered;
+  (* A line is "PREFIX at sN"; s7 and s4 share the action, not the
+     impact. *)
+  let prefix src =
+    let line =
+      List.find
+        (String.ends_with ~suffix:(Printf.sprintf " at s%d" src))
+        (String.split_on_char '\n' rendered)
+    in
+    String.sub line 0 (String.rindex line ' ' - 3)
+  in
+  check bool_ "shared action, different impact, different prefix" true
+    (prefix 7 <> prefix 4)
 
 let test_likelihood_scenarios () =
   let u = universe () in
@@ -1004,6 +1102,9 @@ let () =
           Alcotest.test_case "researcher clean" `Quick
             test_case_a_no_researcher_findings;
           Alcotest.test_case "witness paths" `Quick test_case_a_witnesses_reach_src;
+          qtest prop_witnesses_replay;
+          Alcotest.test_case "shipped witnesses replay" `Quick
+            test_shipped_witnesses_replay;
           Alcotest.test_case "Low after fix" `Quick test_case_a_fix_reduces_to_low;
           Alcotest.test_case "labels annotated" `Quick test_labels_annotated;
           Alcotest.test_case "exposures" `Quick test_exposures_reported;

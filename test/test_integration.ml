@@ -183,7 +183,7 @@ let test_monitor_follows_witness () =
       ~fields:act.fields ?store:act.store ?service ()
   in
   let alerts =
-    R.Monitor.run_trace monitor (List.mapi to_event finding.witness)
+    R.Monitor.run_trace monitor (List.mapi to_event (Core.Disclosure_risk.witness finding))
   in
   check bool_ "witness replays without off-model alerts" true
     (List.for_all

@@ -415,8 +415,9 @@ let check_plan_parity_on name u lts profile =
   List.iter2
     (fun (a : Core.Disclosure_risk.finding)
          (b : Core.Disclosure_risk.finding) ->
-      check int_ (name ^ " witness lengths") (List.length a.witness)
-        (List.length b.witness))
+      check int_ (name ^ " witness lengths")
+        (List.length (Core.Disclosure_risk.witness a))
+        (List.length (Core.Disclosure_risk.witness b)))
     naive.findings compiled.findings
 
 let check_plan_parity name diagram policy options profile =

@@ -308,6 +308,80 @@ let test_random_sequences =
       in
       go base picks)
 
+(* The one-shot [classify] builds its before side only when it reads
+   it; that must not change a verdict. Every edit of all seven kinds
+   against a generated base (default options, or potential deletes and
+   granular reads) and against the pseudonymisation study with an
+   active binding. *)
+let edit_kind = function
+  | Core.Edit.Grant _ -> 0
+  | Revoke _ -> 1
+  | Add_flow _ -> 2
+  | Remove_flow _ -> 3
+  | Set_sensitivity _ -> 4
+  | Set_agreement _ -> 5
+  | Set_bindings _ -> 6
+
+(* An invalidation without the edited universe inside [inv_cone], which
+   holds caches and is compared through its compiled flows instead. *)
+let inv_shape (inv : Core.Edit.invalidation) =
+  ( { inv with inv_cone = None },
+    Option.map
+      (fun (c : Core.Generate.policy_changes) ->
+        (c.pc_compiled_old, c.pc_flows, c.pc_reads))
+      inv.inv_cone )
+
+let test_classify_against_baseline =
+  QCheck.Test.make ~count:20
+    ~name:"classify equals classify_against its baseline"
+    QCheck.(pair (int_range 1 60) (int_bound 2))
+    (fun (seed, variant) ->
+      let base =
+        match variant with
+        | 2 -> study_base ~bindings:[ H.study_binding ] ()
+        | _ ->
+          let spec, diagram, policy =
+            synth_model (Printf.sprintf "synthetic:3-5-2@%d" seed)
+          in
+          let options =
+            if variant = 0 then Core.Generate.default_options
+            else
+              { Core.Generate.default_options with potential_deletes = true;
+                granular_reads = true }
+          in
+          Core.Analysis.run ~options ~profile:(Synth.profile spec diagram)
+            diagram policy
+      in
+      let before = Core.Analysis.inputs_of base in
+      let options = base.params.options and universe = base.universe in
+      let flow_additions =
+        List.map
+          (fun ((svc : Service.t), (f : Flow.t)) ->
+            Core.Edit.Add_flow
+              { service = svc.id; flow = { f with order = f.order + 100 } })
+          (Diagram.all_flows before.diagram)
+      in
+      let edits =
+        Array.to_list (edit_vocabulary before)
+        @ flow_additions
+        @ [ Core.Edit.Set_bindings []; Core.Edit.Set_bindings [ H.study_binding ] ]
+      in
+      let kinds = List.sort_uniq compare (List.map edit_kind edits) in
+      if List.length kinds <> 7 then
+        QCheck.Test.fail_reportf "vocabulary covers %d of 7 edit kinds"
+          (List.length kinds);
+      let baseline = Core.Edit.baseline ~options ~universe before in
+      List.for_all
+        (fun edit ->
+          match Core.Edit.apply before edit with
+          | Error _ -> true
+          | Ok after ->
+            inv_shape (Core.Edit.classify ~options ~universe ~before ~after)
+            = inv_shape (Core.Edit.classify_against baseline after)
+            || QCheck.Test.fail_reportf "%s: verdicts differ"
+                 (Core.Edit.to_string edit))
+        edits)
+
 (* ------------------------------------------------------------------ *)
 (* Sweep: the delta evaluator against ground-truth diffs. *)
 
@@ -542,7 +616,7 @@ let gen_report =
       impact_level = Core.Level.None_;
       likelihood_level = Core.Level.None_;
       level = [| Core.Level.None_; Low; Medium; High |].(l);
-      witness = [];
+      trail = Core.Disclosure_risk.Start;
     }
   in
   QCheck.Gen.(
@@ -834,6 +908,7 @@ let () =
           Alcotest.test_case "bindings chain" `Quick test_bindings_chain;
           Alcotest.test_case "synthetic chain" `Quick test_synthetic_chain;
           QCheck_alcotest.to_alcotest test_random_sequences;
+          QCheck_alcotest.to_alcotest test_classify_against_baseline;
         ] );
       ( "sweep",
         [
