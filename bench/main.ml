@@ -369,79 +369,6 @@ let scaling_anonymisation () =
     [ 100; 500; 2000; 8000 ];
   Format.printf "%a@." Mdp_prelude.Texttable.pp table
 
-(* ------------------------------------------------------------------ *)
-(* Chaos: monitoring throughput and recovery under fault injection *)
-
-let chaos_resilience () =
-  section "[chaos] Fleet monitoring under fault injection";
-  let module R = Mdp_runtime in
-  let analysis = Core.Analysis.run ~profile:H.profile_case_a H.diagram H.policy in
-  let u = analysis.Core.Analysis.universe
-  and lts = analysis.Core.Analysis.lts
-  and annotate = Core.Analysis.annotate analysis in
-  let subjects = 40 and repeats = 50 and resync_depth = 8 in
-  let traces =
-    List.init subjects (fun i ->
-        ( Printf.sprintf "s%02d" i,
-          R.Sim.run_exn u
-            {
-              seed = 100 + (31 * i);
-              services = [ H.medical_service; H.research_service ];
-              snoopers = [];
-            } ))
-  in
-  Printf.printf "  %d subjects, %d clean events, resync depth %d\n" subjects
-    (Mdp_prelude.Listx.sum_by (fun (_, t) -> List.length t) traces)
-    resync_depth;
-  Printf.printf "  %-6s %9s %11s %8s %6s %6s %6s %6s\n" "rate" "events"
-    "events/s" "resyncs" "late" "dup" "dead" "lost";
-  List.iter
-    (fun rate ->
-      let profile = R.Faults.uniform rate in
-      let stream =
-        R.Trace.interleave
-          (List.mapi
-             (fun i (s, tr) ->
-               (s, (R.Faults.inject ~seed:(7 + (131 * i)) profile tr).delivered))
-             traces)
-      in
-      let feed () =
-        let fleet = R.Fleet.create ~resync_depth ~annotate u lts in
-        List.iter
-          (fun (s, e) -> ignore (R.Fleet.observe fleet ~subject:s e))
-          stream;
-        fleet
-      in
-      let t0 = Mdp_obs.Clock.now_ns () in
-      for _ = 2 to repeats do
-        ignore (feed ())
-      done;
-      let fleet = feed () in
-      let dt = Mdp_obs.Clock.elapsed_s t0 /. float_of_int repeats in
-      let resyncs, late, dup, dead =
-        List.fold_left
-          (fun (r, l, du, de) s ->
-            match R.Fleet.monitor_stats fleet ~subject:s with
-            | None -> (r, l, du, de)
-            | Some st ->
-              ( r + st.R.Monitor.resyncs,
-                l + st.late,
-                du + st.duplicates,
-                de + st.dead ))
-          (0, 0, 0, 0) (R.Fleet.subjects fleet)
-      in
-      let lost =
-        Mdp_prelude.Listx.count
-          (fun (_, h) -> h = R.Fleet.Lost)
-          (R.Fleet.health_summary fleet)
-      in
-      Printf.printf "  %-6s %9d %11.0f %8d %6d %6d %6d %6d\n"
-        (Printf.sprintf "%.0f%%" (100.0 *. rate))
-        (List.length stream)
-        (float_of_int (List.length stream) /. dt)
-        resyncs late dup dead lost)
-    [ 0.0; 0.01; 0.05; 0.20 ]
-
 let () =
   fig1 ();
   fig2 ();
@@ -455,5 +382,4 @@ let () =
   requirements ();
   scaling_generation ();
   scaling_anonymisation ();
-  chaos_resilience ();
   Printf.printf "\ndone.\n"

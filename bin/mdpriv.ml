@@ -381,20 +381,12 @@ let risk_cmd =
 
 (* ----- whatif / sweep ----- *)
 
-let pp_invalidation ppf (inv : Core.Edit.invalidation) =
-  let flags =
-    [
-      ("lts", inv.Core.Edit.inv_lts);
-      ("cone", Option.is_some inv.Core.Edit.inv_cone);
-      ("plan", inv.Core.Edit.inv_plan);
-      ("risk", inv.Core.Edit.inv_risk);
-      ("classes", inv.Core.Edit.inv_lts);
-      ("sigma", inv.Core.Edit.inv_sigma <> None);
-      ("pseudonym", inv.Core.Edit.inv_pseudonym);
-      ("consistency", inv.Core.Edit.inv_consistency);
-    ]
-  in
-  match List.filter_map (fun (n, b) -> if b then Some n else None) flags with
+let pp_invalidation ppf inv =
+  match
+    List.filter_map
+      (fun (n, b) -> if b then Some n else None)
+      (Core.Edit.invalidation_flags inv)
+  with
   | [] -> Format.pp_print_string ppf "nothing"
   | l -> Format.pp_print_string ppf (String.concat ", " l)
 
@@ -577,9 +569,10 @@ let sweep_cmd =
       value & flag
       & info [ "exact" ]
           ~doc:
-            "Compute replay/full-rerun candidates too, via the full \
-             incremental engine (slower; results stay byte-identical to \
-             cold runs).")
+            "Compute replay/full-rerun candidates too: a replay levels \
+             the reused plan's labels under the edited profile, a full \
+             rerun levels the labels of a cold exploration of the edited \
+             model (slower; results stay byte-identical to cold runs).")
   in
   let top =
     Arg.(
@@ -889,7 +882,8 @@ let monitor_cmd =
               Format.printf "%a@." Mdp_runtime.Monitor.pp_alert alert)
             (Mdp_runtime.Monitor.observe monitor event))
         trace;
-      Format.printf "%d event(s), %d alert(s)@." (List.length trace) !alerts;
+      Format.printf "%d event(s), %d alert(s)@."
+        (Mdp_runtime.Monitor.stats monitor).observed !alerts;
       if !alerts = 0 then 0 else exits_with_error
   in
   let trace_arg =
@@ -1096,318 +1090,6 @@ let serve_cmd =
       $ serve_max_states $ mem_budget_arg $ soak $ seed $ fault_rate
       $ metrics_term)
 
-(* ----- chaos ----- *)
-
-(* Runs the full resilience pipeline (Sim -> Faults -> Enforce ->
-   Monitor/Fleet) over a scenario: simulate per-subject traces, perturb
-   each through the fault injector, interleave, monitor the faulty
-   stream with resynchronisation enabled, checkpoint/restore the fleet
-   mid-run and check the alert stream is unchanged, and (when a
-   deployment is given) crash a node and retry a write with backoff.
-   Exit status is 0 iff no subject ends Lost and the checkpoint
-   round-trips exactly. *)
-
-module Chaos = struct
-  module R = Mdp_runtime
-  module L = Mdp_prelude.Listx
-
-  let feed fleet stream =
-    List.iter (fun (s, e) -> ignore (R.Fleet.observe fleet ~subject:s e)) stream
-
-  let count_alerts fleet subjects =
-    List.fold_left
-      (fun acc s ->
-        List.fold_left
-          (fun (r, d, o, rs, sk) -> function
-            | R.Monitor.Risky _ -> (r + 1, d, o, rs, sk)
-            | R.Monitor.Denied _ -> (r, d + 1, o, rs, sk)
-            | R.Monitor.Off_model _ -> (r, d, o + 1, rs, sk)
-            | R.Monitor.Resynced (_, k) -> (r, d, o, rs + 1, sk + k))
-          acc
-          (R.Fleet.alerts_for fleet ~subject:s))
-      (0, 0, 0, 0, 0) subjects
-
-  let sum_stats fleet subjects =
-    List.fold_left
-      (fun (dup, late, dead) s ->
-        match R.Fleet.monitor_stats fleet ~subject:s with
-        | None -> (dup, late, dead)
-        | Some st ->
-          (dup + st.R.Monitor.duplicates, late + st.late, dead + st.dead))
-      (0, 0, 0) subjects
-
-  (* Checkpoint after the prefix, restore into a fresh fleet, replay the
-     suffix there; the combined alert stream and final states must match
-     the uninterrupted reference run exactly. *)
-  let checkpoint_roundtrip u lts ~resync_depth ~annotate reference prefix
-      suffix =
-    let a = R.Fleet.create ~resync_depth ~annotate u lts in
-    feed a prefix;
-    match R.Fleet.restore ~annotate u lts (R.Fleet.checkpoint a) with
-    | Error e -> Error e
-    | Ok b ->
-      feed b suffix;
-      let agrees s =
-        R.Fleet.alerts_for reference ~subject:s
-        = R.Fleet.alerts_for a ~subject:s @ R.Fleet.alerts_for b ~subject:s
-        && R.Fleet.state_of reference ~subject:s = R.Fleet.state_of b ~subject:s
-      in
-      if List.for_all agrees (R.Fleet.subjects reference) then Ok ()
-      else Error "restored fleet diverged from the uninterrupted run"
-
-  (* Crash the node hosting [store] and retry a write with bounded
-     exponential backoff until the timed outage heals. *)
-  let crashed_write u deployment ~seed ~node ~store op_fields ~actor =
-    let chaos = R.Faults.chaos deployment in
-    let sim = R.Store_sim.create ~seed u in
-    let downtime = 4 in
-    R.Faults.crash_node ~for_ticks:downtime chaos node;
-    let op () =
-      R.Faults.sync_stores chaos sim;
-      R.Store_sim.write sim ~actor ~store ~subject:"chaos-demo" op_fields
-    in
-    let result, outcome = R.Faults.with_backoff chaos op in
-    (result, outcome, downtime)
-
-  let run_scenario ~name ~seed ~rate ~subjects ~resync_depth ~services
-      ~snoopers ~profile diagram policy backoff_demo =
-    match Core.Analysis.run_checked ~profile diagram policy with
-    | Error failure ->
-      prerr_endline (Core.Analysis.failure_message failure);
-      false
-    | Ok analysis ->
-    let u = analysis.Core.Analysis.universe
-    and lts = analysis.Core.Analysis.lts
-    and annotate = Core.Analysis.annotate analysis in
-    let traces =
-      List.init subjects (fun i ->
-        ( Printf.sprintf "%s-%02d" name i,
-          R.Sim.run_exn u { R.Sim.seed = seed + (31 * i); services; snoopers }
-        ))
-    in
-    let fprofile = R.Faults.uniform rate in
-    let injected =
-      List.mapi
-        (fun i (s, tr) ->
-          (s, R.Faults.inject ~seed:(seed + (131 * i)) fprofile tr))
-        traces
-    in
-    let fstats =
-      R.Faults.stats
-        (List.concat_map (fun (_, inj) -> inj.R.Faults.faults) injected)
-    in
-    let stream =
-      R.Trace.interleave
-        (List.map (fun (s, inj) -> (s, inj.R.Faults.delivered)) injected)
-    in
-    let generated = Mdp_prelude.Listx.sum_by (fun (_, t) -> List.length t) traces in
-    Format.printf "@.== chaos: %s (seed %d, fault rate %.0f%%) ==@." name seed
-      (100. *. rate);
-    Format.printf "  %d subjects, %d events generated, %d delivered (%a)@."
-      subjects generated (List.length stream) R.Faults.pp_stats fstats;
-    let fleet = R.Fleet.create ~resync_depth ~annotate u lts in
-    feed fleet stream;
-    let subject_ids = R.Fleet.subjects fleet in
-    let risky, denied, off, resyncs, skipped = count_alerts fleet subject_ids in
-    let dup, late, dead = sum_stats fleet subject_ids in
-    Format.printf
-      "  alerts: %d risky, %d denied, %d off-model, %d resyncs (%d \
-       transitions skipped)@."
-      risky denied off resyncs skipped;
-    Format.printf "  absorbed: %d duplicates, %d late arrivals; dead \
-                   letters: %d@."
-      dup late dead;
-    let healthy, degraded, lost =
-      List.fold_left
-        (fun (h, d, l) (_, health) ->
-          match health with
-          | R.Fleet.Healthy -> (h + 1, d, l)
-          | R.Fleet.Degraded _ -> (h, d + 1, l)
-          | R.Fleet.Lost -> (h, d, l + 1))
-        (0, 0, 0) (R.Fleet.health_summary fleet)
-    in
-    Format.printf "  health: %d healthy / %d degraded / %d lost@." healthy
-      degraded lost;
-    let mid = List.length stream / 2 in
-    let cp_ok =
-      match
-        checkpoint_roundtrip u lts ~resync_depth ~annotate fleet
-          (L.take mid stream)
-          (L.drop mid stream)
-      with
-      | Ok () ->
-        Format.printf
-          "  checkpoint at event %d, restore, replay: alert streams \
-           identical@."
-          mid;
-        true
-      | Error e ->
-        Format.printf "  checkpoint/restore FAILED: %s@." e;
-        false
-    in
-    let demo_ok =
-      match backoff_demo with
-      | None -> true
-      | Some (deployment, node, store, actor, fields) -> (
-        match crashed_write u deployment ~seed ~node ~store fields ~actor with
-        | Ok (), outcome, downtime ->
-          Format.printf
-            "  crash: node %s (hosting %s) down %d ticks; %s write \
-             recovered after %d attempts (%d ticks waited)@."
-            node store downtime actor outcome.R.Faults.attempts
-            outcome.R.Faults.waited;
-          true
-        | Error e, outcome, downtime ->
-          Format.printf
-            "  crash: node %s down %d ticks; write still failing after %d \
-             attempts: %s@."
-            node downtime outcome.R.Faults.attempts e;
-          false)
-    in
-    lost = 0 && cp_ok && demo_ok
-end
-
-let chaos_cmd =
-  let run model_path seed rate subjects resync_depth metrics =
-    with_metrics metrics @@ fun () ->
-    let module S = Mdp_scenario in
-    let module R = Mdp_runtime in
-    let ok =
-      match model_path with
-      | Some path -> (
-        match load_model path with
-        | Error (`Msg e) ->
-          prerr_endline e;
-          false
-        | Ok { diagram; policy; _ } ->
-          let services =
-            List.map
-              (fun (s : Mdp_dataflow.Service.t) -> s.id)
-              diagram.Mdp_dataflow.Diagram.services
-          in
-          Chaos.run_scenario ~name:"model" ~seed ~rate ~subjects ~resync_depth
-            ~services ~snoopers:[]
-            ~profile:(Core.User_profile.make ~agreed_services:services ())
-            diagram policy None)
-      | None ->
-        (* Built-in exercise: the paper's healthcare service (with its
-           three-region deployment and a node-crash write retry) plus the
-           smart-home scenario, both under the same fault profile. *)
-        let healthcare =
-          let u =
-            Core.Universe.make S.Healthcare.diagram S.Healthcare.policy
-          in
-          let demo =
-            match
-              R.Deployment.create
-                ~nodes:
-                  [
-                    { R.Deployment.id = "surgery"; region = "UK" };
-                    { R.Deployment.id = "dc-eu"; region = "EU" };
-                    { R.Deployment.id = "research-cloud"; region = "US" };
-                  ]
-                ~actors:
-                  [
-                    ("Receptionist", "surgery");
-                    ("Doctor", "surgery");
-                    ("Nurse", "surgery");
-                    ("Administrator", "dc-eu");
-                    ("Researcher", "research-cloud");
-                  ]
-                ~stores:
-                  [
-                    ("Appointments", "surgery");
-                    ("EHR", "dc-eu");
-                    ("AnonEHR", "research-cloud");
-                  ]
-                u
-            with
-            | Error msgs -> failwith (String.concat "\n" msgs)
-            | Ok deployment ->
-              Some
-                ( deployment,
-                  "dc-eu",
-                  "EHR",
-                  "Doctor",
-                  [ (S.Healthcare.diagnosis, Mdp_anon.Value.Str "observation") ]
-                )
-          in
-          Chaos.run_scenario ~name:"healthcare" ~seed ~rate ~subjects
-            ~resync_depth
-            ~services:
-              [ S.Healthcare.medical_service; S.Healthcare.research_service ]
-            ~snoopers:
-              [
-                {
-                  R.Sim.actor = "Administrator";
-                  store = "EHR";
-                  probability = 0.3;
-                };
-              ]
-            ~profile:S.Healthcare.profile_case_a S.Healthcare.diagram
-            S.Healthcare.policy demo
-        in
-        let smart_home =
-          Chaos.run_scenario ~name:"smart-home" ~seed:(seed + 1) ~rate
-            ~subjects ~resync_depth
-            ~services:
-              [ S.Smart_home.energy_service; S.Smart_home.analytics_service ]
-            ~snoopers:
-              [
-                {
-                  R.Sim.actor = "Marketing";
-                  store = "Telemetry";
-                  probability = 0.3;
-                };
-              ]
-            ~profile:S.Smart_home.profile S.Smart_home.diagram
-            S.Smart_home.policy None
-        in
-        healthcare && smart_home
-    in
-    if ok then begin
-      Format.printf "@.chaos: all monitors recovered@.";
-      0
-    end
-    else begin
-      Format.printf "@.chaos: FAILURES detected@.";
-      exits_with_error
-    end
-  in
-  let model =
-    let doc =
-      "Model file to stress instead of the built-in healthcare and \
-       smart-home scenarios."
-    in
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"MODEL" ~doc)
-  in
-  let seed =
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Chaos seed.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 0.05
-      & info [ "rate" ] ~docv:"P"
-          ~doc:"Per-event drop/duplicate/reorder/delay probability.")
-  in
-  let subjects =
-    Arg.(
-      value & opt int 6
-      & info [ "subjects" ] ~docv:"N" ~doc:"Data subjects per scenario.")
-  in
-  let resync_depth =
-    Arg.(
-      value & opt int 8
-      & info [ "resync-depth" ] ~docv:"D"
-          ~doc:"Max transitions a monitor resynchronisation may skip.")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Stress the runtime monitor with fault injection and report \
-          alert/recovery statistics.")
-    Term.(const run $ model $ seed $ rate $ subjects $ resync_depth $ metrics_term)
-
 let () =
   let info =
     Cmd.info "mdpriv" ~version:"1.0.0"
@@ -1418,4 +1100,4 @@ let () =
        (Cmd.group info
           [ validate_cmd; dot_cmd; lts_cmd; risk_cmd; whatif_cmd; sweep_cmd;
             simulate_cmd; anon_cmd; check_cmd; population_cmd; monitor_cmd;
-            transfers_cmd; transparency_cmd; serve_cmd; chaos_cmd ]))
+            transfers_cmd; transparency_cmd; serve_cmd ]))

@@ -2,11 +2,13 @@ open Mdp_dataflow
 open Mdp_policy
 
 (* Typed model edits (the §IV-A design loop's vocabulary) and the
-   invalidation analysis behind [Analysis.run_incremental]: given what
-   an edit concretely changed, decide which artifacts of the previous
-   run — LTS, compiled risk plan, per-profile evaluation, population
-   classes, pseudonym pass, consistency gaps — must be recomputed and
-   which can be reused byte-for-byte. *)
+   invalidation analysis that [Analysis.run_incremental] and the
+   what-if sweep's classification read: given what an edit concretely
+   changed, decide which artifacts of the previous run — LTS, compiled
+   risk plan, per-profile evaluation, population classes, pseudonym
+   pass, consistency gaps — must be recomputed and which can be reused
+   byte-for-byte. The sweep computes its outcomes without
+   [run_incremental]: see [Whatif]. *)
 
 type t =
   | Grant of Acl.entry
@@ -174,6 +176,18 @@ let everything =
     inv_pseudonym = true;
     inv_consistency = true;
   }
+
+let invalidation_flags inv =
+  [
+    ("lts", inv.inv_lts);
+    ("cone", Option.is_some inv.inv_cone);
+    ("plan", inv.inv_plan);
+    ("risk", inv.inv_risk);
+    ("classes", inv.inv_lts);
+    ("sigma", inv.inv_sigma <> None);
+    ("pseudonym", inv.inv_pseudonym);
+    ("consistency", inv.inv_consistency);
+  ]
 
 (* The pure-sensitivity delta of a profile edit: the fields whose σ
    changed, with their new values — [None] when the agreed-service sets

@@ -4,10 +4,13 @@
     one ACL, re-analyse. This module gives that loop a first-class
     vocabulary — ACL grants/revocations, flow additions/removals, field
     sensitivity changes, service (dis)agreement, anonymisation-binding
-    changes — plus the impact classifier [Analysis.run_incremental]
-    uses to decide which artifacts of the previous run (LTS, compiled
-    risk plan, per-profile evaluation, population classes, pseudonym
-    pass, consistency gaps) survive the edit. *)
+    changes — plus the impact classifier that decides which artifacts
+    of the previous run (LTS, compiled risk plan, per-profile
+    evaluation, population classes, pseudonym pass, consistency gaps)
+    survive the edit. {!Analysis.run_incremental} reuses what it
+    keeps; the what-if sweep ({!Whatif}) classifies candidates by it
+    and computes their outcomes by levelling labels, not through
+    [run_incremental]. *)
 
 open Mdp_dataflow
 open Mdp_policy
@@ -76,6 +79,11 @@ type invalidation = {
 }
 
 val everything : invalidation
+
+val invalidation_flags : invalidation -> (string * bool) list
+(** Every flag as a (name, set) pair, in report order: [lts], [cone],
+    [plan], [risk], [classes] (population equivalence classes, set
+    with [lts]), [sigma], [pseudonym], [consistency]. *)
 
 val classify :
   options:Generate.options ->

@@ -39,7 +39,14 @@ let validate_ids ctx t =
     (fun (d : Datastore.t) ->
       Validate.require ctx (d.id <> "User")
         "datastore id User is reserved for the data subject")
-    t.datastores
+    t.datastores;
+  (* An event trace line writes "-" for an absent store, service or
+     counterparty, so no id may be "-". *)
+  Validate.require ctx
+    (List.for_all (fun (a : Actor.t) -> a.id <> "-") t.actors
+    && List.for_all (fun (d : Datastore.t) -> d.id <> "-") t.datastores
+    && List.for_all (fun (s : Service.t) -> s.id <> "-") t.services)
+    "id - is reserved for \"none\" in event traces"
 
 let validate_flow ctx t ~service (flow : Flow.t) =
   let where = Printf.sprintf "service %s, flow %d" service flow.order in

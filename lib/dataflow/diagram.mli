@@ -15,7 +15,8 @@ val make :
   (t, string list) result
 (** Validates and builds. All errors are reported at once. Checks:
     unique ids (across actors, datastores and services; actor and store
-    ids must also not collide with each other or with ["User"]); every
+    ids must also not collide with each other or with ["User"], and no
+    id may be ["-"], which event traces read as "none"); every
     flow endpoint resolves; [collect] flows carry base fields only;
     [create]/[read] flow fields belong to the target/source store's
     schemas; [anon] flow fields are base fields whose anon variants the

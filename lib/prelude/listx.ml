@@ -21,16 +21,6 @@ let max_byf f l = List.fold_left (fun acc x -> Float.max acc (f x)) 0.0 l
 
 let count p l = List.fold_left (fun acc x -> if p x then acc + 1 else acc) 0 l
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let rec drop n = function
-  | [] -> []
-  | l when n <= 0 -> l
-  | _ :: rest -> drop (n - 1) rest
-
 let index_of p l =
   let rec go i = function
     | [] -> None

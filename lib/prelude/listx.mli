@@ -14,9 +14,6 @@ val max_byf : ('a -> float) -> 'a list -> float
 (** Maximum of [f] over the list; 0.0 on the empty list. *)
 
 val count : ('a -> bool) -> 'a list -> int
-val take : int -> 'a list -> 'a list
-val drop : int -> 'a list -> 'a list
-(** The complement of {!take}: everything after the first [n] elements. *)
 
 val index_of : ('a -> bool) -> 'a list -> int option
 val find_duplicate : ('a -> 'b) -> 'a list -> 'b option

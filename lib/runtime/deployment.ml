@@ -47,7 +47,6 @@ let create ~nodes ~actors ~stores universe =
 
 let node_of_actor t id = List.assoc id t.actor_nodes
 let node_of_store t id = List.assoc id t.store_nodes
-let store_placements t = t.store_nodes
 
 type transfer = {
   action : Core.Action.t;

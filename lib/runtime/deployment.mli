@@ -25,8 +25,6 @@ val create :
 val node_of_actor : t -> string -> node
 val node_of_store : t -> string -> node
 
-val store_placements : t -> (string * node) list
-
 type transfer = {
   action : Mdp_core.Action.t;
   from_node : node option;  (** [None]: the data subject's device. *)

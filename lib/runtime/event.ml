@@ -45,27 +45,30 @@ let to_line t =
     (String.concat "," (List.map Field.name t.fields))
     (opt t.store) (opt t.service) (opt t.counterparty)
 
+(* [Field.of_name] rejects an empty or blank name: "Name,,DateOfBirth"
+   and "," are malformed field lists, not a reason to raise. *)
+let field_list s =
+  match List.map Field.of_name (String.split_on_char ',' s) with
+  | fields -> Ok fields
+  | exception Invalid_argument _ -> Error ("bad field list: " ^ s)
+
 let of_line line =
   match String.split_on_char ' ' (String.trim line) with
   | [ time; kind; actor; fields; store; service; counterparty ] -> (
-    match (int_of_string_opt time, kind_of_string kind) with
-    | Some time, Some kind ->
-      let parse_opt = function "-" -> None | s -> Some s in
-      let fields =
-        List.map Field.of_name (String.split_on_char ',' fields)
-      in
-      if fields = [] then Error "event line has no fields"
-      else
-        Ok
-          {
-            time;
-            kind;
-            actor;
-            fields;
-            store = parse_opt store;
-            service = parse_opt service;
-            counterparty = parse_opt counterparty;
-          }
-    | None, _ -> Error ("bad timestamp: " ^ time)
-    | _, None -> Error ("bad action kind: " ^ kind))
+    let parse_opt = function "-" -> None | s -> Some s in
+    match (int_of_string_opt time, kind_of_string kind, field_list fields) with
+    | None, _, _ -> Error ("bad timestamp: " ^ time)
+    | _, None, _ -> Error ("bad action kind: " ^ kind)
+    | _, _, Error e -> Error e
+    | Some time, Some kind, Ok fields ->
+      Ok
+        {
+          time;
+          kind;
+          actor;
+          fields;
+          store = parse_opt store;
+          service = parse_opt service;
+          counterparty = parse_opt counterparty;
+        })
   | _ -> Error ("malformed event line: " ^ line)

@@ -38,4 +38,5 @@ val to_line : t -> string
     [17 read Administrator Name,Diagnosis store=EHR service=-]. *)
 
 val of_line : string -> (t, string) result
-(** Inverse of [to_line]. *)
+(** Inverse of [to_line]; [Error] on a malformed line, never an
+    exception. *)

@@ -1,6 +1,5 @@
 open Mdp_dataflow
 module Core = Mdp_core
-module Json = Mdp_prelude.Json
 
 type alert =
   | Denied of Event.t * string
@@ -24,12 +23,10 @@ type stats = {
   late : int;
   resyncs : int;
   skipped : int;
-  dead : int;
+  dead : Event.t list;
   dead_dropped : int;
   consecutive_dead : int;
 }
-
-let default_dead_letter_cap = 256
 
 type t = {
   universe : Core.Universe.t;
@@ -56,16 +53,17 @@ type t = {
   mutable consecutive_dead : int;
 }
 
-(* A monitor at the LTS's initial state that has observed nothing. *)
-let start ~min_level ~resync_depth ~dead_cap universe lts labels risks =
+let create ?(min_level = Core.Level.Low) ?(resync_depth = 0)
+    ?(dead_letter_cap = 256) ~annotate universe lts =
+  let labels = Option.get (Core.Plts.interned_labels lts) in
   {
     universe;
     lts;
     labels;
-    risks;
+    risks = Array.map (fun label -> (annotate label).Core.Action.risk) labels;
     min_level;
     resync_depth;
-    dead_cap;
+    dead_cap = max 0 dead_letter_cap;
     state = Core.Plts.initial lts;
     last_time = min_int;
     seen = Hashtbl.create 64;
@@ -81,19 +79,7 @@ let start ~min_level ~resync_depth ~dead_cap universe lts labels risks =
     consecutive_dead = 0;
   }
 
-let create ?(min_level = Core.Level.Low) ?(resync_depth = 0)
-    ?(dead_letter_cap = default_dead_letter_cap) ~annotate universe lts =
-  let labels = Option.get (Core.Plts.interned_labels lts) in
-  start ~min_level ~resync_depth ~dead_cap:(max 0 dead_letter_cap) universe lts
-    labels
-    (Array.map (fun label -> (annotate label).Core.Action.risk) labels)
-
-let fresh t =
-  start ~min_level:t.min_level ~resync_depth:t.resync_depth ~dead_cap:t.dead_cap
-    t.universe t.lts t.labels t.risks
-
 let current_state t = t.state
-let dead_letters t = List.of_seq (Queue.to_seq t.dead_q)
 
 let stats t =
   {
@@ -103,7 +89,7 @@ let stats t =
     late = t.late;
     resyncs = t.resyncs;
     skipped = t.skipped;
-    dead = Queue.length t.dead_q;
+    dead = List.of_seq (Queue.to_seq t.dead_q);
     dead_dropped = t.dead_dropped;
     consecutive_dead = t.consecutive_dead;
   }
@@ -209,15 +195,9 @@ let advance t (event : Event.t) next =
    run keeps the newest evidence (the events an operator would replay)
    and a count of what it shed, instead of growing without limit. *)
 let dead_letter t event =
-  if t.dead_cap > 0 then begin
-    if Queue.length t.dead_q >= t.dead_cap then begin
-      ignore (Queue.pop t.dead_q : Event.t);
-      t.dead_dropped <- t.dead_dropped + 1;
-      Mdp_obs.Metrics.incr "monitor/dead_letters_dropped"
-    end;
-    Queue.add event t.dead_q
-  end
-  else begin
+  Queue.add event t.dead_q;
+  if Queue.length t.dead_q > t.dead_cap then begin
+    ignore (Queue.pop t.dead_q : Event.t);
     t.dead_dropped <- t.dead_dropped + 1;
     Mdp_obs.Metrics.incr "monitor/dead_letters_dropped"
   end;
@@ -298,163 +278,6 @@ let observe t event =
   alerts
 
 let run_trace t events = List.concat_map (observe t) events
-
-(* ------------------------------------------------------------------ *)
-(* Checkpointing *)
-
-let pending_to_json p =
-  Json.Obj
-    [
-      ("kind", Json.Str (Event.kind_to_string p.p_kind));
-      ("actor", Json.Str p.p_actor);
-      ( "store",
-        match p.p_store with None -> Json.Null | Some s -> Json.Str s );
-      ("fields", Json.List (List.map (fun f -> Json.Str (Field.name f)) p.p_fields));
-    ]
-
-let to_json t =
-  let event_lines events =
-    Json.List (List.map (fun e -> Json.Str (Event.to_line e)) events)
-  in
-  let seen_lines =
-    Hashtbl.fold (fun line () acc -> Json.Str line :: acc) t.seen []
-  in
-  Json.Obj
-    [
-      ("version", Json.int 1);
-      ("state", Json.int t.state);
-      ("last_time", Json.int t.last_time);
-      ("min_level", Json.Str (Core.Level.to_string t.min_level));
-      ("resync_depth", Json.int t.resync_depth);
-      ("dead_letter_cap", Json.int t.dead_cap);
-      ("dead_dropped", Json.int t.dead_dropped);
-      ("seen", Json.List seen_lines);
-      ("pending", Json.List (List.map pending_to_json t.pending));
-      ("dead", event_lines (dead_letters t));
-      ("observed", Json.int t.observed);
-      ("placed", Json.int t.placed);
-      ("duplicates", Json.int t.duplicates);
-      ("late", Json.int t.late);
-      ("resyncs", Json.int t.resyncs);
-      ("skipped", Json.int t.skipped);
-      ("consecutive_dead", Json.int t.consecutive_dead);
-    ]
-
-let ( let* ) = Result.bind
-
-let field_of name json ~f =
-  match Json.member name json with
-  | Some v -> f v
-  | None -> Error (Printf.sprintf "checkpoint: missing field %S" name)
-
-let as_int name = function
-  | Json.Num n -> Ok (int_of_float n)
-  | _ -> Error (Printf.sprintf "checkpoint: %s is not a number" name)
-
-let as_str name = function
-  | Json.Str s -> Ok s
-  | _ -> Error (Printf.sprintf "checkpoint: %s is not a string" name)
-
-let as_list name = function
-  | Json.List l -> Ok l
-  | _ -> Error (Printf.sprintf "checkpoint: %s is not a list" name)
-
-let int_field name json = field_of name json ~f:(as_int name)
-let str_field name json = field_of name json ~f:(as_str name)
-let list_field name json = field_of name json ~f:(as_list name)
-
-let collect f items =
-  List.fold_left
-    (fun acc item ->
-      let* acc = acc in
-      let* v = f item in
-      Ok (v :: acc))
-    (Ok []) items
-  |> Result.map List.rev
-
-let pending_of_json json =
-  let* kind_s = str_field "kind" json in
-  let* actor = str_field "actor" json in
-  let* fields = list_field "fields" json in
-  let* p_fields = collect (as_str "field") fields in
-  let* p_kind =
-    match Event.kind_of_string kind_s with
-    | Some k -> Ok k
-    | None -> Error (Printf.sprintf "checkpoint: bad action kind %S" kind_s)
-  in
-  let p_store =
-    match Json.member "store" json with
-    | Some (Json.Str s) -> Some s
-    | Some _ | None -> None
-  in
-  Ok
-    {
-      p_kind;
-      p_actor = actor;
-      p_store;
-      p_fields = List.map Field.of_name p_fields;
-    }
-
-let of_json ~annotate universe lts json =
-  let* state = int_field "state" json in
-  let* last_time = int_field "last_time" json in
-  let* level_s = str_field "min_level" json in
-  let* resync_depth = int_field "resync_depth" json in
-  (* Absent in pre-cap checkpoints: default to the unbounded-era
-     behaviour's nearest equivalent (the standard cap, nothing shed). *)
-  let dead_cap =
-    match Json.member "dead_letter_cap" json with
-    | Some (Json.Num n) -> int_of_float n
-    | Some _ | None -> default_dead_letter_cap
-  in
-  let dead_dropped =
-    match Json.member "dead_dropped" json with
-    | Some (Json.Num n) -> int_of_float n
-    | Some _ | None -> 0
-  in
-  let* seen_l = list_field "seen" json in
-  let* seen_lines = collect (as_str "seen entry") seen_l in
-  let* pending_l = list_field "pending" json in
-  let* pending = collect pending_of_json pending_l in
-  let* dead_l = list_field "dead" json in
-  let* dead_lines = collect (as_str "dead letter") dead_l in
-  let* dead = collect Event.of_line dead_lines in
-  let* observed = int_field "observed" json in
-  let* placed = int_field "placed" json in
-  let* duplicates = int_field "duplicates" json in
-  let* late = int_field "late" json in
-  let* resyncs = int_field "resyncs" json in
-  let* skipped = int_field "skipped" json in
-  let* consecutive_dead = int_field "consecutive_dead" json in
-  let* min_level =
-    match Core.Level.of_string level_s with
-    | Some l -> Ok l
-    | None -> Error (Printf.sprintf "checkpoint: bad level %S" level_s)
-  in
-  if state < 0 || state >= Core.Plts.num_states lts then
-    Error
-      (Printf.sprintf "checkpoint: state %d outside the LTS (%d states)" state
-         (Core.Plts.num_states lts))
-  else begin
-    let t =
-      create ~min_level ~resync_depth ~dead_letter_cap:dead_cap ~annotate
-        universe lts
-    in
-    t.state <- state;
-    t.last_time <- last_time;
-    List.iter (fun line -> Hashtbl.replace t.seen line ()) seen_lines;
-    t.pending <- pending;
-    List.iter (fun e -> Queue.add e t.dead_q) dead;
-    t.dead_dropped <- dead_dropped;
-    t.observed <- observed;
-    t.placed <- placed;
-    t.duplicates <- duplicates;
-    t.late <- late;
-    t.resyncs <- resyncs;
-    t.skipped <- skipped;
-    t.consecutive_dead <- consecutive_dead;
-    Ok t
-  end
 
 let pp_alert ppf = function
   | Denied (e, reason) -> Format.fprintf ppf "DENIED %a: %s" Event.pp e reason

@@ -34,9 +34,7 @@
     - an event that cannot be placed at all goes to the dead-letter queue
       and raises {!Off_model}.
 
-    {!stats} exposes the counters; {!to_json}/{!of_json} checkpoint the
-    whole monitor state so a crashed monitoring node can resume without
-    replaying the full trace. *)
+    {!stats} exposes the counters and the dead letters. *)
 
 type alert =
   | Denied of Event.t * string
@@ -70,10 +68,6 @@ val create :
     risk-transitions are not part of the LTS, so an inferred read of a
     raw field is never a modelled event. *)
 
-val fresh : t -> t
-(** A new monitor at the initial state with [t]'s settings and risk
-    per label, without running [annotate] again. *)
-
 val current_state : t -> Mdp_core.Plts.state_id
 
 val observe : t -> Event.t -> alert list
@@ -84,11 +78,6 @@ val observe : t -> Event.t -> alert list
 val run_trace : t -> Event.t list -> alert list
 (** Observe a whole trace; alerts in event order. *)
 
-val dead_letters : t -> Event.t list
-(** Events the monitor could not place anywhere, in arrival order —
-    the newest [dead_letter_cap] of them; older ones are shed
-    (see {!create}). *)
-
 type stats = {
   observed : int;  (** Events fed to {!observe}. *)
   placed : int;  (** Events that advanced the LTS state. *)
@@ -97,7 +86,10 @@ type stats = {
                    transitions. *)
   resyncs : int;  (** Gaps bridged. *)
   skipped : int;  (** Transitions skipped across all resyncs. *)
-  dead : int;  (** Dead letters currently held (bounded by the cap). *)
+  dead : Event.t list;
+      (** Events the monitor could not place anywhere, in arrival
+          order: the newest [dead_letter_cap] of them; older ones are
+          shed (see {!create}). *)
   dead_dropped : int;  (** Dead letters shed to stay within the cap. *)
   consecutive_dead : int;  (** Current run of dead letters with nothing
                                placed in between — a high value means the
@@ -105,18 +97,5 @@ type stats = {
 }
 
 val stats : t -> stats
-
-(** {1 Checkpointing} *)
-
-val to_json : t -> Mdp_prelude.Json.t
-(** The complete resumable state: LTS position, dedup memory, pending
-    skipped transitions, dead letters, counters, configuration. State ids
-    are stable because LTS generation is deterministic; restore against
-    an LTS generated from the same model with the same options. *)
-
-val of_json :
-  annotate:(Mdp_core.Action.t -> Mdp_core.Action.t) ->
-  Mdp_core.Universe.t -> Mdp_core.Plts.t -> Mdp_prelude.Json.t ->
-  (t, string) result
 
 val pp_alert : Format.formatter -> alert -> unit

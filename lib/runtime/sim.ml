@@ -105,19 +105,29 @@ let run u config =
       rev_events = [];
     }
   in
-  (* One bad entry in a fleet-wide run config must not abort the whole
-     run: unknown service ids are reported, not raised. *)
+  (* A bad config entry is reported, not raised. *)
   let unknown =
     List.filter
       (fun id -> Diagram.find_service diagram id = None)
       config.services
   in
-  if unknown <> [] then
+  let bad_snooper (sn : snooper) =
+    if Diagram.find_actor diagram sn.actor = None then
+      Some ("unknown snooper actor " ^ sn.actor)
+    else if Diagram.find_store diagram sn.store = None then
+      Some ("unknown snooper datastore " ^ sn.store)
+    else if not (sn.probability >= 0.0 && sn.probability <= 1.0) then
+      Some (Printf.sprintf "snooper probability %g not in [0,1]" sn.probability)
+    else None
+  in
+  match (unknown, List.find_map bad_snooper config.snoopers) with
+  | _ :: _, _ ->
     Error
       (Printf.sprintf "unknown service%s %s"
          (if List.length unknown > 1 then "s" else "")
          (String.concat ", " unknown))
-  else begin
+  | [], Some e -> Error e
+  | [], None ->
   (* Pending flow queues, one per requested service, consumed in order;
      the next service to step is drawn at random among the non-empty. *)
   let queues =
@@ -178,7 +188,6 @@ let run u config =
   let trace = List.rev st.rev_events in
   Trace.publish_metrics ~prefix:"sim" trace;
   Ok trace
-  end
 
 let run_exn u config =
   match run u config with

@@ -20,9 +20,10 @@ type config = {
 }
 
 val run : Mdp_core.Universe.t -> config -> (Event.t list, string) result
-(** [Error] names the service ids absent from the universe's diagram —
-    one bad config entry should degrade, not abort, a fleet run. *)
+(** [Error] names the service ids absent from the universe's diagram,
+    or else the first snooper whose actor or datastore is absent or
+    whose probability is not in \[0,1\] (NaN included). *)
 
 val run_exn : Mdp_core.Universe.t -> config -> Event.t list
 (** Convenience for callers with statically-known service ids.
-    @raise Invalid_argument on an unknown service id. *)
+    @raise Invalid_argument on a config {!run} rejects. *)

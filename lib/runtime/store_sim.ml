@@ -15,7 +15,6 @@ type table = {
 type t = {
   universe : Core.Universe.t;
   tables : (string, table) Hashtbl.t;
-  outages : (string, unit) Hashtbl.t;
   rng : Mdp_prelude.Prng.t;
 }
 
@@ -26,31 +25,10 @@ let create ?(seed = 1) universe =
       Hashtbl.replace tables d.id
         { datastore = d; records = Hashtbl.create 16; rev_subjects = [] })
     (Core.Universe.diagram universe).Diagram.datastores;
-  {
-    universe;
-    tables;
-    outages = Hashtbl.create 4;
-    rng = Mdp_prelude.Prng.create ~seed;
-  }
-
-let retriable_prefix = "unavailable:"
-
-let is_retriable msg =
-  String.length msg >= String.length retriable_prefix
-  && String.sub msg 0 (String.length retriable_prefix) = retriable_prefix
-
-let set_available t ~store up =
-  if up then Hashtbl.remove t.outages store
-  else Hashtbl.replace t.outages store ()
-
-let available t ~store = not (Hashtbl.mem t.outages store)
+  { universe; tables; rng = Mdp_prelude.Prng.create ~seed }
 
 let table t store =
   match Hashtbl.find_opt t.tables store with
-  | Some _ when not (available t ~store) ->
-    Error
-      (Printf.sprintf "%s datastore %s is on a crashed node" retriable_prefix
-         store)
   | Some tbl -> Ok tbl
   | None -> Error (Printf.sprintf "unknown datastore %s" store)
 

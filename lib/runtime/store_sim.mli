@@ -17,22 +17,6 @@ type t
 val create : ?seed:int -> Mdp_core.Universe.t -> t
 (** The seed drives pseudonym generation only. *)
 
-(** {1 Availability}
-
-    A store whose node has crashed (see {!Faults.chaos}) is marked
-    unavailable: every operation on it fails with a {e retriable} error
-    until it is marked available again. {!Faults.with_backoff} consumes
-    exactly these errors. *)
-
-val set_available : t -> store:string -> bool -> unit
-val available : t -> store:string -> bool
-(** Defaults to [true]; unknown stores are reported available (their
-    operations fail with the non-retriable unknown-datastore error). *)
-
-val is_retriable : string -> bool
-(** Recognises the errors produced by an unavailable store, i.e. the
-    failures a caller should retry with backoff rather than surface. *)
-
 type subject = string
 
 val write :

@@ -18,13 +18,6 @@ let of_lines text =
   in
   go [] 1 lines
 
-let interleave traces =
-  List.concat_map
-    (fun (subject, events) -> List.map (fun e -> (subject, e)) events)
-    traces
-  |> List.stable_sort (fun (_, a) (_, b) ->
-         compare a.Event.time b.Event.time)
-
 type stats = {
   events : int;
   span : int;

@@ -8,12 +8,6 @@ val of_lines : string -> (t, string) result
 (** Skips blank lines; fails on the first malformed one (with its line
     number) and on a timestamp that does not strictly increase. *)
 
-val interleave : (string * t) list -> (string * Event.t) list
-(** Merge per-subject traces into one stream ordered by timestamp
-    (stable: ties keep the input's subject order) — the shape a deployed
-    multi-subject service actually emits, ready for
-    {!Fleet.observe}. *)
-
 type stats = {
   events : int;
   span : int;  (** Last timestamp minus first; 0 for traces under 2 events. *)

@@ -237,16 +237,9 @@ let whatif_body ?population ~diff ~(inv : C.Edit.invalidation) ~before
        ("incremental", Json.Bool (not inv.C.Edit.inv_lts));
        ( "invalidated",
          Json.Obj
-           [
-             ("lts", Json.Bool inv.C.Edit.inv_lts);
-             ("cone", Json.Bool (Option.is_some inv.C.Edit.inv_cone));
-             ("plan", Json.Bool inv.C.Edit.inv_plan);
-             ("risk", Json.Bool inv.C.Edit.inv_risk);
-             ("classes", Json.Bool inv.C.Edit.inv_lts);
-             ("sigma", Json.Bool (inv.C.Edit.inv_sigma <> None));
-             ("pseudonym", Json.Bool inv.C.Edit.inv_pseudonym);
-             ("consistency", Json.Bool inv.C.Edit.inv_consistency);
-           ] );
+           (List.map
+              (fun (n, b) -> (n, Json.Bool b))
+              (C.Edit.invalidation_flags inv)) );
      ]
     @ (match population with
       | None -> []

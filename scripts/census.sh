@@ -9,6 +9,9 @@
 # instances are followed). A reference inside a lib/ definition is an
 # edge from that definition; the census closes the roots over the edges.
 #
+# A reference recorded without a location (an `ext_ref`, as through an
+# alias `module Json = Mdp_prelude.Json` inside an executable) is
+# resolved by module and value name instead.
 # What the compiler does not record as a reference is invisible here:
 # a value that only a functor consumes (an argument's `equal`/`hash`)
 # shows as unreached.
@@ -51,6 +54,18 @@ function unq(s) { gsub(/"/, "", s); return s }
   nr++; rfile[nr] = file; rpos[nr] = pos; rkey[nr] = stem(target) ":" name
   next
 }
+/^  ext_ref / {
+  # A reference the compiler left without a declaration location: a
+  # value reached through a module alias a root defines (bench/suite
+  # reaches Json through Util.Json). Resolve it by module and value
+  # name: lib/ module names are unique, and a Dune__exe path names a
+  # module of the executable itself.
+  if (file !~ /^(bin|bench|examples)\// || $2 ~ /^Dune__exe\./) next
+  n = split($2, parts, "."); if (n < 2) next
+  m = parts[n - 1]
+  extroot[tolower(substr(m, 1, 1)) substr(m, 2) ":" parts[n]] = 1
+  next
+}
 END {
   # A structure item binds to the end of its structure: the file
   # (cnum -1) or a module whose own scope starts where its body ends.
@@ -81,6 +96,7 @@ END {
       src = stem(f) ":" dname[bd]
     ne++; esrc[ne] = src; edst[ne] = t
   }
+  for (k in isdef) { b = k; sub(/.*\//, "", b); if (b in extroot) root[k] = 1 }
   for (t in root) { reached[t] = 1; todo[++nt] = t }
   while (nt > 0) {
     k = todo[nt--]

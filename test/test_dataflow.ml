@@ -199,7 +199,26 @@ let test_diagram_reserved_and_collisions () =
     [ mini_store () ] [];
   expect_errors ~expect_substring:"names both an actor and a datastore"
     [ Actor.make "S" ]
-    [ mini_store () ] []
+    [ mini_store () ] [];
+  (* Event trace lines write "-" for an absent store/service/actor. *)
+  expect_errors ~expect_substring:"id - is reserved" [ Actor.make "-" ]
+    [ mini_store () ] [];
+  expect_errors ~expect_substring:"id - is reserved" []
+    [
+      Datastore.make ~id:"-"
+        ~schemas:[ Schema.make ~id:"Sch" ~fields:[ Field.make "A" ] ]
+        ();
+    ]
+    [];
+  expect_errors ~expect_substring:"id - is reserved" [ Actor.make "B" ] []
+    [
+      Service.make ~id:"-"
+        ~flows:
+          [
+            Flow.make ~order:1 ~src:Flow.User ~dst:(Flow.Actor "B")
+              ~fields:[ Field.make "A" ] ~purpose:"p";
+          ];
+    ]
 
 let test_all_fields_includes_anon_variants () =
   let fields = Diagram.all_fields Mdp_scenario.Healthcare.diagram in

@@ -201,8 +201,6 @@ let test_listx () =
     (Listx.dedup [ 3; 1; 3; 2; 1 ]);
   check int_ "sum_by" 6 (Listx.sum_by Fun.id [ 1; 2; 3 ]);
   check int_ "count" 2 (Listx.count (fun x -> x > 1) [ 1; 2; 3 ]);
-  check (Alcotest.list int_) "take" [ 1; 2 ] (Listx.take 2 [ 1; 2; 3 ]);
-  check (Alcotest.list int_) "take more than len" [ 1 ] (Listx.take 5 [ 1 ]);
   check Alcotest.(option int_) "index_of" (Some 1)
     (Listx.index_of (( = ) 5) [ 4; 5; 6 ]);
   check Alcotest.(option int_) "find_duplicate none" None

@@ -44,7 +44,88 @@ let test_event_line_errors () =
       match R.Event.of_line line with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted %S" line)
-    [ ""; "x read A F - - -"; "1 teleport A F - - -"; "1 read A F" ]
+    [
+      "";
+      "x read A F - - -";
+      "1 teleport A F - - -";
+      "1 read A F";
+      "1 read A F,,G - - -";
+      "1 read A , - - -";
+      ",";
+    ]
+
+(* Names a validated model can carry: DSL identifiers (the lexer's
+   identifier characters, not all digits) other than "-", which event
+   lines reserve for an absent store, service or counterparty. *)
+let gen_ident =
+  let open QCheck.Gen in
+  let chars = "abzAZ09_-~." in
+  map
+    (fun s ->
+      if s = "-" || String.for_all (fun c -> c >= '0' && c <= '9') s then
+        "x" ^ s
+      else s)
+    (string_size
+       ~gen:(map (String.get chars) (int_bound (String.length chars - 1)))
+       (1 -- 8))
+
+let gen_event =
+  let open QCheck.Gen in
+  let kinds = Core.Action.[ Collect; Create; Read; Disclose; Anon; Delete ] in
+  map
+    (fun ((time, kind, actor), (fields, store, service, counterparty)) ->
+      {
+        R.Event.time;
+        kind;
+        actor;
+        fields = List.map Field.of_name fields;
+        store;
+        service;
+        counterparty;
+      })
+    (pair
+       (triple int (oneofl kinds) gen_ident)
+       (quad
+          (list_size (1 -- 4) gen_ident)
+          (option gen_ident) (option gen_ident) (option gen_ident)))
+
+let prop_event_line_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"of_line inverts to_line"
+    (QCheck.make ~print:R.Event.to_line gen_event)
+    (fun e -> R.Event.of_line (R.Event.to_line e) = Ok e)
+
+(* Printable text, and seven-token lines whose slots mostly hold
+   well-formed values, so the field-list parser sees malformed lists
+   behind a valid timestamp and kind. *)
+let prop_trace_text_never_raises =
+  let open QCheck.Gen in
+  let slot pool =
+    frequency [ (3, oneofl pool); (1, string_size ~gen:printable (0 -- 6)) ]
+  in
+  let names = [ "-"; "A"; "EHR"; "S" ] in
+  let event_line =
+    map (String.concat " ")
+      (flatten_l
+         [
+           slot [ "1"; "2"; "10"; "-3" ];
+           slot [ "read"; "collect"; "create"; "disclose"; "anon"; "delete" ];
+           slot names;
+           slot [ "F"; "F,G"; "F,,G"; ","; ",F"; "F,"; "F~anon"; "~anon"; "F\tG"; "" ];
+           slot names;
+           slot names;
+           slot names;
+         ])
+  in
+  let line = oneof [ event_line; string_size ~gen:printable (0 -- 40) ] in
+  QCheck.Test.make ~count:2000 ~name:"Trace.of_lines never raises"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (map (String.concat "\n") (list_size (0 -- 6) line)))
+    (fun text ->
+      match R.Trace.of_lines text with
+      | Ok _ | Error _ -> true
+      | exception exn ->
+        QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string exn)
+          text)
 
 let test_fields_equal () =
   check bool_ "set equality" true
@@ -527,6 +608,8 @@ let () =
           Alcotest.test_case "line roundtrip" `Quick test_event_line_roundtrip;
           Alcotest.test_case "line errors" `Quick test_event_line_errors;
           Alcotest.test_case "fields_equal" `Quick test_fields_equal;
+          QCheck_alcotest.to_alcotest prop_event_line_roundtrip;
+          QCheck_alcotest.to_alcotest prop_trace_text_never_raises;
         ] );
       ( "enforce",
         [

@@ -59,11 +59,16 @@ let test_diff_regression_detected () =
   check bool_ "regression is not an improvement" false (Core.Risk_diff.improved d)
 
 (* ------------------------------------------------------------------ *)
-(* Fleet *)
+(* One monitor per subject *)
 
-let fleet_setup () =
+(* The privacy LTS is per data subject: a deployed service runs one
+   monitor per subject, all over the same LTS and [annotate] map. *)
+let monitors_setup () =
   let a = Core.Analysis.run ~profile:H.profile_case_a H.diagram H.policy in
-  (a, R.Fleet.create ~annotate:(Core.Analysis.annotate a) a.universe a.lts)
+  let create () =
+    R.Monitor.create ~annotate:(Core.Analysis.annotate a) a.universe a.lts
+  in
+  (a, create (), create ())
 
 let trace_for a seed =
   R.Sim.run_exn a.Core.Analysis.universe
@@ -75,51 +80,49 @@ let trace_for a seed =
     }
 
 let test_fleet_isolates_subjects () =
-  let a, fleet = fleet_setup () in
+  let a, alice, bob = monitors_setup () in
   let t1 = trace_for a 1 and t2 = trace_for a 2 in
   (* Interleave two subjects' traces event by event. *)
+  let alice_alerts = ref [] and bob_alerts = ref [] in
   let rec interleave xs ys =
     match (xs, ys) with
-    | [], rest | rest, [] -> List.map (fun e -> ("bob", e)) rest
+    | [], rest | rest, [] -> List.map (fun e -> (bob, bob_alerts, e)) rest
     | x :: xs, y :: ys ->
-      ("alice", x) :: ("bob", y) :: interleave xs ys
+      (alice, alice_alerts, x) :: (bob, bob_alerts, y) :: interleave xs ys
   in
   List.iter
-    (fun (subject, event) -> ignore (R.Fleet.observe fleet ~subject event))
+    (fun (m, alerts, event) -> alerts := !alerts @ R.Monitor.observe m event)
     (interleave t1 t2);
-  check (Alcotest.list Alcotest.string) "subjects in first-seen order"
-    [ "alice"; "bob" ] (R.Fleet.subjects fleet);
   (* Both subjects completed their medical service + snoop: same final
      state, independently tracked. *)
-  let s1 = Option.get (R.Fleet.state_of fleet ~subject:"alice") in
-  let s2 = Option.get (R.Fleet.state_of fleet ~subject:"bob") in
-  check int_ "same journey, same state" s1 s2;
-  check bool_ "unknown subject" true (R.Fleet.state_of fleet ~subject:"eve" = None);
+  check int_ "same journey, same state" (R.Monitor.current_state alice)
+    (R.Monitor.current_state bob);
   (* Each subject's snoop raised its own risky alert. *)
-  let risky subject =
+  let risky alerts =
     Mdp_prelude.Listx.count
       (function R.Monitor.Risky _ -> true | _ -> false)
-      (R.Fleet.alerts_for fleet ~subject)
+      !alerts
   in
-  check int_ "alice risky alerts" 1 (risky "alice");
-  check int_ "bob risky alerts" 1 (risky "bob");
+  check int_ "alice risky alerts" 1 (risky alice_alerts);
+  check int_ "bob risky alerts" 1 (risky bob_alerts);
   check int_ "total alerts" 2
-    (List.length (R.Fleet.alerts_for fleet ~subject:"alice")
-    + List.length (R.Fleet.alerts_for fleet ~subject:"bob"))
+    (List.length !alice_alerts + List.length !bob_alerts)
 
 let test_fleet_interleaving_no_crosstalk () =
-  (* A subject's events never advance another subject's monitor: bob's
-     trace replayed under alice must leave bob's state untouched. *)
-  let a, fleet = fleet_setup () in
+  (* A subject's events never advance another subject's monitor, though
+     both share one LTS: bob's first event must leave alice's state
+     untouched. *)
+  let a, alice, bob = monitors_setup () in
   let t = trace_for a 3 in
-  List.iter (fun e -> ignore (R.Fleet.observe fleet ~subject:"alice" e)) t;
-  let alice_state = Option.get (R.Fleet.state_of fleet ~subject:"alice") in
-  (* bob has seen nothing yet *)
-  check bool_ "bob unseen" true (R.Fleet.state_of fleet ~subject:"bob" = None);
-  ignore (R.Fleet.observe fleet ~subject:"bob" (List.hd t));
-  let bob_state = Option.get (R.Fleet.state_of fleet ~subject:"bob") in
-  check bool_ "bob at step one, alice at the end" true (bob_state <> alice_state)
-
+  ignore (R.Monitor.run_trace alice t);
+  let alice_state = R.Monitor.current_state alice in
+  check int_ "bob unseen" (Core.Plts.initial a.lts) (R.Monitor.current_state bob);
+  ignore (R.Monitor.observe bob (List.hd t));
+  check bool_ "bob at step one, alice at the end" true
+    (R.Monitor.current_state bob <> alice_state);
+  check int_ "alice unmoved" alice_state (R.Monitor.current_state alice);
+  check int_ "alice's duplicate memory not shared" 0
+    (R.Monitor.stats bob).duplicates
 
 (* ------------------------------------------------------------------ *)
 (* Sim/monitor agreement on synthetic models *)
