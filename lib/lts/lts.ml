@@ -95,7 +95,8 @@ module Make (S : STATE) (L : LABEL) = struct
      ⌈w/63⌉ varints, one per 63-word group, each group's patches
      following its map. Dedup is [nshards] open-addressing
      tables partitioned by hash, probing by a hash tag first and
-     word-comparing (one record decode) only on tag match. Labels are
+     word-comparing against the state's decode-cache slot only on tag
+     match. Labels are
      interned once; edges are varint rows, one per source, emitted as
      exploration expands each source exactly once: out-degree, then per
      edge a label-id varint and a zigzag varint of the destination
@@ -253,22 +254,37 @@ module Make (S : STATE) (L : LABEL) = struct
     let rec go k b = if b land 1 = 1 then k else go (k + 1) (b lsr 1) in
     go 0 v
 
-  (* Per-domain decode cache: direct-mapped by state id, memoising
-     decoded word vectors. Deep delta chains are what keep the arena
-     small, but a raw chain walk per dedup probe is what would make
-     them slow: siblings share a delta parent and dedup hits cluster on
-     recent frontiers, so with every chain level cached on the way up,
-     the typical decode is one key compare and a blit, or one patch
-     apply on top of a cached parent. Domain-local (never shared, never
-     locked); entries are keyed by the owning LTS's [pstamp] so
-     interleaved decodes from several LTSs never cross-contaminate and
-     switching costs nothing. Records are append-only and immutable,
-     so entries never need invalidating. *)
-  let max_cache_slots = 1 lsl 16
+  (* Per-domain decode cache, direct-mapped by state id. Slot [i] is
+     [w + 1] consecutive ints of one array: its key
+     [(pstamp lsl 28) lor id] (-1 when empty), then that state's [w]
+     words. A dedup probe whose tag matches confirms the hit against
+     the slot in place — one key compare and [w] word compares in one
+     cache-line run — and decodes into scratch only on a miss.
+     Exploration primes a new state's slot with its words when it
+     creates the state, so the state's first confirmations and its
+     expansion never walk the delta chain. A decode that misses walks
+     the chain up to the nearest cached ancestor or its full record
+     and caches every level on the way back down: deep delta chains
+     are what keep the arena small, and BFS locality (siblings share a
+     delta parent, probes cluster on recent frontiers) keeps the walks
+     short. Domain-local (never shared, never locked); keys carry the
+     owning LTS's [pstamp], so interleaved decodes from several LTSs
+     never cross-contaminate and switching costs nothing. Records are
+     append-only and immutable, so entries never need invalidating.
 
-  (* Slots for [w]-word states: the full 2^16 up to 63 words, halved
-     for wider states until the table fits the words of 2^16 63-word
-     slots, so a wide universe costs no more cache than a narrow one. *)
+     The table starts at [min_cache_slots] slots and doubles whenever
+     it has been written as many times as it has slots, up to
+     [cache_slots w]: a one-off decode (at most [max_chain + 1] writes)
+     allocates a few KB, while an exploration, which writes each new
+     state once, always has more slots than states until the ceiling,
+     so below 2^16 states no state is ever evicted. *)
+  let max_cache_slots = 1 lsl 16
+  let min_cache_slots = 64
+
+  (* Slot ceiling for [w]-word states: the full 2^16 up to 63 words,
+     halved for wider states until the words fit in 2^16 63-word slots,
+     so a wide universe costs no more cache than a narrow one. The
+     table is [slots * (w + 1)] ints. *)
   let cache_slots w =
     let rec go s =
       if s > 1 && s * w > max_cache_slots * group_words then go (s / 2) else s
@@ -281,25 +297,28 @@ module Make (S : STATE) (L : LABEL) = struct
   let cache_id_limit = 1 lsl 28
 
   type dcache = {
-    mutable dc_wpw : int;  (* words per slot; -1 = unallocated *)
+    mutable dc_w : int;  (* words per state; -1 = unallocated *)
     mutable dc_mask : int;  (* slots - 1 *)
-    mutable dc_keys : int array;  (* (pstamp lsl 28) lor id, or -1 *)
-    mutable dc_words : int array;  (* slots * dc_wpw *)
+    mutable dc_max : int;  (* slot ceiling, [cache_slots dc_w] *)
+    mutable dc_fills : int;  (* slot writes since allocation *)
+    mutable dc_slots : int array;  (* per slot: key, then [dc_w] words *)
   }
 
   let dcache_key : dcache Domain.DLS.key =
     Domain.DLS.new_key (fun () ->
-        { dc_wpw = -1; dc_mask = 0; dc_keys = [||]; dc_words = [||] })
+        { dc_w = -1; dc_mask = 0; dc_max = 0; dc_fills = 0; dc_slots = [||] })
 
   let get_dcache p =
     let dc = Domain.DLS.get dcache_key in
     let w = p.pk.pk_words in
-    if dc.dc_wpw <> w then begin
-      let slots = cache_slots w in
-      dc.dc_wpw <- w;
+    if dc.dc_w <> w then begin
+      let max = cache_slots w in
+      let slots = min min_cache_slots max in
+      dc.dc_w <- w;
       dc.dc_mask <- slots - 1;
-      dc.dc_keys <- Array.make slots (-1);
-      dc.dc_words <- Array.make (slots * w) 0
+      dc.dc_max <- max;
+      dc.dc_fills <- 0;
+      dc.dc_slots <- Array.make (slots * (w + 1)) (-1)
     end;
     dc
 
@@ -307,9 +326,59 @@ module Make (S : STATE) (L : LABEL) = struct
      retained memory is the packed structures alone. *)
   let drop_dcache () =
     let dc = Domain.DLS.get dcache_key in
-    dc.dc_wpw <- -1;
-    dc.dc_keys <- [||];
-    dc.dc_words <- [||]
+    dc.dc_w <- -1;
+    dc.dc_mask <- 0;
+    dc.dc_fills <- 0;
+    dc.dc_slots <- [||]
+
+  (* [id]'s cache key, or -2 (which no slot holds) for an id or stamp
+     too large to key. *)
+  let cache_key p id =
+    if id < cache_id_limit && p.pstamp lsl 28 >= 0 then (p.pstamp lsl 28) lor id
+    else -2
+
+  (* Offset of the first word of [id]'s slot when the slot holds [key],
+     else -1. *)
+  let lookup dc key id =
+    let base = (id land dc.dc_mask) * (dc.dc_w + 1) in
+    if Array.unsafe_get dc.dc_slots base = key then base + 1 else -1
+
+  (* Double the table, moving every entry to its slot under the wider
+     mask: distinct slots stay distinct, so nothing is lost. *)
+  let grow_dcache dc =
+    let s = dc.dc_w + 1 in
+    let old = dc.dc_slots and slots = 2 * (dc.dc_mask + 1) in
+    let tbl = Array.make (slots * s) (-1) in
+    let mask = slots - 1 in
+    for i = 0 to dc.dc_mask do
+      let key = Array.unsafe_get old (i * s) in
+      if key >= 0 then
+        Array.blit old (i * s) tbl ((key land (cache_id_limit - 1) land mask) * s) s
+    done;
+    dc.dc_mask <- mask;
+    dc.dc_slots <- tbl
+
+  (* Write [words] into [id]'s slot under [key]. *)
+  let cache_store dc key id words =
+    if key >= 0 then begin
+      if dc.dc_fills > dc.dc_mask && dc.dc_mask + 1 < dc.dc_max then
+        grow_dcache dc;
+      dc.dc_fills <- dc.dc_fills + 1;
+      let w = dc.dc_w in
+      let base = (id land dc.dc_mask) * (w + 1) in
+      let slots = dc.dc_slots in
+      Array.unsafe_set slots base key;
+      for i = 0 to w - 1 do
+        Array.unsafe_set slots (base + 1 + i) (Array.unsafe_get words i)
+      done
+    end
+
+  (* Copy the [w] words at slot offset [off] into [buf]. *)
+  let cache_load dc off buf w =
+    let slots = dc.dc_slots in
+    for i = 0 to w - 1 do
+      Array.unsafe_set buf i (Array.unsafe_get slots (off + i))
+    done
 
   (* Apply a record's wordmap groups at [cur] to [buf]: per group, the
      map varint, then one patch per set bit against the word already in
@@ -325,38 +394,54 @@ module Make (S : STATE) (L : LABEL) = struct
       done
     done
 
-  (* Decode state [id]'s words into [buf]: walk the delta chain up to
-     its full record (depth <= [max_chain]) or the nearest cached
-     ancestor, then apply patches back down, caching each level. Each
-     record carries a wordmap of the words it touches, so a chain level
-     costs a handful of byte reads — most delta levels change one or
-     two of the packed words. [cur] is caller-owned so concurrent
-     decodes never race. *)
+  (* Decode state [id]'s words into [buf]: from its cache slot, or by
+     [decode_record]. *)
   let rec decode_rec p dc cur buf id =
-    let w = p.pk.pk_words in
-    let slot = id land dc.dc_mask in
-    let key = (p.pstamp lsl 28) lor id in
-    let cacheable = id < cache_id_limit && p.pstamp lsl 28 >= 0 in
-    if cacheable && Array.unsafe_get dc.dc_keys slot = key then
-      Array.blit dc.dc_words (slot * w) buf 0 w
+    let off = lookup dc (cache_key p id) id in
+    if off >= 0 then cache_load dc off buf p.pk.pk_words
+    else decode_record p dc cur buf id
+
+  (* Decode [id] from its record: walk the delta chain up to its full
+     record (depth <= [max_chain]) or the nearest cached ancestor, then
+     apply patches back down, caching each level. Each record carries a
+     wordmap of the words it touches, so a chain level costs a handful
+     of byte reads — most delta levels change one or two of the packed
+     words. [cur] is caller-owned so concurrent decodes never race. *)
+  and decode_record p dc cur buf id =
+    P.Arena.seek p.arena cur (P.U32.get p.offs id);
+    let tag = P.get_varint cur in
+    if tag = 0 then Array.fill buf 0 p.pk.pk_words 0
     else begin
-      P.Arena.seek p.arena cur (P.U32.get p.offs id);
-      let tag = P.get_varint cur in
-      if tag = 0 then Array.fill buf 0 w 0
-      else begin
-        let b = cur.P.b and pos = cur.P.pos in
-        decode_rec p dc cur buf (tag - 1);
-        cur.P.b <- b;
-        cur.P.pos <- pos
-      end;
-      patch_groups p cur buf;
-      if cacheable then begin
-        Array.unsafe_set dc.dc_keys slot key;
-        Array.blit buf 0 dc.dc_words (slot * w) w
-      end
-    end
+      let b = cur.P.b and pos = cur.P.pos in
+      decode_rec p dc cur buf (tag - 1);
+      cur.P.b <- b;
+      cur.P.pos <- pos
+    end;
+    patch_groups p cur buf;
+    cache_store dc (cache_key p id) id buf
 
   let decode_words p cur buf id = decode_rec p (get_dcache p) cur buf id
+
+  (* Is state [id] the candidate [words]? Compared in place against
+     [id]'s slot when the cache holds it; otherwise [id] is decoded
+     into [buf] (and cached), counting one miss in [misses]. *)
+  let confirm p dc cur buf misses words id =
+    let w = p.pk.pk_words in
+    let off = lookup dc (cache_key p id) id in
+    if off >= 0 then begin
+      let slots = dc.dc_slots in
+      let rec go i =
+        i = w
+        || Array.unsafe_get slots (off + i) = Array.unsafe_get words i
+           && go (i + 1)
+      in
+      go 0
+    end
+    else begin
+      incr misses;
+      decode_record p dc cur buf id;
+      words_equal words buf w
+    end
 
   let shard_grow sh =
     let old = sh.tbl in
@@ -415,7 +500,7 @@ module Make (S : STATE) (L : LABEL) = struct
 
   (* Probe the spilled generations, newest first, through the mapped
      view of their 5-byte entries. *)
-  let gshard_find p sh tag words cur buf =
+  let gshard_find p dc sh tag words cur buf misses =
     let sf = (Option.get p.spill).ss_shards in
     let t8 = ctag8 tag in
     let rec go = function
@@ -428,8 +513,7 @@ module Make (S : STATE) (L : LABEL) = struct
            while !e land 0xffff_ffff <> 0 do
              if !e lsr 32 = t8 then begin
                let id = (!e land 0xffff_ffff) - 1 in
-               decode_words p cur buf id;
-               if words_equal words buf p.pk.pk_words then begin
+               if confirm p dc cur buf misses words id then begin
                  res := id;
                  raise_notrace Exit
                end
@@ -443,12 +527,12 @@ module Make (S : STATE) (L : LABEL) = struct
     in
     go sh.gens
 
-  (* Find the id whose words equal [words], or -1. Probes by tag;
-     decodes (into [buf]) only on tag match, so a probe is normally a
+  (* Find the id whose words equal [words], or -1. Probes by tag and
+     confirms a tag match with [confirm], so a probe is normally a
      handful of int compares. A state lives in exactly one of the young
      table and the spilled generations, so probe order is irrelevant to
      the verdict — young first is just the warm path. *)
-  let shard_find p sh tag words cur buf =
+  let shard_find p dc sh tag words cur buf misses =
     let res = ref (-1) in
     if sh.young > 0 then begin
       let mask = Array.length sh.tbl - 1 in
@@ -458,8 +542,7 @@ module Make (S : STATE) (L : LABEL) = struct
            let e = sh.tbl.(!i) in
            if e lsr 32 = tag then begin
              let id = (e land 0xffff_ffff) - 1 in
-             decode_words p cur buf id;
-             if words_equal words buf p.pk.pk_words then begin
+             if confirm p dc cur buf misses words id then begin
                res := id;
                raise_notrace Exit
              end
@@ -468,7 +551,8 @@ module Make (S : STATE) (L : LABEL) = struct
          done
        with Exit -> ())
     end;
-    if !res < 0 && sh.gens <> [] then res := gshard_find p sh tag words cur buf;
+    if !res < 0 && sh.gens <> [] then
+      res := gshard_find p dc sh tag words cur buf misses;
     !res
 
   (* Insert a known-absent id into the young table — spilled
@@ -625,9 +709,12 @@ module Make (S : STATE) (L : LABEL) = struct
      doubling, all far below any sane budget's slack. *)
   let spill_check_batch = 512
 
-  let packed_new_state t p ~parent ~parent_words ~parent_depth words h =
+  (* Append a state with words [words] and hash [h], and prime its
+     slot in [dc] with the words. *)
+  let packed_new_state t p dc ~parent ~parent_words ~parent_depth words h =
     let id = t.n in
     let off, depth = encode_record p ~parent ~parent_words ~parent_depth words in
+    cache_store dc (cache_key p id) id words;
     P.U32.set p.offs id off;
     P.U8.set p.depths id depth;
     P.U32.set p.row_start id row_none;
@@ -938,10 +1025,15 @@ module Make (S : STATE) (L : LABEL) = struct
      and appends the edge with nothing boxed. [lids] resolves the
      emitter's dense label keys to interned label ids, so [label_of]
      and [intern] run once per key; a label's first key is seen at the
-     label's first edge, so label ids keep first-edge order. *)
+     label's first edge, so label ids keep first-edge order.
+
+     [dc] is the domain's decode cache, fetched again per expanded
+     state; [cache_misses] counts the confirmations and expansions that
+     found their state's slot holding another state. *)
   let explore_rounds t p ~max_states ~cancel ~label_of ~step_words =
     let w = p.pk.pk_words in
     let hits = ref 0 and misses = ref 0 and rounds = ref 0 in
+    let cache_misses = ref 0 and dc = ref (get_dcache p) in
     let parent_buf = Array.make w 0 and cand = p.cand_buf in
     let src = ref 0 and src_depth = ref 0 in
     let lids = ref (Array.make 64 (-1)) in
@@ -962,7 +1054,8 @@ module Make (S : STATE) (L : LABEL) = struct
     let emit key =
       let h = P.hash_words cand w in
       let found =
-        shard_find p p.shards.(shard_of h) (tag_of h) cand p.cur p.cmp_buf
+        shard_find p !dc p.shards.(shard_of h) (tag_of h) cand p.cur
+          p.cmp_buf cache_misses
       in
       let dst =
         if found >= 0 then begin
@@ -971,7 +1064,7 @@ module Make (S : STATE) (L : LABEL) = struct
         end
         else begin
           let id =
-            packed_new_state t p ~parent:!src ~parent_words:parent_buf
+            packed_new_state t p !dc ~parent:!src ~parent_words:parent_buf
               ~parent_depth:!src_depth cand h
           in
           if t.n > max_states then too_many t max_states;
@@ -997,7 +1090,14 @@ module Make (S : STATE) (L : LABEL) = struct
              budget. *)
           spill_down p
         end;
-        decode_words p p.cur parent_buf s;
+        let d = get_dcache p in
+        dc := d;
+        let off = lookup d (cache_key p s) s in
+        if off >= 0 then cache_load d off parent_buf w
+        else begin
+          incr cache_misses;
+          decode_record p d p.cur parent_buf s
+        end;
         src := s;
         src_depth := P.U8.get p.depths s;
         p.rlen <- 0;
@@ -1008,6 +1108,7 @@ module Make (S : STATE) (L : LABEL) = struct
     Fun.protect ~finally:(fun () ->
         Mdp_obs.Metrics.add "lts/dedup_hits" !hits;
         Mdp_obs.Metrics.add "lts/dedup_misses" !misses;
+        Mdp_obs.Metrics.add "lts/decode_cache_misses" !cache_misses;
         Mdp_obs.Metrics.add "lts/frontier_rounds" !rounds)
     @@ fun () ->
     let lo = ref 0 in
@@ -1028,8 +1129,8 @@ module Make (S : STATE) (L : LABEL) = struct
     (* The root: the first state, id 0, a full record. *)
     p.pk.pk_blit init p.cand_buf 0;
     ignore
-      (packed_new_state t p ~parent:(-1) ~parent_words:[||] ~parent_depth:0
-         p.cand_buf
+      (packed_new_state t p (get_dcache p) ~parent:(-1) ~parent_words:[||]
+         ~parent_depth:0 p.cand_buf
          (P.hash_words p.cand_buf p.pk.pk_words)
         : state_id);
     if t.n > max_states then too_many t max_states;
