@@ -96,11 +96,11 @@ module Make (S : STATE) (L : LABEL) = struct
      following its map. Dedup is [nshards] open-addressing
      tables partitioned by hash, probing by a hash tag first and
      word-comparing against the state's decode-cache slot only on tag
-     match. Labels are
-     interned once; edges are varint rows, one per source, emitted as
-     exploration expands each source exactly once: out-degree, then per
-     edge a label-id varint and a zigzag varint of the destination
-     relative to the previous one (the first relative to the source).
+     match. Labels are interned once; edges are varint rows, one per
+     source, emitted as exploration expands each source exactly once:
+     out-degree, then per edge a label-id varint and a zigzag varint of
+     the destination relative to the previous one (the first relative
+     to the source).
      BFS numbering makes consecutively discovered destinations
      adjacent, so most destination varints are a single byte and a
      typical edge costs 2-4 bytes.

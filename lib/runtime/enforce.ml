@@ -13,11 +13,19 @@ let check_store u (event : Event.t) perm ~fields_written =
   | Some store ->
     let diagram = Core.Universe.diagram u and policy = Core.Universe.policy u in
     let requested = fields_written event.fields in
+    (* A field the store's schemas do not hold is never permitted, even
+       under an ACL entry that selects all fields. *)
+    let held =
+      match Diagram.find_store diagram store with
+      | Some ds -> Datastore.mem ds
+      | None -> fun _ -> false
+    in
     let permitted =
       List.filter
         (fun f ->
-          Mdp_policy.Policy.allows policy ~diagram ~actor:event.actor perm
-            ~store f)
+          held f
+          && Mdp_policy.Policy.allows policy ~diagram ~actor:event.actor perm
+               ~store f)
         requested
     in
     if permitted = [] then

@@ -168,6 +168,144 @@ let test_abort_stats () =
   | _ -> Alcotest.fail "expected Too_many_states"
 
 (* ------------------------------------------------------------------ *)
+(* Decode cache *)
+
+module IntLabel = struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+  let pp = Format.pp_print_int
+end
+
+module IL = Lts.Make (struct type t = int end) (IntLabel)
+
+(* Three words per state, all derived from the state, so a slot holding
+   the wrong state's words differs in every word. *)
+let packer3 =
+  {
+    Lts.pk_words = 3;
+    pk_blit =
+      (fun v dst off ->
+        dst.(off) <- v;
+        dst.(off + 1) <- v * 2654435761 land max_int;
+        dst.(off + 2) <- v lxor 0x5bd1e995);
+    pk_decode = (fun src off -> src.(off));
+  }
+
+(* Heap numbering below [n]: state [v] steps to [2v+1], [2v+2] and
+   [2v+3], the last also the first child of [v+1]. BFS ids are the
+   values, round k expands the (up to) 2^k states from 2^k - 1, and
+   each state but the first three is a dedup hit exactly once, when
+   [v+1] is expanded right after [v] created it. *)
+let heap_step n v =
+  List.filter (fun (_, s) -> s < n) [ (0, (2 * v) + 1); (1, (2 * v) + 2); (2, (2 * v) + 3) ]
+
+let explore_heap n =
+  let label_of, step_words = List_step.emitter packer3 (heap_step n) in
+  IL.explore ~max_states:(n + 10) ~packing:packer3 ~init:0 ~label_of
+    ~step_words ()
+
+(* A queue BFS over [heap_step]: the states in discovery order, each
+   row with repeated edges dropped, and the widest frontier. *)
+let reference_bfs n =
+  let ids = Hashtbl.create n and states = ref [] and rows = ref [] in
+  let q = Queue.create () in
+  let id_of v =
+    match Hashtbl.find_opt ids v with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids v i;
+      states := v :: !states;
+      Queue.add v q;
+      i
+  in
+  ignore (id_of 0 : int);
+  let depth = Hashtbl.create n in
+  Hashtbl.add depth 0 0;
+  let width = Hashtbl.create 32 in
+  while not (Queue.is_empty q) do
+    let v = Queue.pop q in
+    let d = Hashtbl.find depth v in
+    Hashtbl.replace width d (1 + Option.value (Hashtbl.find_opt width d) ~default:0);
+    let row =
+      List.fold_left
+        (fun row (l, s) ->
+          let known = Hashtbl.mem ids s in
+          let e = (l, id_of s) in
+          if not known then Hashtbl.add depth s (d + 1);
+          if List.mem e row then row else e :: row)
+        [] (heap_step n v)
+    in
+    rows := List.rev row :: !rows
+  done;
+  ( Array.of_list (List.rev !states),
+    Array.of_list (List.rev !rows),
+    Hashtbl.fold (fun _ w acc -> max w acc) width 0 )
+
+let decode_cache_misses f =
+  let module M = Mdp_obs.Metrics in
+  let before = M.enabled () in
+  M.set_enabled true;
+  M.reset ();
+  Fun.protect ~finally:(fun () -> M.set_enabled before) @@ fun () ->
+  let r = f () in
+  (r, Option.value ~default:0 (List.assoc_opt "lts/decode_cache_misses" (M.snapshot ()).M.counters))
+
+let check_against_reference n lts =
+  let states, rows, widest = reference_bfs n in
+  check int_ "states" (Array.length states) (IL.num_states lts);
+  Array.iteri
+    (fun i v ->
+      if IL.state_data lts i <> v then
+        Alcotest.failf "state %d holds %d, the reference %d" i
+          (IL.state_data lts i) v;
+      if IL.successors lts i <> rows.(i) then
+        Alcotest.failf "row of state %d differs from the reference" i)
+    states;
+  widest
+
+(* An exploration with fewer states than the cache's 2^16 slots keeps
+   every state in its slot from creation on: no confirmation or
+   expansion misses. *)
+let test_cache_primed () =
+  let n = 60_000 in
+  let lts, misses = decode_cache_misses (fun () -> explore_heap n) in
+  ignore (check_against_reference n lts : int);
+  check int_ "decode-cache misses" 0 misses
+
+(* More than 2^16 states, and a frontier wider than 2^16: new states
+   evict the slots of states that are not expanded yet, which then miss
+   at their expansion and, decoded again, evict later ones. Numbering
+   and rows still equal the reference BFS. A state's one dedup hit
+   comes right after its creation, so with every slot primed a state
+   misses at most at its expansion: fewer misses than states. Without
+   priming every hit would miss as well. *)
+let test_cache_slot_reuse () =
+  let n = 300_000 in
+  let lts, misses = decode_cache_misses (fun () -> explore_heap n) in
+  let widest = check_against_reference n lts in
+  check bool_ "frontier wider than the cache" true (widest > 1 lsl 16);
+  check bool_ "evicted states were decoded again" true (misses > 0);
+  if misses >= n then
+    Alcotest.failf "%d decode-cache misses over %d states" misses n
+
+(* A one-off decode of a sealed LTS allocates a small cache table, not
+   the full 2^16-slot one (several MB). *)
+let test_one_off_decode () =
+  let diagram, policy = Synthetic.model (synthetic_spec (6, 8, 5)) in
+  let u = Core.Universe.make diagram policy in
+  let lts = Core.Generate.run u in
+  let last = Core.Plts.num_states lts - 1 in
+  let before = Gc.allocated_bytes () in
+  let cfg : Core.Config.t = Core.Plts.state_data lts last in
+  let bytes = Gc.allocated_bytes () -. before in
+  ignore (Sys.opaque_identity cfg);
+  if bytes > 65536. then
+    Alcotest.failf "one-off decode allocated %.0f bytes" bytes
+
+(* ------------------------------------------------------------------ *)
 (* Codec property tests *)
 
 (* Any 63-bit pattern, negative ones included: a wordmap group with
@@ -311,6 +449,13 @@ let () =
           Alcotest.test_case "render summary" `Quick test_render_summary;
           Alcotest.test_case "mem_stats" `Quick test_mem_stats;
           Alcotest.test_case "abort stats" `Quick test_abort_stats;
+        ] );
+      ( "decode cache",
+        [
+          Alcotest.test_case "primed at creation" `Quick test_cache_primed;
+          Alcotest.test_case "slot reuse past 2^16 states" `Quick
+            test_cache_slot_reuse;
+          Alcotest.test_case "one-off decode" `Quick test_one_off_decode;
         ] );
       qsuite "codecs"
         [

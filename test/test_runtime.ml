@@ -176,6 +176,35 @@ let test_enforce_denies () =
   | R.Enforce.Denied _ -> ()
   | R.Enforce.Allowed _ -> Alcotest.fail "storeless read allowed"
 
+(* The Doctor's EHR grant selects no fields, so it covers every field
+   EHR holds, and none that it does not: a read of an unknown field is
+   denied, and a mixed read is narrowed to the held fields. *)
+let test_enforce_denies_unheld_fields () =
+  let u = universe () in
+  let bogus = Field.make "Bogus" in
+  let read fields =
+    R.Enforce.decide u
+      (R.Event.make ~time:3 ~kind:Core.Action.Read ~actor:"Doctor" ~fields
+         ~store:"EHR" ())
+  in
+  (match read [ bogus ] with
+  | R.Enforce.Denied _ -> ()
+  | R.Enforce.Allowed _ -> Alcotest.fail "read of an unheld field allowed");
+  (match read [ H.name; bogus ] with
+  | R.Enforce.Allowed e ->
+    check (Alcotest.list Alcotest.string) "narrowed to held fields"
+      [ "Name" ]
+      (List.map Field.name e.R.Event.fields)
+  | R.Enforce.Denied r -> Alcotest.fail r);
+  (* the same holds for writes: Appointments holds no Diagnosis *)
+  match
+    R.Enforce.decide u
+      (R.Event.make ~time:3 ~kind:Core.Action.Create ~actor:"Receptionist"
+         ~fields:[ H.diagnosis ] ~store:"Appointments" ())
+  with
+  | R.Enforce.Denied _ -> ()
+  | R.Enforce.Allowed _ -> Alcotest.fail "write of an unheld field allowed"
+
 let test_enforce_anon_checked_on_variants () =
   let u = universe () in
   (* The Administrator writes anon variants: permitted. *)
@@ -616,6 +645,8 @@ let () =
           Alcotest.test_case "allows permitted" `Quick test_enforce_allows_permitted_read;
           Alcotest.test_case "narrows" `Quick test_enforce_narrows;
           Alcotest.test_case "denies" `Quick test_enforce_denies;
+          Alcotest.test_case "denies unheld fields" `Quick
+            test_enforce_denies_unheld_fields;
           Alcotest.test_case "anon variants" `Quick test_enforce_anon_checked_on_variants;
           Alcotest.test_case "collect passthrough" `Quick test_enforce_collect_passthrough;
         ] );
