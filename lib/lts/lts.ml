@@ -272,12 +272,13 @@ module Make (S : STATE) (L : LABEL) = struct
      never cross-contaminate and switching costs nothing. Records are
      append-only and immutable, so entries never need invalidating.
 
-     The table starts at [min_cache_slots] slots and doubles whenever
-     it has been written as many times as it has slots, up to
-     [cache_slots w]: a one-off decode (at most [max_chain + 1] writes)
-     allocates a few KB, while an exploration, which writes each new
-     state once, always has more slots than states until the ceiling,
-     so below 2^16 states no state is ever evicted. *)
+     The table starts at [min_cache_slots] slots and is replaced by the
+     full [cache_slots w] table once it has been written as many times
+     as it has slots: a one-off decode (at most [max_chain + 1] writes)
+     allocates a few KB, and anything that decodes more (an
+     exploration, a pass over every state) gets the full table early,
+     in one allocation. An exploration writes each new state once, so
+     below 2^16 states no state is ever evicted. *)
   let max_cache_slots = 1 lsl 16
   let min_cache_slots = 64
 
@@ -343,11 +344,12 @@ module Make (S : STATE) (L : LABEL) = struct
     let base = (id land dc.dc_mask) * (dc.dc_w + 1) in
     if Array.unsafe_get dc.dc_slots base = key then base + 1 else -1
 
-  (* Double the table, moving every entry to its slot under the wider
-     mask: distinct slots stay distinct, so nothing is lost. *)
+  (* Replace the small table by the full one, moving every entry to
+     its slot under the wider mask: distinct slots stay distinct, so
+     nothing is lost. *)
   let grow_dcache dc =
     let s = dc.dc_w + 1 in
-    let old = dc.dc_slots and slots = 2 * (dc.dc_mask + 1) in
+    let old = dc.dc_slots and slots = dc.dc_max in
     let tbl = Array.make (slots * s) (-1) in
     let mask = slots - 1 in
     for i = 0 to dc.dc_mask do
