@@ -258,8 +258,8 @@ module Make (S : STATE) (L : LABEL) = struct
      [w + 1] consecutive ints of one array: its key
      [(pstamp lsl 28) lor id] (-1 when empty), then that state's [w]
      words. A dedup probe whose tag matches confirms the hit against
-     the slot in place — one key compare and [w] word compares in one
-     cache-line run — and decodes into scratch only on a miss.
+     the slot in place — one key compare and [w] word compares over
+     consecutive ints — and decodes into scratch only on a miss.
      Exploration primes a new state's slot with its words when it
      creates the state, so the state's first confirmations and its
      expansion never walk the delta chain. A decode that misses walks
@@ -301,7 +301,7 @@ module Make (S : STATE) (L : LABEL) = struct
     mutable dc_w : int;  (* words per state; -1 = unallocated *)
     mutable dc_mask : int;  (* slots - 1 *)
     mutable dc_max : int;  (* slot ceiling, [cache_slots dc_w] *)
-    mutable dc_fills : int;  (* slot writes since allocation *)
+    mutable dc_fills : int;  (* slot writes since allocation; grows the table *)
     mutable dc_slots : int array;  (* per slot: key, then [dc_w] words *)
   }
 
