@@ -424,14 +424,19 @@ let mask_of l bits =
   let idx = List.filter (fun k -> dense.(k) <> 0) (List.init l.l_words Fun.id) in
   { m_idx = Array.of_list idx; m_bits = Array.of_list (List.map (Array.get dense) idx) }
 
+(* A plain loop: a local recursive function would capture [m] and
+   [words] in a closure allocated on every call. *)
 let mask_holds m words =
-  let rec go i =
-    i = Array.length m.m_idx
-    || (let b = Array.unsafe_get m.m_bits i in
-        Array.unsafe_get words (Array.unsafe_get m.m_idx i) land b = b
-        && go (i + 1))
-  in
-  go 0
+  let n = Array.length m.m_idx in
+  let i = ref 0 in
+  while
+    !i < n
+    && (let b = Array.unsafe_get m.m_bits !i in
+        Array.unsafe_get words (Array.unsafe_get m.m_idx !i) land b = b)
+  do
+    incr i
+  done;
+  !i = n
 
 let mask_into m words =
   for i = 0 to Array.length m.m_idx - 1 do

@@ -16,8 +16,8 @@ let default_mix =
     (Questionnaire.Unconcerned, 0.20);
   ]
 
-let pick_segment rng mix =
-  let total = Listx.sum_byf snd mix in
+(* [total] is the sum of the mix's weights, taken once per [simulate]. *)
+let pick_segment rng total mix =
   let x = Prng.float rng total in
   let rec go acc = function
     | [ (w, _) ] -> w
@@ -36,26 +36,61 @@ let poll_cancel cancel i =
   | Some c when i land (cancel_poll_users - 1) = 0 -> Mdp_obs.Cancel.check c
   | _ -> ()
 
+(* [simulate]'s shared profiles: one binary trie per segment over the
+   services' agree draws, in diagram order. A user's draws walk it from
+   the segment's root, and the node they end at holds the profile of
+   that (segment, agreed services), whatever the number of services. *)
+type trie = {
+  mutable declined : trie option;
+  mutable agreed : trie option;
+  mutable profile : User_profile.t option;
+}
+
+let trie () = { declined = None; agreed = None; profile = None }
+
+let child t yes =
+  match if yes then t.agreed else t.declined with
+  | Some c -> c
+  | None ->
+    let c = trie () in
+    if yes then t.agreed <- Some c else t.declined <- Some c;
+    c
+
+(* Keyed by the segment itself: a mix may name a segment twice. *)
+let segment_root roots = function
+  | Questionnaire.Fundamentalist -> roots.(0)
+  | Pragmatist -> roots.(1)
+  | Unconcerned -> roots.(2)
+
 let simulate ?cancel spec diagram =
   if spec.westin_mix = [] then invalid_arg "Population.simulate: empty mix";
   let rng = Prng.create ~seed:spec.seed in
+  let total = Listx.sum_byf snd spec.westin_mix in
   let services = List.map (fun (s : Service.t) -> s.id) diagram.Diagram.services in
+  let nservices = List.length services in
+  let drawn = Array.make nservices false in
+  let roots = Array.init 3 (fun _ -> trie ()) in
   (* A profile depends only on (segment, agreed services): each distinct
-     one is built once and shared by every user who draws it. *)
-  let shared = Hashtbl.create 16 in
+     one is built once, at its trie node, and shared by every user who
+     draws it. *)
   List.init spec.size (fun i ->
       poll_cancel cancel i;
-      let segment = pick_segment rng spec.westin_mix in
-      let agreed =
-        List.filter (fun _ -> Prng.float rng 1.0 < spec.agree_probability) services
-      in
-      match Hashtbl.find_opt shared (segment, agreed) with
+      let segment = pick_segment rng total spec.westin_mix in
+      let node = ref (segment_root roots segment) in
+      for k = 0 to nservices - 1 do
+        let yes = Prng.float rng 1.0 < spec.agree_probability in
+        drawn.(k) <- yes;
+        node := child !node yes
+      done;
+      match !node.profile with
       | Some p -> p
       | None ->
+        let agreed = List.filteri (fun k _ -> drawn.(k)) services in
         let p =
-          Questionnaire.profile diagram segment ~agreed_services:agreed ~answers:[]
+          Questionnaire.profile diagram segment ~agreed_services:agreed
+            ~answers:[]
         in
-        Hashtbl.add shared (segment, agreed) p;
+        !node.profile <- Some p;
         p)
 
 type hotspot = {
@@ -148,13 +183,23 @@ let sigma_of u =
       (User_profile.sensitivities p);
     sg
 
+(* [classes]' identity memo holds this many physically distinct
+   profiles with their class counters, replaced round-robin. It is
+   consulted only while its misses exceed its hits by at most this
+   many: on a list of distinct profiles it gives up after one filling,
+   so such a list costs one key per profile, as without the memo. *)
+let memo_slots = 32
+
 (* Within one universe, everything the analysis reads off a profile is
    (a) its sensitivity on each universe field and (b) which diagram
    services it agreed to (allowance, σ zeroing and the likelihood
    scenarios all derive from those). Profiles equal on both are
    indistinguishable, so a simulated population — |segments| baselines
    x subsets of the service list — collapses to at most
-   |segments| x 2^|services| classes regardless of size. *)
+   |segments| x 2^|services| classes regardless of size. [simulate]
+   shares one profile per class, so a profile seen again ([==]) adds to
+   its class's counter through the memo, and only a profile the memo
+   does not hold has its key computed. *)
 let classes ?cancel u profiles =
   let diagram = Universe.diagram u in
   let svc_pos = Hashtbl.create 8 in
@@ -173,17 +218,45 @@ let classes ?cancel u profiles =
   in
   let counts = Hashtbl.create 64 in
   let order = ref [] in
+  (* slots at [filled] and above are vacant and never compared *)
+  let memo = Array.make memo_slots (User_profile.make ~agreed_services:[] ()) in
+  let memo_counts = Array.make memo_slots (ref 0) in
+  let filled = ref 0 in
+  let next_slot = ref 0 in
+  let keyed = ref 0 in
+  let hits = ref 0 in
   List.iteri
     (fun i p ->
       poll_cancel cancel i;
-      let k = key p in
-      match Hashtbl.find_opt counts k with
-      | Some r -> incr r
-      | None ->
-        let r = ref 1 in
-        Hashtbl.add counts k r;
-        order := (p, r) :: !order)
+      let memo_on = !keyed <= !hits + memo_slots in
+      let s = ref 0 in
+      if memo_on then while !s < !filled && memo.(!s) != p do incr s done;
+      if memo_on && !s < !filled then begin
+        incr hits;
+        incr memo_counts.(!s)
+      end
+      else begin
+        incr keyed;
+        let k = key p in
+        let r =
+          match Hashtbl.find_opt counts k with
+          | Some r -> r
+          | None ->
+            let r = ref 0 in
+            Hashtbl.add counts k r;
+            order := (p, r) :: !order;
+            r
+        in
+        incr r;
+        if memo_on then begin
+          memo.(!next_slot) <- p;
+          memo_counts.(!next_slot) <- r;
+          filled := max !filled (!next_slot + 1);
+          next_slot := (!next_slot + 1) mod memo_slots
+        end
+      end)
     profiles;
+  Mdp_obs.Metrics.add "population/class_keys" !keyed;
   List.rev_map (fun (p, r) -> (p, !r)) !order
 
 (* ----- compiled aggregation ----- *)

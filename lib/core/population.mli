@@ -31,7 +31,8 @@ val simulate :
     with their segment's baseline (no per-field overrides), so a profile
     depends only on (segment, agreed services): each distinct one is
     built once through {!Questionnaire.profile}, and the users share
-    these immutable profiles, at most [segments x 2^|services|] of them.
+    these immutable profiles, at most [segments x 2^|services|] of them
+    (a segment named twice in the mix is still one segment).
 
     @raise Mdp_obs.Cancel.Cancelled when [cancel] fires; it is polled
     every few thousand users. *)
@@ -77,8 +78,14 @@ val classes :
     diagram services — everything the disclosure analysis can observe —
     so a simulated population collapses to at most
     [segments x 2^|services|] classes. The counts sum to the input
-    length. Each key is filled in one pass over a profile's
-    sensitivities: the cost is linear in the total sensitivities.
+    length. The cost is one key per physically distinct profile: a
+    profile seen again ([==], as {!simulate} shares them) adds to its
+    class's count through a small identity memo, and a physically
+    distinct profile with an equal key joins its class through the key
+    table. Each key is filled in one pass over the profile's
+    sensitivities. On a list of distinct profiles the memo gives up
+    after a few dozen misses, so such a list costs one key per profile.
+    Counts the computed keys under [population/class_keys].
 
     @raise Mdp_obs.Cancel.Cancelled when [cancel] fires; it is polled
     every few thousand profiles. *)

@@ -245,9 +245,13 @@ module Make (S : STATE) (L : LABEL) = struct
 
   (* ----- packed primitives ----- *)
 
+  (* The word loops on the exploration's hot path are plain loops: a
+     local recursive function capturing its arguments would allocate a
+     closure on every call. *)
   let words_equal a b w =
-    let rec go i = i = w || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1)) in
-    go 0
+    let i = ref 0 in
+    while !i < w && Array.unsafe_get a !i = Array.unsafe_get b !i do incr i done;
+    !i = w
 
   (* Lowest set bit index of a non-zero word. *)
   let ntz v =
@@ -432,12 +436,13 @@ module Make (S : STATE) (L : LABEL) = struct
     let off = lookup dc (cache_key p id) id in
     if off >= 0 then begin
       let slots = dc.dc_slots in
-      let rec go i =
-        i = w
-        || Array.unsafe_get slots (off + i) = Array.unsafe_get words i
-           && go (i + 1)
-      in
-      go 0
+      let i = ref 0 in
+      while
+        !i < w && Array.unsafe_get slots (off + !i) = Array.unsafe_get words !i
+      do
+        incr i
+      done;
+      !i = w
     end
     else begin
       incr misses;
@@ -777,8 +782,10 @@ module Make (S : STATE) (L : LABEL) = struct
   (* Any identical edge already in the open row? Edges are single ints,
      so the in-row duplicate check is an int scan. *)
   let row_contains p e =
-    let rec go i = i < p.rlen && (p.rbuf.(i) = e || go (i + 1)) in
-    go 0
+    let rbuf = p.rbuf and n = p.rlen in
+    let i = ref 0 in
+    while !i < n && rbuf.(!i) <> e do incr i done;
+    !i < n
 
   let ensure_ebytes p extra =
     if p.elen + extra > Bytes.length p.ebytes then begin

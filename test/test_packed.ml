@@ -305,6 +305,25 @@ let test_one_off_decode () =
   if bytes > 65536. then
     Alcotest.failf "one-off decode allocated %.0f bytes" bytes
 
+(* Exploration's per-state work allocates next to nothing: each new
+   state's packed words go into the arena, its edges into the open row,
+   and the word loops of the step function and of the dedup confirm no
+   closure. A 75,780-state exploration stays within a few minor words
+   per state; a closure in any of those loops costs over ten times
+   more. *)
+let test_explore_minor_words () =
+  let diagram, policy = Synthetic.model (synthetic_spec (9, 13, 8)) in
+  let u = Core.Universe.make diagram policy in
+  let before = Gc.minor_words () in
+  let lts = Core.Generate.run u in
+  let words = Gc.minor_words () -. before in
+  let n = Core.Plts.num_states lts in
+  check bool_ "at least 50,000 states" true (n >= 50_000);
+  let per_state = words /. float_of_int n in
+  if per_state > 16. then
+    Alcotest.failf "%.0f minor words over %d states: %.1f per state" words n
+      per_state
+
 (* ------------------------------------------------------------------ *)
 (* Codec property tests *)
 
@@ -456,6 +475,11 @@ let () =
           Alcotest.test_case "slot reuse past 2^16 states" `Quick
             test_cache_slot_reuse;
           Alcotest.test_case "one-off decode" `Quick test_one_off_decode;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "explore minor words" `Quick
+            test_explore_minor_words;
         ] );
       qsuite "codecs"
         [

@@ -205,8 +205,8 @@ let classes_oracle u profiles =
 (* Hand-made profiles over universe fields, their anon variants and
    fields outside the universe, agreeing to known, unknown and repeated
    services. Few values, so that classes gather several members. *)
-let arb_profiles =
-  let open QCheck in
+let gen_profile =
+  let open QCheck.Gen in
   let u_fields = Mdp_dataflow.Diagram.all_fields H.diagram in
   let pool =
     Array.of_list
@@ -215,28 +215,26 @@ let arb_profiles =
       @ List.map Mdp_dataflow.Field.make [ "Outside"; "Elsewhere" ])
   in
   let services = [ H.medical_service; H.research_service; "Bogus" ] in
-  let profile =
-    let open Gen in
-    let* picks =
-      list_size (0 -- 6)
-        (pair (int_bound (Array.length pool - 1)) (oneofl [ 0.0; 0.3; 0.9 ]))
-    in
-    let+ agreed = list_size (0 -- 3) (oneofl services) in
-    let sensitivities =
-      List.fold_left
-        (fun acc (i, v) ->
-          if List.exists (fun (f, _) -> Mdp_dataflow.Field.equal f pool.(i)) acc
-          then acc
-          else (pool.(i), v) :: acc)
-        [] picks
-    in
-    Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
+  let* picks =
+    list_size (0 -- 6)
+      (pair (int_bound (Array.length pool - 1)) (oneofl [ 0.0; 0.3; 0.9 ]))
   in
-  let print ps =
-    String.concat "\n"
-      (List.map (Format.asprintf "%a" Core.User_profile.pp) ps)
+  let+ agreed = list_size (0 -- 3) (oneofl services) in
+  let sensitivities =
+    List.fold_left
+      (fun acc (i, v) ->
+        if List.exists (fun (f, _) -> Mdp_dataflow.Field.equal f pool.(i)) acc
+        then acc
+        else (pool.(i), v) :: acc)
+      [] picks
   in
-  make ~print Gen.(list_size (0 -- 40) profile)
+  Core.User_profile.make ~sensitivities ~agreed_services:agreed ()
+
+let print_profiles ps =
+  String.concat "\n" (List.map (Format.asprintf "%a" Core.User_profile.pp) ps)
+
+let arb_profiles =
+  QCheck.make ~print:print_profiles QCheck.Gen.(list_size (0 -- 40) gen_profile)
 
 let prop_classes_oracle =
   let u = Core.Universe.make H.diagram H.policy in
@@ -244,13 +242,71 @@ let prop_classes_oracle =
     arb_profiles (fun profiles ->
       Core.Population.classes u profiles = classes_oracle u profiles)
 
+(* Populations that share profiles by reference, as [simulate]'s do: a
+   pool of generated profiles plus structural copies of some of them
+   (physically distinct, equal keys), drawn with repeats. *)
+let arb_shared_population =
+  let gen =
+    let open QCheck.Gen in
+    let* originals = list_size (1 -- 8) gen_profile in
+    let* copied = list_size (0 -- 4) (oneofl originals) in
+    let copies =
+      List.map
+        (fun p ->
+          Core.User_profile.make
+            ~sensitivities:(Core.User_profile.sensitivities p)
+            ~agreed_services:(Core.User_profile.agreed_services p)
+            ())
+        copied
+    in
+    let pool = Array.of_list (originals @ copies) in
+    let+ draws = list_size (0 -- 300) (int_bound (Array.length pool - 1)) in
+    List.map (Array.get pool) draws
+  in
+  QCheck.make ~print:print_profiles gen
+
+(* Counts equal the oracle's, and each representative is the first
+   member of its class in input order itself, not a copy of it. *)
+let prop_classes_shared =
+  let u = Core.Universe.make H.diagram H.policy in
+  QCheck.Test.make ~name:"classes of shared profiles equal the oracle"
+    ~count:300 arb_shared_population (fun profiles ->
+      let got = Core.Population.classes u profiles in
+      let expected = classes_oracle u profiles in
+      got = expected
+      && List.for_all2 (fun (p, _) (q, _) -> p == q) got expected)
+
+(* [classes] computes one key per physically distinct profile of a
+   simulated draw, and counts them under [population/class_keys]. *)
+let test_class_keys_counter () =
+  let u = Core.Universe.make H.diagram H.policy in
+  let profiles = Core.Population.simulate (spec ~seed:42 100_000) H.diagram in
+  let was_enabled = Mdp_obs.Metrics.enabled () in
+  Mdp_obs.Metrics.set_enabled true;
+  let counter () =
+    Option.value ~default:0
+      (List.assoc_opt "population/class_keys"
+         (Mdp_obs.Metrics.snapshot ()).Mdp_obs.Metrics.counters)
+  in
+  let before = counter () in
+  let classes =
+    Fun.protect
+      ~finally:(fun () -> Mdp_obs.Metrics.set_enabled was_enabled)
+      (fun () -> Core.Population.classes u profiles)
+  in
+  check int_ "classes" 12 (List.length classes);
+  check int_ "keys computed" 12 (counter () - before)
+
 (* The memory property behind the sharing: a large draw holds one
-   profile per (segment, agreed-service subset) at most. *)
-let test_simulate_shares_profiles () =
-  let profiles = Core.Population.simulate (spec 50_000) H.diagram in
+   profile per (segment, agreed-service subset) at most, keyed by the
+   segment even where the mix names it twice. *)
+let check_shares_profiles westin_mix =
+  let profiles =
+    Core.Population.simulate { (spec 50_000) with westin_mix } H.diagram
+  in
+  let segments = List.length (List.sort_uniq compare (List.map fst westin_mix)) in
   let bound =
-    List.length Core.Population.default_mix
-    * (1 lsl List.length H.diagram.Mdp_dataflow.Diagram.services)
+    segments * (1 lsl List.length H.diagram.Mdp_dataflow.Diagram.services)
   in
   (* stops collecting one past the bound, so a failure stays cheap *)
   let distinct =
@@ -266,6 +322,11 @@ let test_simulate_shares_profiles () =
        (List.length distinct) bound)
     true
     (List.length distinct <= bound)
+
+let test_simulate_shares_profiles () =
+  check_shares_profiles Core.Population.default_mix;
+  check_shares_profiles
+    Core.Questionnaire.[ (Pragmatist, 0.3); (Pragmatist, 0.5); (Unconcerned, 0.2) ]
 
 (* ------------------------------------------------------------------ *)
 (* σ-delta reaggregation (PR 10): a 1-field sensitivity edit over a
@@ -609,6 +670,9 @@ let () =
           Alcotest.test_case "partition" `Quick test_classes_partition;
           Alcotest.test_case "distinguish" `Quick test_classes_distinguish;
           QCheck_alcotest.to_alcotest prop_classes_oracle;
+          QCheck_alcotest.to_alcotest prop_classes_shared;
+          Alcotest.test_case "one key per distinct profile" `Quick
+            test_class_keys_counter;
         ] );
       ( "simulate",
         [
