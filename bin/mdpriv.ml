@@ -545,7 +545,8 @@ let sweep_cmd =
             (fun { Core.Whatif.outcome; score } ->
               let score_s =
                 (* min_int marks a candidate that was classified but not
-                   computed (replay/full-rerun without --exact). *)
+                   computed (replay/full-rerun without --exact, or an
+                   edited model past --max-states). *)
                 if score = min_int then "   ?" else Printf.sprintf "%+4d" score
               in
               let worst_s =

@@ -92,6 +92,10 @@ type compiled_flow = {
   cf_could_vars : int list;  (** privacy.could bits set on creation *)
 }
 
+val compile : Universe.t -> options -> compiled_flow list
+(** The flows in scope with their effective fields, in flow-index
+    order: what exploration fires. *)
+
 (** What a policy edit changes in the inputs exploration reads. *)
 type policy_changes = {
   pc_u : Universe.t;  (** the edited universe *)

@@ -1,7 +1,7 @@
 open Mdp_prelude
 
 (* Cone-scoped what-if answers: the region-granular what-if step, read
-   off the per-store cones of the explored LTS's edge rows.
+   off the explored LTS's edge rows.
 
    A pure ACL revocation can only *shrink* the model: deny-overrides
    means [Policy.allows] flips true->false, so effective flow fields
@@ -19,12 +19,11 @@ open Mdp_prelude
    - a revoked (actor, store) potential-read group is recomputed from
      the new readable word, replacing the old group's consecutive block.
 
-   Any old state carrying an affected transition has a class-[s]
-   outgoing edge for an affected store [s], so it is in [s]'s cone —
-   the states with such an edge. {!index} classifies each interned
-   label once and marks every class's cone in one row pass per base;
-   a walk ORs the affected classes' cones, so the per-state test for
-   "does this row need substitution" is a bitset probe.
+   The substitution only touches rows with an edge on an affected store
+   (its cone); every other row comes out of the same arithmetic
+   unchanged, so the walk applies it to every row it reaches. {!index}
+   flattens the rows and records every state's field holders in one
+   row pass per base.
 
    {!walk} is the timed what-if path. For a Read/Write revocation a
    finding's level is a pure function of its label (impact from the
@@ -32,7 +31,7 @@ open Mdp_prelude
    deleters — untouched by Read/Write edits — and diagram-only rogue
    candidates), so the sweep only needs the set of distinct findable
    labels reachable in the edited model. One implementation collects
-   it: an int-BFS over the old edge rows that never materialises a
+   it: an int walk over the old edge rows that never materialises a
    configuration. When that walk declines (region or state count wider
    than a word, a growing substitution) the labels are read off a cold
    exploration of the edited model instead: re-exploring with the old
@@ -48,13 +47,30 @@ type patch = {
       (* (service, order) of an affected flow -> substitute or drop *)
   rp_read_drops : int;
       (* the fields some shrunk readable pair lost, as one word *)
-  rp_classes : int list;  (* affected store classes, deduplicated *)
 }
 
-let flow_key (cf : Generate.compiled_flow) =
-  match cf.cf_action.Action.provenance with
+type refusal =
+  | Potential_deletes
+  | Too_wide
+  | Guard_moved
+  | Flow_added
+  | Read_gained
+  | Storeless_flow
+
+let refusal_name = function
+  | Potential_deletes -> "potential_deletes"
+  | Too_wide -> "too_wide"
+  | Guard_moved -> "guard_moved"
+  | Flow_added -> "flow_added"
+  | Read_gained -> "read_gained"
+  | Storeless_flow -> "storeless_flow"
+
+let action_key (a : Action.t) =
+  match a.Action.provenance with
   | Action.From_flow { service; order } -> (service, order)
-  | _ -> invalid_arg "Regen.flow_key: flow action without flow provenance"
+  | _ -> invalid_arg "Regen.action_key: flow action without flow provenance"
+
+let flow_key (cf : Generate.compiled_flow) = action_key cf.cf_action
 
 (* Substitution is exact only when the flow's enabledness is untouched:
    equal guard (creates are [Always]-guarded; a read flow's guard covers
@@ -66,62 +82,54 @@ let substitutable (a : Generate.compiled_flow) (b : Generate.compiled_flow) =
 
 let make_patch (options : Generate.options) (c : Generate.policy_changes) =
   let u = c.pc_u in
-  let readable =
-    if options.potential_deletes then
-      (* Potential deletes recompute could-bits from global reader sets
-         per transition; no label-local substitution exists for them. *)
-      None
-    else if not options.potential_reads then Some [||]
-    else
-      (* [None] when the model is too wide for the word-packed read path *)
-      Generate.readable_rows u options
-  in
-  match readable with
-  | None -> None
-  | Some readable -> (
-    let exception Decline in
-    let classes = ref [] in
-    let add_class s =
-      if s < 0 then raise Decline
-      else if not (List.mem s !classes) then classes := s :: !classes
+  let exception Refused of refusal in
+  let refuse r = raise (Refused r) in
+  try
+    let readable =
+      if options.potential_deletes then
+        (* Potential deletes recompute could-bits from global reader sets
+           per transition; no label-local substitution exists for them. *)
+        refuse Potential_deletes
+      else if not options.potential_reads then [||]
+      else
+        match Generate.readable_rows u options with
+        | Some rows -> rows
+        | None -> refuse Too_wide
     in
     let flow_sub = Hashtbl.create 8 in
     let sub (cf_old : Generate.compiled_flow) cf_new =
-      add_class (Generate.store_classifier u cf_old.cf_action);
+      if Generate.store_classifier u cf_old.cf_action < 0 then
+        refuse Storeless_flow;
       Hashtbl.replace flow_sub (flow_key cf_old) cf_new
     in
-    try
-      List.iter
-        (function
-          | Some cf_old, Some cf_new when substitutable cf_old cf_new ->
-            sub cf_old (Some cf_new)
-          | Some cf_old, None -> (* fully denied: the entry drops *)
-            sub cf_old None
-          | _ ->
-            (* a moved guard, or a flow present only in the edited
-               model, can fire at states outside the cones *)
-            raise Decline)
-        c.pc_flows;
-      let read_drops =
-        List.fold_left
-          (fun w (_, s, lost, gained) ->
-            (* a grown readable set could enable fresh reads anywhere *)
-            if gained <> [] then raise Decline;
-            add_class s;
-            List.fold_left (fun w f -> w lor (1 lsl f)) w lost)
-          0 c.pc_reads
-      in
-      Some
-        {
-          rp_u = u;
-          rp_options = options;
-          rp_compiled_old = c.pc_compiled_old;
-          rp_readable = readable;
-          rp_flow_sub = flow_sub;
-          rp_read_drops = read_drops;
-          rp_classes = !classes;
-        }
-    with Decline -> None)
+    List.iter
+      (function
+        | Some cf_old, Some cf_new ->
+          (* a moved guard can fire at states outside the cones *)
+          if substitutable cf_old cf_new then sub cf_old (Some cf_new)
+          else refuse Guard_moved
+        | Some cf_old, None -> (* fully denied: the entry drops *)
+          sub cf_old None
+        | None, _ -> refuse Flow_added)
+      c.pc_flows;
+    let read_drops =
+      List.fold_left
+        (fun w (_, _, lost, gained) ->
+          (* a grown readable set could enable fresh reads anywhere *)
+          if gained <> [] then refuse Read_gained;
+          List.fold_left (fun w f -> w lor (1 lsl f)) w lost)
+        0 c.pc_reads
+    in
+    Ok
+      {
+        rp_u = u;
+        rp_options = options;
+        rp_compiled_old = c.pc_compiled_old;
+        rp_readable = readable;
+        rp_flow_sub = flow_sub;
+        rp_read_drops = read_drops;
+      }
+  with Refused r -> Error r
 
 let bit bs i =
   Char.code (Bytes.unsafe_get bs (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -136,12 +144,11 @@ let set_bit bs i =
 type index = {
   ix_lts : Plts.t;
   ix_labels : Action.t array;  (* interned labels, by label id *)
-  ix_cones : Bytes.t array;
-      (* per store class: the states with an edge of that class *)
-  ix_root_stores : int array;
-      (* the root's fields per store, one word each; [||] when the model
-         is too wide for the pair walk *)
-  ix_root_has : int array;  (* the root's has-fields per actor, likewise *)
+  ix_holders : int array;
+      (* state [q]'s holders of field [f] at [q * nfields + f]: bit [s]
+         per store holding it, bit [nstores + a] per actor that has it;
+         [||] when potential deletes clear bits or stores and actors
+         outnumber a word's bits *)
   ix_row_start : int array;
       (* edge rows as flat arrays: state [q]'s edges are
          [ix_edges.(ix_row_start.(q) .. ix_row_start.(q + 1) - 1)], each
@@ -150,6 +157,8 @@ type index = {
   ix_edges : int array;
   ix_dst_bits : int;
 }
+
+let holders ix = ix.ix_holders
 
 let bits_for n =
   let b = ref 0 in
@@ -169,11 +178,14 @@ let iter_row ix q f =
     done
   end
 
-let index u lts =
+(* Without potential deletes a transition only ever sets store and has
+   bits, the same ones wherever its label fires. A state's holders are
+   then any parent's plus its label's writes, and BFS numbering puts a
+   parent before each state, so the one row pass fills them in order. *)
+let index (options : Generate.options) u lts =
   let n = Plts.num_states lts in
   let labels = Option.get (Plts.interned_labels lts) in
-  let ns = Universe.nstores u and na = Universe.nactors u in
-  let nf = Universe.nfields u in
+  let ns = Universe.nstores u and nf = Universe.nfields u in
   let dst_bits = bits_for n in
   let flat =
     Plts.spill_stats lts = None
@@ -183,48 +195,96 @@ let index u lts =
   let edges =
     if flat then Array.make (Plts.num_transitions lts) 0 else [||]
   in
-  let classes = Array.map (Generate.store_classifier u) labels in
-  let cones = Array.init ns (fun _ -> Bytes.make ((n + 7) / 8) '\000') in
+  let held =
+    (not options.potential_deletes)
+    && ns + Universe.nactors u < Sys.int_size - 1
+  in
+  let holders = Array.make (if held then n * nf else 0) 0 in
+  let writes = Array.make (if held then Array.length labels * nf else 0) 0 in
+  (* [put a i b] ORs holder bits [b] into [a.(i)] *)
+  let put a i b = a.(i) <- a.(i) lor b in
+  let has_var a base v =
+    put a (base + Universe.var_field u v) (1 lsl (ns + Universe.var_actor u v))
+  in
+  if held then begin
+    let by_key = Hashtbl.create 16 in
+    List.iter
+      (fun cf -> Hashtbl.replace by_key (flow_key cf) cf)
+      (Generate.compile u options);
+    Array.iteri
+      (fun lid (a : Action.t) ->
+        let base = lid * nf in
+        match a.Action.provenance with
+        | Action.From_flow _ ->
+          let cf : Generate.compiled_flow =
+            Hashtbl.find by_key (action_key a)
+          in
+          List.iter (has_var writes base) cf.cf_has_vars;
+          Option.iter
+            (fun (s, fis) ->
+              List.iter (fun f -> put writes (base + f) (1 lsl s)) fis)
+            cf.cf_store_write
+        | Action.Potential ->
+          (* a potential read: its actor now has the fields *)
+          let has = 1 lsl (ns + Universe.actor_index u a.Action.actor) in
+          List.iter
+            (fun f -> put writes (base + Universe.field_index u f) has)
+            a.Action.fields)
+      labels;
+    (* state 0 is the initial configuration: built, not decoded *)
+    let cfg0 = Config.initial u in
+    Array.iteri
+      (fun s st -> Bitset.iter (fun f -> put holders f (1 lsl s)) st)
+      cfg0.Config.stores;
+    Bitset.iter (has_var holders 0) cfg0.Config.privacy.Privacy_state.has
+  end;
   let e = ref 0 in
   for q = 0 to n - 1 do
     Plts.iter_successors_lid lts q (fun lid dst ->
-        let c = classes.(lid) in
-        if c >= 0 then set_bit cones.(c) q;
+        if held && dst > q then
+          for f = 0 to nf - 1 do
+            let i = (dst * nf) + f in
+            holders.(i) <-
+              holders.(i) lor holders.((q * nf) + f) lor writes.((lid * nf) + f)
+          done;
         if flat then begin
           edges.(!e) <- (lid lsl dst_bits) lor dst;
           incr e
         end);
     if flat then row_start.(q + 1) <- !e
   done;
-  let root_stores, root_has =
-    if nf >= Sys.int_size - 1 then ([||], [||])
-    else begin
-      (* state 0 is the initial configuration: built, not decoded *)
-      let cfg0 = Config.initial u in
-      let word holds =
-        let w = ref 0 in
-        for f = 0 to nf - 1 do
-          if holds f then w := !w lor (1 lsl f)
-        done;
-        !w
-      in
-      ( Array.init ns (fun s -> word (Bitset.get cfg0.Config.stores.(s))),
-        Array.init na (fun a ->
-            word (fun f ->
-                Bitset.get cfg0.Config.privacy.Privacy_state.has
-                  (Universe.var u ~actor:a ~field:f))) )
-    end
-  in
   {
     ix_lts = lts;
     ix_labels = labels;
-    ix_cones = cones;
-    ix_root_stores = root_stores;
-    ix_root_has = root_has;
+    ix_holders = holders;
     ix_row_start = row_start;
     ix_edges = edges;
     ix_dst_bits = dst_bits;
   }
+
+(* An int set by open addressing: keys are non-negative, [-1] marks a
+   free slot, and the table doubles at half load. *)
+type iset = { mutable slots : int array; mutable size : int }
+
+let rec iset_add t key =
+  let slots = t.slots in
+  let mask = Array.length slots - 1 in
+  let i = ref ((key * 0x9E3779B97F4A7C1) lsr 17 land mask) in
+  while slots.(!i) >= 0 && slots.(!i) <> key do
+    i := (!i + 1) land mask
+  done;
+  if slots.(!i) = key then false
+  else if 2 * (t.size + 1) > Array.length slots then begin
+    t.slots <- Array.make (2 * Array.length slots) (-1);
+    t.size <- 0;
+    Array.iter (fun k -> if k >= 0 then ignore (iset_add t k)) slots;
+    iset_add t key
+  end
+  else begin
+    slots.(!i) <- key;
+    t.size <- t.size + 1;
+    true
+  end
 
 (* ----- timed walk: distinct findable labels of the edited model ----- *)
 
@@ -255,12 +315,14 @@ let index u lts =
      reads the twin never had — is covered by scanning the few
      region-relevant (actor, store) pairs not present in the twin's row.
 
-   Pass 1 fills the twins' region truth in one sweep over the old graph
-   (BFS numbering: parents precede children); the affected states —
-   those with an edge whose label touches an affected store — are the
-   union of the index's cones. Pass 2 is the hybrid BFS.
-   Returns [None] when it declines (growing substitution, region or
-   state count too wide for one word), [Some None] on budget abort. *)
+   A twin's region truth is the projection of its own holder words in
+   the index; the affected states — those with an edge whose label
+   touches an affected store — are the union of the index's cones. The
+   walk is one worklist over old ids (non-negative) and pair keys
+   (encoded negative), expanded in any order: the reachable set and its
+   size do not depend on it. Returns [None] when it declines (growing
+   substitution, region or state count too wide for one word), [Some
+   None] on budget abort. *)
 let walk_fast ix p =
   let labels = ix.ix_labels in
   let u = p.rp_u and options = p.rp_options in
@@ -327,16 +389,23 @@ let walk_fast ix p =
     let dfn = Array.length df_arr in
     let df_pos = Array.make (max nf 1) (-1) in
     Array.iteri (fun k f -> df_pos.(f) <- k) df_arr;
-    let rbits = (ns + na) * dfn in
-    let qbits = bits_for n in
-    if rbits + qbits > Sys.int_size - 2 then raise Ineligible;
-    let sbit s k = (s * dfn) + k in
-    let hbit a k = (ns * dfn) + (a * dfn) + k in
-    let reg_of_has_fields a fword =
+    (* region bit [k * g + h] is holder [h] of the [k]-th dropped field,
+       as in the index's holder words *)
+    let g = ns + na in
+    let rbits = g * dfn and pbits = bits_for (na * ns) in
+    if
+      rbits + bits_for n > Sys.int_size - 2
+      || pbits + nf > Sys.int_size - 2
+      || (dfn > 0 && Array.length ix.ix_holders = 0)
+    then raise Ineligible;
+    let sbit s k = (k * g) + s in
+    let hbit a k = (k * g) + ns + a in
+    (* the region bits of holder [h] over the fields [fword] *)
+    let reg_of h fword =
       let r = ref 0 in
       for k = 0 to dfn - 1 do
         if fword land (1 lsl df_arr.(k)) <> 0 then
-          r := !r lor (1 lsl hbit a k)
+          r := !r lor (1 lsl ((k * g) + h))
       done;
       !r
     in
@@ -367,35 +436,29 @@ let walk_fast ix p =
             else r)
           0 vars
       | Generate.Store_holds (s, fis) ->
-        List.fold_left
-          (fun r f ->
-            let k = df_pos.(f) in
-            if k >= 0 then r lor (1 lsl sbit s k) else r)
-          0 fis
+        reg_of s (List.fold_left (fun w f -> w lor (1 lsl f)) 0 fis)
     in
-    (* (actor, store) pairs whose readable set meets the region: the
-       only places a read can exist at a pair but not at its twin *)
+    (* (actor, store, region fields, their store bits) of the pairs
+       whose readable set meets the region: the only places a read can
+       exist at a pair but not at its twin *)
     let region_pairs = ref [] in
-    let npairs = ref 0 in
     if options.Generate.potential_reads then
-      for a = 0 to na - 1 do
-        for s = 0 to ns - 1 do
+      for a = na - 1 downto 0 do
+        for s = ns - 1 downto 0 do
           let rdf = p.rp_readable.(a).(s) land df_mask in
-          if rdf <> 0 then begin
-            region_pairs := (a, s, !npairs, rdf) :: !region_pairs;
-            incr npairs
-          end
+          if rdf <> 0 then
+            region_pairs := (a, s, rdf, reg_of s rdf) :: !region_pairs
         done
       done;
-    let region_pairs = List.rev !region_pairs in
-    if !npairs > Sys.int_size - 2 then raise Ineligible;
+    let region_pairs = Array.of_list !region_pairs in
+    let npairs = Array.length region_pairs in
+    if npairs > Sys.int_size - 2 then raise Ineligible;
     (* ---- per-interned-label classification ---- *)
     let nl = Array.length labels in
     let kind = Array.make (max nl 1) 0 in
     (* 0 keep flow / 1 substitute / 2 drop / 3 potential read *)
     let guard_reg = Array.make (max nl 1) 0 in
-    let wr_new_reg = Array.make (max nl 1) 0 in
-    let wr_old_reg = Array.make (max nl 1) 0 in
+    let wr_reg = Array.make (max nl 1) 0 in
     let subst = Array.make (max nl 1) None in
     let read_actor = Array.make (max nl 1) (-1) in
     let read_store = Array.make (max nl 1) (-1) in
@@ -404,30 +467,31 @@ let walk_fast ix p =
     let read_k = Array.make (max nl 1) (-1) in
     let read_pair = Array.make (max nl 1) (-1) in
     let pair_id = Array.make (max 1 (na * ns)) (-1) in
-    List.iter
-      (fun (a, s, pid, _) -> pair_id.((a * ns) + s) <- pid)
+    Array.iteri
+      (fun i (a, s, _, _) -> pair_id.((a * ns) + s) <- i)
       region_pairs;
     Array.iteri
       (fun lid (a : Action.t) ->
         match a.Action.provenance with
-        | Action.From_flow { service; order } ->
-          let key = (service, order) in
-          let old_cf =
-            match Hashtbl.find_opt old_by_key key with
-            | Some cf -> cf
-            | None -> raise Ineligible
+        | Action.From_flow _ -> (
+          let key = action_key a in
+          let cf =
+            match
+              ( Hashtbl.find_opt old_by_key key,
+                Hashtbl.find_opt p.rp_flow_sub key )
+            with
+            | None, _ -> raise Ineligible
+            | Some cf, None -> cf
+            | Some cf, Some None ->
+              kind.(lid) <- 2;
+              cf
+            | Some _, Some (Some cf) ->
+              kind.(lid) <- 1;
+              subst.(lid) <- Some cf;
+              cf
           in
-          wr_old_reg.(lid) <- reg_of_flow_writes old_cf;
-          (match Hashtbl.find_opt p.rp_flow_sub key with
-          | None ->
-            guard_reg.(lid) <- reg_of_guard old_cf.cf_guard;
-            wr_new_reg.(lid) <- wr_old_reg.(lid)
-          | Some None -> kind.(lid) <- 2
-          | Some (Some cf) ->
-            kind.(lid) <- 1;
-            subst.(lid) <- Some cf;
-            guard_reg.(lid) <- reg_of_guard cf.cf_guard;
-            wr_new_reg.(lid) <- reg_of_flow_writes cf)
+          guard_reg.(lid) <- reg_of_guard cf.cf_guard;
+          wr_reg.(lid) <- reg_of_flow_writes cf)
         | Action.Potential -> (
           match (a.Action.kind, a.Action.store) with
           | Action.Read, Some sid ->
@@ -438,7 +502,6 @@ let walk_fast ix p =
                 (fun w f -> w lor (1 lsl Universe.field_index u f))
                 0 a.Action.fields
             in
-            wr_old_reg.(lid) <- reg_of_has_fields ai (fw land df_mask);
             if
               options.Generate.granular_reads
               && fw land p.rp_readable.(ai).(si) = 0
@@ -460,77 +523,46 @@ let walk_fast ix p =
             end
           | _ -> raise Ineligible))
       labels;
-    (* ---- pass 1: region truth of every old state; the affected
-       states are the union of the affected classes' cones ---- *)
-    let affected = Bytes.make ((n + 7) / 8) '\000' in
-    List.iter
-      (fun c ->
-        let cone = ix.ix_cones.(c) in
-        for i = 0 to Bytes.length affected - 1 do
-          Bytes.unsafe_set affected i
-            (Char.unsafe_chr
-               (Char.code (Bytes.unsafe_get affected i)
-               lor Char.code (Bytes.unsafe_get cone i)))
-        done)
-      p.rp_classes;
-    let twin_reg = Array.make n (-1) in
-    (let r = ref 0 in
-     for k = 0 to dfn - 1 do
-       let fb = 1 lsl df_arr.(k) in
-       for s = 0 to ns - 1 do
-         if ix.ix_root_stores.(s) land fb <> 0 then
-           r := !r lor (1 lsl sbit s k)
-       done;
-       for a = 0 to na - 1 do
-         if ix.ix_root_has.(a) land fb <> 0 then r := !r lor (1 lsl hbit a k)
-       done
-     done;
-     twin_reg.(0) <- !r);
-    for q = 0 to n - 1 do
-      let rq = twin_reg.(q) in
-      if rq >= 0 then
-        iter_row ix q (fun lid dst ->
-            if twin_reg.(dst) < 0 then
-              twin_reg.(dst) <- rq lor wr_old_reg.(lid))
-    done;
-    (* ---- pass 2: hybrid BFS over old ids and (twin, assignment) ---- *)
-    let visited = Bytes.make ((n + 7) / 8) '\000' in
-    let pair_seen = Hashtbl.create 1024 in
-    let old_queue = Queue.create () and pair_queue = Queue.create () in
-    let reached = ref 0 in
-    let over_budget () = !reached > options.Generate.max_states in
+    let holders = ix.ix_holders in
+    let twin q =
+      let r = ref 0 in
+      for k = 0 to dfn - 1 do
+        r := !r lor (holders.((q * nf) + df_arr.(k)) lsl (k * g))
+      done;
+      !r
+    in
+    (* ---- the walk over old ids and (twin, assignment) pairs ---- *)
+    let visited = Bytes.make ((n + 7) / 8) '\000' and olds = ref 0 in
+    let pairs = { slots = Array.make 1024 (-1); size = 0 } in
+    let work = ref (Array.make 256 0) and top = ref 0 in
+    let push x =
+      if !top = Array.length !work then
+        work := Array.append !work (Array.make !top 0);
+      !work.(!top) <- x;
+      incr top
+    in
     let present = Array.make (max nl 1) false in
     (* Old labels whose substitute fired: one flow each, so their
        substitutes are distinct. *)
     let subst_fired = Array.make (max nl 1) false in
-    (* Recomputed read groups, labelled once each after the walk. *)
-    let fresh_reads = Hashtbl.create 32 in
-    let emit_read a s bits = Hashtbl.replace fresh_reads (a, s, bits) () in
+    (* Recomputed read groups, keyed [(bits lsl pbits) lor (a * ns + s)]
+       and labelled once each after the walk. *)
+    let fresh_reads = { slots = Array.make 64 (-1); size = 0 } in
+    let emit_read a s bits =
+      ignore (iset_add fresh_reads ((bits lsl pbits) lor ((a * ns) + s)))
+    in
     let visit_old q =
       if not (bit visited q) then begin
         set_bit visited q;
-        incr reached;
-        Queue.push q old_queue
-      end
-    in
-    let visit_pair q asn =
-      let key = (q lsl rbits) lor asn in
-      if not (Hashtbl.mem pair_seen key) then begin
-        Hashtbl.replace pair_seen key ();
-        incr reached;
-        Queue.push key pair_queue
+        incr olds;
+        push q
       end
     in
     let resolve dst asn =
-      let t = twin_reg.(dst) in
-      if t < 0 then raise Ineligible
-      else if asn = t then visit_old dst
-      else visit_pair dst asn
-    in
-    let get_subst lid =
-      match subst.(lid) with
-      | Some (cf : Generate.compiled_flow) -> cf
-      | None -> assert false
+      if asn = twin dst then visit_old dst
+      else
+        let key = (dst lsl rbits) lor asn in
+        if iset_add pairs key then push (-1 - key)
     in
     let fresh_df a s asn rdf =
       let r = ref 0 in
@@ -544,144 +576,132 @@ let walk_fast ix p =
       done;
       !r
     in
-    (* old ids: truth = twin; substituted rows re-point edges by the
-       same arithmetic, untouched rows are copied wholesale *)
-    let process_old q =
-      if bit affected q then begin
-        let rq = twin_reg.(q) in
-        if rq < 0 then raise Ineligible;
-        iter_row ix q (fun lid dst ->
-            match kind.(lid) with
-            | 0 ->
-              present.(lid) <- true;
-              visit_old dst
-            | 2 -> ()
-            | 1 ->
-              subst_fired.(lid) <- true;
-              resolve dst (rq lor wr_new_reg.(lid))
-            | _ ->
-              let a = read_actor.(lid) and s = read_store.(lid) in
-              let fw = read_fields.(lid) in
-              let fresh_new = fw land p.rp_readable.(a).(s) in
-              if fresh_new = fw then begin
-                present.(lid) <- true;
-                visit_old dst
-              end
-              else if fresh_new <> 0 then begin
-                emit_read a s fresh_new;
-                resolve dst (rq lor reg_of_has_fields a (fresh_new land df_mask))
-              end)
-      end
-      else
-        iter_row ix q (fun lid dst ->
+    (* The node being expanded: an old state ([is_pair] false, [cur] its
+       twin truth; its row is the twin's, re-pointed where substituted)
+       or a pair ([cur] its assignment, [seen] the region pairs its row
+       reads). *)
+    let is_pair = ref false and cur = ref 0 and seen = ref 0 in
+    let on_edge lid dst =
+      let asn = !cur in
+      match kind.(lid) with
+      | 0 ->
+        if not !is_pair then begin
+          present.(lid) <- true;
+          visit_old dst
+        end
+        else if guard_reg.(lid) land lnot asn = 0 then begin
+          present.(lid) <- true;
+          resolve dst (asn lor wr_reg.(lid))
+        end
+      | 2 -> ()
+      | 1 ->
+        (* a substitute keeps the old guard, which held at the twin *)
+        if guard_reg.(lid) land lnot asn = 0 then begin
+          subst_fired.(lid) <- true;
+          resolve dst (asn lor wr_reg.(lid))
+        end
+      | _ ->
+        let a = read_actor.(lid) and s = read_store.(lid) in
+        let fw = read_fields.(lid) in
+        if not !is_pair then begin
+          let fresh_new = fw land p.rp_readable.(a).(s) in
+          if fresh_new = fw then begin
             present.(lid) <- true;
-            visit_old dst)
+            visit_old dst
+          end
+          else if fresh_new <> 0 then begin
+            emit_read a s fresh_new;
+            resolve dst (asn lor reg_of (ns + a) (fresh_new land df_mask))
+          end
+        end
+        else if options.Generate.granular_reads then begin
+          let k = read_k.(lid) in
+          if k < 0 then begin
+            (* field outside the region: fresh here iff fresh at the
+               twin, and the has-bit it sets is not tracked *)
+            present.(lid) <- true;
+            resolve dst asn
+          end
+          else if
+            asn land (1 lsl sbit s k) <> 0 && asn land (1 lsl hbit a k) = 0
+          then begin
+            present.(lid) <- true;
+            resolve dst (asn lor (1 lsl hbit a k))
+          end
+        end
+        else begin
+          let pid = read_pair.(lid) in
+          if pid >= 0 then seen := !seen lor (1 lsl pid);
+          let fdf =
+            if read_rdf.(lid) = 0 then 0 else fresh_df a s asn read_rdf.(lid)
+          in
+          let fresh_true = fw land lnot df_mask lor fdf in
+          if fresh_true = fw then present.(lid) <- true
+          else if fresh_true <> 0 then emit_read a s fresh_true;
+          if fresh_true <> 0 then resolve dst (asn lor reg_of (ns + a) fdf)
+        end
     in
-    let process_pair key =
-      let q = key lsr rbits in
-      let asn = key land ((1 lsl rbits) - 1) in
-      let tq = twin_reg.(q) in
-      let seen_pairs = ref 0 in
-      iter_row ix q (fun lid dst ->
-          match kind.(lid) with
-          | 0 ->
-            if guard_reg.(lid) land lnot asn = 0 then begin
-              present.(lid) <- true;
-              resolve dst (asn lor wr_new_reg.(lid))
+    (* Reads enabled at pair [(q, asn)] but absent from its twin's row:
+       the twin had already identified the field (has-bit set), this
+       pair has not. *)
+    let absent_reads q asn =
+      let tq = twin q in
+      for i = 0 to npairs - 1 do
+        let a, s, rdf, smask = region_pairs.(i) in
+        if asn land smask = 0 then ()
+        else if options.Generate.granular_reads then
+          for k = 0 to dfn - 1 do
+            let fb = 1 lsl df_arr.(k) in
+            if
+              rdf land fb <> 0
+              && asn land (1 lsl sbit s k) <> 0
+              && asn land (1 lsl hbit a k) = 0
+              && tq land (1 lsl hbit a k) <> 0
+            then begin
+              emit_read a s fb;
+              resolve q (asn lor (1 lsl hbit a k))
             end
-          | 2 -> ()
-          | 1 ->
-            if guard_reg.(lid) land lnot asn = 0 then begin
-              subst_fired.(lid) <- true;
-              resolve dst (asn lor wr_new_reg.(lid))
-            end
-          | _ ->
-            let a = read_actor.(lid) and s = read_store.(lid) in
-            if options.Generate.granular_reads then begin
-              let k = read_k.(lid) in
-              if k < 0 then begin
-                (* field outside the region: fresh here iff fresh at the
-                   twin, and the has-bit it sets is not tracked *)
-                present.(lid) <- true;
-                resolve dst asn
-              end
-              else if
-                asn land (1 lsl sbit s k) <> 0
-                && asn land (1 lsl hbit a k) = 0
-              then begin
-                present.(lid) <- true;
-                resolve dst (asn lor (1 lsl hbit a k))
-              end
-            end
-            else begin
-              let pid = read_pair.(lid) in
-              if pid >= 0 then seen_pairs := !seen_pairs lor (1 lsl pid);
-              let fw = read_fields.(lid) in
-              let fdf =
-                if read_rdf.(lid) = 0 then 0
-                else fresh_df a s asn read_rdf.(lid)
-              in
-              let fresh_true = fw land lnot df_mask lor fdf in
-              if fresh_true = fw then begin
-                present.(lid) <- true;
-                resolve dst (asn lor reg_of_has_fields a fdf)
-              end
-              else if fresh_true <> 0 then begin
-                emit_read a s fresh_true;
-                resolve dst (asn lor reg_of_has_fields a fdf)
-              end
-            end);
-      (* reads enabled here but absent from the twin's row: the twin had
-         already identified the field (has-bit set), this pair has not *)
-      if options.Generate.granular_reads then
-        List.iter
-          (fun (a, s, _, rdf) ->
-            for k = 0 to dfn - 1 do
-              let fb = 1 lsl df_arr.(k) in
-              if
-                rdf land fb <> 0
-                && asn land (1 lsl sbit s k) <> 0
-                && asn land (1 lsl hbit a k) = 0
-                && tq land (1 lsl hbit a k) <> 0
-              then begin
-                emit_read a s fb;
-                resolve q (asn lor (1 lsl hbit a k))
-              end
-            done)
-          region_pairs
-      else
-        List.iter
-          (fun (a, s, pid, rdf) ->
-            if !seen_pairs land (1 lsl pid) = 0 then begin
-              let fdf = fresh_df a s asn rdf in
-              if fdf <> 0 then begin
-                emit_read a s fdf;
-                resolve q (asn lor reg_of_has_fields a fdf)
-              end
-            end)
-          region_pairs
+          done
+        else if !seen land (1 lsl i) = 0 then begin
+          let fdf = fresh_df a s asn rdf in
+          if fdf <> 0 then begin
+            emit_read a s fdf;
+            resolve q (asn lor reg_of (ns + a) fdf)
+          end
+        end
+      done
     in
     visit_old 0;
-    let aborted = ref false in
-    while
-      (not !aborted)
-      && not (Queue.is_empty old_queue && Queue.is_empty pair_queue)
-    do
-      if not (Queue.is_empty old_queue) then process_old (Queue.pop old_queue)
-      else process_pair (Queue.pop pair_queue);
-      if over_budget () then aborted := true
+    while !top > 0 && !olds + pairs.size <= options.Generate.max_states do
+      decr top;
+      let x = !work.(!top) in
+      let key = -1 - x in
+      let q = if x >= 0 then x else key lsr rbits in
+      is_pair := x < 0;
+      cur := if x >= 0 then twin x else key land ((1 lsl rbits) - 1);
+      seen := 0;
+      iter_row ix q on_edge;
+      if x < 0 then absent_reads q !cur
     done;
-    if !aborted then Some None
+    Mdp_obs.Metrics.add "whatif/cone_old_states" !olds;
+    Mdp_obs.Metrics.add "whatif/cone_pair_states" pairs.size;
+    if !olds + pairs.size > options.Generate.max_states then Some None
     else begin
       let acc = ref [] in
       let add a = if Action.findable a then acc := a :: !acc in
-      Hashtbl.iter
-        (fun (a, s, bits) () ->
-          acc := Generate.read_action u ~actor:a ~store:s bits :: !acc)
-        fresh_reads;
+      Array.iter
+        (fun key ->
+          if key >= 0 then
+            let pair = key land ((1 lsl pbits) - 1) in
+            add
+              (Generate.read_action u ~actor:(pair / ns) ~store:(pair mod ns)
+                 (key lsr pbits)))
+        fresh_reads.slots;
       Array.iteri
         (fun lid fired ->
-          if fired then add (get_subst lid).Generate.cf_action;
+          (match subst.(lid) with
+          | Some (cf : Generate.compiled_flow) when fired -> add cf.cf_action
+          | _ -> ());
           if present.(lid) then add labels.(lid))
         subst_fired;
       Some (Some !acc)

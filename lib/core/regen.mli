@@ -6,11 +6,10 @@
     field sets shrink — no transition appears in the edited model at a
     previously explored state whose old successor row lacked one. The
     edited row of every old state is therefore a pointwise substitution
-    of the old row, and every state that needs one carries an outgoing
-    transition of an affected store class — i.e. it is in that class's
-    cone. {!index} derives every class's cone from the old LTS's edge
-    rows once per base, classifying each interned label once with
-    [Generate.store_classifier].
+    of the old row; only rows with an edge on an affected store (its
+    cone) change, and the same arithmetic leaves every other row as it
+    was. {!index} flattens the old LTS's edge rows and records every
+    state's field holders once per base.
 
     {!make_patch} turns the compiled-input comparison the edit was
     classified by ({!Generate.policy_changes}) into a substitution
@@ -19,29 +18,42 @@
     re-exploration of an edited model is a cold [Generate.run]. *)
 
 type patch
-(** An eligible edit's substitution recipe: per-flow substitutes/drops,
-    the fields each shrunk (actor, store) readable pair lost, and the
-    affected store classes. *)
+(** An eligible edit's substitution recipe: per-flow substitutes/drops
+    and the fields each shrunk (actor, store) readable pair lost. *)
 
-val make_patch : Generate.options -> Generate.policy_changes -> patch option
+type refusal =
+  | Potential_deletes
+  | Too_wide  (** more fields than the word-packed read path holds *)
+  | Guard_moved  (** a changed flow's guard or prereqs moved *)
+  | Flow_added
+  | Read_gained  (** a readable field was added *)
+  | Storeless_flow  (** an affected flow without a store class *)
+
+val refusal_name : refusal -> string
+(** [potential_deletes], [too_wide], [guard_moved], [flow_added],
+    [read_gained] or [storeless_flow]. *)
+
+val make_patch :
+  Generate.options -> Generate.policy_changes -> (patch, refusal) result
 (** The recipe for the compared edit, read off the comparison without
-    compiling either universe again. [None] when the edit is not a
-    cone-eligible shrink: potential deletes on, model too wide for the
-    word-packed read path, a changed flow whose guard or prereqs moved
-    (enabledness could differ outside the cones), a flow or readable
-    field {e added}, or an affected flow without a store class. *)
+    compiling either universe again, or why the edit is not a
+    cone-eligible shrink. *)
 
 type index
 (** What every walk over one base LTS shares, built once by {!index}:
-    the interned labels, one cone bitmap per store class (the states
-    with an outgoing edge on that store), the root's store and has
-    fields as words, and — unless the LTS spills — its edge rows as
-    flat arrays. Immutable once built, so walks on several domains may
-    share it. *)
+    the interned labels, every state's holders of each field, and —
+    unless the LTS spills — its edge rows as flat arrays. Immutable
+    once built, so walks on several domains may share it. *)
 
-val index : Universe.t -> Plts.t -> index
-(** One row pass over the LTS explored from the universe (the base of a
-    sweep). *)
+val index : Generate.options -> Universe.t -> Plts.t -> index
+(** One row pass over the LTS explored from the universe under the
+    options (the base of a sweep). *)
+
+val holders : index -> int array
+(** State [q]'s holders of field [f] at [q * nfields + f]: bit [s] per
+    store holding the field, bit [nstores + a] per actor that has it.
+    Empty under potential deletes or with more stores and actors than a
+    word has bits. *)
 
 val walk : index -> patch -> Action.t list option
 (** The timed what-if path: the distinct findable (read) labels reachable in the edited model, as raw LTS labels. For a
@@ -52,10 +64,11 @@ val walk : index -> patch -> Action.t list option
     wider than a word, a growing substitution) the labels come from
     {!cold_labels} under the patch's options, counted under
     [whatif/cone_walk_declined]. Each walk allocates only its own
-    per-edit scratch (region words, a visited set, queues) and reads
-    the index, so walks over one index may run concurrently. [None]
-    when the edited model exceeds [max_states] — callers fall back to a
-    full rerun. *)
+    scratch (a visited set, a pair set, a worklist) and reads the
+    index, so walks over one index may run concurrently; it adds
+    the old states and pairs it reached to [whatif/cone_old_states] and
+    [whatif/cone_pair_states]. [None] when the edited model exceeds
+    [max_states]. *)
 
 val cold_labels : Generate.options -> Universe.t -> Action.t list
 (** The distinct findable labels of a cold exploration of the universe:

@@ -72,7 +72,7 @@ let prepare analysis =
         options;
         inputs;
         before = Edit.baseline ~options ~universe inputs;
-        index = Regen.index universe analysis.Analysis.lts;
+        index = Regen.index options universe analysis.Analysis.lts;
         levels = plan_levels plan view;
       }
   | _ -> Error "what-if needs an analysis run with a user profile"
@@ -157,20 +157,24 @@ let label_levels base lb view labels =
    distinct findable labels determine the after-report's signature
    levels. The patch comes from the comparison the edit was classified
    by. Reads the base and its index only (each walk has its own
-   scratch), so it parallelises like the delta path. *)
+   scratch), so it parallelises like the delta path. [None] when the
+   patch is refused (a full rerun answers), [Some None] when the edited
+   model exceeds [max_states]. *)
 let cone_levels base (changes : Generate.policy_changes) =
   match Regen.make_patch base.options changes with
-  | None -> None
-  | Some patch -> (
+  | Error r ->
+    Mdp_obs.Metrics.incr ("whatif/cone_refused/" ^ Regen.refusal_name r);
+    None
+  | Ok patch ->
     Mdp_obs.Metrics.span "whatif/cone" @@ fun () ->
-    match Regen.walk base.index patch with
-    | None -> None
-    | Some labels ->
-      Mdp_obs.Metrics.incr "whatif/cone_hits";
-      Some
-        (label_levels base
-           (Risk_plan.make_labeller changes.Generate.pc_u)
-           base.view labels))
+    Some
+      (Option.map
+         (fun labels ->
+           Mdp_obs.Metrics.incr "whatif/cone_hits";
+           label_levels base
+             (Risk_plan.make_labeller changes.Generate.pc_u)
+             base.view labels)
+         (Regen.walk base.index patch))
 
 (* An edit that changes the LTS, in full: the findable labels of a cold
    exploration of the edited universe (the one the classification built,
@@ -201,7 +205,10 @@ let eval_edit ?(exact = false) base edit =
     let on_request classification levels =
       if exact then begin
         Analysis.count_incremental inv;
-        computed base edit classification (levels base after inv)
+        match levels base after inv with
+        | l -> computed base edit classification l
+        | exception Mdp_lts.Lts.Too_many_states _ ->
+          uncomputed edit classification
       end
       else uncomputed edit classification
     in
@@ -209,7 +216,8 @@ let eval_edit ?(exact = false) base edit =
       (if inv.Edit.inv_lts then begin
          Mdp_obs.Metrics.incr "whatif/invalidated_lts";
          match Option.bind inv.Edit.inv_cone (cone_levels base) with
-         | Some levels -> computed base edit Cone levels
+         | Some (Some levels) -> computed base edit Cone levels
+         | Some None -> uncomputed edit Full_rerun
          | None -> on_request Full_rerun rerun_levels
        end
        else begin

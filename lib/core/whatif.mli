@@ -44,7 +44,8 @@ type outcome = {
   classification : classification;
   diff : Risk_diff.t option;
       (** [None] when the candidate was classified but not computed
-          ([Replay]/[Full_rerun] without [~exact]). *)
+          ([Replay]/[Full_rerun] without [~exact], or a [Full_rerun]
+          whose edited model exceeds [max_states]). *)
   worst_after : Level.t option;  (** Same availability as [diff]. *)
 }
 
@@ -81,9 +82,10 @@ val eval_edit :
     only under [~exact] also records {!Analysis.count_incremental}, as
     the incremental run it stands in for. Every path reads the base
     only; under [~exact] a full rerun explores the edited model cold,
-    which {!sweep} keeps sequential.
-    @raise Mdp_lts.Lts.Too_many_states when an exact full rerun
-    exceeds the options' [max_states]. *)
+    which {!sweep} keeps sequential. A cone walk or full rerun past the
+    options' [max_states] leaves the candidate an uncomputed
+    [Full_rerun]; a walk that passed it explores nothing cold. Counts
+    each refused cone patch as [whatif/cone_refused/<reason>]. *)
 
 val improvement_score : Risk_diff.t -> int
 (** Σ (rank before − rank after) over removed/added/changed

@@ -29,6 +29,9 @@ let findings_spec_name = "synthetic:6-8-4@3"
    states; this one has 9,730 and findings under its profile. *)
 let matrix_spec_name = "synthetic:7-10-7@2"
 
+(* The benchmark's sweep model: 3,828 states, 93 cone candidates. *)
+let sweep_spec_name = "synthetic:9-12-7@42"
+
 let synth_model name =
   match Synth.spec_of_string name with
   | Some (Ok spec) ->
@@ -298,6 +301,139 @@ let test_matrix () =
   check bool_ (ctx ^ ": the fallback ran under the budget") true
     (counter "whatif/cone_walk_declined" > declined_before)
 
+(* ------------------------------------------------------------------ *)
+(* The walk's inputs and its work. The index records every state's
+   field holders by propagating label writes along its rows; they must
+   equal the decoded states' store and has bits, also over a spilled
+   base. *)
+
+let test_holders () =
+  let check_holders ctx (analysis : Core.Analysis.t) =
+    let u = analysis.Core.Analysis.universe
+    and lts = analysis.Core.Analysis.lts in
+    let ns = Core.Universe.nstores u and nf = Core.Universe.nfields u in
+    let holders =
+      Core.Regen.holders
+        (Core.Regen.index analysis.Core.Analysis.params.Core.Analysis.options u
+           lts)
+    in
+    check Alcotest.int (ctx ^ ": one word per state and field")
+      (Core.Plts.num_states lts * nf) (Array.length holders);
+    Core.Plts.iter_states lts (fun q ->
+        let cfg : Core.Config.t = Core.Plts.state_data lts q in
+        for f = 0 to nf - 1 do
+          let want = ref 0 in
+          Array.iteri
+            (fun s st ->
+              if Mdp_prelude.Bitset.get st f then want := !want lor (1 lsl s))
+            cfg.Core.Config.stores;
+          for a = 0 to Core.Universe.nactors u - 1 do
+            if
+              Mdp_prelude.Bitset.get
+                cfg.Core.Config.privacy.Core.Privacy_state.has
+                (Core.Universe.var u ~actor:a ~field:f)
+            then want := !want lor (1 lsl (ns + a))
+          done;
+          if holders.((q * nf) + f) <> !want then
+            Alcotest.failf "%s: state %d field %d holders %x, decoded %x" ctx q
+              f holders.((q * nf) + f) !want
+        done)
+  in
+  check_holders spec_name (base spec_name);
+  let baseline = base matrix_spec_name in
+  check_holders matrix_spec_name baseline;
+  let spilled =
+    base ~options:(spill75 (packed_peak baseline.Core.Analysis.lts))
+      matrix_spec_name
+  in
+  check bool_ "spill75: base LTS spilled" true
+    (Core.Plts.spill_stats spilled.Core.Analysis.lts <> None);
+  check_holders (matrix_spec_name ^ " spill75") spilled
+
+(* Every cone walk of the benchmark's sweep against the labels of a
+   cold exploration of the edited model. Its walks reach more than 512
+   pairs, so the pair set (1,024 slots at first, doubled at half load)
+   grows mid-walk. The states the walks reach are pinned too: a pair
+   lost while the set grows can leave the label set intact, but not
+   these counts. *)
+let test_walk_labels () =
+  with_metrics @@ fun () ->
+  let analysis = base sweep_spec_name in
+  let options = analysis.Core.Analysis.params.Core.Analysis.options in
+  let universe = analysis.Core.Analysis.universe in
+  let ix = Core.Regen.index options universe analysis.Core.Analysis.lts in
+  let before = Core.Analysis.inputs_of analysis in
+  let walks = ref 0 and grown = ref 0 in
+  let declined_before = counter "whatif/cone_walk_declined" in
+  let olds_before = counter "whatif/cone_old_states"
+  and pairs_before = counter "whatif/cone_pair_states" in
+  List.iter
+    (fun edit ->
+      let after =
+        match Core.Edit.apply before edit with
+        | Ok a -> a
+        | Error e -> Alcotest.fail e
+      in
+      let inv = Core.Edit.classify ~options ~universe ~before ~after in
+      match inv.Core.Edit.inv_cone with
+      | None -> ()
+      | Some changes -> (
+        match Core.Regen.make_patch options changes with
+        | Error _ -> ()
+        | Ok patch ->
+          let walk_pairs = counter "whatif/cone_pair_states" in
+          let walked = Option.get (Core.Regen.walk ix patch) in
+          incr walks;
+          if counter "whatif/cone_pair_states" - walk_pairs > 512 then
+            incr grown;
+          check bool_
+            (Core.Edit.to_string edit ^ ": walk labels = cold labels")
+            true
+            (List.sort_uniq compare walked
+            = List.sort_uniq compare
+                (Core.Regen.cold_labels options changes.Core.Generate.pc_u))))
+    (Core.Whatif.acl_candidates (whatif_base analysis));
+  check Alcotest.int "every cone candidate walked" 93 !walks;
+  check bool_ "some walk grew its pair set" true (!grown > 0);
+  check Alcotest.int "old states reached" 221_480
+    (counter "whatif/cone_old_states" - olds_before);
+  check Alcotest.int "pairs reached" 132_439
+    (counter "whatif/cone_pair_states" - pairs_before);
+  check Alcotest.int "no walk declined" declined_before
+    (counter "whatif/cone_walk_declined")
+
+(* Why the benchmark's sweep still explores 12 candidates cold: each is
+   a read revoke whose flow's guard moved, the one refusal counted. *)
+let test_refusals () =
+  with_metrics @@ fun () ->
+  Mdp_obs.Metrics.reset ();
+  let b = whatif_base (base sweep_spec_name) in
+  let full_reruns =
+    List.filter_map
+      (fun edit ->
+        match Core.Whatif.eval_edit b edit with
+        | Ok { Core.Whatif.classification = Full_rerun; _ } -> Some edit
+        | Ok _ -> None
+        | Error e -> Alcotest.fail e)
+      (Core.Whatif.acl_candidates b)
+  in
+  check Alcotest.int "12 full reruns" 12 (List.length full_reruns);
+  List.iter
+    (function
+      | Core.Edit.Revoke { perms = [ Mdp_policy.Permission.Read ]; _ } -> ()
+      | e -> Alcotest.fail (Core.Edit.to_string e ^ " is not a read revoke"))
+    full_reruns;
+  let refused =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"whatif/cone_refused/" name)
+      (Mdp_obs.Metrics.snapshot ()).Mdp_obs.Metrics.counters
+  in
+  check
+    Alcotest.(list (pair string int))
+    "every refusal a moved guard"
+    [ ("whatif/cone_refused/guard_moved", 12) ]
+    refused
+
 let () =
   Alcotest.run "cone"
     [
@@ -311,6 +447,15 @@ let () =
             test_census;
           Alcotest.test_case "cone outcomes match a cold run" `Quick
             test_walk_matches_cold;
+        ] );
+      ( "walk",
+        [
+          Alcotest.test_case "index holders match decoded states" `Quick
+            test_holders;
+          Alcotest.test_case "walk labels match cold labels" `Quick
+            test_walk_labels;
+          Alcotest.test_case "refusals on the benchmark sweep" `Quick
+            test_refusals;
         ] );
       ( "identity",
         [
