@@ -10,6 +10,7 @@
 open Mdp_scenario
 module Core = Mdp_core
 module A = Mdp_anon
+module Rel = Mdp_release
 module H = Healthcare
 module Frac = Mdp_prelude.Frac
 
@@ -116,9 +117,10 @@ let case_a () =
 
 let table1 () =
   section "[table1] Risk values for 2-anonymisation data records";
+  let plan = A.Columnar.compile H.table1_released in
   let reports =
     List.map
-      (fun fr -> A.Value_risk.assess H.table1_released ~fields_read:fr H.value_policy)
+      (fun fr -> A.Columnar.value_risk_assess plan ~fields_read:fr H.value_policy)
       [ [ "Height" ]; [ "Age" ]; [ "Age"; "Height" ] ]
   in
   let table =
@@ -210,22 +212,26 @@ let ablation_anonymisers () =
   let ds = Synthetic.dataset ~seed:11 ~rows:500 ~quasi:2 in
   let scheme = Synthetic.scheme_for ~quasi:2 in
   let policy = { A.Value_risk.sensitive = "S"; closeness = 5.0; confidence = 0.9 } in
+  let mondrian ds =
+    Result.map A.Columnar.source
+      (A.Columnar.mondrian_release ~k:5 (A.Columnar.compile ds))
+  in
   let describe name release =
     let worst =
       List.fold_left
         (fun acc (r : A.Value_risk.report) -> max acc r.violations)
         0
-        (A.Value_risk.sweep release policy)
+        (A.Columnar.value_risk_sweep (A.Columnar.compile release) policy)
     in
     Printf.sprintf "%s: min class %d, discernibility %d, avg |class| %.1f, mean drift %.2f, worst violations %d"
       name
-      (A.Kanon.min_class_size release)
-      (A.Utility.discernibility release)
-      (A.Utility.avg_class_size release)
-      (Option.value (A.Utility.mean_drift ~original:ds ~release "Q0") ~default:nan)
+      (Rel.Kanonymity.min_class_size release)
+      (Rel.Utility.discernibility release)
+      (Rel.Utility.avg_class_size release)
+      (Option.value (Rel.Utility.mean_drift ~original:ds ~release "Q0") ~default:nan)
       worst
   in
-  (match A.Kanon.datafly ~k:5 ~max_suppression:0.05 ds scheme with
+  (match Rel.Kanonymity.datafly ~k:5 ~max_suppression:0.05 ds scheme with
   | Ok (release, levels, suppressed) ->
     Printf.printf "%s (levels %s, %d suppressed)\n"
       (describe "datafly  k=5" release)
@@ -233,26 +239,26 @@ let ablation_anonymisers () =
          (List.map (fun (a, l) -> Printf.sprintf "%s=%d" a l) levels))
       suppressed
   | Error e -> Printf.printf "datafly failed: %s\n" e);
-  (match A.Kanon.optimal ~k:5 ds scheme with
+  (match Rel.Kanonymity.optimal ~k:5 ds scheme with
   | Some (release, levels) ->
     Printf.printf "%s (levels %s)\n"
       (describe "optimal  k=5" release)
       (String.concat ","
          (List.map (fun (a, l) -> Printf.sprintf "%s=%d" a l) levels))
   | None -> Printf.printf "optimal: no lattice point\n");
-  (match A.Mondrian.anonymise ~k:5 ds with
+  (match mondrian ds with
   | Ok release -> Printf.printf "%s\n" (describe "mondrian k=5" release)
   | Error e -> Printf.printf "mondrian failed: %s\n" e);
   let post name release =
     Printf.printf "  %s: distinct-l %d, worst-class EMD %.3f (t-closeness)\n" name
-      (A.Ldiv.distinct release ~sensitive:"S")
-      (Option.value (A.Tcloseness.numeric_emd release ~sensitive:"S") ~default:nan)
+      (Rel.Ldiv.distinct release ~sensitive:"S")
+      (Option.value (Rel.Tcloseness.numeric_emd release ~sensitive:"S") ~default:nan)
   in
   Printf.printf "post-release checks (paper III-B: l-diversity removes the value risk):\n";
-  (match A.Kanon.datafly ~k:5 ~max_suppression:0.05 ds scheme with
+  (match Rel.Kanonymity.datafly ~k:5 ~max_suppression:0.05 ds scheme with
   | Ok (release, _, _) -> post "datafly " release
   | Error _ -> ());
-  (match A.Mondrian.anonymise ~k:5 ds with
+  (match mondrian ds with
   | Ok release -> post "mondrian" release
   | Error _ -> ())
 
@@ -338,6 +344,10 @@ let requirements () =
     ]
 
 
+(* Mondrian and value risk are timed on Columnar, the engine mdpriv anon
+   runs: a release from a fresh compile, and one read set's assessment
+   on a fresh compile of that release (a plan caches its dictionaries,
+   so a reused one would time the cache). *)
 let scaling_anonymisation () =
   section "[scaling] Anonymisation and value risk in record count";
   let table =
@@ -353,18 +363,20 @@ let scaling_anonymisation () =
       let policy =
         { A.Value_risk.sensitive = "S"; closeness = 5.0; confidence = 0.9 }
       in
+      let mondrian () = A.Columnar.mondrian_release ~k:5 (A.Columnar.compile ds) in
       let release =
-        match A.Mondrian.anonymise ~k:5 ds with Ok r -> r | Error _ -> ds
+        match mondrian () with Ok r -> A.Columnar.source r | Error _ -> ds
       in
       Mdp_prelude.Texttable.add_row table
         [
           string_of_int rows;
           time (fun () ->
-              ignore (A.Kanon.datafly ~k:5 ~max_suppression:0.05 ds scheme));
-          time (fun () -> ignore (A.Mondrian.anonymise ~k:5 ds));
+              ignore (Rel.Kanonymity.datafly ~k:5 ~max_suppression:0.05 ds scheme));
+          time mondrian;
           time (fun () ->
-              ignore (A.Value_risk.assess release ~fields_read:[ "Q0" ] policy));
-          time (fun () -> ignore (A.Tcloseness.numeric_emd release ~sensitive:"S"));
+              A.Columnar.value_risk_assess (A.Columnar.compile release)
+                ~fields_read:[ "Q0" ] policy);
+          time (fun () -> Rel.Tcloseness.numeric_emd release ~sensitive:"S");
         ])
     [ 100; 500; 2000; 8000 ];
   Format.printf "%a@." Mdp_prelude.Texttable.pp table

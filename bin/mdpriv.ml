@@ -689,12 +689,15 @@ let anon_cmd =
       List.map (fun q -> (q, Mdp_anon.Attribute.Quasi)) quasi
       @ [ (sensitive, Mdp_anon.Attribute.Sensitive) ]
     in
-    match Mdp_anon.Csv.parse ~kinds (read_file csv_path) with
+    let policy = { Mdp_anon.Value_risk.sensitive; closeness; confidence } in
+    match
+      Result.bind (Mdp_anon.Value_risk.check_policy policy) (fun () ->
+          Mdp_anon.Csv.parse ~kinds (read_file csv_path))
+    with
     | Error e ->
       prerr_endline e;
       exits_with_error
     | Ok ds -> (
-      let policy = { Mdp_anon.Value_risk.sensitive; closeness; confidence } in
       (* [mondrian_release] keeps the compiled release, so the value-risk
          sweep reuses its dictionaries instead of recompiling the dataset
          it just produced. *)

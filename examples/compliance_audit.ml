@@ -8,6 +8,7 @@
 open Mdp_scenario
 module Core = Mdp_core
 module A = Mdp_anon
+module Rel = Mdp_release
 module Field = Mdp_dataflow.Field
 
 let section title = Format.printf "@.== %s ==@." title
@@ -82,11 +83,11 @@ let () =
   section "Pseudonymised release: diversity and closeness";
   let release = Healthcare.table1_released in
   Format.printf "distinct l-diversity of Weight: %d@."
-    (A.Ldiv.distinct release ~sensitive:"Weight");
-  (match A.Tcloseness.numeric_emd release ~sensitive:"Weight" with
+    (Rel.Ldiv.distinct release ~sensitive:"Weight");
+  (match Rel.Tcloseness.numeric_emd release ~sensitive:"Weight" with
   | Some emd ->
     Format.printf "worst-class EMD (t-closeness): %.3f -> %s@." emd
-      (if A.Tcloseness.is_t_close ~t:0.25 release ~sensitive:"Weight" then
+      (if Rel.Tcloseness.is_t_close ~t:0.25 release ~sensitive:"Weight" then
          "0.25-close"
        else "NOT 0.25-close: classes are skewed, value risk persists")
   | None -> ());

@@ -11,6 +11,7 @@ open Mdp_scenario
 module Core = Mdp_core
 module R = Mdp_runtime
 module A = Mdp_anon
+module Rel = Mdp_release
 module Field = Mdp_dataflow.Field
 module Prng = Mdp_prelude.Prng
 
@@ -73,13 +74,13 @@ let release_of sim ~age_width ~height_width =
 
 let gate raw =
   {
-    (A.Release_gate.default ~k:5) with
+    (Rel.Release_gate.default ~k:5) with
     l = Some 2;
     max_violation_ratio = Some 0.2;
     value_policy = Some Healthcare.value_policy;
     max_mean_drift = Some 1.0;
   }
-  |> fun criteria release -> A.Release_gate.evaluate ~original:raw ~release criteria
+  |> fun criteria release -> Rel.Release_gate.evaluate ~original:raw ~release criteria
 
 let () =
   let u = Core.Universe.make Healthcare.study_diagram Healthcare.study_policy in
@@ -119,18 +120,19 @@ let () =
       let release = release_of sim ~age_width ~height_width in
       Format.printf "live release: %d records, min class %d, distinct-l %d@."
         (A.Dataset.nrows release)
-        (A.Kanon.min_class_size release)
-        (A.Ldiv.distinct release ~sensitive:"Weight");
+        (Rel.Kanonymity.min_class_size release)
+        (Rel.Ldiv.distinct release ~sensitive:"Weight");
       let worst =
         List.fold_left
           (fun acc (r : A.Value_risk.report) -> max acc r.violations)
           0
-          (A.Value_risk.sweep release Healthcare.value_policy)
+          (A.Columnar.value_risk_sweep (A.Columnar.compile release)
+             Healthcare.value_policy)
       in
       Format.printf "worst-case value-risk violations: %d/%d@." worst patients;
       let verdict = check release in
-      Format.printf "%a@." A.Release_gate.pp_verdict verdict;
-      if not verdict.A.Release_gate.accepted then iterate rest
+      Format.printf "%a@." Rel.Release_gate.pp_verdict verdict;
+      if not verdict.Rel.Release_gate.accepted then iterate rest
       else
         Format.printf
           "@.accepted: publish this release; re-run on every refresh of the \

@@ -8,6 +8,7 @@
 open Mdp_scenario
 module Core = Mdp_core
 module A = Mdp_anon
+module Rel = Mdp_release
 module Frac = Mdp_prelude.Frac
 
 let section title = Format.printf "@.== %s ==@." title
@@ -18,7 +19,7 @@ let () =
 
   section "2-anonymised release (identifiers dropped, Age/Height generalised)";
   Format.printf "%a@." A.Dataset.pp Healthcare.table1_released;
-  assert (A.Kanon.is_k_anonymous ~k:2 Healthcare.table1_released);
+  assert (Rel.Kanonymity.is_k_anonymous ~k:2 Healthcare.table1_released);
 
   section "Table I: value risks per fields-read set";
   let table =
@@ -26,10 +27,11 @@ let () =
       ~header:
         [ "Age"; "Height"; "Weight"; "Height risk"; "Age risk"; "Age Height risk" ]
   in
+  let plan = A.Columnar.compile Healthcare.table1_released in
   let reports =
     List.map
       (fun fr ->
-        A.Value_risk.assess Healthcare.table1_released ~fields_read:fr
+        A.Columnar.value_risk_assess plan ~fields_read:fr
           Healthcare.value_policy)
       [ [ "Height" ]; [ "Age" ]; [ "Age"; "Height" ] ]
   in
@@ -73,4 +75,4 @@ let () =
 
   section "What saves it: l-diversity of the release";
   Format.printf "distinct l-diversity of Weight: %d (l >= 2 would remove the risk)@."
-    (A.Ldiv.distinct Healthcare.table1_released ~sensitive:"Weight")
+    (Rel.Ldiv.distinct Healthcare.table1_released ~sensitive:"Weight")

@@ -7,6 +7,8 @@
     Table-I style value risk when satisfied (paper: "the above is a risk
     of k-anonymization that is removed when l-diversity is considered"). *)
 
+open Mdp_anon
+
 val distinct : Dataset.t -> sensitive:string -> int
 (** The largest l such that every equivalence class (on the quasi columns)
     has at least l distinct values of [sensitive]; 0 on an empty

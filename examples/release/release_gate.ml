@@ -1,3 +1,5 @@
+open Mdp_anon
+
 type criteria = {
   k : int;
   l : int option;
@@ -27,9 +29,9 @@ let sensitive_names ds =
 let evaluate ~original ~release criteria =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  if not (Kanon.is_k_anonymous ~k:criteria.k release) then
+  if not (Kanonymity.is_k_anonymous ~k:criteria.k release) then
     fail "not %d-anonymous (min class size %d)" criteria.k
-      (Kanon.min_class_size release);
+      (Kanonymity.min_class_size release);
   let sensitive = sensitive_names release in
   Option.iter
     (fun l ->
@@ -62,7 +64,7 @@ let evaluate ~original ~release criteria =
               report.violations n (100.0 *. r)
               (String.concat ", " report.fields_read)
               (100.0 *. ratio))
-        (Value_risk.sweep release policy)
+        (Columnar.value_risk_sweep (Columnar.compile release) policy)
   | Some _, None ->
     fail "criteria list a violation ratio but no value policy"
   | None, _ -> ());

@@ -8,13 +8,16 @@
     appropriate." A gate bundles the thresholds and evaluates a candidate
     release against its original, reporting every failed criterion. *)
 
+open Mdp_anon
+
 type criteria = {
   k : int;  (** Minimum equivalence-class size. *)
   l : int option;  (** Distinct l-diversity per sensitive attribute. *)
   t : float option;  (** t-closeness bound per sensitive attribute. *)
   max_violation_ratio : float option;
       (** §III-B value-risk violations / records, worst case over all
-          quasi subsets ({!Value_risk.sweep}). Requires [value_policy]. *)
+          quasi subsets ({!Mdp_anon.Columnar.value_risk_sweep}).
+          Requires [value_policy]. *)
   value_policy : Value_risk.policy option;
   max_mean_drift : float option;
       (** Utility: allowed |mean(original) - mean(release)| per numeric

@@ -1,3 +1,5 @@
+open Mdp_anon
+
 let distribution values =
   (* value (by printed form) -> probability, plus the ordered support *)
   let n = float_of_int (List.length values) in
@@ -51,7 +53,7 @@ let numeric_emd ds ~sensitive =
             match numeric_column ds sensitive cls_rows with
             | Some vs -> Float.max acc (ordered_emd ~support ~global ~cls:(dist vs))
             | None -> acc)
-          0.0 (Kanon.classes ds)
+          0.0 (Kanonymity.classes ds)
       in
       Some worst
 
@@ -72,7 +74,7 @@ let categorical_distance ds ~sensitive =
                  support
           in
           Float.max acc tv)
-        0.0 (Kanon.classes ds)
+        0.0 (Kanonymity.classes ds)
     in
     Some worst
   end

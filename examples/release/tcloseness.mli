@@ -5,6 +5,8 @@
     t-closeness bounds *how different* the class's value distribution may
     look — the property that finally removes Table-I-style skew. *)
 
+open Mdp_anon
+
 val numeric_emd : Dataset.t -> sensitive:string -> float option
 (** Worst (largest) earth-mover's distance over classes, using the
     ordered-distance ground metric on the sorted distinct sensitive

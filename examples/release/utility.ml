@@ -1,3 +1,5 @@
+open Mdp_anon
+
 let numeric_column ds name =
   List.filter_map Value.midpoint (Dataset.column ds name)
 
@@ -16,9 +18,9 @@ let discernibility ds =
     (fun cls ->
       let s = List.length cls in
       s * s)
-    (Kanon.classes ds)
+    (Kanonymity.classes ds)
 
 let avg_class_size ds =
-  match Kanon.classes ds with
+  match Kanonymity.classes ds with
   | [] -> 0.0
   | cs -> float_of_int (Dataset.nrows ds) /. float_of_int (List.length cs)

@@ -4,6 +4,8 @@
     metrics used by the tools the paper cites). Interval cells contribute
     their midpoint; suppressed and non-numeric cells are skipped. *)
 
+open Mdp_anon
+
 val mean : Dataset.t -> string -> float option
 (** [None] when the column has no numeric content. *)
 

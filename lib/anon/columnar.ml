@@ -14,19 +14,20 @@ type col = {
   first_non_numeric : int;  (* [max_int] when the column is numeric *)
   mutable ckeys : codes option;
       (* rows coded by their *rendered* cell string, exactly the key the
-         naive [Dataset.equivalence_classes] concatenates: two cells
-         share a code iff the naive engine puts them in the same class *)
+         naive oracle's classes concatenate: two cells share a code iff
+         the naive engine puts them in the same class *)
   mutable ekeys : (codes * int) option;
-      (* rows coded up to {!Value.equal}, for per-value frequency counts,
-         with the code of [Suppressed] (-1 when absent) *)
+      (* rows coded up to value equality ([equal_key]), for per-value
+         frequency counts, with the code of [Suppressed] (-1 when
+         absent) *)
 }
 
 type t = { ds : Dataset.t; nrows : int; quasi : int list; cols : col array }
 
 let float_bits x = Int64.to_string (Int64.bits_of_float x)
 
-(* Injective up to Value.equal: numeric values collapse to their float
-   content (Value.equal compares Int/Float through the float), interval
+(* One key per value up to equality: numeric values collapse to their
+   float content (an [Int] equals the [Float] of its value), interval
    bounds go by bits (Float.equal semantics), the rest structurally. *)
 let equal_key v =
   match Value.numeric v with
@@ -445,10 +446,6 @@ let close_count a s e ~x ~closeness =
   in
   max 0 (first_not_ge - first_le)
 
-(* {!Value_risk.assess}: classes by hashed coding; per-record
-   frequencies by binary search over the class's sorted sensitive
-   values (numeric) or dictionary-code counts (categorical), applying
-   exactly the naive per-pair closeness predicate. *)
 let value_risk_assess t ~fields_read (policy : Value_risk.policy) =
   let read_cols = List.map (Dataset.col_index t.ds) fields_read in
   let sens_col = Dataset.col_index t.ds policy.sensitive in

@@ -20,7 +20,8 @@ let parse_cell s =
         | _ -> Value.Str s))
 
 (* Header names key the dataset's attributes, so they must be non-empty
-   and distinct; every name [kinds] assigns must be among them. *)
+   and distinct; every name [kinds] assigns must be among them, with one
+   kind. *)
 let check_header ~kinds names =
   if List.mem "" names then Error "header: empty column name"
   else
@@ -29,7 +30,14 @@ let check_header ~kinds names =
     | None -> (
       match List.find_opt (fun (n, _) -> not (List.mem n names)) kinds with
       | Some (n, _) -> Error (Printf.sprintf "header: no column %s" n)
-      | None -> Ok ())
+      | None -> (
+        match
+          List.find_opt
+            (fun (n, k) -> List.exists (fun (n', k') -> n = n' && k <> k') kinds)
+            kinds
+        with
+        | Some (n, _) -> Error (Printf.sprintf "kinds: column %s given two kinds" n)
+        | None -> Ok ()))
 
 let parse ~kinds text =
   let lines =

@@ -78,18 +78,6 @@ let drop_identifiers t =
     cells = Array.map (fun r -> Array.of_list (List.map (Array.get r) keep)) t.cells;
   }
 
-let group_rows t ~key =
-  let pairs = List.init (nrows t) (fun i -> (key i, i)) in
-  Listx.group_by ~key:fst pairs
-  |> List.map (fun (k, l) -> (k, List.map snd l))
-
-let equivalence_classes t ~by =
-  let key i =
-    String.concat "\x00"
-      (List.map (fun c -> Value.to_string t.cells.(i).(c)) by)
-  in
-  List.map snd (group_rows t ~key)
-
 let pp ppf t =
   let table =
     Texttable.create ~header:(List.map (fun (a : Attribute.t) -> a.name) t.attrs)

@@ -34,13 +34,5 @@ val drop_identifiers : t -> t
 (** Remove [Identifier] columns (the mandatory first step of any
     release). *)
 
-val group_rows : t -> key:(int -> string) -> (string * int list) list
-(** Group row indices by a key of the row index; groups in first-seen
-    order. *)
-
-val equivalence_classes : t -> by:int list -> int list list
-(** Partition row indices into classes agreeing (by {!Value.equal}) on all
-    columns in [by]. *)
-
 val pp : Format.formatter -> t -> unit
 (** Text-table rendering. *)

@@ -1,10 +1,7 @@
-(** k-anonymity (Sweeney 2002, paper ref [5]).
-
-    A release is k-anonymous when every combination of quasi-identifier
-    values it contains is shared by at least [k] records. Two
-    full-domain anonymisers are provided: the greedy Datafly heuristic
-    and an exhaustive minimal-lattice search (the baseline the heuristic
-    is judged against). *)
+(** Full-domain generalisation (Sweeney 2002, paper ref [5]): one
+    hierarchy per quasi attribute and one chosen level each, the
+    generalisation that turns Table I's raw records into the paper's
+    2-anonymised release. *)
 
 type scheme = (string * Hierarchy.t) list
 (** One generalisation hierarchy per quasi attribute. *)
@@ -16,37 +13,3 @@ type levels = (string * int) list
 val apply : Dataset.t -> scheme -> levels -> Dataset.t
 (** Generalise each listed column at its level. Attributes of the scheme
     missing from [levels] stay at level 0. *)
-
-val classes : Dataset.t -> int list list
-(** Equivalence classes on the quasi columns. *)
-
-val min_class_size : Dataset.t -> int
-(** 0 on an empty dataset. *)
-
-val is_k_anonymous : k:int -> Dataset.t -> bool
-
-val violating_rows : k:int -> Dataset.t -> int list
-(** Rows in classes smaller than [k] (the rows Datafly suppresses),
-    in class order. *)
-
-val distinct_count : Dataset.t -> int -> int
-(** Distinct rendered values in a column (Datafly's attribute-choice
-    statistic). *)
-
-val datafly :
-  k:int -> ?max_suppression:float -> Dataset.t -> scheme ->
-  (Dataset.t * levels * int, string) result
-(** Greedy full-domain anonymisation: repeatedly raise the level of the
-    quasi attribute with the most distinct values until the rows violating
-    k-anonymity could be suppressed within [max_suppression] (fraction of
-    rows, default 0); then suppress them. Returns the anonymised dataset
-    (violating rows removed), the chosen levels, and the number of
-    suppressed rows. [Error] when even full generalisation cannot reach
-    [k]. *)
-
-val optimal :
-  k:int -> Dataset.t -> scheme -> (Dataset.t * levels) option
-(** Exhaustive lattice search for a level vector with minimal total level
-    (ties broken towards earlier scheme attributes staying lower) that is
-    k-anonymous with no suppression. Exponential in the number of quasi
-    attributes — intended for small schemes and as a quality baseline. *)

@@ -14,16 +14,10 @@ type t =
 val interval : float -> float -> t
 (** @raise Invalid_argument unless [lo < hi]. *)
 
-val equal : t -> t -> bool
 val numeric : t -> float option
 (** The numeric content of [Int]/[Float]; [None] otherwise. *)
 
 val midpoint : t -> float option
 (** Numeric content, or the midpoint of an [Interval]. *)
-
-val close : closeness:float -> t -> t -> bool
-(** The paper's Table-I "close enough" test: numeric values within
-    [closeness] of each other; non-numeric values must be equal.
-    [Suppressed] is close to nothing (not even itself). *)
 
 val to_string : t -> string

@@ -11,36 +11,16 @@ type report = {
   violations : int;
 }
 
-let assess ds ~fields_read policy =
-  let read_cols = List.map (Dataset.col_index ds) fields_read in
-  let sens_col = Dataset.col_index ds policy.sensitive in
-  let classes = Dataset.equivalence_classes ds ~by:read_cols in
-  let scores = Array.make (Dataset.nrows ds) None in
-  List.iter
-    (fun cls ->
-      let size = List.length cls in
-      List.iter
-        (fun r ->
-          let v = Dataset.get ds ~row:r ~col:sens_col in
-          let frequency =
-            Listx.count
-              (fun r' ->
-                Value.close ~closeness:policy.closeness v
-                  (Dataset.get ds ~row:r' ~col:sens_col))
-              cls
-          in
-          let risk = Frac.make frequency size in
-          scores.(r) <-
-            Some { record = r; risk; violation = Frac.ge risk policy.confidence })
-        cls)
-    classes;
-  let scores = List.map Option.get (Array.to_list scores) in
-  {
-    fields_read;
-    policy;
-    scores;
-    violations = Listx.count (fun s -> s.violation) scores;
-  }
+let check_policy p =
+  if not (Float.is_finite p.closeness && p.closeness >= 0.0) then
+    Error
+      (Printf.sprintf "value-risk policy: closeness %g must be finite and >= 0"
+         p.closeness)
+  else if not (p.confidence >= 0.0 && p.confidence <= 1.0) then
+    Error
+      (Printf.sprintf "value-risk policy: confidence %g must be within [0,1]"
+         p.confidence)
+  else Ok ()
 
 let read_sets ds =
   let quasi =
@@ -57,9 +37,6 @@ let read_sets ds =
   List.sort
     (fun a b -> Int.compare (List.length a) (List.length b))
     nonempty
-
-let sweep ds policy =
-  List.map (fun fields_read -> assess ds ~fields_read policy) (read_sets ds)
 
 let max_risk report =
   List.fold_left

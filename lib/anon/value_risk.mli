@@ -9,7 +9,9 @@
     set size. A policy violation occurs when that probability reaches the
     [confidence] threshold — e.g. Table I's "predict an individual's
     weight to within 5 kg with at least 90% confidence". Risks are kept as
-    unreduced fractions exactly as the paper reports them (2/4, 2/2, …). *)
+    unreduced fractions exactly as the paper reports them (2/4, 2/2, …).
+
+    This module holds the vocabulary; {!Columnar} computes the reports. *)
 
 type policy = {
   sensitive : string;  (** Attribute the adversary tries to match. *)
@@ -30,17 +32,17 @@ type report = {
   violations : int;
 }
 
-val assess : Dataset.t -> fields_read:string list -> policy -> report
-(** [fields_read] may be empty (the whole release is one set).
-    @raise Not_found on an unknown attribute name. *)
+val check_policy : policy -> (unit, string) result
+(** [Error] unless [closeness] is finite and at least 0 and [confidence]
+    is within [0, 1] (NaN in neither). Outside them the scores mean
+    nothing: a negative radius makes every record read as safe, a
+    confidence above 1 (or NaN) can never flag one and one below 0 flags
+    every one. *)
 
 val read_sets : Dataset.t -> string list list
 (** The non-empty subsets of the quasi attributes, ordered by subset
     size then attribute order — the per-risk-transition inputs of
     Fig. 4. *)
-
-val sweep : Dataset.t -> policy -> report list
-(** One report per {!read_sets} entry, in that order. *)
 
 val max_risk : report -> Mdp_prelude.Frac.t
 (** Largest per-record risk (0/1 on an empty dataset). *)

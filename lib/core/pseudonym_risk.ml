@@ -29,6 +29,9 @@ let make_binding ~store ~dataset ~attr_fields ~policy =
         invalid_arg
           (Printf.sprintf "Pseudonym_risk: quasi attribute %s unbound" a.name))
     quasi;
+  (match Mdp_anon.Value_risk.check_policy policy with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Pseudonym_risk: " ^ e));
   { store; dataset; attr_fields; policy }
 
 type risk_transition = {
@@ -49,7 +52,10 @@ type risk_transition = {
    (state, actor). *)
 
 (* One binding's risk-transitions, ordered by source state; [target]
-   numbers their destinations. *)
+   numbers their destinations. The release is compiled once per call,
+   on the calling domain (a [Columnar.t] fills its dictionaries lazily),
+   and each distinct set of quasi attributes read is assessed once: the
+   transitions reading it share one report. *)
 let analyse_binding u lts target binding =
   let diagram = Universe.diagram u in
   ignore (Diagram.find_store diagram binding.store);
@@ -79,6 +85,19 @@ let analyse_binding u lts target binding =
             (let anywhere = Universe.readable_anywhere u ~actor:a in
              (not (Bitset.get anywhere (Lazy.force sens_fi)))
              && Bitset.get anywhere sens_anon_i))
+    in
+    let plan = lazy (Mdp_anon.Columnar.compile binding.dataset) in
+    let reports = Hashtbl.create 8 in
+    let report fields_read =
+      match Hashtbl.find_opt reports fields_read with
+      | Some r -> r
+      | None ->
+        let r =
+          Mdp_anon.Columnar.value_risk_assess (Lazy.force plan) ~fields_read
+            binding.policy
+        in
+        Hashtbl.add reports fields_read r;
+        r
     in
     (* Quasi attributes resolved once: (attr, anon field, index). *)
     let quasi_resolved =
@@ -113,10 +132,7 @@ let analyse_binding u lts target binding =
                    if has a fi then Some (attr, anon) else None)
                  quasi_resolved)
           in
-          let report =
-            Mdp_anon.Value_risk.assess binding.dataset
-              ~fields_read:fields_read_attrs binding.policy
-          in
+          let report = report fields_read_attrs in
           let dst = target (src, a, Lazy.force sens_fi) in
           results :=
             { src; dst; actor = Universe.actor_name u a;

@@ -34,8 +34,8 @@ val make_binding :
   policy:Mdp_anon.Value_risk.policy ->
   binding
 (** @raise Invalid_argument when [policy.sensitive] or a quasi attribute
-    of the dataset is unbound, or a bound attribute is missing from the
-    dataset. *)
+    of the dataset is unbound, a bound attribute is missing from the
+    dataset, or the policy fails {!Mdp_anon.Value_risk.check_policy}. *)
 
 type risk_transition = {
   src : Plts.state_id;
@@ -54,7 +54,9 @@ val analyse : Universe.t -> Plts.t -> binding list -> risk_transition list
 (** The risk-transitions out of the explored states, binding by binding,
     each binding's ordered by source state. Bindings that infer the same
     field from the same state share its target. The LTS is left
-    untouched. *)
+    untouched. Each binding's dataset is compiled once per call
+    ({!Mdp_anon.Columnar}), and the transitions of one binding that read
+    the same quasi fields share one (physically equal) report. *)
 
 val num_targets : risk_transition list -> int
 (** Distinct targets: the states the risk-transitions add to the

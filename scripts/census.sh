@@ -1,13 +1,16 @@
 #!/bin/sh
-# Reachability census of lib/: which top-level lib/ value definitions no
-# root reaches. Roots are bin/, bench/ and examples/; test/ is not a root.
+# Reachability census of the libraries: which top-level value
+# definitions of lib/ and of the examples' support library
+# (examples/release/) no root reaches. Roots are bin/, bench/ and the
+# examples themselves (examples/*.ml); test/ is not a root.
 #
 # It reads the compiler's typed trees, not the source text: after
 # `dune build @check`, `ocamlcmt -annot` turns every .cmt into a list of
 # definitions and of references, each reference carrying the location of
 # the declaration it resolved to (so module aliases, `open`s and functor
-# instances are followed). A reference inside a lib/ definition is an
-# edge from that definition; the census closes the roots over the edges.
+# instances are followed). A reference inside a library definition is
+# an edge from that definition; the census closes the roots over the
+# edges.
 #
 # A reference recorded without a location (an `ext_ref`, as through an
 # alias `module Json = Mdp_prelude.Json` inside an executable) is
@@ -35,6 +38,8 @@ while read -r cmt; do
 done
 cat "$tmp"/*.annot | awk '
 function stem(f) { sub(/\.mli?$/, "", f); return f }
+function islib(f) { return f ~ /^(lib|examples\/release)\// }
+function isroot(f) { return f ~ /^(bin|bench)\// || f ~ /^examples\/[^\/]*\.ml$/ }
 function unq(s) { gsub(/"/, "", s); return s }
 # A location line: "file" line bol cnum "file" line bol cnum
 /^"/ && NF == 8 { file = unq($1); line = $2; pos = $4 + 0; next }
@@ -48,7 +53,7 @@ function unq(s) { gsub(/"/, "", s); return s }
   # location starts at the first quoted field.
   for (i = 3; i <= NF && substr($i, 1, 1) != "\""; i++) ;
   target = unq($i)
-  if (target !~ /^lib\//) next
+  if (!islib(target)) next
   p = $2; for (j = 3; j < i; j++) p = p " " $j
   n = split(p, parts, "."); name = parts[n]
   nr++; rfile[nr] = file; rpos[nr] = pos; rkey[nr] = stem(target) ":" name
@@ -58,9 +63,9 @@ function unq(s) { gsub(/"/, "", s); return s }
   # A reference the compiler left without a declaration location: a
   # value reached through a module alias a root defines (bench/suite
   # reaches Json through Util.Json). Resolve it by module and value
-  # name: lib/ module names are unique, and a Dune__exe path names a
-  # module of the executable itself.
-  if (file !~ /^(bin|bench|examples)\// || $2 ~ /^Dune__exe\./) next
+  # name: library module names are unique, and a Dune__exe path names
+  # a module of the executable itself.
+  if (!isroot(file) || $2 ~ /^Dune__exe\./) next
   n = split($2, parts, "."); if (n < 2) next
   m = parts[n - 1]
   extroot[tolower(substr(m, 1, 1)) substr(m, 2) ":" parts[n]] = 1
@@ -73,7 +78,7 @@ END {
     if (dname[d] ~ /^[A-Z]/) modend[dfile[d] SUBSEP dstart[d]] = 1
   for (d = 1; d <= nd; d++) {
     f = dfile[d]
-    if (f !~ /^lib\/.*\.ml$/) continue
+    if (!islib(f) || f !~ /\.ml$/) continue
     if (dend[d] != -1 && !((f SUBSEP dend[d]) in modend)) continue
     if (dname[d] !~ /^[a-z_][A-Za-z0-9_\047]*$/ || dname[d] == "_") continue
     k = stem(f) ":" dname[d]
@@ -82,9 +87,9 @@ END {
   }
   for (r = 1; r <= nr; r++) {
     f = rfile[r]; t = rkey[r]
-    if (f ~ /^(bin|bench|examples)\//) { root[t] = 1; continue }
+    if (isroot(f)) { root[t] = 1; continue }
     if (f ~ /^test\//) { tested[t] = 1; continue }
-    if (f !~ /^lib\//) continue
+    if (!islib(f)) continue
     # The reference belongs to the last structure item that starts
     # before it, unless that item (non-recursive) already ended.
     src = stem(f) ":<top>"; best = -1
@@ -115,4 +120,4 @@ END {
   }
 }' | sort > "$tmp/unreached"
 cat "$tmp/unreached"
-echo "$(wc -l < "$tmp/unreached" | tr -d ' ') unreached lib/ definitions"
+echo "$(wc -l < "$tmp/unreached" | tr -d ' ') unreached library definitions"

@@ -1,3 +1,15 @@
+(* The naive Mondrian multidimensional k-anonymiser (LeFevre et al.),
+   the oracle [Mdp_anon.Columnar.mondrian_release] is checked against.
+   Numeric quasi-identifiers only: rows are recursively split at the
+   median of the widest-normalised-range attribute while both halves
+   keep at least [k] rows; each final partition's quasi cells are
+   replaced by the partition's covering interval (or the exact value
+   when the partition is constant in that attribute). [Error] when
+   [k < 1], the dataset has fewer than [k] rows, or some quasi column is
+   non-numeric; row order is preserved. *)
+
+open Mdp_anon
+
 let numeric_cell ds ~row ~col =
   match Value.numeric (Dataset.get ds ~row ~col) with
   | Some x -> Ok x
@@ -83,7 +95,6 @@ let partitions_rows ~k vals quasi nrows =
   go (List.init nrows Fun.id)
 
 let partitions ~k ds =
-  Mdp_obs.Metrics.span "mondrian/naive_partition" @@ fun () ->
   if k < 1 then Error "mondrian: k must be at least 1"
   else if Dataset.nrows ds < k then Error "mondrian: fewer rows than k"
   else

@@ -1,9 +1,14 @@
 (* Tests for the anonymisation substrate: values, datasets, hierarchies,
    k-anonymity (checker, Datafly, optimal lattice), Mondrian, l-diversity,
    §III-B value risk (incl. the exact Table I figures), utility metrics,
-   re-identification risk and the CSV bridge. *)
+   re-identification risk and the CSV bridge. Mondrian and value risk run
+   on [Columnar], checked against the naive oracles [Naive_mondrian] and
+   [Naive_value_risk]. *)
 
 module A = Mdp_anon
+module C = A.Columnar
+module K = Mdp_release.Kanonymity
+module Rel = Mdp_release
 module V = A.Value
 module Frac = Mdp_prelude.Frac
 
@@ -15,15 +20,17 @@ let float_ = Alcotest.float 1e-9
 (* ------------------------------------------------------------------ *)
 (* Value *)
 
+(* The closeness predicate the oracle states and [Columnar] reproduces. *)
 let test_value_close () =
-  check bool_ "ints close" true (V.close ~closeness:5.0 (V.Int 100) (V.Int 104));
-  check bool_ "ints at boundary" true (V.close ~closeness:5.0 (V.Int 100) (V.Int 105));
-  check bool_ "ints far" false (V.close ~closeness:5.0 (V.Int 100) (V.Int 106));
-  check bool_ "int/float mix" true (V.close ~closeness:0.5 (V.Int 1) (V.Float 1.4));
-  check bool_ "strings equal" true (V.close ~closeness:0.0 (V.Str "x") (V.Str "x"));
-  check bool_ "strings differ" false (V.close ~closeness:9.0 (V.Str "x") (V.Str "y"));
+  let close = Naive_value_risk.close in
+  check bool_ "ints close" true (close ~closeness:5.0 (V.Int 100) (V.Int 104));
+  check bool_ "ints at boundary" true (close ~closeness:5.0 (V.Int 100) (V.Int 105));
+  check bool_ "ints far" false (close ~closeness:5.0 (V.Int 100) (V.Int 106));
+  check bool_ "int/float mix" true (close ~closeness:0.5 (V.Int 1) (V.Float 1.4));
+  check bool_ "strings equal" true (close ~closeness:0.0 (V.Str "x") (V.Str "x"));
+  check bool_ "strings differ" false (close ~closeness:9.0 (V.Str "x") (V.Str "y"));
   check bool_ "suppressed close to nothing" false
-    (V.close ~closeness:9.0 V.Suppressed V.Suppressed)
+    (close ~closeness:9.0 V.Suppressed V.Suppressed)
 
 let test_value_strings () =
   check Alcotest.string "interval" "20-30" (V.to_string (V.Interval (20.0, 30.0)));
@@ -57,7 +64,7 @@ let test_dataset_accessors () =
   check bool_ "column" true (A.Dataset.column d "S" = [ V.Int 10; V.Int 20; V.Int 30 ]);
   let d' = A.Dataset.drop_identifiers d in
   check int_ "dropped id col" 2 (A.Dataset.ncols d');
-  let classes = A.Dataset.equivalence_classes d ~by:[ 1 ] in
+  let classes = K.classes_by d ~by:[ 1 ] in
   check (Alcotest.list (Alcotest.list int_)) "classes" [ [ 0; 1 ]; [ 2 ] ] classes
 
 let test_dataset_invalid () =
@@ -87,15 +94,15 @@ let test_numeric_hierarchy () =
   let h = A.Hierarchy.numeric ~widths:[ 10.0; 20.0 ] () in
   check int_ "nlevels" 3 (A.Hierarchy.nlevels h);
   check bool_ "level0 identity" true
-    (V.equal (A.Hierarchy.generalise h ~level:0 (V.Int 35)) (V.Int 35));
+    (A.Hierarchy.generalise h ~level:0 (V.Int 35) = V.Int 35);
   check bool_ "level1 decade" true
-    (V.equal (A.Hierarchy.generalise h ~level:1 (V.Int 35)) (V.Interval (30.0, 40.0)));
+    (A.Hierarchy.generalise h ~level:1 (V.Int 35) = V.Interval (30.0, 40.0));
   check bool_ "level2 score" true
-    (V.equal (A.Hierarchy.generalise h ~level:2 (V.Int 35)) (V.Interval (20.0, 40.0)));
+    (A.Hierarchy.generalise h ~level:2 (V.Int 35) = V.Interval (20.0, 40.0));
   check bool_ "top suppresses" true
-    (V.equal (A.Hierarchy.generalise h ~level:3 (V.Int 35)) V.Suppressed);
+    (A.Hierarchy.generalise h ~level:3 (V.Int 35) = V.Suppressed);
   check bool_ "non-numeric suppressed" true
-    (V.equal (A.Hierarchy.generalise h ~level:1 (V.Str "x")) V.Suppressed);
+    (A.Hierarchy.generalise h ~level:1 (V.Str "x") = V.Suppressed);
   Alcotest.check_raises "level out of range"
     (Invalid_argument "Hierarchy.generalise: bad level") (fun () ->
       ignore (A.Hierarchy.generalise h ~level:4 (V.Int 1)))
@@ -114,16 +121,16 @@ let test_hierarchy_invalid () =
 let table1 = Mdp_scenario.Healthcare.table1_released
 
 let test_kanon_checker () =
-  check bool_ "table1 is 2-anonymous" true (A.Kanon.is_k_anonymous ~k:2 table1);
-  check bool_ "table1 not 3-anonymous" false (A.Kanon.is_k_anonymous ~k:3 table1);
-  check int_ "min class size" 2 (A.Kanon.min_class_size table1);
-  check int_ "three classes" 3 (List.length (A.Kanon.classes table1))
+  check bool_ "table1 is 2-anonymous" true (K.is_k_anonymous ~k:2 table1);
+  check bool_ "table1 not 3-anonymous" false (K.is_k_anonymous ~k:3 table1);
+  check int_ "min class size" 2 (K.min_class_size table1);
+  check int_ "three classes" 3 (List.length (K.classes table1))
 
 let test_datafly_reaches_k () =
   let raw = A.Dataset.drop_identifiers Mdp_scenario.Healthcare.table1_raw in
-  match A.Kanon.datafly ~k:2 raw Mdp_scenario.Healthcare.table1_scheme with
+  match K.datafly ~k:2 raw Mdp_scenario.Healthcare.table1_scheme with
   | Ok (ds, levels, suppressed) ->
-    check bool_ "result 2-anonymous" true (A.Kanon.is_k_anonymous ~k:2 ds);
+    check bool_ "result 2-anonymous" true (K.is_k_anonymous ~k:2 ds);
     check int_ "no suppression needed" 0 suppressed;
     check bool_ "levels at most max" true
       (List.for_all (fun (_, l) -> l <= 3) levels)
@@ -149,21 +156,21 @@ let test_datafly_with_suppression () =
   (* The string column cannot be binned, so level 1 already suppresses
      it and makes everything one class: k=2 is reachable without
      suppression... *)
-  (match A.Kanon.datafly ~k:2 ds scheme with
+  (match K.datafly ~k:2 ds scheme with
   | Ok (out, _, suppressed) ->
-    check bool_ "2-anonymous" true (A.Kanon.is_k_anonymous ~k:2 out);
+    check bool_ "2-anonymous" true (K.is_k_anonymous ~k:2 out);
     check int_ "rows kept" (3 - suppressed) (A.Dataset.nrows out)
   | Error e -> Alcotest.fail e);
   (* ...but k=4 is unreachable even fully generalised. *)
-  match A.Kanon.datafly ~k:4 ds scheme with
+  match K.datafly ~k:4 ds scheme with
   | Error _ -> ()
   | Ok (_, _, _) -> Alcotest.fail "expected failure at k=4"
 
 let test_optimal_minimal () =
   let raw = A.Dataset.drop_identifiers Mdp_scenario.Healthcare.table1_raw in
-  match A.Kanon.optimal ~k:2 raw Mdp_scenario.Healthcare.table1_scheme with
+  match K.optimal ~k:2 raw Mdp_scenario.Healthcare.table1_scheme with
   | Some (ds, levels) ->
-    check bool_ "optimal is 2-anonymous" true (A.Kanon.is_k_anonymous ~k:2 ds);
+    check bool_ "optimal is 2-anonymous" true (K.is_k_anonymous ~k:2 ds);
     let total = Mdp_prelude.Listx.sum_by snd levels in
     check int_ "minimal total level" 2 total
   | None -> Alcotest.fail "no lattice point found"
@@ -174,25 +181,27 @@ let prop_datafly_k_anonymous =
     (fun (k, rows) ->
       let ds = Mdp_scenario.Synthetic.dataset ~seed:(k * rows) ~rows ~quasi:2 in
       let scheme = Mdp_scenario.Synthetic.scheme_for ~quasi:2 in
-      match A.Kanon.datafly ~k ~max_suppression:0.3 ds scheme with
-      | Ok (out, _, _) -> A.Kanon.is_k_anonymous ~k out
+      match K.datafly ~k ~max_suppression:0.3 ds scheme with
+      | Ok (out, _, _) -> K.is_k_anonymous ~k out
       | Error _ -> true (* allowed to fail; must not lie *))
 
 (* ------------------------------------------------------------------ *)
 (* Mondrian *)
 
+let mondrian ~k ds = Result.map C.source (C.mondrian_release ~k (C.compile ds))
+
 let test_mondrian () =
   let ds = Mdp_scenario.Synthetic.dataset ~seed:5 ~rows:100 ~quasi:2 in
-  match A.Mondrian.anonymise ~k:5 ds with
+  match mondrian ~k:5 ds with
   | Ok out ->
-    check bool_ "5-anonymous" true (A.Kanon.is_k_anonymous ~k:5 out);
+    check bool_ "5-anonymous" true (K.is_k_anonymous ~k:5 out);
     check int_ "row count preserved" 100 (A.Dataset.nrows out);
     (* Generalised cells must cover the original values. *)
     let covers gen raw =
       match (gen, V.numeric raw) with
       | V.Suppressed, _ -> true
       | V.Interval (lo, hi), Some x -> lo <= x && x < hi
-      | g, _ -> V.equal g raw
+      | g, _ -> g = raw
     in
     let q0 = A.Dataset.col_index ds "Q0" in
     for r = 0 to 99 do
@@ -204,7 +213,7 @@ let test_mondrian () =
   | Error e -> Alcotest.fail e
 
 let test_mondrian_errors () =
-  (match A.Mondrian.anonymise ~k:10 (Mdp_scenario.Synthetic.dataset ~seed:1 ~rows:5 ~quasi:1) with
+  (match mondrian ~k:10 (Mdp_scenario.Synthetic.dataset ~seed:1 ~rows:5 ~quasi:1) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "k larger than dataset accepted");
   let non_numeric =
@@ -212,7 +221,7 @@ let test_mondrian_errors () =
       ~attrs:[ A.Attribute.make ~name:"Q" ~kind:A.Attribute.Quasi ]
       ~rows:[ [ V.Str "x" ]; [ V.Str "y" ] ]
   in
-  match A.Mondrian.anonymise ~k:2 non_numeric with
+  match mondrian ~k:2 non_numeric with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-numeric quasi accepted"
 
@@ -221,15 +230,15 @@ let prop_mondrian_k_anonymous =
     QCheck.(pair (int_range 2 6) (int_range 20 80))
     (fun (k, rows) ->
       let ds = Mdp_scenario.Synthetic.dataset ~seed:(k + rows) ~rows ~quasi:2 in
-      match A.Mondrian.anonymise ~k ds with
-      | Ok out -> A.Kanon.is_k_anonymous ~k out
+      match mondrian ~k ds with
+      | Ok out -> K.is_k_anonymous ~k out
       | Error _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* l-diversity *)
 
 let test_ldiversity () =
-  check int_ "table1 distinct l" 2 (A.Ldiv.distinct table1 ~sensitive:"Weight")
+  check int_ "table1 distinct l" 2 (Rel.Ldiv.distinct table1 ~sensitive:"Weight")
 
 let test_ldiversity_constant_class () =
   let ds =
@@ -241,15 +250,17 @@ let test_ldiversity_constant_class () =
         ]
       ~rows:[ [ V.Int 1; V.Int 9 ]; [ V.Int 1; V.Int 9 ] ]
   in
-  check int_ "constant class l=1" 1 (A.Ldiv.distinct ds ~sensitive:"S")
+  check int_ "constant class l=1" 1 (Rel.Ldiv.distinct ds ~sensitive:"S")
 
 (* ------------------------------------------------------------------ *)
 (* Value risk: the paper's Table I, exactly *)
 
 let policy = Mdp_scenario.Healthcare.value_policy
 
+let table1_plan = C.compile table1
+
 let risks fields_read =
-  let r = A.Value_risk.assess table1 ~fields_read policy in
+  let r = C.value_risk_assess table1_plan ~fields_read policy in
   (List.map (fun (s : A.Value_risk.score) -> Frac.to_string s.risk) r.scores, r.violations)
 
 let test_table1_height () =
@@ -271,7 +282,7 @@ let test_table1_age_height () =
   check int_ "4 violations" 4 v
 
 let test_value_risk_no_fields_read () =
-  let r = A.Value_risk.assess table1 ~fields_read:[] policy in
+  let r = C.value_risk_assess table1_plan ~fields_read:[] policy in
   (* One set of six records. *)
   List.iter
     (fun (s : A.Value_risk.score) -> check int_ "den 6" 6 s.risk.Frac.den)
@@ -279,7 +290,7 @@ let test_value_risk_no_fields_read () =
   check int_ "no violations" 0 r.violations
 
 let test_value_risk_sweep () =
-  let reports = A.Value_risk.sweep table1 policy in
+  let reports = C.value_risk_sweep table1_plan policy in
   check int_ "3 subsets of 2 quasi attrs" 3 (List.length reports);
   (* ordered by subset size *)
   check int_ "singletons first" 1
@@ -291,7 +302,7 @@ let prop_value_risk_bounds =
     (fun rows ->
       let ds = Mdp_scenario.Synthetic.dataset ~seed:rows ~rows ~quasi:2 in
       let p = { A.Value_risk.sensitive = "S"; closeness = 5.0; confidence = 0.9 } in
-      let r = A.Value_risk.assess ds ~fields_read:[ "Q0" ] p in
+      let r = C.value_risk_assess (C.compile ds) ~fields_read:[ "Q0" ] p in
       List.for_all
         (fun (s : A.Value_risk.score) ->
           s.risk.Frac.num >= 1 (* own value is always close to itself *)
@@ -306,8 +317,9 @@ let prop_value_risk_monotone_in_fields =
     (fun rows ->
       let ds = Mdp_scenario.Synthetic.dataset ~seed:(rows * 3) ~rows ~quasi:2 in
       let p = { A.Value_risk.sensitive = "S"; closeness = 5.0; confidence = 0.9 } in
-      let r1 = A.Value_risk.assess ds ~fields_read:[ "Q0" ] p in
-      let r2 = A.Value_risk.assess ds ~fields_read:[ "Q0"; "Q1" ] p in
+      let plan = C.compile ds in
+      let r1 = C.value_risk_assess plan ~fields_read:[ "Q0" ] p in
+      let r2 = C.value_risk_assess plan ~fields_read:[ "Q0"; "Q1" ] p in
       List.for_all2
         (fun (a : A.Value_risk.score) (b : A.Value_risk.score) ->
           Frac.to_float b.risk >= Frac.to_float a.risk -. 1e-9)
@@ -320,15 +332,15 @@ let test_utility_means () =
   let raw = A.Dataset.drop_identifiers Mdp_scenario.Healthcare.table1_raw in
   (* Weight survives generalisation untouched. *)
   check (Alcotest.option float_) "weight mean drift" (Some 0.0)
-    (A.Utility.mean_drift ~original:raw ~release:table1 "Weight");
+    (Rel.Utility.mean_drift ~original:raw ~release:table1 "Weight");
   (* Age becomes interval midpoints: drift bounded by half the band. *)
-  match A.Utility.mean_drift ~original:raw ~release:table1 "Age" with
+  match Rel.Utility.mean_drift ~original:raw ~release:table1 "Age" with
   | Some d -> check bool_ "age drift bounded" true (d <= 5.0)
   | None -> Alcotest.fail "age mean should exist"
 
 let test_utility_discernibility () =
-  check int_ "discernibility of table1" 12 (A.Utility.discernibility table1);
-  check float_ "avg class size" 2.0 (A.Utility.avg_class_size table1)
+  check int_ "discernibility of table1" 12 (Rel.Utility.discernibility table1);
+  check float_ "avg class size" 2.0 (Rel.Utility.avg_class_size table1)
 
 (* ------------------------------------------------------------------ *)
 (* CSV *)
@@ -349,9 +361,9 @@ let test_csv_roundtrip () =
   | Ok ds ->
     check int_ "rows" 6 (A.Dataset.nrows ds);
     check bool_ "interval survived" true
-      (V.equal (A.Dataset.get ds ~row:0 ~col:0) (V.Interval (30.0, 40.0)));
+      (A.Dataset.get ds ~row:0 ~col:0 = V.Interval (30.0, 40.0));
     check bool_ "ints survived" true
-      (V.equal (A.Dataset.get ds ~row:0 ~col:2) (V.Int 100))
+      (A.Dataset.get ds ~row:0 ~col:2 = V.Int 100)
 
 let test_csv_errors () =
   (match A.Csv.parse ~kinds:[] "" with
@@ -368,11 +380,11 @@ let test_release_gate_accepts_and_rejects () =
   let raw = A.Dataset.drop_identifiers Mdp_scenario.Healthcare.table1_raw in
   let release = table1 in
   (* k alone: accepted. *)
-  let base = A.Release_gate.default ~k:2 in
-  let v = A.Release_gate.evaluate ~original:raw ~release base in
+  let base = Rel.Release_gate.default ~k:2 in
+  let v = Rel.Release_gate.evaluate ~original:raw ~release base in
   check bool_ "k=2 accepted" true v.accepted;
   (* k=3: rejected with a message. *)
-  let v3 = A.Release_gate.evaluate ~original:raw ~release { base with k = 3 } in
+  let v3 = Rel.Release_gate.evaluate ~original:raw ~release { base with k = 3 } in
   check bool_ "k=3 rejected" false v3.accepted;
   check int_ "one failure" 1 (List.length v3.failures);
   (* l-diversity and value risk together: the Table-I release fails the
@@ -385,7 +397,7 @@ let test_release_gate_accepts_and_rejects () =
       value_policy = Some Mdp_scenario.Healthcare.value_policy;
     }
   in
-  let vs = A.Release_gate.evaluate ~original:raw ~release strict in
+  let vs = Rel.Release_gate.evaluate ~original:raw ~release strict in
   check bool_ "value risk trips the gate" false vs.accepted;
   check bool_ "failure names the read set" true
     (List.exists
@@ -402,21 +414,19 @@ let test_release_gate_utility () =
   let raw = A.Dataset.drop_identifiers Mdp_scenario.Healthcare.table1_raw in
   (* The release keeps Weight raw: zero drift, so a tight bound passes. *)
   let criteria =
-    { (A.Release_gate.default ~k:2) with max_mean_drift = Some 0.001 }
+    { (Rel.Release_gate.default ~k:2) with max_mean_drift = Some 0.001 }
   in
-  let v = A.Release_gate.evaluate ~original:raw ~release:table1 criteria in
+  let v = Rel.Release_gate.evaluate ~original:raw ~release:table1 criteria in
   check bool_ "no drift on raw sensitive column" true v.accepted;
   (* Misconfiguration is itself a failure. *)
   let bad =
-    { (A.Release_gate.default ~k:2) with max_violation_ratio = Some 0.5 }
+    { (Rel.Release_gate.default ~k:2) with max_violation_ratio = Some 0.5 }
   in
-  let vb = A.Release_gate.evaluate ~original:raw ~release:table1 bad in
+  let vb = Rel.Release_gate.evaluate ~original:raw ~release:table1 bad in
   check bool_ "ratio without policy rejected" false vb.accepted
 
 (* ------------------------------------------------------------------ *)
-(* Columnar engine: parity with the naive modules *)
-
-module C = A.Columnar
+(* Columnar engine: parity with the naive oracles *)
 
 let seeds = [ 3; 17; 23 ]
 let parity_ds seed = Mdp_scenario.Synthetic.dataset ~seed ~rows:400 ~quasi:3
@@ -426,7 +436,7 @@ let release_cells ~k ds =
     (fun plan -> A.Dataset.rows (C.source plan))
     (C.mondrian_release ~k (C.compile ds))
 
-let naive_cells ~k ds = Result.map A.Dataset.rows (A.Mondrian.anonymise ~k ds)
+let naive_cells ~k ds = Result.map A.Dataset.rows (Naive_mondrian.anonymise ~k ds)
 
 let test_columnar_mondrian_parity () =
   (* The 40,000-row input grows a deep partition tree. *)
@@ -519,19 +529,41 @@ let test_mondrian_k_below_1 () =
 let policy_s = { A.Value_risk.sensitive = "S"; closeness = 5.0; confidence = 0.9 }
 
 let test_columnar_analyses_parity () =
-  (* Fresh compiles: of the raw data and of the naive release. *)
+  let same what d p fields_read =
+    check bool_ what true
+      (Naive_value_risk.assess d ~fields_read p
+      = C.value_risk_assess (C.compile d) ~fields_read p)
+  in
+  (* Fresh compiles: of the raw data and of the naive release. The sweep
+     covers the non-empty read sets; the empty one is what Fig. 4's
+     read {} transitions assess. *)
   List.iter
     (fun seed ->
       let ds = parity_ds seed in
-      let release = Result.get_ok (A.Mondrian.anonymise ~k:10 ds) in
+      let release = Result.get_ok (Naive_mondrian.anonymise ~k:10 ds) in
       List.iter
         (fun (what, d) ->
           check bool_
             (Printf.sprintf "value risk sweep seed %d %s" seed what)
             true
-            (A.Value_risk.sweep d policy_s = C.value_risk_sweep (C.compile d) policy_s))
+            (Naive_value_risk.sweep d policy_s = C.value_risk_sweep (C.compile d) policy_s);
+          same (Printf.sprintf "empty read set seed %d %s" seed what) d policy_s [])
         [ ("raw", ds); ("release", release) ])
-    seeds
+    seeds;
+  List.iter
+    (fun rows ->
+      same
+        (Printf.sprintf "empty read set on %d rows" rows)
+        (Mdp_scenario.Synthetic.dataset ~seed:rows ~rows ~quasi:3)
+        policy_s [])
+    [ 0; 1; 50 ];
+  (* Table I's read sets, and the empty one. *)
+  List.iter
+    (fun fields_read ->
+      same
+        (Printf.sprintf "table1 {%s}" (String.concat ", " fields_read))
+        table1 policy fields_read)
+    [ []; [ "Height" ]; [ "Age" ]; [ "Age"; "Height" ] ]
 
 let test_columnar_categorical_parity () =
   (* Categorical sensitive column: code-counted value risk, including a
@@ -555,11 +587,11 @@ let test_columnar_categorical_parity () =
   in
   let p = { A.Value_risk.sensitive = "S"; closeness = 0.0; confidence = 0.5 } in
   check bool_ "categorical value risk" true
-    (A.Value_risk.sweep ds p = C.value_risk_sweep (C.compile ds) p);
-  let naive_rel = Result.get_ok (A.Mondrian.anonymise ~k:2 ds) in
+    (Naive_value_risk.sweep ds p = C.value_risk_sweep (C.compile ds) p);
+  let naive_rel = Result.get_ok (Naive_mondrian.anonymise ~k:2 ds) in
   let rplan = Result.get_ok (C.mondrian_release ~k:2 (C.compile ds)) in
   check bool_ "categorical value risk on the seeded release" true
-    (A.Value_risk.sweep naive_rel p = C.value_risk_sweep rplan p)
+    (Naive_value_risk.sweep naive_rel p = C.value_risk_sweep rplan p)
 
 let test_columnar_release_plan () =
   (* [mondrian_release]'s seeded dictionaries must give the value-risk
@@ -570,12 +602,12 @@ let test_columnar_release_plan () =
       let plan = C.compile ds in
       List.iter
         (fun k ->
-          let naive_rel = Result.get_ok (A.Mondrian.anonymise ~k ds) in
+          let naive_rel = Result.get_ok (Naive_mondrian.anonymise ~k ds) in
           let rplan = Result.get_ok (C.mondrian_release ~k plan) in
           check bool_
             (Printf.sprintf "seeded sweep seed %d k %d" seed k)
             true
-            (A.Value_risk.sweep naive_rel policy_s
+            (Naive_value_risk.sweep naive_rel policy_s
             = C.value_risk_sweep rplan policy_s))
         [ 2; 10 ])
     seeds
@@ -595,6 +627,9 @@ let test_csv_hostile_header () =
   rejects "empty name" ~kinds:[] "Age,,W\n1,2,3\n";
   rejects "duplicate name" ~kinds:q "Age,Age\n1,10\n";
   rejects "kinds column not in header" ~kinds:[ ("Nope", A.Attribute.Sensitive) ]
+    "Age,W\n1,10\n";
+  rejects "column given two kinds"
+    ~kinds:[ ("Age", A.Attribute.Quasi); ("Age", A.Attribute.Sensitive) ]
     "Age,W\n1,10\n"
 
 (* Untrusted CSVs never raise: the sample microdata, mutated by byte

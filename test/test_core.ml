@@ -988,20 +988,74 @@ let test_binding_validation () =
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unbound sensitive accepted");
-  match
-    Core.Pseudonym_risk.make_binding ~store:"AnonStudy"
-      ~dataset:H.table1_released
-      ~attr_fields:
-        [
-          ("Age", H.age);
-          ("Height", H.height);
-          ("Weight", H.weight);
-          ("Ghost", H.name);
-        ]
-      ~policy:H.value_policy
-  with
+  (match
+     Core.Pseudonym_risk.make_binding ~store:"AnonStudy"
+       ~dataset:H.table1_released
+       ~attr_fields:
+         [
+           ("Age", H.age);
+           ("Height", H.height);
+           ("Weight", H.weight);
+           ("Ghost", H.name);
+         ]
+       ~policy:H.value_policy
+   with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "foreign attribute accepted"
+  | _ -> Alcotest.fail "foreign attribute accepted");
+  (* A policy outside its range: a negative radius reads every record
+     as safe, a confidence outside [0,1] flags every record or none. *)
+  List.iter
+    (fun (what, policy) ->
+      match
+        Core.Pseudonym_risk.make_binding ~store:"AnonStudy"
+          ~dataset:H.table1_released
+          ~attr_fields:[ ("Age", H.age); ("Height", H.height); ("Weight", H.weight) ]
+          ~policy
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("closeness -1", { H.value_policy with closeness = -1.0 });
+      ("closeness nan", { H.value_policy with closeness = Float.nan });
+      ("closeness inf", { H.value_policy with closeness = Float.infinity });
+      ("confidence 2", { H.value_policy with confidence = 2.0 });
+      ("confidence -1", { H.value_policy with confidence = -1.0 });
+      ("confidence nan", { H.value_policy with confidence = Float.nan });
+    ]
+
+(* Fig. 4's eleven risk-transitions read four distinct quasi sets; each
+   set is assessed once and its transitions share the report, which
+   equals the naive oracle's on that set. *)
+let test_study_one_report_per_read_set () =
+  let a = study () in
+  let reports =
+    List.fold_left
+      (fun acc (rt : Core.Pseudonym_risk.risk_transition) ->
+        if List.exists (fun r -> r == rt.report) acc then acc
+        else rt.report :: acc)
+      [] a.pseudonym
+  in
+  check
+    (Alcotest.list (Alcotest.list Alcotest.string))
+    "one report per read set"
+    [ []; [ "Age" ]; [ "Age"; "Height" ]; [ "Height" ] ]
+    (List.sort compare
+       (List.map (fun (r : Mdp_anon.Value_risk.report) -> r.fields_read) reports));
+  let attr_of anon =
+    fst
+      (List.find
+         (fun (_, base) -> Field.equal (Field.anon_of base) anon)
+         H.study_binding.attr_fields)
+  in
+  List.iter
+    (fun (rt : Core.Pseudonym_risk.risk_transition) ->
+      let fields_read = List.map attr_of rt.fields_read in
+      check bool_
+        (Printf.sprintf "s%d report is the oracle's" rt.src)
+        true
+        (rt.report
+        = Naive_value_risk.assess H.table1_released ~fields_read H.value_policy))
+    a.pseudonym
 
 (* ------------------------------------------------------------------ *)
 (* Consistency *)
@@ -1127,6 +1181,8 @@ let () =
           Alcotest.test_case "raw access removes risk" `Quick
             test_no_risk_when_raw_access_allowed;
           Alcotest.test_case "binding validation" `Quick test_binding_validation;
+          Alcotest.test_case "one report per read set" `Quick
+            test_study_one_report_per_read_set;
           Alcotest.test_case "held field not inferred" `Quick
             test_held_field_not_inferred;
           Alcotest.test_case "bindings do not chain" `Quick

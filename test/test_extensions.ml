@@ -314,15 +314,15 @@ let test_population_fix_improves () =
 (* t-closeness *)
 
 let test_tcloseness_table1 () =
-  match A.Tcloseness.numeric_emd H.table1_released ~sensitive:"Weight" with
+  match Mdp_release.Tcloseness.numeric_emd H.table1_released ~sensitive:"Weight" with
   | Some emd ->
     (* Table I's classes are heavily skewed: far from the global
        distribution. *)
     check bool_ "positive distance" true (emd > 0.3);
     check bool_ "not 0.1-close" false
-      (A.Tcloseness.is_t_close ~t:0.1 H.table1_released ~sensitive:"Weight");
+      (Mdp_release.Tcloseness.is_t_close ~t:0.1 H.table1_released ~sensitive:"Weight");
     check bool_ "1.0-close trivially" true
-      (A.Tcloseness.is_t_close ~t:1.0 H.table1_released ~sensitive:"Weight")
+      (Mdp_release.Tcloseness.is_t_close ~t:1.0 H.table1_released ~sensitive:"Weight")
   | None -> Alcotest.fail "weight is numeric"
 
 let test_tcloseness_uniform_is_zero () =
@@ -336,10 +336,10 @@ let test_tcloseness_uniform_is_zero () =
         ]
       ~rows:[ [ V.Int 1; V.Int 10 ]; [ V.Int 1; V.Int 20 ]; [ V.Int 1; V.Int 30 ] ]
   in
-  (match A.Tcloseness.numeric_emd ds ~sensitive:"S" with
+  (match Mdp_release.Tcloseness.numeric_emd ds ~sensitive:"S" with
   | Some emd -> check (Alcotest.float 1e-9) "zero distance" 0.0 emd
   | None -> Alcotest.fail "numeric expected");
-  check bool_ "0-close" true (A.Tcloseness.is_t_close ~t:0.0 ds ~sensitive:"S")
+  check bool_ "0-close" true (Mdp_release.Tcloseness.is_t_close ~t:0.0 ds ~sensitive:"S")
 
 let test_tcloseness_categorical () =
   let ds =
@@ -357,7 +357,7 @@ let test_tcloseness_categorical () =
           [ V.Int 2; V.Str "cancer" ];
         ]
   in
-  match A.Tcloseness.categorical_distance ds ~sensitive:"S" with
+  match Mdp_release.Tcloseness.categorical_distance ds ~sensitive:"S" with
   | Some d ->
     (* Each class shows one value with global probability 1/2: TV = 1/2. *)
     check (Alcotest.float 1e-9) "total variation" 0.5 d
@@ -373,7 +373,7 @@ let prop_tcloseness_bounds =
           (Mdp_scenario.Synthetic.scheme_for ~quasi:2)
           [ ("Q0", 1); ("Q1", 1) ]
       in
-      match A.Tcloseness.numeric_emd gen ~sensitive:"S" with
+      match Mdp_release.Tcloseness.numeric_emd gen ~sensitive:"S" with
       | Some d -> d >= 0.0 && d <= 1.0 +. 1e-9
       | None -> false)
 

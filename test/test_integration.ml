@@ -41,7 +41,7 @@ let test_case_b_end_to_end () =
   (* Datafly with k=2 independently rediscovers the paper's
      generalisation. *)
   let raw = A.Dataset.drop_identifiers H.table1_raw in
-  (match A.Kanon.datafly ~k:2 raw H.table1_scheme with
+  (match Mdp_release.Kanonymity.datafly ~k:2 raw H.table1_scheme with
   | Ok (ds, levels, 0) ->
     check bool_ "datafly matches the prepared release" true
       (A.Dataset.rows ds = A.Dataset.rows H.table1_released);

@@ -481,9 +481,9 @@ let test_store_write_read () =
   check (Alcotest.list Alcotest.string) "one subject" [ "s1" ]
     (R.Store_sim.subjects sim ~store:"StudyRecords");
   check bool_ "age stored" true
-    (V.equal (stored sim ~store:"StudyRecords" ~row:0 H.age) (V.Int 21));
+    (stored sim ~store:"StudyRecords" ~row:0 H.age = V.Int 21);
   check bool_ "weight stored" true
-    (V.equal (stored sim ~store:"StudyRecords" ~row:0 H.weight) (V.Int 71))
+    (stored sim ~store:"StudyRecords" ~row:0 H.weight = V.Int 71)
 
 let test_store_write_enforced () =
   let _, sim = study_sim () in
@@ -512,9 +512,9 @@ let test_store_upsert () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   check bool_ "updated" true
-    (V.equal (stored sim ~store:"StudyRecords" ~row:0 H.weight) (V.Int 99));
+    (stored sim ~store:"StudyRecords" ~row:0 H.weight = V.Int 99);
   check bool_ "other fields kept" true
-    (V.equal (stored sim ~store:"StudyRecords" ~row:0 H.age) (V.Int 21));
+    (stored sim ~store:"StudyRecords" ~row:0 H.age = V.Int 21);
   check int_ "one subject" 1
     (List.length (R.Store_sim.subjects sim ~store:"StudyRecords"))
 
